@@ -124,42 +124,3 @@ class TestShardedScaling:
             f"4 process-backend shards give only {speedup:.2f}x the 1-shard "
             f"rate ({by_shards[4]:,.0f} vs {by_shards[1]:,.0f} items/s)"
         )
-
-
-class TestWireTransportOverhead:
-    def test_wire_codec_vs_pickle_dispatch(self, benchmark, bench_scale,
-                                           run_once):
-        """Codec overhead on process-backend shard dispatch.
-
-        The wire codec replaced pickle on the worker pipes; this measures
-        both transports over the identical 2-shard workload and prints the
-        ratio.  There is no hard floor on single-core hosts (the workload
-        is then pure dispatch overhead, the codec's worst case); with real
-        cores the ingestion work dominates and the soft 0.5× sanity bound
-        applies.
-        """
-        num_items = max(50_000, int(500_000 * bench_scale))
-
-        def both_transports():
-            return {
-                transport: measure_sharded_throughput(
-                    num_items=num_items, shard_counts=(2,),
-                    backend="process",
-                    backend_options={"transport": transport}, repeats=2,
-                )[0].rate
-                for transport in ("wire", "pickle")
-            }
-
-        results = run_once(benchmark, both_transports)
-        ratio = results["wire"] / results["pickle"]
-        print()
-        print(format_table(
-            [{"transport": name, "items_per_sec": round(rate)}
-             for name, rate in results.items()],
-            title=f"Shard dispatch transport (wire/pickle = {ratio:.2f}x)"))
-        assert results["wire"] > 0 and results["pickle"] > 0
-        if _usable_cpus() >= 2:
-            assert ratio >= 0.5, (
-                f"wire transport is {ratio:.2f}x pickle — codec overhead "
-                "out of hand"
-            )

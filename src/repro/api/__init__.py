@@ -10,6 +10,9 @@ One front door over the protocol zoo:
   :class:`Covariance`, :class:`Norms`, …) answered with frozen
   :class:`Answer` dataclasses carrying the estimate, the paper's error bound
   and a message/items snapshot.
+* :mod:`repro.api.session` — :class:`Session`, the base both tracker
+  facades share: spec/params, the ingest watermark, the answer cache and
+  the one ``query()`` read path.
 * :mod:`repro.api.tracker` — the :class:`Tracker` session facade: owns a
   protocol plus a :class:`~repro.streaming.runner.StreamingEngine`, exposes
   ``push``/``push_batch``/``run``, the uniform ``query`` surface and
@@ -51,6 +54,7 @@ from .registry import (
     get_spec,
     registry_rows,
 )
+from .session import Session
 from .state import (
     CHECKPOINT_VERSION,
     CheckpointError,
@@ -102,6 +106,7 @@ __all__ = [
     "FrobeniusSquaredAnswer",
     "ApproximationError",
     # tracker sessions
+    "Session",
     "Tracker",
     "TrackerStats",
     # sharded execution (repro.cluster)

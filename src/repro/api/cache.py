@@ -14,11 +14,8 @@ implements that memoize-until-invalidated discipline as a small LRU:
 * the **value** is the *same frozen* :class:`~repro.api.queries.Answer`
   a fresh evaluation would return — bit-identical estimates, bounds and
   accounting snapshots, because nothing between two epochs changes them;
-* ``max_entries`` bounds memory (least-recently-used eviction) and ``ttl``
-  optionally bounds staleness of the *serving clock* (an entry older than
-  ``ttl`` seconds re-evaluates even at an unchanged epoch — useful when
-  answers embed wall-clock-adjacent context, never needed for
-  correctness).
+* ``max_entries`` bounds memory (least-recently-used eviction); there is no
+  time-based expiry, because the epoch guard alone is always correct.
 
 A cache built with ``max_entries=0`` is disabled: ``get``/``put`` return
 immediately without taking the lock, so the hot path costs one attribute
@@ -33,8 +30,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from time import monotonic
-from typing import Any, Hashable, Optional, Tuple
+from typing import Any, Hashable
 
 from ..obs.metrics import REGISTRY
 
@@ -54,7 +50,7 @@ _MISSES = REGISTRY.counter(
     "Answer-cache misses (query evaluated and cached)", labels=("spec",))
 _EVICTIONS = REGISTRY.counter(
     "repro_cache_evictions_total",
-    "Answer-cache LRU/TTL evictions", labels=("spec",))
+    "Answer-cache LRU evictions", labels=("spec",))
 
 
 class AnswerCache:
@@ -65,26 +61,18 @@ class AnswerCache:
     max_entries:
         LRU capacity; ``0`` disables the cache entirely (both ``get`` and
         ``put`` become constant-time no-ops).
-    ttl:
-        Optional wall-clock lifetime in seconds; entries older than this
-        re-evaluate even when their epoch is still current.  ``None``
-        (default) trusts the epoch guard alone, which is always correct.
     spec:
         Registry spec label for the ``repro_cache_*`` metric series.
     """
 
     def __init__(self, max_entries: int = DEFAULT_CACHE_SIZE,
-                 ttl: Optional[float] = None, spec: str = "unknown"):
+                 spec: str = "unknown"):
         if max_entries < 0:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        if ttl is not None and ttl <= 0:
-            raise ValueError(f"ttl must be positive or None, got {ttl}")
         self.max_entries = int(max_entries)
-        self.ttl = ttl
         self._spec = spec
         self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Tuple[float, Any]]" = \
-            OrderedDict()
+        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         #: Local counters mirrored into the ``repro_cache_*`` metric series.
         self.hits = 0
         self.misses = 0
@@ -102,39 +90,31 @@ class AnswerCache:
     def get(self, key: Hashable) -> Any:
         """The cached answer under ``key``, or ``None``.
 
-        A hit refreshes the entry's LRU position; a TTL-expired entry is
-        dropped and counts as both an eviction and a miss.
+        A hit refreshes the entry's LRU position.
         """
         if self.max_entries == 0:
             return None
-        now = monotonic() if self.ttl is not None else 0.0
         with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
+            answer = self._entries.get(key)
+            if answer is None:
                 self.misses += 1
-            elif self.ttl is not None and now - entry[0] > self.ttl:
-                del self._entries[key]
-                self.evictions += 1
-                self.misses += 1
-                entry = None
             else:
                 self._entries.move_to_end(key)
                 self.hits += 1
         if REGISTRY.enabled:
-            if entry is None:
+            if answer is None:
                 _MISSES.inc(spec=self._spec)
             else:
                 _HITS.inc(spec=self._spec)
-        return entry[1] if entry is not None else None
+        return answer
 
     def put(self, key: Hashable, answer: Any) -> None:
         """Store ``answer`` under ``key``, evicting LRU entries over capacity."""
         if self.max_entries == 0:
             return
-        stamp = monotonic() if self.ttl is not None else 0.0
         evicted = 0
         with self._lock:
-            self._entries[key] = (stamp, answer)
+            self._entries[key] = answer
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -153,8 +133,7 @@ class AnswerCache:
     # only — entries and counters are process-local serving state, and the
     # lock cannot cross process boundaries anyway.
     def __getstate__(self) -> dict:
-        return {"max_entries": self.max_entries, "ttl": self.ttl,
-                "spec": self._spec}
+        return {"max_entries": self.max_entries, "spec": self._spec}
 
     def __setstate__(self, state: dict) -> None:
-        self.__init__(state["max_entries"], state["ttl"], state["spec"])
+        self.__init__(state["max_entries"], state["spec"])

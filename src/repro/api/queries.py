@@ -18,8 +18,8 @@ Each :class:`Query` is a small frozen dataclass naming what is asked; each
 * ``items_processed`` / ``total_messages`` — a snapshot of the stream
   position and communication spent when the query was answered.
 
-Queries validate their target domain: asking a matrix tracker for heavy
-hitters raises ``TypeError`` naming both the query and the protocol.
+Every query names its ``domain``; a session refuses a query of the other
+domain with a ``TypeError`` naming the query kind and the session's spec.
 """
 
 from __future__ import annotations
@@ -27,13 +27,23 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, Optional, Tuple
+from typing import (
+    Any,
+    ClassVar,
+    Dict,
+    Hashable,
+    Iterable,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
-from ..heavy_hitters.base import HeavyHitter, WeightedHeavyHitterProtocol
-from ..matrix_tracking.base import MatrixTrackingProtocol
+from ..heavy_hitters.base import HeavyHitter, select_heavy_hitters
 from ..streaming.protocol import DistributedProtocol
+from ..utils.linalg import spectral_norm
+from .registry import DOMAIN_HEAVY_HITTERS, DOMAIN_MATRIX
 
 __all__ = [
     "Query",
@@ -53,6 +63,7 @@ __all__ = [
     "FrobeniusSquared",
     "FrobeniusSquaredAnswer",
     "ApproximationError",
+    "merge_counter_maps",
 ]
 
 
@@ -199,11 +210,40 @@ def _canonical_param(value: Any) -> Hashable:
 
 @dataclass(frozen=True)
 class Query:
-    """Base of all typed queries; subclasses implement :meth:`answer`."""
+    """Base of all typed queries.
+
+    A query kind is defined by exactly three things, all on its class:
+    ``domain`` (the registry domain it applies to), :meth:`materials` (what
+    it reads from one protocol — runs on the shard, and the dictionary
+    crosses the socket to remote workers, so its keys and value types are
+    wire format) and :meth:`combine` (how ``N`` such dictionaries become
+    the frozen :class:`Answer`).  A plain tracker is the one-part case of
+    the same two steps, which is what makes it identical to a one-shard
+    cluster by construction rather than by test.
+    """
+
+    #: Registry domain (``"hh"`` / ``"matrix"``) whose protocols answer this.
+    domain: ClassVar[str] = ""
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        """Read what this query needs from ``protocol`` right now."""
+        raise NotImplementedError
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> Answer:
+        """Fold per-shard :meth:`materials` into one frozen ``Answer``.
+
+        The combined ``error_bound`` is the *sum* of the per-shard bounds
+        (``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s``) and the ``items``/``messages``
+        snapshot aggregates all parts.  A single part passes through
+        without arithmetic or copies.  ``missing_shards`` flags a degraded
+        merge: ``parts`` then holds the live shards only.
+        """
+        raise NotImplementedError
 
     def answer(self, protocol: DistributedProtocol) -> Answer:
         """Evaluate this query against ``protocol`` right now."""
-        raise NotImplementedError
+        return self.combine([self.materials(protocol)])
 
     def cache_key(self) -> Hashable:
         """This query's canonical identity for answer caching/ETags.
@@ -219,51 +259,80 @@ class Query:
             for field_info in dataclasses.fields(self)
         )
 
-    # ------------------------------------------------------------ internals
-    def _snapshot(self, protocol: DistributedProtocol) -> dict:
-        return {
-            "query": self,
-            "items_processed": protocol.items_processed,
-            "total_messages": protocol.total_messages,
-        }
 
-    def _require_heavy_hitters(
-        self, protocol: DistributedProtocol
-    ) -> WeightedHeavyHitterProtocol:
-        if not isinstance(protocol, WeightedHeavyHitterProtocol):
-            raise TypeError(
-                f"{type(self).__name__} queries need a weighted heavy-hitter "
-                f"protocol, got {type(protocol).__name__}"
-            )
-        return protocol
+def merge_counter_maps(maps: Iterable[Dict[Hashable, float]]) -> Dict[Hashable, float]:
+    """Counter-merge several estimate maps by summing per element.
 
-    def _require_matrix(
-        self, protocol: DistributedProtocol
-    ) -> MatrixTrackingProtocol:
-        if not isinstance(protocol, MatrixTrackingProtocol):
-            raise TypeError(
-                f"{type(self).__name__} queries need a matrix-tracking "
-                f"protocol, got {type(protocol).__name__}"
-            )
-        return protocol
+    With element-hash sharding the maps have disjoint support, so this is an
+    exact union; overlapping keys (e.g. merging checkpoints of overlapping
+    streams) still merge correctly by addition.
+    """
+    merged: Dict[Hashable, float] = {}
+    for counter_map in maps:
+        for element, weight in counter_map.items():
+            merged[element] = merged.get(element, 0.0) + weight
+    return merged
 
 
-def _weight_bound(protocol: WeightedHeavyHitterProtocol) -> float:
-    """The protocol's additive frequency bound (``ε·Ŵ``; 0 for the baseline)."""
-    return protocol.estimate_error_bound()
+def _total(parts: Sequence[Dict[str, Any]], key: str) -> Any:
+    """``key`` summed over ``parts``; a single part's value is returned as is."""
+    if len(parts) == 1:
+        return parts[0][key]
+    return sum(part[key] for part in parts)
 
 
-def _norm_bound(protocol: MatrixTrackingProtocol) -> Optional[float]:
-    """The protocol's additive covariance bound.
+def _shared_fields(query: Query, parts: Sequence[Dict[str, Any]],
+                   missing_shards: Iterable[int]) -> Dict[str, Any]:
+    """The answer fields every kind combines the same way."""
+    if not parts:
+        raise ValueError("need materials from at least one shard")
+    if len(parts) > 1 and any(part["bound"] is None for part in parts):
+        bound = None  # one shard without a guarantee voids the summed one
+    else:
+        bound = _total(parts, "bound")
+    return {
+        "query": query,
+        "error_bound": bound,
+        "items_processed": _total(parts, "items"),
+        "total_messages": _total(parts, "messages"),
+        "missing_shards": tuple(missing_shards),
+    }
 
-    ``ε·F̂`` for the distributed protocols, tighter for the centralized
-    baselines, ``None`` for the Appendix-C P4 — see
+
+def _weight_materials(protocol: DistributedProtocol,
+                      **payload: Any) -> Dict[str, Any]:
+    """Heavy-hitter materials: accounting, ``Ŵ``, the ``ε·Ŵ`` bound (0 for
+    the exact baseline), then the kind's own ``payload``."""
+    return {
+        "items": protocol.items_processed,
+        "messages": protocol.total_messages,
+        "epsilon": protocol.epsilon,
+        "total": protocol.estimated_total_weight(),
+        "bound": protocol.estimate_error_bound(),
+        **payload,
+    }
+
+
+def _matrix_materials(protocol: DistributedProtocol,
+                      **payload: Any) -> Dict[str, Any]:
+    """Matrix materials: accounting and the covariance bound, then ``payload``.
+
+    The bound is ``ε·F̂`` for the distributed protocols, tighter for the
+    centralized baselines, ``None`` for the Appendix-C P4 — see
     :meth:`~repro.matrix_tracking.base.MatrixTrackingProtocol.covariance_error_bound`.
     """
-    return protocol.covariance_error_bound()
+    return {
+        "items": protocol.items_processed,
+        "messages": protocol.total_messages,
+        "bound": protocol.covariance_error_bound(),
+        **payload,
+    }
 
 
 # ------------------------------------------------------------- heavy hitters
+# Each shard owns a disjoint slice of the element space, so its estimate map
+# is a counter summary of *its* sub-stream: summing maps, weights and totals
+# is an exact counter merge (Agarwal et al. 2012).
 @dataclass(frozen=True)
 class HeavyHittersAnswer(Answer):
     """Answer to :class:`HeavyHitters`; ``estimate`` is the hitter tuple."""
@@ -285,15 +354,25 @@ class HeavyHittersAnswer(Answer):
 class HeavyHitters(Query):
     """All elements of relative weight ≥ φ (Lemma 1 reporting rule)."""
 
+    domain: ClassVar[str] = DOMAIN_HEAVY_HITTERS
     phi: float = 0.05
 
-    def answer(self, protocol: DistributedProtocol) -> HeavyHittersAnswer:
-        hh = self._require_heavy_hitters(protocol)
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _weight_materials(protocol, estimates=protocol.estimates())
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> HeavyHittersAnswer:
+        fields = _shared_fields(self, parts, missing_shards)
+        if len(parts) == 1:
+            estimates = parts[0]["estimates"]
+        else:
+            estimates = merge_counter_maps(part["estimates"] for part in parts)
+        total = _total(parts, "total")
         return HeavyHittersAnswer(
-            estimate=tuple(hh.heavy_hitters(self.phi)),
-            error_bound=_weight_bound(hh),
-            estimated_total_weight=hh.estimated_total_weight(),
-            **self._snapshot(protocol),
+            estimate=tuple(select_heavy_hitters(
+                estimates, total, parts[0]["epsilon"], self.phi)),
+            estimated_total_weight=total,
+            **fields,
         )
 
 
@@ -306,15 +385,18 @@ class FrequencyAnswer(Answer):
 class Frequency(Query):
     """The estimated total weight ``Ŵ_e`` of one element."""
 
+    domain: ClassVar[str] = DOMAIN_HEAVY_HITTERS
     element: Hashable = None
 
-    def answer(self, protocol: DistributedProtocol) -> FrequencyAnswer:
-        hh = self._require_heavy_hitters(protocol)
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _weight_materials(protocol,
+                                 frequency=protocol.estimate(self.element))
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> FrequencyAnswer:
         return FrequencyAnswer(
-            estimate=hh.estimate(self.element),
-            error_bound=_weight_bound(hh),
-            **self._snapshot(protocol),
-        )
+            estimate=_total(parts, "frequency"),
+            **_shared_fields(self, parts, missing_shards))
 
 
 @dataclass(frozen=True)
@@ -326,16 +408,23 @@ class TotalWeightAnswer(Answer):
 class TotalWeight(Query):
     """The estimated total stream weight ``Ŵ``."""
 
-    def answer(self, protocol: DistributedProtocol) -> TotalWeightAnswer:
-        hh = self._require_heavy_hitters(protocol)
+    domain: ClassVar[str] = DOMAIN_HEAVY_HITTERS
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _weight_materials(protocol)
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> TotalWeightAnswer:
         return TotalWeightAnswer(
-            estimate=hh.estimated_total_weight(),
-            error_bound=_weight_bound(hh),
-            **self._snapshot(protocol),
-        )
+            estimate=_total(parts, "total"),
+            **_shared_fields(self, parts, missing_shards))
 
 
 # ------------------------------------------------------------ matrix queries
+# Covariance decomposes over any disjoint row split (``AᵀA = Σ_s Aᵀ_s A_s``),
+# so summed shard covariances / stacked shard sketches answer the merged
+# query (Frequent Directions' stack-and-compact mergeability gives the same
+# sum bound when the stacked sketch is re-compacted).
 @dataclass(frozen=True, eq=False)
 class CovarianceAnswer(Answer):
     """Answer to :class:`Covariance`; ``estimate`` is the ``d×d`` matrix."""
@@ -353,13 +442,16 @@ class Covariance(Query):
     The guarantee is spectral: ``‖AᵀA − BᵀB‖₂ ≤ error_bound``.
     """
 
-    def answer(self, protocol: DistributedProtocol) -> CovarianceAnswer:
-        matrix = self._require_matrix(protocol)
+    domain: ClassVar[str] = DOMAIN_MATRIX
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _matrix_materials(protocol, covariance=protocol.covariance())
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> CovarianceAnswer:
         return CovarianceAnswer(
-            estimate=matrix.covariance(),
-            error_bound=_norm_bound(matrix),
-            **self._snapshot(protocol),
-        )
+            estimate=_total(parts, "covariance"),
+            **_shared_fields(self, parts, missing_shards))
 
 
 @dataclass(frozen=True, eq=False)
@@ -374,28 +466,30 @@ class Norms(Query):
     Satisfies ``|‖Ax‖² − estimate| ≤ error_bound`` for unit ``x``.
     """
 
+    domain: ClassVar[str] = DOMAIN_MATRIX
     directions: np.ndarray = field(default=None)
 
-    def answer(self, protocol: DistributedProtocol) -> NormsAnswer:
-        matrix = self._require_matrix(protocol)
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
         directions = np.asarray(self.directions, dtype=np.float64)
         if directions.ndim == 1:
-            estimate: Any = matrix.squared_norm_along(directions)
+            norms: Any = protocol.squared_norm_along(directions)
         elif directions.ndim == 2:
-            product = matrix.sketch_matrix() @ directions.T
+            product = protocol.sketch_matrix() @ directions.T
             if product.size == 0:
-                estimate = np.zeros(directions.shape[0])
+                norms = np.zeros(directions.shape[0])
             else:
-                estimate = np.einsum("ij,ij->j", product, product)
+                norms = np.einsum("ij,ij->j", product, product)
         else:
             raise ValueError(
                 f"directions must be 1-d or 2-d, got shape {directions.shape}"
             )
+        return _matrix_materials(protocol, norms=norms)
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> NormsAnswer:
         return NormsAnswer(
-            estimate=estimate,
-            error_bound=_norm_bound(matrix),
-            **self._snapshot(protocol),
-        )
+            estimate=_total(parts, "norms"),
+            **_shared_fields(self, parts, missing_shards))
 
 
 @dataclass(frozen=True, eq=False)
@@ -407,13 +501,17 @@ class SketchMatrixAnswer(Answer):
 class SketchMatrix(Query):
     """The coordinator's current approximation matrix ``B`` (rows × d)."""
 
-    def answer(self, protocol: DistributedProtocol) -> SketchMatrixAnswer:
-        matrix = self._require_matrix(protocol)
+    domain: ClassVar[str] = DOMAIN_MATRIX
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _matrix_materials(protocol, sketch=protocol.sketch_matrix())
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> SketchMatrixAnswer:
+        blocks = [part["sketch"] for part in parts]
         return SketchMatrixAnswer(
-            estimate=matrix.sketch_matrix(),
-            error_bound=_norm_bound(matrix),
-            **self._snapshot(protocol),
-        )
+            estimate=blocks[0] if len(blocks) == 1 else np.vstack(blocks),
+            **_shared_fields(self, parts, missing_shards))
 
 
 @dataclass(frozen=True)
@@ -425,13 +523,17 @@ class FrobeniusSquaredAnswer(Answer):
 class FrobeniusSquared(Query):
     """The coordinator's estimate ``F̂`` of ``‖A‖²_F``."""
 
-    def answer(self, protocol: DistributedProtocol) -> FrobeniusSquaredAnswer:
-        matrix = self._require_matrix(protocol)
+    domain: ClassVar[str] = DOMAIN_MATRIX
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _matrix_materials(
+            protocol, fhat=protocol.estimated_squared_frobenius())
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> FrobeniusSquaredAnswer:
         return FrobeniusSquaredAnswer(
-            estimate=matrix.estimated_squared_frobenius(),
-            error_bound=_norm_bound(matrix),
-            **self._snapshot(protocol),
-        )
+            estimate=_total(parts, "fhat"),
+            **_shared_fields(self, parts, missing_shards))
 
 
 @dataclass(frozen=True)
@@ -443,17 +545,30 @@ class ApproximationError(Query):
     ``error_bound`` of the answer is the guarantee it should satisfy.
     """
 
-    def answer(self, protocol: DistributedProtocol) -> Answer:
-        matrix = self._require_matrix(protocol)
-        bound = _norm_bound(matrix)
-        normalised: Optional[float] = None
-        if bound is not None and matrix.observed_squared_frobenius > 0.0:
-            normalised = bound / matrix.observed_squared_frobenius
-        return Answer(
-            estimate=matrix.approximation_error(),
-            error_bound=normalised,
-            **self._snapshot(protocol),
+    domain: ClassVar[str] = DOMAIN_MATRIX
+
+    def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
+        return _matrix_materials(
+            protocol,
+            observed_covariance=protocol.observed_covariance(),
+            observed_f2=protocol.observed_squared_frobenius,
+            covariance=protocol.covariance(),
         )
+
+    def combine(self, parts: Sequence[Dict[str, Any]],
+                missing_shards: Iterable[int] = ()) -> Answer:
+        fields = _shared_fields(self, parts, missing_shards)
+        bound = fields.pop("error_bound")
+        observed_f2 = _total(parts, "observed_f2")
+        estimate = 0.0
+        normalised: Optional[float] = None
+        if observed_f2 > 0.0:
+            difference = (_total(parts, "observed_covariance")
+                          - _total(parts, "covariance"))
+            estimate = spectral_norm(difference) / observed_f2
+            if bound is not None:
+                normalised = bound / observed_f2
+        return Answer(estimate=estimate, error_bound=normalised, **fields)
 
 
 # ------------------------------------------------------- from_dict machinery

@@ -26,16 +26,13 @@ sources can at worst fail to load, not run code.  Loading a file with an
 unknown format, version, corruption or truncation raises
 :class:`CheckpointError` instead of resuming with garbage.
 
-Legacy pickle checkpoints (written before the wire format) are still
-readable, but only behind an explicit ``allow_pickle=True`` — unpickling
-executes arbitrary code, so only opt in for files you wrote yourself.  The
-shim emits a :class:`DeprecationWarning`; re-save to upgrade in place.
+Pickle checkpoints written before the wire format are recognised by their
+first byte and rejected with a :class:`CheckpointError` that says so:
+unpickling executes arbitrary code, so no build loads them any more.
 """
 
 from __future__ import annotations
 
-import pickle
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -90,26 +87,28 @@ def _write(path: PathLike, payload: Dict[str, Any], *,
 
 
 def _read(path: PathLike, expected_format: str,
-          expected_version: int = CHECKPOINT_VERSION,
-          allow_pickle: bool = False) -> Dict[str, Any]:
+          expected_version: int = CHECKPOINT_VERSION) -> Dict[str, Any]:
     with open(Path(path), "rb") as handle:
         data = handle.read()
-    if is_wire_data(data):
-        try:
-            kind, payload = unpack_frame(data)
-        except WireDecodeError as exc:
-            raise CheckpointError(
-                f"cannot read checkpoint {path!s}: {exc}"
-            ) from exc
-        if kind != expected_format:
-            raise CheckpointError(
-                f"{path!s} is a {kind!r} frame, not a {expected_format!r} "
-                "checkpoint"
-            )
-    elif data[:1] == _PICKLE_PROTO_OPCODE:
-        payload = _read_legacy_pickle(path, data, expected_format, allow_pickle)
-    else:
+    if data[:1] == _PICKLE_PROTO_OPCODE:
+        raise CheckpointError(
+            f"{path!s} is a pre-wire pickle checkpoint; loading one executes "
+            "arbitrary code, so this build refuses it (load and re-save it "
+            "with the release that wrote it to upgrade to the wire format)"
+        )
+    if not is_wire_data(data):
         raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
+    try:
+        kind, payload = unpack_frame(data)
+    except WireDecodeError as exc:
+        raise CheckpointError(
+            f"cannot read checkpoint {path!s}: {exc}"
+        ) from exc
+    if kind != expected_format:
+        raise CheckpointError(
+            f"{path!s} is a {kind!r} frame, not a {expected_format!r} "
+            "checkpoint"
+        )
     if not isinstance(payload, dict):
         raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
     version = payload.get("version")
@@ -118,29 +117,6 @@ def _read(path: PathLike, expected_format: str,
             f"checkpoint {path!s} has version {version!r}; this build "
             f"supports version {expected_version}"
         )
-    return payload
-
-
-def _read_legacy_pickle(path: PathLike, data: bytes, expected_format: str,
-                        allow_pickle: bool) -> Dict[str, Any]:
-    """The legacy-compatibility shim for pre-wire pickle checkpoints."""
-    if not allow_pickle:
-        raise CheckpointError(
-            f"{path!s} is a legacy pickle checkpoint; loading it executes "
-            "arbitrary code, so pass allow_pickle=True only for files you "
-            "wrote yourself (re-save to upgrade to the wire format)"
-        )
-    warnings.warn(
-        f"loading legacy pickle checkpoint {path!s}; pickle checkpoints are "
-        "deprecated — re-save to upgrade to the wire format",
-        DeprecationWarning, stacklevel=3,
-    )
-    try:
-        payload = pickle.loads(data)
-    except Exception as exc:
-        raise CheckpointError(f"cannot read checkpoint {path!s}: {exc}") from exc
-    if not isinstance(payload, dict) or payload.get("format") != expected_format:
-        raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
     return payload
 
 
@@ -228,16 +204,10 @@ def save_tracker(tracker: Any, path: PathLike, *, compress: bool = True,
     _write(path, payload, compress=compress, float32=float32)
 
 
-def load_tracker(path: PathLike, allow_pickle: bool = False) -> Any:
-    """Restore a session checkpointed by :func:`save_tracker`.
-
-    ``allow_pickle=True`` additionally accepts legacy pickle checkpoints
-    (deprecated; only for files you wrote yourself).
-    """
-    return tracker_from_payload(
-        _read(path, _TRACKER_FORMAT, allow_pickle=allow_pickle),
-        source=str(path),
-    )
+def load_tracker(path: PathLike) -> Any:
+    """Restore a session checkpointed by :func:`save_tracker`."""
+    return tracker_from_payload(_read(path, _TRACKER_FORMAT),
+                                source=str(path))
 
 
 # ----------------------------------------------------------------- protocols
@@ -258,9 +228,9 @@ def save_protocol(protocol: DistributedProtocol, path: PathLike, *,
     }, compress=compress, float32=float32)
 
 
-def load_protocol(path: PathLike, allow_pickle: bool = False) -> DistributedProtocol:
+def load_protocol(path: PathLike) -> DistributedProtocol:
     """Restore a protocol checkpointed by :func:`save_protocol`."""
-    payload = _read(path, _PROTOCOL_FORMAT, allow_pickle=allow_pickle)
+    payload = _read(path, _PROTOCOL_FORMAT)
     try:
         return restore_object(payload["protocol"], copy_data=False)
     except (StateError, KeyError, TypeError) as exc:

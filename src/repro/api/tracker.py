@@ -29,10 +29,8 @@ Build trackers from registry specs::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Callable, Dict, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -40,10 +38,11 @@ from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from ..streaming.partition import Partitioner, RoundRobinPartitioner
 from ..streaming.protocol import DistributedProtocol
 from ..streaming.runner import DEFAULT_CHUNK_SIZE, RunResult, StreamingEngine
-from .cache import DEFAULT_CACHE_SIZE, AnswerCache
-from .queries import Answer, Query
+from .cache import DEFAULT_CACHE_SIZE
+from .queries import Query
 from .registry import create as _create_protocol
 from .registry import domain_of, spec_name_for
+from .session import Session
 
 __all__ = ["Tracker", "TrackerStats"]
 
@@ -106,7 +105,7 @@ class _OffsetPartitioner(Partitioner):
         return self._inner.assign_batch(shifted, items)
 
 
-class Tracker:
+class Tracker(Session):
     """A continuous-tracking session over one distributed protocol.
 
     Parameters
@@ -123,28 +122,39 @@ class Tracker:
         Engine chunk size for ``run``; ``None`` selects per-item dispatch.
     partitioner:
         Site-assignment policy for ``run``; defaults to round-robin.
-    cache_size / cache_ttl:
-        Answer-cache knobs (see :class:`~repro.api.cache.AnswerCache`):
+    cache_size:
+        Answer-cache capacity (see :class:`~repro.api.cache.AnswerCache`):
         queries repeated at an unchanged :attr:`ingest_epoch` return the
         same frozen answer without re-evaluation.  ``cache_size=0``
         disables caching entirely.
     """
+
+    _queries_total = _QUERIES
+    _checkpoint_bytes_total = _CHECKPOINT_BYTES
+    _checkpoint_seconds = _CHECKPOINT_SECONDS
 
     def __init__(self, protocol: DistributedProtocol, *,
                  spec: Optional[str] = None,
                  params: Optional[Dict[str, Any]] = None,
                  chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
                  partitioner: Optional[Partitioner] = None,
-                 cache_size: int = DEFAULT_CACHE_SIZE,
-                 cache_ttl: Optional[float] = None):
+                 cache_size: int = DEFAULT_CACHE_SIZE):
         if not isinstance(protocol, DistributedProtocol):
             raise TypeError(
                 f"protocol must be a DistributedProtocol, got "
                 f"{type(protocol).__name__}"
             )
+        if spec is None:
+            spec = spec_name_for(protocol)
+        # Seeding the watermark from the items already processed makes a
+        # restored session resume at a *different* epoch than a fresh one,
+        # so answers (and gateway ETags) cached against the old session
+        # never validate against the new — the "bumped on restore" rule.
+        super().__init__(spec, domain_of(protocol), params,
+                         label=spec or type(protocol).__name__,
+                         ingest_epoch=protocol.items_processed,
+                         cache_size=cache_size)
         self._protocol = protocol
-        self._spec = spec if spec is not None else spec_name_for(protocol)
-        self._params = dict(params) if params else {}
         self._engine = StreamingEngine(chunk_size=chunk_size)
         if partitioner is None:
             partitioner = RoundRobinPartitioner(protocol.num_sites)
@@ -154,14 +164,6 @@ class Tracker:
                 f"has {protocol.num_sites}"
             )
         self._partitioner = partitioner
-        self._metric_spec = self._spec or type(protocol).__name__
-        # Seeding the watermark from the items already processed makes a
-        # restored session resume at a *different* epoch than a fresh one,
-        # so answers (and gateway ETags) cached against the old session
-        # never validate against the new — the "bumped on restore" rule.
-        self._ingest_epoch = int(protocol.items_processed)
-        self._cache = AnswerCache(cache_size, cache_ttl,
-                                  spec=self._metric_spec)
 
     # ---------------------------------------------------------- construction
     @classmethod
@@ -169,7 +171,6 @@ class Tracker:
                chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
                partitioner: Optional[Partitioner] = None,
                cache_size: int = DEFAULT_CACHE_SIZE,
-               cache_ttl: Optional[float] = None,
                **params: Any) -> "Tracker":
         """Build a tracker from a registry spec name plus spec parameters.
 
@@ -181,24 +182,13 @@ class Tracker:
         """
         protocol = _create_protocol(spec, **params)
         return cls(protocol, spec=spec, params=params, chunk_size=chunk_size,
-                   partitioner=partitioner, cache_size=cache_size,
-                   cache_ttl=cache_ttl)
+                   partitioner=partitioner, cache_size=cache_size)
 
     # ------------------------------------------------------------ properties
     @property
     def protocol(self) -> DistributedProtocol:
         """The underlying protocol (escape hatch for protocol-specific APIs)."""
         return self._protocol
-
-    @property
-    def spec(self) -> Optional[str]:
-        """The registry spec name this session was created from."""
-        return self._spec
-
-    @property
-    def params(self) -> Dict[str, Any]:
-        """The spec parameters recorded at creation time."""
-        return dict(self._params)
 
     @property
     def partitioner(self) -> Partitioner:
@@ -219,21 +209,6 @@ class Tracker:
     def total_messages(self) -> int:
         """Total message units exchanged (the paper's ``msg`` metric)."""
         return self._protocol.total_messages
-
-    @property
-    def ingest_epoch(self) -> int:
-        """The monotonic ingest watermark (bumps on every ingestion call).
-
-        Two queries at equal epochs see identical protocol state, which is
-        what lets the answer cache (and the gateway's ETag validators)
-        serve repeats without touching the protocol.
-        """
-        return self._ingest_epoch
-
-    @property
-    def answer_cache(self) -> AnswerCache:
-        """The session's answer cache (hit/miss/eviction introspection)."""
-        return self._cache
 
     # -------------------------------------------------------------- ingestion
     def push(self, site: int, item: Any) -> None:
@@ -294,45 +269,24 @@ class Tracker:
         return result
 
     # ---------------------------------------------------------------- queries
-    def query(self, query: Query) -> Answer:
-        """Answer a typed query at the current instant.
+    # ``Session.query`` unchanged, but bound on this class too: the
+    # benchmark harness patches ``Tracker.query`` and
+    # ``ShardedTracker.query`` separately through each class's own dict.
+    query = Session.query
 
-        Examples
-        --------
-        >>> from repro.api import HeavyHitters
-        >>> tracker = Tracker.create("hh/P1", num_sites=4, epsilon=0.1)
-        >>> tracker.push(0, ("cat", 5.0))
-        >>> tracker.query(HeavyHitters(phi=0.5)).elements
-        ('cat',)
-        """
-        if not isinstance(query, Query):
-            raise TypeError(
-                f"query must be a repro.api Query instance, got "
-                f"{type(query).__name__}"
-            )
-        if REGISTRY.enabled:
-            _QUERIES.inc(spec=self._metric_spec, kind=type(query).__name__)
-        key = None
-        if self._cache.enabled:
-            try:
-                key = (query.cache_key(), self._ingest_epoch)
-            except TypeError:
-                key = None  # unhashable parameters bypass the cache
-            if key is not None:
-                cached = self._cache.get(key)
-                if cached is not None:
-                    return cached
-        answer = query.answer(self._protocol)
-        if key is not None:
-            self._cache.put(key, answer)
-        return answer
+    def _parts(self, query: Query, partial: bool
+               ) -> Tuple[List[Dict[str, Any]], Sequence[int]]:
+        if partial:
+            raise ValueError("partial=True needs a sharded session; a plain "
+                             "Tracker has no shards that could be missing")
+        return [query.materials(self._protocol)], ()
 
     def stats(self) -> TrackerStats:
         """A snapshot of the session for dashboards/logging."""
         return TrackerStats(
             spec=self._spec,
             protocol=type(self._protocol).__name__,
-            domain=domain_of(self._protocol),
+            domain=self._domain,
             num_sites=self._protocol.num_sites,
             epsilon=getattr(self._protocol, "epsilon", None),
             items_processed=self._protocol.items_processed,
@@ -354,30 +308,20 @@ class Tracker:
         """
         from .state import save_tracker
 
-        started = perf_counter() if REGISTRY.enabled else None
-        save_tracker(self, path, compress=compress, float32=float32)
-        if started is not None:
-            _CHECKPOINT_SECONDS.observe(perf_counter() - started,
-                                        spec=self._metric_spec)
-            try:
-                _CHECKPOINT_BYTES.inc(os.path.getsize(path),
-                                      spec=self._metric_spec)
-            except (TypeError, OSError):
-                pass  # file-like targets have no on-disk size
+        with self._timed_save(path):
+            save_tracker(self, path, compress=compress, float32=float32)
 
     @classmethod
-    def load(cls, path: Any, allow_pickle: bool = False) -> "Tracker":
+    def load(cls, path: Any) -> "Tracker":
         """Restore a session checkpointed with :meth:`save`.
 
         The restored tracker continues bit-identically — same messages, same
         seeded draws, same query answers — as one that never stopped.
-        Checkpoints are wire frames (see :mod:`repro.wire`); pass
-        ``allow_pickle=True`` to also accept legacy pickle checkpoints
-        (deprecated — only for files you wrote yourself).
+        Checkpoints are wire frames (see :mod:`repro.wire`).
         """
         from .state import load_tracker
 
-        return load_tracker(path, allow_pickle=allow_pickle)
+        return load_tracker(path)
 
     def __repr__(self) -> str:
         parts = []

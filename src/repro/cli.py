@@ -27,7 +27,7 @@ Examples
     repro-experiments track --protocol hh/P2 --shards 2 --backend socket \
         --workers host-a:7071,host-b:7071
     repro-experiments serve --spec hh/P2 --shards 2 --listen 127.0.0.1:8080
-    repro-experiments bench --shards 1,2 --backend process --wire pickle
+    repro-experiments bench --shards 1,2 --backend process
     repro-experiments bench --gateway --gateway-clients 1,8,32 --json out.json
     repro-experiments list
 """
@@ -251,12 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--backend", choices=available_backends(),
                      default="process",
                      help="engine backend for the --shards scaling curve")
-    sub.add_argument("--wire", choices=["wire", "zlib", "pickle"], default=None,
-                     metavar="{wire,zlib,pickle}",
-                     help="shard-dispatch transport for the --shards curve on "
-                          "the process backend: the wire codec (default), "
-                          "deflated wire frames (zlib), or the legacy pickle "
-                          "pipes, to measure codec/compression overhead")
     sub.add_argument("--kill-shard-at", type=int, default=None, metavar="N",
                      help="chaos mode for the --shards curve on the socket "
                           "backend: after N items have been pushed, kill one "
@@ -416,10 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="answer-cache LRU capacity of the served session "
                           "(0 disables epoch-guarded caching and ETags; "
                           "default 128)")
-    sub.add_argument("--cache-ttl", type=float, default=None,
-                     metavar="SECONDS",
-                     help="optional wall-clock lifetime of cached answers "
-                          "(default: epoch guard only)")
     sub.add_argument("--coalesce-max-items", type=int, default=None,
                      metavar="N",
                      help="max items merged into one coalesced push dispatch "
@@ -519,20 +509,6 @@ def _run_figure4(args, out) -> None:
 
 
 def _run_bench(args, out) -> None:
-    if args.wire is not None:
-        # Validate up front: --wire silently doing nothing would read as "I
-        # benchmarked the pickle pipes" when the default ran instead.
-        if not args.shards:
-            raise SystemExit(
-                "--wire measures shard-dispatch transport and needs a "
-                "--shards list (e.g. --shards 1,2)"
-            )
-        if args.backend != "process":
-            raise SystemExit(
-                "--wire only applies to the process backend's pipe "
-                "transport (the socket backend is always wire-framed; the "
-                "shm backend always ships arrays through its rings)"
-            )
     if args.kill_shard_at is not None:
         # The chaos run only means something where the recovery machinery
         # lives: the socket backend's reconnect-and-replay path.
@@ -561,14 +537,10 @@ def _run_bench(args, out) -> None:
                                       svd_mode=args.svd_mode)
         scaling = None
         if args.shards:
-            backend_options = None
-            if args.wire is not None:
-                backend_options = {"transport": args.wire}
             results = measure_sharded_throughput(
                 num_items=args.num_items,
                 shard_counts=args.shards,
                 backend=args.backend,
-                backend_options=backend_options,
                 chunk_size=args.chunk_size,
                 seed=args.seed,
                 kill_shard_at=args.kill_shard_at)
@@ -628,10 +600,8 @@ def _run_bench(args, out) -> None:
               f"{row['per_item_items_per_sec']:,} items/sec per-item "
               f"({row['speedup']}x)", out)
     if scaling is not None:
-        transport_label = f", {args.wire} transport" if args.wire else ""
         _emit(format_table(scaling,
-                           title=f"Sharded scaling ({args.backend} backend"
-                                 f"{transport_label})"),
+                           title=f"Sharded scaling ({args.backend} backend)"),
               out)
         for row in scaling:
             speedup = row.get("speedup_vs_1_shard")
@@ -702,7 +672,6 @@ def _run_bench(args, out) -> None:
                 "svd_mode": args.svd_mode,
                 "shards": args.shards,
                 "backend": args.backend if args.shards else None,
-                "wire": args.wire,
                 "kill_shard_at": args.kill_shard_at,
                 "gateway_spec": args.gateway_spec if args.gateway else None,
                 "gateway_requests_per_client":
@@ -772,8 +741,6 @@ def _make_session(spec, args, build_kwargs: dict):
     cache_kwargs = {}
     if getattr(args, "cache_size", None) is not None:
         cache_kwargs["cache_size"] = args.cache_size
-    if getattr(args, "cache_ttl", None) is not None:
-        cache_kwargs["cache_ttl"] = args.cache_ttl
     if args.shards > 1 or args.backend != "serial":
         return ShardedTracker.create(spec.name, shards=args.shards,
                                      backend=args.backend,

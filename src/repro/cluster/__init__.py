@@ -15,9 +15,9 @@ The production-scale execution layer above :mod:`repro.api`:
   :class:`WorkerServer` behind ``repro-experiments worker --listen``.
 * :mod:`repro.cluster.sharding` — deterministic element/row-space
   partitioning (stable hashes, never process-seeded ``hash``).
-* :mod:`repro.cluster.merge` — query-time merging of per-shard state into
-  single frozen :class:`~repro.api.queries.Answer` objects with summed
-  error bounds.
+* :mod:`repro.cluster.merge` — counter/message-count merges and the
+  by-name shard entry points; how each query kind merges lives on the query
+  classes (``Query.materials``/``Query.combine``).
 * :mod:`repro.cluster.sharded_tracker` — the :class:`ShardedTracker`
   facade: ``push_batch``/``run`` fan-out, merged ``query``/``stats``, and
   whole-cluster checkpoint/resume in one versioned file.

@@ -340,48 +340,19 @@ class ThreadBackend(EngineBackend):
 
 
 # ------------------------------------------------------------------ process
-def _pickle_decode_command(message: Any) -> tuple:
-    """Adapt legacy pickle tuples to the ``(op, fn, args, seq)`` contract."""
-    op = message[0]
-    fn = message[1] if len(message) > 1 else None
-    args = tuple(message[2]) if len(message) > 2 else ()
-    return op, fn, args, None
-
-
-def _process_worker_main(conn: Any, transport: str) -> None:
+def _process_worker_main(conn: Any) -> None:
     """Worker loop: serve the shared worker protocol over a duplex pipe.
 
-    The first command must be ``launch`` carrying the shard builder; with
-    the default ``"wire"`` transport every command/reply is a
-    :mod:`repro.wire` frame moved with ``send_bytes``/``recv_bytes``
-    (``"zlib"`` is the same loop — only the parent's encoder differs, and
-    the frame decoder handles deflated bodies transparently); the legacy
-    ``"pickle"`` transport (kept so ``bench --wire pickle`` can measure the
-    codec against it) moves plain tuples with ``send``/``recv``.
+    The first command must be ``launch`` carrying the shard builder; every
+    command/reply is a :mod:`repro.wire` frame moved with
+    ``send_bytes``/``recv_bytes``.
     """
     # A fork-started worker inherits the parent's recorded series; drop
     # them so this process reports only its own work (snapshots are keyed
     # by hostname:pid, and the parent keeps its own copy).
     REGISTRY.reset()
-    if transport != "pickle":
-        session = WorkerSession(conn.recv_bytes, conn.send_bytes)
-    else:
-        def safe_send(payload: Any) -> None:
-            # Degrade unpicklable results/exceptions to an error reply.
-            try:
-                conn.send(payload)
-            except Exception as exc:
-                conn.send(("error", BackendError(
-                    f"shard reply could not be serialized: {exc!r}"
-                )))
-
-        session = WorkerSession(
-            conn.recv, safe_send,
-            decode=_pickle_decode_command,
-            encode=lambda status, value, acked=None: (status, value),
-            peek=None)
     try:
-        session.serve()
+        WorkerSession(conn.recv_bytes, conn.send_bytes).serve()
     finally:
         conn.close()
 
@@ -474,17 +445,15 @@ class _ProcessShard(RemoteShardHandle):
     """Parent-side handle of one persistent worker process."""
 
     def __init__(self, index: int, builder: Callable[[], Any], context: Any,
-                 transport: str, io_timeout: Optional[float] = None,
+                 io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
-        self._wire = transport != "pickle"
-        self._compress = transport == "zlib"
         self._io_timeout = None if io_timeout is None else float(io_timeout)
         self._shutdown_timeout = float(shutdown_timeout)
         self.index = index
         self._call_started: Optional[float] = None
         self.conn, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_process_worker_main, args=(child_conn, transport),
+            target=_process_worker_main, args=(child_conn,),
             name=f"repro-shard-{index}", daemon=True,
         )
         self.process.start()
@@ -506,12 +475,8 @@ class _ProcessShard(RemoteShardHandle):
         if op == "call" and REGISTRY.enabled:
             self._call_started = perf_counter()
         try:
-            if self._wire:
-                self.conn.send_bytes(
-                    encode_command(op, fn, args, compress=self._compress,
-                                   trace=current_trace_id()))
-            else:
-                self.conn.send((op, fn, args))
+            self.conn.send_bytes(
+                encode_command(op, fn, args, trace=current_trace_id()))
         except (BrokenPipeError, OSError) as exc:
             raise BackendError(
                 f"shard worker {self.process.name} is gone "
@@ -528,7 +493,7 @@ class _ProcessShard(RemoteShardHandle):
                 f"(pid={self.process.pid}, alive={self.process.is_alive()})"
             )
         try:
-            data = self.conn.recv_bytes() if self._wire else self.conn.recv()
+            data = self.conn.recv_bytes()
         except (EOFError, OSError) as exc:
             self._call_started = None
             raise BackendError(
@@ -539,7 +504,7 @@ class _ProcessShard(RemoteShardHandle):
             _CALL_SECONDS.observe(perf_counter() - self._call_started,
                                   shard=self.index)
             self._call_started = None
-        return _decode_reply_as_backend_errors(data) if self._wire else data
+        return _decode_reply_as_backend_errors(data)
 
     def stop(self) -> None:
         try:
@@ -592,29 +557,19 @@ class ProcessBackend(EngineBackend):
     dtype/shape/contiguous bytes); the OS pipe buffer provides natural
     backpressure when a worker falls behind.  Workers are started with
     ``fork`` where available (instant, shares the imported library) and
-    ``spawn`` otherwise.  ``transport="zlib"`` deflates each command body
-    before it enters the pipe — a bandwidth/CPU trade that pays off when
-    the pipe is the bottleneck (many shards, wide rows) and costs deflate
-    time when it is not.  ``transport="pickle"`` switches the pipe messages
-    back to pickle — kept only so the throughput benchmark can measure the
-    wire codec against it.
+    ``spawn`` otherwise.
     """
 
     name = "process"
 
     def __init__(self, start_method: Optional[str] = None,
-                 transport: str = "wire", io_timeout: Optional[float] = None,
+                 io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
         super().__init__()
         if start_method is None:
             start_method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
                             else "spawn")
-        if transport not in ("wire", "zlib", "pickle"):
-            raise ValueError(
-                f"transport must be 'wire', 'zlib' or 'pickle', got {transport!r}"
-            )
         self._context = multiprocessing.get_context(start_method)
-        self._transport = transport
         self._io_timeout = None if io_timeout is None else float(io_timeout)
         self._shutdown_timeout = float(shutdown_timeout)
 
@@ -623,7 +578,7 @@ class ProcessBackend(EngineBackend):
         try:
             for index, builder in enumerate(builders):
                 self._shards.append(
-                    _ProcessShard(index, builder, self._context, self._transport,
+                    _ProcessShard(index, builder, self._context,
                                   io_timeout=self._io_timeout,
                                   shutdown_timeout=self._shutdown_timeout)
                 )

@@ -2,82 +2,31 @@
 
 Soundness comes from the mergeability of everything the coordinators keep
 (Agarwal et al. 2012; the same property protocol P1 exploits within one
-coordinator group):
+coordinator group): shard estimate maps are counter summaries of disjoint
+sub-streams, and covariance decomposes over any disjoint row split, so the
+merged additive error is at most the sum of the per-shard bounds.
 
-* **Heavy hitters** — each shard owns a disjoint slice of the element space,
-  so its estimate map is a counter summary of *its* sub-stream; summing the
-  maps (:func:`merge_counter_maps`) is an exact counter merge and the merged
-  additive error is at most the sum of the per-shard bounds ``Σ_s ε·Ŵ_s``.
-* **Matrix queries** — covariance decomposes over any disjoint row split
-  (``AᵀA = Σ_s Aᵀ_s A_s``), so summed shard covariances / stacked shard
-  sketches answer the merged query with error at most ``Σ_s ε·F̂_s``
-  (Frequent Directions' stack-and-compact mergeability gives the same sum
-  bound when the stacked sketch is re-compacted).
-
-The module has two halves: *materials* functions executed **on the shard**
-(module-level so every engine backend, including the process backend, can
-ship them by name) that extract exactly what one query needs, and the
-*merge* half executed on the caller that folds ``N`` material dictionaries
-into one frozen :class:`~repro.api.queries.Answer`.  With one shard the
-merge degenerates to identity arithmetic (``0 + x``), so a single-shard
-cluster answers bit-identically to a plain tracker — a property the test
-suite pins for every registered spec.
+How each query kind reads a shard and folds ``N`` shards into one answer is
+defined once, on the query class (``Query.materials`` / ``Query.combine`` in
+:mod:`repro.api.queries`).  This module keeps the counter and message-count
+merges and the two module-level entry points the cluster layer ships by
+name: :func:`shard_query_materials` runs **on the shard** (every engine
+backend, including the process backend, resolves it by qualified name) and
+:func:`merge_answer` runs on the caller.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Hashable, Iterable, List, Optional
+from typing import Any, Dict, Iterable, List
 
-import numpy as np
-
-from ..api.queries import (
-    Answer,
-    ApproximationError,
-    Covariance,
-    CovarianceAnswer,
-    Frequency,
-    FrequencyAnswer,
-    FrobeniusSquared,
-    FrobeniusSquaredAnswer,
-    HeavyHitters,
-    HeavyHittersAnswer,
-    Norms,
-    NormsAnswer,
-    Query,
-    SketchMatrix,
-    SketchMatrixAnswer,
-    TotalWeight,
-    TotalWeightAnswer,
-)
-from ..heavy_hitters.base import select_heavy_hitters
-from ..utils.linalg import spectral_norm
+from ..api.queries import Answer, Query, merge_counter_maps
 
 __all__ = [
-    "HH_QUERIES",
-    "MATRIX_QUERIES",
     "merge_answer",
     "merge_counter_maps",
     "merge_message_counts",
     "shard_query_materials",
 ]
-
-HH_QUERIES = (HeavyHitters, Frequency, TotalWeight)
-MATRIX_QUERIES = (Covariance, Norms, SketchMatrix, FrobeniusSquared,
-                  ApproximationError)
-
-
-def merge_counter_maps(maps: Iterable[Dict[Hashable, float]]) -> Dict[Hashable, float]:
-    """Counter-merge several estimate maps by summing per element.
-
-    With element-hash sharding the maps have disjoint support, so this is an
-    exact union; overlapping keys (e.g. merging checkpoints of overlapping
-    streams) still merge correctly by addition.
-    """
-    merged: Dict[Hashable, float] = {}
-    for counter_map in maps:
-        for element, weight in counter_map.items():
-            merged[element] = merged.get(element, 0.0) + weight
-    return merged
 
 
 def merge_message_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
@@ -89,153 +38,12 @@ def merge_message_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
     return merged
 
 
-# ----------------------------------------------------- shard-side materials
 def shard_query_materials(tracker: Any, query: Query) -> Dict[str, Any]:
-    """Extract the raw per-shard material one query needs (runs on the shard).
-
-    Every material dictionary carries the shard's ``items``/``messages``
-    snapshot; the query-specific payload mirrors what the corresponding
-    ``Query.answer`` would read from the protocol, so the caller-side merge
-    can reproduce the plain answer exactly in the single-shard case.
-    """
-    protocol = tracker.protocol
-    materials: Dict[str, Any] = {
-        "items": protocol.items_processed,
-        "messages": protocol.total_messages,
-    }
-    if isinstance(query, HH_QUERIES):
-        materials["epsilon"] = protocol.epsilon
-        materials["total"] = protocol.estimated_total_weight()
-        materials["bound"] = protocol.estimate_error_bound()
-        if isinstance(query, Frequency):
-            materials["frequency"] = protocol.estimate(query.element)
-        else:
-            materials["estimates"] = protocol.estimates()
-        return materials
-    materials["bound"] = protocol.covariance_error_bound()
-    if isinstance(query, Covariance):
-        materials["covariance"] = protocol.covariance()
-    elif isinstance(query, Norms):
-        materials["norms"] = _shard_norms(protocol, query)
-    elif isinstance(query, SketchMatrix):
-        materials["sketch"] = protocol.sketch_matrix()
-    elif isinstance(query, FrobeniusSquared):
-        materials["fhat"] = protocol.estimated_squared_frobenius()
-    elif isinstance(query, ApproximationError):
-        materials["observed_covariance"] = protocol.observed_covariance()
-        materials["observed_f2"] = protocol.observed_squared_frobenius
-        materials["covariance"] = protocol.covariance()
-    else:
-        raise TypeError(f"cannot merge answers for {type(query).__name__}")
-    return materials
-
-
-def _shard_norms(protocol: Any, query: Norms) -> Any:
-    """Per-shard ``‖B_s x‖²`` — the same arithmetic as ``Norms.answer``."""
-    directions = np.asarray(query.directions, dtype=np.float64)
-    if directions.ndim == 1:
-        return protocol.squared_norm_along(directions)
-    if directions.ndim == 2:
-        product = protocol.sketch_matrix() @ directions.T
-        if product.size == 0:
-            return np.zeros(directions.shape[0])
-        return np.einsum("ij,ij->j", product, product)
-    raise ValueError(
-        f"directions must be 1-d or 2-d, got shape {directions.shape}"
-    )
-
-
-# -------------------------------------------------------- caller-side merge
-def _merged_bound(materials: List[Dict[str, Any]]) -> Optional[float]:
-    """Sum of per-shard error bounds; ``None`` if any shard offers none."""
-    bounds = [shard["bound"] for shard in materials]
-    if any(bound is None for bound in bounds):
-        return None
-    return sum(bounds)
-
-
-def _snapshot(query: Query, materials: List[Dict[str, Any]],
-              missing_shards: Iterable[int] = ()) -> Dict[str, Any]:
-    return {
-        "query": query,
-        "items_processed": sum(shard["items"] for shard in materials),
-        "total_messages": sum(shard["messages"] for shard in materials),
-        "missing_shards": tuple(missing_shards),
-    }
+    """Extract the raw per-shard material one query needs (runs on the shard)."""
+    return query.materials(tracker.protocol)
 
 
 def merge_answer(query: Query, materials: List[Dict[str, Any]], *,
                  missing_shards: Iterable[int] = ()) -> Answer:
-    """Fold per-shard material dictionaries into one frozen ``Answer``.
-
-    The merged ``error_bound`` is always the *sum* of the per-shard bounds
-    (``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s``), and the ``items``/``messages``
-    snapshot aggregates the whole cluster.  ``missing_shards`` flags a
-    degraded merge: ``materials`` then holds the live shards only and the
-    answer carries the absent shard indices (``Answer.is_partial``).
-    """
-    if not materials:
-        raise ValueError("need materials from at least one shard")
-    snapshot = _snapshot(query, materials, missing_shards)
-    if isinstance(query, HeavyHitters):
-        estimates = merge_counter_maps(shard["estimates"] for shard in materials)
-        total = sum(shard["total"] for shard in materials)
-        epsilon = materials[0]["epsilon"]
-        return HeavyHittersAnswer(
-            estimate=tuple(select_heavy_hitters(estimates, total, epsilon,
-                                                query.phi)),
-            error_bound=_merged_bound(materials),
-            estimated_total_weight=total,
-            **snapshot,
-        )
-    if isinstance(query, Frequency):
-        return FrequencyAnswer(
-            estimate=sum(shard["frequency"] for shard in materials),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, TotalWeight):
-        return TotalWeightAnswer(
-            estimate=sum(shard["total"] for shard in materials),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, Covariance):
-        return CovarianceAnswer(
-            estimate=sum(shard["covariance"] for shard in materials),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, Norms):
-        return NormsAnswer(
-            estimate=sum(shard["norms"] for shard in materials),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, SketchMatrix):
-        blocks = [shard["sketch"] for shard in materials]
-        return SketchMatrixAnswer(
-            estimate=blocks[0] if len(blocks) == 1 else np.vstack(blocks),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, FrobeniusSquared):
-        return FrobeniusSquaredAnswer(
-            estimate=sum(shard["fhat"] for shard in materials),
-            error_bound=_merged_bound(materials),
-            **snapshot,
-        )
-    if isinstance(query, ApproximationError):
-        observed_f2 = sum(shard["observed_f2"] for shard in materials)
-        if observed_f2 <= 0.0:
-            estimate = 0.0
-        else:
-            difference = (sum(shard["observed_covariance"] for shard in materials)
-                          - sum(shard["covariance"] for shard in materials))
-            estimate = spectral_norm(difference) / observed_f2
-        bound = _merged_bound(materials)
-        normalised: Optional[float] = None
-        if bound is not None and observed_f2 > 0.0:
-            normalised = bound / observed_f2
-        return Answer(estimate=estimate, error_bound=normalised, **snapshot)
-    raise TypeError(f"cannot merge answers for {type(query).__name__}")
+    """Fold per-shard material dictionaries into one frozen ``Answer``."""
+    return query.combine(materials, missing_shards)

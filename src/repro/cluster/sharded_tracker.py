@@ -12,18 +12,20 @@ RNG streams.  The sharded facade
   ``process`` or the multi-host ``socket`` backend), shipping columnar
   sub-batches as :mod:`repro.wire` frames and preserving per-shard FIFO
   order,
-* **answers the typed queries** of :mod:`repro.api.queries` by merging
-  per-shard state at query time (:mod:`repro.cluster.merge`): counter-merge
-  for heavy hitters, covariance/Frequent-Directions merge for matrix
-  queries, with the combined error bound ``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s`` and
+* **answers the typed queries** of :mod:`repro.api.queries` through the
+  inherited :meth:`~repro.api.session.Session.query`: every shard reads
+  ``query.materials`` and ``query.combine`` folds them — counter-merge for
+  heavy hitters, covariance/Frequent-Directions merge for matrix queries,
+  with the combined error bound ``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s`` and
   cluster-aggregated message/items accounting, and
 * **checkpoints the whole cluster** into one versioned file (one
   :func:`~repro.api.state.tracker_payload` per shard) that restores
   bit-identically — under any backend, not just the one that saved it.
 
 With ``shards=1`` every answer and every counter is bit-identical to a plain
-``Tracker`` session (the merge degenerates to identity arithmetic), which is
-the correctness anchor the test suite pins for every registered spec.
+``Tracker`` session (both are the one-part case of the same ``combine``),
+which is the correctness anchor the test suite pins for every registered
+spec.
 
 Example::
 
@@ -37,23 +39,21 @@ Example::
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
-from time import perf_counter
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..api.cache import DEFAULT_CACHE_SIZE, AnswerCache
-from ..api.queries import Answer, Query
+from ..api.cache import DEFAULT_CACHE_SIZE
+from ..api.queries import Query
 from ..api.registry import DOMAIN_HEAVY_HITTERS, get_spec
+from ..api.session import Session
 from ..api.state import (
     CheckpointError,
     _read,
     _write,
     tracker_frame,
     tracker_from_frame,
-    tracker_from_payload,
 )
 from ..api.tracker import Tracker
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
@@ -66,13 +66,7 @@ from .backends import (
     create_backend,
     get_backend_spec,
 )
-from .merge import (
-    HH_QUERIES,
-    MATRIX_QUERIES,
-    merge_answer,
-    merge_message_counts,
-    shard_query_materials,
-)
+from .merge import merge_message_counts, shard_query_materials
 from .sharding import shard_of_elements, shard_of_rows
 
 __all__ = ["ShardedTracker", "ShardedTrackerStats",
@@ -155,18 +149,14 @@ class _RestoreShardBuilder:
     """Wire-encodable builder: restore shard ``index`` from its checkpoint.
 
     ``payload`` is the shard's :func:`~repro.api.state.tracker_frame` bytes
-    (decoded *on the worker*, so restore cost parallelises like save cost);
-    legacy pickle cluster checkpoints hand the old payload dictionary
-    through instead.
+    (decoded *on the worker*, so restore cost parallelises like save cost).
     """
 
-    payload: Any
+    payload: bytes
     index: int
 
     def __call__(self) -> Tracker:
-        if isinstance(self.payload, (bytes, bytearray)):
-            return tracker_from_frame(self.payload, source=f"shard {self.index}")
-        return tracker_from_payload(self.payload, source=f"shard {self.index}")
+        return tracker_from_frame(self.payload, source=f"shard {self.index}")
 
 
 # --------------------------------------------------- shard-side worker fns
@@ -206,7 +196,7 @@ def _shard_checkpoint(tracker: Tracker) -> bytes:
     return tracker_frame(tracker)
 
 
-class ShardedTracker:
+class ShardedTracker(Session):
     """A continuous-tracking session sharded over ``N`` coordinator groups.
 
     Build with :meth:`create` (registry spec + spec parameters) or restore
@@ -214,25 +204,26 @@ class ShardedTracker:
     manager) — the thread/process backends hold worker resources.
     """
 
+    _queries_total = _CLUSTER_QUERIES
+    _checkpoint_bytes_total = _CLUSTER_CHECKPOINT_BYTES
+    _checkpoint_seconds = _CLUSTER_CHECKPOINT_SECONDS
+
     def __init__(self, spec: str, params: Dict[str, Any], *,
                  shards: int = 2,
                  backend: str = "serial",
                  chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
                  backend_options: Optional[Dict[str, Any]] = None,
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 cache_ttl: Optional[float] = None,
                  _builders: Optional[Sequence[Any]] = None,
                  _rows_dispatched: int = 0,
                  _ingest_epoch: int = 0):
         registry_spec = get_spec(spec)
-        self._spec = registry_spec.name
-        self._domain = registry_spec.domain
-        self._params = dict(params)
+        super().__init__(registry_spec.name, registry_spec.domain, params,
+                         label=registry_spec.name,
+                         ingest_epoch=_ingest_epoch, cache_size=cache_size)
         self._num_shards = check_positive_int(shards, name="shards")
         self._chunk_size = chunk_size
         self._rows_dispatched = int(_rows_dispatched)
-        self._ingest_epoch = int(_ingest_epoch)
-        self._cache = AnswerCache(cache_size, cache_ttl, spec=self._spec)
         self._backend_name = get_backend_spec(backend).name
         if _builders is None:
             registry_spec.validate(dict(self._params))  # fail before launch
@@ -260,15 +251,14 @@ class ShardedTracker:
                chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
                backend_options: Optional[Dict[str, Any]] = None,
                cache_size: int = DEFAULT_CACHE_SIZE,
-               cache_ttl: Optional[float] = None,
                **params: Any) -> "ShardedTracker":
         """Build a sharded session from a registry spec name.
 
         ``params`` are the spec parameters of ``repro.create`` — every shard
         gets the same configuration (seeded specs derive distinct per-shard
-        seeds; shard 0 keeps the caller's seed).  ``cache_size``/
-        ``cache_ttl`` configure the merged-answer cache (``cache_size=0``
-        disables it; see :class:`~repro.api.cache.AnswerCache`).
+        seeds; shard 0 keeps the caller's seed).  ``cache_size`` sizes the
+        merged-answer cache (``cache_size=0`` disables it; see
+        :class:`~repro.api.cache.AnswerCache`).
 
         Examples
         --------
@@ -280,19 +270,9 @@ class ShardedTracker:
         """
         return cls(spec, params, shards=shards, backend=backend,
                    chunk_size=chunk_size, backend_options=backend_options,
-                   cache_size=cache_size, cache_ttl=cache_ttl)
+                   cache_size=cache_size)
 
     # ------------------------------------------------------------ properties
-    @property
-    def spec(self) -> str:
-        """The registry spec name every shard runs."""
-        return self._spec
-
-    @property
-    def params(self) -> Dict[str, Any]:
-        """The spec parameters recorded at creation time."""
-        return dict(self._params)
-
     @property
     def num_shards(self) -> int:
         """Number of shards ``N``."""
@@ -319,22 +299,6 @@ class ShardedTracker:
     def chunk_size(self) -> Optional[int]:
         """Per-shard engine chunk size (``None`` = per-item dispatch)."""
         return self._chunk_size
-
-    @property
-    def ingest_epoch(self) -> int:
-        """Monotonic cluster-wide ingest watermark.
-
-        Bumps on every ingestion dispatch, on restore, and on shard
-        handoff — so equal epochs (at an equal placement version) imply
-        identical merged answers, the invariant the answer cache and the
-        gateway's ETag validators rely on.
-        """
-        return self._ingest_epoch
-
-    @property
-    def answer_cache(self) -> AnswerCache:
-        """The cluster's merged-answer cache (hit/miss introspection)."""
-        return self._cache
 
     # -------------------------------------------------------------- ingestion
     def push(self, site: int, item: Any) -> None:
@@ -430,63 +394,23 @@ class ShardedTracker:
         self._backend.join()
 
     # ---------------------------------------------------------------- queries
-    def query(self, query: Query, *, partial: bool = False) -> Answer:
-        """Answer a typed query by merging per-shard state at this instant.
+    # ``Session.query`` unchanged, but bound on this class too: the
+    # benchmark harness patches ``Tracker.query`` and
+    # ``ShardedTracker.query`` separately through each class's own dict.
+    query = Session.query
 
-        The merged ``Answer`` carries the combined error bound (the sum of
-        the per-shard ``ε·Ŵ_s`` / ``ε·F̂_s`` bounds) and cluster-aggregated
-        ``items_processed``/``total_messages``.
+    def _parts(self, query: Query, partial: bool
+               ) -> Tuple[List[Dict[str, Any]], Sequence[int]]:
+        """Fan ``query.materials`` out to every shard.
 
-        No cluster-wide ingestion barrier is taken: the query command fans
-        out to every shard at once and each shard snapshots its state after
-        the work already queued to *it* (per-shard FIFO), while other
-        shards keep ingesting.  On the remote backends the snapshot is
-        extracted and wire-encoded on the worker, so the answer to "what
-        has the cluster seen of everything submitted before this call?" is
-        assembled without ever pausing the whole cluster.
-
-        ``partial=True`` opts into graceful degradation: shards whose
-        workers have failed (and could not be recovered) are skipped, the
-        live shards' materials merge as usual, and the answer's
-        ``missing_shards`` names the absent shard indices
-        (``answer.is_partial`` is then True).  Only when *every* shard is
-        unavailable does the query still raise.  Default (``False``): any
-        failed shard raises, as a lost shard silently missing from an
-        estimate is worse than an error.
+        No cluster-wide ingestion barrier is taken: the command goes to
+        every shard at once and each shard snapshots its state after the
+        work already queued to *it* (per-shard FIFO), while other shards
+        keep ingesting.  On the remote backends the snapshot is extracted
+        and wire-encoded on the worker.
         """
-        self._check_open()
-        if not isinstance(query, Query):
-            raise TypeError(
-                f"query must be a repro.api Query instance, got "
-                f"{type(query).__name__}"
-            )
-        expected = HH_QUERIES if self._domain == DOMAIN_HEAVY_HITTERS \
-            else MATRIX_QUERIES
-        if not isinstance(query, expected):
-            raise TypeError(
-                f"{type(query).__name__} queries do not apply to "
-                f"{self._domain!r} spec {self._spec!r}"
-            )
-        if REGISTRY.enabled:
-            _CLUSTER_QUERIES.inc(spec=self._spec, kind=type(query).__name__)
         if not partial:
-            key = None
-            if self._cache.enabled:
-                try:
-                    key = (query.cache_key(),) + self._cache_generation()
-                except TypeError:
-                    key = None  # unhashable parameters bypass the cache
-                if key is not None:
-                    cached = self._cache.get(key)
-                    if cached is not None:
-                        return cached
-            materials = self._backend.call_all(shard_query_materials, query)
-            answer = merge_answer(query, materials)
-            if key is not None:
-                self._cache.put(key, answer)
-            return answer
-        # Partial answers are never cached: their coverage depends on which
-        # shards happened to be reachable, not on the ingest watermark.
+            return self._backend.call_all(shard_query_materials, query), ()
         materials, errors = self._backend.call_all_partial(
             shard_query_materials, query)
         live = [shard for shard in materials if shard is not None]
@@ -495,7 +419,7 @@ class ShardedTracker:
                 f"partial query failed: all {self._num_shards} shard(s) "
                 f"are unavailable"
             ) from (errors[min(errors)] if errors else None)
-        return merge_answer(query, live, missing_shards=sorted(errors))
+        return live, sorted(errors)
 
     # ------------------------------------------------- elastic membership
     def add_worker(self, address: Any) -> list:
@@ -547,12 +471,8 @@ class ShardedTracker:
             )
         return self._backend
 
-    def _cache_generation(self) -> Tuple[int, int]:
-        """The (epoch, placement version) pair answer-cache keys embed.
-
-        Non-elastic backends have no placement map; their placement
-        version is a constant 0 and invalidation rides the epoch alone.
-        """
+    def cache_generation(self) -> Tuple[int, int]:
+        # Only the elastic (socket) backend has a placement map.
         return (self._ingest_epoch,
                 int(getattr(self._backend, "placement_version", 0)))
 
@@ -633,33 +553,25 @@ class ShardedTracker:
         counter); :meth:`load` resumes the whole cluster bit-identically.
         """
         self._check_open()
-        started = perf_counter() if REGISTRY.enabled else None
-        payloads = self._backend.call_all(_shard_checkpoint)
-        _write(path, {
-            "format": _CLUSTER_FORMAT,
-            "version": CLUSTER_CHECKPOINT_VERSION,
-            "spec": self._spec,
-            "params": self._params,
-            "shards": self._num_shards,
-            "backend": self._backend_name,
-            "chunk_size": self._chunk_size,
-            "rows_dispatched": self._rows_dispatched,
-            "ingest_epoch": self._ingest_epoch,
-            "shard_payloads": payloads,
-        })
-        if started is not None:
-            _CLUSTER_CHECKPOINT_SECONDS.observe(perf_counter() - started,
-                                                spec=self._spec)
-            try:
-                _CLUSTER_CHECKPOINT_BYTES.inc(os.path.getsize(path),
-                                              spec=self._spec)
-            except (TypeError, OSError):
-                pass  # file-like targets have no on-disk size
+        with self._timed_save(path):
+            payloads = self._backend.call_all(_shard_checkpoint)
+            _write(path, {
+                "format": _CLUSTER_FORMAT,
+                "version": CLUSTER_CHECKPOINT_VERSION,
+                "spec": self._spec,
+                "params": self._params,
+                "shards": self._num_shards,
+                "backend": self._backend_name,
+                "chunk_size": self._chunk_size,
+                "rows_dispatched": self._rows_dispatched,
+                "ingest_epoch": self._ingest_epoch,
+                "shard_payloads": payloads,
+            })
 
     @classmethod
     def load(cls, path: Any, backend: Optional[str] = None,
-             backend_options: Optional[Dict[str, Any]] = None,
-             allow_pickle: bool = False) -> "ShardedTracker":
+             backend_options: Optional[Dict[str, Any]] = None
+             ) -> "ShardedTracker":
         """Restore a cluster checkpointed with :meth:`save`.
 
         ``backend`` overrides the backend recorded in the checkpoint (a
@@ -669,13 +581,10 @@ class ShardedTracker:
         ``backend_options={"addresses": ...}`` (worker endpoints are not
         recorded — the restore cluster rarely lives on the saving hosts) or
         a ``backend`` override; omitting both raises a ``BackendError``
-        saying so.  ``allow_pickle=True`` additionally accepts legacy
-        pickle cluster checkpoints (deprecated; only for files you wrote
-        yourself).
+        saying so.
         """
         payload = _read(path, _CLUSTER_FORMAT,
-                        expected_version=CLUSTER_CHECKPOINT_VERSION,
-                        allow_pickle=allow_pickle)
+                        expected_version=CLUSTER_CHECKPOINT_VERSION)
         shard_payloads = payload.get("shard_payloads")
         if not shard_payloads:
             raise CheckpointError(f"{path!s} contains no shard payloads")

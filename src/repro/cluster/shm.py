@@ -264,8 +264,6 @@ class _ShmShard(_ProcessShard):
     def __init__(self, index: int, builder: Callable[[], Any], context: Any,
                  ring_bytes: int, io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
-        self._wire = True
-        self._compress = False
         self._io_timeout = None if io_timeout is None else float(io_timeout)
         self._shutdown_timeout = float(shutdown_timeout)
         self.index = index
@@ -356,8 +354,7 @@ class ShmProcessBackend(ProcessBackend):
                  ring_bytes: int = DEFAULT_RING_BYTES,
                  io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
-        super().__init__(start_method=start_method, transport="wire",
-                         io_timeout=io_timeout,
+        super().__init__(start_method=start_method, io_timeout=io_timeout,
                          shutdown_timeout=shutdown_timeout)
         if int(ring_bytes) < MIN_RING_BYTES:
             raise ValueError(

@@ -82,10 +82,10 @@ def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
     protocol synchronized.  ``seq`` stamps the command with a monotonic
     sequence number for idempotent replay (omitted entirely when ``None``,
     so unsequenced frames are byte-identical to the pre-seq protocol).
-    ``compress`` deflates the command body (the ``"zlib"`` pipe transport
-    and the socket backend's ``compress`` option); workers decode
-    compressed and plain commands alike, so the knob is sender-local and
-    needs no negotiation beyond the frame version.  ``array_sink`` diverts
+    ``compress`` deflates the command body (the socket backend's
+    ``compress`` option); workers decode compressed and plain commands
+    alike, so the knob is sender-local and needs no negotiation beyond the
+    frame version.  ``array_sink`` diverts
     large array payloads out of band (the ``"shm"`` backend's
     shared-memory ring); the frame then carries references the receiver
     resolves via ``decode_command``'s ``array_source``.
@@ -184,23 +184,17 @@ class WorkerSession:
         (the session then ends quietly, like a closed pipe).
     send:
         Callable shipping raw reply frame bytes back to the peer.
-    decode / encode / peek:
-        Override the message codec — the process backend's legacy pickle
-        transport (kept for the ``bench --wire pickle`` comparison) reuses
-        this loop with tuple messages instead of wire frames (and no
-        ``peek``: an undecodable pickle message ends the session).
+    decode:
+        Override the command decoder — the ``shm`` backend resolves
+        shared-memory array references while decoding.
     """
 
     def __init__(self, recv: Callable[[], bytes], send: Callable[[bytes], None],
                  decode: Callable[[Any], Tuple[str, Any, Tuple[Any, ...],
-                                               Optional[int]]] = decode_command,
-                 encode: Callable[..., Any] = encode_reply,
-                 peek: Optional[Callable[[Any], Optional[str]]] = peek_command_op):
+                                               Optional[int]]] = decode_command):
         self._recv = recv
         self._send = send
         self._decode = decode
-        self._encode = encode
-        self._peek = peek
         self._tracker: Any = None
         self._pending_error: Optional[BaseException] = None
         self._applied_seq = 0
@@ -245,17 +239,17 @@ class WorkerSession:
                         self._pending_error = exc
             elif op == "call":
                 if self._pending_error is not None:
-                    self._send(self._encode("error", self._pending_error,
+                    self._send(encode_reply("error", self._pending_error,
                                             self._applied_seq))
                     self._pending_error = None
                 else:
                     try:
                         result = fn(self._tracker, *args)
                     except BaseException as exc:
-                        self._send(self._encode("error", exc,
+                        self._send(encode_reply("error", exc,
                                                 self._applied_seq))
                     else:
-                        self._send(self._encode("ok", result,
+                        self._send(encode_reply("ok", result,
                                                 self._applied_seq))
             else:
                 # An op this build does not know: we cannot tell whether the
@@ -274,16 +268,16 @@ class WorkerSession:
         reply one round back.  Returns False to end the session (op
         unknowable: the protocol state cannot be trusted).
         """
-        op = self._peek(data) if self._peek is not None else None
+        op = peek_command_op(data)
         if op == "call":
-            self._send(self._encode("error", exc, self._applied_seq))
+            self._send(encode_reply("error", exc, self._applied_seq))
             return True
         if op == "submit":
             if self._pending_error is None:
                 self._pending_error = exc
             return True
         if op == "launch":
-            self._send(self._encode("error", exc, self._applied_seq))
+            self._send(encode_reply("error", exc, self._applied_seq))
         return False
 
     def _launch(self, args: Tuple[Any, ...]) -> bool:
@@ -305,7 +299,7 @@ class WorkerSession:
             self._tracker = builder()
             self._applied_seq = resume_seq
         except BaseException as exc:
-            self._send(self._encode("error", exc, self._applied_seq))
+            self._send(encode_reply("error", exc, self._applied_seq))
             return False
-        self._send(self._encode("ready", None, self._applied_seq))
+        self._send(encode_reply("ready", None, self._applied_seq))
         return True

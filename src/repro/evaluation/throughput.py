@@ -283,9 +283,7 @@ def measure_sharded_throughput(
     compare against :func:`measure_heavy_hitter_throughput` for the
     facade-free baseline.  True multi-core speedup needs the ``process``
     backend and at least ``shards`` idle cores.  ``backend_options`` pass
-    through to the backend constructor — ``{"transport": "pickle"}`` flips
-    the process backend onto its legacy pickle pipes so ``bench --wire``
-    can measure the wire codec's dispatch overhead against them.
+    through to the backend constructor.
 
     With ``backend="socket"`` and no ``addresses`` in ``backend_options``
     the bench spins up two embedded :class:`~repro.cluster.WorkerServer`

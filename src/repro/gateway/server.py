@@ -377,8 +377,7 @@ class Gateway:
         self._push_lock = threading.Lock()
         self._coalesce_max_items = int(coalesce_max_items)
         self._coalesce_max_bytes = int(coalesce_max_bytes)
-        concurrent_queries = bool(
-            getattr(tracker, "dispatch_concurrency_safe", False))
+        concurrent_queries = bool(tracker.dispatch_concurrency_safe)
         self._reader = ThreadPoolExecutor(
             max_workers=max(1, int(query_threads)),
             thread_name_prefix="repro-gateway-reader",
@@ -677,10 +676,7 @@ class Gateway:
         return loop.run_in_executor(self._reader, self._with_trace(fn))
 
     async def _healthz(self) -> Any:
-        if self._sharded:
-            shards = await self._run_write(self._tracker.liveness)
-        else:
-            shards = {"0": "ok"}
+        shards = await self._run_write(self._tracker.liveness)
         healthy = all(state == "ok" for state in shards.values())
         payload = {
             "status": "ok" if healthy else "degraded",
@@ -701,11 +697,8 @@ class Gateway:
                             content_type=PROMETHEUS_CONTENT_TYPE)
 
     def _render_metrics(self) -> str:
-        if self._sharded:
-            snapshots = self._tracker.metrics_snapshot()
-        else:
-            snapshots = [REGISTRY.snapshot()]
-        return render_prometheus(merge_snapshots(snapshots))
+        return render_prometheus(
+            merge_snapshots(self._tracker.metrics_snapshot()))
 
     def _do_stats(self) -> Dict[str, Any]:
         return _jsonify(dataclasses.asdict(self._tracker.stats()))
@@ -843,9 +836,6 @@ class Gateway:
             partial_raw = body.get("partial")
         partial = str(partial_raw).lower() in _TRUE_VALUES \
             if partial_raw is not None else False
-        if partial and not self._sharded:
-            raise HttpError(400, "partial=true needs a sharded tracker; "
-                                 "this gateway serves a plain Tracker")
         etag = None if partial else self._etag_for(query)
         if etag is not None and _etag_matches(
                 request.headers.get("if-none-match"), etag):
@@ -876,24 +866,17 @@ class Gateway:
         placement version, so a shard handoff invalidates validators even
         at an unchanged epoch counter.
         """
-        epoch = getattr(self._tracker, "ingest_epoch", None)
-        if epoch is None:
-            return None
+        epoch, placement = self._tracker.cache_generation()
         try:
             key = query.cache_key()
         except TypeError:
             return None  # unhashable parameters have no stable validator
-        generation = getattr(self._tracker, "_cache_generation", None)
-        placement = generation()[1] if generation is not None else 0
         digest = hashlib.sha1(
             repr((key, placement)).encode("utf-8")).hexdigest()[:16]
         return f'"{self._spec}-{epoch}-{digest}"'
 
     def _do_query(self, query: Query, partial: bool) -> Dict[str, Any]:
-        if self._sharded:
-            answer: Answer = self._tracker.query(query, partial=partial)
-        else:
-            answer = self._tracker.query(query)
+        answer: Answer = self._tracker.query(query, partial=partial)
         payload = answer.to_dict()
         payload["partial"] = answer.is_partial
         return payload

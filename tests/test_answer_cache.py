@@ -72,17 +72,6 @@ class TestAnswerCacheUnit:
         assert cache.hits == 3
         assert cache.misses == 1
 
-    def test_ttl_expiry_counts_as_eviction_and_miss(self, monkeypatch):
-        clock = [100.0]
-        monkeypatch.setattr("repro.api.cache.monotonic", lambda: clock[0])
-        cache = AnswerCache(max_entries=4, ttl=5.0)
-        cache.put("k", "v")
-        assert cache.get("k") == "v"
-        clock[0] += 6.0
-        assert cache.get("k") is None
-        assert cache.evictions == 1
-        assert cache.misses == 1
-
     def test_disabled_cache_stores_nothing(self):
         cache = AnswerCache(max_entries=0)
         assert not cache.enabled
@@ -93,15 +82,12 @@ class TestAnswerCacheUnit:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             AnswerCache(max_entries=-1)
-        with pytest.raises(ValueError):
-            AnswerCache(ttl=0.0)
 
     def test_pickles_as_configuration_only(self):
-        cache = AnswerCache(max_entries=7, ttl=3.0, spec="hh/P2")
+        cache = AnswerCache(max_entries=7, spec="hh/P2")
         cache.put("k", "v")
         clone = pickle.loads(pickle.dumps(cache))
         assert clone.max_entries == 7
-        assert clone.ttl == 3.0
         assert clone.get("k") is None       # entries are process-local
         assert len(clone) == 0
 
@@ -313,12 +299,12 @@ def test_move_shard_invalidates_cached_answers():
             cluster.push_batch(batch)
             cluster.flush()
             reference = cluster.query(TotalWeight())
-            generation = cluster._cache_generation()
+            generation = cluster.cache_generation()
             hits_before = cluster.answer_cache.hits
             cluster.move_shard(0, b.address)
             # Both the epoch and the placement version moved: nothing
             # cached before the handoff is addressable afterwards.
-            assert cluster._cache_generation() != generation
+            assert cluster.cache_generation() != generation
             after = cluster.query(TotalWeight())
             assert cluster.answer_cache.hits == hits_before
             assert after.to_json() == reference.to_json()

@@ -295,9 +295,8 @@ class TestProtocolCheckpointHelpers:
         with pytest.raises(CheckpointError, match="repro/tracker-checkpoint"):
             repro.Tracker.load(path)
 
-    def test_legacy_pickle_checkpoints_gated_behind_allow_pickle(self, tmp_path):
-        """Old pickle checkpoints load only with allow_pickle=True (plus a
-        DeprecationWarning); without it the error explains the gate."""
+    def test_pre_wire_pickle_checkpoints_are_refused_by_name(self, tmp_path):
+        """Old pickle checkpoints never load; the error says what they are."""
         protocol = repro.create("hh/P2", num_sites=3, epsilon=0.1)
         protocol.observe_batch([0, 1, 2], [("a", 2.0), ("b", 1.0), ("a", 4.0)])
         tracker = repro.Tracker(protocol)
@@ -310,21 +309,8 @@ class TestProtocolCheckpointHelpers:
         with open(path, "wb") as handle:
             pickle.dump(payload, handle, protocol=pickle.HIGHEST_PROTOCOL)
 
-        with pytest.raises(CheckpointError, match="allow_pickle"):
+        with pytest.raises(CheckpointError, match="pre-wire pickle"):
             repro.Tracker.load(path)
-        with pytest.warns(DeprecationWarning, match="pickle"):
-            resumed = repro.Tracker.load(path, allow_pickle=True)
-        assert resumed.protocol.estimates() == tracker.protocol.estimates()
-        assert resumed.protocol.message_counts() == tracker.protocol.message_counts()
-        # Even behind allow_pickle, a wrong-flavour legacy checkpoint is
-        # rejected by its format tag.
-        wrong = tmp_path / "wrong-format.ckpt"
-        with open(wrong, "wb") as handle:
-            pickle.dump({"format": "something-else",
-                         "version": CHECKPOINT_VERSION}, handle)
-        with pytest.warns(DeprecationWarning, match="pickle"):
-            with pytest.raises(CheckpointError, match="not a"):
-                repro.Tracker.load(wrong, allow_pickle=True)
 
     def test_checkpoint_files_contain_no_pickle_payloads(self, tmp_path):
         """The acceptance criterion in file form: a fresh checkpoint is one

@@ -100,21 +100,6 @@ class TestWireAndWorkerCli:
         assert args.command == "worker" and args.listen == "127.0.0.1:0"
         with pytest.raises(SystemExit):
             parser.parse_args(["worker"])  # --listen is required
-        args = parser.parse_args(["bench", "--wire", "pickle"])
-        assert args.wire == "pickle"
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "--wire", "msgpack"])
-
-    def test_bench_wire_requires_shards(self):
-        with pytest.raises(SystemExit, match="--shards"):
-            run_cli(["bench", "--num-items", "2000", "--num-rows", "200",
-                     "--protocols", "P1", "--wire", "pickle"])
-
-    def test_bench_wire_requires_process_backend(self):
-        with pytest.raises(SystemExit, match="process backend"):
-            run_cli(["bench", "--num-items", "2000", "--num-rows", "200",
-                     "--protocols", "P1", "--shards", "1",
-                     "--backend", "serial", "--wire", "pickle"])
 
     def test_bench_kill_shard_at_requires_shards(self):
         with pytest.raises(SystemExit, match="--shards"):
@@ -157,11 +142,10 @@ class TestBenchReportingCli:
     def test_bench_parser_accepts_new_knobs(self):
         parser = build_parser()
         args = parser.parse_args(["bench", "--matrix-protocols", "P1,P2",
-                                  "--svd-mode", "exact", "--wire", "zlib",
+                                  "--svd-mode", "exact",
                                   "--json", "report.json", "--profile"])
         assert args.matrix_protocols == ["P1", "P2"]
         assert args.svd_mode == "exact"
-        assert args.wire == "zlib"
         assert args.json_path == "report.json"
         assert args.profile is True
         with pytest.raises(SystemExit):

@@ -2,10 +2,11 @@
 
 Correctness anchors:
 
-* **Single-shard bit-identity** — for *every* registered protocol spec, a
-  ``ShardedTracker(shards=1)`` must produce bit-identical answers and
-  message accounting to a plain ``Tracker`` over the same stream (the merge
-  layer degenerates to identity arithmetic).
+* **Single-shard bit-identity** — for *every* registered protocol spec and
+  *every* concrete ``Query`` kind, a ``ShardedTracker(shards=1)``, a plain
+  ``Tracker`` and ``query.combine([query.materials(protocol)])`` must agree
+  field for field over the same stream, every kind must have a gateway
+  route, and both facades must refuse a wrong-domain query with one text.
 * **Merged paper bounds** — with ``N ≥ 2`` shards, heavy-hitter estimates
   stay within the summed per-shard budget ``Σ_s ε·W_s = ε·W`` on the
   property-harness streams, every true φ-heavy hitter is still reported,
@@ -24,6 +25,8 @@ Streams reuse the seed-parameterized property harness
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -36,6 +39,7 @@ from repro.api import (
     FrobeniusSquared,
     HeavyHitters,
     Norms,
+    Query,
     SketchMatrix,
     TotalWeight,
     available_backends,
@@ -52,6 +56,8 @@ from repro.cluster import (
     shard_of_rows,
 )
 from repro.cluster.backends import SerialBackend
+from repro.gateway.http import Request
+from repro.gateway.server import QUERY_KINDS
 from repro.wire import register_trusted_module
 
 from test_api_state_roundtrip import (
@@ -86,14 +92,12 @@ def _backend_options(name, worker_server):
         return {"addresses": [worker_server.address]}
     if name == "socket-zlib":
         return {"addresses": [worker_server.address], "compress": True}
-    if name == "process-zlib":
-        return {"transport": "zlib"}
     return {}
 
 
 def _backend_name(name):
     """Map a parametrized transport variant to its registered backend."""
-    return {"process-zlib": "process", "socket-zlib": "socket"}.get(name, name)
+    return {"socket-zlib": "socket"}.get(name, name)
 
 
 def _plain(spec: str, seed: int, dimension=None) -> repro.Tracker:
@@ -120,6 +124,35 @@ def _assert_same_answer(ours, theirs):
     assert ours.error_bound == theirs.error_bound
     assert ours.items_processed == theirs.items_processed
     assert ours.total_messages == theirs.total_messages
+
+
+def _assert_every_field_equal(ours, theirs):
+    assert type(ours) is type(theirs)
+    for field in dataclasses.fields(ours):
+        mine, other = getattr(ours, field.name), getattr(theirs, field.name)
+        if isinstance(mine, np.ndarray):
+            assert np.array_equal(mine, other), field.name
+        else:
+            assert mine == other, field.name
+
+
+def _hh_probes(sample):
+    probe = max(sample.element_weights, key=sample.element_weights.get)
+    return [HeavyHitters(phi=0.06), TotalWeight(), Frequency(element=probe)]
+
+
+def _matrix_probes(dimension):
+    return [Covariance(), FrobeniusSquared(), SketchMatrix(),
+            Norms(np.eye(dimension)[0]), Norms(np.eye(dimension)[:3]),
+            ApproximationError()]
+
+
+def _assert_one_read_path(plain, cluster, query):
+    """Tracker == combine([materials]) == 1-shard cluster, field for field."""
+    answer = plain.query(query)
+    _assert_every_field_equal(
+        answer, query.combine([query.materials(plain.protocol)]))
+    _assert_every_field_equal(answer, cluster.query(query))
 
 
 # --------------------------------------------------------------- sharding
@@ -231,6 +264,35 @@ class TestSingleShardBitIdentity:
     def test_every_registered_spec_is_covered(self):
         assert sorted(HH_SPECS) + sorted(MATRIX_SPECS) == available_specs()
 
+    def test_every_query_kind_is_probed_and_routed(self):
+        """A new ``Query`` subclass must join the probes below and get a
+        gateway route, or this fails — kinds cannot drift apart unseen."""
+        kinds = set(Query.__subclasses__())
+        sample, _, _ = hh_stream(SEEDS[0])
+        probed = {type(query): query
+                  for query in _hh_probes(sample) + _matrix_probes(3)}
+        assert set(probed) == kinds
+        assert {cls.domain for cls in kinds} == {"hh", "matrix"}
+        request = Request(method="POST", target="/", path="/",
+                          params={"element": "7"})
+        body = {"directions": [1.0, 0.0, 0.0]}
+        routed = {type(builder(request, body))
+                  for builder in QUERY_KINDS.values()}
+        assert routed == kinds
+
+    @pytest.mark.parametrize("spec", ["hh/P1", "matrix/P1"])
+    def test_wrong_domain_query_refused_with_one_text(self, spec):
+        wrong = Covariance() if spec.startswith("hh/") else TotalWeight()
+        plain = _plain(spec, SEEDS[0], dimension=3)
+        with pytest.raises(TypeError) as from_tracker:
+            plain.query(wrong)
+        with _cluster(spec, SEEDS[0], shards=1, dimension=3) as cluster:
+            with pytest.raises(TypeError) as from_cluster:
+                cluster.query(wrong)
+        assert str(from_tracker.value) == str(from_cluster.value)
+        assert type(wrong).__name__ in str(from_tracker.value)
+        assert spec in str(from_tracker.value)
+
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("spec", sorted(HH_SPECS))
     def test_hh_answers_and_accounting_identical(self, spec, seed):
@@ -239,11 +301,8 @@ class TestSingleShardBitIdentity:
         plain.run(batch)
         with _cluster(spec, seed, shards=1) as cluster:
             cluster.run(batch)
-            probe = max(sample.element_weights,
-                        key=sample.element_weights.get)
-            for query in (HeavyHitters(phi=0.06), TotalWeight(),
-                          Frequency(element=probe)):
-                assert cluster.query(query) == plain.query(query), query
+            for query in _hh_probes(sample):
+                _assert_one_read_path(plain, cluster, query)
             stats = cluster.stats()
             assert stats.items_processed == plain.items_processed
             assert stats.total_messages == plain.total_messages
@@ -255,14 +314,11 @@ class TestSingleShardBitIdentity:
         dataset, batch, _ = matrix_stream(seed)
         plain = _plain(spec, seed, dataset.dimension)
         plain.run(batch)
-        direction = np.eye(dataset.dimension)[0]
         with _cluster(spec, seed, shards=1,
                       dimension=dataset.dimension) as cluster:
             cluster.run(batch)
-            for query in (Covariance(), FrobeniusSquared(), SketchMatrix(),
-                          Norms(direction), Norms(np.eye(dataset.dimension)[:3]),
-                          ApproximationError()):
-                _assert_same_answer(cluster.query(query), plain.query(query))
+            for query in _matrix_probes(dataset.dimension):
+                _assert_one_read_path(plain, cluster, query)
             stats = cluster.stats()
             assert stats.total_messages == plain.total_messages
             assert stats.message_counts == plain.protocol.message_counts()
@@ -325,7 +381,7 @@ class TestMergedBounds:
 # -------------------------------------------------- backend equivalence
 class TestBackendEquivalence:
     @pytest.mark.parametrize("backend", [
-        "thread", "process", "process-zlib", "shm", "socket", "socket-zlib",
+        "thread", "process", "shm", "socket", "socket-zlib",
     ])
     @pytest.mark.parametrize("spec", ["hh/P2", "hh/P3", "matrix/P1"])
     def test_backend_reproduces_serial(self, spec, backend, worker_server):
@@ -418,11 +474,11 @@ class TestClusterCheckpoint:
                                     {"version": CLUSTER_CHECKPOINT_VERSION + 1}))
         with pytest.raises(CheckpointError, match="version"):
             ShardedTracker.load(path)
-        # Legacy pickle cluster checkpoints are gated behind allow_pickle.
+        # Pre-wire pickle cluster checkpoints are refused by name.
         with open(path, "wb") as handle:
             pickle.dump({"format": "repro/cluster-checkpoint",
                          "version": CLUSTER_CHECKPOINT_VERSION}, handle)
-        with pytest.raises(CheckpointError, match="allow_pickle"):
+        with pytest.raises(CheckpointError, match="pre-wire pickle"):
             ShardedTracker.load(path)
         # A plain tracker checkpoint is not a cluster checkpoint.
         tracker = repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.2)

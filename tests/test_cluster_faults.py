@@ -224,7 +224,7 @@ class _ExplodingBuilder:
 # --------------------------------------------- seq/ack protocol semantics
 class TestSequencedReplayProtocol:
     def _serve(self, frames):
-        """Drive one WorkerSession in-memory with plain tuple messages."""
+        """Drive one WorkerSession in-memory with plain tuple commands."""
         iterator = iter(frames)
 
         def recv():
@@ -234,13 +234,11 @@ class TestSequencedReplayProtocol:
                 raise EOFError
 
         replies = []
-        session = WorkerSession(
-            recv, replies.append,
-            decode=lambda message: message,
-            encode=lambda status, value, acked=None: (status, value, acked),
-            peek=None)
+        session = WorkerSession(recv, replies.append,
+                                decode=lambda message: message)
         session.serve()
-        return session, replies
+        return session, [(*decode_reply(frame), decode_reply_acked(frame))
+                         for frame in replies]
 
     def test_duplicate_and_stale_sequenced_submits_are_dropped(self):
         session, replies = self._serve([

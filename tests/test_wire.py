@@ -269,14 +269,15 @@ class TestDecodeHardening:
             decode_value(bytes(encoder.out))
 
     def test_allowlist_not_bypassable_via_attribute_traversal(self):
-        """`repro.api.state:pickle.loads` must NOT resolve: the walk may not
+        """`repro.api.session:os.system` must NOT resolve: the walk may not
         step through a repro module into a foreign module it imported, and
         the resolved object must be *defined* in an allowed module."""
         from repro.wire.codec import resolve_qualified
 
-        for name in ("repro.api.state:pickle.loads",
+        for name in ("repro.api.session:os.system",
                      "repro.wire.codec:importlib.import_module",
-                     "repro.api.state:warnings.warn"):
+                     "repro.cluster.backends:warnings.warn",
+                     "repro.api.state:Path.home"):
             with pytest.raises(WireDecodeError, match="refusing"):
                 resolve_qualified(name)
 
