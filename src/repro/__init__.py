@@ -85,7 +85,6 @@ from .streaming import (
     RoundRobinPartitioner,
     UniformRandomPartitioner,
     WeightedItem,
-    run_protocol,
 )
 
 __version__ = "1.1.0"
@@ -151,5 +150,4 @@ __all__ = [
     "RoundRobinPartitioner",
     "UniformRandomPartitioner",
     "WeightedItem",
-    "run_protocol",
 ]

@@ -235,8 +235,7 @@ class Tracker(Session):
     def run(self, source: Any,
             query: Optional[Callable[[DistributedProtocol], Any]] = None,
             query_at: Optional[Sequence[int]] = None,
-            query_at_end: bool = True,
-            continue_indices: bool = True) -> RunResult:
+            query_at_end: bool = True) -> RunResult:
         """Feed a whole stream (or the next instalment of one) into the session.
 
         ``source`` is a columnar batch (``WeightedItemBatch``,
@@ -249,11 +248,9 @@ class Tracker(Session):
         ``query``/``query_at`` schedule continuous queries exactly as
         :meth:`StreamingEngine.run` does; the returned
         :class:`~repro.streaming.runner.RunResult` covers this instalment.
-        ``continue_indices=False`` restarts the partitioner's item numbering
-        at zero for this call (the historical ``run_protocol`` semantics).
         """
         partitioner: Partitioner = self._partitioner
-        if continue_indices and self._protocol.items_processed:
+        if self._protocol.items_processed:
             partitioner = _OffsetPartitioner(partitioner,
                                              self._protocol.items_processed)
         self._ingest_epoch += 1

@@ -27,8 +27,6 @@ Examples
     repro-experiments track --protocol hh/P2 --shards 2 --backend socket \
         --workers host-a:7071,host-b:7071
     repro-experiments serve --spec hh/P2 --shards 2 --listen 127.0.0.1:8080
-    repro-experiments bench --shards 1,2 --backend process
-    repro-experiments bench --gateway --gateway-clients 1,8,32 --json out.json
     repro-experiments list
 """
 
@@ -51,14 +49,6 @@ from .api import (
     registry_rows,
 )
 from .evaluation.tables import format_table, render_figure
-from .evaluation.throughput import (
-    BENCH_CHUNK_SIZE,
-    HH_BENCH_PROTOCOLS,
-    MATRIX_BENCH_SPECS,
-    measure_sharded_throughput,
-    sharded_report_rows,
-    throughput_report_rows,
-)
 from .experiments.config import HeavyHitterConfig, MatrixConfig
 from .experiments.heavy_hitters_experiments import (
     figure1_sweep_epsilon,
@@ -84,7 +74,6 @@ _EXPERIMENTS = {
     "figure3": "Matrix tracking on the MSD-like dataset (epsilon and site sweeps)",
     "figure4": "Matrix tracking: messages vs error frontier",
     "figure67": "Appendix-C protocol P4 against P1-P3",
-    "bench": "Ingestion throughput: per-item vs batched engine (items/sec)",
     "protocols": "The protocol registry: spec names, classes and parameters",
     "track": "Run one tracking session for a registry spec (--protocol hh/P3)",
     "worker": "Host shard sessions for the socket backend (--listen HOST:PORT)",
@@ -114,40 +103,6 @@ def _parse_float_list(text: str) -> List[float]:
 
 def _parse_int_list(text: str) -> List[int]:
     return [int(value) for value in _parse_float_list(text)]
-
-
-def _parse_bench_protocols(text: str, domain: str, known) -> List[str]:
-    """Parse a comma-separated bench protocol list.
-
-    Accepts both the bench's bare labels (``P1``) and registry spec names
-    (``hh/P1`` / ``matrix/P1``) so the CLI vocabulary matches ``--protocol``
-    everywhere.
-    """
-    names = []
-    for part in text.split(","):
-        name = part.strip()
-        if not name:
-            continue
-        if name.lower().startswith(domain + "/"):
-            name = name.split("/", 1)[1]
-        names.append(name.upper())
-    if not names:
-        raise argparse.ArgumentTypeError("expected at least one protocol name")
-    unknown = [name for name in names if name not in known]
-    if unknown:
-        raise argparse.ArgumentTypeError(
-            f"unknown protocol(s) {', '.join(unknown)}; "
-            f"choose from {', '.join(sorted(known))}"
-        )
-    return names
-
-
-def _parse_protocol_list(text: str) -> List[str]:
-    return _parse_bench_protocols(text, "hh", HH_BENCH_PROTOCOLS)
-
-
-def _parse_matrix_protocol_list(text: str) -> List[str]:
-    return _parse_bench_protocols(text, "matrix", MATRIX_BENCH_SPECS)
 
 
 def _parse_spec(text: str) -> str:
@@ -223,85 +178,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("figure2", "figure3", "figure4", "figure67"):
         sub = subparsers.add_parser(name, help=_EXPERIMENTS[name])
         add_matrix_options(sub, with_dataset=(name in ("figure4", "figure67")))
-
-    sub = subparsers.add_parser("bench", help=_EXPERIMENTS["bench"])
-    sub.add_argument("--num-items", type=int, default=1_000_000,
-                     help="Zipfian stream length for the heavy-hitter workload")
-    sub.add_argument("--num-rows", type=int, default=100_000,
-                     help="row count for the synthetic-matrix workload")
-    sub.add_argument("--chunk-size", type=int, default=BENCH_CHUNK_SIZE,
-                     help="engine chunk size for the batched path")
-    sub.add_argument("--protocols", type=_parse_protocol_list,
-                     default=["P1", "P2", "P3"],
-                     help="comma-separated heavy-hitter protocols to bench "
-                          f"(choices: {','.join(sorted(HH_BENCH_PROTOCOLS))})")
-    sub.add_argument("--matrix-protocols", type=_parse_matrix_protocol_list,
-                     default=["P1"],
-                     help="comma-separated matrix protocols to bench "
-                          f"(choices: {','.join(sorted(MATRIX_BENCH_SPECS))})")
-    sub.add_argument("--svd-mode", default=None,
-                     choices=["auto", "exact", "gram", "randomized"],
-                     help="pin the FD compaction kernel for the matrix "
-                          "workloads (default: the protocol default, auto; "
-                          "'exact' reproduces the historical LAPACK path)")
-    sub.add_argument("--shards", type=_parse_int_list, default=None,
-                     metavar="N1,N2,...",
-                     help="also measure the sharded scaling curve at these "
-                          "shard counts (e.g. 1,2,4)")
-    sub.add_argument("--backend", choices=available_backends(),
-                     default="process",
-                     help="engine backend for the --shards scaling curve")
-    sub.add_argument("--kill-shard-at", type=int, default=None, metavar="N",
-                     help="chaos mode for the --shards curve on the socket "
-                          "backend: after N items have been pushed, kill one "
-                          "worker's live sessions mid-stream and let the "
-                          "backend heal by replay; the run fails unless the "
-                          "healed cluster accounts for every item")
-    sub.add_argument("--json", metavar="PATH", default=None, dest="json_path",
-                     help="also write the measured rows as JSON to PATH "
-                          "(machine-readable; what CI archives as artifacts)")
-    sub.add_argument("--profile", action="store_true",
-                     help="run the measurements under cProfile and print the "
-                          "top 20 functions by cumulative time")
-    sub.add_argument("--gateway", action="store_true",
-                     help="also load-test the HTTP serving gateway: mixed "
-                          "push+query traffic at --gateway-clients "
-                          "concurrency levels, reporting QPS and p50/p99 "
-                          "latency (rows land under 'gateway' in --json)")
-    sub.add_argument("--gateway-clients", type=_parse_int_list,
-                     default=None, metavar="N1,N2,...",
-                     help="concurrency levels for --gateway (default 1,8,32)")
-    sub.add_argument("--gateway-requests", type=int, default=150,
-                     metavar="N",
-                     help="requests per client per level for --gateway")
-    sub.add_argument("--gateway-spec", type=_parse_spec, default="hh/P2",
-                     help="registry spec served by the embedded --gateway "
-                          "load test")
-    sub.add_argument("--gateway-url", metavar="URL", default=None,
-                     help="drive an already-running gateway at URL instead "
-                          "of standing up an embedded one (CI mode)")
-    sub.add_argument("--gateway-auth-token", metavar="TOKEN", default=None,
-                     help="bearer token for --gateway / --gateway-url")
-    sub.add_argument("--query-mix", action="store_true",
-                     help="also bench the read hot path: repeated+rotating "
-                          "queries at --gateway-clients concurrency levels "
-                          "with the answer cache off and on, reporting query "
-                          "QPS and p50/p99 (rows land under 'query_mix' in "
-                          "--json)")
-    sub.add_argument("--query-mix-queries", type=int, default=200,
-                     metavar="N",
-                     help="queries per client per level for --query-mix")
-    sub.add_argument("--query-mix-spec", type=_parse_spec, default="matrix/P2",
-                     help="registry spec served by the embedded --query-mix "
-                          "cluster (matrix specs rotate covariance/frobenius/"
-                          "sketch reads; hh specs rotate thresholds)")
-    sub.add_argument("--query-mix-shards", type=int, default=2, metavar="N",
-                     help="shard count of the embedded --query-mix cluster")
-    sub.add_argument("--query-mix-backend", choices=available_backends(),
-                     default="process",
-                     help="engine backend of the embedded --query-mix "
-                          "cluster")
-    sub.add_argument("--seed", type=int, default=2014)
 
     subparsers.add_parser("protocols", help=_EXPERIMENTS["protocols"])
 
@@ -506,194 +382,6 @@ def _run_figure23(args, out, dataset: str, label: str) -> None:
 def _run_figure4(args, out) -> None:
     rows = figure4_tradeoff(args.dataset, _matrix_config(args))
     _emit(format_table(rows, title=f"Figure 4: messages vs error ({args.dataset})"), out)
-
-
-def _run_bench(args, out) -> None:
-    if args.kill_shard_at is not None:
-        # The chaos run only means something where the recovery machinery
-        # lives: the socket backend's reconnect-and-replay path.
-        if not args.shards:
-            raise SystemExit(
-                "--kill-shard-at injects a mid-stream worker kill into the "
-                "scaling curve and needs a --shards list (e.g. --shards 2)"
-            )
-        if args.backend != "socket":
-            raise SystemExit(
-                "--kill-shard-at exercises the socket backend's "
-                "reconnect-and-replay recovery; use --backend socket"
-            )
-        if args.kill_shard_at <= 0:
-            raise SystemExit("--kill-shard-at must be a positive item count")
-    if args.gateway_url is not None and not args.gateway:
-        raise SystemExit("--gateway-url requires --gateway")
-
-    def _measure():
-        rows = throughput_report_rows(num_items=args.num_items,
-                                      num_rows=args.num_rows,
-                                      chunk_size=args.chunk_size,
-                                      seed=args.seed,
-                                      hh_protocols=args.protocols,
-                                      matrix_protocols=args.matrix_protocols,
-                                      svd_mode=args.svd_mode)
-        scaling = None
-        if args.shards:
-            results = measure_sharded_throughput(
-                num_items=args.num_items,
-                shard_counts=args.shards,
-                backend=args.backend,
-                chunk_size=args.chunk_size,
-                seed=args.seed,
-                kill_shard_at=args.kill_shard_at)
-            scaling = sharded_report_rows(results)
-        gateway = None
-        if args.gateway:
-            from .evaluation.gateway_bench import (
-                DEFAULT_CLIENT_COUNTS,
-                gateway_report_rows,
-                measure_gateway_load,
-            )
-
-            results = measure_gateway_load(
-                spec=args.gateway_spec,
-                client_counts=args.gateway_clients or DEFAULT_CLIENT_COUNTS,
-                requests_per_client=args.gateway_requests,
-                seed=args.seed,
-                gateway_url=args.gateway_url,
-                auth_token=args.gateway_auth_token)
-            gateway = gateway_report_rows(results)
-        query_mix = None
-        if args.query_mix:
-            from .evaluation.gateway_bench import (
-                DEFAULT_CLIENT_COUNTS,
-                measure_query_mix,
-                query_mix_report_rows,
-            )
-
-            results = measure_query_mix(
-                spec=args.query_mix_spec,
-                shards=args.query_mix_shards,
-                backend=args.query_mix_backend,
-                client_counts=args.gateway_clients or DEFAULT_CLIENT_COUNTS,
-                queries_per_client=args.query_mix_queries,
-                seed=args.seed)
-            query_mix = query_mix_report_rows(results)
-        return rows, scaling, gateway, query_mix
-
-    from time import perf_counter
-
-    bench_started = perf_counter()
-    if args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        rows, scaling, gateway, query_mix = profiler.runcall(_measure)
-    else:
-        rows, scaling, gateway, query_mix = _measure()
-    bench_duration = perf_counter() - bench_started
-
-    _emit(format_table(rows, title="Ingestion throughput (per-item vs batched)"),
-          out)
-    for row in rows:
-        _emit(f"{row['workload']} [{row['protocol']}]: "
-              f"{row['batched_items_per_sec']:,} items/sec batched vs "
-              f"{row['per_item_items_per_sec']:,} items/sec per-item "
-              f"({row['speedup']}x)", out)
-    if scaling is not None:
-        _emit(format_table(scaling,
-                           title=f"Sharded scaling ({args.backend} backend)"),
-              out)
-        for row in scaling:
-            speedup = row.get("speedup_vs_1_shard")
-            suffix = f" ({speedup}x vs 1 shard)" if speedup else ""
-            _emit(f"{row['shards']} shard(s) [{row['backend']}]: "
-                  f"{row['items_per_sec']:,} items/sec{suffix}", out)
-    if gateway is not None:
-        _emit(format_table(gateway,
-                           columns=["clients", "requests", "queries",
-                                    "pushes", "requests_per_second",
-                                    "queries_per_second", "p50_latency_ms",
-                                    "p99_latency_ms"],
-                           title="Gateway load (mixed push+query over HTTP)"),
-              out)
-        for row in gateway:
-            _emit(f"{row['clients']} client(s) [{row['spec']}, "
-                  f"{row['backend']} backend]: "
-                  f"{row['requests_per_second']:,.0f} req/sec "
-                  f"({row['queries_per_second']:,.0f} queries/sec), "
-                  f"p50 {row['p50_latency_ms']:.2f} ms, "
-                  f"p99 {row['p99_latency_ms']:.2f} ms", out)
-    if query_mix is not None:
-        _emit(format_table(query_mix,
-                           columns=["clients", "cache", "queries",
-                                    "not_modified", "queries_per_second",
-                                    "p50_latency_ms", "p99_latency_ms"],
-                           title="Query mix (repeated+rotating reads, cache "
-                                 "off vs on)"),
-              out)
-        off_p50 = {row["clients"]: row["p50_latency_ms"]
-                   for row in query_mix if row["cache"] == "off"}
-        for row in query_mix:
-            if row["cache"] != "on":
-                continue
-            baseline = off_p50.get(row["clients"])
-            speedup = (f", {baseline / row['p50_latency_ms']:.1f}x faster "
-                       "p50 than uncached"
-                       if baseline and row["p50_latency_ms"] > 0 else "")
-            _emit(f"{row['clients']} client(s) [{row['spec']}, cache on]: "
-                  f"{row['queries_per_second']:,.0f} queries/sec, "
-                  f"p50 {row['p50_latency_ms']:.2f} ms "
-                  f"({row['not_modified']} served 304){speedup}", out)
-
-    if args.profile:
-        import io as _io
-
-        buffer = _io.StringIO()
-        stats = pstats.Stats(profiler, stream=buffer)
-        stats.strip_dirs().sort_stats("cumulative").print_stats(20)
-        _emit("", out)
-        _emit("cProfile top 20 by cumulative time:", out)
-        _emit(buffer.getvalue().rstrip(), out)
-
-    if args.json_path:
-        import json
-
-        from .evaluation.meta import bench_meta
-
-        payload = {
-            "meta": {
-                **bench_meta(bench_duration),
-                "num_items": args.num_items,
-                "num_rows": args.num_rows,
-                "chunk_size": args.chunk_size,
-                "seed": args.seed,
-                "hh_protocols": args.protocols,
-                "matrix_protocols": args.matrix_protocols,
-                "svd_mode": args.svd_mode,
-                "shards": args.shards,
-                "backend": args.backend if args.shards else None,
-                "kill_shard_at": args.kill_shard_at,
-                "gateway_spec": args.gateway_spec if args.gateway else None,
-                "gateway_requests_per_client":
-                    args.gateway_requests if args.gateway else None,
-                "query_mix_spec":
-                    args.query_mix_spec if args.query_mix else None,
-                "query_mix_queries_per_client":
-                    args.query_mix_queries if args.query_mix else None,
-                "query_mix_shards":
-                    args.query_mix_shards if args.query_mix else None,
-                "query_mix_backend":
-                    args.query_mix_backend if args.query_mix else None,
-            },
-            "throughput": rows,
-            "scaling": scaling,
-            "gateway": gateway,
-            "query_mix": query_mix,
-        }
-        with open(args.json_path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        _emit(f"wrote JSON report to {args.json_path}", out)
 
 
 def _run_protocols(args, out) -> None:
@@ -972,8 +660,6 @@ def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
         _run_figure4(args, out)
     elif args.command == "figure67":
         _run_figure67(args, out)
-    elif args.command == "bench":
-        _run_bench(args, out)
     elif args.command == "protocols":
         _run_protocols(args, out)
     elif args.command == "track":

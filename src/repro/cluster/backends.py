@@ -182,6 +182,8 @@ class EngineBackend(abc.ABC):
     def _check_shard(self, shard: int) -> int:
         if not self._launched:
             raise BackendError("backend not launched")
+        if not self._num_shards:  # launch needs >= 1 builder; close() zeroes
+            raise BackendError("backend is closed")
         if not 0 <= shard < self._num_shards:
             raise ValueError(
                 f"shard index {shard} out of range [0, {self._num_shards})"
@@ -230,20 +232,34 @@ class _ThreadShard:
 
     def __init__(self, index: int, builder: Callable[[], Any],
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
+        self._index = index
         self._queue: "queue.Queue" = queue.Queue()
         self._shutdown_timeout = float(shutdown_timeout)
+        self._started = threading.Event()
+        self._start_error: Optional[BaseException] = None
         self._thread = threading.Thread(
             target=self._loop, args=(builder,),
             name=f"repro-shard-{index}", daemon=True,
         )
         self._thread.start()
 
+    def wait_started(self) -> None:
+        """Block until the builder has run; raise its failure, if any."""
+        self._started.wait()
+        if self._start_error is not None:
+            raise BackendError(f"shard {self._index} failed to start: "
+                               f"{self._start_error!r}") from self._start_error
+
     def _loop(self, builder: Callable[[], Any]) -> None:
-        pending_error: Optional[BaseException] = None
         try:
             tracker = builder()
-        except BaseException as exc:  # surfaced at the first call
-            tracker, pending_error = None, exc
+        except BaseException as exc:
+            # No tracker, no work loop: ``wait_started`` fails the launch.
+            self._start_error = exc
+            return
+        finally:
+            self._started.set()
+        pending_error: Optional[BaseException] = None
         while True:
             work = self._queue.get()
             if work is None:
@@ -320,6 +336,12 @@ class ThreadBackend(EngineBackend):
         self._shards = [_ThreadShard(index, builder,
                                      shutdown_timeout=self._shutdown_timeout)
                         for index, builder in enumerate(builders)]
+        try:
+            for shard in self._shards:
+                shard.wait_started()
+        except BaseException:
+            self.close()
+            raise
 
     def submit(self, shard: int, fn: Callable, *args: Any) -> None:
         self._shards[self._check_shard(shard)].submit(fn, args)

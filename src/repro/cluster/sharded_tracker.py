@@ -337,6 +337,7 @@ class ShardedTracker(Session):
         batch = self._coerce_batch(items)
         if len(batch) == 0:
             return
+        explicit = self._check_push(batch, site_ids)
         # Bump *before* dispatching: a query keyed at the new epoch can only
         # be answered (and cached) after this batch entered the per-shard
         # FIFOs, so a post-push query never revives a pre-push answer.
@@ -344,14 +345,6 @@ class ShardedTracker(Session):
         if REGISTRY.enabled:
             _CLUSTER_PUSHES.inc(spec=self._spec)
             _CLUSTER_ITEMS.inc(len(batch), spec=self._spec)
-        explicit = None
-        if site_ids is not None:
-            explicit = np.asarray(site_ids, dtype=np.int64)
-            if explicit.shape != (len(batch),):
-                raise ValueError(
-                    f"site_ids must have shape ({len(batch)},), "
-                    f"got {explicit.shape}"
-                )
         if self._num_shards == 1:
             self._assign_shards(batch)  # keeps the row-deal counter exact
             if explicit is None:
@@ -633,6 +626,40 @@ class ShardedTracker(Session):
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this ShardedTracker has been closed")
+
+    def _check_push(self, batch: Any,
+                    site_ids: Optional[Sequence[int]]) -> Optional[np.ndarray]:
+        """Reject a malformed batch before any session state moves.
+
+        Submits are fire-and-forget on the remote backends, so a shard-side
+        ``ValueError`` would be charged to the next unrelated call — after
+        the epoch, the row-deal counter and the healthy shards had already
+        moved.  Raises the protocol's own messages; returns ``site_ids`` as
+        an index array.
+        """
+        if self._domain != DOMAIN_HEAVY_HITTERS:
+            dimension = self._params["dimension"]
+            if batch.dimension != dimension:
+                raise ValueError(
+                    f"rows has {batch.dimension} columns but the stream "
+                    f"dimension is {dimension}"
+                )
+        if site_ids is None:
+            return None
+        explicit = np.asarray(site_ids, dtype=np.int64)
+        if explicit.shape != (len(batch),):
+            raise ValueError(
+                f"site_ids must have shape ({len(batch)},), "
+                f"got {explicit.shape}"
+            )
+        num_sites = self._params["num_sites"]
+        low, high = explicit.min(), explicit.max()
+        if low < 0 or high >= num_sites:
+            raise ValueError(
+                f"site indices must lie in [0, {num_sites}), "
+                f"got range [{low}, {high}]"
+            )
+        return explicit
 
     def _coerce_batch(self, items: Any) -> Any:
         """Coerce any accepted stream shape into a columnar batch."""

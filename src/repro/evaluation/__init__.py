@@ -14,12 +14,6 @@ from .metrics import (
 )
 from .sweep import ParameterSweep, SweepRecord, SweepResult
 from .tables import format_series, format_table, format_value, render_figure
-from .throughput import (
-    ThroughputResult,
-    measure_heavy_hitter_throughput,
-    measure_matrix_throughput,
-    throughput_report_rows,
-)
 
 __all__ = [
     "HeavyHitterEvaluation",
@@ -39,8 +33,4 @@ __all__ = [
     "format_table",
     "format_value",
     "render_figure",
-    "ThroughputResult",
-    "measure_heavy_hitter_throughput",
-    "measure_matrix_throughput",
-    "throughput_report_rows",
 ]

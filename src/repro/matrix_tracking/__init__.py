@@ -17,7 +17,6 @@ from .p3_sampling import (
     WithReplacementMatrixSamplingProtocol,
 )
 from .p4_singular_directions import SingularDirectionUpdateProtocol
-from .sliding_window import SlidingWindowFrequentDirections, SlidingWindowMatrixProtocol
 
 __all__ = [
     "MatrixTrackingProtocol",
@@ -28,6 +27,4 @@ __all__ = [
     "MatrixPrioritySamplingProtocol",
     "WithReplacementMatrixSamplingProtocol",
     "SingularDirectionUpdateProtocol",
-    "SlidingWindowFrequentDirections",
-    "SlidingWindowMatrixProtocol",
 ]

@@ -15,8 +15,6 @@ from .runner import (
     QueryObservation,
     RunResult,
     StreamingEngine,
-    run_many,
-    run_protocol,
 )
 
 __all__ = [
@@ -39,6 +37,4 @@ __all__ = [
     "QueryObservation",
     "RunResult",
     "StreamingEngine",
-    "run_many",
-    "run_protocol",
 ]

@@ -25,20 +25,10 @@ protocol — they are maintained by the engine itself rather than read back
 from ``protocol.items_processed``, so a protocol that was fed items before
 the run (or that counts observations differently) can neither duplicate nor
 skip the final scheduled query.
-
-``run_protocol`` and ``run_many`` are *deprecated* thin shims over the
-:class:`~repro.api.tracker.Tracker` session facade.  They default to
-``chunk_size=None`` — per-item dispatch with the exact semantics of the
-historical runner — because batched dispatch groups each chunk by site,
-which is an equally valid but different interleaving for protocols whose
-coordination is order-sensitive (see :mod:`repro.streaming.protocol`).  New
-code should build sessions with ``repro.Tracker.create(spec, ...)`` and call
-``tracker.run(...)`` instead.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence
 
@@ -53,8 +43,6 @@ __all__ = [
     "QueryObservation",
     "RunResult",
     "StreamingEngine",
-    "run_protocol",
-    "run_many",
 ]
 
 DEFAULT_CHUNK_SIZE = 4096
@@ -304,71 +292,3 @@ def _take(iterator: Iterator, count: int) -> Iterator:
             yield next(iterator)
         except StopIteration:
             return
-
-
-def run_protocol(
-    protocol: DistributedProtocol,
-    stream: Iterable[Any],
-    partitioner: Optional[Partitioner] = None,
-    query_at: Optional[Sequence[int]] = None,
-    query: Optional[Callable[[DistributedProtocol], Any]] = None,
-    query_at_end: bool = True,
-    chunk_size: Optional[int] = None,
-) -> RunResult:
-    """Feed ``stream`` into ``protocol`` (deprecated shim over ``Tracker``).
-
-    .. deprecated:: 1.1
-        Use ``repro.Tracker(protocol).run(...)`` — or better,
-        ``repro.Tracker.create(spec, ...)`` — instead.  This shim delegates
-        to the same facade and returns the identical
-        :class:`RunResult`.
-
-    With the default ``chunk_size=None`` this replays items one at a time in
-    arrival order — the historical runner semantics.  Pass a chunk size
-    (e.g. :data:`DEFAULT_CHUNK_SIZE`) to dispatch through the batched
-    ``observe_batch`` path instead.
-    """
-    warnings.warn(
-        "run_protocol is deprecated; use repro.Tracker(protocol).run(...) "
-        "or repro.Tracker.create(spec, ...) instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..api.tracker import Tracker  # local import: api sits above streaming
-
-    tracker = Tracker(protocol, chunk_size=chunk_size, partitioner=partitioner)
-    return tracker.run(stream, query=query, query_at=query_at,
-                       query_at_end=query_at_end, continue_indices=False)
-
-
-def run_many(
-    protocols: Dict[str, DistributedProtocol],
-    stream_factory: Callable[[], Iterable[Any]],
-    partitioner_factory: Optional[Callable[[DistributedProtocol], Partitioner]] = None,
-    query: Optional[Callable[[DistributedProtocol], Any]] = None,
-    chunk_size: Optional[int] = None,
-) -> Dict[str, RunResult]:
-    """Run several protocols over identical copies of the same stream.
-
-    .. deprecated:: 1.1
-        Use one ``repro.Tracker`` per protocol instead; this shim delegates
-        to the facade and returns identical results.
-
-    ``stream_factory`` is called once per protocol so that generator-based
-    streams can be replayed; use a deterministic seed inside the factory to
-    guarantee all protocols see the same data.
-    """
-    warnings.warn(
-        "run_many is deprecated; build one repro.Tracker per protocol instead",
-        DeprecationWarning, stacklevel=2,
-    )
-    from ..api.tracker import Tracker  # local import: api sits above streaming
-
-    results: Dict[str, RunResult] = {}
-    for name, protocol in protocols.items():
-        partitioner = (partitioner_factory(protocol)
-                       if partitioner_factory is not None else None)
-        tracker = Tracker(protocol, chunk_size=chunk_size,
-                          partitioner=partitioner)
-        results[name] = tracker.run(stream_factory(), query=query,
-                                    continue_indices=False)
-    return results

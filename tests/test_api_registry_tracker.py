@@ -25,7 +25,7 @@ from repro.cli import main as cli_main
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import PrioritySamplingProtocol, ThresholdedUpdatesProtocol
 from repro.matrix_tracking import DeterministicDirectionProtocol
-from repro.streaming import WeightedItemBatch, run_many, run_protocol
+from repro.streaming import WeightedItemBatch
 from repro.streaming.partition import UniformRandomPartitioner
 
 
@@ -274,33 +274,6 @@ class TestAnswerSerialisation:
         assert payload["estimate"][0]["element"] == repr(label)
 
 
-class TestDeprecatedShims:
-    def test_run_protocol_warns_and_matches_tracker(self):
-        batch = small_stream(count=600)
-        direct = repro.Tracker.create("hh/P3", num_sites=3, epsilon=0.1,
-                                      sample_size=60, seed=4, chunk_size=None)
-        direct.run(batch)
-        legacy = create("hh/P3", num_sites=3, epsilon=0.1, sample_size=60,
-                        seed=4)
-        with pytest.warns(DeprecationWarning, match="Tracker"):
-            result = run_protocol(legacy, batch)
-        assert result.items_processed == len(batch)
-        assert result.total_messages == direct.total_messages
-        assert legacy.estimates() == direct.protocol.estimates()
-
-    def test_run_many_warns_and_returns_per_protocol_results(self):
-        protocols = {
-            "P1": create("hh/P1", num_sites=2, epsilon=0.2),
-            "P2": create("hh/P2", num_sites=2, epsilon=0.2),
-        }
-        with pytest.warns(DeprecationWarning, match="run_many"):
-            results = run_many(protocols,
-                               lambda: small_stream(count=200))
-        assert set(results) == {"P1", "P2"}
-        for result in results.values():
-            assert result.items_processed == 200
-
-
 class TestCli:
     def run_cli(self, argv):
         buffer = io.StringIO()
@@ -351,8 +324,3 @@ class TestCli:
     def test_track_rejects_unknown_spec(self):
         with pytest.raises(SystemExit):
             self.run_cli(["track", "--protocol", "nope/P1"])
-
-    def test_bench_protocol_list_accepts_spec_names(self):
-        from repro.cli import _parse_protocol_list
-
-        assert _parse_protocol_list("hh/P1,P2") == ["P1", "P2"]

@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 TINY_HH = ["--num-items", "2000", "--universe-size", "300", "--num-sites", "5",
@@ -50,6 +54,25 @@ class TestCommands:
         assert code == 0
         assert "figure1" in output
         assert "table1" in output
+
+    def test_bench_subcommand_is_gone(self, capsys):
+        """Measuring is ``bench/run.py``'s job; the CLI carries no harness."""
+        _, output = run_cli(["list"])
+        assert "bench" not in output
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+        # Importing the CLI pulls in the figure/table half of
+        # repro.evaluation only - no measuring module rides along.
+        probe = ("import sys, repro.cli; print(' '.join(sorted("
+                 "m for m in sys.modules if m.startswith('repro.evaluation.'))))")
+        done = subprocess.run([sys.executable, "-c", probe], check=True,
+                              capture_output=True, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.path.dirname(
+                                  os.path.dirname(repro.__file__))})
+        assert set(done.stdout.split()) <= {"repro.evaluation.metrics",
+                                            "repro.evaluation.sweep",
+                                            "repro.evaluation.tables"}
 
     def test_figure1(self):
         code, output = run_cli(["figure1", *TINY_HH])
@@ -101,24 +124,6 @@ class TestWireAndWorkerCli:
         with pytest.raises(SystemExit):
             parser.parse_args(["worker"])  # --listen is required
 
-    def test_bench_kill_shard_at_requires_shards(self):
-        with pytest.raises(SystemExit, match="--shards"):
-            run_cli(["bench", "--num-items", "2000", "--num-rows", "200",
-                     "--protocols", "P1", "--backend", "socket",
-                     "--kill-shard-at", "1000"])
-
-    def test_bench_kill_shard_at_requires_socket_backend(self):
-        with pytest.raises(SystemExit, match="socket"):
-            run_cli(["bench", "--num-items", "2000", "--num-rows", "200",
-                     "--protocols", "P1", "--shards", "1",
-                     "--backend", "process", "--kill-shard-at", "1000"])
-
-    def test_bench_kill_shard_at_must_be_positive(self):
-        with pytest.raises(SystemExit, match="positive"):
-            run_cli(["bench", "--num-items", "2000", "--num-rows", "200",
-                     "--protocols", "P1", "--shards", "1",
-                     "--backend", "socket", "--kill-shard-at", "0"])
-
     def test_worker_parser_accepts_fault_tolerance_flags(self):
         parser = build_parser()
         args = parser.parse_args(["worker", "--listen", "127.0.0.1:0",
@@ -136,48 +141,6 @@ class TestWireAndWorkerCli:
 
 
 class TestBenchReportingCli:
-    TINY_BENCH = ["bench", "--num-items", "3000", "--num-rows", "400",
-                  "--protocols", "P1", "--matrix-protocols", "P1"]
-
-    def test_bench_parser_accepts_new_knobs(self):
-        parser = build_parser()
-        args = parser.parse_args(["bench", "--matrix-protocols", "P1,P2",
-                                  "--svd-mode", "exact",
-                                  "--json", "report.json", "--profile"])
-        assert args.matrix_protocols == ["P1", "P2"]
-        assert args.svd_mode == "exact"
-        assert args.json_path == "report.json"
-        assert args.profile is True
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "--matrix-protocols", "P9"])
-        with pytest.raises(SystemExit):
-            parser.parse_args(["bench", "--svd-mode", "fastest"])
-
-    def test_bench_json_report_written(self, tmp_path):
-        path = tmp_path / "bench.json"
-        code, output = run_cli([*self.TINY_BENCH, "--svd-mode", "exact",
-                                "--json", str(path)])
-        assert code == 0
-        assert str(path) in output
-
-        import json
-
-        report = json.loads(path.read_text())
-        assert report["meta"]["svd_mode"] == "exact"
-        assert report["meta"]["num_items"] == 3000
-        assert report["scaling"] is None
-        workloads = {(row["workload"], row["protocol"])
-                     for row in report["throughput"]}
-        assert any("svd_mode=exact" in protocol for _, protocol in workloads)
-        for row in report["throughput"]:
-            assert row["batched_items_per_sec"] > 0
-
-    def test_bench_profile_prints_top_functions(self):
-        code, output = run_cli([*self.TINY_BENCH, "--profile"])
-        assert code == 0
-        assert "cProfile top 20 by cumulative time" in output
-        assert "cumtime" in output
-
     def test_track_over_embedded_socket_worker(self, tmp_path):
         from repro.cluster import WorkerServer
 

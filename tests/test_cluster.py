@@ -242,9 +242,33 @@ class TestBackendRegistry:
         assert backend.call_all(_estimate_of, "fresh") == [3.0, 0.0]
         backend.close()
 
+    def test_thread_launch_fails_when_a_builder_fails(self):
+        """A shard without a tracker must fail launch (as process/shm/socket
+        do), not come up and serve ``fn(None, ...)`` from the second call."""
+        backend = create_backend("thread")
+        with pytest.raises(BackendError,
+                           match="shard 1 failed to start.*no tracker"):
+            backend.launch([_build_tiny_tracker, _raise_builder_error])
+        with pytest.raises(BackendError, match="closed"):
+            backend.call(0, _estimate_of, "a")
+
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_use_after_close_is_a_backend_error(self, name, worker_server):
+        backend = create_backend(name, **_backend_options(name, worker_server))
+        backend.launch([_build_tiny_tracker])
+        backend.close()
+        with pytest.raises(BackendError, match="backend is closed"):
+            backend.call(0, _estimate_of, "a")
+        with pytest.raises(BackendError, match="backend is closed"):
+            backend.submit(0, _push_one, "a", 1.0)
+
 
 def _build_tiny_tracker() -> repro.Tracker:
     return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
+
+
+def _raise_builder_error() -> repro.Tracker:
+    raise RuntimeError("no tracker")
 
 
 def _push_one(tracker, element, weight) -> None:
@@ -510,6 +534,35 @@ class TestShardedTrackerFacade:
             cluster.push_batch(rows)
             stats = cluster.stats()
             assert [items for items, _ in stats.per_shard] == [2, 2]
+
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("rows, site_ids, message", [
+        (np.ones((2, 4)), None,
+         "rows has 4 columns but the stream dimension is 3"),
+        (np.ones((2, 3)), [0, 99],
+         r"site indices must lie in \[0, 3\), got range \[0, 99\]"),
+        (np.ones((2, 3)), [-1, 0], r"site indices must lie in \[0, 3\)"),
+        (np.ones((2, 3)), [0], r"site_ids must have shape \(2,\)"),
+    ], ids=["wide-rows", "site-too-high", "site-negative", "site-ids-short"])
+    def test_malformed_push_raises_itself_and_moves_nothing(
+            self, backend, rows, site_ids, message):
+        """The bad push is refused in the parent — not acknowledged and
+        charged to the next caller, and never applied on some shards only."""
+        with ShardedTracker.create("matrix/P2", shards=2, backend=backend,
+                                   num_sites=3, dimension=3,
+                                   epsilon=0.1) as cluster:
+            cluster.push_batch(np.eye(3), site_ids=[0, 1, 2])
+
+            def state():
+                stats = cluster.stats()
+                return (stats.items_processed, stats.per_shard,
+                        stats.ingest_epoch, cluster._rows_dispatched,
+                        cluster.query(FrobeniusSquared()))
+
+            before = state()
+            with pytest.raises(ValueError, match=message):
+                cluster.push_batch(rows, site_ids=site_ids)
+            assert state() == before
 
     def test_query_type_validation(self):
         with ShardedTracker.create("hh/P1", shards=2, num_sites=2,

@@ -370,6 +370,24 @@ class TestHttpContract:
             assert response.status == 400
             conn.close()
 
+    def test_malformed_push_is_the_pushers_400(self):
+        """Wrong-width rows / out-of-range sites fail the push that sent
+        them; the next (unrelated) request is served normally."""
+        with repro.ShardedTracker.create(
+                "matrix/P2", shards=2, backend="process", num_sites=3,
+                dimension=3, epsilon=0.1) as cluster, \
+                Gateway(cluster) as gateway, \
+                GatewayClient(gateway.url) as client:
+            assert client.push(rows=[[1.0, 0.0, 0.0]]) == {"accepted": 1}
+            for bad in ({"rows": [[1.0, 2.0, 3.0, 4.0]]},
+                        {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                         "site_ids": [0, 99]}):
+                with pytest.raises(GatewayError) as excinfo:
+                    client.push(**bad)
+                assert excinfo.value.status == 400
+                assert client.query("frobenius")["estimate"] == 1.0
+            assert client.stats()["items_processed"] == 1
+
     def test_oversized_body_413(self, served_cluster):
         with Gateway(served_cluster, max_body_bytes=1024) as gateway:
             with GatewayClient(gateway.url) as client:

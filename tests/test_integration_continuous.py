@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import Tracker
 from repro.data.synthetic_matrix import make_pamap_like, row_stream
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.evaluation.metrics import evaluate_heavy_hitter_protocol
@@ -27,7 +28,6 @@ from repro.matrix_tracking import (
 )
 from repro.streaming.items import WeightedItem
 from repro.streaming.partition import HashPartitioner, UniformRandomPartitioner
-from repro.streaming.runner import run_protocol
 
 
 class TestContinuousHeavyHitters:
@@ -55,9 +55,8 @@ class TestContinuousHeavyHitters:
                 running_total[0] += item.weight
                 yield item
 
-        result = run_protocol(protocol, stream(),
-                              query_at=list(range(200, len(items), 200)),
-                              query=query)
+        result = Tracker(protocol, chunk_size=None).run(
+            stream(), query_at=list(range(200, len(items), 200)), query=query)
         checkpoints = result.observations
         assert len(checkpoints) >= 10
         for observation in checkpoints:
@@ -67,9 +66,9 @@ class TestContinuousHeavyHitters:
     def test_messages_monotone_over_time(self, zipf_sample):
         protocol = BatchedMisraGriesProtocol(num_sites=5, epsilon=0.05)
         items = [WeightedItem(element=e, weight=w) for e, w in zipf_sample.items]
-        result = run_protocol(protocol, items,
-                              query_at=list(range(100, len(items), 500)),
-                              query=lambda p: p.total_messages)
+        result = Tracker(protocol, chunk_size=None).run(
+            items, query_at=list(range(100, len(items), 500)),
+            query=lambda p: p.total_messages)
         counts = [obs.result for obs in result.observations]
         assert counts == sorted(counts)
 
@@ -79,8 +78,8 @@ class TestContinuousMatrixTracking:
         epsilon = 0.15
         protocol = DeterministicDirectionProtocol(
             num_sites=6, dimension=low_rank_dataset.dimension, epsilon=epsilon)
-        result = run_protocol(
-            protocol, row_stream(low_rank_dataset.rows),
+        result = Tracker(protocol, chunk_size=None).run(
+            row_stream(low_rank_dataset.rows),
             query_at=list(range(100, low_rank_dataset.num_rows, 150)),
             query=lambda p: p.approximation_error(),
         )
@@ -93,8 +92,8 @@ class TestContinuousMatrixTracking:
         protocol = BatchedFrequentDirectionsProtocol(
             num_sites=6, dimension=low_rank_dataset.dimension, epsilon=epsilon)
         partitioner = UniformRandomPartitioner(num_sites=6, seed=3)
-        run_protocol(protocol, row_stream(low_rank_dataset.rows),
-                     partitioner=partitioner)
+        Tracker(protocol, chunk_size=None, partitioner=partitioner).run(
+            row_stream(low_rank_dataset.rows))
         assert protocol.approximation_error() <= epsilon + 1e-9
 
 
@@ -106,7 +105,7 @@ class TestSkewedPartitioning:
         protocol = ThresholdedUpdatesProtocol(num_sites=8, epsilon=epsilon)
         partitioner = HashPartitioner(num_sites=8)
         items = [WeightedItem(element=e, weight=w) for e, w in zipf_sample.items]
-        run_protocol(protocol, items, partitioner=partitioner)
+        Tracker(protocol, chunk_size=None, partitioner=partitioner).run(items)
         evaluation = evaluate_heavy_hitter_protocol(
             protocol, zipf_sample.element_weights, phi=0.05,
             total_weight=zipf_sample.total_weight)

@@ -9,13 +9,15 @@ from repro.heavy_hitters.exact import ExactForwardingProtocol
 from repro.matrix_tracking.baselines import CentralizedSVDBaseline
 from repro.streaming.items import MatrixRow, MatrixRowBatch, WeightedItem, WeightedItemBatch
 from repro.streaming.partition import RoundRobinPartitioner
-from repro.streaming.runner import StreamingEngine, run_many, run_protocol
+from repro.streaming.runner import StreamingEngine
+
+PER_ITEM = StreamingEngine(chunk_size=None)
 
 
 class TestRunProtocolWithWeightedItems:
     def test_feeds_all_items(self, zipf_sample):
         protocol = ExactForwardingProtocol(num_sites=5)
-        result = run_protocol(protocol, [WeightedItem(element=e, weight=w)
+        result = PER_ITEM.run(protocol, [WeightedItem(element=e, weight=w)
                                          for e, w in zipf_sample.items[:500]])
         assert result.items_processed == 500
         assert result.total_messages >= 500
@@ -25,20 +27,20 @@ class TestRunProtocolWithWeightedItems:
 
     def test_tuples_accepted(self):
         protocol = ExactForwardingProtocol(num_sites=2)
-        run_protocol(protocol, [("a", 1.0), ("b", 2.0), ("a", 3.0)])
+        PER_ITEM.run(protocol, [("a", 1.0), ("b", 2.0), ("a", 3.0)])
         assert protocol.estimate("a") == pytest.approx(4.0)
 
     def test_items_with_site_attribute_routed_directly(self):
         protocol = ExactForwardingProtocol(num_sites=3, keep_message_records=True)
         items = [WeightedItem(element="x", weight=1.0, site=2) for _ in range(4)]
-        run_protocol(protocol, items)
+        PER_ITEM.run(protocol, items)
         sites = {record.site for record in protocol.network.log.records
                  if record.site is not None}
         assert sites == {2}
 
     def test_query_schedule(self):
         protocol = ExactForwardingProtocol(num_sites=2)
-        result = run_protocol(
+        result = PER_ITEM.run(
             protocol,
             [("a", 1.0)] * 10,
             query_at=[3, 7],
@@ -51,7 +53,7 @@ class TestRunProtocolWithWeightedItems:
 
     def test_no_final_query_when_disabled(self):
         protocol = ExactForwardingProtocol(num_sites=2)
-        result = run_protocol(
+        result = PER_ITEM.run(
             protocol, [("a", 1.0)] * 5, query_at=[2],
             query=lambda p: p.estimate("a"), query_at_end=False,
         )
@@ -60,12 +62,12 @@ class TestRunProtocolWithWeightedItems:
     def test_partitioner_mismatch_rejected(self):
         protocol = ExactForwardingProtocol(num_sites=2)
         with pytest.raises(ValueError):
-            run_protocol(protocol, [("a", 1.0)],
+            PER_ITEM.run(protocol, [("a", 1.0)],
                          partitioner=RoundRobinPartitioner(num_sites=3))
 
     def test_final_observation_none_without_query(self):
         protocol = ExactForwardingProtocol(num_sites=2)
-        result = run_protocol(protocol, [("a", 1.0)])
+        result = PER_ITEM.run(protocol, [("a", 1.0)])
         assert result.final_observation is None
         assert result.observations == []
 
@@ -74,14 +76,14 @@ class TestRunProtocolWithRows:
     def test_matrix_rows_accepted(self, rng):
         rows = rng.standard_normal((50, 4))
         protocol = CentralizedSVDBaseline(num_sites=4, dimension=4)
-        result = run_protocol(protocol, (MatrixRow(values=row) for row in rows))
+        result = PER_ITEM.run(protocol, (MatrixRow(values=row) for row in rows))
         assert result.items_processed == 50
         assert protocol.observed_squared_frobenius == pytest.approx(float(np.sum(rows ** 2)))
 
     def test_message_counts_in_result(self, rng):
         rows = rng.standard_normal((20, 3))
         protocol = CentralizedSVDBaseline(num_sites=2, dimension=3)
-        result = run_protocol(protocol, (MatrixRow(values=row) for row in rows))
+        result = PER_ITEM.run(protocol, (MatrixRow(values=row) for row in rows))
         assert result.message_counts["total_messages"] == result.total_messages
         assert result.total_messages == 20
 
@@ -96,7 +98,8 @@ class TestRunMany:
         def stream_factory():
             return [("a", 1.0), ("b", 2.0), ("a", 1.5)]
 
-        results = run_many(protocols, stream_factory)
+        results = {name: PER_ITEM.run(protocol, stream_factory())
+                   for name, protocol in protocols.items()}
         assert set(results) == {"first", "second"}
         assert (results["first"].protocol.estimate("a")
                 == results["second"].protocol.estimate("a"))
@@ -121,7 +124,7 @@ class TestStreamingEngineBatched:
     def test_columnar_batch_matches_per_item_results(self, zipf_sample):
         items = zipf_sample.items[:800]
         per_item = ExactForwardingProtocol(num_sites=4)
-        run_protocol(per_item, items)
+        PER_ITEM.run(per_item, items)
         batched = ExactForwardingProtocol(num_sites=4)
         StreamingEngine(chunk_size=128).run(
             batched, WeightedItemBatch.from_pairs(items))
@@ -203,7 +206,7 @@ class TestChunkBoundaryEdgeCases:
 
         items = zipf_sample.items[:400]
         per_item = ThresholdedUpdatesProtocol(num_sites=3, epsilon=0.1)
-        run_protocol(per_item, items)
+        PER_ITEM.run(per_item, items)
         chunked = ThresholdedUpdatesProtocol(num_sites=3, epsilon=0.1)
         StreamingEngine(chunk_size=1).run(
             chunked, WeightedItemBatch.from_pairs(items))
@@ -262,7 +265,7 @@ class TestRunBookkeeping:
         # ahead of the run's counter.
         protocol.process(0, "warmup", 1.0)
         protocol.process(1, "warmup", 1.0)
-        result = run_protocol(protocol, [("a", 1.0)] * 10, query_at=[10],
+        result = PER_ITEM.run(protocol, [("a", 1.0)] * 10, query_at=[10],
                               query=lambda p: p.estimate("a"))
         # One query at item 10 of *this run*; no spurious extra observation
         # at the lifetime count of 12.
@@ -274,7 +277,7 @@ class TestRunBookkeeping:
     def test_pre_fed_protocol_gets_exactly_one_end_query(self):
         protocol = ExactForwardingProtocol(num_sites=2)
         protocol.process(0, "warmup", 1.0)
-        result = run_protocol(protocol, [("a", 1.0)] * 5,
+        result = PER_ITEM.run(protocol, [("a", 1.0)] * 5,
                               query=lambda p: p.estimate("a"))
         counts = [obs.items_processed for obs in result.observations]
         assert counts == [5]
@@ -284,9 +287,9 @@ class TestRunBookkeeping:
         for chunk_size in (None, 64):
             protocol = ExactForwardingProtocol(num_sites=3)
             protocol.process(0, "warmup", 1.0)
-            result = run_protocol(protocol, items, query_at=[100, 250],
-                                  query=lambda p: p.items_processed,
-                                  chunk_size=chunk_size)
+            result = StreamingEngine(chunk_size=chunk_size).run(
+                protocol, items, query_at=[100, 250],
+                query=lambda p: p.items_processed)
             assert [obs.items_processed for obs in result.observations] == \
                 [100, 250, 300]
             assert result.items_processed == 300
