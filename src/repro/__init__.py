@@ -4,8 +4,8 @@ A complete reproduction of Ghashami, Phillips & Li, "Continuous Matrix
 Approximation on Distributed Data": the four distributed weighted
 heavy-hitter protocols (Section 4), the three distributed matrix-tracking
 protocols plus the appendix-C negative result (Section 5 / Appendix C), the
-sketching substrates they build on (Misra–Gries, SpaceSaving, Count–Min,
-Frequent Directions, priority sampling), a simulated multi-site streaming
+sketching substrates they build on (Misra–Gries, SpaceSaving, Frequent
+Directions, priority sampling), a simulated multi-site streaming
 substrate with exact message accounting, and the full Section 6 experiment
 suite — all behind the unified :mod:`repro.api` session surface.
 
@@ -69,15 +69,11 @@ from .matrix_tracking import (
     WithReplacementMatrixSamplingProtocol,
 )
 from .sketch import (
-    CountMinSketch,
     ExactFrequencyCounter,
     ExactMatrix,
     FrequentDirections,
-    PrioritySample,
     WeightedMisraGries,
-    WeightedReservoir,
     WeightedSpaceSaving,
-    WithReplacementSamplers,
 )
 from .streaming import (
     MatrixRow,
@@ -135,15 +131,11 @@ __all__ = [
     "SingularDirectionUpdateProtocol",
     "WithReplacementMatrixSamplingProtocol",
     # sketches
-    "CountMinSketch",
     "ExactFrequencyCounter",
     "ExactMatrix",
     "FrequentDirections",
-    "PrioritySample",
     "WeightedMisraGries",
-    "WeightedReservoir",
     "WeightedSpaceSaving",
-    "WithReplacementSamplers",
     # streaming substrate
     "MatrixRow",
     "Network",

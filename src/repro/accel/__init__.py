@@ -1,9 +1,8 @@
 """Acceleration kernels: fast spectral decompositions for FD compaction.
 
 See :mod:`repro.accel.fd_kernels` for the ``svd_mode`` contract shared by
-the sketches (:class:`~repro.sketch.frequent_directions.FrequentDirections`,
-:class:`~repro.sketch.relative_error_fd.RelativeErrorFrequentDirections`)
-and the matrix-tracking protocols P1/P2.
+the :class:`~repro.sketch.frequent_directions.FrequentDirections` sketch and
+the matrix-tracking protocols P1/P2.
 """
 
 from .fd_kernels import (

@@ -15,7 +15,7 @@ the work submitted to each slot, and exposes three primitives:
 ``fn`` must be a module-level callable (the process backend ships it by
 qualified name) taking the shard's ``Tracker`` as its first argument.
 
-Four backends are registered, mirroring the protocol registry's
+Five backends are registered, mirroring the protocol registry's
 string-keyed :class:`BackendSpec` pattern:
 
 =========  ==================================================================
@@ -27,6 +27,9 @@ string-keyed :class:`BackendSpec` pattern:
              ``WeightedItemBatch``/``MatrixRowBatch`` chunks travel through
              a pipe as :mod:`repro.wire` frames, results come back the same
              way — true multi-core scaling for CPU-bound protocols
+``shm``      ``process`` with large array payloads diverted out of the pipe
+             through a per-shard shared-memory ring (same host) — see
+             :mod:`repro.cluster.shm`
 ``socket``   shards live in ``repro-experiments worker --listen`` processes
              reached over TCP (any host); the same wire-frame worker
              protocol as ``process``, length-prefixed on the stream — see

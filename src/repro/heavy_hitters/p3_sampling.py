@@ -1,22 +1,11 @@
 """Protocol P3: priority sampling (Section 4.3) and its with-replacement variant (4.3.1).
 
-Without replacement (:class:`PrioritySamplingProtocol`)
-    Every site draws, for each arriving item ``(e, w)``, a priority
-    ``ρ = w/r`` with ``r ~ Uniform(0,1)`` and forwards the triple
-    ``(e, w, ρ)`` whenever ``ρ ≥ τ``, where ``τ`` is a global threshold owned
-    by the coordinator (initially 1).  The coordinator keeps two priority
-    queues ``Q_j`` (priorities in ``[τ, 2τ)``) and ``Q_{j+1}`` (priorities
-    ``≥ 2τ``); when ``Q_{j+1}`` reaches the sample size ``s`` it doubles
-    ``τ``, broadcasts it, discards ``Q_j`` and re-partitions ``Q_{j+1}``.
-    Estimates use the priority-sampling estimator: with ``ρ̂`` the smallest
-    retained priority, every other retained item contributes
-    ``max(w, ρ̂)``.
-
-With replacement (:class:`WithReplacementSamplingProtocol`)
-    ``s`` independent samplers are run; each site forwards an item whenever
-    any sampler's priority clears the threshold, and the coordinator keeps,
-    per sampler, the best item and the second-best priority.  A round ends
-    when every sampler's second-best priority exceeds ``2τ``.
+The sampling itself — priority draws, the threshold ``τ``, the coordinator's
+queues or sampler slots and the estimator weights — is
+:mod:`repro.streaming.priority_sampling`, shared with the matrix protocols.
+This module adapts it to weighted items: every ``(element, weight)`` arrival
+is a candidate of weight ``w``, the payload kept is the element label, and
+the adjusted sample is read out grouped by element.
 
 Guarantees (Theorem 2): with ``s = Θ((1/ε²)·log(1/ε))`` the without-
 replacement protocol estimates all frequencies within ``ε·W`` using
@@ -27,18 +16,53 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from ..sketch.priority_sampler import sample_size_for_epsilon
-from ..streaming.protocol import forward_accepted_samples
-from ..utils.rng import SeedLike, as_generator, spawn
-from ..utils.validation import check_positive_int
+from ..streaming.priority_sampling import (
+    WithoutReplacementSampling,
+    WithReplacementSampling,
+)
+from ..utils.rng import SeedLike
 from .base import WeightedHeavyHitterProtocol
 
 __all__ = ["PrioritySamplingProtocol", "WithReplacementSamplingProtocol"]
 
 
-class PrioritySamplingProtocol(WeightedHeavyHitterProtocol):
+class _ElementSampling(WeightedHeavyHitterProtocol):
+    """Feeds weighted items to a sampling coordinator and reads it by element."""
+
+    def _sample_description(self, payload: Hashable) -> str:
+        return f"sampled item {payload!r}"
+
+    def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
+        weight = self._record_observation(weight)
+        self._sample_item(site, element, weight)
+
+    def process_batch(self, site: int, elements: Sequence[Hashable],
+                      weights: Optional[Sequence[float]] = None) -> None:
+        """Vectorized site-batch ingestion: one block priority draw,
+        message-identical to per-item ingestion under the same seed."""
+        weights = self._record_observations(weights, len(elements))
+        self._sample_batch(site, weights, elements.__getitem__)
+
+    def sample_with_adjusted_weights(self) -> List[Tuple[Hashable, float]]:
+        """Return the coordinator sample as ``(element, adjusted weight)`` pairs."""
+        return [(element, adjusted)
+                for element, _, adjusted in self._adjusted_sample()]
+
+    def estimate(self, element: Hashable) -> float:
+        return sum(weight for candidate, weight in self.sample_with_adjusted_weights()
+                   if candidate == element)
+
+    def estimated_total_weight(self) -> float:
+        return self._estimated_total()
+
+    def estimates(self) -> Dict[Hashable, float]:
+        grouped: Dict[Hashable, float] = {}
+        for element, weight in self.sample_with_adjusted_weights():
+            grouped[element] = grouped.get(element, 0.0) + weight
+        return grouped
+
+
+class PrioritySamplingProtocol(WithoutReplacementSampling, _ElementSampling):
     """Weighted heavy hitters protocol P3 (priority sampling without replacement).
 
     Parameters
@@ -62,179 +86,13 @@ class PrioritySamplingProtocol(WeightedHeavyHitterProtocol):
                  sample_size: Optional[int] = None, sample_constant: float = 1.0,
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, epsilon, keep_message_records=keep_message_records)
-        if sample_size is None:
-            sample_size = sample_size_for_epsilon(epsilon, sample_constant)
-        self._sample_size = check_positive_int(sample_size, name="sample_size")
-        self._site_rngs = spawn(as_generator(seed), num_sites)
-        # Global threshold τ, known to all sites (broadcast on change).
-        self._threshold = 1.0
-        self._round = 0
-        # Coordinator queues: (element, weight, priority) triples.
-        self._current_queue: List[Tuple[Hashable, float, float]] = []
-        self._next_queue: List[Tuple[Hashable, float, float]] = []
-        # True until the first rejection or round-end discard: while exact, the
-        # coordinator has received every stream item and answers exactly.
-        self._is_exact = True
+        self._init_sampling(sample_size, sample_constant, seed)
 
     #: Checkpoint-contract version of this class's state layout.
     state_version = 1
 
-    def _repr_params(self):
-        params = super()._repr_params()
-        params["sample_size"] = self._sample_size
-        return params
 
-    # ------------------------------------------------------------ properties
-    @property
-    def sample_size(self) -> int:
-        """Coordinator sample size ``s``."""
-        return self._sample_size
-
-    @property
-    def threshold(self) -> float:
-        """Current global priority threshold ``τ``."""
-        return self._threshold
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of threshold doublings performed so far."""
-        return self._round
-
-    # ---------------------------------------------------------------- site side
-    def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
-        weight = self._record_observation(weight)
-        rng = self._site_rngs[site]
-        uniform = rng.uniform(0.0, 1.0)
-        while uniform <= 0.0:  # pragma: no cover - measure-zero event
-            uniform = rng.uniform(0.0, 1.0)
-        priority = weight / uniform
-        if priority < self._threshold:
-            self._is_exact = False
-            return
-        self.network.send_vector(site, description=f"sampled item {element!r}")
-        self._receive(element, weight, priority)
-
-    def process_batch(self, site: int, elements: Sequence[Hashable],
-                      weights: Optional[Sequence[float]] = None) -> None:
-        """Vectorized site-batch ingestion.
-
-        All priority draws for the batch come from one block draw of the
-        site's generator — the same RNG stream, consumed in the same
-        per-item order, as item-at-a-time ingestion — so with a fixed seed
-        the message sequence and coordinator sample are identical to the
-        per-item path over the same site-grouped order.  Rejections
-        (``ρ < τ``) are skipped wholesale; accepted items are forwarded one
-        at a time because each can end the round and double ``τ``, at which
-        point the remaining tail is re-filtered against the new threshold.
-        """
-        weights = self._record_observations(weights, len(elements))
-        count = weights.shape[0]
-        if count == 0:
-            return
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=count)
-        invalid = uniforms <= 0.0
-        while np.any(invalid):  # pragma: no cover - measure-zero event
-            uniforms[invalid] = rng.uniform(0.0, 1.0, size=int(invalid.sum()))
-            invalid = uniforms <= 0.0
-        priorities = weights / uniforms
-
-        def forward(index: int, threshold: float) -> None:
-            self.network.send_vector(
-                site, description=f"sampled item {elements[index]!r}")
-            self._receive(elements[index], float(weights[index]),
-                          float(priorities[index]))
-
-        forward_accepted_samples(count, priorities,
-                                 lambda: self._threshold, forward,
-                                 self._mark_inexact)
-
-    def _mark_inexact(self) -> None:
-        self._is_exact = False
-
-    # --------------------------------------------------------- coordinator side
-    def _receive(self, element: Hashable, weight: float, priority: float) -> None:
-        if priority > 2.0 * self._threshold:
-            self._next_queue.append((element, weight, priority))
-        else:
-            self._current_queue.append((element, weight, priority))
-        if len(self._next_queue) >= self._sample_size:
-            self._advance_round()
-
-    def _advance_round(self) -> None:
-        """Double the threshold, notify the sites and re-partition the queues."""
-        self._round += 1
-        self._threshold *= 2.0
-        self.network.broadcast(description=f"new threshold {self._threshold:g}")
-        if self._current_queue:
-            self._is_exact = False
-        promoted = [item for item in self._next_queue
-                    if item[2] > 2.0 * self._threshold]
-        remaining = [item for item in self._next_queue
-                     if item[2] <= 2.0 * self._threshold]
-        self._current_queue = remaining
-        self._next_queue = promoted
-
-    # ----------------------------------------------------------------- sample
-    def _retained(self) -> List[Tuple[Hashable, float, float]]:
-        return self._current_queue + self._next_queue
-
-    def sample_with_adjusted_weights(self) -> List[Tuple[Hashable, float]]:
-        """Return the coordinator sample as ``(element, adjusted weight)`` pairs."""
-        retained = self._retained()
-        if not retained:
-            return []
-        if self._is_exact:
-            return [(element, weight) for element, weight, _ in retained]
-        if len(retained) == 1:
-            element, weight, _ = retained[0]
-            return [(element, weight)]
-        drop_index = min(range(len(retained)), key=lambda i: retained[i][2])
-        rho_hat = retained[drop_index][2]
-        return [
-            (element, max(weight, rho_hat))
-            for index, (element, weight, _) in enumerate(retained)
-            if index != drop_index
-        ]
-
-    # ---------------------------------------------------------------- queries
-    def estimate(self, element: Hashable) -> float:
-        return sum(weight for candidate, weight in self.sample_with_adjusted_weights()
-                   if candidate == element)
-
-    def estimated_total_weight(self) -> float:
-        return sum(weight for _, weight in self.sample_with_adjusted_weights())
-
-    def estimates(self) -> Dict[Hashable, float]:
-        grouped: Dict[Hashable, float] = {}
-        for element, weight in self.sample_with_adjusted_weights():
-            grouped[element] = grouped.get(element, 0.0) + weight
-        return grouped
-
-
-class _SamplerSlot:
-    """Coordinator state of one independent with-replacement sampler."""
-
-    __slots__ = ("best_element", "best_weight", "best_priority", "second_priority")
-
-    def __init__(self) -> None:
-        self.best_element: Optional[Hashable] = None
-        self.best_weight = 0.0
-        self.best_priority = 0.0
-        self.second_priority = 0.0
-
-    def offer(self, element: Hashable, weight: float, priority: float) -> None:
-        """Consider a forwarded item for this sampler."""
-        if priority > self.best_priority:
-            self.second_priority = max(self.second_priority, self.best_priority)
-            self.best_element = element
-            self.best_weight = weight
-            self.best_priority = priority
-        elif priority > self.second_priority:
-            self.second_priority = priority
-
-
-class WithReplacementSamplingProtocol(WeightedHeavyHitterProtocol):
+class WithReplacementSamplingProtocol(WithReplacementSampling, _ElementSampling):
     """Weighted heavy hitters protocol P3wr (``s`` independent samplers).
 
     Parameters
@@ -258,133 +116,8 @@ class WithReplacementSamplingProtocol(WeightedHeavyHitterProtocol):
                  num_samplers: Optional[int] = None, sample_constant: float = 1.0,
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, epsilon, keep_message_records=keep_message_records)
-        if num_samplers is None:
-            num_samplers = sample_size_for_epsilon(epsilon, sample_constant)
-        self._num_samplers = check_positive_int(num_samplers, name="num_samplers")
-        self._site_rngs = spawn(as_generator(seed), num_sites)
-        self._threshold = 1.0
-        self._round = 0
-        self._slots = [_SamplerSlot() for _ in range(self._num_samplers)]
-        # While True the coordinator has seen every item and keeps exact counts
-        # alongside the samplers, so early queries are exact (as in the paper,
-        # where small streams are simply forwarded).
-        self._is_exact = True
-        self._exact_counts: Dict[Hashable, float] = {}
-        self._exact_total = 0.0
+        self._init_sampling(num_samplers, sample_constant, seed)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
-
-    def _repr_params(self):
-        params = super()._repr_params()
-        params["num_samplers"] = self._num_samplers
-        return params
-
-    # ------------------------------------------------------------ properties
-    @property
-    def num_samplers(self) -> int:
-        """Number of independent samplers ``s``."""
-        return self._num_samplers
-
-    @property
-    def threshold(self) -> float:
-        """Current global priority threshold ``τ``."""
-        return self._threshold
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of threshold doublings performed so far."""
-        return self._round
-
-    # ---------------------------------------------------------------- site side
-    def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
-        weight = self._record_observation(weight)
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=self._num_samplers)
-        uniforms = np.clip(uniforms, 1e-300, None)
-        priorities = weight / uniforms
-        successes = np.nonzero(priorities >= self._threshold)[0]
-        if successes.size == 0:
-            self._is_exact = False
-            return
-        self.network.send_vector(site, description=f"sampled item {element!r}")
-        self._receive(element, weight, successes, priorities[successes])
-
-    def process_batch(self, site: int, elements: Sequence[Hashable],
-                      weights: Optional[Sequence[float]] = None) -> None:
-        """Vectorized site-batch ingestion.
-
-        One ``(n, s)`` block draw replaces ``n`` per-item draws of ``s``
-        uniforms — the identical RNG stream — so seeded runs reproduce the
-        per-item path over the same site-grouped order exactly.  An item is
-        forwarded when any of its ``s`` priorities clears ``τ``; forwarded
-        items are handed to the coordinator one at a time because each can
-        advance the round, after which the tail is re-filtered.  The
-        ``_is_exact`` flag flips at the first skipped item, before any later
-        forwarded item reaches the coordinator, matching per-item order.
-        """
-        weights = self._record_observations(weights, len(elements))
-        count = weights.shape[0]
-        if count == 0:
-            return
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=(count, self._num_samplers))
-        uniforms = np.clip(uniforms, 1e-300, None)
-        priorities = weights[:, np.newaxis] / uniforms
-        best = priorities.max(axis=1)
-
-        def forward(index: int, threshold: float) -> None:
-            successes = np.nonzero(priorities[index] >= threshold)[0]
-            self.network.send_vector(
-                site, description=f"sampled item {elements[index]!r}")
-            self._receive(elements[index], float(weights[index]),
-                          successes, priorities[index][successes])
-
-        forward_accepted_samples(count, best,
-                                 lambda: self._threshold, forward,
-                                 self._mark_inexact)
-
-    def _mark_inexact(self) -> None:
-        self._is_exact = False
-
-    # --------------------------------------------------------- coordinator side
-    def _receive(self, element: Hashable, weight: float,
-                 sampler_indices: np.ndarray, priorities: np.ndarray) -> None:
-        if self._is_exact:
-            self._exact_counts[element] = self._exact_counts.get(element, 0.0) + weight
-            self._exact_total += weight
-        for sampler_index, priority in zip(sampler_indices, priorities):
-            self._slots[int(sampler_index)].offer(element, weight, float(priority))
-        while all(slot.second_priority > 2.0 * self._threshold for slot in self._slots):
-            self._round += 1
-            self._threshold *= 2.0
-            self.network.broadcast(description=f"new threshold {self._threshold:g}")
-
-    # ---------------------------------------------------------------- queries
-    def estimated_total_weight(self) -> float:
-        if self._is_exact:
-            return self._exact_total
-        seconds = [slot.second_priority for slot in self._slots]
-        return float(np.mean(seconds))
-
-    def sample_with_adjusted_weights(self) -> List[Tuple[Hashable, float]]:
-        """Return each sampler's retained element with weight ``Ŵ / s``."""
-        if self._is_exact:
-            return list(self._exact_counts.items())
-        total = self.estimated_total_weight()
-        share = total / self._num_samplers
-        return [
-            (slot.best_element, share)
-            for slot in self._slots
-            if slot.best_element is not None
-        ]
-
-    def estimate(self, element: Hashable) -> float:
-        return sum(weight for candidate, weight in self.sample_with_adjusted_weights()
-                   if candidate == element)
-
-    def estimates(self) -> Dict[Hashable, float]:
-        grouped: Dict[Hashable, float] = {}
-        for element, weight in self.sample_with_adjusted_weights():
-            grouped[element] = grouped.get(element, 0.0) + weight
-        return grouped
+    #: Checkpoint-contract version of this class's state layout (2: the
+    #: sampler slots and exact-mode bookkeeping moved to the shared core).
+    state_version = 2

@@ -1,44 +1,79 @@
 """Matrix protocol P3: squared-norm priority sampling (Section 5.3).
 
-The site-side behaviour is identical to the weighted heavy-hitters protocol
-P3: every arriving row ``a_i`` is treated as a weighted item of weight
-``w_i = ‖a_i‖²`` and forwarded whenever its priority ``ρ = w_i / r`` clears
-the global threshold ``τ``.  The coordinator runs the same two-queue /
-threshold-doubling machinery; the only difference is how the retained sample
-is turned into an approximation matrix ``B``:
+The paper defines matrix P3/P3wr as the weighted heavy-hitters protocols
+P3/P3wr run on item weight ``w_i = ‖a_i‖²``, and that is how they are built:
+the sampling itself is :mod:`repro.streaming.priority_sampling`, shared with
+the heavy-hitter family.  This module adapts it to rows: a row is a
+candidate of weight ``‖a‖²`` (zero-norm rows are transparent — no priority
+draw, no state change), the payload kept is a copy of the row, and the
+adjusted sample is read out as an approximation matrix ``B`` by rescaling
+each retained row so its squared norm equals its adjusted weight:
 
-* rows whose squared norm is at least the smallest retained priority ``ρ̂``
-  are stacked as-is (they were retained deterministically),
-* every other retained row is rescaled so its squared norm equals ``ρ̂``
-  (the priority-sampling estimator applied to rank-one terms),
-* the single lowest-priority retained row is dropped (it defines ``ρ̂``).
+* without replacement, rows whose squared norm is at least the smallest
+  retained priority ``ρ̂`` are stacked as-is (they were retained
+  deterministically), every other retained row is rescaled to squared norm
+  ``ρ̂``, and the single lowest-priority row (it defines ``ρ̂``) is dropped;
+* with replacement, each sampler's retained row is rescaled to squared norm
+  ``F̂/s`` — the classical row-sampling estimator of Drineas et al., as
+  described in Section 4.3.1 / Table 1's ``P3wr`` row.
 
 With sample size ``s = Θ((1/ε²)·log(1/ε))`` this yields
 ``|‖Ax‖² − ‖Bx‖²| ≤ ε‖A‖²_F`` with large probability using
 ``O((m + s)·log(βN/s))`` messages (Theorem 5).
-
-The with-replacement variant (:class:`WithReplacementMatrixSamplingProtocol`)
-runs ``s`` independent samplers and rescales each retained row to squared norm
-``F̂/s`` — the classical row-sampling estimator of Drineas et al. — as
-described in Section 4.3.1 / Table 1's ``P3wr`` row.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from ..sketch.priority_sampler import sample_size_for_epsilon
-from ..streaming.protocol import forward_accepted_samples
-from ..utils.rng import SeedLike, as_generator, spawn
-from ..utils.validation import check_positive_int
+from ..streaming.priority_sampling import (
+    WithoutReplacementSampling,
+    WithReplacementSampling,
+)
+from ..utils.rng import SeedLike
 from .base import MatrixTrackingProtocol
 
 __all__ = ["MatrixPrioritySamplingProtocol", "WithReplacementMatrixSamplingProtocol"]
 
 
-class MatrixPrioritySamplingProtocol(MatrixTrackingProtocol):
+class _RowSampling(MatrixTrackingProtocol):
+    """Feeds rows to a sampling coordinator at weight ``‖a‖²``; reads it as ``B``."""
+
+    def _sample_description(self, payload: np.ndarray) -> str:
+        return "sampled row"
+
+    def process(self, site: int, row: np.ndarray) -> None:
+        row = self._record_observation(row)
+        weight = float(np.dot(row, row))
+        if weight > 0.0:
+            self._sample_item(site, row, weight)
+
+    def process_batch(self, site: int, rows: np.ndarray) -> None:
+        """Vectorized site-batch ingestion: one block priority draw over the
+        non-zero rows, message-identical to per-item ingestion under the
+        same seed."""
+        rows = self._record_observations(rows)
+        norms = np.einsum("ij,ij->i", rows, rows)
+        candidates = np.nonzero(norms > 0.0)[0]
+        self._sample_batch(site, norms[candidates],
+                           lambda index: rows[candidates[index]].copy())
+
+    def sketch_matrix(self) -> np.ndarray:
+        sample = self._adjusted_sample()
+        if not sample:
+            return np.zeros((0, self.dimension))
+        return np.vstack([
+            row if adjusted == weight else row * np.sqrt(adjusted / weight)
+            for row, weight, adjusted in sample
+        ])
+
+    def estimated_squared_frobenius(self) -> float:
+        return self._estimated_total()
+
+
+class MatrixPrioritySamplingProtocol(WithoutReplacementSampling, _RowSampling):
     """Matrix tracking protocol P3 (priority sampling without replacement).
 
     Parameters
@@ -65,176 +100,13 @@ class MatrixPrioritySamplingProtocol(MatrixTrackingProtocol):
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
-        if sample_size is None:
-            sample_size = sample_size_for_epsilon(epsilon, sample_constant)
-        self._sample_size = check_positive_int(sample_size, name="sample_size")
-        self._site_rngs = spawn(as_generator(seed), num_sites)
-        self._threshold = 1.0
-        self._round = 0
-        # Coordinator queues of (row, weight, priority).
-        self._current_queue: List[Tuple[np.ndarray, float, float]] = []
-        self._next_queue: List[Tuple[np.ndarray, float, float]] = []
-        self._is_exact = True
+        self._init_sampling(sample_size, sample_constant, seed)
 
     #: Checkpoint-contract version of this class's state layout.
     state_version = 1
 
-    def _repr_params(self):
-        params = super()._repr_params()
-        params["sample_size"] = self._sample_size
-        return params
 
-    # ------------------------------------------------------------ properties
-    @property
-    def sample_size(self) -> int:
-        """Coordinator sample size ``s``."""
-        return self._sample_size
-
-    @property
-    def threshold(self) -> float:
-        """Current global priority threshold ``τ``."""
-        return self._threshold
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of threshold doublings performed so far."""
-        return self._round
-
-    # ---------------------------------------------------------------- site side
-    def process(self, site: int, row: np.ndarray) -> None:
-        row = self._record_observation(row)
-        weight = float(np.dot(row, row))
-        if weight <= 0.0:
-            return
-        rng = self._site_rngs[site]
-        uniform = rng.uniform(0.0, 1.0)
-        while uniform <= 0.0:  # pragma: no cover - measure-zero event
-            uniform = rng.uniform(0.0, 1.0)
-        priority = weight / uniform
-        if priority < self._threshold:
-            self._is_exact = False
-            return
-        self.network.send_vector(site, description="sampled row")
-        self._receive(row, weight, priority)
-
-    def process_batch(self, site: int, rows: np.ndarray) -> None:
-        """Vectorized site-batch ingestion.
-
-        Zero-norm rows are transparent (as per item: no priority draw, no
-        state change); every other row draws its priority from one block
-        draw of the site's generator — the identical RNG stream as per-item
-        ingestion — so seeded runs reproduce the per-item message sequence
-        and coordinator sample over the same site-grouped order exactly.
-        Rejections are skipped wholesale; sampled rows are forwarded one at
-        a time because each can end the round and double ``τ``, after which
-        the remaining tail is re-filtered.
-        """
-        rows = self._record_observations(rows)
-        if rows.shape[0] == 0:
-            return
-        norms = np.einsum("ij,ij->i", rows, rows)
-        candidates = np.nonzero(norms > 0.0)[0]
-        count = candidates.size
-        if count == 0:
-            return
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=count)
-        invalid = uniforms <= 0.0
-        while np.any(invalid):  # pragma: no cover - measure-zero event
-            uniforms[invalid] = rng.uniform(0.0, 1.0, size=int(invalid.sum()))
-            invalid = uniforms <= 0.0
-        priorities = norms[candidates] / uniforms
-
-        def forward(index: int, threshold: float) -> None:
-            row_index = int(candidates[index])
-            self.network.send_vector(site, description="sampled row")
-            self._receive(rows[row_index].copy(), float(norms[row_index]),
-                          float(priorities[index]))
-
-        forward_accepted_samples(count, priorities,
-                                 lambda: self._threshold, forward,
-                                 self._mark_inexact)
-
-    def _mark_inexact(self) -> None:
-        self._is_exact = False
-
-    # --------------------------------------------------------- coordinator side
-    def _receive(self, row: np.ndarray, weight: float, priority: float) -> None:
-        if priority > 2.0 * self._threshold:
-            self._next_queue.append((row, weight, priority))
-        else:
-            self._current_queue.append((row, weight, priority))
-        if len(self._next_queue) >= self._sample_size:
-            self._advance_round()
-
-    def _advance_round(self) -> None:
-        self._round += 1
-        self._threshold *= 2.0
-        self.network.broadcast(description=f"new threshold {self._threshold:g}")
-        if self._current_queue:
-            self._is_exact = False
-        promoted = [item for item in self._next_queue
-                    if item[2] > 2.0 * self._threshold]
-        remaining = [item for item in self._next_queue
-                     if item[2] <= 2.0 * self._threshold]
-        self._current_queue = remaining
-        self._next_queue = promoted
-
-    # ---------------------------------------------------------------- queries
-    def _retained(self) -> List[Tuple[np.ndarray, float, float]]:
-        return self._current_queue + self._next_queue
-
-    def sketch_matrix(self) -> np.ndarray:
-        retained = self._retained()
-        if not retained:
-            return np.zeros((0, self.dimension))
-        if self._is_exact or len(retained) == 1:
-            return np.vstack([row for row, _, _ in retained])
-        drop_index = min(range(len(retained)), key=lambda i: retained[i][2])
-        rho_hat = retained[drop_index][2]
-        rows = []
-        for index, (row, weight, _) in enumerate(retained):
-            if index == drop_index:
-                continue
-            if weight >= rho_hat:
-                rows.append(row)
-            else:
-                rows.append(row * np.sqrt(rho_hat / weight))
-        return np.vstack(rows)
-
-    def estimated_squared_frobenius(self) -> float:
-        retained = self._retained()
-        if self._is_exact or len(retained) <= 1:
-            return sum(weight for _, weight, _ in retained)
-        drop_index = min(range(len(retained)), key=lambda i: retained[i][2])
-        rho_hat = retained[drop_index][2]
-        return sum(max(weight, rho_hat)
-                   for index, (_, weight, _) in enumerate(retained)
-                   if index != drop_index)
-
-
-class _RowSamplerSlot:
-    """Coordinator state of one independent with-replacement row sampler."""
-
-    __slots__ = ("best_row", "best_weight", "best_priority", "second_priority")
-
-    def __init__(self) -> None:
-        self.best_row: Optional[np.ndarray] = None
-        self.best_weight = 0.0
-        self.best_priority = 0.0
-        self.second_priority = 0.0
-
-    def offer(self, row: np.ndarray, weight: float, priority: float) -> None:
-        if priority > self.best_priority:
-            self.second_priority = max(self.second_priority, self.best_priority)
-            self.best_row = row
-            self.best_weight = weight
-            self.best_priority = priority
-        elif priority > self.second_priority:
-            self.second_priority = priority
-
-
-class WithReplacementMatrixSamplingProtocol(MatrixTrackingProtocol):
+class WithReplacementMatrixSamplingProtocol(WithReplacementSampling, _RowSampling):
     """Matrix tracking protocol P3wr (``s`` independent row samplers).
 
     Parameters
@@ -261,126 +133,8 @@ class WithReplacementMatrixSamplingProtocol(MatrixTrackingProtocol):
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
-        if num_samplers is None:
-            num_samplers = sample_size_for_epsilon(epsilon, sample_constant)
-        self._num_samplers = check_positive_int(num_samplers, name="num_samplers")
-        self._site_rngs = spawn(as_generator(seed), num_sites)
-        self._threshold = 1.0
-        self._round = 0
-        self._slots = [_RowSamplerSlot() for _ in range(self._num_samplers)]
-        self._is_exact = True
-        self._exact_rows: List[np.ndarray] = []
+        self._init_sampling(num_samplers, sample_constant, seed)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
-
-    def _repr_params(self):
-        params = super()._repr_params()
-        params["num_samplers"] = self._num_samplers
-        return params
-
-    # ------------------------------------------------------------ properties
-    @property
-    def num_samplers(self) -> int:
-        """Number of independent samplers ``s``."""
-        return self._num_samplers
-
-    @property
-    def threshold(self) -> float:
-        """Current global priority threshold ``τ``."""
-        return self._threshold
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of threshold doublings performed so far."""
-        return self._round
-
-    # ---------------------------------------------------------------- site side
-    def process(self, site: int, row: np.ndarray) -> None:
-        row = self._record_observation(row)
-        weight = float(np.dot(row, row))
-        if weight <= 0.0:
-            return
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=self._num_samplers)
-        uniforms = np.clip(uniforms, 1e-300, None)
-        priorities = weight / uniforms
-        successes = np.nonzero(priorities >= self._threshold)[0]
-        if successes.size == 0:
-            self._is_exact = False
-            return
-        self.network.send_vector(site, description="sampled row")
-        self._receive(row, weight, successes, priorities[successes])
-
-    def process_batch(self, site: int, rows: np.ndarray) -> None:
-        """Vectorized site-batch ingestion.
-
-        Mirrors :meth:`PrioritySamplingProtocol.process_batch` for the
-        ``s``-sampler variant: zero-norm rows are transparent, one
-        ``(n, s)`` block draw reproduces the per-item RNG stream, a row is
-        forwarded when any sampler's priority clears ``τ``, and the
-        ``_is_exact`` flag flips at the first skipped row before any later
-        forwarded row reaches the coordinator.
-        """
-        rows = self._record_observations(rows)
-        if rows.shape[0] == 0:
-            return
-        norms = np.einsum("ij,ij->i", rows, rows)
-        candidates = np.nonzero(norms > 0.0)[0]
-        count = candidates.size
-        if count == 0:
-            return
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=(count, self._num_samplers))
-        uniforms = np.clip(uniforms, 1e-300, None)
-        priorities = norms[candidates][:, np.newaxis] / uniforms
-        best = priorities.max(axis=1)
-
-        def forward(index: int, threshold: float) -> None:
-            successes = np.nonzero(priorities[index] >= threshold)[0]
-            row_index = int(candidates[index])
-            self.network.send_vector(site, description="sampled row")
-            self._receive(rows[row_index].copy(), float(norms[row_index]),
-                          successes, priorities[index][successes])
-
-        forward_accepted_samples(count, best,
-                                 lambda: self._threshold, forward,
-                                 self._mark_inexact)
-
-    def _mark_inexact(self) -> None:
-        self._is_exact = False
-
-    # --------------------------------------------------------- coordinator side
-    def _receive(self, row: np.ndarray, weight: float,
-                 sampler_indices: np.ndarray, priorities: np.ndarray) -> None:
-        if self._is_exact:
-            self._exact_rows.append(row)
-        for sampler_index, priority in zip(sampler_indices, priorities):
-            self._slots[int(sampler_index)].offer(row, weight, float(priority))
-        while all(slot.second_priority > 2.0 * self._threshold for slot in self._slots):
-            self._round += 1
-            self._threshold *= 2.0
-            self.network.broadcast(description=f"new threshold {self._threshold:g}")
-
-    # ---------------------------------------------------------------- queries
-    def estimated_squared_frobenius(self) -> float:
-        if self._is_exact:
-            return float(sum(np.dot(row, row) for row in self._exact_rows))
-        seconds = [slot.second_priority for slot in self._slots]
-        return float(np.mean(seconds))
-
-    def sketch_matrix(self) -> np.ndarray:
-        if self._is_exact:
-            if not self._exact_rows:
-                return np.zeros((0, self.dimension))
-            return np.vstack(self._exact_rows)
-        total = self.estimated_squared_frobenius()
-        share = total / self._num_samplers
-        rows = []
-        for slot in self._slots:
-            if slot.best_row is None or slot.best_weight <= 0.0:
-                continue
-            rows.append(slot.best_row * np.sqrt(share / slot.best_weight))
-        if not rows:
-            return np.zeros((0, self.dimension))
-        return np.vstack(rows)
+    #: Checkpoint-contract version of this class's state layout (2: the
+    #: sampler slots and exact-mode bookkeeping moved to the shared core).
+    state_version = 2

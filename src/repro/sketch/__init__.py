@@ -2,46 +2,31 @@
 
 Frequency summaries
     :class:`WeightedMisraGries`, :class:`WeightedSpaceSaving`,
-    :class:`CountMinSketch`, :class:`ExactFrequencyCounter`.
+    :class:`ExactFrequencyCounter`.
 
 Matrix summaries
     :class:`FrequentDirections`, :class:`ExactMatrix`.
 
-Weighted samplers
-    :class:`PrioritySample` (without replacement),
-    :class:`WithReplacementSamplers`, :class:`WeightedReservoir`.
+Priority sampling keeps only its sample-size rule here
+(:func:`sample_size_for_epsilon`); the sampler itself is distributed and
+lives in :mod:`repro.streaming.priority_sampling`.
 """
 
 from .base import FrequencySketch, MatrixSketch, aggregate_weighted_batch
-from .count_min import CountMinSketch
 from .exact import ExactFrequencyCounter, ExactMatrix
 from .frequent_directions import FrequentDirections
 from .misra_gries import WeightedMisraGries
-from .priority_sampler import (
-    PrioritySample,
-    SampledItem,
-    WithReplacementSamplers,
-    sample_size_for_epsilon,
-)
-from .relative_error_fd import RelativeErrorFrequentDirections
-from .reservoir import ReservoirItem, WeightedReservoir
+from .priority_sampler import sample_size_for_epsilon
 from .space_saving import WeightedSpaceSaving
 
 __all__ = [
     "FrequencySketch",
     "MatrixSketch",
     "aggregate_weighted_batch",
-    "CountMinSketch",
     "ExactFrequencyCounter",
     "ExactMatrix",
     "FrequentDirections",
     "WeightedMisraGries",
-    "PrioritySample",
-    "SampledItem",
-    "WithReplacementSamplers",
     "sample_size_for_epsilon",
-    "RelativeErrorFrequentDirections",
-    "ReservoirItem",
-    "WeightedReservoir",
     "WeightedSpaceSaving",
 ]

@@ -1,46 +1,15 @@
-"""Priority sampling for weighted streams.
+"""The sample size of priority sampling [Duffield, Lund, Thorup 2007].
 
-Priority sampling [Duffield, Lund, Thorup 2007] draws a weighted sample
-*without replacement*: each item ``(e, w)`` receives a priority
-``ρ = w / r`` with ``r ~ Uniform(0, 1)``, and the ``s`` items of largest
-priority form the sample.  With ``τ`` the ``(s+1)``-st largest priority, the
-estimator ``w̄ = max(w, τ)`` of every sampled item is unbiased for its weight,
-and subset-sum estimates have near-optimal variance (Szegedy 2006).
-
-Two centralized summaries are provided:
-
-* :class:`PrioritySample` — keeps the ``s`` highest-priority items; this is
-  the single-stream analogue of distributed protocol P3 (Section 4.3).
-* :class:`WithReplacementSamplers` — ``s`` independent weighted samplers that
-  each keep the top-two priorities seen (Section 4.3.1); used by the
-  with-replacement variants P3wr.
-
-Both support weighted frequency estimation and, when items are matrix rows,
-row-sample extraction for covariance estimation.
+The sampling itself — distributed, with and without replacement — lives in
+:mod:`repro.streaming.priority_sampling`; the P3 protocols of both families
+adapt it.
 """
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
-from dataclasses import dataclass
-from typing import Dict, Generic, Hashable, List, Optional, Tuple, TypeVar
 
-import numpy as np
-
-from ..utils.rng import SeedLike, as_generator, spawn
-from ..utils.stateio import Stateful
-from ..utils.validation import check_positive_int, check_weight
-
-__all__ = [
-    "PrioritySample",
-    "WithReplacementSamplers",
-    "SampledItem",
-    "sample_size_for_epsilon",
-]
-
-Payload = TypeVar("Payload", bound=Hashable)
+__all__ = ["sample_size_for_epsilon"]
 
 
 def sample_size_for_epsilon(epsilon: float, constant: float = 1.0) -> int:
@@ -57,217 +26,3 @@ def sample_size_for_epsilon(epsilon: float, constant: float = 1.0) -> int:
         raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
     log_term = max(1.0, math.log(1.0 / epsilon))
     return max(1, int(math.ceil(constant * log_term / (epsilon * epsilon))))
-
-
-@dataclass(frozen=True)
-class SampledItem(Generic[Payload]):
-    """One sampled stream item: its payload, original weight and priority."""
-
-    payload: Payload
-    weight: float
-    priority: float
-
-    def adjusted_weight(self, threshold: float) -> float:
-        """Priority-sampling estimator ``max(weight, threshold)``."""
-        return max(self.weight, threshold)
-
-
-class PrioritySample(Stateful, Generic[Payload]):
-    """Weighted sample without replacement of (at least) ``sample_size`` items.
-
-    The summary keeps the ``sample_size + 1`` highest-priority items; the
-    lowest of these provides the estimation threshold ``τ̂`` and the other
-    ``sample_size`` items form the sample used for estimates.
-
-    Parameters
-    ----------
-    sample_size:
-        Number of retained sample items ``s``.
-    seed:
-        Seed or generator for the priorities.
-    """
-
-    def __init__(self, sample_size: int, seed: SeedLike = None):
-        self._sample_size = check_positive_int(sample_size, name="sample_size")
-        self._rng = as_generator(seed)
-        # Min-heap of (priority, tie-breaker, SampledItem) keeping the
-        # (sample_size + 1) largest priorities seen so far.
-        self._heap: List[Tuple[float, int, SampledItem[Payload]]] = []
-        self._counter = itertools.count()
-        self._total_weight = 0.0
-        self._items_seen = 0
-
-    @property
-    def sample_size(self) -> int:
-        """Configured sample size ``s``."""
-        return self._sample_size
-
-    @property
-    def total_weight(self) -> float:
-        """Exact total weight of the processed stream."""
-        return self._total_weight
-
-    @property
-    def items_seen(self) -> int:
-        """Number of items processed."""
-        return self._items_seen
-
-    def update(self, payload: Payload, weight: float) -> None:
-        """Process one weighted item."""
-        weight = check_weight(weight, name="weight")
-        self._total_weight += weight
-        self._items_seen += 1
-        uniform = self._rng.uniform(0.0, 1.0)
-        while uniform <= 0.0:  # pragma: no cover - measure-zero event
-            uniform = self._rng.uniform(0.0, 1.0)
-        priority = weight / uniform
-        entry = (priority, next(self._counter), SampledItem(payload, weight, priority))
-        capacity = self._sample_size + 1
-        if len(self._heap) < capacity:
-            heapq.heappush(self._heap, entry)
-        elif priority > self._heap[0][0]:
-            heapq.heapreplace(self._heap, entry)
-
-    def threshold(self) -> float:
-        """Return ``τ̂``, the smallest retained priority (0 while under-full)."""
-        if len(self._heap) <= self._sample_size:
-            return 0.0
-        return self._heap[0][0]
-
-    def sample(self) -> List[SampledItem[Payload]]:
-        """Return the current sample (all retained items except the threshold one)."""
-        if not self._heap:
-            return []
-        if len(self._heap) <= self._sample_size:
-            return [entry[2] for entry in self._heap]
-        smallest = self._heap[0][1]
-        return [entry[2] for entry in self._heap if entry[1] != smallest]
-
-    def adjusted_weights(self) -> List[Tuple[Payload, float]]:
-        """Return ``(payload, adjusted weight)`` pairs for the current sample."""
-        tau = self.threshold()
-        return [(item.payload, item.adjusted_weight(tau)) for item in self.sample()]
-
-    def estimate_total_weight(self) -> float:
-        """Unbiased estimate of the total stream weight from the sample."""
-        return sum(weight for _, weight in self.adjusted_weights())
-
-    def estimate(self, payload: Payload) -> float:
-        """Estimate the total weight of all items equal to ``payload``."""
-        tau = self.threshold()
-        return sum(
-            item.adjusted_weight(tau)
-            for item in self.sample()
-            if item.payload == payload
-        )
-
-    def to_dict(self) -> Dict[Payload, float]:
-        """Aggregate adjusted weights by payload."""
-        estimates: Dict[Payload, float] = {}
-        tau = self.threshold()
-        for item in self.sample():
-            estimates[item.payload] = estimates.get(item.payload, 0.0) + item.adjusted_weight(tau)
-        return estimates
-
-    def __len__(self) -> int:
-        return len(self.sample())
-
-    def __repr__(self) -> str:
-        return (
-            f"PrioritySample(sample_size={self._sample_size}, "
-            f"items_seen={self._items_seen}, total_weight={self._total_weight:.4g})"
-        )
-
-
-class WithReplacementSamplers(Stateful, Generic[Payload]):
-    """``s`` independent single-item weighted samplers (with replacement).
-
-    Each of the ``s`` samplers assigns every arriving item an independent
-    priority and keeps the item of highest priority together with the second
-    highest priority value.  The second-highest priority is an unbiased
-    estimator of the total stream weight (Duffield et al. 2007), so the
-    coordinator estimate used in Section 4.3.1 — each retained item given
-    weight ``Ŵ / s`` with ``Ŵ`` the averaged second priorities — is available
-    via :meth:`adjusted_weights`.
-    """
-
-    def __init__(self, num_samplers: int, seed: SeedLike = None):
-        self._num_samplers = check_positive_int(num_samplers, name="num_samplers")
-        base = as_generator(seed)
-        self._rngs = spawn(base, self._num_samplers)
-        self._best: List[Optional[SampledItem[Payload]]] = [None] * self._num_samplers
-        self._second_priority = np.zeros(self._num_samplers, dtype=np.float64)
-        self._total_weight = 0.0
-        self._items_seen = 0
-
-    @property
-    def num_samplers(self) -> int:
-        """Number of independent samplers ``s``."""
-        return self._num_samplers
-
-    @property
-    def total_weight(self) -> float:
-        """Exact total weight of the processed stream."""
-        return self._total_weight
-
-    @property
-    def items_seen(self) -> int:
-        """Number of items processed."""
-        return self._items_seen
-
-    def update(self, payload: Payload, weight: float) -> None:
-        """Process one weighted item through all ``s`` samplers."""
-        weight = check_weight(weight, name="weight")
-        self._total_weight += weight
-        self._items_seen += 1
-        for index, rng in enumerate(self._rngs):
-            uniform = rng.uniform(0.0, 1.0)
-            while uniform <= 0.0:  # pragma: no cover - measure-zero event
-                uniform = rng.uniform(0.0, 1.0)
-            priority = weight / uniform
-            best = self._best[index]
-            if best is None or priority > best.priority:
-                if best is not None:
-                    self._second_priority[index] = max(
-                        self._second_priority[index], best.priority
-                    )
-                self._best[index] = SampledItem(payload, weight, priority)
-            elif priority > self._second_priority[index]:
-                self._second_priority[index] = priority
-
-    def estimate_total_weight(self) -> float:
-        """Averaged second-priority estimate ``Ŵ`` of the total weight."""
-        filled = [value for value in self._second_priority if value > 0.0]
-        if not filled:
-            return self._total_weight
-        return float(np.mean(self._second_priority))
-
-    def sample(self) -> List[SampledItem[Payload]]:
-        """Return the current retained item of each sampler (may repeat payloads)."""
-        return [item for item in self._best if item is not None]
-
-    def adjusted_weights(self) -> List[Tuple[Payload, float]]:
-        """Each retained item with the uniform weight ``Ŵ / s``."""
-        sample = self.sample()
-        if not sample:
-            return []
-        share = self.estimate_total_weight() / self._num_samplers
-        return [(item.payload, share) for item in sample]
-
-    def estimate(self, payload: Payload) -> float:
-        """Estimate the total weight of all items equal to ``payload``."""
-        return sum(weight for candidate, weight in self.adjusted_weights()
-                   if candidate == payload)
-
-    def to_dict(self) -> Dict[Payload, float]:
-        """Aggregate adjusted weights by payload."""
-        estimates: Dict[Payload, float] = {}
-        for payload, weight in self.adjusted_weights():
-            estimates[payload] = estimates.get(payload, 0.0) + weight
-        return estimates
-
-    def __repr__(self) -> str:
-        return (
-            f"WithReplacementSamplers(num_samplers={self._num_samplers}, "
-            f"items_seen={self._items_seen})"
-        )

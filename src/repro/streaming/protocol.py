@@ -10,12 +10,12 @@ chunk of ``(site, item)`` assignments at once, groups the chunk by site
 (stable — each site sees its items in arrival order), and hands every site's
 sub-batch to :meth:`DistributedProtocol.process_batch`.  The default
 ``process_batch`` loops over ``process``, so every protocol supports the
-batch API out of the box; protocols with vectorizable hot paths (P1 in both
-families, the centralized baselines) override it.  Note that grouping by
-site is itself a reordering of the chunk: protocols whose coordination
-interleaves across sites (threshold broadcasts, sampling rounds) may take a
-different — equally valid under the paper's adversarial-order model — message
-trace than strict arrival-order ingestion.
+batch API out of the box; every registered protocol overrides it with a
+vectorized kernel.  Note that grouping by site is itself a reordering of the
+chunk: protocols whose coordination interleaves across sites (threshold
+broadcasts, sampling rounds) may take a different — equally valid under the
+paper's adversarial-order model — message trace than strict arrival-order
+ingestion.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from .network import Network
 __all__ = [
     "DistributedProtocol",
     "first_crossing",
-    "forward_accepted_samples",
     "group_positions_by_element",
 ]
 
@@ -60,42 +59,6 @@ def first_crossing(cumulative: np.ndarray, threshold: float,
     """
     index = int(np.searchsorted(cumulative, threshold - carry, side="left"))
     return max(index, start)
-
-
-def forward_accepted_samples(count: int, best_priorities: np.ndarray,
-                             current_threshold: Any, forward: Any,
-                             mark_inexact: Any) -> None:
-    """The accept/re-filter loop shared by the P3-style sampling kernels.
-
-    Given each item's best priority, skip rejected items wholesale and hand
-    accepted ones to ``forward(index, threshold)`` in arrival order.
-    ``forward`` may advance the global threshold (a round ending at the
-    coordinator), detected via ``current_threshold()`` — the unprocessed
-    tail is then re-filtered against the new value.  ``mark_inexact()``
-    fires at the first skipped item and *before* any later ``forward`` call,
-    an ordering the with-replacement coordinators rely on (their exact-mode
-    bookkeeping reads the flag inside the receive path).
-    """
-    position = 0
-    while position < count:
-        threshold = current_threshold()
-        accepted = position + np.nonzero(
-            best_priorities[position:] >= threshold)[0]
-        if accepted.size == 0:
-            mark_inexact()
-            return
-        for index in accepted:
-            if current_threshold() != threshold:
-                break  # a round ended mid-batch: re-filter the tail
-            index = int(index)
-            if index > position:
-                mark_inexact()  # items in between fell below the threshold
-            forward(index, threshold)
-            position = index + 1
-        else:
-            if position < count:
-                mark_inexact()  # trailing items fell below the threshold
-            position = count
 
 
 def group_positions_by_element(elements: Sequence) -> List[Tuple[Any, np.ndarray]]:

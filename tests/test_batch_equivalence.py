@@ -3,8 +3,8 @@
 Equivalence has two strengths, matching each kernel's documented semantics:
 
 * **Bit-identical** — the batch kernel performs the same arithmetic as
-  repeated single updates (Count-Min's ``np.add.at`` accumulation, Frequent
-  Directions' block appends, the default loop fallbacks).  These compare
+  repeated single updates (Frequent Directions' block appends, the default
+  loop fallbacks).  These compare
   exact state.
 * **Bound-identical** — the batch kernel aggregates duplicates first
   (Misra-Gries, SpaceSaving) or the protocol's coordination sees a
@@ -41,7 +41,6 @@ from repro.matrix_tracking import (
     WithReplacementMatrixSamplingProtocol,
 )
 from repro.sketch import (
-    CountMinSketch,
     ExactFrequencyCounter,
     ExactMatrix,
     FrequencySketch,
@@ -71,19 +70,6 @@ def truth(zipf_sample):
 
 # --------------------------------------------------------------------- sketches
 class TestFrequencySketchBatchEquivalence:
-    def test_count_min_bit_identical(self, weighted_batch):
-        elements, weights = weighted_batch
-        sequential = CountMinSketch(width=128, depth=4, seed=5)
-        batched = CountMinSketch(width=128, depth=4, seed=5)
-        batched._hash_a = sequential._hash_a.copy()
-        batched._hash_b = sequential._hash_b.copy()
-        for element, weight in zip(elements, weights):
-            sequential.update(element, weight)
-        batched.update_batch(elements, weights)
-        assert np.array_equal(sequential._table, batched._table)
-        assert batched.total_weight == pytest.approx(sequential.total_weight)
-        assert set(batched.to_dict()) == set(sequential.to_dict())
-
     def test_exact_counter_matches(self, weighted_batch, truth):
         elements, weights = weighted_batch
         batched = ExactFrequencyCounter()

@@ -7,6 +7,9 @@ input stream and site assignment, so these are natural hypothesis targets:
   estimate within ``ε·W``; recall of exact heavy hitters is perfect.
 * Matrix P2: ``0 ≤ ‖Ax‖² − ‖Bx‖² ≤ ε·‖A‖²_F`` along arbitrary directions.
 * Message accounting: message counters are non-negative and monotone.
+* Priority sampling (P3): adjusted weights are at least the raw weights of
+  the retained items, and the total-weight estimate is exact until the first
+  rejection or discard.
 """
 
 from __future__ import annotations
@@ -17,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.heavy_hitters.p1_batched_mg import BatchedMisraGriesProtocol
 from repro.heavy_hitters.p2_threshold import ThresholdedUpdatesProtocol
+from repro.heavy_hitters.p3_sampling import PrioritySamplingProtocol
 from repro.matrix_tracking.p2_deterministic import DeterministicDirectionProtocol
 
 weighted_streams = st.lists(
@@ -101,6 +105,24 @@ class TestHeavyHitterProtocolProperties:
         assert counts["total_messages"] == protocol.total_messages
         assert counts["upstream_messages"] + counts["downstream_messages"] \
             == protocol.total_messages
+
+    @given(stream=weighted_streams,
+           sample_size=st.integers(min_value=1, max_value=30),
+           seed=st.integers(min_value=0, max_value=100))
+    @settings(max_examples=60, deadline=None)
+    def test_p3_adjusted_weights_dominate_raw_weights(self, stream, sample_size,
+                                                      seed):
+        protocol = PrioritySamplingProtocol(num_sites=4, epsilon=0.1,
+                                            sample_size=sample_size, seed=seed)
+        for element, weight, site in stream:
+            protocol.process(site, element, weight)
+        sample = protocol._adjusted_sample()
+        assert 0 < len(sample) <= len(stream)
+        for _, weight, adjusted in sample:
+            assert adjusted >= weight
+        assert protocol.estimated_total_weight() > 0.0
+        if protocol.total_messages == len(stream):  # all forwarded, no round ended
+            assert protocol.estimates() == exact_counts(stream)
 
 
 class TestMatrixProtocolProperties:

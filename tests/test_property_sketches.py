@@ -9,8 +9,6 @@ weighted streams and matrices rather than on fixed examples:
   over-count; over-count bounded by ``W/ℓ``.
 * Frequent Directions: ``0 ≤ ‖Ax‖² − ‖Bx‖² ≤ 2‖A‖²_F/ℓ`` for arbitrary
   matrices and directions; squared Frobenius norm tracked exactly.
-* Priority sampling: adjusted weights are at least the raw weights of the
-  retained items and the retained set size is bounded.
 """
 
 from __future__ import annotations
@@ -21,7 +19,6 @@ from hypothesis import strategies as st
 
 from repro.sketch.frequent_directions import FrequentDirections
 from repro.sketch.misra_gries import WeightedMisraGries
-from repro.sketch.priority_sampler import PrioritySample
 from repro.sketch.space_saving import WeightedSpaceSaving
 
 # Streams of (element, weight) pairs over a small universe with weights in [1, 50].
@@ -121,20 +118,3 @@ class TestFrequentDirectionsProperties:
             approx = float(np.linalg.norm(b @ x) ** 2) if b.size else 0.0
             assert true - approx >= -1e-6 * max(1.0, true)
             assert true - approx <= 2.0 * frobenius / sketch_size + 1e-6
-
-
-class TestPrioritySampleProperties:
-    @given(stream=weighted_streams, sample_size=st.integers(min_value=1, max_value=30),
-           seed=st.integers(min_value=0, max_value=100))
-    @settings(max_examples=60, deadline=None)
-    def test_sample_size_and_adjusted_weights(self, stream, sample_size, seed):
-        sampler = PrioritySample(sample_size=sample_size, seed=seed)
-        for element, weight in stream:
-            sampler.update(element, weight)
-        sample = sampler.sample()
-        assert len(sample) <= min(sample_size + 1, len(stream))
-        tau = sampler.threshold()
-        for item in sample:
-            assert item.adjusted_weight(tau) >= item.weight - 1e-9
-        # The total-weight estimate is non-negative and zero only for empty input.
-        assert sampler.estimate_total_weight() > 0.0

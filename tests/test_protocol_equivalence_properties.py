@@ -26,6 +26,9 @@ randomized, seed-parameterized properties, now that *every* protocol class
   ``‖A‖²_F/ℓ``, P2's one-sided undershoot) hold on every seed, through the
   batched path.
 * **Empty batches** — every kernel treats a zero-length batch as a no-op.
+* **Cross-family identity** — the paper's Section 5.3 reduction: matrix
+  P3/P3wr *is* heavy-hitters P3/P3wr on item weight ``‖a‖²``, so the two
+  families fed the same weights under the same seed take the same decisions.
 
 Seeds come from ``REPRO_PROPERTY_SEEDS`` (comma-separated ints; CI pins
 three) so the properties can be re-rolled without editing the file.
@@ -38,6 +41,7 @@ import os
 import numpy as np
 import pytest
 
+import repro
 from repro.data.synthetic_matrix import make_pamap_like
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import (
@@ -364,6 +368,53 @@ class TestRngReproducibility:
         StreamingEngine(chunk_size=7).run(engined, sited)
         assert engined.total_messages == direct.total_messages
         assert engined.estimates() == direct.estimates()
+
+
+class TestCrossFamilyIdentity:
+    """Section 5.3 as an executable statement: ``matrix/P3*`` on rows with
+    ``‖a_i‖² = w_i`` is ``hh/P3*`` on items ``(i, w_i)`` — same messages,
+    same threshold, same rounds, same total estimate, bit for bit."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["item", "batch"])
+    @pytest.mark.parametrize("name", ["P3", "P3wr"])
+    def test_matrix_sampling_is_hh_sampling_on_squared_norms(self, name, chunk,
+                                                             seed):
+        _, batch, sites = hh_stream(seed)
+        # Weights (k/4)² have exact square roots, so the rows √w·e_j below
+        # have squared norm exactly w under both np.dot and einsum.
+        roots = np.floor(np.sqrt(batch.weights) * 4.0) / 4.0
+        items = WeightedItemBatch(elements=np.arange(len(batch)),
+                                  weights=roots * roots)
+        dimension = 6
+        rows = np.zeros((len(batch), dimension))
+        rows[np.arange(len(batch)), np.arange(len(batch)) % dimension] = roots
+        size = {"P3": {"sample_size": 60}, "P3wr": {"num_samplers": 40}}[name]
+        hh = repro.create(f"hh/{name}", num_sites=NUM_SITES, epsilon=EPSILON,
+                          seed=seed + 101, **size)
+        matrix = repro.create(f"matrix/{name}", num_sites=NUM_SITES,
+                              dimension=dimension, epsilon=EPSILON,
+                              seed=seed + 101, **size)
+
+        step = chunk or 50
+        for start in range(0, len(batch), step):
+            stop = start + step
+            if chunk is None:
+                for index in range(start, min(stop, len(batch))):
+                    hh.observe(int(sites[index]), items[index])
+                    matrix.observe(int(sites[index]), rows[index])
+            else:
+                hh.observe_batch(sites[start:stop], items[start:stop])
+                matrix.observe_batch(sites[start:stop], rows[start:stop])
+            matrix_counts = matrix.message_counts()
+            assert matrix_counts.pop("sketch_rows") \
+                == len(hh.sample_with_adjusted_weights())
+            assert matrix_counts == hh.message_counts()
+            assert matrix.threshold == hh.threshold
+            assert matrix.rounds_completed == hh.rounds_completed
+            assert matrix.estimated_squared_frobenius() \
+                == hh.estimated_total_weight()
+        assert hh.rounds_completed > 0  # the stream outgrew the first round
 
 
 class TestPaperBounds:

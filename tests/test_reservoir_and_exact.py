@@ -1,4 +1,4 @@
-"""Unit tests for the weighted reservoir and the exact baselines."""
+"""Unit tests for the exact baselines."""
 
 from __future__ import annotations
 
@@ -6,52 +6,7 @@ import numpy as np
 import pytest
 
 from repro.sketch.exact import ExactFrequencyCounter, ExactMatrix
-from repro.sketch.reservoir import WeightedReservoir
 from repro.utils.linalg import covariance_error
-
-
-class TestWeightedReservoir:
-    def test_capacity_respected(self, zipf_sample):
-        reservoir = WeightedReservoir(capacity=25, seed=0)
-        for element, weight in zipf_sample.items:
-            reservoir.update(element, weight)
-        assert len(reservoir) == 25
-
-    def test_under_capacity_keeps_everything(self):
-        reservoir = WeightedReservoir(capacity=100, seed=0)
-        for index in range(30):
-            reservoir.update(index, 1.0)
-        assert len(reservoir) == 30
-        assert set(reservoir.payloads()) == set(range(30))
-
-    def test_heavy_items_much_more_likely(self, zipf_sample):
-        # The heaviest element of a skewed stream should be retained nearly
-        # always by a weighted reservoir of moderate size.
-        heaviest = max(zipf_sample.element_weights,
-                       key=zipf_sample.element_weights.get)
-        hits = 0
-        for seed in range(10):
-            reservoir = WeightedReservoir(capacity=50, seed=seed)
-            for element, weight in zipf_sample.items:
-                reservoir.update(element, weight)
-            if heaviest in reservoir.payloads():
-                hits += 1
-        assert hits >= 8
-
-    def test_counts_and_weight(self):
-        reservoir = WeightedReservoir(capacity=2, seed=0)
-        reservoir.update("a", 1.0)
-        reservoir.update("b", 2.0)
-        reservoir.update("c", 3.0)
-        assert reservoir.items_seen == 3
-        assert reservoir.total_weight == pytest.approx(6.0)
-
-    def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            WeightedReservoir(capacity=0)
-        reservoir = WeightedReservoir(capacity=2, seed=0)
-        with pytest.raises(ValueError):
-            reservoir.update("a", -1.0)
 
 
 class TestExactFrequencyCounter:

@@ -23,6 +23,7 @@ import pytest
 
 import repro
 from repro.api import FrobeniusSquared, HeavyHitters, TotalWeight
+from repro.utils.stateio import StateError, restore_object
 from repro.wire import is_wire_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -95,3 +96,20 @@ def test_versions_recorded_match_this_build(golden):
     # version-1 frames under every newer build (which may itself write
     # compressed version-2 frames by default).
     assert WIRE_BASE_VERSION <= golden["wire_version"] <= WIRE_VERSION
+
+
+@pytest.mark.parametrize("spec, params", [("hh/P3wr", {}),
+                                          ("matrix/P3wr", {"dimension": 3})])
+def test_version_1_with_replacement_sampling_state_is_refused(spec, params):
+    """P3wr states captured before the sampler slots and exact-mode
+    bookkeeping moved to ``streaming/priority_sampling.py`` (state version 1)
+    have a different layout: they must fail loudly, naming the class, never
+    resume.  The without-replacement classes kept their layout and version —
+    ``matrix_p3_v1.ckpt`` above still loads."""
+    protocol = repro.create(spec, num_sites=2, epsilon=0.5, num_samplers=4,
+                            seed=0, **params)
+    state = protocol.get_state()
+    assert state["state_version"] == 2
+    state["state_version"] = 1
+    with pytest.raises(StateError, match=type(protocol).__name__):
+        restore_object(state)
