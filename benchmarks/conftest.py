@@ -16,7 +16,7 @@ import os
 
 import pytest
 
-from repro.experiments.config import HeavyHitterConfig, MatrixConfig
+from repro.evaluation.figures import HeavyHitterConfig, MatrixConfig
 
 
 def _scale() -> float:

@@ -11,8 +11,9 @@ library actually turns:
 
 from __future__ import annotations
 
+from repro import Tracker
+from repro.evaluation.figures import load_experiment_dataset
 from repro.evaluation.tables import format_table
-from repro.experiments.matrix_experiments import feed_dataset, load_experiment_dataset
 from repro.heavy_hitters import ThresholdedUpdatesProtocol
 from repro.matrix_tracking import (
     CentralizedFDBaseline,
@@ -29,7 +30,7 @@ def _fd_sketch_size_ablation(config):
         protocol = CentralizedFDBaseline(num_sites=config.num_sites,
                                          dimension=dataset.dimension,
                                          sketch_size=sketch_size)
-        feed_dataset(protocol, dataset.rows)
+        Tracker(protocol).run(dataset.rows)
         rows.append({
             "sketch_size": sketch_size,
             "err": protocol.approximation_error(),
@@ -45,7 +46,7 @@ def _sample_size_ablation(config):
         protocol = MatrixPrioritySamplingProtocol(
             num_sites=config.num_sites, dimension=dataset.dimension,
             epsilon=config.epsilon, sample_size=sample_size, seed=config.seed)
-        feed_dataset(protocol, dataset.rows)
+        Tracker(protocol).run(dataset.rows)
         rows.append({
             "sample_size": sample_size,
             "err": protocol.approximation_error(),
@@ -61,7 +62,7 @@ def _coordinator_compression_ablation(config):
         protocol = DeterministicDirectionProtocol(
             num_sites=config.num_sites, dimension=dataset.dimension,
             epsilon=config.epsilon, coordinator_sketch_size=sketch_size)
-        feed_dataset(protocol, dataset.rows)
+        Tracker(protocol).run(dataset.rows)
         rows.append({
             "coordinator_sketch": sketch_size if sketch_size else "exact",
             "err": protocol.approximation_error(),

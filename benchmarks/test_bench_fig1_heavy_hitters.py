@@ -8,16 +8,20 @@ asserts the qualitative shape reported by the paper.
 
 from __future__ import annotations
 
+from repro.evaluation.figures import figure_sweeps, table_rows
 from repro.evaluation.tables import format_table, render_figure
-from repro.experiments.heavy_hitters_experiments import (
-    figure1_sweep_epsilon,
-    figure1e_error_vs_messages,
-    figure1f_messages_vs_beta,
-)
 
 
 def _epsilon_sweep(hh_config):
-    return figure1_sweep_epsilon(hh_config)
+    return figure_sweeps("figure1", hh_config)["epsilon"]
+
+
+def figure1e_error_vs_messages(hh_config):
+    return table_rows(figure_sweeps("figure1e", hh_config)["epsilon"])
+
+
+def figure1f_messages_vs_beta(hh_config):
+    return figure_sweeps("figure1f", hh_config)["beta"]
 
 
 class TestFigure1EpsilonSweep:

@@ -7,16 +7,20 @@ reported in the paper.
 
 from __future__ import annotations
 
+from repro.evaluation.figures import FIGURES, sweep
 from repro.evaluation.tables import render_figure
-from repro.experiments.matrix_experiments import figure_sweep_epsilon, figure_sweep_sites
+
+FIGURE = FIGURES["figure2"]
 
 
 def _epsilon_sweep(config):
-    return figure_sweep_epsilon("pamap", config)
+    return sweep("matrix", "epsilon", config.epsilon_grid, FIGURE.labels,
+                 config.for_dataset(FIGURE.dataset))
 
 
 def _site_sweep(config):
-    return figure_sweep_sites("pamap", config)
+    return sweep("matrix", "num_sites", config.site_grid, FIGURE.labels,
+                 config.for_dataset(FIGURE.dataset))
 
 
 class TestFigure2EpsilonSweep:

@@ -6,16 +6,20 @@ offline SVD keeps residual error.
 
 from __future__ import annotations
 
+from repro.evaluation.figures import FIGURES, sweep
 from repro.evaluation.tables import render_figure
-from repro.experiments.matrix_experiments import figure_sweep_epsilon, figure_sweep_sites
+
+FIGURE = FIGURES["figure3"]
 
 
 def _epsilon_sweep(config):
-    return figure_sweep_epsilon("msd", config)
+    return sweep("matrix", "epsilon", config.epsilon_grid, FIGURE.labels,
+                 config.for_dataset(FIGURE.dataset))
 
 
 def _site_sweep(config):
-    return figure_sweep_sites("msd", config)
+    return sweep("matrix", "num_sites", config.site_grid, FIGURE.labels,
+                 config.for_dataset(FIGURE.dataset))
 
 
 class TestFigure3EpsilonSweep:

@@ -7,12 +7,13 @@ sweeping ε and reading each protocol's (err, msg) pairs.
 
 from __future__ import annotations
 
+from repro.evaluation.figures import figure_sweeps, table_rows
 from repro.evaluation.tables import format_table
-from repro.experiments.matrix_experiments import figure4_tradeoff
 
 
 def _frontier(dataset, config):
-    return figure4_tradeoff(dataset, config)
+    return table_rows(
+        figure_sweeps("figure4", config.for_dataset(dataset))["epsilon"])
 
 
 def _by_protocol(rows):

@@ -7,23 +7,25 @@ not controlled by ε and can be catastrophic on correlated (low-rank) data.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from repro.evaluation.figures import figure_sweeps
 from repro.evaluation.tables import render_figure
-from repro.experiments.matrix_experiments import figure67_p4_comparison
 
 
 def _comparison(dataset, config):
-    return figure67_p4_comparison(
-        dataset, config,
-        epsilons=config.epsilon_grid[:3],
-        site_counts=config.site_grid[:3],
-    )
+    return figure_sweeps("figure67", replace(
+        config, dataset=dataset,
+        epsilon_grid=config.epsilon_grid[:3],
+        site_grid=config.site_grid[:3],
+    ))
 
 
 class TestFigure6PAMAP:
     def test_fig6_p4_on_pamap(self, benchmark, matrix_config, run_once):
         results = run_once(benchmark, _comparison, "pamap", matrix_config)
-        eps_sweep = results["err_vs_epsilon"]
-        site_sweep = results["err_vs_sites"]
+        eps_sweep = results["epsilon"]
+        site_sweep = results["num_sites"]
         print()
         print(render_figure(eps_sweep, "err",
                             "Figure 6(a): error vs epsilon with P4 (PAMAP-like)"))
@@ -45,8 +47,8 @@ class TestFigure6PAMAP:
 class TestFigure7MSD:
     def test_fig7_p4_on_msd(self, benchmark, matrix_config, run_once):
         results = run_once(benchmark, _comparison, "msd", matrix_config)
-        eps_sweep = results["err_vs_epsilon"]
-        site_sweep = results["err_vs_sites"]
+        eps_sweep = results["epsilon"]
+        site_sweep = results["num_sites"]
         print()
         print(render_figure(eps_sweep, "err",
                             "Figure 7(a): error vs epsilon with P4 (MSD-like)"))

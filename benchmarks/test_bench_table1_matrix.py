@@ -7,8 +7,12 @@ table, and asserts the qualitative findings the paper draws from it.
 
 from __future__ import annotations
 
+from repro.evaluation.figures import figure_sweeps, table_rows
 from repro.evaluation.tables import format_table
-from repro.experiments.matrix_experiments import table1_rows
+
+
+def table1_rows(config):
+    return table_rows(figure_sweeps("table1", config)["dataset"])
 
 
 class TestTable1:

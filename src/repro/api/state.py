@@ -79,11 +79,10 @@ class CheckpointError(ValueError):
 
 
 def _write(path: PathLike, payload: Dict[str, Any], *,
-           compress: bool = True, float32: bool = False) -> None:
+           compress: bool = True) -> None:
     """Write ``payload`` (with its ``format``/``version`` keys) as one frame."""
     body = dict(payload)
-    write_frame(path, body.pop("format"), body, compress=compress,
-                array_codec="f32" if float32 else None)
+    write_frame(path, body.pop("format"), body, compress=compress)
 
 
 def _read(path: PathLike, expected_format: str,
@@ -185,23 +184,20 @@ def tracker_from_frame(data: bytes, source: str = "payload frame") -> Any:
     return tracker_from_payload(payload, source=source)
 
 
-def save_tracker(tracker: Any, path: PathLike, *, compress: bool = True,
-                 float32: bool = False) -> None:
+def save_tracker(tracker: Any, path: PathLike, *,
+                 compress: bool = True) -> None:
     """Write a full session checkpoint for ``tracker`` to ``path``.
 
     ``compress`` (default on) deflates the frame body; loading needs no
     flag, and plain uncompressed checkpoints from earlier builds keep
-    loading unchanged.  ``float32`` additionally downcasts float64 array
-    payloads to float32 on disk — roughly halving incompressible numeric
-    state at ~1e-7 relative precision, so the restored session is no longer
-    bit-identical to the saved one.  Leave it off for exact resume.
+    loading unchanged.
     """
     # copy_data=False snapshots go straight into the frame encoder, which is
     # itself a point-in-time serialisation — no defensive deep copy needed.
     payload = tracker_payload(tracker)
     payload["format"] = _TRACKER_FORMAT
     payload["version"] = CHECKPOINT_VERSION
-    _write(path, payload, compress=compress, float32=float32)
+    _write(path, payload, compress=compress)
 
 
 def load_tracker(path: PathLike) -> Any:
@@ -212,10 +208,10 @@ def load_tracker(path: PathLike) -> Any:
 
 # ----------------------------------------------------------------- protocols
 def save_protocol(protocol: DistributedProtocol, path: PathLike, *,
-                  compress: bool = True, float32: bool = False) -> None:
+                  compress: bool = True) -> None:
     """Checkpoint a bare protocol (no session metadata) to ``path``.
 
-    ``compress``/``float32`` behave as in :func:`save_tracker`.
+    ``compress`` behaves as in :func:`save_tracker`.
     """
     if not isinstance(protocol, DistributedProtocol):
         raise TypeError(
@@ -225,7 +221,7 @@ def save_protocol(protocol: DistributedProtocol, path: PathLike, *,
         "format": _PROTOCOL_FORMAT,
         "version": CHECKPOINT_VERSION,
         "protocol": protocol.get_state(copy_data=False),
-    }, compress=compress, float32=float32)
+    }, compress=compress)
 
 
 def load_protocol(path: PathLike) -> DistributedProtocol:

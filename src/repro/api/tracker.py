@@ -294,19 +294,15 @@ class Tracker(Session):
         )
 
     # ----------------------------------------------------------- persistence
-    def save(self, path: Any, *, compress: bool = True,
-             float32: bool = False) -> None:
+    def save(self, path: Any, *, compress: bool = True) -> None:
         """Checkpoint the whole session to ``path`` (see ``repro.api.state``).
 
-        ``compress`` (default on) deflates the checkpoint body; ``float32``
-        opts into lossy float64→float32 array downcasting on disk, which
-        trades exact bit-identical resume for roughly half the size on
-        incompressible numeric state.
+        ``compress`` (default on) deflates the checkpoint body.
         """
         from .state import save_tracker
 
         with self._timed_save(path):
-            save_tracker(self, path, compress=compress, float32=float32)
+            save_tracker(self, path, compress=compress)
 
     @classmethod
     def load(cls, path: Any) -> "Tracker":

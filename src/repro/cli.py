@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 from typing import List, Optional, Sequence
 
 from .api import (
@@ -48,32 +49,19 @@ from .api import (
     get_spec,
     registry_rows,
 )
-from .evaluation.tables import format_table, render_figure
-from .experiments.config import HeavyHitterConfig, MatrixConfig
-from .experiments.heavy_hitters_experiments import (
-    figure1_sweep_epsilon,
-    figure1e_error_vs_messages,
-    figure1f_messages_vs_beta,
+from .evaluation.figures import (
+    CHOOSE_DATASET,
+    DATASETS,
+    FAMILIES,
+    FIGURES,
+    render,
 )
-from .experiments.matrix_experiments import (
-    figure4_tradeoff,
-    figure67_p4_comparison,
-    figure_sweep_epsilon,
-    figure_sweep_sites,
-    table1_rows,
-)
+from .evaluation.tables import format_table
 
 __all__ = ["main", "build_parser"]
 
-_EXPERIMENTS = {
-    "figure1": "Heavy hitters: recall/precision/err/msg vs epsilon (panels a-d)",
-    "figure1e": "Heavy hitters: error vs messages trade-off (panel e)",
-    "figure1f": "Heavy hitters: messages vs beta (panel f)",
-    "table1": "Matrix tracking: err and msg for all methods on both datasets",
-    "figure2": "Matrix tracking on the PAMAP-like dataset (epsilon and site sweeps)",
-    "figure3": "Matrix tracking on the MSD-like dataset (epsilon and site sweeps)",
-    "figure4": "Matrix tracking: messages vs error frontier",
-    "figure67": "Appendix-C protocol P4 against P1-P3",
+# The figure/table commands are the rows of ``FIGURES``; these are the rest.
+_COMMANDS = {
     "protocols": "The protocol registry: spec names, classes and parameters",
     "track": "Run one tracking session for a registry spec (--protocol hh/P3)",
     "worker": "Host shard sessions for the socket backend (--listen HOST:PORT)",
@@ -102,7 +90,11 @@ def _parse_float_list(text: str) -> List[float]:
 
 
 def _parse_int_list(text: str) -> List[int]:
-    return [int(value) for value in _parse_float_list(text)]
+    values = _parse_float_list(text)
+    for value in values:
+        if not value.is_integer():
+            raise argparse.ArgumentTypeError(f"not an integer: {value:g}")
+    return [int(value) for value in values]
 
 
 def _parse_spec(text: str) -> str:
@@ -144,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_matrix_options(sub: argparse.ArgumentParser,
                            with_dataset: bool = True) -> None:
         if with_dataset:
-            sub.add_argument("--dataset", choices=["pamap", "msd"], default="pamap",
+            sub.add_argument("--dataset", choices=list(DATASETS), default="pamap",
                              help="dataset surrogate to use")
         sub.add_argument("--num-rows", type=int, default=6_000,
                          help="number of matrix rows (paper: 629k / 300k)")
@@ -168,20 +160,16 @@ def build_parser() -> argparse.ArgumentParser:
                          help="log threshold for --log-json (debug includes "
                               "one line per shard command frame)")
 
-    for name in ("figure1", "figure1e", "figure1f"):
-        sub = subparsers.add_parser(name, help=_EXPERIMENTS[name])
-        add_hh_options(sub)
+    for figure in FIGURES.values():
+        sub = subparsers.add_parser(figure.name, help=figure.help)
+        if figure.family == "hh":
+            add_hh_options(sub)
+        else:
+            add_matrix_options(sub, with_dataset=figure.dataset == CHOOSE_DATASET)
 
-    sub = subparsers.add_parser("table1", help=_EXPERIMENTS["table1"])
-    add_matrix_options(sub, with_dataset=False)
+    subparsers.add_parser("protocols", help=_COMMANDS["protocols"])
 
-    for name in ("figure2", "figure3", "figure4", "figure67"):
-        sub = subparsers.add_parser(name, help=_EXPERIMENTS[name])
-        add_matrix_options(sub, with_dataset=(name in ("figure4", "figure67")))
-
-    subparsers.add_parser("protocols", help=_EXPERIMENTS["protocols"])
-
-    sub = subparsers.add_parser("track", help=_EXPERIMENTS["track"])
+    sub = subparsers.add_parser("track", help=_COMMANDS["track"])
     sub.add_argument("--protocol", type=_parse_spec, required=True,
                      help="registry spec name, e.g. hh/P3 or matrix/P2 "
                           "(see `repro-experiments protocols`)")
@@ -195,7 +183,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="heavy hitter threshold (hh domain only)")
     sub.add_argument("--universe-size", type=int, default=10_000)
     sub.add_argument("--beta", type=float, default=1_000.0)
-    sub.add_argument("--dataset", choices=["pamap", "msd"], default="pamap",
+    sub.add_argument("--dataset", choices=list(DATASETS), default="pamap",
                      help="dataset surrogate (matrix domain only)")
     sub.add_argument("--seed", type=int, default=2014)
     sub.add_argument("--chunk-size", type=_parse_chunk_size, default=4096)
@@ -214,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="write a session checkpoint after the run "
                           "(resume with Tracker.load / ShardedTracker.load)")
 
-    sub = subparsers.add_parser("worker", help=_EXPERIMENTS["worker"])
+    sub = subparsers.add_parser("worker", help=_COMMANDS["worker"])
     sub.add_argument("--listen", metavar="HOST:PORT", required=True,
                      help="endpoint to listen on (port 0 picks an ephemeral "
                           "port, printed on startup)")
@@ -244,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "token as auth_token in backend_options)")
     add_logging_options(sub)
 
-    sub = subparsers.add_parser("serve", help=_EXPERIMENTS["serve"])
+    sub = subparsers.add_parser("serve", help=_COMMANDS["serve"])
     sub.add_argument("--spec", type=_parse_spec, required=True,
                      help="registry spec name to serve, e.g. hh/P2 or "
                           "matrix/P2 (see `repro-experiments protocols`)")
@@ -314,74 +302,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _hh_config(args: argparse.Namespace) -> HeavyHitterConfig:
-    return HeavyHitterConfig(
-        num_items=args.num_items,
-        universe_size=args.universe_size,
-        beta=args.beta,
-        phi=args.phi,
-        num_sites=args.num_sites,
-        seed=args.seed,
-        epsilon_grid=list(args.epsilons),
-        chunk_size=args.chunk_size,
-    )
-
-
-def _matrix_config(args: argparse.Namespace) -> MatrixConfig:
-    return MatrixConfig(
-        num_rows=args.num_rows,
-        num_sites=args.num_sites,
-        seed=args.seed,
-        epsilon_grid=list(args.epsilons),
-        site_grid=list(args.sites),
-        chunk_size=args.chunk_size,
-    )
-
-
 def _emit(text: str, out) -> None:
     print(text, file=out)
     print("", file=out)
 
 
-def _run_figure1(args, out) -> None:
-    result = figure1_sweep_epsilon(_hh_config(args))
-    for metric, title in (("recall", "Figure 1(a): recall vs epsilon"),
-                          ("precision", "Figure 1(b): precision vs epsilon"),
-                          ("err", "Figure 1(c): avg error of true HH vs epsilon"),
-                          ("msg", "Figure 1(d): messages vs epsilon")):
-        _emit(render_figure(result, metric, title), out)
-
-
-def _run_figure1e(args, out) -> None:
-    rows = figure1e_error_vs_messages(_hh_config(args))
-    _emit(format_table(rows, title="Figure 1(e): error vs messages"), out)
-
-
-def _run_figure1f(args, out) -> None:
-    result = figure1f_messages_vs_beta(_hh_config(args))
-    _emit(render_figure(result, "msg", "Figure 1(f): messages vs beta"), out)
-
-
-def _run_table1(args, out) -> None:
-    rows = table1_rows(_matrix_config(args))
-    _emit(format_table(rows, columns=["dataset", "method", "err", "msg",
-                                      "sketch_rows", "rank"],
-                       title="Table 1"), out)
-
-
-def _run_figure23(args, out, dataset: str, label: str) -> None:
-    config = _matrix_config(args)
-    eps = figure_sweep_epsilon(dataset, config)
-    sites = figure_sweep_sites(dataset, config)
-    _emit(render_figure(eps, "err", f"Figure {label}(a): error vs epsilon"), out)
-    _emit(render_figure(eps, "msg", f"Figure {label}(b): messages vs epsilon"), out)
-    _emit(render_figure(sites, "msg", f"Figure {label}(c): messages vs sites"), out)
-    _emit(render_figure(sites, "err", f"Figure {label}(d): error vs sites"), out)
-
-
-def _run_figure4(args, out) -> None:
-    rows = figure4_tradeoff(args.dataset, _matrix_config(args))
-    _emit(format_table(rows, title=f"Figure 4: messages vs error ({args.dataset})"), out)
+def _run_figure(args, out) -> None:
+    """Run the ``FIGURES`` row the command names and print its panels."""
+    config_type = FAMILIES[FIGURES[args.command].family].config
+    # Flags are named after the config fields they set, bar the two grids.
+    given = {**vars(args), "epsilon_grid": args.epsilons,
+             "site_grid": getattr(args, "sites", None)}
+    config = config_type(**{spec.name: given[spec.name]
+                            for spec in fields(config_type)
+                            if spec.name in given})
+    for block in render(args.command, config):
+        _emit(block, out)
 
 
 def _run_protocols(args, out) -> None:
@@ -625,51 +561,24 @@ def _run_serve(args, out) -> None:
             tracker.close()
 
 
-def _run_figure67(args, out) -> None:
-    results = figure67_p4_comparison(args.dataset, _matrix_config(args))
-    _emit(render_figure(results["err_vs_epsilon"], "err",
-                        f"Figures 6/7(a): error vs epsilon with P4 ({args.dataset})"), out)
-    _emit(render_figure(results["err_vs_sites"], "err",
-                        f"Figures 6/7(b): error vs sites with P4 ({args.dataset})"), out)
+def _run_list(args, out) -> None:
+    commands = {**{figure.name: figure.help for figure in FIGURES.values()},
+                **_COMMANDS}
+    rows = [{"experiment": name, "description": description}
+            for name, description in commands.items()]
+    _emit(format_table(rows, title="Available experiments"), out)
+
+
+_HANDLERS = {"list": _run_list, "protocols": _run_protocols,
+             "track": _run_track, "worker": _run_worker, "serve": _run_serve}
 
 
 def main(argv: Optional[Sequence[str]] = None, out=None) -> int:
     """CLI entry point; returns a process exit code."""
     out = out if out is not None else sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-
-    if args.command == "list":
-        rows = [{"experiment": name, "description": description}
-                for name, description in _EXPERIMENTS.items()]
-        _emit(format_table(rows, title="Available experiments"), out)
-        return 0
-    if args.command == "figure1":
-        _run_figure1(args, out)
-    elif args.command == "figure1e":
-        _run_figure1e(args, out)
-    elif args.command == "figure1f":
-        _run_figure1f(args, out)
-    elif args.command == "table1":
-        _run_table1(args, out)
-    elif args.command == "figure2":
-        _run_figure23(args, out, "pamap", "2")
-    elif args.command == "figure3":
-        _run_figure23(args, out, "msd", "3")
-    elif args.command == "figure4":
-        _run_figure4(args, out)
-    elif args.command == "figure67":
-        _run_figure67(args, out)
-    elif args.command == "protocols":
-        _run_protocols(args, out)
-    elif args.command == "track":
-        _run_track(args, out)
-    elif args.command == "worker":
-        _run_worker(args, out)
-    elif args.command == "serve":
-        _run_serve(args, out)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
+    args = build_parser().parse_args(argv)
+    # Every command that is not listed here is a row of ``FIGURES``.
+    _HANDLERS.get(args.command, _run_figure)(args, out)
     return 0
 
 

@@ -1,9 +1,8 @@
-"""Parameter sweeps: run families of protocols over a grid of settings.
+"""Parameter sweeps: run a set of protocols over a grid of one setting.
 
 Every figure of the paper is a sweep of one parameter (``ε``, the number of
-sites ``m``, or the weight bound ``β``) for a fixed set of protocols, with one
-of the Section 6 metrics on the y axis.  This module provides a small, typed
-sweep engine so the experiment drivers read declaratively:
+sites ``m``, the weight bound ``β``) for a fixed set of protocols, with one
+of the Section 6 metrics on the y axis:
 
 ```
 sweep = ParameterSweep(parameter="epsilon", values=[5e-3, 1e-2, 5e-2])
@@ -14,15 +13,13 @@ results = sweep.run(protocol_factories, run_one)
 value; ``run_one`` feeds a stream into the constructed protocol and returns a
 metrics dictionary.  The output is a :class:`SweepResult` that can be turned
 into per-protocol series (for figures) or flat rows (for tables).
+:mod:`repro.evaluation.figures` drives every table and figure through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
-
-from ..streaming.partition import Partitioner
-from ..streaming.runner import DEFAULT_CHUNK_SIZE, StreamingEngine
+from typing import Any, Callable, Dict, List, Mapping, Sequence
 
 __all__ = ["SweepRecord", "SweepResult", "ParameterSweep"]
 
@@ -46,19 +43,11 @@ class SweepResult:
 
     def protocols(self) -> List[str]:
         """Protocol labels present in the sweep, in first-seen order."""
-        seen: List[str] = []
-        for record in self.records:
-            if record.protocol not in seen:
-                seen.append(record.protocol)
-        return seen
+        return list(dict.fromkeys(record.protocol for record in self.records))
 
     def values(self) -> List[Any]:
         """Swept parameter values, in first-seen order."""
-        seen: List[Any] = []
-        for record in self.records:
-            if record.value not in seen:
-                seen.append(record.value)
-        return seen
+        return list(dict.fromkeys(record.value for record in self.records))
 
     def series(self, metric: str) -> Dict[str, List[Any]]:
         """Return ``{protocol: [metric at each swept value]}`` (a figure's lines)."""
@@ -77,13 +66,9 @@ class SweepResult:
         return None
 
     def rows(self) -> List[Dict[str, Any]]:
-        """Flatten the sweep into table rows."""
-        flattened = []
-        for record in self.records:
-            row = {"protocol": record.protocol, self.parameter: record.value}
-            row.update(record.metrics)
-            flattened.append(row)
-        return flattened
+        """Flatten the sweep into table rows (the sweep's label and value win)."""
+        return [{**record.metrics, "protocol": record.protocol,
+                 self.parameter: record.value} for record in self.records]
 
 
 class ParameterSweep:
@@ -104,16 +89,6 @@ class ParameterSweep:
             raise ValueError("values must be a non-empty sequence")
         self._parameter = parameter
         self._values = list(values)
-
-    @property
-    def parameter(self) -> str:
-        """Name of the swept parameter."""
-        return self._parameter
-
-    @property
-    def values(self) -> List[Any]:
-        """The swept values."""
-        return list(self._values)
 
     def run(
         self,
@@ -136,65 +111,6 @@ class ParameterSweep:
             for name, factory in protocol_factories.items():
                 protocol = factory(value)
                 metrics = run_one(protocol, value)
-                result.records.append(
-                    SweepRecord(protocol=name, parameter=self._parameter,
-                                value=value, metrics=dict(metrics))
-                )
-        return result
-
-    def run_streaming(
-        self,
-        protocol_factories: Mapping[str, Callable[[Any], Any]],
-        stream: Any,
-        evaluate: Callable[[Any, Any], Dict[str, Any]],
-        engine: Optional[StreamingEngine] = None,
-        partitioner_factory: Optional[Callable[[Any], Partitioner]] = None,
-    ) -> SweepResult:
-        """Execute the sweep by replaying one stream through the engine.
-
-        The streaming analogue of :meth:`run`: for every (protocol, value)
-        cell a fresh protocol is built, ``stream`` — ideally a columnar batch
-        (:class:`~repro.streaming.items.WeightedItemBatch`,
-        :class:`~repro.streaming.items.MatrixRowBatch` or a 2-d row array) so
-        the engine can slice it zero-copy — is ingested through ``engine``
-        (chunked/batched by default), and ``evaluate(protocol, value)``
-        produces the cell's metrics.
-
-        Parameters
-        ----------
-        protocol_factories:
-            Maps protocol labels to callables ``value -> protocol``.
-        stream:
-            The workload replayed into every cell.
-        evaluate:
-            Callable ``(protocol, value) -> metrics dict`` run after
-            ingestion.
-        engine:
-            Supplies the ingestion chunk size (each cell runs through a
-            fresh :class:`~repro.api.tracker.Tracker` session built around
-            its protocol); defaults to the engine default chunk size.
-        partitioner_factory:
-            Optional callable ``protocol -> Partitioner``; defaults to the
-            engine's round-robin assignment.
-        """
-        from ..api.tracker import Tracker  # local import: api sits above evaluation
-
-        chunk_size = (engine.chunk_size if engine is not None
-                      else DEFAULT_CHUNK_SIZE)
-        if not (hasattr(stream, "__getitem__") or isinstance(stream, (list, tuple))):
-            # One-shot iterators would be exhausted by the first cell,
-            # silently starving every later cell — materialise once.
-            stream = list(stream)
-        result = SweepResult(parameter=self._parameter)
-        for value in self._values:
-            for name, factory in protocol_factories.items():
-                protocol = factory(value)
-                partitioner = (partitioner_factory(protocol)
-                               if partitioner_factory is not None else None)
-                tracker = Tracker(protocol, chunk_size=chunk_size,
-                                  partitioner=partitioner)
-                tracker.run(stream)
-                metrics = evaluate(protocol, value)
                 result.records.append(
                     SweepRecord(protocol=name, parameter=self._parameter,
                                 value=value, metrics=dict(metrics))

@@ -27,7 +27,6 @@ package.
 """
 
 from .codec import (
-    ARRAY_CODECS,
     WireDecodeError,
     WireEncodeError,
     WireError,
@@ -51,7 +50,6 @@ from .frames import (
 )
 
 __all__ = [
-    "ARRAY_CODECS",
     "WireError",
     "WireEncodeError",
     "WireDecodeError",

@@ -40,14 +40,11 @@ import enum
 import importlib
 import struct
 import types
-import zlib
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 __all__ = [
-    "ARRAY_CODECS",
-    "PACK_COMPRESSION_LEVEL",
     "WireError",
     "WireEncodeError",
     "WireDecodeError",
@@ -99,30 +96,12 @@ _EXCEPTION = 0x17
 _REF = 0x18
 _DTYPE = 0x19
 _NPTYPE = 0x1A
-_ARRAY_PACKED = 0x1B
+# 0x1B was the per-array packed codec (deflate / float32 downcast), retired
+# with its only writer: never reuse it; decoders refuse it as an unknown tag.
 _SHMARRAY = 0x1C
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
-
-# ----------------------------------------------------- packed-array encoding
-#: Bits 0-1 of the ``_ARRAY_PACKED`` encoding byte: payload compression.
-_PACK_RAW = 0x00
-_PACK_ZLIB = 0x01
-#: Bit 2: float64 data stored as float32 (decoded back to float64).  Lossy
-#: by design — only written when the caller opts in.
-_PACK_F32 = 0x04
-_PACK_KNOWN = _PACK_ZLIB | _PACK_F32
-
-#: Arrays smaller than this are never worth a deflate attempt.
-_PACK_MIN_BYTES = 256
-
-#: Deflate level for array payloads (and whole frame bodies): level 6 is
-#: zlib's speed/ratio sweet spot for float data.
-PACK_COMPRESSION_LEVEL = 6
-
-#: Accepted ``array_codec`` values for :func:`encode_value`.
-ARRAY_CODECS = ("zlib", "f32", "f32+zlib")
 
 #: Bit generators reconstructable by name (everything NumPy ships).
 _BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
@@ -236,37 +215,19 @@ def _sanitize_exception_args(args: tuple) -> tuple:
     )
 
 
-def _parse_array_codec(array_codec: Any) -> int:
-    """Translate an ``array_codec`` token into ``_PACK_*`` flag bits."""
-    if array_codec is None:
-        return 0
-    if array_codec not in ARRAY_CODECS:
-        raise WireEncodeError(
-            f"unknown array codec {array_codec!r}; "
-            f"expected one of {', '.join(ARRAY_CODECS)}"
-        )
-    flags = 0
-    for token in str(array_codec).split("+"):
-        flags |= _PACK_ZLIB if token == "zlib" else _PACK_F32
-    return flags
-
-
 class _Encoder:
     """One encoding pass: a byte buffer plus the shared-reference memo.
 
-    ``array_codec`` opts numeric array payloads into the ``_ARRAY_PACKED``
-    tag (zlib deflate and/or float32 downcast); ``array_sink`` diverts
-    array payloads out of band (shared memory), leaving an ``_SHMARRAY``
-    reference in the byte stream.  ``used_extensions`` records whether any
+    ``array_sink`` diverts array payloads out of band (shared memory),
+    leaving an ``_SHMARRAY`` reference in the byte stream.  ``used_extensions`` records whether any
     post-v1 tag was actually emitted, so frame writers can stamp the lowest
     wire version that can express the payload.
     """
 
-    def __init__(self, array_codec: Any = None,
-                 array_sink: Optional[Callable[[np.ndarray], Any]] = None) -> None:
+    def __init__(self, array_sink: Optional[Callable[[np.ndarray], Any]] = None
+                 ) -> None:
         self.out = bytearray()
         self.used_extensions = False
-        self._pack_flags = _parse_array_codec(array_codec)
         self._array_sink = array_sink
         self._memo: Dict[int, int] = {}
         self._keepalive: List[Any] = []   # pins ids against reuse mid-pass
@@ -437,26 +398,11 @@ class _Encoder:
                 self.encode(reference)
                 return
         data = contiguous.tobytes()
-        encoding = _PACK_RAW
-        if self._pack_flags & _PACK_F32 and array.dtype == np.float64:
-            data = contiguous.astype("<f4").tobytes()
-            encoding |= _PACK_F32
-        if self._pack_flags & _PACK_ZLIB and len(data) >= _PACK_MIN_BYTES:
-            deflated = zlib.compress(data, PACK_COMPRESSION_LEVEL)
-            if len(deflated) < len(data):
-                data = deflated
-                encoding |= _PACK_ZLIB
-        if encoding:
-            self.used_extensions = True
-            self.out.append(_ARRAY_PACKED)
-        else:
-            self.out.append(_ARRAY)
+        self.out.append(_ARRAY)
         self._str(array.dtype.str)
         self._varint(array.ndim)
         for dim in array.shape:
             self._varint(int(dim))
-        if encoding:
-            self.out.append(encoding)
         self._varint(len(data))
         self.out += data
 
@@ -659,7 +605,7 @@ class _Decoder:
 
     def _shape_out_of_band(self) -> tuple:
         """Read a shape header whose data does not sit inline in the payload
-        (compressed or shared-memory sections), so the remaining-bytes bound
+        (shared-memory sections), so the remaining-bytes bound
         of :meth:`_shape` does not apply.  Length validation happens against
         the recovered data instead, *before* any element-count-sized
         allocation, so a hostile header still cannot force one."""
@@ -667,63 +613,6 @@ class _Decoder:
         if ndim > 64:
             raise WireDecodeError(f"implausible array rank {ndim}")
         return tuple(self._varint() for _ in range(ndim))
-
-    def _decode_array_packed(self) -> np.ndarray:
-        memo_slot = len(self.memo)
-        self.memo.append(None)
-        dtype = self._dtype()
-        shape = self._shape_out_of_band()
-        encoding = self._take(1)[0]
-        if encoding & ~_PACK_KNOWN or not encoding:
-            raise WireDecodeError(
-                f"unknown packed-array encoding 0x{encoding:02X}"
-            )
-        stored = self._take(self._varint())
-        if encoding & _PACK_F32:
-            if dtype != np.dtype("<f8"):
-                raise WireDecodeError(
-                    f"float32-packed section declares dtype {dtype.str}, "
-                    "expected <f8"
-                )
-            stored_dtype = np.dtype("<f4")
-        else:
-            stored_dtype = dtype
-        count = 1
-        for dim in shape:
-            count *= dim
-        expected = count * stored_dtype.itemsize
-        if encoding & _PACK_ZLIB:
-            # Bounded inflate: at most ``expected`` bytes are ever produced,
-            # and the stream must end exactly there — a zlib bomb or a lying
-            # shape header fails before any shape-sized allocation.
-            inflater = zlib.decompressobj()
-            try:
-                data = inflater.decompress(bytes(stored), expected)
-            except zlib.error as exc:
-                raise WireDecodeError(
-                    f"corrupt deflated array section: {exc}"
-                ) from exc
-            if (len(data) != expected or not inflater.eof
-                    or inflater.unconsumed_tail or inflater.unused_data):
-                raise WireDecodeError(
-                    f"deflated array section does not inflate to the "
-                    f"{expected} bytes its dtype and shape {shape} promise"
-                )
-        else:
-            if len(stored) != expected:
-                raise WireDecodeError(
-                    f"packed array section length {len(stored)} does not "
-                    f"match dtype {stored_dtype.str} and shape {shape} "
-                    f"(expected {expected})"
-                )
-            data = stored
-        array = np.frombuffer(data, dtype=stored_dtype).reshape(shape)
-        if encoding & _PACK_F32:
-            array = array.astype(np.float64)
-        else:
-            array = array.copy()
-        self.memo[memo_slot] = array
-        return array
 
     def _decode_shmarray(self) -> np.ndarray:
         memo_slot = len(self.memo)
@@ -857,7 +746,6 @@ _DECODERS: Dict[int, Callable[[_Decoder], Any]] = {
     _REF: _Decoder._decode_ref,
     _DTYPE: lambda d: d._dtype(),
     _NPTYPE: lambda d: d._dtype().type,
-    _ARRAY_PACKED: _Decoder._decode_array_packed,
     _SHMARRAY: _Decoder._decode_shmarray,
 }
 
@@ -881,29 +769,26 @@ def _decode_function(decoder: _Decoder) -> Any:
     return fn
 
 
-def encode_value(value: Any, *, array_codec: Any = None,
+def encode_value(value: Any, *,
                  array_sink: Optional[Callable[[np.ndarray], Any]] = None
                  ) -> bytes:
     """Encode one value tree into wire payload bytes.
 
-    ``array_codec`` (one of :data:`ARRAY_CODECS`) opts numeric array
-    sections into deflate compression and/or the lossy float32 downcast;
     ``array_sink`` diverts array payloads out of band (see
-    :class:`_Encoder`).  Both produce payloads that require a
+    :class:`_Encoder`), producing a payload that requires a
     wire-version-2-aware decoder; :func:`encode_with_extensions` reports
-    whether the payload actually used one of the new tags.
+    whether the payload actually used the new tag.
     """
-    return encode_with_extensions(value, array_codec=array_codec,
-                                  array_sink=array_sink)[0]
+    return encode_with_extensions(value, array_sink=array_sink)[0]
 
 
-def encode_with_extensions(value: Any, *, array_codec: Any = None,
+def encode_with_extensions(value: Any, *,
                            array_sink: Optional[
                                Callable[[np.ndarray], Any]] = None
                            ) -> Tuple[bytes, bool]:
     """Like :func:`encode_value`, also reporting whether any post-v1 codec
     tag was emitted (used by frame writers for version negotiation)."""
-    encoder = _Encoder(array_codec=array_codec, array_sink=array_sink)
+    encoder = _Encoder(array_sink=array_sink)
     encoder.encode(value)
     return bytes(encoder.out), encoder.used_extensions
 

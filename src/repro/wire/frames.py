@@ -23,7 +23,7 @@ A *frame* wraps one encoded value tree in a self-describing envelope::
 Version negotiation is one-directional and carried by the version field:
 writers stamp the *lowest* version that can express a frame — plain frames
 stay version 1 bit-for-bit, and only frames that actually use a version-2
-feature (a deflated body, a packed/shared-memory array section in the
+feature (a deflated body, a shared-memory array section in the
 codec) are stamped 2.  Readers of this build accept both; a version-1-only
 reader rejects a version-2 frame cleanly by its header instead of
 misparsing the body.  Version-2 flags: bit 0x0001 marks a zlib-deflated
@@ -45,7 +45,6 @@ from pathlib import Path
 from typing import Any, Optional, Tuple, Union
 
 from .codec import (
-    PACK_COMPRESSION_LEVEL,
     WireDecodeError,
     decode_value,
     encode_with_extensions,
@@ -77,8 +76,10 @@ WIRE_BASE_VERSION = 1
 
 _SUPPORTED_VERSIONS = (WIRE_BASE_VERSION, WIRE_VERSION)
 
-#: Version-2 flag: the body bytes are zlib-deflated.
+#: Version-2 flag: the body bytes are zlib-deflated (level 6: zlib's
+#: speed/ratio sweet spot for float data).
 _FLAG_DEFLATE = 0x0001
+_DEFLATE_LEVEL = 6
 _KNOWN_FLAGS = _FLAG_DEFLATE
 
 _FIXED_HEADER = struct.Struct("<4sHHH")   # magic, version, flags, kind length
@@ -100,24 +101,22 @@ def is_wire_data(data: bytes) -> bool:
 
 
 def pack_frame(kind: str, value: Any, *, compress: bool = False,
-               array_codec: Any = None,
                array_sink: Optional[Any] = None) -> bytes:
     """Encode ``value`` and wrap it in a framed envelope labelled ``kind``.
 
     ``compress`` deflates the whole body (skipped when deflate does not
-    shrink it); ``array_codec``/``array_sink`` are forwarded to
-    :func:`~repro.wire.codec.encode_value`.  Frames using none of these
-    features are stamped wire version 1, byte-identical to earlier builds;
-    anything else is stamped version 2.
+    shrink it); ``array_sink`` is forwarded to
+    :func:`~repro.wire.codec.encode_value`.  Frames using neither feature
+    are stamped wire version 1, byte-identical to earlier builds; anything
+    else is stamped version 2.
     """
     kind_bytes = kind.encode("utf-8")
     if len(kind_bytes) > 0xFFFF:
         raise ValueError("frame kind label too long")
-    body, extended = encode_with_extensions(value, array_codec=array_codec,
-                                            array_sink=array_sink)
+    body, extended = encode_with_extensions(value, array_sink=array_sink)
     flags = 0
     if compress:
-        deflated = zlib.compress(body, PACK_COMPRESSION_LEVEL)
+        deflated = zlib.compress(body, _DEFLATE_LEVEL)
         if len(deflated) < len(body):
             body = deflated
             flags |= _FLAG_DEFLATE
@@ -235,10 +234,10 @@ def peek_kind(data: bytes) -> Optional[str]:
 
 # ------------------------------------------------------------------- files
 def write_frame(path: PathLike, kind: str, value: Any, *,
-                compress: bool = False, array_codec: Any = None) -> None:
+                compress: bool = False) -> None:
     """Write one frame to ``path`` (atomic enough for checkpoints: the frame
     is materialised first, so a full disk cannot leave a half-encoded tree)."""
-    frame = pack_frame(kind, value, compress=compress, array_codec=array_codec)
+    frame = pack_frame(kind, value, compress=compress)
     with open(Path(path), "wb") as handle:
         handle.write(frame)
 

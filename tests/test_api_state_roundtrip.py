@@ -15,6 +15,7 @@ the same condition under which two ``tracker.run`` instalments equal one.
 
 from __future__ import annotations
 
+import base64
 import pickle
 
 import numpy as np
@@ -197,8 +198,8 @@ class TestMatrixRoundTrip:
 
 
 class TestCheckpointCompression:
-    """``save(compress=..., float32=...)``: v1 files keep loading, deflated
-    files resume bit-identically, the float32 downcast is opt-in and lossy."""
+    """``save(compress=...)``: v1 files keep loading, deflated files resume
+    bit-identically, and there is no lossy mode."""
 
     @staticmethod
     def _header_version(path):
@@ -245,25 +246,40 @@ class TestCheckpointCompression:
         tracker.save(deflated, compress=True)
         assert deflated.stat().st_size < plain.stat().st_size
 
-    @pytest.mark.parametrize("seed", SEEDS[:1])
-    def test_float32_checkpoint_is_optin_and_near_lossless(self, seed, tmp_path):
-        dataset, batch, sites = matrix_stream(seed)
-        tracker = _tracker("matrix/P1", seed, dataset.dimension)
-        _run_with_sites(tracker, sites, batch, 0, len(batch))
+    def test_float32_checkpoint_from_the_last_build_with_the_codec_is_refused(
+            self, tmp_path):
+        """``save(float32=True)`` is gone: it broke bit-identical resume.  A
+        file the last build that had it (``d7db0fc``) wrote — ``matrix/P2``,
+        2 sites, 4 rows of dimension 3 — fails loudly, it never loads."""
         path = tmp_path / "f32.ckpt"
-        tracker.save(path, float32=True)
+        path.write_bytes(base64.b64decode(_PARENT_FLOAT32_CHECKPOINT))
+        with pytest.raises(CheckpointError, match="0x1B"):
+            repro.Tracker.load(path)
+        tracker = _tracker("hh/P2", SEEDS[0])
+        with pytest.raises(TypeError):
+            tracker.save(path, float32=True)
+        with pytest.raises(TypeError):
+            save_protocol(tracker.protocol, path, float32=True)
 
-        resumed = repro.Tracker.load(path)
-        original = tracker.protocol.sketch_matrix()
-        restored = resumed.protocol.sketch_matrix()
-        assert restored.dtype == np.float64
-        assert not np.array_equal(restored, original)  # lossy, by contract
-        # The ~1e-7 relative perturbation can flip SVD row signs, so compare
-        # the sign-invariant covariance the sketch actually approximates.
-        scale = max(1.0, float(np.abs(original).max()) ** 2)
-        np.testing.assert_allclose(restored.T @ restored,
-                                   original.T @ original,
-                                   rtol=1e-5, atol=1e-5 * scale)
+
+_PARENT_FLOAT32_CHECKPOINT = """
+UlBXMQIAAQAYAHJlcHJvL3RyYWNrZXItY2hlY2twb2ludOACAAAAAAAAeJytVctuEzEU
+ncRD3EnL0BJakLpAPNUFakUXCFVFaUhZ8VDUSmwtx+OmVjJ2anvSggR0x2fQPUs+AL6A
+D2CFhPgLJLjOTCahJCKVGmnijOeec8+5vnMTlrBvupzhIKZWi6O1xjoudammsQkRDmQS
+EyMsN6jopR8cRCLm0gglERrsYd41oqPkhfT+exWX2X4i24B9zZE3n4XNArEVFqBchz5G
+rGMqa5p3tVo1VnMaC9lazWM2dlQiox3VFLIxxOGLxlLLSY/rvobCQMNlpuIuREg7eGZm
+C7PFMycYMvoRtTQs4DIZU4YZILWKqc7AyJM0T1pGYjVl7X62dRJxyzWkFsYKtrE9erct
+NGcubyNjO5M9BPaun7YnuT1Uur3xIl1zBohdmRRbV3GcSMGok/JMtUZB5+PrdFXDCVUl
+maTF//oah0cd1Vqc2mVprs15l4BSpSNTxNmPshcQww8SLhlHQcYcEkBaQ5qvCNiPQrR0
+a1Ka59wY2uJPIQyXDKMdqpGf0UyJ6kHxlM7fr+lQQVMrGjFqbJ6uMlQdDU4kLC7dmESX
+HxuuuMISqwhTUBMhqdODB3qmIRgBOh7Hl+sKXR9JEwvTb+S8yiUiZFMdlT08TyA+NgTS
+MPDIoxwLjTNmAs2Qf0bQFaKahusej8BEj2pB4UCX0ebewyJC/m3P+/XY8+brnneznq53
+4drM7t36so6XhxzmIKEa1j2tmlyKxKSZTt5tYeiXXkRiFXHs08QqXEr7slxcvD/l20N2
+AbDrXn1/zID1tTqEvlyQSruWBx8kbazMrecFVnVJ082zfOtccxfSwhWQP/f2w7Xq8Z0H
+j75+K3yeTtHxSeP3p48/qvgS4ZARBEEdHXJYwuUMTuK0ow2x+8IQ7fADJR5eSDcMccOw
+Ayai4ehYGG1V0heN+qKd5jTmuApfWyObX7agU+Dyavlm/c3V2s+de7X3K7UarvzFadrc
+sn34tzs9nP8Are8p9X+pUkI=
+"""
 
 
 class TestProtocolCheckpointHelpers:

@@ -11,6 +11,7 @@ import pytest
 
 import repro
 from repro.cli import build_parser, main
+from repro.evaluation.figures import FIGURES
 
 TINY_HH = ["--num-items", "2000", "--universe-size", "300", "--num-sites", "5",
            "--epsilons", "0.01,0.05"]
@@ -25,13 +26,32 @@ def run_cli(argv):
 
 
 class TestParser:
-    def test_all_experiment_subcommands_exist(self):
+    def test_every_figure_row_has_a_cli_command_and_a_list_line(self):
         parser = build_parser()
-        for command in ("list", "figure1", "figure1e", "figure1f", "table1",
-                        "figure2", "figure3", "figure4", "figure67"):
-            args = parser.parse_args([command] if command == "list"
-                                     else [command])
-            assert args.command == command
+        assert parser.parse_args(["list"]).command == "list"
+        _, listing = run_cli(["list"])
+        assert {"figure1", "figure1e", "figure1f", "table1", "figure2",
+                "figure3", "figure4", "figure67"} <= set(FIGURES)
+        for name, figure in FIGURES.items():
+            assert parser.parse_args([name]).command == name
+            assert any(line.split()[:1] == [name] and figure.help in line
+                       for line in listing.splitlines()), name
+
+    def test_readme_command_list_is_generated_from_the_figure_table(self):
+        readme = os.path.join(os.path.dirname(os.path.dirname(__file__)),
+                              "README.md")
+        block = "\n".join(f"repro-experiments {name:<9} # {figure.help}"
+                          for name, figure in FIGURES.items())
+        with open(readme, encoding="utf-8") as handle:
+            assert f"```bash\n{block}\n```" in handle.read(), (
+                "README's reproduce-the-paper list drifted; paste:\n" + block)
+
+    def test_site_list_rejects_non_integers(self, capsys):
+        parser = build_parser()
+        assert parser.parse_args(["figure2", "--sites", "2,4e1"]).sites == [2, 40]
+        with pytest.raises(SystemExit):
+            parser.parse_args(["figure2", "--sites", "2.7,4"])
+        assert "not an integer: 2.7" in capsys.readouterr().err
 
     def test_epsilon_list_parsing(self):
         parser = build_parser()
@@ -70,7 +90,8 @@ class TestCommands:
                               capture_output=True, text=True, timeout=60,
                               env={**os.environ, "PYTHONPATH": os.path.dirname(
                                   os.path.dirname(repro.__file__))})
-        assert set(done.stdout.split()) <= {"repro.evaluation.metrics",
+        assert set(done.stdout.split()) <= {"repro.evaluation.figures",
+                                            "repro.evaluation.metrics",
                                             "repro.evaluation.sweep",
                                             "repro.evaluation.tables"}
 

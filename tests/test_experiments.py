@@ -1,27 +1,33 @@
-"""Tests for the experiment drivers (scaled-down versions of every figure/table)."""
+"""Tests for the figure table (scaled-down versions of every figure/table)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
-from repro.experiments.config import HeavyHitterConfig, MatrixConfig
-from repro.experiments.heavy_hitters_experiments import (
-    build_protocols as build_hh_protocols,
-    figure1_sweep_epsilon,
-    figure1e_error_vs_messages,
-    figure1f_messages_vs_beta,
-    generate_stream,
+from repro.evaluation import figures
+from repro.evaluation.figures import (
+    FAMILIES,
+    FIGURES,
+    HeavyHitterConfig,
+    MatrixConfig,
+    figure_sweeps,
+    table_rows,
     theoretical_message_bounds,
 )
-from repro.experiments.matrix_experiments import (
-    build_protocols as build_matrix_protocols,
-    figure4_tradeoff,
-    figure67_p4_comparison,
-    figure_sweep_epsilon,
-    figure_sweep_sites,
-    load_experiment_dataset,
-    table1_rows,
-)
+
+
+def figure1_sweep_epsilon(config):
+    return figure_sweeps("figure1", config)["epsilon"]
+
+
+def figure_sweep_epsilon(dataset, config):
+    return figure_sweeps("figure4", config.for_dataset(dataset))["epsilon"]
+
+
+def table1_rows(config):
+    return table_rows(figure_sweeps("table1", config)["dataset"])
 
 
 @pytest.fixture(scope="module")
@@ -46,11 +52,16 @@ class TestHeavyHitterConfig:
         assert config.skew == 2.0
 
     def test_scaled(self):
-        config = HeavyHitterConfig().scaled(10)
+        original = HeavyHitterConfig()
+        config = original.scaled(10)
         assert config.num_items == 10
+        config.epsilon_grid.append(0.5)
+        config.beta_grid.clear()
+        assert original.epsilon_grid == HeavyHitterConfig().epsilon_grid
+        assert original.beta_grid == HeavyHitterConfig().beta_grid
 
     def test_build_protocols_labels(self, tiny_hh_config):
-        protocols = build_hh_protocols(tiny_hh_config, include_with_replacement=True)
+        protocols = FAMILIES["hh"].protocols
         assert set(protocols) == {"P1", "P2", "P3", "P4", "P3wr"}
 
     def test_theoretical_bounds_ordering(self, tiny_hh_config):
@@ -84,12 +95,12 @@ class TestFigure1:
         assert messages[0] >= messages[-1]
 
     def test_error_vs_messages_rows(self, tiny_hh_config):
-        rows = figure1e_error_vs_messages(tiny_hh_config)
+        rows = table_rows(figure_sweeps("figure1e", tiny_hh_config)["epsilon"])
         assert len(rows) == 4 * len(tiny_hh_config.epsilon_grid)
         assert {"protocol", "epsilon", "msg", "err"} <= set(rows[0])
 
     def test_beta_sweep(self, tiny_hh_config):
-        result = figure1f_messages_vs_beta(tiny_hh_config)
+        result = figure_sweeps("figure1f", tiny_hh_config)["beta"]
         assert result.parameter == "beta"
         assert result.values() == tiny_hh_config.beta_grid
         for protocol, series in result.series("recall").items():
@@ -109,12 +120,20 @@ class TestMatrixConfig:
         assert config.rank_for("pamap") == 30
         assert config.rank_for("msd") == 50
 
+    def test_for_dataset(self):
+        original = MatrixConfig()
+        config = original.for_dataset("msd")
+        assert (config.dataset, original.dataset) == ("msd", "pamap")
+        config.epsilon_grid.append(0.9)
+        config.site_grid.clear()
+        assert original.epsilon_grid == MatrixConfig().epsilon_grid
+        assert original.site_grid == MatrixConfig().site_grid
+
     def test_build_protocols_labels(self, tiny_matrix_config):
-        dataset = load_experiment_dataset(tiny_matrix_config, "pamap")
-        protocols = build_matrix_protocols(
-            tiny_matrix_config, dataset.dimension, dataset.num_rows,
-            include_with_replacement=True, include_p4=True)
-        assert set(protocols) == {"P1", "P2", "P3", "P3wr", "P4"}
+        protocols = FAMILIES["matrix"].protocols
+        # Table 1 adds its own labels: P3wor (= P3) and the two baselines.
+        assert set(protocols) == {"P1", "P2", "P3", "P3wr", "P4",
+                                  "P3wor", "FD", "SVD"}
 
 
 class TestTable1:
@@ -153,7 +172,7 @@ class TestMatrixSweeps:
             assert record.metrics["err"] <= max(record.value, 0.35)
 
     def test_site_sweep(self, tiny_matrix_config):
-        result = figure_sweep_sites("msd", tiny_matrix_config)
+        result = figure_sweeps("figure3", tiny_matrix_config)["num_sites"]
         assert result.parameter == "num_sites"
         messages = result.series("msg")
         # P2 and P3 messages grow with the number of sites.
@@ -161,16 +180,54 @@ class TestMatrixSweeps:
         assert messages["P3"][-1] >= messages["P3"][0]
 
     def test_figure4_rows(self, tiny_matrix_config):
-        rows = figure4_tradeoff("pamap", tiny_matrix_config)
+        rows = table_rows(figure_sweep_epsilon("pamap", tiny_matrix_config))
         assert {"protocol", "epsilon", "err", "msg"} <= set(rows[0])
         assert len(rows) == 3 * len(tiny_matrix_config.epsilon_grid)
 
     def test_figure67_includes_p4_and_shows_blowup(self, tiny_matrix_config):
-        results = figure67_p4_comparison("pamap", tiny_matrix_config,
-                                         epsilons=[5e-2],
-                                         site_counts=[10])
-        eps_sweep = results["err_vs_epsilon"]
+        results = figure_sweeps("figure67", replace(
+            tiny_matrix_config, dataset="pamap", epsilon_grid=[5e-2],
+            site_grid=[10]))
+        eps_sweep = results["epsilon"]
         assert "P4" in eps_sweep.protocols()
         p4_error = eps_sweep.series("err")["P4"][0]
         p2_error = eps_sweep.series("err")["P2"][0]
         assert p4_error > p2_error
+
+
+class TestFigureTable:
+    def test_one_construction_per_cell(self, tiny_hh_config, tiny_matrix_config,
+                                       monkeypatch):
+        """A cell builds the one protocol it runs - Table 1's FD and SVD too."""
+        constructed = []
+        create = figures.create
+
+        def counting_create(spec, **params):
+            constructed.append(spec)
+            return create(spec, **params)
+
+        monkeypatch.setattr(figures, "create", counting_create)
+        configs = {"hh": replace(tiny_hh_config, num_items=600),
+                   "matrix": replace(tiny_matrix_config, num_rows=200)}
+        for name, figure in FIGURES.items():
+            constructed.clear()
+            results = figure_sweeps(name, configs[figure.family])
+            cells = sum(len(result.records) for result in results.values())
+            assert len(constructed) == cells, name
+            assert cells == len(figure.labels) * sum(
+                len(result.values()) for result in results.values()), name
+
+    def test_figure_output_is_pinned(self):
+        """The hh ``msg`` columns at the CLI tests' TINY_HH sizes (NumPy + a
+        seeded RNG only, so platform-stable)."""
+        config = HeavyHitterConfig(num_items=2_000, universe_size=300,
+                                   num_sites=5, seed=2014,
+                                   epsilon_grid=[0.01, 0.05])
+        assert figure_sweeps("figure1", config)["epsilon"].series("msg") == {
+            "P1": [5504, 2479], "P2": [2701, 964],
+            "P3": [2000, 439], "P4": [1224, 553]}
+        assert figure_sweeps("figure1f", config)["beta"].series("msg") == {
+            "P1": [14000, 12433, 11802, 11694, 11683],
+            "P2": [6000, 5778, 5473, 5446, 5444],
+            "P3": [2000, 2000, 2000, 2000, 2000],
+            "P4": [2100, 2046, 1977, 1960, 1958]}

@@ -34,7 +34,6 @@ from repro.streaming.items import MatrixRowBatch, WeightedItem, WeightedItemBatc
 from repro.streaming.network import CommunicationLog, Direction, MessageKind, Network
 from repro.utils.stateio import restore_object
 from repro.wire import (
-    ARRAY_CODECS,
     WIRE_BASE_VERSION,
     WIRE_MAGIC,
     WIRE_VERSION,
@@ -44,7 +43,6 @@ from repro.wire import (
     decode_value,
     encode_state,
     encode_value,
-    encode_with_extensions,
     is_wire_data,
     pack_frame,
     recv_frame,
@@ -494,70 +492,22 @@ class TestCompressedFrames:
             unpack_frame(bytes(frame))
 
 
-class TestPackedArrayCodec:
-    """The ``_ARRAY_PACKED`` per-array section: zlib and float32 downcast."""
+class TestRetiredPackedArrayTag:
+    """Tag ``0x1B`` (per-array deflate / float32 downcast) has no writer any
+    more; frames that carry it are refused, never half-understood."""
 
-    def test_zlib_codec_is_lossless(self):
-        rng = np.random.default_rng(3)
-        arrays = {
-            "smooth": np.repeat(np.arange(64.0), 32),
-            "noisy": rng.standard_normal(100),
-            "ints": np.arange(1000, dtype=np.int32),
-        }
-        body, extended = encode_with_extensions(arrays, array_codec="zlib")
-        assert extended
-        decoded = decode_value(body)
-        for name, array in arrays.items():
-            assert decoded[name].dtype == array.dtype
-            assert np.array_equal(decoded[name], array,
-                                  equal_nan=False), name
-
-    def test_f32_codec_downcasts_float64_only(self):
-        value = {"f64": np.linspace(0.0, 1.0, 33),
-                 "i64": np.arange(10),
-                 "f32": np.float32([1.5, 2.5])}
-        decoded = decode_value(encode_value(value, array_codec="f32"))
-        # Round-trip through float32: lossy for f64 at ~1e-7 relative...
-        assert decoded["f64"].dtype == np.float64
-        assert np.array_equal(decoded["f64"],
-                              value["f64"].astype(np.float32).astype(np.float64))
-        # ...and a no-op for everything that is not float64.
-        assert np.array_equal(decoded["i64"], value["i64"])
-        assert decoded["i64"].dtype == np.int64
-        assert np.array_equal(decoded["f32"], value["f32"])
-
-    @pytest.mark.parametrize("codec", ARRAY_CODECS)
-    def test_every_codec_roundtrips_shapes_and_orders(self, codec):
-        rng = np.random.default_rng(5)
-        arrays = [np.zeros((0, 4)),
-                  rng.standard_normal((6, 5, 4)),
-                  np.asfortranarray(rng.standard_normal((8, 3)))]
-        decoded = decode_value(encode_value(arrays, array_codec=codec))
-        for original, copy in zip(arrays, decoded):
-            assert copy.shape == original.shape
-            expected = (original.astype(np.float32).astype(np.float64)
-                        if "f32" in codec else original)
-            assert np.array_equal(copy, expected)
-
-    def test_unknown_codec_rejected(self):
-        with pytest.raises(WireEncodeError, match="unknown array codec"):
-            encode_value(np.zeros(4), array_codec="lz4")
-
-    def test_packed_sections_only_stamp_v2_when_used(self):
-        # A value with no numeric arrays uses no packed sections, so the
-        # frame must stay v1 even though the codec knob was set.
-        frame = pack_frame("repro/test", {"label": "x"}, array_codec="zlib")
-        version, _ = _frame_header(frame)
-        assert version == WIRE_BASE_VERSION
-
-    def test_corrupt_packed_section_raises_wire_error(self):
-        body, extended = encode_with_extensions(np.zeros(2048),
-                                                array_codec="zlib")
-        assert extended
-        corrupted = bytearray(body)
-        corrupted[-3] ^= 0x55  # inside the deflated payload
-        with pytest.raises(WireDecodeError):
-            decode_value(bytes(corrupted))
+    def test_tag_0x1b_is_refused_by_name(self):
+        # A hand-assembled float32-packed section exactly as the last build
+        # that had the codec wrote it: tag, dtype, rank, dim, encoding byte
+        # (0x04 = f32), byte length, payload.
+        payload = np.float32([1.5, 2.5]).tobytes()
+        body = (b"\x1b" + bytes([3]) + b"<f8" + bytes([1, 2, 0x04, len(payload)])
+                + payload)
+        with pytest.raises(WireDecodeError, match="0x1B"):
+            decode_value(body)
+        frame = _rebuild_with_body(pack_frame("repro/test", None), body)
+        with pytest.raises(WireDecodeError, match="0x1B"):
+            unpack_frame(frame)
 
 
 # ---------------------------------------------- per-spec state round-trips
