@@ -38,7 +38,12 @@ string-keyed :class:`BackendSpec` pattern:
 
 The remote backends share one transport-agnostic worker protocol
 (:mod:`repro.cluster.worker_protocol`): every command and reply is a wire
-frame, so no pickle ever crosses a process or host boundary.  Backends
+frame, so no pickle ever crosses a process or host boundary.  They also
+share its parent side: :class:`RemoteShardHandle` is the one shard session
+(seq stamps, deadlines and poisoning, one decode per reply, the launch
+handshake) and :class:`RemoteBackend` the one launch loop and fan-out;
+``process``, ``shm`` and ``socket`` only add how frame bytes move, and the
+socket backend its replay log.  Backends
 resolve by name through :func:`create_backend`; registering a new
 :class:`BackendSpec` makes it reachable from
 :class:`~repro.cluster.sharded_tracker.ShardedTracker`, the CLI
@@ -54,16 +59,26 @@ import threading
 import warnings
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..obs.logging import current_trace_id
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
+from ..wire import WireDecodeError
 
 # worker_protocol only imports this module lazily (inside encode_reply), so
 # the module-level import here is cycle-free and keeps the per-message hot
 # path (one encode/decode per submitted chunk) free of repeated sys.modules
 # lookups.
-from .worker_protocol import WorkerSession, decode_reply, encode_command
+from .worker_protocol import WorkerSession, encode_command, unpack_reply
 
 __all__ = [
     "BackendError",
@@ -83,9 +98,8 @@ class BackendError(RuntimeError):
     """A backend worker failed or the backend is unusable."""
 
 
-#: Remote-shard transport telemetry, shared by the process/shm pipes and
-#: the socket backend (which imports these families rather than minting
-#: duplicates).  Labelled by shard index — bounded cardinality.
+#: Remote-shard session telemetry, recorded by :class:`RemoteShardHandle`
+#: for every transport.  Labelled by shard index — bounded cardinality.
 _CALL_SECONDS = REGISTRY.histogram(
     "repro_backend_call_seconds",
     "Round trip of one call command (send to decoded reply)",
@@ -382,7 +396,8 @@ def _process_worker_main(conn: Any) -> None:
         conn.close()
 
 
-def _decode_reply_as_backend_errors(data: bytes) -> Any:
+def _decode_reply_as_backend_errors(data: bytes
+                                    ) -> Tuple[str, Any, Optional[int]]:
     """Decode a reply frame, folding decode failures into ``BackendError``.
 
     :func:`drain_call_all` only drains past ``BackendError``; any other
@@ -390,25 +405,166 @@ def _decode_reply_as_backend_errors(data: bytes) -> Any:
     shards' replies unread and desynchronize every later call.
     """
     try:
-        return decode_reply(data)
+        return unpack_reply(data)
     except Exception as exc:
         raise BackendError(f"shard reply could not be decoded: {exc!r}") from exc
 
 
 class RemoteShardHandle:
-    """Parent-side reply discipline shared by the remote shard transports.
+    """The one parent-side shard session, over any frame transport.
 
-    Subclasses (process pipes, TCP sockets) provide ``send_command`` /
-    ``recv_reply``; the call-completion logic — and with it the rule that an
-    error reply surfaces as :class:`BackendError` chained to the remote
-    exception — lives in exactly one place.
+    Everything a remote shard's parent must get right lives here, once:
+    every ``submit`` is stamped with the monotonic seq (``sent_seq``), every
+    command is encoded with the transport's frame options and delivered,
+    ``call`` round trips are timed into ``repro_backend_call_seconds``,
+    replies are awaited under ``io_timeout`` — a missed deadline is counted
+    and **poisons** the handle, because the late reply would otherwise be
+    read as the next call's answer — and each reply is decoded exactly once,
+    its applied-seq watermark kept as ``acked_seq``.  An error reply
+    surfaces as :class:`BackendError` chained to the remote exception.
+
+    Subclasses are byte transports: they move frames over a *channel*
+    (``_send`` / ``_recv`` / ``_close_channel``), describe the peer
+    (``_peer``) and own whatever the channel needs to exist (a worker
+    process, a ring, a TLS context).  :meth:`_handshake` runs
+    ``launch → ready`` on a channel that is not yet the live one, so a
+    make-before-break handoff can fail without touching the session.  A
+    transport that can heal a lost connection hooks :meth:`_deliver` and
+    :meth:`_await_reply` (the socket backend's replay log); the default is
+    that a lost peer fails the call.
     """
 
-    def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
+    #: Extra ``encode_command`` keywords for this transport's frames
+    #: (``compress`` on sockets, ``array_sink`` on shared-memory rings).
+    _frame_options: Dict[str, Any] = {}
+
+    def __init__(self, index: int, io_timeout: Optional[float]) -> None:
+        self.index = index
+        self.io_timeout = io_timeout
+        self.channel: Any = None
+        #: Seq stamped on the last ``submit`` / applied-seq watermark of the
+        #: last reply.  Equal after a barrier; both survive a relaunch.
+        self.sent_seq = 0
+        self.acked_seq = 0
+        self._call_started: Optional[float] = None
+        self._broken: Optional[str] = None
+
+    # ------------------------------------------------------------ transport
+    def _send(self, channel: Any, frame: bytes) -> None:
+        """Ship one frame; ``OSError`` when the peer is gone."""
         raise NotImplementedError
 
-    def recv_reply(self) -> Any:
+    def _recv(self, channel: Any, timeout: Optional[float]) -> bytes:
+        """The next frame; ``TimeoutError`` after ``timeout`` seconds of
+        silence, ``EOFError``/``OSError`` when the peer is gone."""
         raise NotImplementedError
+
+    def _close_channel(self, channel: Any) -> None:
+        raise NotImplementedError
+
+    def _peer(self) -> str:
+        """The live channel's peer, for error messages."""
+        raise NotImplementedError
+
+    def _launch_hint(self, exc: BaseException) -> str:
+        """Transport-specific advice appended to a broken-handshake error."""
+        return ""
+
+    # -------------------------------------------------------------- session
+    def _handshake(self, channel: Any, launch_args: tuple,
+                   timeout: Optional[float], option: str = "io_timeout",
+                   peer: Optional[str] = None) -> None:
+        """Run ``launch → ready`` on ``channel`` (not yet the live one).
+
+        ``launch_args`` is ``(builder,)`` or ``(builder, resume_seq)``;
+        ``timeout`` is the ``option`` deadline the reply must meet; ``peer``
+        names the far end when it is not the live channel's.  Raises
+        :class:`BackendError`; the caller, which opened ``channel``, closes
+        it.
+        """
+        cause: Optional[BaseException] = None
+        try:
+            self._send(channel, encode_command(
+                "launch", None, launch_args, trace=current_trace_id(),
+                **self._frame_options))
+            status, value, _acked = unpack_reply(self._recv(channel, timeout))
+        except TimeoutError as exc:
+            cause = exc
+            failure = (f"no launch reply within the {timeout:g}s {option} "
+                       f"(hung worker?)")
+        except (EOFError, OSError, WireDecodeError) as exc:
+            cause = exc
+            failure = (f"the launch handshake broke off: {exc!r}"
+                       f"{self._launch_hint(exc)}")
+        else:
+            if status == "ready":
+                return
+            failure = repr(value)
+        raise BackendError(f"shard {self.index} failed to start on "
+                           f"{peer or self._peer()}: {failure}") from cause
+
+    def _check_usable(self) -> None:
+        if self._broken is not None:
+            raise BackendError(f"shard {self.index} is unusable: {self._broken}")
+
+    def _poison(self, reason: str,
+                cause: Optional[BaseException] = None) -> NoReturn:
+        """Make the handle unusable and raise why.
+
+        The channel stays open: only the reply direction is out of step,
+        so :meth:`stop` can still tell the worker to end.
+        """
+        self._broken = reason
+        self._call_started = None
+        raise BackendError(f"shard {self.index}: {reason}") from cause
+
+    def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
+        self._check_usable()
+        seq = None
+        if op == "submit":
+            self.sent_seq = seq = self.sent_seq + 1
+        elif op == "call" and REGISTRY.enabled:
+            self._call_started = perf_counter()
+        self._deliver(op, encode_command(op, fn, args, seq=seq,
+                                         trace=current_trace_id(),
+                                         **self._frame_options))
+
+    def _deliver(self, op: str, frame: bytes) -> None:
+        try:
+            self._send(self.channel, frame)
+        except OSError as exc:
+            raise BackendError(f"{self._peer()} is gone: {exc}") from exc
+
+    def _await_reply(self) -> Tuple[str, Any, Optional[int]]:
+        """The live channel's next reply, decoded; ``TimeoutError`` passes."""
+        try:
+            data = self._recv(self.channel, self.io_timeout)
+        except TimeoutError:
+            raise
+        except (EOFError, OSError) as exc:
+            raise BackendError(f"{self._peer()} died: {exc!r}") from exc
+        return _decode_reply_as_backend_errors(data)
+
+    def recv_reply(self) -> Tuple[str, Any]:
+        self._check_usable()
+        try:
+            status, value, acked = self._await_reply()
+        except TimeoutError as exc:
+            # No blind retry: the worker would hang identically, and its
+            # late reply must never be read as a later call's answer.
+            _DEADLINE_EXPIRIES.inc(shard=self.index)
+            self._poison(
+                f"no reply from {self._peer()} within the "
+                f"{self.io_timeout:g}s io_timeout (hung or overloaded worker; "
+                f"raise io_timeout in backend_options if the shard work is "
+                f"legitimately this slow)", exc)
+        if acked is not None:
+            self.acked_seq = acked
+        if self._call_started is not None:
+            _CALL_SECONDS.observe(perf_counter() - self._call_started,
+                                  shard=self.index)
+            self._call_started = None
+        return status, value
 
     def finish_call(self) -> Any:
         status, value = self.recv_reply()
@@ -417,6 +573,21 @@ class RemoteShardHandle:
                 value if isinstance(value, BaseException) else None
             )
         return value
+
+    def _hang_up(self, channel: Any) -> None:
+        """Tell the worker on ``channel`` to stop, if it can still be told
+        (a poisoned handle's may; a dead one's no longer matters), and
+        release the channel."""
+        try:
+            self._send(channel, encode_command("stop", None, (),
+                                               **self._frame_options))
+        except OSError:
+            pass
+        self._close_channel(channel)
+
+    def stop(self) -> None:
+        """End the session."""
+        self._hang_up(self.channel)
 
 
 def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
@@ -466,19 +637,63 @@ def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
     return results
 
 
+class RemoteBackend(EngineBackend):
+    """Shards behind :class:`RemoteShardHandle` sessions: one launch loop,
+    one fan-out.  Subclasses say how one shard's session is opened."""
+
+    @abc.abstractmethod
+    def _open_shard(self, index: int,
+                    builder: Callable[[], Any]) -> RemoteShardHandle:
+        """Start shard ``index``'s worker session (launch handshake done)."""
+
+    def _launch(self, builders: Sequence[Callable[[], Any]]) -> None:
+        self._shards: List[Any] = []
+        try:
+            for index, builder in enumerate(builders):
+                self._shards.append(self._open_shard(index, builder))
+        except BaseException:
+            self.close()
+            raise
+
+    def submit(self, shard: int, fn: Callable, *args: Any) -> None:
+        self._shards[self._check_shard(shard)].send_command("submit", fn, args)
+
+    def call(self, shard: int, fn: Callable, *args: Any) -> Any:
+        handle = self._shards[self._check_shard(shard)]
+        handle.send_command("call", fn, args)
+        return handle.finish_call()
+
+    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
+        return drain_call_all(self._shards, fn, args)
+
+    def call_all_partial(self, fn: Callable, *args: Any
+                         ) -> Tuple[List[Any], Dict[int, BackendError]]:
+        return drain_call_all(self._shards, fn, args, collect_errors=True)
+
+    def close(self) -> None:
+        for shard in getattr(self, "_shards", []):
+            shard.stop()
+        self._shards = []
+        self._num_shards = 0
+
+
 class _ProcessShard(RemoteShardHandle):
-    """Parent-side handle of one persistent worker process."""
+    """One persistent worker process: a duplex pipe and the process to reap.
+
+    ``target`` / ``target_args`` let a subclass run a different worker loop
+    on the child end of the pipe (the ``shm`` backend's ring reader).
+    """
 
     def __init__(self, index: int, builder: Callable[[], Any], context: Any,
                  io_timeout: Optional[float] = None,
-                 shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
-        self._io_timeout = None if io_timeout is None else float(io_timeout)
-        self._shutdown_timeout = float(shutdown_timeout)
-        self.index = index
-        self._call_started: Optional[float] = None
-        self.conn, child_conn = context.Pipe(duplex=True)
+                 shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT,
+                 target: Callable[..., None] = _process_worker_main,
+                 target_args: tuple = ()):
+        super().__init__(index, io_timeout)
+        self._shutdown_timeout = shutdown_timeout
+        self.channel, child_conn = context.Pipe(duplex=True)
         self.process = context.Process(
-            target=_process_worker_main, args=(child_conn,),
+            target=target, args=(child_conn, *target_args),
             name=f"repro-shard-{index}", daemon=True,
         )
         self.process.start()
@@ -487,64 +702,29 @@ class _ProcessShard(RemoteShardHandle):
         # launch must reap its own process and pipe — the parent would
         # otherwise leak one live worker per partial-create failure.
         try:
-            self.send_command("launch", None, (builder,))
-            status, value = self.recv_reply()
+            self._handshake(self.channel, (builder,), self.io_timeout)
         except BaseException:
-            self._abandon()
+            self._close_channel(self.channel)
+            self._reap()
             raise
-        if status != "ready":
-            self._abandon()
-            raise BackendError(f"shard {index} failed to start: {value!r}")
 
-    def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
-        if op == "call" and REGISTRY.enabled:
-            self._call_started = perf_counter()
-        try:
-            self.conn.send_bytes(
-                encode_command(op, fn, args, trace=current_trace_id()))
-        except (BrokenPipeError, OSError) as exc:
-            raise BackendError(
-                f"shard worker {self.process.name} is gone "
-                f"(exitcode={self.process.exitcode})"
-            ) from exc
+    def _send(self, channel: Any, frame: bytes) -> None:
+        channel.send_bytes(frame)
 
-    def recv_reply(self) -> Any:
-        if self._io_timeout is not None and not self.conn.poll(self._io_timeout):
-            self._call_started = None
-            _DEADLINE_EXPIRIES.inc(shard=self.index)
-            raise BackendError(
-                f"shard worker {self.process.name} sent no reply within the "
-                f"{self._io_timeout:g}s io_timeout "
-                f"(pid={self.process.pid}, alive={self.process.is_alive()})"
-            )
-        try:
-            data = self.conn.recv_bytes()
-        except (EOFError, OSError) as exc:
-            self._call_started = None
-            raise BackendError(
-                f"shard worker {self.process.name} died "
-                f"(exitcode={self.process.exitcode})"
-            ) from exc
-        if self._call_started is not None:
-            _CALL_SECONDS.observe(perf_counter() - self._call_started,
-                                  shard=self.index)
-            self._call_started = None
-        return _decode_reply_as_backend_errors(data)
+    def _recv(self, channel: Any, timeout: Optional[float]) -> bytes:
+        if timeout is not None and not channel.poll(timeout):
+            raise TimeoutError
+        return channel.recv_bytes()
+
+    def _close_channel(self, channel: Any) -> None:
+        channel.close()
+
+    def _peer(self) -> str:
+        return (f"shard worker {self.process.name} (pid={self.process.pid}, "
+                f"exitcode={self.process.exitcode})")
 
     def stop(self) -> None:
-        try:
-            self.send_command("stop", None, ())
-        except BackendError:
-            pass
-        self._reap()
-        self.conn.close()
-
-    def _abandon(self) -> None:
-        """Tear down a handle whose launch never completed (no stop owed)."""
-        try:
-            self.conn.close()
-        except OSError:  # pragma: no cover
-            pass
+        super().stop()
         self._reap()
 
     def _reap(self) -> None:
@@ -574,7 +754,7 @@ class _ProcessShard(RemoteShardHandle):
             self.process.join(timeout=5.0)
 
 
-class ProcessBackend(EngineBackend):
+class ProcessBackend(RemoteBackend):
     """One persistent worker process per shard.
 
     The parent ships columnar batch chunks down a duplex pipe as
@@ -582,10 +762,16 @@ class ProcessBackend(EngineBackend):
     dtype/shape/contiguous bytes); the OS pipe buffer provides natural
     backpressure when a worker falls behind.  Workers are started with
     ``fork`` where available (instant, shares the imported library) and
-    ``spawn`` otherwise.
+    ``spawn`` otherwise.  ``io_timeout`` (seconds, default none) is the
+    deadline on every reply; a shard that misses it is poisoned.
     """
 
     name = "process"
+
+    # ``RemoteBackend``'s methods unchanged, but bound on this class too: the
+    # benchmark harness patches them through ``ProcessBackend``'s own dict.
+    submit = RemoteBackend.submit
+    call_all = RemoteBackend.call_all
 
     def __init__(self, start_method: Optional[str] = None,
                  io_timeout: Optional[float] = None,
@@ -598,39 +784,11 @@ class ProcessBackend(EngineBackend):
         self._io_timeout = None if io_timeout is None else float(io_timeout)
         self._shutdown_timeout = float(shutdown_timeout)
 
-    def _launch(self, builders: Sequence[Callable[[], Any]]) -> None:
-        self._shards: List[_ProcessShard] = []
-        try:
-            for index, builder in enumerate(builders):
-                self._shards.append(
-                    _ProcessShard(index, builder, self._context,
-                                  io_timeout=self._io_timeout,
-                                  shutdown_timeout=self._shutdown_timeout)
-                )
-        except BaseException:
-            self.close()
-            raise
-
-    def submit(self, shard: int, fn: Callable, *args: Any) -> None:
-        self._shards[self._check_shard(shard)].send_command("submit", fn, args)
-
-    def call(self, shard: int, fn: Callable, *args: Any) -> Any:
-        handle = self._shards[self._check_shard(shard)]
-        handle.send_command("call", fn, args)
-        return handle.finish_call()
-
-    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
-        return drain_call_all(self._shards, fn, args)
-
-    def call_all_partial(self, fn: Callable, *args: Any
-                         ) -> Tuple[List[Any], Dict[int, BackendError]]:
-        return drain_call_all(self._shards, fn, args, collect_errors=True)
-
-    def close(self) -> None:
-        for shard in getattr(self, "_shards", []):
-            shard.stop()
-        self._shards = []
-        self._num_shards = 0
+    def _open_shard(self, index: int,
+                    builder: Callable[[], Any]) -> _ProcessShard:
+        return _ProcessShard(index, builder, self._context,
+                             io_timeout=self._io_timeout,
+                             shutdown_timeout=self._shutdown_timeout)
 
 
 # ----------------------------------------------------------------- registry

@@ -48,11 +48,10 @@ from __future__ import annotations
 import struct
 import time
 from multiprocessing import shared_memory
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Optional, Tuple
 
 import numpy as np
 
-from ..obs.logging import current_trace_id
 from ..obs.metrics import REGISTRY
 from ..wire import WireDecodeError
 from .backends import (
@@ -63,7 +62,7 @@ from .backends import (
     _ProcessShard,
     _register,
 )
-from .worker_protocol import WorkerSession, decode_command, encode_command
+from .worker_protocol import WorkerSession, decode_command
 
 __all__ = [
     "DEFAULT_RING_BYTES",
@@ -259,38 +258,23 @@ def _shm_worker_main(conn: Any, ring_name: str) -> None:
 
 
 class _ShmShard(_ProcessShard):
-    """Parent-side handle of one worker process plus its ring."""
+    """A :class:`_ProcessShard` whose large arrays bypass the pipe: it adds
+    the ring, the ring-reading worker loop and the codec ``array_sink``."""
 
     def __init__(self, index: int, builder: Callable[[], Any], context: Any,
                  ring_bytes: int, io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
-        self._io_timeout = None if io_timeout is None else float(io_timeout)
-        self._shutdown_timeout = float(shutdown_timeout)
-        self.index = index
-        self._call_started = None
         self._ring: Optional[ShmRing] = ShmRing(ring_bytes)
-        # A failed launch must reap its own process, pipe AND ring — this
-        # handle is not yet registered with the backend, so nothing else
-        # can (the satellite of the partial-create leak fix).
+        self._frame_options = {"array_sink": self._sink}
+        # A failed launch must release the ring too — this handle is not
+        # yet registered with the backend, so nothing else can.
         try:
-            self.conn, child_conn = context.Pipe(duplex=True)
-            self.process = context.Process(
-                target=_shm_worker_main, args=(child_conn, self._ring.name),
-                name=f"repro-shard-{index}", daemon=True,
-            )
-            self.process.start()
-            child_conn.close()
-            self.send_command("launch", None, (builder,))
-            status, value = self.recv_reply()
+            super().__init__(index, builder, context, io_timeout,
+                             shutdown_timeout, target=_shm_worker_main,
+                             target_args=(self._ring.name,))
         except BaseException:
-            if hasattr(self, "process"):
-                self._abandon()
             self._destroy_ring()
             raise
-        if status != "ready":
-            self._abandon()
-            self._destroy_ring()
-            raise BackendError(f"shard {index} failed to start: {value!r}")
 
     def _sink(self, array: np.ndarray) -> Optional[Tuple[int, int]]:
         """Codec ``array_sink``: divert one array through the ring, or
@@ -301,19 +285,6 @@ class _ShmShard(_ProcessShard):
         start = self._ring.reserve(length, self.process.is_alive)
         self._ring.write(start, memoryview(array).cast("B"))
         return (start, length)
-
-    def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
-        if op == "call" and REGISTRY.enabled:
-            self._call_started = time.perf_counter()
-        try:
-            self.conn.send_bytes(
-                encode_command(op, fn, args, array_sink=self._sink,
-                               trace=current_trace_id()))
-        except (BrokenPipeError, OSError) as exc:
-            raise BackendError(
-                f"shard worker {self.process.name} is gone "
-                f"(exitcode={self.process.exitcode})"
-            ) from exc
 
     def _destroy_ring(self) -> None:
         if self._ring is not None:
@@ -362,18 +333,10 @@ class ShmProcessBackend(ProcessBackend):
             )
         self._ring_bytes = int(ring_bytes)
 
-    def _launch(self, builders: Sequence[Callable[[], Any]]) -> None:
-        self._shards: List[_ShmShard] = []
-        try:
-            for index, builder in enumerate(builders):
-                self._shards.append(
-                    _ShmShard(index, builder, self._context, self._ring_bytes,
-                              io_timeout=self._io_timeout,
-                              shutdown_timeout=self._shutdown_timeout)
-                )
-        except BaseException:
-            self.close()
-            raise
+    def _open_shard(self, index: int, builder: Callable[[], Any]) -> _ShmShard:
+        return _ShmShard(index, builder, self._context, self._ring_bytes,
+                         io_timeout=self._io_timeout,
+                         shutdown_timeout=self._shutdown_timeout)
 
 
 _register(BackendSpec(

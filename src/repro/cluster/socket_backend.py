@@ -27,19 +27,19 @@ execution are bit-identical for every registered protocol spec (answers,
 message accounting, seeded draws) — the equivalence suite pins this on a
 localhost loop.
 
-**Fault tolerance.**  Every socket I/O runs under a deadline (``io_timeout``
-for established sessions, ``connect_timeout`` for connect *and* the launch
-handshake), so a hung worker surfaces as a :class:`BackendError` naming the
-shard and the deadline instead of blocking forever.  Each shard handle
-keeps a bounded replay log of its submitted-but-possibly-unacknowledged
-command frames (every submit is stamped with a monotonic sequence number;
-workers drop duplicates), plus a periodic state snapshot once the log
-exceeds ``replay_log_bytes`` — a transient worker death or TCP reset is
-healed by reconnecting (to the same address, or a standby from
-``spare_addresses``), restoring the snapshot, and replaying the log
-bit-identically.  Deadline expiry is *not* retried: reconnecting to a hung
-worker would just hang again, so timeouts poison the shard handle and
-surface immediately.
+**Fault tolerance.**  The session discipline — seq-stamped submits, the
+``io_timeout`` reply deadline that poisons the shard on expiry, one decode
+per reply — is :class:`~repro.cluster.backends.RemoteShardHandle`'s, shared
+with the pipe backends.  This module adds what TCP needs: every socket I/O,
+sends included, runs under a deadline (``io_timeout`` for established
+sessions, ``connect_timeout`` for connect *and* the launch handshake), and
+each shard handle keeps a bounded replay log of its submit frames (workers
+drop duplicate seqs), plus a periodic state snapshot once the log exceeds
+``replay_log_bytes`` — a transient worker death or TCP reset is healed by
+reconnecting (to the same address, or a standby from ``spare_addresses``),
+restoring the snapshot, and replaying the log bit-identically.  Deadline
+expiry is *not* retried: reconnecting to a hung worker would just hang
+again.
 
 **Elastic membership.**  :meth:`SocketBackend.add_worker` /
 :meth:`~SocketBackend.remove_worker` / :meth:`~SocketBackend.move_shard`
@@ -66,11 +66,13 @@ import socket
 import ssl
 import threading
 import time
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
     Dict,
     List,
+    NoReturn,
     Optional,
     Sequence,
     Set,
@@ -81,29 +83,23 @@ from typing import (
 from ..wire import (
     WireDecodeError,
     pack_frame,
-    peek_kind,
     recv_frame,
     send_frame,
     unpack_frame,
 )
-from ..obs.logging import current_trace_id, get_logger
+from ..obs.logging import get_logger
 from ..obs.metrics import REGISTRY
 from .backends import (
     BackendError,
     BackendSpec,
-    EngineBackend,
+    RemoteBackend,
     RemoteShardHandle,
-    _CALL_SECONDS,
-    _DEADLINE_EXPIRIES,
-    _decode_reply_as_backend_errors,
     _register,
-    drain_call_all,
 )
 from .worker_protocol import (
     WorkerSession,
-    decode_reply,
-    encode_command,
     encode_reply,
+    unpack_reply,
 )
 
 __all__ = [
@@ -239,10 +235,7 @@ def _addr(address: Tuple[str, int]) -> str:
 _LOG = get_logger("repro.cluster")
 
 #: Fault-tolerance telemetry, labelled by shard index.  Recovery events
-#: are rare by construction, so these counters sit on cold paths; only
-#: the per-call round-trip histogram (shared ``repro_backend_call_seconds``
-#: family from :mod:`repro.cluster.backends`) touches the steady state,
-#: and it is guarded by the registry's enabled flag.
+#: are rare by construction, so these counters sit on cold paths.
 _RECONNECTS = REGISTRY.counter(
     "repro_backend_reconnects_total",
     "Successful shard connection recoveries (incl. failover/evacuate)",
@@ -263,246 +256,185 @@ _HANDOFFS = REGISTRY.counter(
     labels=("shard",))
 
 
+@dataclass
+class _SocketOptions:
+    """The :class:`SocketBackend` options every shard session reads —
+    normalised once, shared by reference (``remove_worker`` prunes
+    ``spares`` for all shards at once)."""
+
+    connect_timeout: float
+    compress: bool
+    io_timeout: Optional[float]
+    spares: List[Tuple[str, int]]
+    reconnect_attempts: int
+    reconnect_backoff: float
+    replay_log_bytes: int
+    ssl_context: Optional[ssl.SSLContext]
+    auth_token: Optional[str]
+
+
 class _SocketShard(RemoteShardHandle):
     """Parent-side handle of one shard session on a remote worker.
 
-    The handle owns the shard's fault-tolerance state: the monotonic submit
-    sequence counter, the bounded replay log of unacknowledged submit
-    frames, the latest ``(seq, state-frame)`` snapshot, and the in-flight
-    call frame (re-sent after a reconnect — calls are read-only by the
-    backend contract, so re-executing one is safe).  A deadline expiry
-    poisons the handle (``_broken``); connection loss and corrupt replies
-    trigger bounded recovery instead.
+    On top of the shared session it is a TCP (+TLS/auth) byte transport and
+    owns the shard's fault-tolerance state: the bounded replay log of
+    submit frames, the latest ``(seq, state-frame)`` snapshot, and the
+    in-flight call frame (re-sent after a reconnect — calls are read-only
+    by the backend contract, so re-executing one is safe).  A deadline
+    expiry poisons the handle; connection loss and corrupt replies trigger
+    bounded recovery instead.
     """
 
     def __init__(self, index: int, address: Tuple[str, int],
-                 builder: Callable[[], Any], connect_timeout: float,
-                 compress: bool = False,
-                 io_timeout: Optional[float] = DEFAULT_IO_TIMEOUT,
-                 spare_addresses: Sequence[Tuple[str, int]] = (),
-                 reconnect_attempts: int = 3,
-                 reconnect_backoff: float = 0.2,
-                 replay_log_bytes: int = DEFAULT_REPLAY_LOG_BYTES,
-                 ssl_context: Optional[ssl.SSLContext] = None,
-                 auth_token: Optional[str] = None):
-        self.index = index
+                 builder: Callable[[], Any], options: _SocketOptions):
+        super().__init__(index, options.io_timeout)
         self.address = address
-        self.compress = compress
-        self._ssl_context = ssl_context
-        self._auth_token = auth_token
-        self._connect_timeout = float(connect_timeout)
-        self._io_timeout = None if io_timeout is None else float(io_timeout)
-        self._spares: List[Tuple[str, int]] = list(spare_addresses)
-        self._reconnect_attempts = max(1, int(reconnect_attempts))
-        self._reconnect_backoff = float(reconnect_backoff)
-        self._replay_log_bytes = int(replay_log_bytes)
+        self._options = options
+        self._frame_options = {"compress": options.compress}
         self._builder = builder
-        self._next_seq = 0
         self._log: List[Tuple[int, bytes]] = []
         self._log_bytes = 0
         self._snapshot: Optional[Tuple[int, bytes]] = None
         self._inflight: Optional[bytes] = None
-        self._call_started: Optional[float] = None
-        self._broken: Optional[str] = None
         self.recoveries = 0
         # The initial launch is deliberately fail-fast: an unreachable or
         # stalling worker at create() time is a configuration error the
         # caller should see immediately, not something to retry around.
-        self.sock = self._connect_and_launch(address, builder, None)
+        self.channel = self._open_channel(address, builder, None)
 
-    # ----------------------------------------------------------- connection
-    def _connect_and_launch(self, address: Tuple[str, int],
-                            builder: Any,
-                            resume_seq: Optional[int]) -> socket.socket:
-        """Connect and complete the launch handshake, under deadline.
+    # ------------------------------------------------------------ transport
+    def _send(self, channel: socket.socket, frame: bytes) -> None:
+        send_frame(channel, frame)
 
-        ``resume_seq=None`` is a fresh launch (``(builder,)`` args — byte
-        identical to the pre-recovery protocol); an integer is a
-        recovery/handoff relaunch that primes the worker's applied-seq
-        counter.  The connect timeout stays armed through the whole
-        handshake — TCP connect, TLS wrap, auth challenge-response, and the
-        launch reply: a worker that accepts and then never replies ``ready``
-        must fail ``create()`` within the deadline, not hang it forever.
-        Because recovery and handoff relaunches come through here too, a
-        healed connection re-runs TLS and auth before any replay frame.
-        Any failure closes the socket (the session is not yet registered
-        anywhere else) and raises :class:`BackendError`.
-        """
-        try:
-            sock = socket.create_connection(address,
-                                            timeout=self._connect_timeout)
-        except OSError as exc:
-            raise BackendError(
-                f"cannot reach worker {_addr(address)} for shard "
-                f"{self.index}: {exc}"
-            ) from exc
-        # Small frames should not wait for Nagle.
-        try:
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        except OSError:  # pragma: no cover - exotic socket families
-            pass
-        if self._ssl_context is not None:
-            try:
-                sock = self._ssl_context.wrap_socket(
-                    sock, server_hostname=address[0])
-            except (OSError, ssl.SSLError) as exc:
-                # SSLError subclasses OSError; both land here.  Covers an
-                # expired/untrusted certificate on either side, a mutual-TLS
-                # worker rejecting our client cert, and a plaintext worker
-                # answering the ClientHello with garbage.
-                sock.close()
-                raise BackendError(
-                    f"TLS handshake with worker {_addr(address)} failed for "
-                    f"shard {self.index}: {exc} (check the worker's "
-                    f"--tls-cert/--tls-key/--tls-ca against this backend's "
-                    f"tls_ca/tls_cert/tls_key options)"
-                ) from exc
-        if self._auth_token is not None:
-            self._authenticate(sock, address)
-        args = (builder,) if resume_seq is None else (builder, int(resume_seq))
-        try:
-            send_frame(sock, encode_command("launch", None, args,
-                                            compress=self.compress))
-            reply = recv_frame(sock)
-        except socket.timeout as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} accepted shard {self.index}'s "
-                f"connection but sent no launch reply within the "
-                f"{self._connect_timeout:g}s connect_timeout (hung worker?)"
-            ) from exc
-        except (EOFError, ConnectionError, OSError) as exc:
-            sock.close()
-            hint = ""
-            if self._ssl_context is None:
-                hint = (" — if the worker listens with --tls-cert, this "
-                        "backend must enable TLS too (tls_ca in "
-                        "backend_options)")
-            raise BackendError(
-                f"worker {_addr(address)} dropped shard {self.index}'s "
-                f"connection during the launch handshake: {exc}{hint}"
-            ) from exc
-        except WireDecodeError as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} sent shard {self.index} a corrupt "
-                f"launch reply: {exc}"
-            ) from exc
-        except BaseException:
-            sock.close()
-            raise
-        if peek_kind(reply) == AUTH_CHALLENGE_KIND:
-            # The worker demands authentication we are not configured for.
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} requires authentication but shard "
-                f"{self.index} has no auth_token; pass "
-                f"backend_options={{'auth_token': ...}} matching the "
-                f"worker's --auth-token"
-            )
-        try:
-            status, value = _decode_reply_as_backend_errors(reply)
-        except WireDecodeError as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} sent shard {self.index} a corrupt "
-                f"launch reply: {exc}"
-            ) from exc
-        if status != "ready":
-            sock.close()
-            raise BackendError(
-                f"shard {self.index} failed to start on "
-                f"{_addr(address)}: {value!r}"
-            )
-        sock.settimeout(self._io_timeout)
-        return sock
+    def _recv(self, channel: socket.socket, timeout: Optional[float]) -> bytes:
+        # The socket carries its deadline itself, sends included:
+        # ``_open_channel`` arms ``connect_timeout`` through the handshake
+        # and ``io_timeout`` after it.
+        return recv_frame(channel)
 
-    def _authenticate(self, sock: socket.socket,
-                      address: Tuple[str, int]) -> None:
-        """Answer the worker's HMAC challenge (parent side of the handshake)."""
+    def _close_channel(self, channel: socket.socket) -> None:
         try:
-            challenge = recv_frame(sock)
-        except socket.timeout as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} sent shard {self.index} no auth "
-                f"challenge within the {self._connect_timeout:g}s "
-                f"connect_timeout — an auth_token is configured here but "
-                f"the worker does not appear to run with --auth-token "
-                f"(or the TLS settings disagree: a --tls-cert worker needs "
-                f"tls_ca in backend_options)"
-            ) from exc
-        except (EOFError, ConnectionError, OSError) as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} dropped shard {self.index}'s "
-                f"connection before the auth challenge: {exc}"
-            ) from exc
-        try:
-            _kind, nonce = unpack_frame(challenge,
-                                        expected_kind=AUTH_CHALLENGE_KIND)
-        except WireDecodeError as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} sent shard {self.index} an "
-                f"unexpected frame instead of an auth challenge "
-                f"(worker not running with --auth-token?): {exc}"
-            ) from exc
-        try:
-            send_frame(sock, pack_frame(
-                AUTH_RESPONSE_KIND,
-                _auth_mac(self._auth_token, bytes(nonce))))
-        except OSError as exc:
-            sock.close()
-            raise BackendError(
-                f"worker {_addr(address)} dropped shard {self.index}'s "
-                f"auth response: {exc}"
-            ) from exc
-
-    def _poison(self, reason: str) -> None:
-        self._broken = reason
-        self._call_started = None
-        try:
-            self.sock.close()
+            channel.close()
         except OSError:  # pragma: no cover
             pass
 
-    def _check_usable(self) -> None:
-        if self._broken is not None:
+    def _peer(self) -> str:
+        return f"worker {_addr(self.address)}"
+
+    def _launch_hint(self, exc: BaseException) -> str:
+        if AUTH_CHALLENGE_KIND in str(exc):
+            return (" — the worker requires authentication but this backend "
+                    "has no auth_token; pass backend_options={'auth_token': "
+                    "...} matching the worker's --auth-token")
+        if self._options.ssl_context is None:
+            return (" — if the worker listens with --tls-cert, this backend "
+                    "must enable TLS too (tls_ca in backend_options)")
+        return ""
+
+    def _poison(self, reason: str,
+                cause: Optional[BaseException] = None) -> NoReturn:
+        # Hang up now: a peer that is not draining would stall stop()'s
+        # send for another io_timeout.
+        self._close_channel(self.channel)
+        super()._poison(reason, cause)
+
+    # ----------------------------------------------------------- connection
+    def _open_channel(self, address: Tuple[str, int], builder: Any,
+                      resume_seq: Optional[int]) -> socket.socket:
+        """Connect to ``address`` and complete the launch handshake there.
+
+        ``resume_seq=None`` is a fresh launch (``(builder,)`` args); an
+        integer is a recovery/handoff relaunch that primes the worker's
+        applied-seq counter.  The connect timeout stays armed through the
+        whole handshake — TCP connect, TLS wrap, auth challenge-response,
+        and the launch reply: a worker that accepts and then never replies
+        ``ready`` must fail ``create()`` within the deadline, not hang it
+        forever.  Because recovery and handoff relaunches come through here
+        too, a healed connection re-runs TLS and auth before any replay
+        frame.  Any failure closes the socket (the session is not yet
+        registered anywhere else) and raises :class:`BackendError`.
+        """
+        options = self._options
+        peer = f"worker {_addr(address)}"
+        args = (builder,) if resume_seq is None else (builder, int(resume_seq))
+        try:
+            sock = socket.create_connection(address,
+                                            timeout=options.connect_timeout)
+        except OSError as exc:
             raise BackendError(
-                f"shard {self.index} is unusable: {self._broken}"
-            )
+                f"cannot reach {peer} for shard {self.index}: {exc}"
+            ) from exc
+        try:
+            # Small frames should not wait for Nagle.
+            try:
+                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            except OSError:  # pragma: no cover - exotic socket families
+                pass
+            if options.ssl_context is not None:
+                try:
+                    sock = options.ssl_context.wrap_socket(
+                        sock, server_hostname=address[0])
+                except OSError as exc:
+                    # SSLError subclasses OSError.  Covers an expired or
+                    # untrusted certificate on either side, a mutual-TLS
+                    # worker rejecting our client cert, and a plaintext
+                    # worker answering the ClientHello with garbage.
+                    raise BackendError(
+                        f"TLS handshake with {peer} failed for shard "
+                        f"{self.index}: {exc} (check the worker's "
+                        f"--tls-cert/--tls-key/--tls-ca against this "
+                        f"backend's tls_ca/tls_cert/tls_key options)"
+                    ) from exc
+            if options.auth_token is not None:
+                self._authenticate(sock, peer)
+            self._handshake(sock, args, options.connect_timeout,
+                            "connect_timeout", peer)
+        except BaseException:
+            sock.close()
+            raise
+        sock.settimeout(self.io_timeout)
+        return sock
+
+    def _authenticate(self, sock: socket.socket, peer: str) -> None:
+        """Answer the worker's HMAC challenge (parent side of the handshake)."""
+        try:
+            _kind, nonce = unpack_frame(recv_frame(sock),
+                                        expected_kind=AUTH_CHALLENGE_KIND)
+            send_frame(sock, pack_frame(
+                AUTH_RESPONSE_KIND,
+                _auth_mac(self._options.auth_token, bytes(nonce))))
+        except TimeoutError as exc:
+            raise BackendError(
+                f"{peer} sent shard {self.index} no auth challenge within "
+                f"the {self._options.connect_timeout:g}s connect_timeout — "
+                f"an auth_token is configured here but the worker does not "
+                f"appear to run with --auth-token (or the TLS settings "
+                f"disagree: a --tls-cert worker needs tls_ca in "
+                f"backend_options)"
+            ) from exc
+        except (EOFError, OSError) as exc:
+            raise BackendError(
+                f"{peer} dropped shard {self.index}'s connection during the "
+                f"auth challenge: {exc}"
+            ) from exc
+        except WireDecodeError as exc:
+            raise BackendError(
+                f"{peer} sent shard {self.index} an unexpected frame instead "
+                f"of an auth challenge (worker not running with "
+                f"--auth-token?): {exc}"
+            ) from exc
 
     # ------------------------------------------------------------- commands
-    def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
-        self._check_usable()
+    def _deliver(self, op: str, frame: bytes) -> None:
         if op == "submit":
-            self._next_seq += 1
-            frame = encode_command(op, fn, args, seq=self._next_seq,
-                                   trace=current_trace_id(),
-                                   compress=self.compress)
-            self._log.append((self._next_seq, frame))
+            self._log.append((self.sent_seq, frame))
             self._log_bytes += len(frame)
             self._send_resilient(frame)
-            if self._log_bytes > self._replay_log_bytes:
+            if self._log_bytes > self._options.replay_log_bytes:
                 self._sync_snapshot()
-        elif op == "call":
-            frame = encode_command(op, fn, args, trace=current_trace_id(),
-                                   compress=self.compress)
-            if REGISTRY.enabled:
-                self._call_started = time.perf_counter()
+        else:  # a call: re-sent after a reconnect until its reply is read
             self._inflight = frame
             self._send_resilient(frame)
-        else:
-            # stop (and any future fire-and-forget op): not replayable, not
-            # worth recovering a connection for.
-            try:
-                send_frame(self.sock, encode_command(op, fn, args,
-                                                     compress=self.compress))
-            except OSError as exc:
-                raise BackendError(
-                    f"worker {_addr(self.address)} is gone: {exc}"
-                ) from exc
 
     def _send_resilient(self, frame: bytes) -> None:
         """Ship one logged/in-flight frame, recovering the connection once.
@@ -512,65 +444,37 @@ class _SocketShard(RemoteShardHandle):
         re-delivers it via replay — nothing further to do here.
         """
         try:
-            send_frame(self.sock, frame)
-        except socket.timeout as exc:
+            self._send(self.channel, frame)
+        except TimeoutError as exc:
             # The peer stopped draining: its receive path is wedged, so a
             # reconnect would wedge identically.  Deadline discipline says
             # fail loudly now.
-            reason = (
-                f"send to worker {_addr(self.address)} stalled past the "
-                f"{self._io_timeout:g}s io_timeout (worker not draining)"
-            )
-            self._poison(reason)
-            raise BackendError(f"shard {self.index}: {reason}") from exc
+            self._poison(
+                f"send to {self._peer()} stalled past the "
+                f"{self.io_timeout:g}s io_timeout (worker not draining)", exc)
         except OSError as exc:
             self._recover(f"connection lost mid-send: {exc}")
 
-    def recv_reply(self) -> Any:
-        self._check_usable()
+    def _await_reply(self) -> Tuple[str, Any, Optional[int]]:
         failures = 0
         while True:
             try:
-                reply = decode_reply(recv_frame(self.sock))
-            except socket.timeout as exc:
-                _DEADLINE_EXPIRIES.inc(shard=self.index)
-                reason = (
-                    f"no reply from worker {_addr(self.address)} within the "
-                    f"{self._io_timeout:g}s io_timeout (hung or overloaded "
-                    f"worker; raise io_timeout in backend_options if the "
-                    f"shard work is legitimately this slow)"
-                )
-                self._poison(reason)
-                raise BackendError(f"shard {self.index}: {reason}") from exc
-            except (EOFError, ConnectionError, OSError) as exc:
+                reply = unpack_reply(self._recv(self.channel, self.io_timeout))
+            except TimeoutError:
+                raise
+            except (EOFError, OSError, WireDecodeError) as exc:
+                # A torn or corrupted reply means the stream framing can no
+                # longer be trusted, so it is treated like a connection
+                # loss — reconnect, restore, replay, re-ask.
+                cause = ("corrupt reply frame"
+                         if isinstance(exc, WireDecodeError)
+                         else "connection lost mid-call")
                 failures += 1
-                if failures > self._reconnect_attempts:
-                    reason = f"connection lost mid-call and kept failing: {exc}"
-                    self._poison(reason)
-                    raise BackendError(
-                        f"shard {self.index}: {reason}"
-                    ) from exc
-                self._recover(f"connection lost mid-call: {exc}")
-                continue
-            except WireDecodeError as exc:
-                # A torn or corrupted reply: the stream framing can no
-                # longer be trusted, so treat it like a connection loss —
-                # reconnect, restore, replay, re-ask.
-                failures += 1
-                if failures > self._reconnect_attempts:
-                    reason = f"kept sending corrupt reply frames: {exc}"
-                    self._poison(reason)
-                    raise BackendError(
-                        f"shard {self.index}: worker {_addr(self.address)} "
-                        f"{reason}"
-                    ) from exc
-                self._recover(f"corrupt reply frame: {exc}")
+                if failures > self._options.reconnect_attempts:
+                    self._poison(f"{cause} and kept failing: {exc}", exc)
+                self._recover(f"{cause}: {exc}")
                 continue
             self._inflight = None
-            if self._call_started is not None:
-                _CALL_SECONDS.observe(time.perf_counter() - self._call_started,
-                                      shard=self.index)
-                self._call_started = None
             return reply
 
     # ------------------------------------------------------------- recovery
@@ -583,64 +487,56 @@ class _SocketShard(RemoteShardHandle):
         bit-identical to an uninterrupted run (snapshot restore + idempotent
         sequenced replay); on exhaustion the handle is poisoned.
         """
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._close_channel(self.channel)
+        options = self._options
         candidates = [self.address] + [
-            spare for spare in self._spares if spare != self.address
+            spare for spare in options.spares if spare != self.address
         ]
         last_error: Optional[BaseException] = None
-        for attempt in range(self._reconnect_attempts):
+        for attempt in range(options.reconnect_attempts):
             for candidate in candidates:
                 if attempt:
-                    time.sleep(self._reconnect_backoff * attempt)
+                    time.sleep(options.reconnect_backoff * attempt)
                 try:
                     self._relaunch_on(candidate)
                 except BackendError as exc:
                     last_error = exc
                     continue
-                self.address = candidate
                 self.recoveries += 1
                 _RECONNECTS.inc(shard=self.index)
                 _LOG.info("shard connection recovered",
                           extra={"shard": self.index, "cause": cause,
                                  "address": _addr(candidate)})
                 return
-        reason = (
-            f"{cause}; recovery exhausted {self._reconnect_attempts} "
+        self._poison(
+            f"{cause}; recovery exhausted {options.reconnect_attempts} "
             f"attempt(s) across {len(candidates)} worker(s) "
-            f"({', '.join(_addr(c) for c in candidates)})"
-        )
-        self._poison(reason)
-        raise BackendError(f"shard {self.index}: {reason}") from last_error
+            f"({', '.join(_addr(c) for c in candidates)})", last_error)
+
+    def _restore_builder(self) -> Tuple[int, Any]:
+        """``(resume_seq, builder)`` that rebuilds the shard elsewhere: the
+        last snapshot, or the original builder when none was taken."""
+        if self._snapshot is None:
+            return 0, self._builder
+        from .sharded_tracker import _RestoreShardBuilder
+
+        snap_seq, payload = self._snapshot
+        return snap_seq, _RestoreShardBuilder(payload=payload, index=self.index)
 
     def _relaunch_on(self, address: Tuple[str, int]) -> None:
         """Start a fresh session on ``address`` and bring it up to date.
 
-        The new worker gets the last snapshot (or the original builder when
-        none was taken), primed with the snapshot's sequence number; then
+        The new worker is primed with the snapshot's sequence number; then
         every logged submit frame is replayed byte-for-byte — the worker
         drops any it already applied — and the in-flight call frame, if
         any, is re-sent so the pending ``recv_reply`` finds its answer.
         """
-        if self._snapshot is not None:
-            snap_seq, payload = self._snapshot
-            from .sharded_tracker import _RestoreShardBuilder
-
-            builder: Any = _RestoreShardBuilder(payload=payload,
-                                                index=self.index)
-        else:
-            snap_seq, builder = 0, self._builder
-        sock = self._connect_and_launch(address, builder, snap_seq)
-        replayed_frames = 0
-        replayed_bytes = 0
+        snap_seq, builder = self._restore_builder()
+        sock = self._open_channel(address, builder, snap_seq)
+        replay = [frame for seq, frame in self._log if seq > snap_seq]
         try:
-            for seq, frame in self._log:
-                if seq > snap_seq:
-                    send_frame(sock, frame)
-                    replayed_frames += 1
-                    replayed_bytes += len(frame)
+            for frame in replay:
+                send_frame(sock, frame)
             if self._inflight is not None:
                 send_frame(sock, self._inflight)
         except OSError as exc:
@@ -649,32 +545,24 @@ class _SocketShard(RemoteShardHandle):
                 f"worker {_addr(address)} dropped shard {self.index}'s "
                 f"replay: {exc}"
             ) from exc
-        if replayed_frames:
-            _REPLAY_FRAMES.inc(replayed_frames, shard=self.index)
-            _REPLAY_BYTES.inc(replayed_bytes, shard=self.index)
-        self.sock = sock
+        if replay:
+            _REPLAY_FRAMES.inc(len(replay), shard=self.index)
+            _REPLAY_BYTES.inc(sum(map(len, replay)), shard=self.index)
+        self.channel, self.address = sock, address
 
     def _sync_snapshot(self) -> None:
         """Snapshot the shard's state and trim the replay log.
 
         One round trip: a ``call`` of :func:`_shard_state_frame`, sequenced
         after every logged submit (per-shard FIFO), so the returned frame
-        reflects exactly the submits up to ``_next_seq``.  Note this call —
+        reflects exactly the submits up to ``sent_seq``.  Note this call —
         like any call — surfaces a deferred submit error; with the default
         16 MiB log budget that only shifts *where* a failed submit is
         reported, never whether.
         """
-        seq_at = self._next_seq
-        frame = encode_command("call", _shard_state_frame, (),
-                               compress=self.compress)
-        self._inflight = frame
-        self._send_resilient(frame)
-        status, value = self.recv_reply()
-        if status == "error":
-            raise BackendError(
-                f"shard {self.index} failed while snapshotting: {value!r}"
-            ) from (value if isinstance(value, BaseException) else None)
-        self._snapshot = (seq_at, value)
+        seq_at = self.sent_seq
+        self.send_command("call", _shard_state_frame, ())
+        self._snapshot = (seq_at, self.finish_call())
         self._log = []
         self._log_bytes = 0
         _SNAPSHOT_TRIMS.inc(shard=self.index)
@@ -691,26 +579,14 @@ class _SocketShard(RemoteShardHandle):
         """
         self._check_usable()
         self._sync_snapshot()
-        snap_seq, payload = self._snapshot  # type: ignore[misc]
-        from .sharded_tracker import _RestoreShardBuilder
-
-        new_sock = self._connect_and_launch(
-            address, _RestoreShardBuilder(payload=payload, index=self.index),
-            snap_seq)
-        old_sock = self.sock
-        self.sock, self.address = new_sock, address
+        snap_seq, builder = self._restore_builder()
+        new_sock = self._open_channel(address, builder, snap_seq)
+        old_sock = self.channel
+        self.channel, self.address = new_sock, address
         _HANDOFFS.inc(shard=self.index)
         _LOG.info("shard relocated",
                   extra={"shard": self.index, "address": _addr(address)})
-        try:
-            send_frame(old_sock, encode_command("stop", None, (),
-                                                compress=self.compress))
-        except OSError:  # the old worker dying now no longer matters
-            pass
-        try:
-            old_sock.close()
-        except OSError:  # pragma: no cover
-            pass
+        self._hang_up(old_sock)
 
     def evacuate(self, address: Tuple[str, int]) -> None:
         """Move this shard to ``address`` even if its current worker is dead.
@@ -725,37 +601,17 @@ class _SocketShard(RemoteShardHandle):
             return
         except BackendError:
             pass
-        try:
-            self.sock.close()
-        except OSError:
-            pass
+        self._close_channel(self.channel)
         self._broken = None
         self._relaunch_on(address)
-        self.address = address
         self.recoveries += 1
         _RECONNECTS.inc(shard=self.index)
         _HANDOFFS.inc(shard=self.index)
         _LOG.info("shard evacuated",
                   extra={"shard": self.index, "address": _addr(address)})
 
-    # ------------------------------------------------------------ lifecycle
-    def close(self) -> None:
-        try:
-            self.sock.close()
-        except OSError:  # pragma: no cover
-            pass
 
-    def stop(self) -> None:
-        if self._broken is None:
-            try:
-                send_frame(self.sock, encode_command("stop", None, (),
-                                                     compress=self.compress))
-            except OSError:
-                pass
-        self.close()
-
-
-class SocketBackend(EngineBackend):
+class SocketBackend(RemoteBackend):
     """Shards live in ``repro worker`` processes reached over TCP.
 
     Parameters
@@ -784,8 +640,8 @@ class SocketBackend(EngineBackend):
         Bounded-recovery knobs: rounds of reconnection per failure and the
         deterministic linear backoff (seconds) between rounds.
     replay_log_bytes:
-        Per-shard budget for the replay log of unacknowledged submit
-        frames; exceeding it triggers a state snapshot that trims the log.
+        Per-shard budget for the replay log of submit frames; exceeding it
+        triggers a state snapshot that trims the log.
     tls_ca / tls_cert / tls_key:
         Enable TLS to the workers: ``tls_ca`` is the CA bundle that must
         have signed the workers' ``--tls-cert`` (hostname-checked);
@@ -828,55 +684,28 @@ class SocketBackend(EngineBackend):
                 "or choose another backend"
             )
         self._addresses = parse_address_list(addresses)
-        self._connect_timeout = float(connect_timeout)
-        self._compress = bool(compress)
-        self._io_timeout = None if io_timeout is None else float(io_timeout)
-        self._spares = (parse_address_list(spare_addresses)
-                        if spare_addresses else [])
-        self._reconnect_attempts = int(reconnect_attempts)
-        self._reconnect_backoff = float(reconnect_backoff)
-        self._replay_log_bytes = int(replay_log_bytes)
         if ssl_context is None and (tls_ca or tls_cert):
             ssl_context = client_ssl_context(cafile=tls_ca, certfile=tls_cert,
                                              keyfile=tls_key)
-        self._ssl_context = ssl_context
-        self._auth_token = auth_token
+        self._options = _SocketOptions(
+            connect_timeout=float(connect_timeout),
+            compress=bool(compress),
+            io_timeout=None if io_timeout is None else float(io_timeout),
+            spares=(parse_address_list(spare_addresses)
+                    if spare_addresses else []),
+            reconnect_attempts=max(1, int(reconnect_attempts)),
+            reconnect_backoff=float(reconnect_backoff),
+            replay_log_bytes=int(replay_log_bytes),
+            ssl_context=ssl_context,
+            auth_token=auth_token,
+        )
         self._placement_version = 0
 
-    def _launch(self, builders: Sequence[Callable[[], Any]]) -> None:
-        self._shards: List[_SocketShard] = []
-        try:
-            for index, builder in enumerate(builders):
-                address = self._addresses[index % len(self._addresses)]
-                self._shards.append(
-                    _SocketShard(index, address, builder,
-                                 self._connect_timeout, self._compress,
-                                 io_timeout=self._io_timeout,
-                                 spare_addresses=self._spares,
-                                 reconnect_attempts=self._reconnect_attempts,
-                                 reconnect_backoff=self._reconnect_backoff,
-                                 replay_log_bytes=self._replay_log_bytes,
-                                 ssl_context=self._ssl_context,
-                                 auth_token=self._auth_token)
-                )
-        except BaseException:
-            self.close()
-            raise
-
-    def submit(self, shard: int, fn: Callable, *args: Any) -> None:
-        self._shards[self._check_shard(shard)].send_command("submit", fn, args)
-
-    def call(self, shard: int, fn: Callable, *args: Any) -> Any:
-        handle = self._shards[self._check_shard(shard)]
-        handle.send_command("call", fn, args)
-        return handle.finish_call()
-
-    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
-        return drain_call_all(self._shards, fn, args)
-
-    def call_all_partial(self, fn: Callable, *args: Any
-                         ) -> Tuple[List[Any], Dict[int, BackendError]]:
-        return drain_call_all(self._shards, fn, args, collect_errors=True)
+    def _open_shard(self, index: int,
+                    builder: Callable[[], Any]) -> _SocketShard:
+        return _SocketShard(index,
+                            self._addresses[index % len(self._addresses)],
+                            builder, self._options)
 
     # -------------------------------------------------- elastic membership
     @property
@@ -947,17 +776,11 @@ class SocketBackend(EngineBackend):
                 shard.evacuate(remaining[len(moved) % len(remaining)])
                 moved.append(shard.index)
         self._addresses = remaining
-        for shard in self._shards:
-            shard._spares = [a for a in shard._spares if a != target]
+        self._options.spares[:] = [a for a in self._options.spares
+                                   if a != target]
         if moved:
             self._placement_version += 1
         return moved
-
-    def close(self) -> None:
-        for shard in getattr(self, "_shards", []):
-            shard.stop()
-        self._shards = []
-        self._num_shards = 0
 
 
 # ------------------------------------------------------------ worker server

@@ -26,21 +26,22 @@ wire frames too; a result the codec cannot represent degrades to an
 ``error`` reply naming the offending type (mirroring the old pickle
 backend's ``_safe_send``), never a torn frame.
 
-**Sequence numbers and idempotent replay.**  A ``submit`` command may carry
-a monotonic ``seq`` stamp (the socket backend's replay log assigns one per
-submit).  The worker remembers the highest seq it has applied and silently
-drops any sequenced submit at or below it, so a parent that reconnects
-after a transient failure can replay its unacknowledged log without ever
+**Sequence numbers and idempotent replay.**  Every remote parent session
+(:class:`~repro.cluster.backends.RemoteShardHandle`, on pipes and sockets
+alike) stamps each ``submit`` with a monotonic ``seq``.  The worker
+remembers the highest seq it has applied and silently drops any sequenced
+submit at or below it, so a parent that reconnects after a transient
+failure (the socket backend's replay log) can replay without ever
 double-applying a chunk.  Every reply carries the worker's current applied
-seq as ``acked``, giving the parent (and the fault-injection tests) a
-progress acknowledgment that rides the existing reply kind — no new frame
-vocabulary.  Unsequenced commands (every pre-existing caller) behave
-exactly as before.
+seq as ``acked``; the parent decodes each reply once (:func:`unpack_reply`)
+and keeps that watermark on the handle (``acked_seq`` beside ``sent_seq``)
+— a progress acknowledgment that rides the existing reply kind, no new
+frame vocabulary.  A hand-built frame without a ``seq`` always applies.
 
-:class:`WorkerSession` is the worker-side loop shared by
-``repro.cluster.backends`` (pipe transport) and
-``repro.cluster.socket_backend`` (TCP transport): hand it ``recv``/``send``
-callables moving raw frame bytes and it serves one shard until ``stop`` or
+:class:`WorkerSession` is the worker-side loop shared by every remote
+transport (pipes in ``repro.cluster.backends`` / ``repro.cluster.shm``, TCP
+in ``repro.cluster.socket_backend``): hand it ``recv``/``send`` callables
+moving raw frame bytes and it serves one shard until ``stop`` or
 disconnect.
 """
 
@@ -61,8 +62,8 @@ __all__ = [
     "decode_command",
     "peek_command_op",
     "encode_reply",
+    "unpack_reply",
     "decode_reply",
-    "decode_reply_acked",
     "WorkerSession",
 ]
 
@@ -156,21 +157,23 @@ def encode_reply(status: str, value: Any, acked: Optional[int] = None) -> bytes:
         return pack_frame(REPLY_KIND, body)
 
 
-def decode_reply(data: bytes) -> Tuple[str, Any]:
-    """Unpack a reply frame into ``(status, value)``."""
+def unpack_reply(data: bytes) -> Tuple[str, Any, Optional[int]]:
+    """Unpack a reply frame, once, into ``(status, value, acked)``.
+
+    ``acked`` is the applied-seq watermark the reply carries (``None`` if
+    absent).
+    """
     _, body = unpack_frame(data, expected_kind=REPLY_KIND)
     if not isinstance(body, dict) or not isinstance(body.get("status"), str):
         raise WireDecodeError("malformed worker reply body")
-    return body["status"], body.get("value")
-
-
-def decode_reply_acked(data: bytes) -> Optional[int]:
-    """The applied-seq watermark a reply frame carries (``None`` if absent)."""
-    _, body = unpack_frame(data, expected_kind=REPLY_KIND)
-    if not isinstance(body, dict):
-        raise WireDecodeError("malformed worker reply body")
     acked = body.get("acked")
-    return int(acked) if isinstance(acked, int) else None
+    return (body["status"], body.get("value"),
+            acked if isinstance(acked, int) else None)
+
+
+def decode_reply(data: bytes) -> Tuple[str, Any]:
+    """Unpack a reply frame into ``(status, value)``."""
+    return unpack_reply(data)[:2]
 
 
 class WorkerSession:

@@ -3,8 +3,7 @@
 The benchmark harness prints each figure/table of the paper as rows/series on
 stdout; these helpers keep that formatting in one place.  Nothing here is
 required for correctness — all experiment drivers also return structured data
-— but readable output makes the paper-versus-measured comparison in
-EXPERIMENTS.md auditable.
+— but readable output makes the paper-versus-measured comparison auditable.
 """
 
 from __future__ import annotations

@@ -113,6 +113,26 @@ def _cluster(spec: str, seed: int, shards: int, dimension=None,
                                  **_params(spec, seed, dimension))
 
 
+def _count_submits(cluster):
+    """Count the sub-batches ``cluster`` routes to each shard from here on."""
+    routed = [0] * cluster.num_shards
+    submit = cluster._backend.submit
+
+    def counting_submit(shard, fn, *args):
+        routed[shard] += 1
+        submit(shard, fn, *args)
+
+    cluster._backend.submit = counting_submit
+    return routed
+
+
+def _assert_watermarks(cluster, routed):
+    """After a barrier every remote handle has stamped, and had applied,
+    exactly the sub-batches routed to its shard."""
+    for handle in cluster._backend._shards:
+        assert handle.acked_seq == handle.sent_seq == routed[handle.index] > 0
+
+
 def _assert_same_answer(ours, theirs):
     assert type(ours) is type(theirs)
     assert np.array_equal(np.asarray(ours.estimate, dtype=object)
@@ -433,6 +453,22 @@ class TestBackendEquivalence:
             assert stats.per_shard == reference_stats.per_shard
             for query, expected in zip(queries, reference_answers):
                 _assert_same_answer(cluster.query(query), expected)
+
+    @pytest.mark.parametrize("backend", [
+        "process", "shm", "socket", "socket-zlib",
+    ])
+    def test_remote_handles_stamp_submits_and_record_the_watermark(
+            self, backend, worker_server):
+        _, batch, _ = hh_stream(SEEDS[0])
+        with _cluster("hh/P2", SEEDS[0], shards=2,
+                      backend=_backend_name(backend),
+                      backend_options=_backend_options(backend, worker_server),
+                      ) as cluster:
+            routed = _count_submits(cluster)
+            for start in range(0, len(batch), CHUNK):
+                cluster.push_batch(batch[start:start + CHUNK])
+            cluster.flush()
+            _assert_watermarks(cluster, routed)
 
 
 # ------------------------------------------------- cluster checkpoints
@@ -884,34 +920,46 @@ class TestDrainCallAllDiscipline:
 
 
 class TestSocketHandshakeCleanup:
-    def test_accept_then_close_worker_does_not_leak_fds(self):
+    @pytest.mark.parametrize("launch_reply", [None, b"\x00not a wire frame\xff"],
+                             ids=["accept-then-close", "garbage-launch-reply"])
+    def test_failed_launch_handshake_does_not_leak_fds(self, launch_reply):
         """A worker that accepts the TCP connection but dies before the
-        'ready' reply must not leak the parent-side socket fd."""
+        'ready' reply — or answers the launch with garbage — must not leak
+        the parent-side socket fd."""
         import os
         import socket as socket_module
         import threading
+
+        from repro.wire import recv_frame, send_frame
 
         if not os.path.isdir("/proc/self/fd"):
             pytest.skip("needs /proc to count fds")
 
         listener = socket_module.create_server(("127.0.0.1", 0))
 
-        def accept_and_drop():
-            for _ in range(6):
+        def accept_and_fail():
+            for _ in range(5):  # one per launch below, then the thread ends
                 try:
                     conn, _ = listener.accept()
                 except OSError:
                     return
+                if launch_reply is not None:
+                    recv_frame(conn)
+                    send_frame(conn, launch_reply)
                 conn.close()
 
-        thread = threading.Thread(target=accept_and_drop, daemon=True)
+        thread = threading.Thread(target=accept_and_fail, daemon=True)
         thread.start()
         address = listener.getsockname()[:2]
         before = len(os.listdir("/proc/self/fd"))
+        # Keep every traceback (and the frames' sockets) alive while
+        # counting, so only an explicit close() can release an fd.
+        failures = []
         for _ in range(5):
-            with pytest.raises(BackendError):
+            with pytest.raises(BackendError) as failure:
                 backend = create_backend("socket", addresses=[address])
                 backend.launch([_build_tiny_tracker])
+            failures.append(failure)
         after = len(os.listdir("/proc/self/fd"))
         listener.close()
         thread.join(timeout=5)

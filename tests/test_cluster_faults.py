@@ -66,14 +66,19 @@ from repro.cluster.worker_protocol import (
     WorkerSession,
     decode_command,
     decode_reply,
-    decode_reply_acked,
     encode_command,
     encode_reply,
+    unpack_reply,
 )
 from repro.wire import register_trusted_module, send_frame
 
 from test_api_state_roundtrip import CHUNK, HH_SPECS, MATRIX_SPECS, _params
-from test_cluster import _assert_same_answer, _cluster
+from test_cluster import (
+    _assert_same_answer,
+    _assert_watermarks,
+    _cluster,
+    _count_submits,
+)
 from test_protocol_equivalence_properties import SEEDS, hh_stream, matrix_stream
 
 # Shard functions and builders defined here ship through the wire transports
@@ -237,8 +242,7 @@ class TestSequencedReplayProtocol:
         session = WorkerSession(recv, replies.append,
                                 decode=lambda message: message)
         session.serve()
-        return session, [(*decode_reply(frame), decode_reply_acked(frame))
-                         for frame in replies]
+        return session, [unpack_reply(frame) for frame in replies]
 
     def test_duplicate_and_stale_sequenced_submits_are_dropped(self):
         session, replies = self._serve([
@@ -281,8 +285,8 @@ class TestSequencedReplayProtocol:
     def test_reply_frames_carry_the_acked_watermark(self):
         frame = encode_reply("ok", 41, acked=3)
         assert decode_reply(frame) == ("ok", 41)
-        assert decode_reply_acked(frame) == 3
-        assert decode_reply_acked(encode_reply("ok", 41)) is None
+        assert unpack_reply(frame) == ("ok", 41, 3)
+        assert unpack_reply(encode_reply("ok", 41)) == ("ok", 41, None)
 
 
 # -------------------------------------------------------------- deadlines
@@ -330,6 +334,30 @@ class TestDeadlines:
             with pytest.raises(BackendError, match="unusable"):
                 cluster.query(TotalWeight())
             cluster.close()
+
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_pipe_reply_past_io_timeout_poisons_the_shard(self, backend):
+        """A reply that misses the deadline must never be read as a later
+        call's answer: the pipe handle becomes unusable exactly as a socket
+        one does, and close() still reaps the worker."""
+        cluster = _cluster("hh/P2", SEEDS[0], shards=2, backend=backend,
+                           backend_options={"io_timeout": 0.4})
+        victim = cluster._backend._shards[0].process
+        cluster._backend.submit(0, _shard_sleep, 1.0)
+        with pytest.raises(BackendError, match="io_timeout"):
+            cluster.query(TotalWeight())
+        time.sleep(1.0)  # by now the worker has answered, too late
+        # Second and third call: neither may be served the late reply.
+        health = cluster.liveness()
+        assert health["0"].startswith("unreachable: ") and health["1"] == "ok"
+        with pytest.raises(BackendError, match="unusable"):
+            cluster._backend.call(0, _snapshot_list)
+        with pytest.raises(BackendError, match="unusable"):
+            cluster._backend.submit(0, _shard_sleep, 0.0)
+        answer = cluster.query(TotalWeight(), partial=True)
+        assert answer.missing_shards == (0,)
+        cluster.close()
+        assert not victim.is_alive()
 
     def test_hung_process_worker_fails_call_within_io_timeout(self):
         cluster = _cluster("hh/P2", SEEDS[0], shards=1, backend="process",
@@ -563,6 +591,26 @@ class TestElasticMembership:
             cluster.flush()
             for query, reference_answer in zip(queries, expected):
                 _assert_same_answer(cluster.query(query), reference_answer)
+            cluster.close()
+
+    def test_watermarks_continue_through_a_move_and_a_heal(self):
+        """The relaunch primes ``resume_seq`` from the snapshot, so the
+        applied-seq watermark continues rather than restarting."""
+        _, batch, _ = hh_stream(SEEDS[0])
+        with WorkerServer() as a, WorkerServer() as b:
+            cluster = _socket_cluster("hh/P2", SEEDS[0], a)
+            routed = _count_submits(cluster)
+
+            def move_then_sever():
+                cluster.move_shard(0, b.address)  # snapshots shard 0
+                a.kill_sessions()
+                b.kill_sessions()
+
+            _paced_run(cluster, batch, fault=move_then_sever)
+            shards = cluster._backend._shards
+            assert shards[0]._snapshot is not None
+            assert all(shard.recoveries >= 1 for shard in shards)
+            _assert_watermarks(cluster, routed)
             cluster.close()
 
     def test_elastic_membership_requires_the_socket_backend(self):
