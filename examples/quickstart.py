@@ -12,7 +12,7 @@ synthetic workloads, entirely through the ``repro.api`` facade:
    item stream; the coordinator reports every φ-heavy element.
 3. *Checkpoint/resume* — a session saved mid-stream and restored continues
    bit-identically to one that never stopped.
-4. *Sharded execution* — the same session hash-partitioned over several
+4. *Sharded execution* — the same session with its sites split over several
    independent coordinator groups (``repro.ShardedTracker``); queries merge
    per-shard state into one answer with a summed error bound, and
    ``Answer.to_json()`` serialises it for serving-style consumers.
@@ -163,8 +163,9 @@ def sharded_demo() -> None:
                                        beta=1_000.0, seed=1)
     batch = WeightedItemBatch.from_pairs(generator.generate(50_000).items)
 
-    # Elements are hash-partitioned across 4 shards, each a full
-    # coordinator group; 'serial' keeps everything in-process (swap in
+    # The 20 sites are split over 4 shards (site i on shard i mod 4), each a
+    # coordinator group over its 5 sites, so the cluster spends about one
+    # coordinator's messages; 'serial' keeps everything in-process (swap in
     # backend="process" for persistent multi-core workers).
     with repro.ShardedTracker.create("hh/P2", shards=4, backend="serial",
                                      num_sites=20, epsilon=0.02) as cluster:

@@ -263,9 +263,9 @@ class Query:
 def merge_counter_maps(maps: Iterable[Dict[Hashable, float]]) -> Dict[Hashable, float]:
     """Counter-merge several estimate maps by summing per element.
 
-    With element-hash sharding the maps have disjoint support, so this is an
-    exact union; overlapping keys (e.g. merging checkpoints of overlapping
-    streams) still merge correctly by addition.
+    Shards own sites, not elements, so the maps overlap wherever an element
+    was seen at sites of several shards; each map summarises a disjoint
+    sub-stream, so overlapping keys merge correctly by addition.
     """
     merged: Dict[Hashable, float] = {}
     for counter_map in maps:
@@ -330,9 +330,9 @@ def _matrix_materials(protocol: DistributedProtocol,
 
 
 # ------------------------------------------------------------- heavy hitters
-# Each shard owns a disjoint slice of the element space, so its estimate map
-# is a counter summary of *its* sub-stream: summing maps, weights and totals
-# is an exact counter merge (Agarwal et al. 2012).
+# Each shard owns a disjoint set of sites, so its estimate map is a counter
+# summary of *its* sub-stream: summing maps, weights and totals is an exact
+# counter merge (Agarwal et al. 2012), whichever shards an element reached.
 @dataclass(frozen=True)
 class HeavyHittersAnswer(Answer):
     """Answer to :class:`HeavyHitters`; ``estimate`` is the hitter tuple."""

@@ -34,7 +34,7 @@ unpickling executes arbitrary code, so no build loads them any more.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Any, Dict, Union
+from typing import Any, Dict, Optional, Union
 
 from ..streaming.protocol import DistributedProtocol
 from ..utils.stateio import StateError, restore_object
@@ -86,7 +86,9 @@ def _write(path: PathLike, payload: Dict[str, Any], *,
 
 
 def _read(path: PathLike, expected_format: str,
-          expected_version: int = CHECKPOINT_VERSION) -> Dict[str, Any]:
+          expected_version: int = CHECKPOINT_VERSION,
+          retired: Optional[Dict[int, str]] = None) -> Dict[str, Any]:
+    """Read one checkpoint frame; ``retired`` says why old versions are refused."""
     with open(Path(path), "rb") as handle:
         data = handle.read()
     if data[:1] == _PICKLE_PROTO_OPCODE:
@@ -112,9 +114,11 @@ def _read(path: PathLike, expected_format: str,
         raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
     version = payload.get("version")
     if version != expected_version:
+        why = (retired or {}).get(version)
         raise CheckpointError(
             f"checkpoint {path!s} has version {version!r}; this build "
             f"supports version {expected_version}"
+            + (f" ({why})" if why else "")
         )
     return payload
 

@@ -188,8 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--seed", type=int, default=2014)
     sub.add_argument("--chunk-size", type=_parse_chunk_size, default=4096)
     sub.add_argument("--shards", type=int, default=1,
-                     help="shard the session over this many coordinator "
-                          "groups (repro.cluster.ShardedTracker)")
+                     help="shard the session's sites over this many "
+                          "coordinator groups (repro.cluster.ShardedTracker; "
+                          "at most --num-sites)")
     sub.add_argument("--backend", choices=available_backends(),
                      default="serial",
                      help="engine backend for the sharded session")
@@ -240,8 +241,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="HTTP endpoint to listen on (port 0 picks an "
                           "ephemeral port, printed on startup)")
     sub.add_argument("--shards", type=int, default=1,
-                     help="shard the served session over this many "
-                          "coordinator groups")
+                     help="shard the served session's sites over this many "
+                          "coordinator groups (at most --num-sites)")
     sub.add_argument("--backend", choices=available_backends(),
                      default="serial",
                      help="engine backend for the served session")
@@ -366,11 +367,14 @@ def _make_session(spec, args, build_kwargs: dict):
     if getattr(args, "cache_size", None) is not None:
         cache_kwargs["cache_size"] = args.cache_size
     if args.shards > 1 or args.backend != "serial":
-        return ShardedTracker.create(spec.name, shards=args.shards,
-                                     backend=args.backend,
-                                     backend_options=backend_options,
-                                     chunk_size=args.chunk_size,
-                                     **cache_kwargs, **build_kwargs)
+        try:
+            return ShardedTracker.create(spec.name, shards=args.shards,
+                                         backend=args.backend,
+                                         backend_options=backend_options,
+                                         chunk_size=args.chunk_size,
+                                         **cache_kwargs, **build_kwargs)
+        except ValueError as exc:  # e.g. --shards 4 --num-sites 2
+            raise SystemExit(str(exc)) from None
     return Tracker.create(spec.name, chunk_size=args.chunk_size,
                           **cache_kwargs, **build_kwargs)
 

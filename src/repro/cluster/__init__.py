@@ -13,14 +13,18 @@ The production-scale execution layer above :mod:`repro.api`:
   arrays travel through per-shard shared-memory rings.
 * :mod:`repro.cluster.socket_backend` — the multi-host TCP backend and the
   :class:`WorkerServer` behind ``repro-experiments worker --listen``.
-* :mod:`repro.cluster.sharding` — deterministic element/row-space
-  partitioning (stable hashes, never process-seeded ``hash``).
+* :mod:`repro.cluster.sharding` — ``shard_of_rows``, the item → shard map
+  that site sharding composes to under round-robin sites (kept for the
+  benchmark harness; the routing itself is ``ShardedTracker.push_batch``).
 * :mod:`repro.cluster.merge` — counter/message-count merges and the
   by-name shard entry points; how each query kind merges lives on the query
   classes (``Query.materials``/``Query.combine``).
 * :mod:`repro.cluster.sharded_tracker` — the :class:`ShardedTracker`
-  facade: ``push_batch``/``run`` fan-out, merged ``query``/``stats``, and
-  whole-cluster checkpoint/resume in one versioned file.
+  facade: shards own *sites* (``shard = site mod S``, each shard a
+  coordinator over its ``⌈m/S⌉`` sites, so the threshold protocols spend one
+  coordinator's messages at any ``S``), ``push_batch``/``run`` fan-out,
+  merged ``query``/``stats``, and whole-cluster checkpoint/resume in one
+  versioned file.
 """
 
 from .backends import (
@@ -42,7 +46,7 @@ from .sharded_tracker import (
     ShardedTracker,
     ShardedTrackerStats,
 )
-from .sharding import shard_of_elements, shard_of_rows
+from .sharding import shard_of_rows
 from .shm import ShmProcessBackend
 from .socket_backend import (
     DEFAULT_IO_TIMEOUT,
@@ -74,7 +78,6 @@ __all__ = [
     "DEFAULT_REPLAY_LOG_BYTES",
     "DEFAULT_SHUTDOWN_TIMEOUT",
     # sharding / merging
-    "shard_of_elements",
     "shard_of_rows",
     "merge_answer",
     "merge_counter_maps",

@@ -2,9 +2,12 @@
 
 Soundness comes from the mergeability of everything the coordinators keep
 (Agarwal et al. 2012; the same property protocol P1 exploits within one
-coordinator group): shard estimate maps are counter summaries of disjoint
-sub-streams, and covariance decomposes over any disjoint row split, so the
-merged additive error is at most the sum of the per-shard bounds.
+coordinator group): each shard sees the sub-stream of the sites it owns, so
+shard estimate maps are counter summaries of disjoint *sub-streams* (not of
+disjoint elements — an element seen at sites of several shards has an
+estimate on each, and they add), and covariance decomposes over any disjoint
+row split, so the merged additive error is at most the sum of the per-shard
+bounds.
 
 How each query kind reads a shard and folds ``N`` shards into one answer is
 defined once, on the query class (``Query.materials`` / ``Query.combine`` in

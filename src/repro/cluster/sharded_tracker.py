@@ -1,12 +1,24 @@
 """``ShardedTracker``: one logical tracking session over ``N`` shards.
 
 A shard is a complete single-coordinator deployment — a
-:class:`~repro.api.tracker.Tracker` with its own protocol instance, ``m``
-sites, message accounting and (for the randomized protocols) its own seeded
-RNG streams.  The sharded facade
+:class:`~repro.api.tracker.Tracker` with its own protocol instance, message
+accounting and (for the randomized protocols) its own seeded RNG streams —
+over a **subset of the sites**: with ``m`` sites and ``S`` shards, shard
+``s`` owns the sites ``{i : i mod S = s}`` and runs the protocol with
+``len(range(s, m, S))`` of them (``⌈m/S⌉`` or ``⌊m/S⌋``).  That is the
+paper's model applied recursively, and it keeps the paper's budget: the
+``m`` (site, shard) pairs send at the unsharded threshold
+``(ε/(m/S))·(F/S) = εF/m``, so the threshold protocols (``*/P1``, ``*/P2``)
+spend one coordinator's messages however many shards there are, while the
+bounds still sum (``Σ_s ε‖A_s‖²_F = ε‖A‖²_F``, ``Σ_s εW_s = εW``).  The
+sampling protocols (``*/P3``, ``*/P3wr``) do **not** get cheaper: every
+shard still draws its own ``s = O(1/ε²)`` sample, so their message count
+stays near ``S×`` one coordinator's.  The sharded facade
 
-* **partitions the key space** deterministically (elements by stable hash,
-  matrix rows round-robin by global index — :mod:`repro.cluster.sharding`),
+* **resolves every item's global site once** — the caller's ``site_ids``
+  (or a batch's own ``sites`` column) pass through, otherwise round-robin
+  over one global item index that continues across calls and checkpoints —
+  and **routes by site**: ``shard = site mod S``, ``local site = site div S``,
 * **fans ingestion out** through a pluggable
   :class:`~repro.cluster.backends.EngineBackend` (``serial``, ``thread``,
   ``process`` or the multi-host ``socket`` backend), shipping columnar
@@ -67,15 +79,20 @@ from .backends import (
     get_backend_spec,
 )
 from .merge import merge_message_counts, shard_query_materials
-from .sharding import shard_of_elements, shard_of_rows
 
 __all__ = ["ShardedTracker", "ShardedTrackerStats",
            "CLUSTER_CHECKPOINT_VERSION"]
 
 #: Bump on incompatible changes to the cluster checkpoint layout.
-CLUSTER_CHECKPOINT_VERSION = 1
+CLUSTER_CHECKPOINT_VERSION = 2
 
 _CLUSTER_FORMAT = "repro/cluster-checkpoint"
+
+_RETIRED_VERSIONS = {
+    1: "its row-dealt / element-hashed shards are full m-site coordinators "
+       "and cannot resume under site sharding, where shard s owns sites "
+       "s, s+S, ...; finish the session with the release that wrote it",
+}
 
 #: Deterministic spacing of derived per-shard seeds (shard 0 keeps the
 #: user's seed so a one-shard cluster is bit-identical to a plain tracker).
@@ -99,6 +116,15 @@ _CLUSTER_CHECKPOINT_BYTES = REGISTRY.counter(
 _CLUSTER_CHECKPOINT_SECONDS = REGISTRY.histogram(
     "repro_cluster_checkpoint_seconds", "Cluster checkpoint save wall time",
     labels=("spec",), buckets=LATENCY_BUCKETS)
+#: Set per scrape from the stats reply ``metrics_snapshot`` already fetches:
+#: the load balance and the paper's message budget, shard by shard.
+_CLUSTER_SHARD_ITEMS = REGISTRY.gauge(
+    "repro_cluster_shard_items", "Stream items ingested by each shard",
+    labels=("spec", "shard"))
+_CLUSTER_SHARD_MESSAGES = REGISTRY.gauge(
+    "repro_cluster_shard_messages",
+    "Protocol messages spent by each shard (the paper's msg metric)",
+    labels=("spec", "shard"))
 
 
 @dataclass(frozen=True)
@@ -133,9 +159,13 @@ class _SpecShardBuilder:
     params: Tuple[Tuple[str, Any], ...]
     chunk_size: Optional[int]
     index: int
+    shards: int
 
     def __call__(self) -> Tracker:
         params = dict(self.params)
+        # Shard ``index`` owns the global sites index, index + shards, ...
+        params["num_sites"] = len(range(self.index, params["num_sites"],
+                                        self.shards))
         seed = params.get("seed")
         if seed is not None and self.index:
             # Distinct, deterministic per-shard RNG streams; shard 0 keeps
@@ -162,15 +192,8 @@ class _RestoreShardBuilder:
 # --------------------------------------------------- shard-side worker fns
 # Module-level so every backend (including the process backend, which ships
 # callables by qualified name) can execute them against the shard tracker.
-def _shard_ingest(tracker: Tracker, batch: Any) -> None:
-    tracker.run(batch)
-
-
-def _shard_push(tracker: Tracker, site: int, item: Any) -> None:
-    tracker.push(site, item)
-
-
-def _shard_push_batch(tracker: Tracker, site_ids: np.ndarray, batch: Any) -> None:
+def _shard_ingest(tracker: Tracker, site_ids: np.ndarray, batch: Any) -> None:
+    # The one shard write: ``site_ids`` are the shard's *local* site indices.
     tracker.push_batch(site_ids, batch)
 
 
@@ -215,7 +238,7 @@ class ShardedTracker(Session):
                  backend_options: Optional[Dict[str, Any]] = None,
                  cache_size: int = DEFAULT_CACHE_SIZE,
                  _builders: Optional[Sequence[Any]] = None,
-                 _rows_dispatched: int = 0,
+                 _items_dispatched: int = 0,
                  _ingest_epoch: int = 0):
         registry_spec = get_spec(spec)
         super().__init__(registry_spec.name, registry_spec.domain, params,
@@ -223,20 +246,29 @@ class ShardedTracker(Session):
                          ingest_epoch=_ingest_epoch, cache_size=cache_size)
         self._num_shards = check_positive_int(shards, name="shards")
         self._chunk_size = chunk_size
-        self._rows_dispatched = int(_rows_dispatched)
+        #: Global item index: unassigned item ``i`` sits at site ``i mod m``
+        #: (as ``Tracker.run`` continues from ``items_processed``).
+        self._items_dispatched = int(_items_dispatched)
         self._backend_name = get_backend_spec(backend).name
         if _builders is None:
             registry_spec.validate(dict(self._params))  # fail before launch
             _builders = [
                 _SpecShardBuilder(spec=self._spec,
                                   params=tuple(sorted(self._params.items())),
-                                  chunk_size=chunk_size, index=index)
+                                  chunk_size=chunk_size, index=index,
+                                  shards=self._num_shards)
                 for index in range(self._num_shards)
             ]
         elif len(_builders) != self._num_shards:
             raise ValueError(
                 f"got {len(_builders)} shard builders for {self._num_shards} shards"
             )
+        self._num_sites = int(self._params["num_sites"])
+        if self._num_shards > self._num_sites:
+            raise ValueError(
+                f"shards={self._num_shards} exceeds num_sites="
+                f"{self._num_sites}: shard s owns sites s, s+shards, ..., "
+                f"so every shard needs at least one site")
         self._backend: EngineBackend = create_backend(
             self._backend_name, **(backend_options or {})
         )
@@ -255,8 +287,11 @@ class ShardedTracker(Session):
         """Build a sharded session from a registry spec name.
 
         ``params`` are the spec parameters of ``repro.create`` — every shard
-        gets the same configuration (seeded specs derive distinct per-shard
-        seeds; shard 0 keeps the caller's seed).  ``cache_size`` sizes the
+        gets the same configuration except ``num_sites``, which is the
+        *global* site count ``m``: shard ``s`` runs the ``len(range(s, m,
+        shards))`` sites congruent to ``s`` (``shards > num_sites`` is a
+        ``ValueError``), and seeded specs derive distinct per-shard seeds
+        (shard 0 keeps the caller's seed).  ``cache_size`` sizes the
         merged-answer cache (``cache_size=0`` disables it; see
         :class:`~repro.api.cache.AnswerCache`).
 
@@ -297,12 +332,12 @@ class ShardedTracker(Session):
 
     @property
     def chunk_size(self) -> Optional[int]:
-        """Per-shard engine chunk size (``None`` = per-item dispatch)."""
+        """Items per shard in one ``run`` dispatch (``None`` = the default)."""
         return self._chunk_size
 
     # -------------------------------------------------------------- ingestion
     def push(self, site: int, item: Any) -> None:
-        """Ingest one stream item at ``site`` of its element/row's shard.
+        """Ingest one stream item at global ``site`` (on shard ``site mod S``).
 
         Single items ride the same columnar ``push_batch`` path as chunks
         (a one-item batch), so shard assignment, epoch accounting and the
@@ -324,51 +359,48 @@ class ShardedTracker(Session):
 
     def push_batch(self, items: Any,
                    site_ids: Optional[Sequence[int]] = None) -> None:
-        """Fan one columnar batch out to its shards through the backend.
+        """Fan one columnar batch out to its sites' shards through the backend.
 
         ``items`` is a :class:`~repro.streaming.items.WeightedItemBatch`,
         :class:`~repro.streaming.items.MatrixRowBatch`, a 2-d row array, or
-        an iterable of stream items (coerced to a columnar batch).  With
-        ``site_ids`` the per-item site assignment inside each shard is
-        explicit; otherwise each shard's own partitioner assigns sites over
-        the shard-local item sequence.
+        an iterable of stream items (coerced to a columnar batch).
+        ``site_ids`` are *global* site indices in ``[0, num_sites)``, as on
+        ``Tracker.push_batch``; without them a batch's own ``sites`` column
+        is used, and otherwise sites are dealt round-robin over the
+        session's global item index.  Item ``i`` goes to shard
+        ``site_i mod S`` as that shard's local site ``site_i div S``, so
+        load balance follows the site distribution the caller chose.
         """
         self._check_open()
         batch = self._coerce_batch(items)
         if len(batch) == 0:
             return
-        explicit = self._check_push(batch, site_ids)
+        sites = self._check_push(batch, site_ids)
         # Bump *before* dispatching: a query keyed at the new epoch can only
         # be answered (and cached) after this batch entered the per-shard
         # FIFOs, so a post-push query never revives a pre-push answer.
         self._ingest_epoch += 1
+        self._items_dispatched += len(batch)
         if REGISTRY.enabled:
             _CLUSTER_PUSHES.inc(spec=self._spec)
             _CLUSTER_ITEMS.inc(len(batch), spec=self._spec)
         if self._num_shards == 1:
-            self._assign_shards(batch)  # keeps the row-deal counter exact
-            if explicit is None:
-                self._backend.submit(0, _shard_ingest, batch)
-            else:
-                self._backend.submit(0, _shard_push_batch, explicit, batch)
+            self._backend.submit(0, _shard_ingest, sites, batch)
             return
-        shards = self._assign_shards(batch)
-        for shard, positions in _group_by_shard(shards, self._num_shards):
-            sub_batch = batch.take(positions)
-            if explicit is None:
-                self._backend.submit(shard, _shard_ingest, sub_batch)
-            else:
-                self._backend.submit(shard, _shard_push_batch,
-                                     explicit[positions], sub_batch)
+        for shard, positions in _group_by_shard(sites % self._num_shards):
+            self._backend.submit(shard, _shard_ingest,
+                                 sites[positions] // self._num_shards,
+                                 batch.take(positions))
 
     def run(self, source: Any) -> ShardedTrackerStats:
         """Feed a whole stream (or the next instalment) into the cluster.
 
         The stream is dispatched in chunks of ``chunk_size × shards`` items
-        so backend workers ingest while the caller is still slicing and
-        shipping the next chunk (the pipelining that gives the process
-        backend its multi-core scaling).  Blocks until every shard has
-        drained, then returns the aggregated :meth:`stats`.
+        (one ``push_batch`` each, so about ``chunk_size`` items per shard
+        under round-robin sites) so backend workers ingest while the caller
+        is still slicing and shipping the next chunk (the pipelining that
+        gives the process backend its multi-core scaling).  Blocks until
+        every shard has drained, then returns the aggregated :meth:`stats`.
         """
         self._check_open()
         batch = self._coerce_batch(source)
@@ -418,7 +450,7 @@ class ShardedTracker(Session):
     def add_worker(self, address: Any) -> list:
         """Grow the worker set, live-rebalancing shards onto the new worker.
 
-        Socket backend only.  The key→shard map never changes — only the
+        Socket backend only.  The site→shard map never changes — only the
         shard→worker placement does (via snapshot handoff), so in-flight
         chunks keep routing consistently.  Returns the moved shard indices.
         """
@@ -490,7 +522,7 @@ class ShardedTracker(Session):
             spec=self._spec,
             backend=self._backend_name,
             shards=self._num_shards,
-            num_sites=int(self._params.get("num_sites", 0)),
+            num_sites=self._num_sites,
             epsilon=self._params.get("epsilon"),
             chunk_size=self._chunk_size,
             items_processed=sum(row[0] for row in live),
@@ -513,11 +545,16 @@ class ShardedTracker(Session):
         shards sharing this process's registry collapse into one snapshot.
         """
         self._check_open()
-        snapshots: List[Dict[str, Any]] = [REGISTRY.snapshot()]
         results, _errors = self._backend.call_all_partial(_shard_stats)
-        for row in results:
-            if row is not None and len(row) > 3 and row[3]:
-                snapshots.append(row[3])
+        live = [(shard, row) for shard, row in enumerate(results)
+                if row is not None]
+        if REGISTRY.enabled:
+            for shard, row in live:
+                _CLUSTER_SHARD_ITEMS.set(row[0], spec=self._spec, shard=shard)
+                _CLUSTER_SHARD_MESSAGES.set(row[1], spec=self._spec,
+                                            shard=shard)
+        snapshots: List[Dict[str, Any]] = [REGISTRY.snapshot()]
+        snapshots.extend(row[3] for _, row in live if row[3])
         return snapshots
 
     def liveness(self) -> Dict[str, str]:
@@ -542,8 +579,9 @@ class ShardedTracker(Session):
         The file is a :mod:`repro.wire` frame embedding one full tracker
         payload frame per shard — encoded *on the worker*, so shard
         serialization runs in parallel on the remote backends — plus the
-        cluster topology (spec, shard count, backend, the row-deal
-        counter); :meth:`load` resumes the whole cluster bit-identically.
+        cluster topology (spec, global parameters, shard count, backend,
+        the global item index the round-robin site deal continues from);
+        :meth:`load` resumes the whole cluster bit-identically.
         """
         self._check_open()
         with self._timed_save(path):
@@ -556,7 +594,7 @@ class ShardedTracker(Session):
                 "shards": self._num_shards,
                 "backend": self._backend_name,
                 "chunk_size": self._chunk_size,
-                "rows_dispatched": self._rows_dispatched,
+                "items_dispatched": self._items_dispatched,
                 "ingest_epoch": self._ingest_epoch,
                 "shard_payloads": payloads,
             })
@@ -574,10 +612,12 @@ class ShardedTracker(Session):
         ``backend_options={"addresses": ...}`` (worker endpoints are not
         recorded — the restore cluster rarely lives on the saving hosts) or
         a ``backend`` override; omitting both raises a ``BackendError``
-        saying so.
+        saying so.  Version-1 files (row-dealt / element-hashed shards) are
+        refused with a ``CheckpointError`` naming the cause.
         """
         payload = _read(path, _CLUSTER_FORMAT,
-                        expected_version=CLUSTER_CHECKPOINT_VERSION)
+                        expected_version=CLUSTER_CHECKPOINT_VERSION,
+                        retired=_RETIRED_VERSIONS)
         shard_payloads = payload.get("shard_payloads")
         if not shard_payloads:
             raise CheckpointError(f"{path!s} contains no shard payloads")
@@ -590,7 +630,7 @@ class ShardedTracker(Session):
             chunk_size=payload["chunk_size"],
             backend_options=backend_options,
             _builders=builders,
-            _rows_dispatched=payload.get("rows_dispatched", 0),
+            _items_dispatched=payload["items_dispatched"],
             # +1 is the "bumped on restore" rule: answers (and ETags) cached
             # against the saved session never validate against the restored
             # one, even at an identical ingest history.
@@ -628,14 +668,14 @@ class ShardedTracker(Session):
             raise RuntimeError("this ShardedTracker has been closed")
 
     def _check_push(self, batch: Any,
-                    site_ids: Optional[Sequence[int]]) -> Optional[np.ndarray]:
+                    site_ids: Optional[Sequence[int]]) -> np.ndarray:
         """Reject a malformed batch before any session state moves.
 
         Submits are fire-and-forget on the remote backends, so a shard-side
         ``ValueError`` would be charged to the next unrelated call — after
-        the epoch, the row-deal counter and the healthy shards had already
-        moved.  Raises the protocol's own messages; returns ``site_ids`` as
-        an index array.
+        the epoch, the item index and the healthy shards had already
+        moved.  Raises the protocol's own messages; returns every item's
+        *global* site as an index array.
         """
         if self._domain != DOMAIN_HEAVY_HITTERS:
             dimension = self._params["dimension"]
@@ -645,18 +685,21 @@ class ShardedTracker(Session):
                     f"dimension is {dimension}"
                 )
         if site_ids is None:
-            return None
+            site_ids = batch.sites
+        if site_ids is None:
+            start = self._items_dispatched
+            return (np.arange(start, start + len(batch), dtype=np.int64)
+                    % self._num_sites)
         explicit = np.asarray(site_ids, dtype=np.int64)
         if explicit.shape != (len(batch),):
             raise ValueError(
                 f"site_ids must have shape ({len(batch)},), "
                 f"got {explicit.shape}"
             )
-        num_sites = self._params["num_sites"]
         low, high = explicit.min(), explicit.max()
-        if low < 0 or high >= num_sites:
+        if low < 0 or high >= self._num_sites:
             raise ValueError(
-                f"site indices must lie in [0, {num_sites}), "
+                f"site indices must lie in [0, {self._num_sites}), "
                 f"got range [{low}, {high}]"
             )
         return explicit
@@ -674,21 +717,9 @@ class ShardedTracker(Session):
             return WeightedItemBatch.from_pairs(item_list)
         return MatrixRowBatch.from_rows(items)
 
-    def _assign_shards(self, batch: Any) -> np.ndarray:
-        if self._domain == DOMAIN_HEAVY_HITTERS:
-            return shard_of_elements(batch.elements, self._num_shards)
-        shards = shard_of_rows(self._rows_dispatched, len(batch),
-                               self._num_shards)
-        self._rows_dispatched += len(batch)
-        return shards
 
-
-def _group_by_shard(shards: np.ndarray, num_shards: int):
+def _group_by_shard(shards: np.ndarray):
     """Yield ``(shard, positions)`` with positions in arrival order."""
-    if num_shards == 1 or shards.shape[0] == 0:
-        if shards.shape[0]:
-            yield 0, np.arange(shards.shape[0], dtype=np.int64)
-        return
     order = np.argsort(shards, kind="stable")
     sorted_shards = shards[order]
     boundaries = np.nonzero(np.diff(sorted_shards))[0] + 1

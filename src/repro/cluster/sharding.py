@@ -1,71 +1,21 @@
-"""Deterministic shard assignment for the element/row space.
+"""The composed item → shard map under round-robin sites.
 
-A :class:`~repro.cluster.sharded_tracker.ShardedTracker` splits one logical
-stream across ``N`` independent coordinator groups ("shards").  Soundness of
-the query-time merge requires the split to partition the *key space*, not
-just the traffic:
-
-* **Weighted items** are routed by a stable hash of their element label, so
-  every occurrence of an element lands on the same shard and the per-shard
-  frequency estimates sum to an estimate for the whole stream.
-* **Matrix rows** carry no identity, and the covariance ``AᵀA = Σ_s AᵀA|_s``
-  decomposes over *any* disjoint row split — rows are dealt round-robin by
-  their global stream index, which balances load deterministically.
-
-Both assignments are stable across processes and across checkpoint/resume:
-the element hash is an explicit SplitMix64/CRC32 mix (never Python's
-process-seeded ``hash``), and the row index counter is part of the cluster
-checkpoint.
+A :class:`~repro.cluster.sharded_tracker.ShardedTracker` shards by *site*
+(``shard = site mod S``); the routing itself lives in its ``push_batch``.
+What is left here is the map that composition gives an unassigned stream
+when ``S`` divides ``m``: item ``i`` sits at site ``i mod m``, hence on
+shard ``i mod S``.
 """
 
 from __future__ import annotations
 
-import zlib
-from typing import Sequence
-
 import numpy as np
 
-__all__ = ["shard_of_elements", "shard_of_rows"]
+__all__ = ["shard_of_rows"]
 
 
-def _splitmix64(values: np.ndarray) -> np.ndarray:
-    """SplitMix64 finalizer over a ``uint64`` array (vectorized, wraps)."""
-    mixed = values.copy()
-    mixed ^= mixed >> 30
-    mixed *= np.uint64(0xBF58476D1CE4E5B9)
-    mixed ^= mixed >> 27
-    mixed *= np.uint64(0x94D049BB133111EB)
-    mixed ^= mixed >> 31
-    return mixed
-
-
-def shard_of_elements(elements: Sequence, num_shards: int) -> np.ndarray:
-    """Stable shard index in ``[0, num_shards)`` for every element label.
-
-    Numeric labels hash through a vectorized SplitMix64 mix of their 64-bit
-    pattern; string/object labels fall back to ``crc32(str(label))``.  Both
-    are independent of ``PYTHONHASHSEED`` and of the process, so an element
-    keeps its shard across restarts and checkpoint resumes.
-    """
-    if num_shards < 1:
-        raise ValueError(f"num_shards must be positive, got {num_shards}")
-    array = np.asarray(elements) if not isinstance(elements, np.ndarray) else elements
-    count = array.shape[0] if array.ndim == 1 else len(elements)
-    if num_shards == 1:
-        return np.zeros(count, dtype=np.int64)
-    if array.ndim == 1 and array.dtype.kind in "iu":
-        bits = array.astype(np.uint64, copy=False)
-    elif array.ndim == 1 and array.dtype.kind == "f":
-        bits = array.astype(np.float64, copy=False).view(np.uint64)
-    else:
-        digests = np.fromiter(
-            (zlib.crc32(str(label).encode("utf-8")) for label in elements),
-            dtype=np.uint64, count=count,
-        )
-        bits = digests
-    return (_splitmix64(bits) % np.uint64(num_shards)).astype(np.int64)
-
-
+# Kept verbatim for ``bench/layers.py``, which imports, instruments and times
+# it; the facade no longer calls it.  Goes with benchmark round 2 (ROADMAP 4).
 def shard_of_rows(start_index: int, count: int, num_shards: int) -> np.ndarray:
     """Round-robin shard index for rows ``start_index .. start_index+count``.
 

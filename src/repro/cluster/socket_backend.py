@@ -45,7 +45,7 @@ again.
 :meth:`~SocketBackend.remove_worker` / :meth:`~SocketBackend.move_shard`
 move shard sessions between live workers mid-stream via the same
 state-frame handoff (snapshot on the old worker, restore on the new one,
-then cut over), without touching the key→shard map — only the
+then cut over), without touching the site→shard map — only the
 shard→address placement changes, so in-flight chunks keep routing
 consistently.  The placement map is versioned
 (:attr:`~SocketBackend.placement_version`).

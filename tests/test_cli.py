@@ -160,6 +160,15 @@ class TestWireAndWorkerCli:
                      "--num-sites", "2", "--epsilon", "0.5",
                      "--workers", "127.0.0.1:1"])
 
+    @pytest.mark.parametrize("command", [
+        ["track", "--protocol", "hh/P1", "--num-items", "500"],
+        ["serve", "--spec", "hh/P1", "--listen", "127.0.0.1:0"],
+    ], ids=["track", "serve"])
+    def test_more_shards_than_sites_is_a_usage_error(self, command):
+        with pytest.raises(SystemExit, match="shards=4 exceeds num_sites=2"):
+            run_cli(command + ["--shards", "4", "--num-sites", "2",
+                               "--epsilon", "0.5"])
+
 
 class TestBenchReportingCli:
     def test_track_over_embedded_socket_worker(self, tmp_path):

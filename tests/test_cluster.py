@@ -7,6 +7,9 @@ Correctness anchors:
   ``Tracker`` and ``query.combine([query.materials(protocol)])`` must agree
   field for field over the same stream, every kind must have a gateway
   route, and both facades must refuse a wrong-domain query with one text.
+* **Site sharding** — shard ``s`` of ``S`` *is* an independent ``Tracker``
+  over the sites ``s, s+S, …`` fed ``(site div S, item)``, for every spec,
+  and the threshold protocols spend one coordinator's messages at any ``S``.
 * **Merged paper bounds** — with ``N ≥ 2`` shards, heavy-hitter estimates
   stay within the summed per-shard budget ``Σ_s ε·W_s = ε·W`` on the
   property-harness streams, every true φ-heavy hitter is still reported,
@@ -25,6 +28,7 @@ Streams reuse the seed-parameterized property harness
 
 from __future__ import annotations
 
+import base64
 import dataclasses
 
 import numpy as np
@@ -52,10 +56,11 @@ from repro.cluster import (
     create_backend,
     get_backend_spec,
     merge_counter_maps,
-    shard_of_elements,
     shard_of_rows,
 )
 from repro.cluster.backends import SerialBackend
+from repro.cluster.merge import merge_message_counts
+from repro.cluster.sharded_tracker import _SEED_STRIDE
 from repro.gateway.http import Request
 from repro.gateway.server import QUERY_KINDS
 from repro.wire import register_trusted_module
@@ -68,7 +73,12 @@ from test_api_state_roundtrip import (
     MATRIX_SPECS,
     _params,
 )
-from test_protocol_equivalence_properties import SEEDS, hh_stream, matrix_stream
+from test_protocol_equivalence_properties import (
+    NUM_SITES,
+    SEEDS,
+    hh_stream,
+    matrix_stream,
+)
 
 BACKENDS = available_backends()
 
@@ -177,36 +187,12 @@ def _assert_one_read_path(plain, cluster, query):
 
 # --------------------------------------------------------------- sharding
 class TestShardAssignment:
-    def test_integer_labels_are_stable_and_balanced(self):
-        elements = np.arange(10_000, dtype=np.int64)
-        first = shard_of_elements(elements, 4)
-        second = shard_of_elements(elements, 4)
-        assert np.array_equal(first, second)
-        counts = np.bincount(first, minlength=4)
-        assert counts.min() > 0.15 * len(elements)  # roughly balanced
-
-    def test_string_and_tuple_labels_hash_deterministically(self):
-        labels = np.empty(4, dtype=object)
-        labels[:] = ["alpha", "beta", ("composite", 3), "alpha"]
-        shards = shard_of_elements(labels, 3)
-        assert shards[0] == shards[3]  # same label, same shard
-        assert np.array_equal(shards, shard_of_elements(labels, 3))
-
-    def test_float_labels_supported(self):
-        shards = shard_of_elements(np.asarray([1.5, 2.5, 1.5]), 2)
-        assert shards[0] == shards[2]
-
-    def test_single_shard_is_all_zero(self):
-        assert np.array_equal(shard_of_elements(np.arange(5), 1), np.zeros(5))
-
     def test_row_deal_continues_across_blocks(self):
         together = shard_of_rows(0, 10, 3)
         split = np.concatenate([shard_of_rows(0, 4, 3), shard_of_rows(4, 6, 3)])
         assert np.array_equal(together, split)
 
     def test_invalid_shard_count_rejected(self):
-        with pytest.raises(ValueError):
-            shard_of_elements(np.arange(3), 0)
         with pytest.raises(ValueError):
             shard_of_rows(0, 3, 0)
 
@@ -367,6 +353,111 @@ class TestSingleShardBitIdentity:
             assert stats.total_messages == plain.total_messages
             assert stats.message_counts == plain.protocol.message_counts()
 
+    def test_round_robin_continues_after_explicit_pushes_like_tracker_run(
+            self):
+        """The site deal counts every item, as ``Tracker.run`` continues
+        from ``items_processed`` whoever chose the earlier items' sites."""
+        seed = SEEDS[0]
+        sample, batch, _ = hh_stream(seed)
+        plain = _plain("hh/P2", seed)
+        with _cluster("hh/P2", seed, shards=1) as cluster:
+            for session in (plain, cluster):
+                session.push(3, ("x", 1.0))
+                session.push(3, ("y", 2.0))
+                session.run(batch)
+            for query in _hh_probes(sample):
+                _assert_one_read_path(plain, cluster, query)
+
+
+# ------------------------------------- shard s == Tracker over its sites
+def _stream_for(spec, seed, num_sites=NUM_SITES):
+    """``(batch, round-robin sites, dimension, probes, truth)`` for ``spec``."""
+    if spec.startswith("matrix/"):
+        dataset, batch, sites = matrix_stream(seed, num_sites)
+        return (batch, sites, dataset.dimension,
+                _matrix_probes(dataset.dimension), dataset)
+    sample, batch, sites = hh_stream(seed, num_sites)
+    return batch, sites, None, _hh_probes(sample), sample
+
+
+class TestSiteSharding:
+    @pytest.mark.parametrize("skewed", [False, True],
+                             ids=["round-robin", "skewed-site-ids"])
+    @pytest.mark.parametrize("shards", [2, 3])  # 3 does not divide m = 5
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+    def test_cluster_equals_independent_trackers_over_its_site_groups(
+            self, spec, shards, skewed):
+        seed = SEEDS[0]
+        batch, sites, dimension, probes, _ = _stream_for(spec, seed)
+        if skewed:  # site 0 sees half the stream, site 1 a quarter, ...
+            sites = np.minimum(np.random.default_rng(seed).geometric(
+                0.5, len(batch)) - 1, NUM_SITES - 1)
+        independents = []
+        for shard in range(shards):
+            params = _params(spec, seed, dimension)
+            params["num_sites"] = len(range(shard, NUM_SITES, shards))
+            if "seed" in params:
+                params["seed"] += shard * _SEED_STRIDE
+            independents.append(
+                repro.Tracker.create(spec, chunk_size=CHUNK, **params))
+        with _cluster(spec, seed, shards, dimension) as cluster:
+            for start in range(0, len(batch), CHUNK):
+                chunk = batch[start:start + CHUNK]
+                chunk_sites = sites[start:start + CHUNK]
+                cluster.push_batch(chunk,
+                                   site_ids=chunk_sites if skewed else None)
+                for shard, tracker in enumerate(independents):
+                    mine = np.nonzero(chunk_sites % shards == shard)[0]
+                    if len(mine):
+                        tracker.push_batch(chunk_sites[mine] // shards,
+                                           chunk.take(mine))
+            stats = cluster.stats()
+            assert stats.per_shard == tuple(
+                (tracker.items_processed, tracker.total_messages)
+                for tracker in independents)
+            assert stats.message_counts == merge_message_counts(
+                tracker.protocol.message_counts() for tracker in independents)
+            for query in probes:
+                _assert_every_field_equal(
+                    cluster.query(query),
+                    query.combine([query.materials(tracker.protocol)
+                                   for tracker in independents]))
+
+    # ``*/P3`` and ``*/P3wr`` are left out on purpose: every shard still
+    # draws its own s = O(1/ε²) sample, so they stay near S× one
+    # coordinator's messages (ROADMAP stretch: "sampling shards that share
+    # one sample").  ``matrix/P2`` gets 1.10: each shard warms its own F̂ up
+    # from zero, which on this 400-row stream is worth up to 6 % at S = 4
+    # (3 % by 4 000 rows); the row-dealt layout read 1.3-2.2× here.
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("spec, ceiling", [
+        ("hh/P1", 1.05), ("hh/P2", 1.05),
+        ("matrix/P1", 1.05), ("matrix/P2", 1.10),
+    ])
+    def test_messages_do_not_grow_with_shards(self, spec, ceiling, seed):
+        num_sites = 8
+        batch, _, dimension, _, truth = _stream_for(spec, seed, num_sites)
+        params = dict(_params(spec, seed, dimension), num_sites=num_sites)
+        messages = {}
+        for shards in (1, 2, 4):
+            with ShardedTracker.create(spec, shards=shards, chunk_size=CHUNK,
+                                       **params) as cluster:
+                for start in range(0, len(batch), CHUNK):
+                    cluster.push_batch(batch[start:start + CHUNK])
+                messages[shards] = cluster.stats().total_messages
+                if dimension is None:
+                    for element, weight in truth.element_weights.items():
+                        answer = cluster.query(Frequency(element=element))
+                        assert abs(answer.estimate - weight) \
+                            <= answer.error_bound + 1e-9, (shards, element)
+                else:
+                    answer = cluster.query(Covariance())
+                    error = np.linalg.norm(
+                        truth.rows.T @ truth.rows - answer.estimate, ord=2)
+                    assert error <= answer.error_bound + 1e-6, shards
+        assert messages[2] <= ceiling * messages[1], messages
+        assert messages[4] <= ceiling * messages[1], messages
+
 
 # ------------------------------------------------- merged bounds, N >= 2
 class TestMergedBounds:
@@ -472,6 +563,30 @@ class TestBackendEquivalence:
 
 
 # ------------------------------------------------- cluster checkpoints
+#: ``ShardedTracker.create("hh/P1", shards=2, num_sites=2, epsilon=0.5)``
+#: after ``push_batch([("a", 2.0), ("b", 1.0), ("c", 1.0)])``, saved by
+#: commit 8a1338d (cluster checkpoint version 1: element-hashed shards, each
+#: a full 2-site coordinator).
+_PARENT_V1_CLUSTER_CHECKPOINT = (
+    "UlBXMQIAAQAYAHJlcHJvL2NsdXN0ZXItY2hlY2twb2ludAsDAAAAAAAAeJztVU1vEzEQ3d2k"
+    "8Sal25YQrghxQQJS9RoOjaASByiKWokeLa/XylrJ2ovttIRbfwAH/iE/oQd+ALPZj2zTpE1a"
+    "QAIllyT2mzfzxmM/r47QGVOaS1GxrfSDqjpmFG2E4V5vH9ViokikPQfVxSjCmhumK04ORSzW"
+    "fCjFRvr/xwGq6ZCooAzxCR0wEcAOU5wMUYOGIzEApq+sYu1kqG0lzzUOuI6JoSELKlYe/4CL"
+    "PtMGs1jScFqkN8mDYzIeShLohuNebB/3TvcTQMtSLFZyz6gktXqVgT6hNNbbWCTxupx5oucK"
+    "2AQSww00kimviip0qJt7kzLa2ihGIpDRLjCdYzkSwbH0uehN49CWNsQwfO1EHlIZxYAQJt/T"
+    "m/ams3KC0hkHxBDPRg08R6ALpEZSOcyFvE7zhIycjXHIjYEi2vE+9tPDwlG/8yb9ecS1Iu8U"
+    "Z7qXcawkqgqiXmSiBgwY21FCiPsJY+eU8X5oykkKNoh7MtsMwcy5VIPOx/S7jH2+CPtWRtFI"
+    "cEqShn2Q/XLQfbow2/nGgs7jrJDWrWrmxVeGst9aWlvtwYCxGCtGJdxYB2U/GlYda/Z5xARl"
+    "BbOHIdJo7I/xgIvAcx4/W5TmiGlN+uw9wBDSoygialzwLBdW9xXcV0q0KQKb0wICDpUmGqCK"
+    "p4voDnMQaiY9wkZiKkEeF8RINa1nGYJSYMKT8JUaA6+M0DCmkwku1muYC19+aVhoBwM+0hjS"
+    "UNAIb1sxCy6+9uDsYOnDQ3kG83Q+Gfds6/IAbU1OnMLFTiavUs1ZaukUNJzWy9snFJ8A9iS5"
+    "kU5+OK1Vblx1QRX1YsmztqBLhgyvCrBgWYeKw8s52S2Wd1MYiICBg8kTQbH13wlCj8pTiP9Q"
+    "vTayaTE2c2tPlufWjppXCpwdwV1c3MzZvcvv7qX77TYP9tcevPZga+3Bq3hwfsPv68E5z8oe"
+    "nAf+Zg8u6rmrB08bc9WD8/WbPLh03Et7sNtde/C/L+jveLCDbJKn7CLbv9mP3e4d/BjGcaEf"
+    "u93Di5/qFysTxQmAIA5A"
+)
+
+
 class TestClusterCheckpoint:
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("spec", ["hh/P2ss", "hh/P3", "matrix/P1"])
@@ -519,6 +634,50 @@ class TestClusterCheckpoint:
             assert restored.backend_name == "serial"
             assert restored.query(TotalWeight()) == expected
 
+    @pytest.mark.parametrize("backend", [
+        "serial", "thread", "process", "shm", "socket",
+    ])
+    @pytest.mark.parametrize("spec", ["hh/P2", "matrix/P2"])
+    def test_round_robin_continues_across_save_load_on_every_backend(
+            self, spec, backend, worker_server, tmp_path):
+        """The global item index is part of the checkpoint for both
+        domains: a resumed cluster deals the next site where the saved one
+        stopped, even when the split is no multiple of m, S or the chunk."""
+        seed, split = SEEDS[0], 203
+        batch, _, dimension, probes, _ = _stream_for(spec, seed)
+        options = _backend_options(backend, worker_server)
+        with _cluster(spec, seed, shards=2, dimension=dimension) as whole:
+            whole.push_batch(batch[:split])
+            whole.push_batch(batch[split:])
+            expected = [whole.query(query) for query in probes]
+            expected_stats = whole.stats()
+        path = tmp_path / "cluster.ckpt"
+        with _cluster(spec, seed, shards=2, dimension=dimension,
+                      backend=backend, backend_options=options) as first_leg:
+            first_leg.push_batch(batch[:split])
+            first_leg.save(path)
+        with ShardedTracker.load(path, backend=backend,
+                                 backend_options=options) as resumed:
+            assert resumed.stats().num_sites == NUM_SITES
+            resumed.push_batch(batch[split:])
+            for query, answer in zip(probes, expected):
+                _assert_same_answer(resumed.query(query), answer)
+            stats = resumed.stats()
+            assert stats.per_shard == expected_stats.per_shard
+            assert stats.message_counts == expected_stats.message_counts
+
+    def test_version_1_checkpoint_refused_with_the_cause(self, tmp_path):
+        """A row-dealt / element-hashed cluster must never resume as a
+        site-sharded one with twice the sites."""
+        path = tmp_path / "v1-cluster.ckpt"
+        path.write_bytes(base64.b64decode(_PARENT_V1_CLUSTER_CHECKPOINT))
+        with pytest.raises(CheckpointError) as refusal:
+            ShardedTracker.load(path)
+        message = str(refusal.value)
+        assert "version 1" in message and "supports version 2" in message
+        assert "row-dealt / element-hashed" in message
+        assert "site sharding" in message
+
     def test_rejects_garbage_and_wrong_versions(self, tmp_path):
         import pickle
 
@@ -550,26 +709,52 @@ class TestClusterCheckpoint:
 
 # ------------------------------------------------------- facade behaviour
 class TestShardedTrackerFacade:
-    def test_push_routes_by_element_and_push_batch_by_sites(self):
-        with ShardedTracker.create("hh/P1", shards=3, num_sites=2,
+    def test_more_shards_than_sites_refused_before_launch(self, monkeypatch):
+        def no_launch(*args, **kwargs):
+            raise AssertionError("a backend was created")
+
+        monkeypatch.setattr("repro.cluster.sharded_tracker.create_backend",
+                            no_launch)
+        with pytest.raises(ValueError,
+                           match="shards=3 exceeds num_sites=2"):
+            ShardedTracker.create("hh/P1", shards=3, backend="process",
+                                  num_sites=2, epsilon=0.5)
+
+    def test_push_routes_by_site_and_frequency_sums_over_shards(self):
+        with ShardedTracker.create("hh/P1", shards=2, num_sites=2,
                                    epsilon=0.5) as cluster:
             cluster.push(0, ("a", 2.0))
-            cluster.push(1, ("a", 3.0))  # same element -> same shard
+            cluster.push(1, ("a", 3.0))  # same element, other site's shard
+            assert [items for items, _ in cluster.stats().per_shard] == [1, 1]
             cluster.push_batch([("a", 5.0), ("b", 1.0)], site_ids=[0, 1])
             answer = cluster.query(Frequency(element="a"))
             assert answer.estimate == pytest.approx(10.0)
             stats = cluster.stats()
             assert stats.items_processed == 4
-            active = [items for items, _ in stats.per_shard if items]
-            assert len(active) <= 2  # "a" never splits across shards
-
-    def test_matrix_push_deals_rows_round_robin(self):
-        rows = np.eye(4)
-        with ShardedTracker.create("matrix/P1", shards=2, num_sites=2,
-                                   dimension=4, epsilon=0.5) as cluster:
-            cluster.push_batch(rows)
-            stats = cluster.stats()
             assert [items for items, _ in stats.per_shard] == [2, 2]
+
+    def test_unassigned_items_deal_sites_round_robin_across_calls(self):
+        with ShardedTracker.create("matrix/P1", shards=3, num_sites=10,
+                                   dimension=4, epsilon=0.5) as cluster:
+            cluster.push_batch(np.ones((4, 4)))      # sites 0..3
+            cluster.push(9, np.ones(4))              # counts as item 4
+            cluster.push_batch(np.ones((5, 4)))      # sites 5..9
+            stats = cluster.stats()
+            assert stats.num_sites == 10
+            # Sites {0,3,6,9} / {1,4,7} / {2,5,8}; site 4 was skipped and
+            # site 9 seen twice: the deal follows the global item index.
+            assert [items for items, _ in stats.per_shard] == [5, 2, 3]
+
+    def test_a_batch_s_own_sites_column_routes_like_site_ids(self):
+        items = [repro.WeightedItem("a", 1.0, site=3),
+                 repro.WeightedItem("b", 2.0, site=0)]
+        with ShardedTracker.create("hh/exact", shards=2,
+                                   num_sites=4) as cluster:
+            cluster.push_batch(items)
+            assert [n for n, _ in cluster.stats().per_shard] == [1, 1]
+            with pytest.raises(ValueError,
+                               match=r"site indices must lie in \[0, 4\)"):
+                cluster.push_batch([repro.WeightedItem("c", 1.0, site=4)])
 
     @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
     @pytest.mark.parametrize("rows, site_ids, message", [
@@ -592,7 +777,7 @@ class TestShardedTrackerFacade:
             def state():
                 stats = cluster.stats()
                 return (stats.items_processed, stats.per_shard,
-                        stats.ingest_epoch, cluster._rows_dispatched,
+                        stats.ingest_epoch, cluster._items_dispatched,
                         cluster.query(FrobeniusSquared()))
 
             before = state()

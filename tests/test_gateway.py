@@ -488,6 +488,31 @@ class TestHttpContract:
         assert "repro_gateway_request_seconds_bucket" in text
         assert "repro_cluster_items_total" in text
 
+    def test_metrics_export_per_shard_items_and_messages(self, served_cluster):
+        """The paper's budget, shard by shard: the two gauges are set from
+        the stats reply the scrape already fetches and sum to /v1/stats."""
+        with Gateway(served_cluster) as gateway:
+            with GatewayClient(gateway.url) as client:
+                client.push(items=[[element % 7, 1.0 + element]
+                                   for element in range(40)])
+                text = client.metrics()
+                stats = client.stats()
+
+        def shard_values(name):
+            values = {}
+            for line in text.splitlines():
+                if line.startswith(name + "{") and 'spec="hh/P2"' in line:
+                    shard = line.split('shard="')[1].split('"')[0]
+                    values[shard] = float(line.rsplit(" ", 1)[1])
+            return values
+
+        items = shard_values("repro_cluster_shard_items")
+        messages = shard_values("repro_cluster_shard_messages")
+        assert sorted(items) == sorted(messages) == ["0", "1"]
+        assert [items["0"], items["1"]] == [24, 16]  # sites {0,2,4} / {1,3}
+        assert sum(items.values()) == stats["items_processed"] == 40
+        assert sum(messages.values()) == stats["total_messages"] > 0
+
     def test_metrics_auth_follows_open_metrics_flag(self, served_cluster):
         with Gateway(served_cluster, auth_token="s3cret") as gateway:
             anonymous = GatewayClient(gateway.url)
