@@ -52,7 +52,12 @@ HOT_ENDPOINTS = ["/api/v2/search", "/api/v2/checkout", "/api/v2/export"]
 
 
 def http_json(url: str, payload=None, method: str = "GET"):
-    """One authenticated JSON round-trip with nothing but urllib."""
+    """One authenticated JSON round-trip with nothing but urllib.
+
+    urllib sends no ``Accept`` header, so the gateway answers in JSON, its
+    fallback representation; ``GatewayClient`` below negotiates the binary
+    ``application/x-repro-wire`` frames instead.
+    """
     data = json.dumps(payload).encode("utf-8") if payload is not None else None
     request = urllib.request.Request(
         url, data=data, method=method,

@@ -43,6 +43,7 @@ import numpy as np
 from ..heavy_hitters.base import HeavyHitter, select_heavy_hitters
 from ..streaming.protocol import DistributedProtocol
 from ..utils.linalg import spectral_norm
+from ..wire.codec import PLAIN_DTYPES
 from .registry import DOMAIN_HEAVY_HITTERS, DOMAIN_MATRIX
 
 __all__ = [
@@ -67,27 +68,32 @@ __all__ = [
 ]
 
 
-def _jsonify(value: Any) -> Any:
+def _jsonify(value: Any, keep_arrays: bool = False) -> Any:
     """Convert an answer field into JSON-serialisable plain data.
 
     NumPy scalars/arrays become Python numbers/nested lists, dataclasses
     (``HeavyHitter``, nested queries) become dictionaries, tuples become
     lists; anything else non-primitive falls back to ``repr`` so arbitrary
     element labels never break serving-path serialisation.
+    ``keep_arrays`` leaves arrays of a plain-data dtype
+    (:data:`~repro.wire.codec.PLAIN_DTYPES`) as they are.
     """
     if value is None or isinstance(value, (bool, int, float, str)):
         return value
     if isinstance(value, (np.bool_, np.integer, np.floating)):
         return value.item()
     if isinstance(value, np.ndarray):
+        if keep_arrays and value.dtype.str in PLAIN_DTYPES:
+            return value
         return value.tolist()
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
-        return {name: _jsonify(getattr(value, name))
+        return {name: _jsonify(getattr(value, name), keep_arrays)
                 for name in (f.name for f in dataclasses.fields(value))}
     if isinstance(value, dict):
-        return {str(key): _jsonify(item) for key, item in value.items()}
+        return {str(key): _jsonify(item, keep_arrays)
+                for key, item in value.items()}
     if isinstance(value, (list, tuple, set, frozenset)):
-        return [_jsonify(item) for item in value]
+        return [_jsonify(item, keep_arrays) for item in value]
     return repr(value)
 
 
@@ -114,25 +120,35 @@ class Answer:
         """True when shards are missing from this estimate."""
         return bool(self.missing_shards)
 
+    def document(self) -> Dict[str, Any]:
+        """The :meth:`to_dict` tree with its numeric arrays left as arrays.
+
+        The one document the serving gateway renders, as JSON (which turns
+        the arrays into nested lists) or as a wire frame (which ships them
+        verbatim).  The arrays are this answer's own: read, never write.
+        """
+        payload: Dict[str, Any] = {
+            "answer": type(self).__name__,
+            "query": {"type": type(self.query).__name__,
+                      **{f.name: _jsonify(getattr(self.query, f.name), True)
+                         for f in dataclasses.fields(self.query)}},
+        }
+        for field_info in dataclasses.fields(self):
+            if field_info.name == "query":
+                continue
+            payload[field_info.name] = _jsonify(
+                getattr(self, field_info.name), True)
+        return payload
+
     def to_dict(self) -> Dict[str, Any]:
         """The answer as JSON-safe plain data (for serving-style consumers).
 
         The dictionary names the answer and query types, flattens the query
         parameters, and carries every answer field through :func:`_jsonify`
         (NumPy arrays become nested lists, heavy-hitter tuples become lists
-        of dictionaries).
+        of dictionaries): :meth:`document` with its arrays as lists.
         """
-        payload: Dict[str, Any] = {
-            "answer": type(self).__name__,
-            "query": {"type": type(self.query).__name__,
-                      **{f.name: _jsonify(getattr(self.query, f.name))
-                         for f in dataclasses.fields(self.query)}},
-        }
-        for field_info in dataclasses.fields(self):
-            if field_info.name == "query":
-                continue
-            payload[field_info.name] = _jsonify(getattr(self, field_info.name))
-        return payload
+        return _jsonify(self.document())
 
     def to_json(self, **dumps_kwargs: Any) -> str:
         """The :meth:`to_dict` payload serialized with :func:`json.dumps`."""

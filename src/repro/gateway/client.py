@@ -1,12 +1,18 @@
 """A small stdlib client for the serving gateway.
 
 :class:`GatewayClient` wraps one ``http.client`` keep-alive connection —
-cheap enough for load-testing loops — and speaks the gateway's JSON
+cheap enough for load-testing loops — and speaks the gateway's document
 vocabulary: ``push`` for ingest, ``query``/``typed_query`` for answers
 (the latter re-hydrating a real :class:`~repro.api.queries.Answer` via
 ``Answer.from_dict``), plus ``stats``/``healthz``/``metrics``/
 ``checkpoint``/``move_shard``.  Gateway-side failures raise :class:`GatewayError`
 carrying the HTTP status and the structured error message.
+
+Every request body is sent, and every response asked for, as
+``application/x-repro-wire`` (arrays travel as their bytes); a response
+is decoded by its ``Content-Type`` and its arrays turned back into lists,
+so the documents callers get are the ``to_dict()`` shapes whichever
+representation the gateway answered in.
 
 The client is intentionally not thread-safe (one connection, sequential
 request/response); concurrent load uses one client per thread.
@@ -15,13 +21,16 @@ request/response); concurrent load uses one client per thread.
 from __future__ import annotations
 
 import http.client
-import json
 import ssl
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 from urllib.parse import urlencode, urlsplit
 
+import numpy as np
+
 from ..api.queries import Answer
+from ..wire import pack_frame
+from .http import DOCUMENT_KIND, WIRE_TYPE, decode_document, media_type
 
 __all__ = ["GatewayClient", "GatewayError"]
 
@@ -39,8 +48,36 @@ class GatewayError(RuntimeError):
         self.message = message
 
 
+def _lists(value: Any) -> Any:
+    """A decoded wire document with its arrays as nested lists (JSON's shape)."""
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, dict):
+        return {key: _lists(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_lists(item) for item in value]
+    return value
+
+
+def _document(data: bytes, headers: Mapping[str, str]) -> Any:
+    """A response body as a document, decoded by its ``Content-Type``."""
+    if not data:
+        return None
+    content_type = headers.get("content-type", "")
+    document = decode_document(data, content_type)
+    return _lists(document) if media_type(content_type) == WIRE_TYPE \
+        else document
+
+
+def _error_message(document: Any, data: bytes) -> str:
+    message = ""
+    if isinstance(document, dict):
+        message = document.get("error", {}).get("message", "")
+    return message or repr(data[:200])
+
+
 class GatewayClient:
-    """Talk JSON to one gateway over a persistent HTTP(S) connection."""
+    """Talk to one gateway over a persistent HTTP(S) connection."""
 
     def __init__(self, base_url: str, *, auth_token: Optional[str] = None,
                  timeout: float = 30.0, trace_id: Optional[str] = None,
@@ -100,7 +137,7 @@ class GatewayClient:
         Response header names come back lower-cased (the gateway's own
         request-header convention).
         """
-        headers = {"Content-Type": "application/json"}
+        headers = {"Content-Type": WIRE_TYPE, "Accept": WIRE_TYPE}
         if self._trace_id is not None:
             headers["X-Trace-Id"] = self._trace_id
         if self._auth_token is not None:
@@ -126,7 +163,7 @@ class GatewayClient:
 
     def request(self, method: str, path: str,
                 payload: Optional[Any] = None) -> Any:
-        """One JSON round trip; returns the decoded response document.
+        """One document round trip; returns the decoded response document.
 
         Query routes (``/v1/query/*``) are transparently conditional when
         the ETag cache is enabled: a repeat of a remembered request sends
@@ -134,7 +171,7 @@ class GatewayClient:
         document without the gateway re-evaluating anything.
         """
         body = None if payload is None else \
-            json.dumps(payload, separators=(",", ":")).encode("utf-8")
+            pack_frame(DOCUMENT_KIND, payload, plain=True)
         cache_key = None
         conditional: Optional[Dict[str, str]] = None
         cached: Optional[Tuple[str, Any]] = None
@@ -153,12 +190,9 @@ class GatewayClient:
             # are shared — a hit is a read-only snapshot, not a deep copy.
             document = cached[1]
             return dict(document) if isinstance(document, dict) else document
-        document = json.loads(data) if data else None
+        document = _document(data, response_headers)
         if status >= 400:
-            message = ""
-            if isinstance(document, dict):
-                message = document.get("error", {}).get("message", "")
-            raise GatewayError(status, message or repr(data[:200]))
+            raise GatewayError(status, _error_message(document, data))
         if cache_key is not None and status == 200:
             etag = response_headers.get("etag")
             if etag:
@@ -179,15 +213,12 @@ class GatewayClient:
         that report is the whole point of calling ``healthz`` — so it is
         returned, not raised.  Anything else error-shaped raises.
         """
-        status, _headers, data = self._exchange("GET", "/v1/healthz", None)
-        document = json.loads(data) if data else None
+        status, headers, data = self._exchange("GET", "/v1/healthz", None)
+        document = _document(data, headers)
         if isinstance(document, dict) and "shards" in document:
             return document
         if status >= 400:
-            message = ""
-            if isinstance(document, dict):
-                message = document.get("error", {}).get("message", "")
-            raise GatewayError(status, message or repr(data[:200]))
+            raise GatewayError(status, _error_message(document, data))
         return document
 
     def metrics(self) -> str:
@@ -203,15 +234,16 @@ class GatewayClient:
     def push(self, items: Optional[Sequence[Any]] = None,
              rows: Optional[Any] = None,
              site_ids: Optional[Sequence[int]] = None) -> Dict[str, Any]:
-        """Ingest one batch: ``items`` ([element, weight] pairs) or ``rows``."""
+        """Ingest one batch: ``items`` ([element, weight] pairs) or ``rows``
+        (anything ``numpy`` reads as a 2-d float array, shipped as one)."""
         payload: Dict[str, Any] = {}
         if items is not None:
             payload["items"] = [[element, float(weight)]
                                 for element, weight in items]
         if rows is not None:
-            payload["rows"] = [[float(x) for x in row] for row in rows]
+            payload["rows"] = np.asarray(rows, dtype=np.float64)
         if site_ids is not None:
-            payload["site_ids"] = [int(site) for site in site_ids]
+            payload["site_ids"] = np.asarray(site_ids, dtype=np.int64)
         return self.request("POST", "/v1/push", payload)
 
     def query(self, kind: str, params: Optional[Dict[str, Any]] = None,

@@ -1,12 +1,25 @@
 """Minimal HTTP/1.1 request/response plumbing over asyncio streams.
 
-Deliberately stdlib-only and small: the gateway speaks plain HTTP/1.1 with
-``Content-Length`` bodies (no chunked transfer, no multipart), JSON in and
-JSON out, and keep-alive connections so a load-testing client can reuse one
-TCP (or TLS) connection for thousands of requests.  Everything a request
-can get wrong — an oversized body, a malformed request line, a missing
-length — surfaces as an :class:`HttpError` carrying the right status code,
-which the server renders as a structured JSON error document.
+Deliberately small and built on the stdlib's asyncio streams: the gateway
+speaks plain HTTP/1.1 with ``Content-Length`` bodies (no chunked
+transfer, no multipart) and keep-alive connections so a load-testing
+client can reuse one TCP (or TLS) connection for thousands of requests.  Everything a request can get
+wrong — an oversized body, a malformed request line, a missing length —
+surfaces as an :class:`HttpError` carrying the right status code, which
+the server renders as a structured error document.
+
+Documents — request bodies, answers, errors — travel in one of two
+representations, chosen per request by content negotiation:
+
+* ``application/json`` — the fallback: what a client that lists nothing
+  in ``Accept`` (curl) gets, and what a body without a ``Content-Type`` is
+  read as;
+* ``application/x-repro-wire`` — one :mod:`repro.wire` frame of kind
+  :data:`DOCUMENT_KIND` holding *plain data* only (arrays ship as their
+  bytes; nothing is resolved by name, referenced twice or deflated).
+
+A request body decodes by its ``Content-Type`` (anything else is a 415);
+a response is wire when ``Accept`` lists the wire type and JSON otherwise.
 """
 
 from __future__ import annotations
@@ -14,17 +27,33 @@ from __future__ import annotations
 import asyncio
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Mapping, Optional, Tuple
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+import numpy as np
+
+from ..wire import WireDecodeError, pack_frame, unpack_frame
+
 __all__ = [
+    "DOCUMENT_KIND",
+    "JSON_TYPE",
+    "WIRE_TYPE",
     "HttpError",
     "Request",
+    "decode_document",
+    "encode_document",
+    "media_type",
     "read_request",
     "render_response",
-    "json_response",
+    "document_response",
     "error_response",
 ]
+
+JSON_TYPE = "application/json"
+WIRE_TYPE = "application/x-repro-wire"
+
+#: Frame kind of every wire-encoded gateway document, in both directions.
+DOCUMENT_KIND = "repro/gateway-document"
 
 #: Cap on the request line + headers block; requests are tiny JSON affairs,
 #: so 64 KiB of headers is already generous.
@@ -41,6 +70,7 @@ _REASONS = {
     408: "Request Timeout",
     411: "Length Required",
     413: "Payload Too Large",
+    415: "Unsupported Media Type",
     500: "Internal Server Error",
     501: "Not Implemented",
     503: "Service Unavailable",
@@ -59,6 +89,41 @@ class HttpError(Exception):
         self.headers = dict(headers or {})
 
 
+def media_type(header: str) -> str:
+    """The bare, lower-cased media type of a ``Content-Type`` value."""
+    return header.partition(";")[0].strip().lower()
+
+
+def encode_document(document: Any, wire: bool) -> Tuple[bytes, str]:
+    """``(body, content type)`` of a document in the chosen representation.
+
+    ``document`` is plain data whose arrays may still be ndarrays: a wire
+    frame ships them verbatim, JSON writes them as nested lists.
+    """
+    if wire:
+        return pack_frame(DOCUMENT_KIND, document, plain=True), WIRE_TYPE
+    return (json.dumps(document, separators=(",", ":"),
+                       default=_array_as_list).encode("utf-8"), JSON_TYPE)
+
+
+def _array_as_list(value: Any) -> Any:
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    raise TypeError(f"Object of type {type(value).__name__} "
+                    "is not JSON serializable")
+
+
+def decode_document(body: bytes, content_type: str) -> Any:
+    """A document body back as plain data (wire arrays stay ndarrays).
+
+    Raises :class:`~repro.wire.WireDecodeError` or ``ValueError`` on a
+    body that is not a valid document of its type.
+    """
+    if media_type(content_type) == WIRE_TYPE:
+        return unpack_frame(body, DOCUMENT_KIND, plain=True)[1]
+    return json.loads(body)
+
+
 @dataclass
 class Request:
     """One parsed HTTP request."""
@@ -70,15 +135,36 @@ class Request:
     headers: Dict[str, str] = field(default_factory=dict)  # lower-cased names
     body: bytes = b""
 
-    def json(self) -> Any:
-        """The body parsed as JSON (``None`` for an empty body)."""
+    def document(self) -> Any:
+        """The body decoded by its ``Content-Type`` (``None`` when empty).
+
+        JSON — also assumed when the header is absent — or a wire frame of
+        plain data; a malformed body is a 400, any other type a 415.
+        """
         if not self.body:
             return None
+        content_type = self.headers.get("content-type") or JSON_TYPE
+        if media_type(content_type) not in (JSON_TYPE, WIRE_TYPE):
+            raise HttpError(
+                415, f"unsupported request body type "
+                     f"{media_type(content_type)[:64]!r}; send {JSON_TYPE} "
+                     f"or {WIRE_TYPE}")
         try:
-            return json.loads(self.body)
-        except ValueError as exc:
+            return decode_document(self.body, content_type)
+        except WireDecodeError as exc:
+            raise HttpError(400, f"request body is not a valid {WIRE_TYPE} "
+                                 f"document: {exc}") from exc
+        except (ValueError, RecursionError) as exc:
             raise HttpError(400, f"request body is not valid JSON: {exc}") \
                 from exc
+
+    @property
+    def wants_wire(self) -> bool:
+        """Whether ``Accept`` lists the wire type, so the response should be
+        a wire frame.  Wildcards do not count: ``*/*`` (curl's default)
+        gets JSON."""
+        return any(media_type(entry) == WIRE_TYPE
+                   for entry in self.headers.get("accept", "").split(","))
 
     @property
     def keep_alive(self) -> bool:
@@ -149,7 +235,7 @@ async def read_request(reader: asyncio.StreamReader, *,
 
 
 def render_response(status: int, body: bytes,
-                    content_type: str = "application/json",
+                    content_type: str = JSON_TYPE,
                     headers: Optional[Mapping[str, str]] = None,
                     keep_alive: bool = True) -> bytes:
     """Serialize one HTTP/1.1 response."""
@@ -165,19 +251,19 @@ def render_response(status: int, body: bytes,
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1") + body
 
 
-def json_response(payload: Any, status: int = 200,
-                  headers: Optional[Mapping[str, str]] = None,
-                  keep_alive: bool = True) -> bytes:
-    """A JSON document as a complete response."""
-    body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-    return render_response(status, body, headers=headers,
+def document_response(document: Any, status: int = 200,
+                      headers: Optional[Mapping[str, str]] = None,
+                      keep_alive: bool = True, wire: bool = False) -> bytes:
+    """A document in the negotiated representation as a complete response."""
+    body, content_type = encode_document(document, wire)
+    return render_response(status, body, content_type, headers=headers,
                            keep_alive=keep_alive)
 
 
 def error_response(status: int, message: str,
                    headers: Optional[Mapping[str, str]] = None,
-                   keep_alive: bool = True) -> bytes:
-    """The gateway's structured JSON error document."""
-    return json_response({"error": {"status": status, "message": message}},
-                         status=status, headers=headers,
-                         keep_alive=keep_alive)
+                   keep_alive: bool = True, wire: bool = False) -> bytes:
+    """The gateway's structured error document."""
+    return document_response({"error": {"status": status, "message": message}},
+                             status=status, headers=headers,
+                             keep_alive=keep_alive, wire=wire)

@@ -1,15 +1,15 @@
 """The asyncio serving gateway: many HTTP clients, one tracker.
 
-:class:`Gateway` multiplexes any number of concurrent HTTP/JSON clients
-onto a single :class:`~repro.api.Tracker` or
+:class:`Gateway` multiplexes any number of concurrent HTTP clients onto a
+single :class:`~repro.api.Tracker` or
 :class:`~repro.cluster.ShardedTracker`:
 
 ====== ======================== ===========================================
 Method Route                    Purpose
 ====== ======================== ===========================================
 POST   ``/v1/push``             batched ingest (``items`` or ``rows``)
-GET    ``/v1/query/<kind>``     typed queries as ``Answer.to_dict()`` JSON
-POST   ``/v1/query/<kind>``     same, parameters in the JSON body
+GET    ``/v1/query/<kind>``     typed queries as ``Answer.to_dict()`` documents
+POST   ``/v1/query/<kind>``     same, parameters in the request body
 GET    ``/v1/stats``            items/message accounting snapshot
 GET    ``/v1/healthz``          per-shard liveness + spec/shard identity
 GET    ``/v1/metrics``          Prometheus text exposition (cluster-merged)
@@ -17,8 +17,15 @@ POST   ``/v1/checkpoint``       checkpoint the tracker to a server path
 POST   ``/v1/admin/move_shard`` live shard handoff (socket backend)
 ====== ======================== ===========================================
 
+Every document — body, answer, error — is JSON or a plain-data wire frame
+by content negotiation (:mod:`repro.gateway.http`); both representations
+go through the same validation, and a request that asks for nothing gets
+JSON.
+
 **Concurrency model.**  The asyncio event loop only parses HTTP and
-serializes JSON; every touch of the tracker happens on executor threads.
+renders small documents; every touch of the tracker happens on executor
+threads, and a query's answer is encoded in the executor job that
+computed it.
 All *writes* (push, checkpoint, shard moves, stats) funnel through a
 single-thread executor — the writer queue — so the transport order of
 ingest batches is deterministic: batches hit the backend in exactly the
@@ -33,7 +40,8 @@ connections, reading bodies) still proceeds concurrently either way.
 
 Every route enforces bearer-token auth when the gateway has an
 ``auth_token``, a per-request deadline (``request_timeout``), and the
-``max_body_bytes`` ingest limit; failures come back as structured JSON
+``max_body_bytes`` ingest limit (bytes on the wire, whichever the
+representation); failures come back as structured
 ``{"error": {"status": ..., "message": ...}}`` documents.  Pass an
 ``ssl_context`` (e.g. from
 :func:`repro.cluster.server_ssl_context`) to serve HTTPS.
@@ -45,7 +53,6 @@ import asyncio
 import dataclasses
 import hashlib
 import hmac
-import json
 import ssl
 import threading
 from collections import deque
@@ -87,11 +94,14 @@ from ..obs.metrics import (
     merge_snapshots,
     render_prometheus,
 )
+from ..utils.validation import check_weight_batch
 from .http import (
+    WIRE_TYPE,
     HttpError,
     Request,
+    document_response,
+    encode_document,
     error_response,
-    json_response,
     read_request,
     render_response,
 )
@@ -143,6 +153,9 @@ DEFAULT_REQUEST_TIMEOUT = 30.0
 DEFAULT_COALESCE_MAX_ITEMS = 32768
 DEFAULT_COALESCE_MAX_BYTES = 8 * 1024 * 1024
 
+#: Heavy-hitter elements a request may name: hashable scalars.
+_ELEMENT_TYPES = (str, int, float, bytes, type(None))
+
 
 def _float_param(request: Request, body: Any, name: str,
                  default: Optional[float]) -> Optional[float]:
@@ -154,16 +167,19 @@ def _float_param(request: Request, body: Any, name: str,
         return default
     try:
         return float(raw)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise HttpError(400, f"query parameter {name!r} must be a number, "
                              f"got {raw!r}") from exc
 
 
 def _element_param(request: Request, body: Any) -> Any:
-    """The element of a frequency query: body JSON keeps its type, a query
+    """The element of a frequency query: a body keeps its type, a query
     string value is tried as an integer first (URL parameters are untyped,
     and integer element labels are this repo's default)."""
     if isinstance(body, dict) and "element" in body:
+        if not isinstance(body["element"], _ELEMENT_TYPES):
+            raise HttpError(400, "a frequency query's 'element' must be a "
+                                 "string or a number")
         return body["element"]
     if "element" in request.params:
         raw = request.params["element"]
@@ -188,13 +204,13 @@ def _build_norms(request: Request, body: Any) -> Query:
                              "'directions' (one vector or a list of them)")
     try:
         directions = np.asarray(body["directions"], dtype=np.float64)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise HttpError(400, f"malformed 'directions': {exc}") from exc
     return Norms(directions=directions)
 
 
 #: Route-suffix → query builder; the response is always the typed answer's
-#: ``to_dict()`` JSON, so ``Answer.from_dict`` re-hydrates it client-side.
+#: ``to_dict()`` document, so ``Answer.from_dict`` re-hydrates it client-side.
 QUERY_KINDS: Dict[str, Callable[[Request, Any], Query]] = {
     "heavy_hitters": _build_heavy_hitters,
     "frequency": _build_frequency,
@@ -208,14 +224,85 @@ QUERY_KINDS: Dict[str, Callable[[Request, Any], Query]] = {
 
 _TRUE_VALUES = ("1", "true", "yes", "on")
 
+#: Every document response depends on the request's ``Accept`` header.
+_VARY = ("Vary", "Accept")
+
+
+def _push_items(raw: Any) -> List[Tuple[Any, float]]:
+    """A push's ``items`` as ``(element, weight)`` pairs, or a 400."""
+    if raw is None:
+        raise HttpError(400, "heavy-hitter push bodies need "
+                             "'items': [[element, weight], ...]")
+    if not isinstance(raw, (list, tuple)):
+        raise HttpError(400, "'items' must be a list of [element, weight] "
+                             "pairs")
+    batch = []
+    for index, item in enumerate(raw):
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and isinstance(item[0], _ELEMENT_TYPES)):
+            raise HttpError(400, f"malformed 'items' entry {index}: expected "
+                                 "[element, weight] with a string or number "
+                                 "element")
+        try:
+            batch.append((item[0], float(item[1])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise HttpError(400, f"malformed 'items' entry {index}: {exc}") \
+                from exc
+    try:
+        check_weight_batch([weight for _, weight in batch])
+    except ValueError as exc:
+        raise HttpError(400, f"malformed 'items': {exc}") from exc
+    return batch
+
+
+def _push_rows(raw: Any, dimension: Optional[int]) -> np.ndarray:
+    """A push's ``rows`` as a finite 2-d float64 array, or a 400."""
+    if raw is None:
+        raise HttpError(400, "matrix push bodies need 'rows': [[...], ...]")
+    try:
+        rows = np.asarray(raw, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise HttpError(400, f"malformed 'rows': {exc}") from exc
+    if rows.ndim != 2:
+        raise HttpError(400, f"'rows' must be 2-d, got shape {rows.shape}")
+    if dimension is not None and rows.shape[1] != dimension:
+        raise HttpError(400, f"rows has {rows.shape[1]} columns but the "
+                             f"stream dimension is {dimension}")
+    if not np.isfinite(rows).all():
+        raise HttpError(400, "'rows' contains non-finite values")
+    return rows
+
+
+def _push_sites(raw: Any, count: int,
+                num_sites: Optional[int]) -> Optional[np.ndarray]:
+    """A push's ``site_ids`` as an int64 array (``None`` if absent), or a 400."""
+    if raw is None:
+        return None
+    try:
+        sites = np.asarray(raw)
+    except ValueError as exc:
+        raise HttpError(400, f"malformed 'site_ids': {exc}") from exc
+    if sites.ndim != 1 or (sites.size and sites.dtype.kind not in "iu"):
+        raise HttpError(400, "'site_ids' must be a list of integers")
+    if len(sites) != count:
+        raise HttpError(400, f"site_ids has {len(sites)} entries for "
+                             f"{count} items")
+    if count and num_sites is not None and (
+            sites.min() < 0 or sites.max() >= num_sites):
+        raise HttpError(400, f"site indices must lie in [0, {num_sites}), "
+                             f"got range [{sites.min()}, {sites.max()}]")
+    return sites.astype(np.int64)
+
 
 @dataclasses.dataclass(frozen=True)
 class _RawResponse:
-    """A handler result that is not a 200 JSON document.
+    """A handler result rendered before it reaches ``_dispatch``.
 
-    ``/v1/metrics`` returns Prometheus text and a degraded ``/v1/healthz``
-    returns its JSON payload under a 503 — both ride this carrier through
-    the shared ``_respond`` plumbing instead of special-casing routes.
+    ``/v1/metrics`` returns Prometheus text, a query answer is encoded in
+    the executor job that computed it (with its ``ETag``), a revalidated
+    query is a bodyless 304 and a degraded ``/v1/healthz`` returns its
+    document under a 503 — all ride this carrier through the shared
+    ``_respond`` plumbing instead of special-casing routes.
     """
 
     body: bytes
@@ -235,7 +322,7 @@ class _QueuedPush:
     """
 
     batch: Any                      # list of pairs (hh) or 2-d array (matrix)
-    site_ids: Optional[List[int]]
+    site_ids: Optional[np.ndarray]
     count: int
     nbytes: int                     # request body size (coalescing budget)
     future: asyncio.Future
@@ -257,7 +344,8 @@ async def _already_done(value: Any) -> Any:
     return value
 
 
-def _merge_push_group(group: List[_QueuedPush]) -> Tuple[Any, Optional[list]]:
+def _merge_push_group(group: List[_QueuedPush]
+                      ) -> Tuple[Any, Optional[np.ndarray]]:
     """Concatenate a run of queued pushes into one columnar batch.
 
     Arrival order is preserved item-for-item: entry ``i``'s items precede
@@ -271,7 +359,7 @@ def _merge_push_group(group: List[_QueuedPush]) -> Tuple[Any, Optional[list]]:
         batch = [item for entry in group for item in entry.batch]
     site_ids = None
     if group[0].site_ids is not None:
-        site_ids = [site for entry in group for site in entry.site_ids]
+        site_ids = np.concatenate([entry.site_ids for entry in group])
     return batch, site_ids
 
 
@@ -306,7 +394,7 @@ def _route_label(path: str) -> str:
 
 
 class Gateway:
-    """Serve one tracker to many concurrent HTTP/JSON clients.
+    """Serve one tracker to many concurrent HTTP clients.
 
     Parameters
     ----------
@@ -367,6 +455,11 @@ class Gateway:
                              "(tracker.spec is None)")
         self._spec = spec
         self._domain = get_spec(spec).domain
+        # Pushes are checked against these before they queue, so a bad one
+        # fails alone instead of failing the batch it would coalesce into.
+        params = tracker.params
+        self._num_sites = params.get("num_sites")
+        self._dimension = params.get("dimension")
         # The single-writer queue: every tracker mutation goes through this
         # one thread, in event-loop submission order.
         self._writer = ThreadPoolExecutor(
@@ -562,8 +655,15 @@ class Gateway:
 
     async def _dispatch(self, request: Request,
                         trace: str) -> Tuple[bytes, int]:
-        """Route + run one request; returns ``(response_bytes, status)``."""
+        """Route + run one request; returns ``(response_bytes, status)``.
+
+        Documents and errors follow the request's ``Accept`` header
+        (``request.wants_wire``); pre-rendered responses carry their own
+        content type.
+        """
         trace_headers = {"X-Trace-Id": trace}
+        document_headers = dict(trace_headers, Vary="Accept")
+        wire, keep_alive = request.wants_wire, request.keep_alive
         try:
             self._check_auth(request)
             handler = self._route(request)
@@ -575,29 +675,23 @@ class Gateway:
                 return render_response(
                     payload.status, payload.body,
                     content_type=payload.content_type, headers=headers,
-                    keep_alive=request.keep_alive), payload.status
-            return json_response(payload, headers=trace_headers,
-                                 keep_alive=request.keep_alive), 200
+                    keep_alive=keep_alive), payload.status
+            return document_response(payload, headers=document_headers,
+                                     keep_alive=keep_alive, wire=wire), 200
         except asyncio.TimeoutError:
-            return error_response(
-                504, f"request exceeded the gateway's "
-                     f"{self._request_timeout:g}s deadline",
-                headers=trace_headers, keep_alive=request.keep_alive), 504
+            status, message = 504, (f"request exceeded the gateway's "
+                                    f"{self._request_timeout:g}s deadline")
         except HttpError as err:
-            headers = dict(err.headers)
-            headers.update(trace_headers)
-            return error_response(err.status, err.message, headers=headers,
-                                  keep_alive=request.keep_alive), err.status
+            document_headers = {**err.headers, **document_headers}
+            status, message = err.status, err.message
         except (BackendError, TypeError, ValueError) as exc:
             # Tracker-level rejections (wrong-domain query, bad shapes,
             # unsupported backend operations) are the client's doing.
-            return error_response(400, f"{type(exc).__name__}: {exc}",
-                                  headers=trace_headers,
-                                  keep_alive=request.keep_alive), 400
+            status, message = 400, f"{type(exc).__name__}: {exc}"
         except Exception as exc:  # noqa: BLE001 - last-resort server error
-            return error_response(500, f"{type(exc).__name__}: {exc}",
-                                  headers=trace_headers,
-                                  keep_alive=request.keep_alive), 500
+            status, message = 500, f"{type(exc).__name__}: {exc}"
+        return error_response(status, message, headers=document_headers,
+                              keep_alive=keep_alive, wire=wire), status
 
     def _check_auth(self, request: Request) -> None:
         if self._auth_token is None:
@@ -621,7 +715,7 @@ class Gateway:
         path, method = request.path, request.method
         if path == "/v1/healthz":
             self._require(method, "GET")
-            return self._healthz()
+            return self._healthz(request.wants_wire)
         if path == "/v1/metrics":
             self._require(method, "GET")
             return self._metrics()
@@ -675,7 +769,7 @@ class Gateway:
         loop = asyncio.get_running_loop()
         return loop.run_in_executor(self._reader, self._with_trace(fn))
 
-    async def _healthz(self) -> Any:
+    async def _healthz(self, wire: bool) -> Any:
         shards = await self._run_write(self._tracker.liveness)
         healthy = all(state == "ok" for state in shards.values())
         payload = {
@@ -687,9 +781,9 @@ class Gateway:
         }
         if healthy:
             return payload
-        return _RawResponse(
-            json.dumps(payload, separators=(",", ":")).encode("utf-8"),
-            status=503)
+        body, content_type = encode_document(payload, wire)
+        return _RawResponse(body, status=503, content_type=content_type,
+                            headers=(_VARY,))
 
     async def _metrics(self) -> _RawResponse:
         text = await self._run_write(self._render_metrics)
@@ -705,40 +799,20 @@ class Gateway:
 
     # ------------------------------------------------------------------ push
     def _push(self, request: Request) -> Awaitable[Any]:
-        body = request.json()
+        """Validate one push — whichever its body's representation — and
+        queue it: the checks below are all that stand before the tracker."""
+        body = request.document()
         if not isinstance(body, dict):
             raise HttpError(400, "push body must be a JSON object")
-        site_ids = body.get("site_ids")
         if self._domain == DOMAIN_HEAVY_HITTERS:
-            raw = body.get("items")
-            if raw is None:
-                raise HttpError(400, "heavy-hitter push bodies need "
-                                     "'items': [[element, weight], ...]")
-            try:
-                batch: Any = [(item[0], float(item[1])) for item in raw]
-            except (TypeError, IndexError, ValueError) as exc:
-                raise HttpError(400, f"malformed 'items' entry: {exc}") \
-                    from exc
+            batch: Any = _push_items(body.get("items"))
         else:
-            raw = body.get("rows")
-            if raw is None:
-                raise HttpError(400, "matrix push bodies need "
-                                     "'rows': [[...], ...]")
-            try:
-                batch = np.asarray(raw, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise HttpError(400, f"malformed 'rows': {exc}") from exc
-            if batch.ndim != 2:
-                raise HttpError(400, f"'rows' must be 2-d, got shape "
-                                     f"{batch.shape}")
+            batch = _push_rows(body.get("rows"), self._dimension)
         count = len(batch)
-        if site_ids is not None and len(site_ids) != count:
-            raise HttpError(400, f"site_ids has {len(site_ids)} entries for "
-                                 f"{count} items")
-        return self._enqueue_push(batch, site_ids, count,
-                                  len(request.body or b""))
+        site_ids = _push_sites(body.get("site_ids"), count, self._num_sites)
+        return self._enqueue_push(batch, site_ids, count, len(request.body))
 
-    def _enqueue_push(self, batch: Any, site_ids: Optional[Any],
+    def _enqueue_push(self, batch: Any, site_ids: Optional[np.ndarray],
                       count: int, nbytes: int) -> "asyncio.Future":
         """Queue one parsed push for the writer thread and return its ack.
 
@@ -750,10 +824,8 @@ class Gateway:
         """
         loop = asyncio.get_running_loop()
         entry = _QueuedPush(
-            batch=batch,
-            site_ids=list(site_ids) if site_ids is not None else None,
-            count=count, nbytes=nbytes, future=loop.create_future(),
-            loop=loop, trace=current_trace_id())
+            batch=batch, site_ids=site_ids, count=count, nbytes=nbytes,
+            future=loop.create_future(), loop=loop, trace=current_trace_id())
         with self._push_lock:
             self._push_queue.append(entry)
         self._writer.submit(self._drain_pushes)
@@ -829,14 +901,15 @@ class Gateway:
         if builder is None:
             raise HttpError(404, f"unknown query kind {kind!r}; one of: "
                                  f"{', '.join(sorted(QUERY_KINDS))}")
-        body = request.json() if request.method == "POST" else None
+        body = request.document() if request.method == "POST" else None
         query = builder(request, body)
         partial_raw = request.params.get("partial")
         if partial_raw is None and isinstance(body, dict):
             partial_raw = body.get("partial")
         partial = str(partial_raw).lower() in _TRUE_VALUES \
             if partial_raw is not None else False
-        etag = None if partial else self._etag_for(query)
+        wire = request.wants_wire
+        etag = None if partial else self._etag_for(query, wire)
         if etag is not None and _etag_matches(
                 request.headers.get("if-none-match"), etag):
             # The validator alone proves the cached document is current —
@@ -844,46 +917,45 @@ class Gateway:
             if REGISTRY.enabled:
                 _NOT_MODIFIED.inc(route=_route_label(request.path))
             return _already_done(_RawResponse(
-                b"", status=304, headers=(("ETag", etag),)))
-        return self._answer_query(query, partial, etag)
+                b"", status=304, headers=(("ETag", etag), _VARY)))
+        return self._run_read(
+            lambda: self._do_query(query, partial, wire, etag))
 
-    async def _answer_query(self, query: Query, partial: bool,
-                            etag: Optional[str]) -> Any:
-        payload = await self._run_read(
-            lambda: self._do_query(query, partial))
-        if etag is None:
-            return payload
-        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
-        return _RawResponse(body, headers=(("ETag", etag),))
-
-    def _etag_for(self, query: Query) -> Optional[str]:
+    def _etag_for(self, query: Query, wire: bool) -> Optional[str]:
         """The query's current validator: ``"<spec>-<epoch>-<query-hash>"``.
 
         The epoch is read *before* the query runs, so a push racing the
         evaluation can only make the stamped validator stale early (extra
         re-validation), never let it cover data it does not have.  The
-        query hash folds in the canonical parameters and the cluster's
-        placement version, so a shard handoff invalidates validators even
-        at an unchanged epoch counter.
+        query hash folds in the canonical parameters, the cluster's
+        placement version — so a shard handoff invalidates validators even
+        at an unchanged epoch counter — and, for the wire representation,
+        its media type: the JSON and the wire document of one state are
+        different bytes and never share a validator.
         """
         epoch, placement = self._tracker.cache_generation()
         try:
             key = query.cache_key()
         except TypeError:
             return None  # unhashable parameters have no stable validator
-        digest = hashlib.sha1(
-            repr((key, placement)).encode("utf-8")).hexdigest()[:16]
+        identity = (key, placement, WIRE_TYPE) if wire else (key, placement)
+        digest = hashlib.sha1(repr(identity).encode("utf-8")).hexdigest()[:16]
         return f'"{self._spec}-{epoch}-{digest}"'
 
-    def _do_query(self, query: Query, partial: bool) -> Dict[str, Any]:
+    def _do_query(self, query: Query, partial: bool, wire: bool,
+                  etag: Optional[str]) -> _RawResponse:
+        """Answer and encode in one executor job: a large answer's encoding
+        never holds up the event loop (and every connection on it)."""
         answer: Answer = self._tracker.query(query, partial=partial)
-        payload = answer.to_dict()
-        payload["partial"] = answer.is_partial
-        return payload
+        document = answer.document()
+        document["partial"] = answer.is_partial
+        body, content_type = encode_document(document, wire)
+        headers = (_VARY,) if etag is None else (("ETag", etag), _VARY)
+        return _RawResponse(body, content_type=content_type, headers=headers)
 
     # ----------------------------------------------------------------- admin
     def _checkpoint(self, request: Request) -> Awaitable[Any]:
-        body = request.json()
+        body = request.document()
         if not isinstance(body, dict) or not body.get("path"):
             raise HttpError(400, "checkpoint bodies need a server-side "
                                  "'path' to save to")
@@ -895,7 +967,7 @@ class Gateway:
         return {"saved": path, "spec": self._spec}
 
     def _move_shard(self, request: Request) -> Awaitable[Any]:
-        body = request.json()
+        body = request.document()
         if not isinstance(body, dict) or "shard" not in body \
                 or not body.get("address"):
             raise HttpError(400, "move_shard bodies need 'shard' (index) "
@@ -904,7 +976,7 @@ class Gateway:
             raise HttpError(400, "move_shard needs a sharded tracker")
         try:
             shard = int(body["shard"])
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise HttpError(400, f"malformed shard index: {body['shard']!r}") \
                 from exc
         address = str(body["address"])

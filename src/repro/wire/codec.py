@@ -32,6 +32,15 @@ The one intentional lossy spot: ``__orig_class__`` attributes left on
 instances by ``typing`` generic-alias construction (pure static-typing
 metadata) are skipped, and exception *arguments* degrade to their ``repr``
 when not primitive — remote errors are reports, not state.
+
+**Plain data** (``plain=True``) is the subset for peers that are not this
+program's own processes, such as HTTP clients of the serving gateway: None,
+bool, int, float, str, bytes, list, tuple, dict and ``float64`` / ``int64``
+/ ``bool`` arrays.  A plain decoder refuses every other tag by name before
+reading its payload — nothing is resolved by qualified name, rebuilt as an
+object or referenced twice — and a plain encoder writes a tree: shared
+containers are written out again instead of as references, and NumPy
+scalars as the Python numbers they hold.
 """
 
 from __future__ import annotations
@@ -45,6 +54,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "PLAIN_DTYPES",
     "WireError",
     "WireEncodeError",
     "WireDecodeError",
@@ -99,6 +109,23 @@ _NPTYPE = 0x1A
 # 0x1B was the per-array packed codec (deflate / float32 downcast), retired
 # with its only writer: never reuse it; decoders refuse it as an unknown tag.
 _SHMARRAY = 0x1C
+
+#: Tags outside plain data, by name (what a plain decoder's refusal says).
+_NOT_PLAIN = {
+    _COMPLEX: "COMPLEX", _BYTEARRAY: "BYTEARRAY", _SET: "SET",
+    _FROZENSET: "FROZENSET", _OBJARRAY: "OBJARRAY", _NPSCALAR: "NPSCALAR",
+    _NPGENERATOR: "NPGENERATOR", _CLASS: "CLASS", _FUNCTION: "FUNCTION",
+    _OBJECT: "OBJECT", _ENUM: "ENUM", _EXCEPTION: "EXCEPTION", _REF: "REF",
+    _DTYPE: "DTYPE", _NPTYPE: "NPTYPE", _SHMARRAY: "SHMARRAY",
+}
+
+#: Array dtypes plain data carries: float64, int64 and bool.
+PLAIN_DTYPES = ("<f8", "<i8", "|b1")
+
+#: Widest integer plain data carries, in bytes — about 2 500 decimal digits,
+#: inside what ``json`` parses, so neither representation admits an integer
+#: the other cannot render.
+_PLAIN_BIGINT_BYTES = 1024
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
@@ -221,14 +248,16 @@ class _Encoder:
     ``array_sink`` diverts array payloads out of band (shared memory),
     leaving an ``_SHMARRAY`` reference in the byte stream.  ``used_extensions`` records whether any
     post-v1 tag was actually emitted, so frame writers can stamp the lowest
-    wire version that can express the payload.
+    wire version that can express the payload.  ``plain`` writes a tree a
+    plain decoder accepts (see the module docstring).
     """
 
-    def __init__(self, array_sink: Optional[Callable[[np.ndarray], Any]] = None
-                 ) -> None:
+    def __init__(self, array_sink: Optional[Callable[[np.ndarray], Any]] = None,
+                 plain: bool = False) -> None:
         self.out = bytearray()
         self.used_extensions = False
         self._array_sink = array_sink
+        self._plain = plain
         self._memo: Dict[int, int] = {}
         self._keepalive: List[Any] = []   # pins ids against reuse mid-pass
         self._frozen_stack: set = set()   # cycle guard for immutable containers
@@ -244,6 +273,8 @@ class _Encoder:
 
     def _memoize(self, value: Any) -> bool:
         """Emit a REF for already-seen objects; otherwise register and recurse."""
+        if self._plain:
+            return False  # a tree: a shared value is written out again
         index = self._memo.get(id(value))
         if index is not None:
             self.out.append(_REF)
@@ -269,7 +300,10 @@ class _Encoder:
             self.encode(value.value)
         elif isinstance(value, np.generic):
             # Before int/float: np.float64 is a float subclass.
-            self._encode_npscalar(value)
+            if self._plain:
+                self.encode(value.item())
+            else:
+                self._encode_npscalar(value)
         elif isinstance(value, int):
             if _INT64_MIN <= value <= _INT64_MAX:
                 out.append(_INT64)
@@ -488,10 +522,13 @@ class _Decoder:
 
     def __init__(self, data: memoryview,
                  array_source: Optional[
-                     Callable[[np.dtype, tuple, Any], np.ndarray]] = None) -> None:
+                     Callable[[np.dtype, tuple, Any], np.ndarray]] = None,
+                 plain: bool = False) -> None:
         self.data = data
         self.position = 0
         self.array_source = array_source
+        self.plain = plain
+        self.handlers = _PLAIN_DECODERS if plain else _DECODERS
         self.memo: List[Any] = []
 
     # ------------------------------------------------------------ primitives
@@ -506,11 +543,22 @@ class _Decoder:
         self.position = end
         return chunk
 
+    def _byte(self) -> int:
+        """``_take(1)[0]`` without the one-byte view: tags and varints."""
+        position = self.position
+        if position >= len(self.data):
+            raise WireDecodeError(
+                f"truncated payload: wanted 1 bytes at offset {position}, "
+                "have 0"
+            )
+        self.position = position + 1
+        return self.data[position]
+
     def _varint(self) -> int:
         result = 0
         shift = 0
         while True:
-            byte = self._take(1)[0]
+            byte = self._byte()
             result |= (byte & 0x7F) << shift
             if not byte & 0x80:
                 return result
@@ -524,9 +572,15 @@ class _Decoder:
 
     # -------------------------------------------------------------- dispatch
     def decode(self) -> Any:
-        tag = self._take(1)[0]
-        handler = _DECODERS.get(tag)
+        tag = self._byte()
+        handler = self.handlers.get(tag)
         if handler is None:
+            if tag in _NOT_PLAIN:
+                raise WireDecodeError(
+                    f"wire tag {_NOT_PLAIN[tag]} (0x{tag:02X}) is not plain "
+                    "data: only None, bool, int, float, str, bytes, list, "
+                    "tuple, dict and float64/int64/bool arrays are accepted"
+                )
             raise WireDecodeError(f"unknown wire tag 0x{tag:02X}")
         return handler(self)
 
@@ -554,6 +608,11 @@ class _Decoder:
 
     def _dtype(self) -> np.dtype:
         token = self._str()
+        if self.plain and token not in PLAIN_DTYPES:
+            raise WireDecodeError(
+                f"array dtype {token[:32]!r} is not plain data "
+                f"(one of {', '.join(PLAIN_DTYPES)})"
+            )
         try:
             return np.dtype(token)
         except (TypeError, ValueError) as exc:
@@ -750,6 +809,22 @@ _DECODERS: Dict[int, Callable[[_Decoder], Any]] = {
 }
 
 
+def _decode_plain_bigint(decoder: _Decoder) -> int:
+    length = decoder._varint()
+    if length > _PLAIN_BIGINT_BYTES:
+        raise WireDecodeError(
+            f"a {length}-byte integer exceeds plain data's "
+            f"{_PLAIN_BIGINT_BYTES}-byte limit"
+        )
+    return int.from_bytes(bytes(decoder._take(length)), "little", signed=True)
+
+
+_PLAIN_DECODERS: Dict[int, Callable[[_Decoder], Any]] = {
+    tag: handler for tag, handler in _DECODERS.items() if tag not in _NOT_PLAIN
+}
+_PLAIN_DECODERS[_BIGINT] = _decode_plain_bigint
+
+
 def _memo_append(decoder: _Decoder, value: Any) -> Any:
     decoder.memo.append(value)
     return value
@@ -770,31 +845,34 @@ def _decode_function(decoder: _Decoder) -> Any:
 
 
 def encode_value(value: Any, *,
-                 array_sink: Optional[Callable[[np.ndarray], Any]] = None
-                 ) -> bytes:
+                 array_sink: Optional[Callable[[np.ndarray], Any]] = None,
+                 plain: bool = False) -> bytes:
     """Encode one value tree into wire payload bytes.
 
     ``array_sink`` diverts array payloads out of band (see
     :class:`_Encoder`), producing a payload that requires a
     wire-version-2-aware decoder; :func:`encode_with_extensions` reports
-    whether the payload actually used the new tag.
+    whether the payload actually used the new tag.  ``plain`` writes the
+    value as a plain-data tree (module docstring).
     """
-    return encode_with_extensions(value, array_sink=array_sink)[0]
+    return encode_with_extensions(value, array_sink=array_sink,
+                                  plain=plain)[0]
 
 
 def encode_with_extensions(value: Any, *,
                            array_sink: Optional[
-                               Callable[[np.ndarray], Any]] = None
-                           ) -> Tuple[bytes, bool]:
+                               Callable[[np.ndarray], Any]] = None,
+                           plain: bool = False) -> Tuple[bytes, bool]:
     """Like :func:`encode_value`, also reporting whether any post-v1 codec
     tag was emitted (used by frame writers for version negotiation)."""
-    encoder = _Encoder(array_sink=array_sink)
+    encoder = _Encoder(array_sink=array_sink, plain=plain)
     encoder.encode(value)
     return bytes(encoder.out), encoder.used_extensions
 
 
 def decode_value(data: Any, *, array_source: Optional[
-        Callable[[np.dtype, tuple, Any], np.ndarray]] = None) -> Any:
+        Callable[[np.dtype, tuple, Any], np.ndarray]] = None,
+        plain: bool = False) -> Any:
     """Decode wire payload bytes back into the value tree.
 
     Raises :class:`WireDecodeError` on truncated, corrupted or disallowed
@@ -802,9 +880,11 @@ def decode_value(data: Any, *, array_source: Optional[
     contract is airtight: *any* failure while walking a malformed payload —
     a bad enum value, an undecodable string, an impossible reshape —
     surfaces as :class:`WireDecodeError`, never a raw library exception.
+    ``plain`` refuses every tag outside plain data (module docstring), so
+    nothing is ever resolved by name: the mode for untrusted peers.
     """
     view = memoryview(data) if not isinstance(data, memoryview) else data
-    decoder = _Decoder(view, array_source=array_source)
+    decoder = _Decoder(view, array_source=array_source, plain=plain)
     try:
         value = decoder.decode()
     except WireDecodeError:

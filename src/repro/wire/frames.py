@@ -101,19 +101,20 @@ def is_wire_data(data: bytes) -> bool:
 
 
 def pack_frame(kind: str, value: Any, *, compress: bool = False,
-               array_sink: Optional[Any] = None) -> bytes:
+               array_sink: Optional[Any] = None, plain: bool = False) -> bytes:
     """Encode ``value`` and wrap it in a framed envelope labelled ``kind``.
 
     ``compress`` deflates the whole body (skipped when deflate does not
-    shrink it); ``array_sink`` is forwarded to
-    :func:`~repro.wire.codec.encode_value`.  Frames using neither feature
-    are stamped wire version 1, byte-identical to earlier builds; anything
-    else is stamped version 2.
+    shrink it); ``array_sink`` and ``plain`` are forwarded to
+    :func:`~repro.wire.codec.encode_value`.  Frames using neither
+    ``compress`` nor ``array_sink`` are stamped wire version 1,
+    byte-identical to earlier builds; anything else is stamped version 2.
     """
     kind_bytes = kind.encode("utf-8")
     if len(kind_bytes) > 0xFFFF:
         raise ValueError("frame kind label too long")
-    body, extended = encode_with_extensions(value, array_sink=array_sink)
+    body, extended = encode_with_extensions(value, array_sink=array_sink,
+                                            plain=plain)
     flags = 0
     if compress:
         deflated = zlib.compress(body, _DEFLATE_LEVEL)
@@ -146,15 +147,19 @@ def _inflate_body(body: memoryview) -> bytes:
 
 
 def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
-                 array_source: Optional[Any] = None) -> Tuple[str, Any]:
+                 array_source: Optional[Any] = None,
+                 plain: bool = False) -> Tuple[str, Any]:
     """Parse one frame; returns ``(kind, value)``.
 
-    Accepts wire versions 1 and 2 (plain and deflated bodies alike).
+    Accepts wire versions 1 and 2 (uncompressed and deflated bodies alike).
     Raises :class:`WireDecodeError` on anything that is not a complete,
     uncorrupted frame of a supported version: wrong magic, version skew,
     unknown flags, truncated header/body, body-length mismatch, CRC
     mismatch, or (when ``expected_kind`` is given) a kind mismatch.
     ``array_source`` resolves shared-memory array references in the body.
+    ``plain`` is the mode for untrusted peers: the body must be plain data
+    (:func:`~repro.wire.codec.decode_value`) and a deflated frame is
+    refused before anything is inflated.
     """
     view = memoryview(data)
     if len(view) < _FIXED_HEADER.size:
@@ -178,6 +183,11 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
         raise WireDecodeError(
             f"wire frame carries unknown flags 0x{flags:04X} for version "
             f"{version}"
+        )
+    if plain and flags & _FLAG_DEFLATE:
+        raise WireDecodeError(
+            "deflated wire frames are not accepted here; send the body "
+            "uncompressed"
         )
     offset = _FIXED_HEADER.size
     if len(view) < offset + kind_length + _BODY_LENGTH.size:
@@ -205,7 +215,7 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
     if flags & _FLAG_DEFLATE:
         return kind, decode_value(_inflate_body(body),
                                   array_source=array_source)
-    return kind, decode_value(body, array_source=array_source)
+    return kind, decode_value(body, array_source=array_source, plain=plain)
 
 
 def peek_kind(data: bytes) -> Optional[str]:

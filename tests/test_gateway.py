@@ -1,17 +1,21 @@
 """Serving gateway: bit-identical concurrent serving plus the HTTP contract.
 
 The tentpole property: answers served over HTTP to many concurrent clients
-are **bit-identical** (same ``to_json`` document) to querying the same
-``ShardedTracker`` directly — for every registered spec, seed-parameterized
-via ``REPRO_PROPERTY_SEEDS`` like the rest of the property suites.  JSON is
-a faithful transport here because ``json`` round-trips floats exactly
-(``repr``-based) and ingest flows through the gateway's single-writer
-queue in arrival order.
+are **bit-identical** (documents ``==`` ``Answer.to_dict()``) to querying
+the same ``ShardedTracker`` directly — for every registered spec,
+seed-parameterized via ``REPRO_PROPERTY_SEEDS`` like the rest of the
+property suites, and in both representations: the wire frames
+``GatewayClient`` negotiates (arrays ship as their bytes) and the JSON a
+client that asks for nothing gets (``json`` round-trips floats exactly,
+``repr``-based).  Ingest flows through the gateway's single-writer queue
+in arrival order.
 
 Alongside: ``Answer.from_dict`` round-trips for every query kind, the
-concurrency pin (a slow query must not block ongoing pushes), and the HTTP
-failure contract (401/400/404/405/413/504, partial-mode passthrough,
-checkpointing through ``POST /v1/checkpoint``).
+concurrency pin (a slow query must not block ongoing pushes), the HTTP
+failure contract (401/400/404/405/413/415/504, partial-mode passthrough,
+checkpointing through ``POST /v1/checkpoint``) on both representations,
+and the public port's codec: wire bodies decode to plain data only, and
+fuzzed frames are a 4xx naming the cause, never a 500 or a poisoned shard.
 """
 
 from __future__ import annotations
@@ -19,11 +23,16 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import struct
 import threading
 import time
+import zlib
+from urllib.parse import urlencode, urlsplit
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.api.queries import (
@@ -37,7 +46,16 @@ from repro.api.queries import (
     SketchMatrix,
     TotalWeight,
 )
-from repro.gateway import Gateway, GatewayClient, GatewayError
+from repro.gateway import QUERY_KINDS, Gateway, GatewayClient, GatewayError
+from repro.gateway.http import (
+    DOCUMENT_KIND,
+    JSON_TYPE,
+    WIRE_TYPE,
+    decode_document,
+)
+from repro.streaming.network import MessageKind
+from repro.wire import encode_value, pack_frame
+from repro.wire import codec as wire_codec
 
 from test_api_state_roundtrip import HH_SPECS, MATRIX_SPECS, _params
 from test_protocol_equivalence_properties import (
@@ -47,6 +65,88 @@ from test_protocol_equivalence_properties import (
 )
 
 CONCURRENT_CLIENTS = 8
+
+#: The two representations every contract test runs under.
+ENCODINGS = ("json", "wire")
+
+
+class _JsonClient:
+    """The curl fallback: JSON bodies and no ``Accept`` header, over raw
+    ``http.client`` — the subset of ``GatewayClient`` the tests call."""
+
+    def __init__(self, url: str):
+        split = urlsplit(url)
+        self._conn = http.client.HTTPConnection(split.hostname, split.port,
+                                                timeout=30)
+
+    def request(self, method, path, payload=None):
+        body = None if payload is None else json.dumps(payload).encode()
+        headers = {} if body is None else {"Content-Type": JSON_TYPE}
+        self._conn.request(method, path, body=body, headers=headers)
+        response = self._conn.getresponse()
+        data = response.read()
+        assert response.getheader("Content-Type") == JSON_TYPE
+        document = json.loads(data) if data else None
+        if response.status >= 400:
+            raise GatewayError(response.status, document["error"]["message"])
+        return document
+
+    def push(self, items=None, rows=None, site_ids=None):
+        payload = {}
+        if items is not None:
+            payload["items"] = [list(item) for item in items]
+        if rows is not None:
+            payload["rows"] = np.asarray(rows, dtype=np.float64).tolist()
+        if site_ids is not None:
+            payload["site_ids"] = [int(site) for site in site_ids]
+        return self.request("POST", "/v1/push", payload)
+
+    def query(self, kind, params=None, body=None, partial=False):
+        if body is not None:
+            payload = dict(body, **(params or {}))
+            if partial:
+                payload["partial"] = True
+            return self.request("POST", f"/v1/query/{kind}", payload)
+        query = dict(params or {})
+        if partial:
+            query["partial"] = "true"
+        suffix = f"?{urlencode(query)}" if query else ""
+        return self.request("GET", f"/v1/query/{kind}{suffix}")
+
+    def stats(self):
+        return self.request("GET", "/v1/stats")
+
+    def close(self):
+        self._conn.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.close()
+
+
+def _client(gateway, encoding):
+    """``GatewayClient`` (which negotiates wire) or the JSON fallback."""
+    if encoding == "wire":
+        return GatewayClient(gateway.url)
+    return _JsonClient(gateway.url)
+
+
+def _post_raw(gateway, path, body, content_type=WIRE_TYPE):
+    """POST arbitrary body bytes; returns ``(status, decoded document)``."""
+    host, port = gateway.address
+    conn = http.client.HTTPConnection(host, port, timeout=30)
+    try:
+        conn.request("POST", path, body=body,
+                     headers={"Content-Type": content_type,
+                              "Accept": WIRE_TYPE})
+        response = conn.getresponse()
+        data = response.read()
+        return response.status, decode_document(
+            data, response.getheader("Content-Type", ""))
+    finally:
+        conn.close()
 
 
 # --------------------------------------------------------------------------
@@ -155,9 +255,10 @@ def _gateway_queries(spec: str, sample, dimension: int):
     ]
 
 
+@pytest.mark.parametrize("encoding", ENCODINGS)
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
-def test_gateway_serves_bit_identical_answers(spec, seed):
+def test_gateway_serves_bit_identical_answers(spec, seed, encoding):
     if spec in HH_SPECS:
         sample, batch, sites = hh_stream(seed)
         dimension = None
@@ -179,15 +280,14 @@ def test_gateway_serves_bit_identical_answers(spec, seed):
                                          chunk_size=50, **params)
     try:
         with Gateway(served) as gateway:
-            ingest = GatewayClient(gateway.url)
-            reply = ingest.push(site_ids=site_ids, **payload)
-            ingest.close()
+            with _client(gateway, encoding) as ingest:
+                reply = ingest.push(site_ids=site_ids, **payload)
             assert reply == {"accepted": len(batch)}
             direct.push_batch(direct_items, site_ids=site_ids)
             direct.flush()
 
             queries = _gateway_queries(spec, sample, dimension)
-            expected = [json.loads(direct.query(query).to_json())
+            expected = [direct.query(query).to_dict()
                         for _kind, _params_, _body, query in queries]
 
             mismatches = []
@@ -195,7 +295,7 @@ def test_gateway_serves_bit_identical_answers(spec, seed):
 
             def client_loop(worker: int) -> None:
                 try:
-                    client = GatewayClient(gateway.url)
+                    client = _client(gateway, encoding)
                     for (kind, params_, body, _query), want in zip(queries,
                                                                    expected):
                         document = client.query(kind, params=params_,
@@ -243,6 +343,29 @@ def test_typed_query_equals_direct_answer():
     finally:
         direct.close()
         served.close()
+
+
+def test_client_speaks_wire_both_ways(served_cluster):
+    """GatewayClient's bodies are wire frames and so are the answers."""
+    seen = []
+    with Gateway(served_cluster) as gateway:
+        with GatewayClient(gateway.url) as client:
+            exchange = client._exchange
+
+            def spy(method, path, body, extra_headers=None):
+                status, headers, data = exchange(method, path, body,
+                                                 extra_headers)
+                seen.append((body, headers["content-type"],
+                             headers.get("vary")))
+                return status, headers, data
+
+            client._exchange = spy
+            client.push(items=[[1, 2.0]])
+            assert client.query("total_weight")["estimate"] == 2.0
+    (push_body, push_type, _), (_, query_type, vary) = seen
+    assert push_body.startswith(b"RPW1")
+    assert push_type == query_type == WIRE_TYPE
+    assert vary == "Accept"
 
 
 # --------------------------------------------------------------------------
@@ -349,51 +472,82 @@ class TestHttpContract:
                     client.request("POST", "/v1/stats", {})
                 assert excinfo.value.status == 405
 
-    def test_bad_requests_400(self, served_cluster):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_bad_requests_400(self, served_cluster, encoding):
         with Gateway(served_cluster) as gateway:
-            with GatewayClient(gateway.url) as client:
+            with _client(gateway, encoding) as client:
                 with pytest.raises(GatewayError) as excinfo:
                     client.query("frequency")  # no element
                 assert excinfo.value.status == 400
                 with pytest.raises(GatewayError) as excinfo:
-                    client.request("POST", "/v1/push", {})  # nothing to push
+                    client.query("frequency", body={"element": [[1]]})
                 assert excinfo.value.status == 400
                 with pytest.raises(GatewayError) as excinfo:
-                    client.push(items=[[1, 1.0]], site_ids=[0, 1])  # length
+                    client.request("POST", "/v1/push", {})  # nothing to push
                 assert excinfo.value.status == 400
-            # Malformed JSON straight over the socket.
-            host, port = gateway.address
-            conn = http.client.HTTPConnection(host, port, timeout=10)
-            conn.request("POST", "/v1/push", body=b"{not json",
-                         headers={"Content-Type": "application/json"})
-            response = conn.getresponse()
-            assert response.status == 400
-            conn.close()
+                for bad in (
+                        {"items": [[1, 1.0]], "site_ids": [0, 1]},  # length
+                        {"items": [[1, 1.0]], "site_ids": [7]},     # range
+                        {"items": [[1, 1.0]], "site_ids": [0.5]},   # type
+                        {"items": [[1, float("nan")]]},             # finite
+                        {"items": [[1, -2.0]]},                     # sign
+                        {"items": [[1, 1.0, 3]]},                   # pairs
+                        {"items": [[[1], 1.0]]},                    # element
+                        {"items": {"1": 1.0}}):                     # list
+                    with pytest.raises(GatewayError) as excinfo:
+                        client.request("POST", "/v1/push", bad)
+                    assert excinfo.value.status == 400, bad
+                assert client.stats()["items_processed"] == 0
+            # A malformed body straight over the socket.
+            content_type = WIRE_TYPE if encoding == "wire" else JSON_TYPE
+            status, document = _post_raw(gateway, "/v1/push",
+                                         b"{not json, not a frame}",
+                                         content_type)
+            assert status == 400
+            assert ("not a wire frame" if encoding == "wire" else
+                    "not valid JSON") in document["error"]["message"]
 
-    def test_malformed_push_is_the_pushers_400(self):
-        """Wrong-width rows / out-of-range sites fail the push that sent
-        them; the next (unrelated) request is served normally."""
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_malformed_push_is_the_pushers_400(self, encoding):
+        """Wrong-width, ragged, non-finite rows and out-of-range sites fail
+        the push that sent them; the next (unrelated) request is served
+        normally."""
         with repro.ShardedTracker.create(
                 "matrix/P2", shards=2, backend="process", num_sites=3,
                 dimension=3, epsilon=0.1) as cluster, \
                 Gateway(cluster) as gateway, \
-                GatewayClient(gateway.url) as client:
+                _client(gateway, encoding) as client:
             assert client.push(rows=[[1.0, 0.0, 0.0]]) == {"accepted": 1}
             for bad in ({"rows": [[1.0, 2.0, 3.0, 4.0]]},
                         {"rows": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
-                         "site_ids": [0, 99]}):
+                         "site_ids": [0, 99]},
+                        {"rows": [[1.0, float("inf"), 0.0]]},
+                        {"rows": [1.0, 0.0, 0.0]}):
                 with pytest.raises(GatewayError) as excinfo:
                     client.push(**bad)
                 assert excinfo.value.status == 400
                 assert client.query("frobenius")["estimate"] == 1.0
+            with pytest.raises(GatewayError) as excinfo:
+                client.request("POST", "/v1/push",
+                               {"rows": [[1.0, 0.0], [0.0]]})
+            assert excinfo.value.status == 400
             assert client.stats()["items_processed"] == 1
 
-    def test_oversized_body_413(self, served_cluster):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_oversized_body_413(self, served_cluster, encoding):
         with Gateway(served_cluster, max_body_bytes=1024) as gateway:
-            with GatewayClient(gateway.url) as client:
+            with _client(gateway, encoding) as client:
                 with pytest.raises(GatewayError) as excinfo:
                     client.push(items=[[index, 1.0] for index in range(500)])
                 assert excinfo.value.status == 413
+
+    def test_unsupported_body_type_415(self, served_cluster):
+        with Gateway(served_cluster) as gateway:
+            status, document = _post_raw(gateway, "/v1/push", b"items=1",
+                                         "application/x-www-form-urlencoded")
+        assert status == 415
+        assert "application/x-www-form-urlencoded" in \
+            document["error"]["message"]
 
     def test_deadline_504(self, served_cluster):
         _slow_query(served_cluster, delay=1.5)
@@ -404,7 +558,8 @@ class TestHttpContract:
                 assert excinfo.value.status == 504
                 assert "deadline" in excinfo.value.message
 
-    def test_partial_passthrough(self, served_cluster):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_partial_passthrough(self, served_cluster, encoding):
         real_query = served_cluster.query
         seen = []
 
@@ -417,10 +572,13 @@ class TestHttpContract:
 
         served_cluster.query = query
         with Gateway(served_cluster) as gateway:
-            with GatewayClient(gateway.url) as client:
+            with _client(gateway, encoding) as client:
                 healthy = client.query("total_weight")
                 degraded = client.query("total_weight", partial=True)
-        assert seen == [False, True]
+                degraded_post = client.query("heavy_hitters",
+                                             body={"phi": 0.1}, partial=True)
+        assert seen == [False, True, True]
+        assert degraded_post["partial"] is True
         assert healthy["partial"] is False
         assert degraded["partial"] is True
         assert degraded["missing_shards"] == [1]
@@ -650,74 +808,125 @@ class TestClientReconnectRetry:
 # --------------------------------------------------------------------------
 class TestConditionalGet:
     @staticmethod
-    def _raw_get(gateway, path, headers=None):
+    def _raw_get(gateway, path, headers=None, encoding="json"):
+        """GET with no ``Accept`` (JSON) or ``Accept`` wire; returns
+        ``(status, lower-cased headers, body)`` with the body decoded by its
+        ``Content-Type`` (``b""`` when empty)."""
         host, port = gateway.address
         conn = http.client.HTTPConnection(host, port, timeout=10)
+        headers = dict(headers or {})
+        if encoding == "wire":
+            headers["Accept"] = WIRE_TYPE
         try:
-            conn.request("GET", path, headers=headers or {})
+            conn.request("GET", path, headers=headers)
             response = conn.getresponse()
-            body = response.read()
-            return (response.status,
-                    {name.lower(): value
-                     for name, value in response.getheaders()},
-                    body)
+            data = response.read()
+            headers = {name.lower(): value
+                       for name, value in response.getheaders()}
+            if data:
+                assert headers["content-type"] == (
+                    WIRE_TYPE if encoding == "wire" else JSON_TYPE)
+                return (response.status, headers,
+                        decode_document(data, headers["content-type"]))
+            return response.status, headers, data
         finally:
             conn.close()
 
-    def test_etag_304_round_trip(self, served_cluster):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_etag_304_round_trip(self, served_cluster, encoding):
         with Gateway(served_cluster) as gateway:
             with GatewayClient(gateway.url) as client:
                 client.push(items=[[1, 5.0], [2, 3.0]])
 
             status, headers, body = self._raw_get(
-                gateway, "/v1/query/total_weight")
+                gateway, "/v1/query/total_weight", encoding=encoding)
             assert status == 200
+            assert headers["vary"] == "Accept"
             etag = headers["etag"]
             # The mandated shape: "<spec>-<epoch>-<query-hash>".
             assert etag.startswith('"hh/P2-')
-            assert json.loads(body)["estimate"] == pytest.approx(8.0)
+            assert body["estimate"] == pytest.approx(8.0)
 
             status, headers, body = self._raw_get(
                 gateway, "/v1/query/total_weight",
-                {"If-None-Match": etag})
+                {"If-None-Match": etag}, encoding)
             assert status == 304
             assert body == b""
             assert headers["etag"] == etag
+            assert headers["vary"] == "Accept"
 
             # A wildcard or a list containing the ETag also revalidates.
             status, _headers, _body = self._raw_get(
                 gateway, "/v1/query/total_weight",
-                {"If-None-Match": f'"unrelated", {etag}'})
+                {"If-None-Match": f'"unrelated", {etag}'}, encoding)
             assert status == 304
             status, _headers, _body = self._raw_get(
-                gateway, "/v1/query/total_weight", {"If-None-Match": "*"})
+                gateway, "/v1/query/total_weight", {"If-None-Match": "*"},
+                encoding)
             assert status == 304
 
-    def test_push_moves_the_etag(self, served_cluster):
+    def test_each_representation_has_its_own_validator(self, served_cluster):
+        with Gateway(served_cluster) as gateway:
+            with GatewayClient(gateway.url) as client:
+                client.push(items=[[1, 5.0], [2, 3.0]])
+            tags = {encoding: self._raw_get(
+                gateway, "/v1/query/total_weight",
+                encoding=encoding)[1]["etag"] for encoding in ENCODINGS}
+            assert tags["json"] != tags["wire"]
+            # Revalidating one representation's validator under the other
+            # representation sends the full document, never a 304.
+            for encoding, other in (("json", "wire"), ("wire", "json")):
+                status, headers, body = self._raw_get(
+                    gateway, "/v1/query/total_weight",
+                    {"If-None-Match": tags[other]}, encoding)
+                assert status == 200
+                assert headers["etag"] == tags[encoding]
+                assert body["estimate"] == pytest.approx(8.0)
+
+    def test_json_fallback_is_the_answers_to_dict(self, served_cluster):
+        """No ``Accept`` header: the body is ``json.dumps`` of ``to_dict()``
+        byte for byte, as before wire negotiation existed."""
+        with Gateway(served_cluster) as gateway:
+            with GatewayClient(gateway.url) as client:
+                client.push(items=[[1, 5.0], [2, 3.0], [1, 1.0]])
+            host, port = gateway.address
+            conn = http.client.HTTPConnection(host, port, timeout=10)
+            conn.request("GET", "/v1/query/heavy_hitters?phi=0.1")
+            body = conn.getresponse().read()
+            conn.close()
+        expected = served_cluster.query(HeavyHitters(phi=0.1)).to_dict()
+        expected["partial"] = False
+        assert body == json.dumps(expected, separators=(",", ":")).encode()
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_push_moves_the_etag(self, served_cluster, encoding):
         with Gateway(served_cluster) as gateway:
             with GatewayClient(gateway.url) as client:
                 client.push(items=[[1, 5.0]])
                 status, headers, _body = self._raw_get(
-                    gateway, "/v1/query/total_weight")
+                    gateway, "/v1/query/total_weight", encoding=encoding)
                 stale_etag = headers["etag"]
                 client.push(items=[[2, 3.0]])
                 status, headers, body = self._raw_get(
                     gateway, "/v1/query/total_weight",
-                    {"If-None-Match": stale_etag})
+                    {"If-None-Match": stale_etag}, encoding)
                 # The epoch moved, so the validator no longer matches: the
                 # full fresh answer comes back, never a stale 304.
                 assert status == 200
                 assert headers["etag"] != stale_etag
-                assert json.loads(body)["estimate"] == pytest.approx(8.0)
+                assert body["estimate"] == pytest.approx(8.0)
 
-    def test_partial_answers_carry_no_etag(self, served_cluster):
+    @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_partial_answers_carry_no_etag(self, served_cluster, encoding):
         with Gateway(served_cluster) as gateway:
             with GatewayClient(gateway.url) as client:
                 client.push(items=[[1, 1.0]])
-            status, headers, _body = self._raw_get(
-                gateway, "/v1/query/total_weight?partial=true")
+            status, headers, body = self._raw_get(
+                gateway, "/v1/query/total_weight?partial=true",
+                encoding=encoding)
             assert status == 200
             assert "etag" not in headers
+            assert body["partial"] is False
 
     def test_client_revalidates_and_counts_304s(self, served_cluster):
         with Gateway(served_cluster) as gateway:
@@ -869,3 +1078,255 @@ def test_stats_route_reports_missing_shards_instead_of_500():
     finally:
         cluster._backend = cluster._backend._inner
         cluster.close()
+
+
+# --------------------------------------------------------------------------
+# The public port's codec: wire bodies are plain data, and a malformed frame
+# is the sender's 4xx naming the cause — never a 500, never a poisoned shard.
+# --------------------------------------------------------------------------
+_FRAME_HEADER = struct.Struct("<4sHHH")  # magic, version, flags, kind length
+
+#: Every route that decodes a request body.
+_BODY_ROUTES = (["/v1/push", "/v1/checkpoint", "/v1/admin/move_shard"]
+                + [f"/v1/query/{kind}" for kind in sorted(QUERY_KINDS)])
+
+
+def _frame(body: bytes, *, kind: str = DOCUMENT_KIND, version: int = 1,
+           flags: int = 0, body_length=None) -> bytes:
+    """A frame envelope around raw body bytes, CRC and all (the layout of
+    ``repro.wire.frames``), so hostile bodies reach the decoder itself."""
+    kind_bytes = kind.encode()
+    return b"".join((
+        _FRAME_HEADER.pack(b"RPW1", version, flags, len(kind_bytes)),
+        kind_bytes,
+        struct.pack("<Q", len(body) if body_length is None else body_length),
+        body,
+        struct.pack("<I", zlib.crc32(body)),
+    ))
+
+
+def _body_of(frame: bytes) -> bytes:
+    kind_length = _FRAME_HEADER.unpack_from(frame)[3]
+    return frame[_FRAME_HEADER.size + kind_length + 8:-4]
+
+
+def _flip(data: bytes, bit: int) -> bytes:
+    flipped = bytearray(data)
+    flipped[bit // 8] ^= 1 << (bit % 8)
+    return bytes(flipped)
+
+
+def _not_plain_values():
+    """Tag name -> a value the general codec writes with that tag."""
+    shared = [1.0]
+    return {
+        "OBJECT": TotalWeight(),
+        "CLASS": TotalWeight,
+        "FUNCTION": repro.create,
+        "ENUM": MessageKind.SCALAR,
+        "EXCEPTION": ValueError("boom"),
+        "NPGENERATOR": np.random.default_rng(0),
+        "OBJARRAY": np.array([1, "a"], dtype=object),
+        "DTYPE": np.dtype(np.float64),
+        "NPTYPE": np.float64,
+        "REF": [shared, shared],
+        "COMPLEX": 1j,
+        "BYTEARRAY": bytearray(b"x"),
+        "SET": {1},
+        "FROZENSET": frozenset({1}),
+        "NPSCALAR": np.float64(1.0),
+    }
+
+
+class TestPlainDataOnly:
+    def test_every_route_refuses_every_name_resolving_tag(
+            self, served_cluster, monkeypatch):
+        resolved = []
+
+        def refuse(name, allow_builtins=False):
+            resolved.append(name)
+            raise AssertionError(f"resolved {name!r} from an HTTP body")
+
+        monkeypatch.setattr(wire_codec, "resolve_qualified", refuse)
+        frames = {name: pack_frame(DOCUMENT_KIND, {"items": [[1, value]]})
+                  for name, value in _not_plain_values().items()}
+        frames["SHMARRAY"] = pack_frame(
+            DOCUMENT_KIND, {"rows": np.zeros((1, 3))},
+            array_sink=lambda array: "segment")
+        with Gateway(served_cluster) as gateway:
+            for route in _BODY_ROUTES:
+                for name, frame in frames.items():
+                    status, document = _post_raw(gateway, route, frame)
+                    assert status == 400, (route, name)
+                    assert f"wire tag {name} " in \
+                        document["error"]["message"], (route, name)
+            with GatewayClient(gateway.url) as client:
+                assert client.stats()["items_processed"] == 0
+        assert resolved == []
+
+    def test_frames_of_another_kind_or_deflated_are_refused(
+            self, served_cluster):
+        body = _body_of(pack_frame(DOCUMENT_KIND, {"items": [[1, 1.0]]}))
+        with Gateway(served_cluster) as gateway:
+            status, document = _post_raw(
+                gateway, "/v1/push", _frame(body, kind="repro/worker-command"))
+            assert status == 400
+            assert "expected a 'repro/gateway-document' frame" in \
+                document["error"]["message"]
+            status, document = _post_raw(
+                gateway, "/v1/push",
+                _frame(zlib.compress(body), version=2, flags=1))
+            assert status == 400
+            assert "deflated" in document["error"]["message"]
+            # The same body, plainly framed, is accepted.
+            status, document = _post_raw(gateway, "/v1/push", _frame(body))
+            assert (status, document) == (200, {"accepted": 1})
+
+
+_FUZZ_DOCUMENTS = {
+    "/v1/push": {"rows": np.array([[1.0, 2.0, 3.0], [0.5, 0.0, -1.0]]),
+                 "site_ids": np.array([0, 2])},
+    "/v1/query/norms": {"directions": np.array([1.0, 0.0, 0.0])},
+}
+
+
+def _varint(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        out.append((value & 0x7F) | (0x80 if value >> 7 else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
+
+
+def _rows_body(array_section: bytes) -> bytes:
+    """``{"rows": <array>}`` with a hand-written array section."""
+    return b"\x0e\x01" + b"\x07\x04rows" + b"\x0f" + array_section
+
+
+def _deflate_bomb(inflated_bytes: int) -> bytes:
+    """A deflate stream of ``inflated_bytes`` zeros, built 1 MiB at a time."""
+    squeezer = zlib.compressobj(9)
+    block = bytes(1 << 20)
+    return b"".join([squeezer.compress(block)
+                     for _ in range(inflated_bytes >> 20)]
+                    + [squeezer.flush()])
+
+
+#: (label, frame builder, a phrase the 4xx message must contain).
+_LENGTH_BOMBS = [
+    ("body length header", lambda: _frame(b"\x00", body_length=1 << 62),
+     "length mismatch"),
+    ("varint overflow", lambda: _frame(b"\x0a" + b"\xff" * 11),
+     "varint overflow"),
+    ("list count", lambda: _frame(b"\x0a" + _varint(1 << 60)),
+     "truncated payload"),
+    ("2**60 elements", lambda: _frame(_rows_body(
+        b"\x03<f8" + _varint(2) + _varint(1 << 30) + _varint(1 << 30)
+        + _varint(8 << 60))), "promises"),
+    ("array section length", lambda: _frame(_rows_body(
+        b"\x03<f8" + _varint(2) + _varint(1) + _varint(3)
+        + _varint(1 << 40) + bytes(24))), "does not match"),
+    ("forbidden dtype", lambda: _frame(_rows_body(
+        b"\x03<f4" + _varint(2) + _varint(1) + _varint(3) + _varint(12)
+        + bytes(12))), "not plain data"),
+    ("forbidden tag", lambda: _frame(encode_value({"rows": TotalWeight()})),
+     "wire tag OBJECT"),
+    ("huge integer", lambda: _frame(b"\x04" + _varint(4096) + b"\x01" * 4096),
+     "limit"),
+    ("deflate bomb", lambda: _frame(_deflate_bomb(256 << 20), version=2,
+                                    flags=1), "deflated"),
+    ("not a frame", lambda: b"RPW2" + bytes(32), "not a wire frame"),
+]
+
+
+@pytest.fixture(scope="module")
+def fuzz_gateway():
+    """One process-backend cluster behind a gateway, with a ledger of the
+    items it acknowledged: fuzzing must leave every shard serving."""
+    cluster = repro.ShardedTracker.create("matrix/P2", shards=2,
+                                          backend="process", num_sites=3,
+                                          dimension=3, epsilon=0.1)
+    gateway = Gateway(cluster).start()
+    client = GatewayClient(gateway.url)
+    ledger = {"accepted": 0}
+    try:
+        # The unmutated documents are served, so every 4xx below is the
+        # mutation's doing, not the representation's.
+        for path, document in _FUZZ_DOCUMENTS.items():
+            status, reply = _post_raw(
+                gateway, path, pack_frame(DOCUMENT_KIND, document, plain=True))
+            assert status == 200, reply
+            ledger["accepted"] += reply.get("accepted", 0)
+        yield gateway, client, ledger
+    finally:
+        client.close()
+        gateway.stop()
+        cluster.close()
+
+
+def _hit(fuzz_gateway, path, body):
+    """Send one hostile body; assert the contract; prove no shard poisoned."""
+    gateway, client, ledger = fuzz_gateway
+    status, document = _post_raw(gateway, path, body)
+    assert status < 500, document
+    if status == 200:
+        ledger["accepted"] += document.get("accepted", 0)
+    else:
+        assert 400 <= status < 500
+        assert document["error"]["message"]
+    assert client.push(rows=[[0.0, 1.0, 0.0]], site_ids=[1]) == \
+        {"accepted": 1}
+    ledger["accepted"] += 1
+    assert client.stats()["items_processed"] == ledger["accepted"]
+    return status, document
+
+
+class TestWireFuzz:
+    @pytest.mark.parametrize("path", sorted(_FUZZ_DOCUMENTS))
+    @pytest.mark.parametrize("label, build, phrase", _LENGTH_BOMBS,
+                             ids=[bomb[0] for bomb in _LENGTH_BOMBS])
+    def test_length_bombs_and_forbidden_input(self, fuzz_gateway, path,
+                                              label, build, phrase):
+        status, document = _hit(fuzz_gateway, path, build())
+        assert status == 400, label
+        assert phrase in document["error"]["message"], label
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_truncated_and_bit_flipped_frames(self, fuzz_gateway, data):
+        path = data.draw(st.sampled_from(sorted(_FUZZ_DOCUMENTS)))
+        frame = pack_frame(DOCUMENT_KIND, _FUZZ_DOCUMENTS[path], plain=True)
+        mutation = data.draw(st.sampled_from(
+            ["truncate", "flip", "flip body", "truncate body"]))
+        body = _body_of(frame)
+        if mutation == "truncate":
+            hostile = frame[:data.draw(st.integers(0, len(frame) - 1))]
+        elif mutation == "flip":  # the envelope or the CRC catches these
+            hostile = _flip(frame, data.draw(
+                st.integers(0, len(frame) * 8 - 1)))
+        elif mutation == "flip body":  # CRC recomputed: the decoder's turn
+            hostile = _frame(_flip(body, data.draw(
+                st.integers(0, len(body) * 8 - 1))))
+        else:
+            hostile = _frame(body[:data.draw(st.integers(0, len(body) - 1))])
+        _hit(fuzz_gateway, path, hostile)
+
+    def test_body_limit_counts_bytes_on_the_wire(self, fuzz_gateway):
+        gateway, client, ledger = fuzz_gateway
+        host, port = gateway.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/push")
+            conn.putheader("Content-Type", WIRE_TYPE)
+            conn.putheader("Content-Length", str(1 << 60))
+            conn.endheaders()
+            response = conn.getresponse()
+            assert response.status == 413
+            assert b"exceeds" in response.read()
+        finally:
+            conn.close()
+        assert client.push(rows=[[1.0, 0.0, 0.0]]) == {"accepted": 1}
+        ledger["accepted"] += 1
+        assert client.stats()["items_processed"] == ledger["accepted"]

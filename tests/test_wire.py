@@ -510,6 +510,49 @@ class TestRetiredPackedArrayTag:
             unpack_frame(frame)
 
 
+class TestPlainData:
+    """``plain=True``: the subset for peers that are not our own processes
+    (the gateway's HTTP bodies; ``test_gateway`` drives every refused tag
+    through every route)."""
+
+    def test_plain_values_round_trip(self):
+        value = {"none": None, "flags": [True, False], "big": -(1 << 70),
+                 "float": 1.5, "text": "é", "raw": b"\x00", "pair": (1, "a"),
+                 "f8": np.arange(6.0).reshape(2, 3), "i8": np.arange(3),
+                 "b1": np.array([True, False])}
+        decoded = decode_value(encode_value(value, plain=True), plain=True)
+        assert list(decoded) == list(value)
+        for key in ("none", "flags", "big", "float", "text", "raw", "pair"):
+            assert decoded[key] == value[key]
+        for key in ("f8", "i8", "b1"):
+            assert decoded[key].dtype == value[key].dtype
+            assert np.array_equal(decoded[key], value[key])
+
+    def test_plain_encoding_writes_a_tree(self):
+        shared = [1.0, 2.0]
+        decoded = decode_value(encode_value(
+            {"a": shared, "b": shared, "x": np.float64(0.5), "n": np.int64(3)},
+            plain=True), plain=True)
+        assert decoded == {"a": [1.0, 2.0], "b": [1.0, 2.0], "x": 0.5, "n": 3}
+        assert decoded["a"] is not decoded["b"]
+        assert type(decoded["x"]) is float and type(decoded["n"]) is int
+
+    def test_plain_decoding_refuses_other_dtypes_and_huge_integers(self):
+        with pytest.raises(WireDecodeError, match="not plain data"):
+            decode_value(encode_value(np.zeros(2, dtype=np.float32)),
+                         plain=True)
+        assert decode_value(encode_value(1 << 8000), plain=True) == 1 << 8000
+        with pytest.raises(WireDecodeError, match="1024-byte limit"):
+            decode_value(encode_value(1 << 9000), plain=True)
+
+    def test_plain_frames_refuse_deflate(self):
+        packed = pack_frame("repro/test", {"zeros": np.zeros(4096)},
+                            compress=True)
+        assert unpack_frame(packed)[0] == "repro/test"
+        with pytest.raises(WireDecodeError, match="deflated"):
+            unpack_frame(packed, plain=True)
+
+
 # ---------------------------------------------- per-spec state round-trips
 class TestStateRoundTripEverySpec:
     """``encode_state``/``decode_state`` mid-stream is bit-identical for
