@@ -8,8 +8,10 @@ behind the ``svd_mode`` knob exposed by the sketches and the matrix
 protocols:
 
 ``exact``
-    The original ``numpy.linalg.svd`` path, bit-for-bit identical to the
-    historical behaviour.  Use it when reproducing archived runs.
+    ``numpy.linalg.svd`` (LAPACK ``gesdd``) of exactly the matrix it is
+    handed, with no Gram side and no sampling.  It names the kernel only:
+    *which* matrix a caller decomposes, and when, is the caller's schedule
+    (protocol P2, for instance, hands it a site's Gram matrix).
 
 ``gram``
     The Gram-trick eigendecomposition: form the *smaller* Gram matrix
@@ -119,8 +121,19 @@ def _gram_spectrum(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     Rows of ``vt`` whose singular value is below ``σ₁·1e-12`` are zeroed:
     the Gram trick cannot recover them, and every consumer in this package
     multiplies those rows by (shrunk) singular values that are zero anyway.
+
+    A symmetric input is already its own Gram side: ``A = V·Λ·Vᵀ`` is an SVD
+    with singular values ``|λ|`` and right singular vectors ``V``, so one
+    ``eigh`` of ``A`` itself replaces the ``eigh`` of ``A·Aᵀ`` (which would
+    square the condition number for nothing).  For a PSD Gram ``BᵀB`` the
+    returned values are ``σ²(B)`` and ``vt`` holds its eigenvectors.
     """
     rows, columns = array.shape
+    if rows == columns and np.array_equal(array, array.T):
+        eigenvalues, eigenvectors = np.linalg.eigh(array)
+        order = np.argsort(-np.abs(eigenvalues), kind="stable")
+        return (np.abs(eigenvalues[order]),
+                np.ascontiguousarray(eigenvectors[:, order].T))
     if rows <= columns:
         squared, u = _descending_eigh(array @ array.T)
         s = np.sqrt(squared)

@@ -10,7 +10,9 @@ implements that memoize-until-invalidated discipline as a small LRU:
   monotonic ``ingest_epoch`` (and, for clusters, the shard→worker
   ``placement_version``), so any ingestion, restore, or shard handoff
   invalidates every previously cached answer *by construction* — entries
-  are never mutated or purged on write, they simply stop being addressable;
+  are never mutated, they stop being addressable, and the first answer
+  stored under a newer generation drops them (an answer computed under an
+  older one is not stored at all);
 * the **value** is the *same frozen* :class:`~repro.api.queries.Answer`
   a fresh evaluation would return — bit-identical estimates, bounds and
   accounting snapshots, because nothing between two epochs changes them;
@@ -30,7 +32,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Hashable, Tuple
 
 from ..obs.metrics import REGISTRY
 
@@ -73,6 +75,8 @@ class AnswerCache:
         self._spec = spec
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
+        #: The newest generation any entry was stored under.
+        self._generation: Tuple = ()
         #: Local counters mirrored into the ``repro_cache_*`` metric series.
         self.hits = 0
         self.misses = 0
@@ -108,12 +112,24 @@ class AnswerCache:
                 _HITS.inc(spec=self._spec)
         return answer
 
-    def put(self, key: Hashable, answer: Any) -> None:
-        """Store ``answer`` under ``key``, evicting LRU entries over capacity."""
+    def put(self, key: Hashable, answer: Any, generation: Tuple = ()) -> None:
+        """Store ``answer``, computed at ``generation``, under ``key``.
+
+        Generations are the sessions' ``cache_generation()`` tuples, which
+        only grow.  A put under a newer generation than any seen drops every
+        entry first: keys carry their generation, so no later lookup can
+        reach those entries.  A put under an older generation stores nothing
+        (its answer is already unreachable).  Over capacity, LRU entries go.
+        """
         if self.max_entries == 0:
             return
         evicted = 0
         with self._lock:
+            if generation < self._generation:
+                return
+            if generation > self._generation:
+                self._entries.clear()
+                self._generation = generation
             self._entries[key] = answer
             self._entries.move_to_end(key)
             while len(self._entries) > self.max_entries:

@@ -138,8 +138,9 @@ class Session:
         # Partial answers are never cached: their coverage depends on which
         # shards happened to be reachable, not on the watermark.
         if self._cache.enabled and not partial:
+            generation = self.cache_generation()
             try:
-                key = (query.cache_key(),) + self.cache_generation()
+                key = (query.cache_key(),) + generation
             except TypeError:
                 key = None  # unhashable parameters bypass the cache
             if key is not None:
@@ -148,7 +149,7 @@ class Session:
                     return cached
         answer = query.combine(*self._parts(query, partial))
         if key is not None:
-            self._cache.put(key, answer)
+            self._cache.put(key, answer, generation)
         return answer
 
     def _parts(self, query: Query, partial: bool

@@ -73,10 +73,10 @@ class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
         FD sketch size at the coordinator; defaults to the same value.
     svd_mode:
         Compaction kernel for the site and coordinator FD sketches (one of
-        :data:`repro.accel.SVD_MODES`).  ``"exact"`` reproduces the
-        historical LAPACK schedule bit-for-bit; the default ``"auto"``
-        uses the Gram-trick kernel with a larger compaction buffer, which
-        is severalfold faster at the same error bound.
+        :data:`repro.accel.SVD_MODES`).  ``"exact"`` is LAPACK's ``gesdd``
+        on the historical ``2ℓ`` buffer; the default ``"auto"`` uses the
+        Gram-trick kernel with a larger compaction buffer, which is
+        severalfold faster at the same error bound.
     keep_message_records:
         Retain a full message log (tests only).
     """

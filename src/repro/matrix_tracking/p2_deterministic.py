@@ -17,12 +17,29 @@ at most ``ε·‖A‖²_F`` in every direction, giving the one-sided guarantee
 ``0 ≤ ‖Ax‖² − ‖Bx‖² ≤ ε·‖A‖²_F`` (Theorem 4) with only
 ``O((m/ε)·log(βN))`` messages.
 
-Implementation note: computing an SVD on every arrival is unnecessary.  Since
-``σ₁²(B_j)`` can only exceed the threshold after enough new squared norm has
-arrived (``σ₁²`` grows by at most the added squared Frobenius norm), the site
-defers the SVD until ``σ₁²(residual at last SVD) + added norm`` reaches the
-threshold.  This preserves the guarantee — directions are still sent no later
-than the naive schedule requires — while making the per-row cost amortised.
+Implementation note: a direction is sent exactly when its ``σ²`` reaches
+``(ε/m)·F̂``, so *when* a site decomposes its residual is a schedule, not
+part of the protocol — any valid upper bound on ``σ₁²(B_j)`` is a correct
+gate, and only a decomposition that can emit needs to run.
+
+* **The Gram.**  A site keeps ``G_j = B_jᵀB_j`` (``d × d``) instead of the
+  rows: a block ``R`` adds ``RᵀR``, and an emission replaces ``G_j`` by the
+  Gram of the light directions.  Its eigenvalues are the ``σ²`` of ``B_j``
+  and its eigenvectors the directions, so site memory is ``O(d²)`` however
+  long the gate stays shut.  Arriving rows wait in a small buffer that is
+  folded in (one ``RᵀR``) whenever it fills; the fold points depend on row
+  counts and emissions alone, so the per-item and batch paths decompose
+  bit-identical Grams and send bit-identical directions.
+* **The cheap trigger.**  ``top_bound`` — the last bound on ``σ₁²`` plus the
+  squared norms since (``σ₁²`` grows by at most the added squared norm) —
+  decides *when* to look.
+* **The certified bound.**  When ``top_bound`` reaches the threshold, the
+  site computes ``(tr G¹⁶)^{1/16} ≥ λ₁(G)`` from three scaled squarings of
+  ``G`` (``tr G¹⁶ = ‖G⁸‖²_F``).  Only if that bound reaches the threshold is
+  ``G`` decomposed; otherwise the bound becomes the new ``top_bound``.
+* **The margin.**  Both bounds open the gate at the threshold less a
+  relative ``4·d`` ulps, so rounding in the bounds or in the decomposed
+  ``σ²`` can never skip a decomposition that would emit.
 
 The coordinator may optionally compress its stacked directions with a
 Frequent Directions sketch (``coordinator_sketch_size``), as suggested at the
@@ -44,29 +61,63 @@ from .p1_batched_fd import _fd_buffer_multiplier
 
 __all__ = ["DeterministicDirectionProtocol"]
 
+#: Rows a site buffers before folding them into its Gram.
+_FOLD_ROWS = 16
+
+#: Rounding margin of the gate, in ulps per column: a bound on ``σ₁²``
+#: opens the gate once it reaches the threshold less this relative slack.
+_BOUND_ULPS = 4
+_ULP = float(np.finfo(np.float64).eps)
+
+
+def _certified_top(gram: np.ndarray) -> float:
+    """An upper bound ``(tr G¹⁶)^{1/16} ≥ λ₁(G)`` of a PSD Gram matrix."""
+    scale = float(np.trace(gram))
+    if scale <= 0.0:
+        return 0.0
+    # Scaled by the trace, every eigenvalue lies in [0, 1]: no overflow.
+    power = gram / scale
+    for _ in range(3):
+        power = power @ power
+    # tr G¹⁶ = ‖G⁸‖²_F for symmetric G: the fourth squaring is a sum of squares.
+    return scale * float(np.einsum("ij,ij->", power, power)) ** 0.0625
+
 
 class _SiteState:
-    """Per-site state for protocol P2."""
+    """Per-site state for protocol P2: the residual ``B_j`` as its Gram."""
 
     def __init__(self, dimension: int):
-        self.dimension = dimension
-        self.rows: List[np.ndarray] = []       # residual B_j as raw rows/directions
-        self.norm_since_scalar = 0.0            # F_j
-        self.top_bound = 0.0                    # upper bound on σ₁²(B_j)
+        self.gram = np.zeros((dimension, dimension))     # folded part of B_jᵀB_j
+        self.pending = np.zeros((_FOLD_ROWS, dimension))  # rows not folded yet
+        self.filled = 0
+        self.norm_since_scalar = 0.0                      # F_j
+        self.top_bound = 0.0                              # upper bound on σ₁²(B_j)
 
-    def append(self, row: np.ndarray) -> None:
-        self.rows.append(row)
-        self.top_bound += float(np.dot(row, row))
+    def append(self, rows: np.ndarray) -> None:
+        """Add a block of rows to the residual, folding whenever the buffer fills."""
+        start, total = 0, rows.shape[0]
+        capacity = self.pending.shape[0]
+        while start < total:
+            take = min(capacity - self.filled, total - start)
+            self.pending[self.filled:self.filled + take] = rows[start:start + take]
+            self.filled += take
+            start += take
+            if self.filled == capacity:
+                self.gram += self.pending.T @ self.pending
+                # Unused rows stay zero, so checkpoints deflate them away.
+                self.pending[:] = 0.0
+                self.filled = 0
 
-    def append_block(self, rows: np.ndarray, squared_norm: float) -> None:
-        """Append a whole trigger-free row block (``squared_norm`` = its ‖·‖²_F)."""
-        self.rows.append(rows)
-        self.top_bound += squared_norm
+    def residual(self) -> np.ndarray:
+        """``B_jᵀB_j``: the folded Gram plus the buffered rows."""
+        rows = self.pending[:self.filled]
+        return self.gram + rows.T @ rows
 
-    def residual_matrix(self) -> np.ndarray:
-        if not self.rows:
-            return np.zeros((0, self.dimension))
-        return np.vstack(self.rows)
+    def keep(self, directions: np.ndarray) -> None:
+        """Replace the residual by the rows ``directions`` (the light ``σ·v``)."""
+        self.gram = directions.T @ directions
+        self.pending[:self.filled] = 0.0
+        self.filled = 0
 
 
 class DeterministicDirectionProtocol(MatrixTrackingProtocol):
@@ -85,9 +136,11 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
         Frequent Directions sketch of this many rows instead of stacking them
         exactly (Section 5.2's space reduction).
     svd_mode:
-        Spectral kernel for the deferred site SVDs (and the optional
-        coordinator FD sketch) — one of :data:`repro.accel.SVD_MODES`.
-        ``"exact"`` reproduces the historical LAPACK path bit-for-bit.
+        Spectral kernel that decomposes a site's Gram matrix when it can
+        emit (and compacts the optional coordinator FD sketch) — one of
+        :data:`repro.accel.SVD_MODES`.  ``"exact"`` is LAPACK's ``gesdd`` on
+        the Gram; the gate deciding when to decompose is the same in every
+        mode.
     keep_message_records:
         Retain a full message log (tests only).
     """
@@ -113,11 +166,9 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                 buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
             )
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
-
-    #: Fallback for states checkpointed before the kernel knob existed.
-    _svd_mode = "auto"
+    #: Checkpoint-contract version of this class's state layout (2: a site
+    #: residual is a Gram matrix; version-1 row residuals are refused).
+    state_version = 2
 
     # ------------------------------------------------------------ properties
     @property
@@ -132,7 +183,7 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
 
     @property
     def svd_mode(self) -> str:
-        """Spectral kernel used by the deferred site SVDs."""
+        """Spectral kernel used by the site decompositions."""
         return self._svd_mode
 
     def _threshold(self) -> float:
@@ -148,22 +199,23 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
         if state.norm_since_scalar >= self._threshold():
             self._send_scalar(site, state.norm_since_scalar)
             state.norm_since_scalar = 0.0
-        state.append(row)
-        if state.top_bound >= self._threshold():
-            self._emit_heavy_directions(site)
+        state.append(row[np.newaxis, :])
+        state.top_bound += row_norm
+        if state.top_bound >= self._gate_level():
+            self._gate(site)
 
     def process_batch(self, site: int, rows: np.ndarray) -> None:
         """Vectorized site-batch ingestion.
 
         Both per-item triggers — the scalar report (``F_j`` reaching
-        ``(ε/m)·F̂``) and the deferred-SVD bound (``top_bound`` reaching the
-        same threshold) — are cumulative sums of the arriving squared row
-        norms crossing a threshold that is constant between scalar reports,
-        so binary searches locate the next event of either kind and the
-        trigger-free rows in between are appended to the site residual as
-        one block.  The trigger row replays the per-item order exactly:
-        scalar check before the append, SVD-emission check (against the
-        possibly refreshed threshold) after it.
+        ``(ε/m)·F̂``) and the gate's cheap bound (``top_bound`` reaching the
+        gate level just below it) — are cumulative sums of the arriving
+        squared row norms crossing a level that is constant between scalar
+        reports, so binary searches locate the next event of either kind and
+        the trigger-free rows in between join the site residual as one block.
+        The trigger row replays the per-item order exactly: scalar check
+        before the append, gate check (against the possibly refreshed
+        threshold) after it.
         """
         rows = self._record_observations(rows)
         total = rows.shape[0]
@@ -179,14 +231,15 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
             scalar_at = first_crossing(cumulative, threshold,
                                        carry=state.norm_since_scalar - consumed,
                                        start=start)
-            emit_at = first_crossing(cumulative, threshold,
+            gate_at = first_crossing(cumulative, self._gate_level(),
                                      carry=state.top_bound - consumed,
                                      start=start)
-            trigger = min(scalar_at, emit_at)
+            trigger = min(scalar_at, gate_at)
             stop = min(trigger, total)
             if stop > start:
                 block_norm = float(cumulative[stop - 1]) - consumed
-                state.append_block(rows[start:stop].copy(), block_norm)
+                state.append(rows[start:stop])
+                state.top_bound += block_norm
                 state.norm_since_scalar += block_norm
                 consumed = float(cumulative[stop - 1])
             if trigger >= total:
@@ -197,36 +250,50 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                 state.norm_since_scalar = 0.0
             else:
                 state.norm_since_scalar += row_norm
-            state.append(rows[trigger].copy())
+            state.append(rows[trigger:trigger + 1])
+            state.top_bound += row_norm
             consumed = float(cumulative[trigger])
-            if state.top_bound >= self._threshold():
-                self._emit_heavy_directions(site)
+            if state.top_bound >= self._gate_level():
+                self._gate(site)
             start = trigger + 1
 
-    def _emit_heavy_directions(self, site: int) -> None:
-        """SVD the site's residual and ship every direction above threshold."""
+    def _gate(self, site: int) -> None:
+        """Decompose the site residual only if a direction can reach the threshold."""
         state = self._sites[site]
-        residual = state.residual_matrix()
-        if residual.size == 0:
-            state.top_bound = 0.0
+        residual = state.residual()
+        bound = _certified_top(residual)
+        if bound < self._gate_level():
+            state.top_bound = bound
             return
+        self._emit_heavy_directions(site, residual)
+
+    def _emission_level(self) -> float:
+        """The ``σ²`` a direction needs to be sent: the threshold, never zero."""
+        return max(self._threshold(), 1e-300)
+
+    def _gate_level(self) -> float:
+        """The level an upper bound on ``σ₁²`` must reach to open the gate.
+
+        The emission level less ``4·d`` ulps: the bounds and the decomposed
+        ``σ²`` round differently, and a bound rounded below a ``σ²`` that the
+        decomposition puts at the threshold must still open the gate.
+        """
+        return self._emission_level() / (1.0 + _BOUND_ULPS * self._dimension * _ULP)
+
+    def _emit_heavy_directions(self, site: int, residual: np.ndarray) -> None:
+        """Decompose the site's Gram and ship every direction above threshold."""
+        state = self._sites[site]
         # Full spectrum: the light directions are retained as the new
         # residual, so a top-k kernel cannot be used here (auto → gram).
-        singular_values, vt = spectral_decomposition(residual,
-                                                     mode=self._svd_mode)
-        squared = singular_values ** 2
-        threshold = self._threshold()
-        heavy = squared >= max(threshold, 1e-300)
-        light = ~heavy & (squared > 0.0)
-        for value, direction in zip(singular_values[heavy], vt[heavy, :]):
-            self.network.send_vector(site, description="heavy direction")
-            self._receive_direction(value * direction)
-        # The residual now consists of the light directions only, stored as
-        # one block (``residual_matrix`` vstacks blocks and rows alike, so
-        # this is value-identical to storing the rows individually).
-        remaining = singular_values[light, np.newaxis] * vt[light, :]
-        state.rows = [remaining] if remaining.size else []
-        state.top_bound = float(squared[light].max()) if light.any() else 0.0
+        # For the PSD Gram the values are σ² and ``vt`` its eigenvectors.
+        squared, vt = spectral_decomposition(residual, mode=self._svd_mode)
+        count = int(np.count_nonzero(squared >= self._emission_level()))
+        if count:
+            for value, direction in zip(squared[:count], vt[:count]):
+                self.network.send_vector(site, description="heavy direction")
+                self._receive_direction(np.sqrt(value) * direction)
+            state.keep(np.sqrt(squared[count:, np.newaxis]) * vt[count:])
+        state.top_bound = float(squared[count]) if count < squared.size else 0.0
 
     def _send_scalar(self, site: int, norm: float) -> None:
         """Ship the scalar message ``F_j``."""

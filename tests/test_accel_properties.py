@@ -16,7 +16,10 @@ seed matrix from ``REPRO_PROPERTY_SEEDS``:
   shrinkage accumulator.  Continuous queries therefore never perturb the
   stream evolution, for any kernel.
 
-Plus the regression test for the ``thin_svd`` non-convergence fallback:
+Plus the Gram contract matrix P2 relies on — a PSD ``BᵀB`` decomposes into
+``σ²(B)`` and its eigenvectors under every kernel, without squaring its
+condition number — and the regression test for the ``thin_svd``
+non-convergence fallback:
 the deterministically jittered retry is a pure function of the input and
 floors sub-tolerance singular values to exactly zero, so a fallback never
 changes which singular values callers consider nonzero.
@@ -27,7 +30,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import SVD_MODES
+from repro.accel import SVD_MODES, spectral_decomposition
 from repro.sketch.frequent_directions import FrequentDirections
 from repro.utils.linalg import SVD_RELATIVE_TOLERANCE, thin_svd
 
@@ -131,6 +134,26 @@ class TestCompactedViewPurity:
         sketch.update_many(rows)
         assert np.array_equal(sketch.compacted_view(), rows)
         assert sketch.shrinkage == 0.0
+
+
+class TestGramSpectrum:
+    @pytest.mark.parametrize("svd_mode", SVD_MODES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_psd_gram_gives_squared_singular_values(self, svd_mode, seed):
+        """Handed a PSD Gram ``BᵀB``, every kernel returns ``σ²(B)`` and the
+        eigenvectors — what matrix P2 decomposes a site residual into.  The
+        ``σ²`` span ten decades: decomposing ``G·Gᵀ`` instead of ``G``
+        would square that and lose the small ones."""
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((40, 12)) * np.logspace(0, -5, 12)
+        gram = rows.T @ rows
+        values, vt = spectral_decomposition(gram, mode=svd_mode)
+        singular = np.linalg.svd(rows, compute_uv=False)
+        scale = singular[0] ** 2
+        assert np.allclose(values, singular ** 2, rtol=0.0, atol=1e-12 * scale)
+        assert np.allclose(vt @ vt.T, np.eye(gram.shape[0]), atol=1e-10)
+        assert np.allclose((vt.T * values) @ vt, gram, rtol=0.0,
+                           atol=1e-12 * scale)
 
 
 class TestThinSvdFallback:

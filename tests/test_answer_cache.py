@@ -7,7 +7,8 @@ never touched), and a query issued after an acknowledged push can never
 observe pre-push state.  Covered here:
 
 * :class:`~repro.api.cache.AnswerCache` unit behaviour (LRU, TTL,
-  disabled mode, pickling as configuration);
+  disabled mode, dead generations dropped — also under two racing writers —
+  pickling as configuration);
 * ``ingest_epoch`` plumbing on :class:`~repro.api.Tracker` and
   :class:`~repro.cluster.ShardedTracker` (push/batch/run/restore bumps);
 * bit-identity of cached answers for **every** registered spec
@@ -22,6 +23,7 @@ observe pre-push state.  Covered here:
 from __future__ import annotations
 
 import pickle
+import sys
 import threading
 
 import numpy as np
@@ -82,6 +84,74 @@ class TestAnswerCacheUnit:
     def test_invalid_configuration_rejected(self):
         with pytest.raises(ValueError):
             AnswerCache(max_entries=-1)
+
+    def test_newer_generation_drops_dead_entries(self):
+        cache = AnswerCache(max_entries=8)
+        cache.put(("a", 1, 0), "a@1", (1, 0))
+        cache.put(("b", 1, 0), "b@1", (1, 0))
+        assert len(cache) == 2
+        cache.put(("a", 2, 0), "a@2", (2, 0))
+        assert len(cache) == 1                  # both generation-1 answers gone
+        assert cache.get(("a", 2, 0)) == "a@2"
+        # An answer computed under a dead generation is not stored.
+        cache.put(("b", 1, 0), "b@1", (1, 0))
+        assert len(cache) == 1
+        assert cache.get(("b", 1, 0)) is None
+        # A placement move is a newer generation too.
+        cache.put(("a", 2, 1), "a@2'", (2, 1))
+        assert len(cache) == 1
+        assert cache.evictions == 0             # not LRU evictions
+
+    def test_session_keeps_only_the_live_generation(self):
+        tracker = repro.Tracker.create("hh/exact", num_sites=2)
+        tracker.push(0, ("a", 1.0))
+        tracker.query(TotalWeight())
+        tracker.query(HeavyHitters(phi=0.1))
+        assert len(tracker.answer_cache) == 2
+        tracker.push(1, ("b", 1.0))
+        tracker.query(TotalWeight())
+        assert len(tracker.answer_cache) == 1
+
+    def test_two_writers_leave_only_the_newest_generation(self):
+        """Puts racing from two threads, one lagging behind the other: no
+        entry of a generation older than the newest ever stays behind."""
+        cache = AnswerCache(max_entries=64)
+        start = threading.Barrier(3)
+        done = threading.Event()
+        stale = []
+
+        def writer(name, generations):
+            start.wait()
+            for generation in generations:
+                cache.put((name, generation), generation, (generation, 0))
+
+        def auditor():
+            start.wait()
+            while not done.is_set():
+                with cache._lock:
+                    newest = cache._generation
+                    stale.extend(key for key in cache._entries
+                                 if (key[1], 0) != newest)
+
+        threads = [threading.Thread(target=writer, args=("ahead", range(3000))),
+                   threading.Thread(target=writer,
+                                    args=("behind", range(0, 3000, 7)))]
+        audit = threading.Thread(target=auditor)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads + [audit]:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+            done.set()
+            audit.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads + [audit])
+        assert stale == []
+        assert cache._generation == (2999, 0)
+        assert list(cache._entries) == [("ahead", 2999)]
 
     def test_pickles_as_configuration_only(self):
         cache = AnswerCache(max_entries=7, spec="hh/P2")

@@ -25,6 +25,11 @@ randomized, seed-parameterized properties, now that *every* protocol class
   ``ε·W``, covariance within ``ε·‖A‖²_F``, Frequent Directions within
   ``‖A‖²_F/ℓ``, P2's one-sided undershoot) hold on every seed, through the
   batched path.
+* **Emission schedule** — matrix P2's gate only decides *when* a site
+  decomposes: its message log equals that of a site decomposing after every
+  arrival, on random streams and on a stream whose ``σ₁²`` sits within a few
+  ulps of the threshold, and a site's state stays ``d × d`` while the gate
+  is shut.
 * **Empty batches** — every kernel treats a zero-length batch as a no-op.
 * **Cross-family identity** — the paper's Section 5.3 reduction: matrix
   P3/P3wr *is* heavy-hitters P3/P3wr on item weight ``‖a‖²``, so the two
@@ -36,12 +41,14 @@ three) so the properties can be re-rolled without editing the file.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
 import pytest
 
 import repro
+from repro.accel import SVD_MODES
 from repro.data.synthetic_matrix import make_pamap_like
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import (
@@ -61,11 +68,13 @@ from repro.matrix_tracking import (
     SingularDirectionUpdateProtocol,
     WithReplacementMatrixSamplingProtocol,
 )
+from repro.matrix_tracking import p2_deterministic as p2_module
 from repro.sketch import FrequentDirections
 from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
 from repro.streaming.partition import RoundRobinPartitioner
 from repro.streaming.runner import StreamingEngine
 from repro.utils.linalg import spectral_norm
+from repro.wire import encode_state
 
 SEEDS = tuple(
     int(seed)
@@ -472,6 +481,158 @@ class TestPaperBounds:
         difference = rows.T @ rows - sketch.covariance()
         frobenius = float(np.einsum("ij,ij->", rows, rows))
         assert spectral_norm(difference) <= frobenius / sketch_size + 1e-6
+
+
+class DecomposeEveryArrival(DeterministicDirectionProtocol):
+    """Matrix P2 without a schedule: the site residual is decomposed after
+    every arrival, and the decomposition alone decides what is sent.  The
+    Gram, its fold points and the decomposition are the protocol's own, so
+    a comparison against the gated protocol isolates the gate."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        for state in self._sites:
+            state.top_bound = math.inf
+
+    def _gate(self, site):
+        state = self._sites[site]
+        self._emit_heavy_directions(site, state.residual())
+        state.top_bound = math.inf
+
+
+def count_decompositions(monkeypatch, threshold_of=None):
+    """Count P2's decompositions; with ``threshold_of`` also collect each
+    call's ``(σ₁², threshold)`` pair."""
+    calls = []
+    real = p2_module.spectral_decomposition
+
+    def counting(matrix, *args, **kwargs):
+        values, vt = real(matrix, *args, **kwargs)
+        calls.append((float(values[0]), threshold_of() if threshold_of else None))
+        return values, vt
+
+    monkeypatch.setattr(p2_module, "spectral_decomposition", counting)
+    return calls
+
+
+def message_log(protocol):
+    return protocol.network.log.records
+
+
+def tie_stream(seed, num_sites, epsilon, dimension=4, rows=240):
+    """Rows along one direction, round-robin over the sites, each sized so
+    that the site's σ₁² after the arrival sits within a few ulps of the
+    threshold the arrival meets (after its own scalar report, if any).
+
+    The stream is built against a :class:`DecomposeEveryArrival` replay, so
+    the sizes follow the protocol's actual state, emissions included.
+    """
+    rng = np.random.default_rng(seed)
+    unit = np.arange(1.0, dimension + 1.0)
+    unit /= np.linalg.norm(unit)
+    rate = epsilon / num_sites
+    sites = np.arange(rows) % num_sites
+    replay = DecomposeEveryArrival(num_sites, dimension, epsilon)
+    out = np.empty((rows, dimension))
+    for index, site in enumerate(sites):
+        state = replay._sites[site]
+        top = float(np.linalg.eigvalsh(state.residual())[-1])
+        carry = state.norm_since_scalar
+        threshold = rate * replay.estimated_norm
+        norm = threshold - top                       # no scalar report
+        if not (norm > 0.0 and carry + norm < threshold):
+            # The arrival reports F_j first, which moves the threshold.
+            norm = (rate * (replay.estimated_norm + carry) - top) / (1.0 - rate)
+            if not (norm > 0.0 and carry + norm >= threshold):
+                norm = float(rng.uniform(0.5, 2.0))
+        norm *= 1.0 + int(rng.integers(-3, 4)) * np.finfo(float).eps
+        out[index] = np.sqrt(norm) * unit
+        replay.observe(int(site), out[index])
+    return out, sites
+
+
+class TestP2EmissionSchedule:
+    """Matrix P2's gate is a schedule: gated P2 (cheap trigger, certified
+    bound, decomposition only when a direction can emit) sends exactly what
+    a site that decomposes after every arrival sends."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk", CHUNK_SIZES)
+    @pytest.mark.parametrize("svd_mode", SVD_MODES)
+    def test_gated_log_equals_decomposing_every_arrival(self, svd_mode, chunk,
+                                                        seed, monkeypatch):
+        dataset, batch, sites = matrix_stream(seed)
+        build = lambda cls: cls(NUM_SITES, dataset.dimension, 0.2,  # noqa: E731
+                                svd_mode=svd_mode, keep_message_records=True)
+        calls = count_decompositions(monkeypatch)
+        reference = build(DecomposeEveryArrival)
+        grouped_replay(reference, sites, batch, chunk)
+        reference_calls = len(calls)
+        per_item = build(DeterministicDirectionProtocol)
+        grouped_replay(per_item, sites, batch, chunk)
+        batched = build(DeterministicDirectionProtocol)
+        feed_batched(batched, sites, batch, chunk)
+        gated_calls = (len(calls) - reference_calls) / 2
+
+        assert message_log(per_item) == message_log(reference)
+        assert message_log(batched) == message_log(reference)
+        assert any(record.kind.name == "VECTOR"
+                   for record in message_log(reference))
+        # Identical Grams in, identical directions out — bit for bit.
+        for gated in (per_item, batched):
+            assert np.array_equal(gated.sketch_matrix(),
+                                  reference.sketch_matrix())
+        assert gated_calls < reference_calls / 3
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("num_sites, epsilon", [(1, 0.5), (2, 0.5), (3, 0.2)])
+    def test_near_tie_stream(self, num_sites, epsilon, seed, monkeypatch):
+        """σ₁² within a few ulps of (ε/m)·F̂ at almost every arrival: the
+        rounding margin must open the gate whenever the decomposition would
+        emit (without it, every one of these logs differs).
+
+        Per item only: the batch kernel sums ``F_j`` per block, so at a tie
+        this close its ``F̂`` — and with it the threshold — may round one
+        ulp away from the per-item one, whatever the gate does."""
+        rows, sites = tie_stream(seed, num_sites, epsilon)
+        build = lambda cls: cls(num_sites, rows.shape[1], epsilon,  # noqa: E731
+                                keep_message_records=True)
+        reference = build(DecomposeEveryArrival)
+        ties = count_decompositions(monkeypatch, reference._threshold)
+        for site, row in zip(sites, rows):
+            reference.observe(int(site), row)
+        monkeypatch.undo()
+        gated = build(DeterministicDirectionProtocol)
+        for site, row in zip(sites, rows):
+            gated.observe(int(site), row)
+
+        ulps = 8 * rows.shape[1] * np.finfo(float).eps
+        near = [(top, level) for top, level in ties
+                if level > 0 and abs(top / level - 1.0) <= ulps]
+        assert len(near) >= len(rows) // 2
+        assert any(top >= level for top, level in near)
+        assert any(top < level for top, level in near)
+        assert message_log(gated) == message_log(reference)
+
+    def test_site_state_stays_d_by_d_with_the_gate_shut(self, monkeypatch):
+        dimension = 6
+        protocol = DeterministicDirectionProtocol(1, dimension, 0.5)
+        rng = np.random.default_rng(3)
+        protocol.observe(0, np.full(dimension, 100.0))   # F̂ = 60 000
+        calls = count_decompositions(monkeypatch)
+        rows = rng.uniform(-0.1, 0.1, size=(10_000, dimension))
+        protocol.observe_batch(np.zeros(16, dtype=np.int64), rows[:16])
+        early = len(encode_state(protocol))
+        for start in range(16, len(rows), 997):
+            protocol.observe_batch(np.zeros(len(rows[start:start + 997]),
+                                            dtype=np.int64),
+                                   rows[start:start + 997])
+        state = protocol._sites[0]
+        assert calls == []                               # the gate stayed shut
+        assert state.gram.shape == (dimension, dimension)
+        assert state.filled < state.pending.shape[0]
+        assert len(encode_state(protocol)) == early      # O(d²), not O(rows)
+        assert np.allclose(state.residual(), rows.T @ rows, atol=1e-9)
 
 
 class TestEmptyBatches:

@@ -16,15 +16,19 @@ draws, Frobenius accumulation), so exact float equality is portable.
 
 from __future__ import annotations
 
+import copy
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.api import FrobeniusSquared, HeavyHitters, TotalWeight
+from repro.api.state import CHECKPOINT_VERSION, CheckpointError, tracker_payload
+from repro.matrix_tracking import DeterministicDirectionProtocol
 from repro.utils.stateio import StateError, restore_object
-from repro.wire import is_wire_data
+from repro.wire import is_wire_data, pack_frame, unpack_frame, write_frame
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -113,3 +117,70 @@ def test_version_1_with_replacement_sampling_state_is_refused(spec, params):
     state["state_version"] = 1
     with pytest.raises(StateError, match=type(protocol).__name__):
         restore_object(state)
+
+
+def _p2_version_1(state):
+    """A ``matrix/P2`` state as version 1 captured it: each site residual
+    kept as its rows (the light directions plus the rows since)."""
+    state = dict(state, state_version=1)
+    state["component_versions"] = tuple(
+        (cls, 1 if cls is DeterministicDirectionProtocol else version)
+        for cls, version in state["component_versions"])
+    data = copy.deepcopy(state["data"])
+    for site in data["_sites"]:
+        rows = site.pending[:site.filled]
+        site.__dict__ = {"dimension": rows.shape[1], "rows": [rows],
+                         "norm_since_scalar": site.norm_since_scalar,
+                         "top_bound": site.top_bound}
+    state["data"] = data
+    return state
+
+
+def _refusal_cause(excinfo):
+    """The ``StateError`` behind a refusal, wherever it was wrapped."""
+    error = excinfo.value
+    while error is not None and not isinstance(error, StateError):
+        error = error.__cause__
+    return error
+
+
+def test_version_1_p2_row_residual_is_refused(tmp_path):
+    """Version-1 ``matrix/P2`` states keep each site residual as rows; this
+    build keeps a ``d × d`` Gram.  There is no conversion: such a state fails
+    loudly, naming the class — loaded directly, through ``Tracker.load`` and
+    inside a cluster checkpoint — and never resumes."""
+    name = DeterministicDirectionProtocol.__name__
+    rows = np.arange(12.0).reshape(4, 3)
+    tracker = repro.Tracker.create("matrix/P2", num_sites=2, dimension=3,
+                                   epsilon=0.5)
+    tracker.push_batch([0, 1, 0, 1], rows)
+    state = tracker.protocol.get_state()
+    assert state["state_version"] == 2
+    with pytest.raises(StateError, match=name):
+        restore_object(_p2_version_1(state))
+
+    payload = tracker_payload(tracker)
+    payload["protocol"] = _p2_version_1(payload["protocol"])
+    payload["version"] = CHECKPOINT_VERSION
+    write_frame(tmp_path / "tracker.ckpt", "repro/tracker-checkpoint", payload)
+    with pytest.raises(CheckpointError, match=name) as refusal:
+        repro.Tracker.load(tmp_path / "tracker.ckpt")
+    assert name in str(_refusal_cause(refusal))
+
+    path = tmp_path / "cluster.ckpt"
+    with repro.ShardedTracker.create("matrix/P2", shards=2, backend="serial",
+                                     num_sites=2, dimension=3,
+                                     epsilon=0.5) as cluster:
+        cluster.push_batch(rows)
+        cluster.save(path)
+    kind, checkpoint = unpack_frame(path.read_bytes())
+    shard_payloads = []
+    for frame in checkpoint["shard_payloads"]:
+        shard_kind, shard = unpack_frame(frame)
+        shard["protocol"] = _p2_version_1(shard["protocol"])
+        shard_payloads.append(pack_frame(shard_kind, shard))
+    checkpoint["shard_payloads"] = shard_payloads
+    write_frame(path, kind, checkpoint)
+    with pytest.raises(CheckpointError, match=name) as refusal:
+        repro.ShardedTracker.load(path)
+    assert name in str(_refusal_cause(refusal))
