@@ -14,8 +14,8 @@ nothing but ``urllib``, then a dashboard loop polls
 fan-out, every repeat between pushes revalidates its ``ETag`` with
 ``If-None-Match`` and is answered ``304 Not Modified`` straight from the
 client-side document cache (``client.not_modified`` counts them), and the
-first push afterwards moves the ingest epoch so the next poll gets a
-fresh answer.  One poll passes ``?partial=true`` — the degraded-mode flag
+first push afterwards moves the item counts the validator names, so the
+next poll gets a fresh answer.  One poll passes ``?partial=true`` — the degraded-mode flag
 that lets a dashboard keep rendering from the reachable shards if part of
 the cluster is down — and the example prints the ``partial`` /
 ``missing_shards`` fields that come back (partial answers are never
@@ -133,7 +133,7 @@ def main() -> None:
         hot_found = {hitter["element"] for hitter in answer["estimate"]}
         assert set(HOT_ENDPOINTS) <= hot_found, (HOT_ENDPOINTS, hot_found)
 
-        # One straggler batch moves the ingest epoch: the next poll's
+        # One straggler batch moves the item counts: the next poll's
         # validator no longer matches, so the gateway re-evaluates and the
         # client caches the fresh answer under the new ETag.
         polls_before = client.not_modified
@@ -142,7 +142,7 @@ def main() -> None:
         assert client.not_modified == polls_before, \
             "a post-push poll must not be served 304"
         assert refreshed["items_processed"] == answer["items_processed"] + 1
-        print("post-push poll re-evaluated (epoch moved, ETag rotated): "
+        print("post-push poll re-evaluated (items moved, ETag rotated): "
               f"{answer['items_processed']} -> "
               f"{refreshed['items_processed']} items behind the answer")
 
@@ -157,8 +157,8 @@ def main() -> None:
 
         stats = client.stats()
         print(f"stats: {stats['items_processed']} items over "
-              f"{stats['shards']} shards at ingest epoch "
-              f"{stats['ingest_epoch']}, "
+              f"{stats['shards']} shards "
+              f"({', '.join(str(row[0]) for row in stats['per_shard'])}), "
               f"{stats['total_messages']} protocol messages "
               "(site-to-coordinator traffic the protocol saved vs "
               "forwarding every observation)")

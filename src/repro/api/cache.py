@@ -1,4 +1,4 @@
-"""Epoch-guarded answer caching for the query hot path.
+"""Answer caching for the query hot path, keyed by the state each answer read.
 
 The paper's whole premise is that a small mergeable summary answers
 queries cheaply — and between two ingest instalments the summary does not
@@ -6,18 +6,19 @@ move at all, so neither does any answer computed from it.  This module
 implements that memoize-until-invalidated discipline as a small LRU:
 
 * the **key** is the query's canonical identity
-  (:meth:`~repro.api.queries.Query.cache_key`) combined with the session's
-  monotonic ``ingest_epoch`` (and, for clusters, the shard→worker
-  ``placement_version``), so any ingestion, restore, or shard handoff
-  invalidates every previously cached answer *by construction* — entries
-  are never mutated, they stop being addressable, and the first answer
-  stored under a newer generation drops them (an answer computed under an
-  older one is not stored at all);
+  (:meth:`~repro.api.queries.Query.cache_key`) paired with a **label**: the
+  per-shard item counts of the state the answer was computed from.  A
+  session stores an answer under the label its own parts report and looks
+  it up under its current :attr:`~repro.api.session.Session.watermark`,
+  so any ingestion invalidates every previously cached answer *by
+  construction* — entries are never mutated, they stop being addressable,
+  and the first answer stored under a newer label drops them (an answer
+  computed from an older state is not stored at all);
 * the **value** is the *same frozen* :class:`~repro.api.queries.Answer`
   a fresh evaluation would return — bit-identical estimates, bounds and
-  accounting snapshots, because nothing between two epochs changes them;
+  accounting snapshots, because nothing between two ingests changes them;
 * ``max_entries`` bounds memory (least-recently-used eviction); there is no
-  time-based expiry, because the epoch guard alone is always correct.
+  time-based expiry, because the label alone is always correct.
 
 A cache built with ``max_entries=0`` is disabled: ``get``/``put`` return
 immediately without taking the lock, so the hot path costs one attribute
@@ -25,7 +26,7 @@ check and nothing else.
 
 The cache is thread-safe (one lock around the ordered map) because the
 serving gateway hits it from a pool of reader threads while the writer
-thread bumps the epoch.
+thread ingests.
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ _EVICTIONS = REGISTRY.counter(
 
 
 class AnswerCache:
-    """A thread-safe LRU of frozen answers keyed by (query, epoch, ...).
+    """A thread-safe LRU of frozen answers keyed by (query, label).
 
     Parameters
     ----------
@@ -115,11 +116,13 @@ class AnswerCache:
     def put(self, key: Hashable, answer: Any, generation: Tuple = ()) -> None:
         """Store ``answer``, computed at ``generation``, under ``key``.
 
-        Generations are the sessions' ``cache_generation()`` tuples, which
-        only grow.  A put under a newer generation than any seen drops every
-        entry first: keys carry their generation, so no later lookup can
-        reach those entries.  A put under an older generation stores nothing
-        (its answer is already unreachable).  Over capacity, LRU entries go.
+        Generations are the answers' labels — per-shard item counts, each
+        only growing — compared lexicographically: a label below one already
+        seen is behind it on some shard, so no watermark names it again.  A
+        put under a newer generation than any seen drops every entry first:
+        keys carry their generation, so no later lookup can reach those
+        entries.  A put under an older generation stores nothing (its answer
+        is already unreachable).  Over capacity, LRU entries go.
         """
         if self.max_entries == 0:
             return

@@ -1,13 +1,15 @@
 """``Session``: what a plain tracker and a sharded cluster have in common.
 
 Both facades are one continuous-tracking session over one registry spec:
-they carry the spec and its parameters, a monotonic ingest watermark, an
-epoch-guarded :class:`~repro.api.cache.AnswerCache`, and they answer the
-typed queries of :mod:`repro.api.queries` the same way — validate, count,
-look the answer up, otherwise collect the per-shard parts and let the query
-combine them.  The only thing a facade supplies to the read path is
-:meth:`Session._parts`: one part read from the local protocol, or ``N``
-parts fetched from the shards.
+they carry the spec and its parameters and an
+:class:`~repro.api.cache.AnswerCache`, and they answer the typed queries of
+:mod:`repro.api.queries` the same way — validate, count, look the answer
+up, otherwise collect the per-shard parts and let the query combine them.
+A facade supplies :meth:`Session._parts` (one part read from the local
+protocol, or ``N`` parts fetched from the shards) and
+:attr:`Session.watermark`.  Every part reports its shard's ``items``, so an
+answer is cached under exactly the state it read and found under the
+watermark naming that state, whatever the interleaving of pushes.
 
 The serving gateway talks to this surface alone on its read side, so it
 does not need to know which kind of session it fronts.
@@ -50,13 +52,11 @@ class Session:
 
     def __init__(self, spec: Optional[str], domain: str,
                  params: Optional[Dict[str, Any]], *, label: str,
-                 ingest_epoch: int = 0,
                  cache_size: int = DEFAULT_CACHE_SIZE):
         self._spec = spec
         self._domain = domain
         self._params = dict(params) if params else {}
         self._metric_spec = label
-        self._ingest_epoch = int(ingest_epoch)
         self._cache = AnswerCache(cache_size, spec=label)
 
     # ------------------------------------------------------------ properties
@@ -71,28 +71,15 @@ class Session:
         return dict(self._params)
 
     @property
-    def ingest_epoch(self) -> int:
-        """The monotonic ingest watermark.
-
-        Bumps on every ingestion call, on restore, and on shard handoff —
-        so equal epochs (at an equal placement version) imply identical
-        answers, the invariant the answer cache and the gateway's ETag
-        validators rely on.
-        """
-        return self._ingest_epoch
+    def watermark(self) -> Tuple[int, ...]:
+        """Stream items per shard: the label an answer read now would carry
+        (equal within one session only for identical shard states)."""
+        raise NotImplementedError
 
     @property
     def answer_cache(self) -> AnswerCache:
         """The session's answer cache (hit/miss/eviction introspection)."""
         return self._cache
-
-    def cache_generation(self) -> Tuple[int, int]:
-        """The ``(epoch, placement version)`` pair cached answers are valid for.
-
-        Sessions without a shard→worker placement map report a constant
-        placement version 0; invalidation then rides the epoch alone.
-        """
-        return (self._ingest_epoch, 0)
 
     # ---------------------------------------------------------------- queries
     def query(self, query: Query, *, partial: bool = False) -> Answer:
@@ -100,7 +87,7 @@ class Session:
 
         The ``Answer`` carries the paper's error bound (summed over shards
         on a cluster) and an ``items_processed``/``total_messages``
-        snapshot.  A query repeated at an unchanged :meth:`cache_generation`
+        snapshot.  A query repeated at an unchanged :attr:`watermark`
         returns the same frozen answer without re-evaluation.
 
         ``partial=True`` (sharded sessions) opts into graceful degradation:
@@ -118,6 +105,13 @@ class Session:
         >>> tracker.query(HeavyHitters(phi=0.5)).elements
         ('cat',)
         """
+        return self._labelled_query(query, partial)[0]
+
+    def _labelled_query(self, query: Query, partial: bool
+                        ) -> Tuple[Answer, Optional[Tuple[int, ...]]]:
+        """``(answer, label)``: the answer and the per-shard items it read;
+        ``label`` is ``None`` for partial answers, which are never cached
+        (their coverage depends on which shards happened to be reachable)."""
         self._check_open()
         if not isinstance(query, Query):
             raise TypeError(
@@ -135,22 +129,24 @@ class Session:
             self._queries_total.inc(spec=self._metric_spec,
                                     kind=type(query).__name__)
         key = None
-        # Partial answers are never cached: their coverage depends on which
-        # shards happened to be reachable, not on the watermark.
         if self._cache.enabled and not partial:
-            generation = self.cache_generation()
             try:
-                key = (query.cache_key(),) + generation
+                key = query.cache_key()
             except TypeError:
                 key = None  # unhashable parameters bypass the cache
             if key is not None:
-                cached = self._cache.get(key)
+                watermark = self.watermark
+                cached = self._cache.get((key, watermark))
                 if cached is not None:
-                    return cached
-        answer = query.combine(*self._parts(query, partial))
+                    return cached, watermark
+        parts, missing = self._parts(query, partial)
+        answer = query.combine(parts, missing)
+        if partial:
+            return answer, None
+        label = tuple(part["items"] for part in parts)
         if key is not None:
-            self._cache.put(key, answer, generation)
-        return answer
+            self._cache.put((key, label), answer, label)
+        return answer, label
 
     def _parts(self, query: Query, partial: bool
                ) -> Tuple[List[Dict[str, Any]], Sequence[int]]:

@@ -78,9 +78,6 @@ class TrackerStats:
     total_messages: int
     message_counts: Dict[str, int]
     chunk_size: Optional[int]
-    #: Monotonic ingest watermark: bumps on every push/push_batch/run call
-    #: (and across restore), so equal epochs imply identical answers.
-    ingest_epoch: int = 0
 
 
 class _OffsetPartitioner(Partitioner):
@@ -124,7 +121,7 @@ class Tracker(Session):
         Site-assignment policy for ``run``; defaults to round-robin.
     cache_size:
         Answer-cache capacity (see :class:`~repro.api.cache.AnswerCache`):
-        queries repeated at an unchanged :attr:`ingest_epoch` return the
+        queries repeated at an unchanged :attr:`watermark` return the
         same frozen answer without re-evaluation.  ``cache_size=0``
         disables caching entirely.
     """
@@ -146,13 +143,8 @@ class Tracker(Session):
             )
         if spec is None:
             spec = spec_name_for(protocol)
-        # Seeding the watermark from the items already processed makes a
-        # restored session resume at a *different* epoch than a fresh one,
-        # so answers (and gateway ETags) cached against the old session
-        # never validate against the new — the "bumped on restore" rule.
         super().__init__(spec, domain_of(protocol), params,
                          label=spec or type(protocol).__name__,
-                         ingest_epoch=protocol.items_processed,
                          cache_size=cache_size)
         self._protocol = protocol
         self._engine = StreamingEngine(chunk_size=chunk_size)
@@ -210,6 +202,12 @@ class Tracker(Session):
         """Total message units exchanged (the paper's ``msg`` metric)."""
         return self._protocol.total_messages
 
+    @property
+    def watermark(self) -> Tuple[int]:
+        """``(items_processed,)``, read live from the protocol, so ingest
+        through the :attr:`protocol` escape hatch moves it too."""
+        return (self._protocol.items_processed,)
+
     # -------------------------------------------------------------- ingestion
     def push(self, site: int, item: Any) -> None:
         """Ingest one stream item at ``site``.
@@ -218,7 +216,6 @@ class Tracker(Session):
         ``WeightedItem``/``(element, weight)`` tuple for heavy-hitter
         sessions, a ``MatrixRow``/raw row for matrix sessions.
         """
-        self._ingest_epoch += 1
         self._protocol.observe(site, item)
         if REGISTRY.enabled:
             _PUSHES.inc(spec=self._metric_spec)
@@ -226,7 +223,6 @@ class Tracker(Session):
 
     def push_batch(self, site_ids: Sequence[int], items: Any) -> None:
         """Ingest a chunk of items with explicit per-item site assignments."""
-        self._ingest_epoch += 1
         self._protocol.observe_batch(site_ids, items)
         if REGISTRY.enabled:
             _PUSHES.inc(spec=self._metric_spec)
@@ -253,7 +249,6 @@ class Tracker(Session):
         if self._protocol.items_processed:
             partitioner = _OffsetPartitioner(partitioner,
                                              self._protocol.items_processed)
-        self._ingest_epoch += 1
         items_before = self._protocol.items_processed
         result = self._engine.run(self._protocol, source,
                                   partitioner=partitioner,
@@ -290,7 +285,6 @@ class Tracker(Session):
             total_messages=self._protocol.total_messages,
             message_counts=self._protocol.message_counts(),
             chunk_size=self._engine.chunk_size,
-            ingest_epoch=self._ingest_epoch,
         )
 
     # ----------------------------------------------------------- persistence

@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="reject request bodies larger than this with 413")
     sub.add_argument("--cache-size", type=int, default=None, metavar="N",
                      help="answer-cache LRU capacity of the served session "
-                          "(0 disables epoch-guarded caching and ETags; "
+                          "(0 disables answer caching, not ETags; "
                           "default 128)")
     sub.add_argument("--coalesce-max-items", type=int, default=None,
                      metavar="N",

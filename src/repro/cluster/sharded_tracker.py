@@ -143,8 +143,6 @@ class ShardedTrackerStats:
     #: (items, messages) per shard; ``None`` for shards that were
     #: unreachable when the snapshot was taken (named in missing_shards).
     per_shard: Tuple[Optional[Tuple[int, int]], ...]
-    #: Monotonic cluster-wide ingest watermark (see ``ingest_epoch``).
-    ingest_epoch: int = 0
     #: Shards whose workers were unreachable; the sums above cover the
     #: live shards only.  Always empty on a healthy cluster.
     missing_shards: Tuple[int, ...] = ()
@@ -206,6 +204,11 @@ def _shard_stats(tracker: Tracker) -> Tuple[int, int, Dict[str, int],
             tracker.protocol.message_counts(), REGISTRY.snapshot())
 
 
+def _shard_items(tracker: Tracker) -> int:
+    # Seeds the parent's watermark: one int, not the whole stats reply.
+    return tracker.items_processed
+
+
 def _shard_ping(tracker: Tracker) -> str:
     # Cheapest possible liveness probe: an empty round trip through the
     # shard's FIFO proves the worker is alive and draining.
@@ -237,18 +240,12 @@ class ShardedTracker(Session):
                  chunk_size: Optional[int] = DEFAULT_CHUNK_SIZE,
                  backend_options: Optional[Dict[str, Any]] = None,
                  cache_size: int = DEFAULT_CACHE_SIZE,
-                 _builders: Optional[Sequence[Any]] = None,
-                 _items_dispatched: int = 0,
-                 _ingest_epoch: int = 0):
+                 _builders: Optional[Sequence[Any]] = None):
         registry_spec = get_spec(spec)
         super().__init__(registry_spec.name, registry_spec.domain, params,
-                         label=registry_spec.name,
-                         ingest_epoch=_ingest_epoch, cache_size=cache_size)
+                         label=registry_spec.name, cache_size=cache_size)
         self._num_shards = check_positive_int(shards, name="shards")
         self._chunk_size = chunk_size
-        #: Global item index: unassigned item ``i`` sits at site ``i mod m``
-        #: (as ``Tracker.run`` continues from ``items_processed``).
-        self._items_dispatched = int(_items_dispatched)
         self._backend_name = get_backend_spec(backend).name
         if _builders is None:
             registry_spec.validate(dict(self._params))  # fail before launch
@@ -274,6 +271,10 @@ class ShardedTracker(Session):
         )
         self._backend.launch(list(_builders))
         self._closed = False
+        #: Items dispatched to each shard, seeded from the shards (one path
+        #: for create and load); replaced, never mutated, under readers.
+        self._watermark: Tuple[int, ...] = tuple(
+            self._backend.call_all(_shard_items))
 
     # ---------------------------------------------------------- construction
     @classmethod
@@ -340,8 +341,8 @@ class ShardedTracker(Session):
         """Ingest one stream item at global ``site`` (on shard ``site mod S``).
 
         Single items ride the same columnar ``push_batch`` path as chunks
-        (a one-item batch), so shard assignment, epoch accounting and the
-        wire shape are identical whether callers push one item or many.
+        (a one-item batch), so shard assignment, watermark accounting and
+        the wire shape are identical whether callers push one item or many.
         """
         self._check_open()
         if self._domain == DOMAIN_HEAVY_HITTERS:
@@ -376,18 +377,17 @@ class ShardedTracker(Session):
         if len(batch) == 0:
             return
         sites = self._check_push(batch, site_ids)
-        # Bump *before* dispatching: a query keyed at the new epoch can only
-        # be answered (and cached) after this batch entered the per-shard
-        # FIFOs, so a post-push query never revives a pre-push answer.
-        self._ingest_epoch += 1
-        self._items_dispatched += len(batch)
         if REGISTRY.enabled:
             _CLUSTER_PUSHES.inc(spec=self._spec)
             _CLUSTER_ITEMS.inc(len(batch), spec=self._spec)
         if self._num_shards == 1:
+            self._watermark = (self._watermark[0] + len(batch),)
             self._backend.submit(0, _shard_ingest, sites, batch)
             return
+        watermark = list(self._watermark)
         for shard, positions in _group_by_shard(sites % self._num_shards):
+            watermark[shard] += len(positions)
+            self._watermark = tuple(watermark)
             self._backend.submit(shard, _shard_ingest,
                                  sites[positions] // self._num_shards,
                                  batch.take(positions))
@@ -455,9 +455,7 @@ class ShardedTracker(Session):
         chunks keep routing consistently.  Returns the moved shard indices.
         """
         self._check_open()
-        moved = self._elastic_backend().add_worker(address)
-        self._ingest_epoch += 1  # handoff invalidates cached answers
-        return moved
+        return self._elastic_backend().add_worker(address)
 
     def remove_worker(self, address: Any) -> list:
         """Shrink the worker set, evacuating its shards to the remaining ones.
@@ -467,15 +465,12 @@ class ShardedTracker(Session):
         moved shard indices.
         """
         self._check_open()
-        moved = self._elastic_backend().remove_worker(address)
-        self._ingest_epoch += 1  # handoff invalidates cached answers
-        return moved
+        return self._elastic_backend().remove_worker(address)
 
     def move_shard(self, shard: int, address: Any) -> None:
         """Relocate one shard's live session to another worker."""
         self._check_open()
         self._elastic_backend().move_shard(shard, address)
-        self._ingest_epoch += 1  # handoff invalidates cached answers
 
     def placement(self) -> list:
         """Current shard→worker placement (socket backend only)."""
@@ -496,10 +491,11 @@ class ShardedTracker(Session):
             )
         return self._backend
 
-    def cache_generation(self) -> Tuple[int, int]:
-        # Only the elastic (socket) backend has a placement map.
-        return (self._ingest_epoch,
-                int(getattr(self._backend, "placement_version", 0)))
+    @property
+    def watermark(self) -> Tuple[int, ...]:
+        """Items dispatched to each shard; a handoff moves a shard's state
+        intact, so placement changes leave it unchanged."""
+        return self._watermark
 
     def stats(self) -> ShardedTrackerStats:
         """Aggregate items/message accounting over the whole cluster.
@@ -530,7 +526,6 @@ class ShardedTracker(Session):
             message_counts=merge_message_counts(row[2] for row in live),
             per_shard=tuple(None if row is None else (row[0], row[1])
                             for row in results),
-            ingest_epoch=self._ingest_epoch,
             missing_shards=tuple(sorted(errors)),
         )
 
@@ -580,8 +575,8 @@ class ShardedTracker(Session):
         payload frame per shard — encoded *on the worker*, so shard
         serialization runs in parallel on the remote backends — plus the
         cluster topology (spec, global parameters, shard count, backend,
-        the global item index the round-robin site deal continues from);
-        :meth:`load` resumes the whole cluster bit-identically.
+        global item index); :meth:`load` resumes the whole cluster
+        bit-identically, re-deriving the index from the restored shards.
         """
         self._check_open()
         with self._timed_save(path):
@@ -594,8 +589,7 @@ class ShardedTracker(Session):
                 "shards": self._num_shards,
                 "backend": self._backend_name,
                 "chunk_size": self._chunk_size,
-                "items_dispatched": self._items_dispatched,
-                "ingest_epoch": self._ingest_epoch,
+                "items_dispatched": sum(self._watermark),
                 "shard_payloads": payloads,
             })
 
@@ -630,11 +624,6 @@ class ShardedTracker(Session):
             chunk_size=payload["chunk_size"],
             backend_options=backend_options,
             _builders=builders,
-            _items_dispatched=payload["items_dispatched"],
-            # +1 is the "bumped on restore" rule: answers (and ETags) cached
-            # against the saved session never validate against the restored
-            # one, even at an identical ingest history.
-            _ingest_epoch=payload.get("ingest_epoch", 0) + 1,
         )
 
     # ----------------------------------------------------------- lifecycle
@@ -673,7 +662,7 @@ class ShardedTracker(Session):
 
         Submits are fire-and-forget on the remote backends, so a shard-side
         ``ValueError`` would be charged to the next unrelated call — after
-        the epoch, the item index and the healthy shards had already
+        the watermark, the item index and the healthy shards had already
         moved.  Raises the protocol's own messages; returns every item's
         *global* site as an index array.
         """
@@ -687,7 +676,9 @@ class ShardedTracker(Session):
         if site_ids is None:
             site_ids = batch.sites
         if site_ids is None:
-            start = self._items_dispatched
+            # Global item index: unassigned item ``i`` sits at site ``i mod
+            # m`` (as ``Tracker.run`` continues from ``items_processed``).
+            start = sum(self._watermark)
             return (np.arange(start, start + len(batch), dtype=np.int64)
                     % self._num_sites)
         explicit = np.asarray(site_ids, dtype=np.int64)

@@ -53,6 +53,7 @@ import asyncio
 import dataclasses
 import hashlib
 import hmac
+import secrets
 import ssl
 import threading
 from collections import deque
@@ -64,7 +65,6 @@ from typing import Any, Awaitable, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from ..api.queries import (
-    Answer,
     ApproximationError,
     Covariance,
     Frequency,
@@ -449,6 +449,8 @@ class Gateway:
         self._request_timeout = float(request_timeout)
         self._ssl_context = ssl_context
         self._sharded = isinstance(tracker, ShardedTracker)
+        #: Folded into every ETag: validators of two gateways never collide.
+        self._etag_token = secrets.token_hex(8)
         spec = tracker.spec
         if spec is None:
             raise ValueError("the gateway needs a registry-created tracker "
@@ -909,47 +911,45 @@ class Gateway:
         partial = str(partial_raw).lower() in _TRUE_VALUES \
             if partial_raw is not None else False
         wire = request.wants_wire
-        etag = None if partial else self._etag_for(query, wire)
-        if etag is not None and _etag_matches(
-                request.headers.get("if-none-match"), etag):
-            # The validator alone proves the cached document is current —
-            # answer 304 straight off the event loop, zero executor hops.
-            if REGISTRY.enabled:
-                _NOT_MODIFIED.inc(route=_route_label(request.path))
-            return _already_done(_RawResponse(
-                b"", status=304, headers=(("ETag", etag), _VARY)))
-        return self._run_read(
-            lambda: self._do_query(query, partial, wire, etag))
+        validators = request.headers.get("if-none-match")
+        if validators and not partial:
+            # A validator naming the state read now proves the client's
+            # document current: 304 straight off the event loop.
+            etag = self._etag_for(query, wire, self._tracker.watermark)
+            if etag is not None and _etag_matches(validators, etag):
+                if REGISTRY.enabled:
+                    _NOT_MODIFIED.inc(route=_route_label(request.path))
+                return _already_done(_RawResponse(
+                    b"", status=304, headers=(("ETag", etag), _VARY)))
+        return self._run_read(lambda: self._do_query(query, partial, wire))
 
-    def _etag_for(self, query: Query, wire: bool) -> Optional[str]:
-        """The query's current validator: ``"<spec>-<epoch>-<query-hash>"``.
+    def _etag_for(self, query: Query, wire: bool,
+                  label: Tuple[int, ...]) -> Optional[str]:
+        """``"<spec>-<hash>"``: the validator of ``query`` answered at
+        ``label``, the per-shard item counts of the state the answer read.
 
-        The epoch is read *before* the query runs, so a push racing the
-        evaluation can only make the stamped validator stale early (extra
-        re-validation), never let it cover data it does not have.  The
-        query hash folds in the canonical parameters, the cluster's
-        placement version — so a shard handoff invalidates validators even
-        at an unchanged epoch counter — and, for the wire representation,
-        its media type: the JSON and the wire document of one state are
-        different bytes and never share a validator.
+        The hash also folds in this gateway's random token (another gateway,
+        or this one restarted, may reach equal counts with different data)
+        and, for the wire representation, its media type: the JSON and the
+        wire document of one state never share a validator.
         """
-        epoch, placement = self._tracker.cache_generation()
         try:
             key = query.cache_key()
         except TypeError:
             return None  # unhashable parameters have no stable validator
-        identity = (key, placement, WIRE_TYPE) if wire else (key, placement)
+        identity = (self._etag_token, key, label, WIRE_TYPE if wire else "")
         digest = hashlib.sha1(repr(identity).encode("utf-8")).hexdigest()[:16]
-        return f'"{self._spec}-{epoch}-{digest}"'
+        return f'"{self._spec}-{digest}"'
 
-    def _do_query(self, query: Query, partial: bool, wire: bool,
-                  etag: Optional[str]) -> _RawResponse:
+    def _do_query(self, query: Query, partial: bool,
+                  wire: bool) -> _RawResponse:
         """Answer and encode in one executor job: a large answer's encoding
         never holds up the event loop (and every connection on it)."""
-        answer: Answer = self._tracker.query(query, partial=partial)
+        answer, label = self._tracker._labelled_query(query, partial)
         document = answer.document()
         document["partial"] = answer.is_partial
         body, content_type = encode_document(document, wire)
+        etag = None if label is None else self._etag_for(query, wire, label)
         headers = (_VARY,) if etag is None else (("ETag", etag), _VARY)
         return _RawResponse(body, content_type=content_type, headers=headers)
 

@@ -1,21 +1,26 @@
-"""Epoch-guarded answer caching: identity, invalidation and freshness.
+"""Answer caching keyed by the state each answer read: identity,
+invalidation and freshness.
 
-The hot-path contract of PR 10: a cached answer is the *same frozen
-object* a fresh evaluation would return, every ingestion/restore/handoff
-invalidates by construction (the epoch in the key moves, the entries are
-never touched), and a query issued after an acknowledged push can never
-observe pre-push state.  Covered here:
+The hot-path contract: a cached answer is the *same frozen object* a fresh
+evaluation would return, stored under the per-shard item counts its own
+parts report (its label) and looked up under the session's current
+watermark, so every ingestion invalidates by construction (entries are
+never touched, they stop being addressable), and a query issued after an
+acknowledged push can never observe pre-push state.  Covered here:
 
-* :class:`~repro.api.cache.AnswerCache` unit behaviour (LRU, TTL,
-  disabled mode, dead generations dropped — also under two racing writers —
+* :class:`~repro.api.cache.AnswerCache` unit behaviour (LRU, disabled
+  mode, dead generations dropped — also under two racing writers —
   pickling as configuration);
-* ``ingest_epoch`` plumbing on :class:`~repro.api.Tracker` and
-  :class:`~repro.cluster.ShardedTracker` (push/batch/run/restore bumps);
+* the ``watermark`` of :class:`~repro.api.Tracker` and
+  :class:`~repro.cluster.ShardedTracker` (push/batch/run/restore, and
+  ingest through the ``Tracker.protocol`` escape hatch);
 * bit-identity of cached answers for **every** registered spec
   (seed-parameterized like the state round-trip suite);
-* a concurrent push/query stress test asserting the freshness watermark;
-* invalidation on ``move_shard`` (placement generation) and checkpoint
-  restore;
+* a concurrent push/query stress test asserting the freshness watermark,
+  and a deterministic reader parked between a push's bookkeeping and its
+  delivery to the shard;
+* cached answers across ``move_shard`` (a handoff moves state intact) and
+  checkpoint restore;
 * the degraded ``stats()`` surface (``missing_shards`` instead of a
   hard failure).
 """
@@ -97,7 +102,7 @@ class TestAnswerCacheUnit:
         cache.put(("b", 1, 0), "b@1", (1, 0))
         assert len(cache) == 1
         assert cache.get(("b", 1, 0)) is None
-        # A placement move is a newer generation too.
+        # Any one shard moving on is a newer generation too.
         cache.put(("a", 2, 1), "a@2'", (2, 1))
         assert len(cache) == 1
         assert cache.evictions == 0             # not LRU evictions
@@ -163,32 +168,36 @@ class TestAnswerCacheUnit:
 
 
 # --------------------------------------------------------------------------
-# Epoch plumbing on the tracker facades.
+# The watermark on the tracker facades.
 # --------------------------------------------------------------------------
-class TestIngestEpoch:
-    def test_tracker_epoch_bumps_on_every_ingest_form(self):
+class TestWatermark:
+    def test_tracker_watermark_counts_every_ingest_form(self):
         tracker = repro.Tracker.create("hh/exact", num_sites=3)
-        assert tracker.ingest_epoch == 0
+        assert tracker.watermark == (0,)
         tracker.push(0, ("a", 2.0))
-        assert tracker.ingest_epoch == 1
+        assert tracker.watermark == (1,)
         tracker.push_batch([0, 1], WeightedItemBatch.from_pairs(
             [("b", 1.0), ("c", 1.0)]))
-        assert tracker.ingest_epoch == 2
+        assert tracker.watermark == (3,)
         tracker.run(WeightedItemBatch.from_pairs([("d", 1.0)]))
-        assert tracker.ingest_epoch == 3
-        assert tracker.stats().ingest_epoch == 3
+        assert tracker.watermark == (4,)
+        assert tracker.stats().items_processed == 4
 
-    def test_sharded_epoch_bumps_and_lands_in_stats(self):
+    def test_sharded_watermark_counts_items_per_shard(self):
         with repro.ShardedTracker.create("hh/exact", shards=2,
                                          backend="thread",
                                          num_sites=4) as cluster:
-            assert cluster.ingest_epoch == 0
-            cluster.push(0, ("a", 2.0))
-            assert cluster.ingest_epoch == 1
+            assert cluster.watermark == (0, 0)
+            cluster.push(0, ("a", 2.0))                 # site 0 -> shard 0
+            assert cluster.watermark == (1, 0)
             cluster.push_batch(WeightedItemBatch.from_pairs(
-                [("b", 1.0), ("c", 1.0)]))
-            assert cluster.ingest_epoch == 2
-            assert cluster.stats().ingest_epoch == 2
+                [("b", 1.0), ("c", 1.0)]))              # sites 1, 2
+            assert cluster.watermark == (2, 1)
+            cluster.run(WeightedItemBatch.from_pairs(
+                [("d", 1.0), ("e", 1.0), ("f", 1.0)]))  # sites 3, 0, 1
+            assert cluster.watermark == (3, 3)
+            stats = cluster.stats()
+            assert tuple(row[0] for row in stats.per_shard) == (3, 3)
 
     def test_cached_hit_is_the_same_frozen_object(self):
         tracker = repro.Tracker.create("hh/exact", num_sites=2)
@@ -210,6 +219,16 @@ class TestIngestEpoch:
         assert fresh is not stale
         assert fresh.estimate == pytest.approx(8.0)
 
+    def test_escape_hatch_ingest_is_never_answered_from_the_cache(self):
+        """Items fed straight to ``tracker.protocol`` move the watermark,
+        which is read from the protocol itself."""
+        tracker = repro.Tracker.create("hh/exact", num_sites=2)
+        tracker.push(0, ("a", 1.0))
+        assert tracker.query(TotalWeight()).estimate == pytest.approx(1.0)
+        tracker.protocol.observe(1, ("b", 2.0))
+        assert tracker.query(TotalWeight()).estimate == pytest.approx(3.0)
+        assert tracker.watermark == (2,)
+
     def test_cache_size_zero_disables_memoization(self):
         tracker = repro.Tracker.create("hh/exact", num_sites=2, cache_size=0)
         tracker.run(WeightedItemBatch.from_pairs([("a", 5.0)]))
@@ -218,30 +237,30 @@ class TestIngestEpoch:
         assert first is not second
         assert first == second
 
-    def test_restore_seeds_a_fresh_epoch(self, tmp_path):
+    def test_restore_resumes_at_the_saved_watermark(self, tmp_path):
         tracker = repro.Tracker.create("hh/exact", num_sites=2)
         tracker.run(WeightedItemBatch.from_pairs(
             [("a", 1.0), ("b", 1.0), ("c", 1.0)]))
         path = tmp_path / "tracker.ckpt"
         tracker.save(path)
         loaded = repro.Tracker.load(path)
-        # Seeded from items_processed: a restored session can never reuse
-        # epoch values an earlier cached answer was keyed under.
-        assert loaded.ingest_epoch == 3
+        assert loaded.watermark == tracker.watermark == (3,)
         assert loaded.query(TotalWeight()) == tracker.query(TotalWeight())
 
-    def test_sharded_restore_bumps_past_the_saved_epoch(self, tmp_path):
+    def test_sharded_restore_resumes_at_the_saved_watermark(self, tmp_path):
         path = tmp_path / "cluster.ckpt"
         with repro.ShardedTracker.create("hh/exact", shards=2,
                                          backend="thread",
                                          num_sites=4) as cluster:
             cluster.push_batch(WeightedItemBatch.from_pairs(
-                [("a", 1.0), ("b", 2.0)]))
-            saved_epoch = cluster.ingest_epoch
+                [("a", 1.0), ("b", 2.0), ("c", 3.0)]))
+            saved = cluster.watermark
+            per_shard = tuple(row[0] for row in cluster.stats().per_shard)
             cluster.save(path)
             expected = cluster.query(TotalWeight())
+        assert saved == per_shard == (2, 1)
         with repro.ShardedTracker.load(path, backend="thread") as loaded:
-            assert loaded.ingest_epoch == saved_epoch + 1
+            assert loaded.watermark == saved
             assert loaded.query(TotalWeight()) == expected
 
 
@@ -332,32 +351,64 @@ def test_concurrent_push_query_serves_no_stale_answer():
             raise failures[0]
         assert violations == []
         assert cluster.query(TotalWeight()).estimate == pytest.approx(400.0)
-        assert cluster.ingest_epoch == 200
+        assert sum(cluster.watermark) == 400
 
 
-def test_cached_hit_epoch_matches_watermark_at_serve_time():
-    """Cache keys carry the epoch: a hit can only be served while the
-    cluster watermark still equals the epoch the answer was stored at."""
+def test_reader_between_bookkeeping_and_delivery_caches_nothing_stale():
+    """A reader runs while the writer has recorded a push but the shard has
+    not received it: its pre-push answer must not be served for a query
+    issued after ``push_batch`` returned."""
+    with repro.ShardedTracker.create("hh/exact", shards=2, backend="thread",
+                                     num_sites=4) as cluster:
+        cluster.push_batch(WeightedItemBatch.from_pairs(
+            [("a", 1.0), ("b", 1.0)]))
+        parked, release = threading.Barrier(2), threading.Barrier(2)
+        real_submit = cluster._backend.submit
+        park_once = [True]
+
+        def submit(shard, fn, *args):
+            if park_once[0]:
+                park_once[0] = False
+                parked.wait(timeout=30)
+                release.wait(timeout=30)
+            real_submit(shard, fn, *args)
+
+        cluster._backend.submit = submit
+        writer = threading.Thread(target=cluster.push_batch, args=(
+            WeightedItemBatch.from_pairs([("c", 1.0)]),))
+        writer.start()
+        parked.wait(timeout=30)
+        in_window = cluster.query(TotalWeight())
+        assert in_window.estimate == pytest.approx(2.0)   # push not delivered
+        release.wait(timeout=30)
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert cluster.query(TotalWeight()).estimate == pytest.approx(3.0)
+
+
+def test_cached_hit_label_matches_watermark_at_serve_time():
+    """Answers are stored under the item counts they read: a hit can only
+    be served while the cluster watermark still names that state."""
     with repro.ShardedTracker.create("hh/exact", shards=2, backend="thread",
                                      num_sites=4) as cluster:
         cluster.push_batch(WeightedItemBatch.from_pairs([("a", 1.0)]))
-        epoch_at_store = cluster.ingest_epoch
+        watermark_at_store = cluster.watermark
         cluster.query(TotalWeight())
         before = cluster.answer_cache.hits
-        assert cluster.ingest_epoch == epoch_at_store
+        assert cluster.watermark == watermark_at_store
         cluster.query(TotalWeight())
         assert cluster.answer_cache.hits == before + 1
         cluster.push_batch(WeightedItemBatch.from_pairs([("b", 1.0)]))
-        assert cluster.ingest_epoch != epoch_at_store
-        cluster.query(TotalWeight())             # new epoch -> miss, re-eval
+        assert cluster.watermark != watermark_at_store
+        cluster.query(TotalWeight())             # new state -> miss, re-eval
         assert cluster.answer_cache.hits == before + 1
 
 
 # --------------------------------------------------------------------------
-# Invalidation on live shard handoff (placement generation).
+# Live shard handoff: the state moves intact, so cached answers stay valid.
 # --------------------------------------------------------------------------
-def test_move_shard_invalidates_cached_answers():
-    sample, batch, _ = hh_stream(SEEDS[0])
+def test_hit_after_move_shard_is_bit_identical_to_uncached_fanout():
+    _sample, batch, _ = hh_stream(SEEDS[0])
     params = _params("hh/P2", SEEDS[0], None)
     with WorkerServer() as a, WorkerServer() as b:
         cluster = repro.ShardedTracker.create(
@@ -365,21 +416,28 @@ def test_move_shard_invalidates_cached_answers():
             backend_options={"addresses": [a.address],
                              "reconnect_backoff": 0.05},
             **params)
+        twin = repro.ShardedTracker.create(
+            "hh/P2", shards=2, backend="serial", chunk_size=CHUNK,
+            cache_size=0, **params)
         try:
-            cluster.push_batch(batch)
-            cluster.flush()
+            for session in (cluster, twin):
+                session.push_batch(batch)
+                session.flush()
             reference = cluster.query(TotalWeight())
-            generation = cluster.cache_generation()
+            watermark = cluster.watermark
             hits_before = cluster.answer_cache.hits
             cluster.move_shard(0, b.address)
-            # Both the epoch and the placement version moved: nothing
-            # cached before the handoff is addressable afterwards.
-            assert cluster.cache_generation() != generation
-            after = cluster.query(TotalWeight())
-            assert cluster.answer_cache.hits == hits_before
-            assert after.to_json() == reference.to_json()
+            assert cluster.watermark == watermark
+            hit = cluster.query(TotalWeight())
+            assert hit is reference
+            assert cluster.answer_cache.hits == hits_before + 1
+            assert hit.to_json() == twin.query(TotalWeight()).to_json()
+            # A fan-out to the moved shard reads the same state.
+            cluster.answer_cache.clear()
+            assert cluster.query(TotalWeight()).to_json() == hit.to_json()
         finally:
             cluster.close()
+            twin.close()
 
 
 # --------------------------------------------------------------------------

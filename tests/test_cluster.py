@@ -777,7 +777,7 @@ class TestShardedTrackerFacade:
             def state():
                 stats = cluster.stats()
                 return (stats.items_processed, stats.per_shard,
-                        stats.ingest_epoch, cluster._items_dispatched,
+                        cluster.watermark,
                         cluster.query(FrobeniusSquared()))
 
             before = state()

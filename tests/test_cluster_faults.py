@@ -322,7 +322,9 @@ class TestDeadlines:
             conn.close()
 
     def test_hung_socket_worker_fails_call_within_io_timeout(self):
-        with FlakyWorker(stall_at=2, stall_seconds=8.0) as server:
+        # Frame 1 launches the shard, frame 2 reads its item count at
+        # create; frame 3 is the query.
+        with FlakyWorker(stall_at=3, stall_seconds=8.0) as server:
             cluster = _socket_cluster("hh/P2", SEEDS[0], server, shards=1,
                                       io_timeout=0.75)
             started = time.monotonic()
@@ -448,9 +450,10 @@ class TestReplayHeal:
             _paced_run(baseline, batch)
             expected = [baseline.query(query) for query in queries]
             baseline.close()
-        # Replies 1-2 are the two launch 'ready's; reply 3 is the first
-        # barrier reply — corrupt exactly that one.
-        with FlakyWorker(corrupt_reply_at=3) as server:
+        # Replies 1-2 are the two launch 'ready's and 3-4 the shards' item
+        # counts read at create; reply 5 is the first barrier reply —
+        # corrupt exactly that one.
+        with FlakyWorker(corrupt_reply_at=5) as server:
             cluster = _socket_cluster("hh/P2", seed, server)
             _paced_run(cluster, batch)
             assert sum(shard.recoveries

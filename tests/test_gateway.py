@@ -372,13 +372,14 @@ def test_client_speaks_wire_both_ways(served_cluster):
 # Concurrency pin: a slow query must not stall the ingest path.
 # --------------------------------------------------------------------------
 def _slow_query(tracker, delay: float):
-    real_query = tracker.query
+    # The one read path under both ``query`` and the gateway's query route.
+    real_query = tracker._labelled_query
 
-    def query(query, *, partial=False):
+    def labelled_query(query, partial):
         time.sleep(delay)
-        return real_query(query, partial=partial)
+        return real_query(query, partial)
 
-    tracker.query = query
+    tracker._labelled_query = labelled_query
 
 
 def test_slow_query_interleaves_with_pushes():
@@ -560,17 +561,17 @@ class TestHttpContract:
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_partial_passthrough(self, served_cluster, encoding):
-        real_query = served_cluster.query
+        real_query = served_cluster._labelled_query
         seen = []
 
-        def query(query, *, partial=False):
+        def labelled_query(query, partial):
             seen.append(partial)
-            answer = real_query(query, partial=partial)
+            answer, label = real_query(query, partial)
             if partial:
                 answer = dataclasses.replace(answer, missing_shards=(1,))
-            return answer
+            return answer, label
 
-        served_cluster.query = query
+        served_cluster._labelled_query = labelled_query
         with Gateway(served_cluster) as gateway:
             with _client(gateway, encoding) as client:
                 healthy = client.query("total_weight")
@@ -843,7 +844,7 @@ class TestConditionalGet:
             assert status == 200
             assert headers["vary"] == "Accept"
             etag = headers["etag"]
-            # The mandated shape: "<spec>-<epoch>-<query-hash>".
+            # The mandated shape: "<spec>-<hash>".
             assert etag.startswith('"hh/P2-')
             assert body["estimate"] == pytest.approx(8.0)
 
@@ -910,11 +911,34 @@ class TestConditionalGet:
                 status, headers, body = self._raw_get(
                     gateway, "/v1/query/total_weight",
                     {"If-None-Match": stale_etag}, encoding)
-                # The epoch moved, so the validator no longer matches: the
-                # full fresh answer comes back, never a stale 304.
+                # The item counts moved, so the validator no longer matches:
+                # the full fresh answer comes back, never a stale 304.
                 assert status == 200
                 assert headers["etag"] != stale_etag
                 assert body["estimate"] == pytest.approx(8.0)
+
+    def test_validators_never_cross_gateways(self):
+        """Two sessions at equal item counts hold different data: a
+        validator one gateway issued is never a 304 at another (nor at a
+        restarted one)."""
+        served = []
+        for element in ("cat", "dog"):
+            tracker = repro.Tracker.create("hh/P2", num_sites=5,
+                                           epsilon=0.1)
+            for _ in range(3):
+                tracker.push(0, (element, 1.0))
+            served.append(tracker)
+        with Gateway(served[0]) as first:
+            _status, headers, _body = self._raw_get(
+                first, "/v1/query/heavy_hitters?phi=0.5")
+            etag = headers["etag"]
+        with Gateway(served[1]) as second:
+            status, headers, body = self._raw_get(
+                second, "/v1/query/heavy_hitters?phi=0.5",
+                {"If-None-Match": etag})
+        assert status == 200
+        assert headers["etag"] != etag
+        assert [hitter["element"] for hitter in body["estimate"]] == ["dog"]
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_partial_answers_carry_no_etag(self, served_cluster, encoding):
