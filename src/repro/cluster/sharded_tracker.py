@@ -99,7 +99,7 @@ _RETIRED_VERSIONS = {
 _SEED_STRIDE = 7919
 
 #: Parent-side cluster telemetry.  Shard-local work is counted worker-side
-#: by the ``repro_tracker_*`` families (and shipped back on the stats call
+#: by the ``repro_tracker_*`` families (and shipped back on the metrics call
 #: frames); these families count what the facade dispatched.
 _CLUSTER_PUSHES = REGISTRY.counter(
     "repro_cluster_pushes_total",
@@ -116,7 +116,7 @@ _CLUSTER_CHECKPOINT_BYTES = REGISTRY.counter(
 _CLUSTER_CHECKPOINT_SECONDS = REGISTRY.histogram(
     "repro_cluster_checkpoint_seconds", "Cluster checkpoint save wall time",
     labels=("spec",), buckets=LATENCY_BUCKETS)
-#: Set per scrape from the stats reply ``metrics_snapshot`` already fetches:
+#: Set per scrape from the shard replies ``metrics_snapshot`` fetches anyway:
 #: the load balance and the paper's message budget, shard by shard.
 _CLUSTER_SHARD_ITEMS = REGISTRY.gauge(
     "repro_cluster_shard_items", "Stream items ingested by each shard",
@@ -195,13 +195,16 @@ def _shard_ingest(tracker: Tracker, site_ids: np.ndarray, batch: Any) -> None:
     tracker.push_batch(site_ids, batch)
 
 
-def _shard_stats(tracker: Tracker) -> Tuple[int, int, Dict[str, int],
-                                            Dict[str, Any]]:
-    # The worker's whole metrics registry piggybacks on the stats reply —
-    # one extra wire-safe dict on a call frame that already makes the
-    # round trip, so the merged cluster view costs no new protocol op.
+def _shard_stats(tracker: Tracker) -> Tuple[int, int, Dict[str, int]]:
     return (tracker.items_processed, tracker.total_messages,
-            tracker.protocol.message_counts(), REGISTRY.snapshot())
+            tracker.protocol.message_counts())
+
+
+def _shard_metrics(tracker: Tracker) -> Tuple[int, int, Dict[str, Any]]:
+    # The worker's whole metrics registry rides its own reply: only the
+    # merged metrics view reads it, so stats() does not ship it.
+    return (tracker.items_processed, tracker.total_messages,
+            REGISTRY.snapshot())
 
 
 def _shard_items(tracker: Tracker) -> int:
@@ -533,14 +536,14 @@ class ShardedTracker(Session):
         """Registry snapshots for the cluster-wide merged metrics view.
 
         Returns this process's snapshot plus one per *reachable* shard
-        (riding the same stats call frames :meth:`stats` uses); dead
+        (one call per shard carrying its items, messages and registry); dead
         shards are skipped so the metrics surface stays readable during an
         outage.  Merge with :func:`repro.obs.merge_snapshots`, which
         de-duplicates by worker identity — serial/thread/embedded-worker
         shards sharing this process's registry collapse into one snapshot.
         """
         self._check_open()
-        results, _errors = self._backend.call_all_partial(_shard_stats)
+        results, _errors = self._backend.call_all_partial(_shard_metrics)
         live = [(shard, row) for shard, row in enumerate(results)
                 if row is not None]
         if REGISTRY.enabled:
@@ -549,7 +552,7 @@ class ShardedTracker(Session):
                 _CLUSTER_SHARD_MESSAGES.set(row[1], spec=self._spec,
                                             shard=shard)
         snapshots: List[Dict[str, Any]] = [REGISTRY.snapshot()]
-        snapshots.extend(row[3] for _, row in live if row[3])
+        snapshots.extend(row[2] for _, row in live if row[2])
         return snapshots
 
     def liveness(self) -> Dict[str, str]:

@@ -116,16 +116,25 @@ class MatrixTrackingProtocol(DistributedProtocol):
         """The coordinator's estimate of ``‖A‖²_F`` (``F̂`` in the paper)."""
 
     # ---------------------------------------------------------------- queries
+    def _sketch_view(self) -> np.ndarray:
+        """``B`` to read once: callers may neither mutate nor keep it.
+
+        The queries below and the ``sketch_rows`` count read it; protocols
+        that hold ``B`` as a buffer return a view, saving the copy
+        :meth:`sketch_matrix` makes.
+        """
+        return self.sketch_matrix()
+
     def covariance(self) -> np.ndarray:
         """Return ``BᵀB`` for the current approximation ``B``."""
-        sketch = self.sketch_matrix()
+        sketch = self._sketch_view()
         if sketch.size == 0:
             return np.zeros((self._dimension, self._dimension))
         return sketch.T @ sketch
 
     def squared_norm_along(self, x: np.ndarray) -> float:
         """Return ``‖Bx‖²`` for a direction ``x``."""
-        sketch = self.sketch_matrix()
+        sketch = self._sketch_view()
         if sketch.size == 0:
             return 0.0
         product = sketch @ np.asarray(x, dtype=np.float64)
@@ -151,5 +160,5 @@ class MatrixTrackingProtocol(DistributedProtocol):
 
     def message_counts(self) -> Dict[str, int]:
         counts = super().message_counts()
-        counts["sketch_rows"] = int(self.sketch_matrix().shape[0])
+        counts["sketch_rows"] = int(self._sketch_view().shape[0])
         return counts

@@ -41,14 +41,15 @@ gate, and only a decomposition that can emit needs to run.
   relative ``4·d`` ulps, so rounding in the bounds or in the decomposed
   ``σ²`` can never skip a decomposition that would emit.
 
-The coordinator may optionally compress its stacked directions with a
-Frequent Directions sketch (``coordinator_sketch_size``), as suggested at the
-end of Section 5.2.
+The coordinator stacks the received directions in one row buffer, doubled
+when full.  It may optionally compress them with a Frequent Directions
+sketch (``coordinator_sketch_size``), as suggested at the end of Section 5.2.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
+import copy
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -63,6 +64,9 @@ __all__ = ["DeterministicDirectionProtocol"]
 
 #: Rows a site buffers before folding them into its Gram.
 _FOLD_ROWS = 16
+
+#: Rows of the coordinator's first buffer for ``B``; a full buffer doubles.
+_FIRST_ROWS = 16
 
 #: Rounding margin of the gate, in ulps per column: a bound on ``σ₁²``
 #: opens the gate once it reaches the threshold less this relative slack.
@@ -123,6 +127,13 @@ class _SiteState:
 class DeterministicDirectionProtocol(MatrixTrackingProtocol):
     """Matrix tracking protocol P2 (deterministic direction thresholds).
 
+    The coordinator's ``B`` is one float64 row buffer plus a row count:
+    :meth:`sketch_matrix` returns an owned copy of the live rows,
+    :meth:`covariance` and :meth:`squared_norm_along` read them in place,
+    and a checkpoint (state version 3) writes exactly those rows as one
+    array.  Version-2 states, which kept ``B`` as a list of rows, are
+    refused.
+
     Parameters
     ----------
     num_sites:
@@ -156,7 +167,9 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
         self._estimated_norm = 0.0               # F̂
         self._scalar_messages_this_round = 0
         self._rounds_completed = 0
-        self._coordinator_rows: List[np.ndarray] = []
+        # B is ``_coordinator_rows[:_coordinator_count]``, in arrival order.
+        self._coordinator_rows = np.zeros((0, dimension))
+        self._coordinator_count = 0
         self._coordinator_sketch: Optional[FrequentDirections] = None
         if coordinator_sketch_size is not None:
             size = check_positive_int(coordinator_sketch_size,
@@ -166,9 +179,10 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                 buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
             )
 
-    #: Checkpoint-contract version of this class's state layout (2: a site
-    #: residual is a Gram matrix; version-1 row residuals are refused).
-    state_version = 2
+    #: Checkpoint-contract version of this class's state layout (3: ``B`` is
+    #: one array of its live rows; version-2 row lists and version-1 site
+    #: row residuals are refused).
+    state_version = 3
 
     # ------------------------------------------------------------ properties
     @property
@@ -309,17 +323,40 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
     def _receive_direction(self, direction_row: np.ndarray) -> None:
         if self._coordinator_sketch is not None:
             self._coordinator_sketch.update(direction_row)
-        else:
-            self._coordinator_rows.append(direction_row)
+            return
+        rows, count = self._coordinator_rows, self._coordinator_count
+        if count == rows.shape[0]:
+            grown = np.empty((max(2 * count, _FIRST_ROWS), self.dimension))
+            grown[:count] = rows
+            self._coordinator_rows = rows = grown
+        rows[count] = direction_row
+        self._coordinator_count = count + 1
 
     # ---------------------------------------------------------------- queries
-    def sketch_matrix(self) -> np.ndarray:
+    def _sketch_view(self) -> np.ndarray:
         if self._coordinator_sketch is not None:
             # compacted_view: queries are read-only (see protocol P1).
             return self._coordinator_sketch.compacted_view()
-        if not self._coordinator_rows:
-            return np.zeros((0, self.dimension))
-        return np.vstack(self._coordinator_rows)
+        return self._coordinator_rows[:self._coordinator_count]
+
+    def sketch_matrix(self) -> np.ndarray:
+        if self._coordinator_sketch is not None:
+            return self._coordinator_sketch.compacted_view()
+        # An owned copy of the live rows: callers may mutate it.
+        return self._sketch_view().copy()
 
     def estimated_squared_frobenius(self) -> float:
         return self._estimated_norm
+
+    # ------------------------------------------------------------ checkpoint
+    def get_state(self, copy_data: bool = True) -> Dict[str, Any]:
+        """The base state with ``B`` as exactly its live rows, one array.
+
+        No spare capacity is written; a restore installs the rows as a full
+        buffer, which the next received direction doubles.
+        """
+        state = super().get_state(copy_data=False)
+        live = self._coordinator_rows[:self._coordinator_count]
+        data = dict(state["data"], _coordinator_rows=live)
+        state["data"] = copy.deepcopy(data) if copy_data else data
+        return state

@@ -11,6 +11,14 @@ answering exactly the recorded answers — in every later build, or CI fails
 and the format bump must be made explicit (new ``CHECKPOINT_VERSION`` /
 ``WIRE_VERSION`` plus a migration note).
 
+A second kind of fixture pins a **refusal**: ``matrix_p2_v2.ckpt`` is a
+``matrix/P2`` checkpoint in a state layout a later build retired, and that
+build must refuse it with an error naming the class.  Such a fixture can
+only be written by the last build of its layout, so it is not part of the
+default run; write it, named by the running build's P2 state version, with::
+
+    PYTHONPATH=src python tests/fixtures/make_golden.py --p2-state
+
 Everything recorded is BLAS-free arithmetic (weighted counter sums, priority
 sampling, Frobenius accumulation), so the expected answers are exact across
 platforms; queries that route through LAPACK/BLAS (covariance products,
@@ -19,6 +27,7 @@ SVD) are deliberately not part of the golden record.
 
 from __future__ import annotations
 
+import argparse
 import json
 import struct
 from pathlib import Path
@@ -28,6 +37,7 @@ from repro.api import FrobeniusSquared, HeavyHitters, TotalWeight
 from repro.api.state import CHECKPOINT_VERSION
 from repro.data.synthetic_matrix import make_pamap_like
 from repro.data.zipfian import ZipfianStreamGenerator
+from repro.matrix_tracking import DeterministicDirectionProtocol
 from repro.streaming.items import WeightedItemBatch
 
 FIXTURES = Path(__file__).parent
@@ -84,6 +94,20 @@ def matrix_fixture() -> dict:
     }
 
 
+def p2_state_fixture() -> str:
+    """A mid-stream ``matrix/P2`` checkpoint named by this build's P2 state
+    version; returns the file name."""
+    dataset = make_pamap_like(num_rows=300, dimension=6, effective_rank=3,
+                              seed=11)
+    tracker = repro.Tracker.create("matrix/P2", num_sites=3, epsilon=0.2,
+                                   dimension=dataset.dimension,
+                                   chunk_size=CHUNK)
+    tracker.run(dataset.rows[:200])
+    name = f"matrix_p2_v{DeterministicDirectionProtocol.state_version}.ckpt"
+    tracker.save(FIXTURES / name, compress=False)
+    return name
+
+
 def _frame_version(name: str) -> int:
     """The wire version actually stamped on a written fixture's header."""
     header = (FIXTURES / name).read_bytes()[:6]
@@ -92,6 +116,12 @@ def _frame_version(name: str) -> int:
 
 
 def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--p2-state", action="store_true",
+                        help="write only the matrix/P2 state-layout fixture")
+    if parser.parse_args().p2_state:
+        print(f"wrote {FIXTURES / p2_state_fixture()}")
+        return
     hh = hh_fixture()
     matrix = matrix_fixture()
     wire_version = max(_frame_version(hh["file"]),

@@ -368,6 +368,31 @@ class TestClusterMetricsSurface:
             cluster.close()
 
 
+    def test_stats_carry_counts_and_metrics_merge_process_workers(self):
+        """``stats()`` asks each shard for its counts alone, with the same
+        values as before; the metrics view still fetches every worker's
+        registry and merges its series."""
+        rows = [[float(index), 1.0, -2.0] for index in range(40)]
+        params = dict(num_sites=4, dimension=3, epsilon=0.2)
+        with ShardedTracker.create("matrix/P2", shards=2, backend="serial",
+                                   **params) as reference:
+            reference.push_batch(rows)
+            expected = reference.stats()
+        with ShardedTracker.create("matrix/P2", shards=2, backend="process",
+                                   **params) as cluster:
+            cluster.push_batch(rows)
+            stats = cluster.stats()
+            snapshots = cluster.metrics_snapshot()
+        assert stats.items_processed == expected.items_processed == 40
+        assert stats.total_messages == expected.total_messages
+        assert stats.message_counts == expected.message_counts
+        assert stats.per_shard == expected.per_shard
+        # This process and two worker processes, each with its own registry.
+        assert len({snap["worker"] for snap in snapshots if snap}) == 3
+        names = {family["name"] for family in merge_snapshots(snapshots)}
+        assert "repro_tracker_items_total" in names
+
+
 # ----------------------------------------------------- overhead guard
 class TestInstrumentationOverhead:
     def test_instrumented_ingest_within_five_percent(self):

@@ -30,6 +30,10 @@ randomized, seed-parameterized properties, now that *every* protocol class
   arrival, on random streams and on a stream whose ``σ₁²`` sits within a few
   ulps of the threshold, and a site's state stays ``d × d`` while the gate
   is shut.
+* **Coordinator buffer** — matrix P2's ``B`` is one row buffer grown by
+  doubling: a checkpoint at any fill writes exactly the live rows and
+  resumes bit-identically, answers never alias the buffer, and every matrix
+  protocol's ``sketch_rows`` count is the row count of its sketch.
 * **Empty batches** — every kernel treats a zero-length batch as a no-op.
 * **Cross-family identity** — the paper's Section 5.3 reduction: matrix
   P3/P3wr *is* heavy-hitters P3/P3wr on item weight ``‖a‖²``, so the two
@@ -49,6 +53,7 @@ import pytest
 
 import repro
 from repro.accel import SVD_MODES
+from repro.api import SketchMatrix
 from repro.data.synthetic_matrix import make_pamap_like
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import (
@@ -74,7 +79,8 @@ from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
 from repro.streaming.partition import RoundRobinPartitioner
 from repro.streaming.runner import StreamingEngine
 from repro.utils.linalg import spectral_norm
-from repro.wire import encode_state
+from repro.utils.stateio import restore_object
+from repro.wire import decode_state, encode_state, unpack_frame
 
 SEEDS = tuple(
     int(seed)
@@ -633,6 +639,74 @@ class TestP2EmissionSchedule:
         assert state.filled < state.pending.shape[0]
         assert len(encode_state(protocol)) == early      # O(d²), not O(rows)
         assert np.allclose(state.residual(), rows.T @ rows, atol=1e-9)
+
+
+class TestP2CoordinatorBuffer:
+    """Matrix P2's coordinator keeps ``B`` as one row buffer and a count."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    # Empty, one row, a full first buffer, the first doubled one, and a
+    # buffer that has doubled three times (16 → 128 rows).
+    @pytest.mark.parametrize("count", [0, 1, 16, 17, 100])
+    def test_checkpoint_at_any_fill_resumes_bit_identically(self, count, seed):
+        dataset = make_pamap_like(num_rows=1200, seed=seed)
+        rows, dimension = dataset.rows, dataset.dimension
+        sites = np.arange(len(rows)) % NUM_SITES
+        running = DeterministicDirectionProtocol(NUM_SITES, dimension, 0.1,
+                                                 keep_message_records=True)
+        split = 0
+        while running.message_counts()["sketch_rows"] < count:
+            running.observe(int(sites[split]), rows[split])
+            split += 1
+        assert running.message_counts()["sketch_rows"] == count
+
+        frame = encode_state(running)
+        _, state = unpack_frame(frame)
+        assert state["data"]["_coordinator_rows"].shape == (count, dimension)
+        twins = [decode_state(frame), restore_object(running.get_state())]
+        for start in range(split, len(rows), 97):
+            block = MatrixRowBatch(values=rows[start:start + 97])
+            for protocol in [running] + twins:
+                protocol.observe_batch(sites[start:start + 97], block)
+            sketch = running.sketch_matrix()
+            covariance = running.covariance()
+            assert np.array_equal(covariance, sketch.T @ sketch)
+            for twin in twins:
+                assert np.array_equal(twin.sketch_matrix(), sketch)
+                assert np.array_equal(twin.covariance(), covariance)
+        for twin in twins:
+            assert message_log(twin) == message_log(running)
+        assert running.message_counts()["sketch_rows"] > 128
+
+    def test_answers_do_not_alias_the_buffer(self):
+        dataset, batch, sites = matrix_stream(SEEDS[0])
+        protocol = DeterministicDirectionProtocol(NUM_SITES, dataset.dimension,
+                                                  0.2)
+        feed_batched(protocol, sites, batch, 97)
+        kept = protocol.sketch_matrix()
+        protocol.sketch_matrix()[:] = np.nan
+        assert np.array_equal(protocol.sketch_matrix(), kept)
+
+        with repro.ShardedTracker.create(
+                "matrix/P2", shards=1, backend="serial", num_sites=NUM_SITES,
+                dimension=dataset.dimension, epsilon=0.2,
+                cache_size=0) as cluster:
+            cluster.push_batch(dataset.rows)
+            answer = cluster.query(SketchMatrix())
+            kept = answer.estimate.copy()
+            answer.estimate[:] = np.nan
+            assert np.array_equal(cluster.query(SketchMatrix()).estimate, kept)
+
+    @pytest.mark.parametrize("name", sorted(MATRIX_PROTOCOLS))
+    def test_sketch_rows_counts_the_sketch(self, name):
+        dataset, batch, sites = matrix_stream(SEEDS[0])
+        protocol = MATRIX_PROTOCOLS[name][1](NUM_SITES, dataset.dimension,
+                                             SEEDS[0])
+        for start in range(0, len(batch), 97):
+            protocol.observe_batch(sites[start:start + 97],
+                                   batch[start:start + 97])
+            assert (protocol.message_counts()["sketch_rows"]
+                    == protocol.sketch_matrix().shape[0])
 
 
 class TestEmptyBatches:

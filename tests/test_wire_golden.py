@@ -10,6 +10,10 @@ changes bump ``CHECKPOINT_VERSION``/``WIRE_VERSION`` and regenerate the
 fixtures via ``tests/fixtures/make_golden.py`` (committing new files *next
 to* the old ones when the old version remains loadable).
 
+``matrix_p2_v2.ckpt`` pins the opposite: a ``matrix/P2`` state layout that
+a later build retired, which every build since must refuse, naming the
+class, rather than resume.
+
 The recorded answers are BLAS-free arithmetic (counter sums, sampling
 draws, Frobenius accumulation), so exact float equality is portable.
 """
@@ -155,7 +159,7 @@ def test_version_1_p2_row_residual_is_refused(tmp_path):
                                    epsilon=0.5)
     tracker.push_batch([0, 1, 0, 1], rows)
     state = tracker.protocol.get_state()
-    assert state["state_version"] == 2
+    assert state["state_version"] == 3
     with pytest.raises(StateError, match=name):
         restore_object(_p2_version_1(state))
 
@@ -167,20 +171,48 @@ def test_version_1_p2_row_residual_is_refused(tmp_path):
         repro.Tracker.load(tmp_path / "tracker.ckpt")
     assert name in str(_refusal_cause(refusal))
 
-    path = tmp_path / "cluster.ckpt"
+    _assert_cluster_refuses(tmp_path / "cluster.ckpt", _p2_version_1)
+
+
+def _assert_cluster_refuses(path, protocol_state):
+    """Save a 2-shard ``matrix/P2`` cluster, replace every shard's protocol
+    state by ``protocol_state(state)``, and check the load names the class."""
+    name = DeterministicDirectionProtocol.__name__
     with repro.ShardedTracker.create("matrix/P2", shards=2, backend="serial",
                                      num_sites=2, dimension=3,
                                      epsilon=0.5) as cluster:
-        cluster.push_batch(rows)
+        cluster.push_batch(np.arange(12.0).reshape(4, 3))
         cluster.save(path)
     kind, checkpoint = unpack_frame(path.read_bytes())
     shard_payloads = []
     for frame in checkpoint["shard_payloads"]:
         shard_kind, shard = unpack_frame(frame)
-        shard["protocol"] = _p2_version_1(shard["protocol"])
+        shard["protocol"] = protocol_state(shard["protocol"])
         shard_payloads.append(pack_frame(shard_kind, shard))
     checkpoint["shard_payloads"] = shard_payloads
     write_frame(path, kind, checkpoint)
     with pytest.raises(CheckpointError, match=name) as refusal:
         repro.ShardedTracker.load(path)
     assert name in str(_refusal_cause(refusal))
+
+
+def test_version_2_p2_row_list_is_refused(tmp_path):
+    """``matrix_p2_v2.ckpt`` was written by the last build whose ``matrix/P2``
+    coordinator kept ``B`` as a list of row arrays; this build keeps one
+    array of the live rows.  There is no conversion: the state fails loudly,
+    naming the class — loaded directly, through ``Tracker.load`` and inside
+    a cluster checkpoint — and never resumes."""
+    name = DeterministicDirectionProtocol.__name__
+    fixture = FIXTURES / "matrix_p2_v2.ckpt"
+    _, payload = unpack_frame(fixture.read_bytes())
+    state = payload["protocol"]
+    assert state["state_version"] == 2
+    assert isinstance(state["data"]["_coordinator_rows"], list)
+    with pytest.raises(StateError, match=name):
+        restore_object(state)
+
+    with pytest.raises(CheckpointError, match=name) as refusal:
+        repro.Tracker.load(fixture)
+    assert name in str(_refusal_cause(refusal))
+
+    _assert_cluster_refuses(tmp_path / "cluster.ckpt", lambda _: state)
