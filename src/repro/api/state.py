@@ -171,9 +171,10 @@ def tracker_frame(tracker: Any, *, compress: bool = False) -> bytes:
     This is the shard-transport form of :func:`tracker_payload`: the cluster
     layer calls it *on the worker* so each shard serializes its own state in
     parallel, and the caller embeds the resulting frames in the cluster
-    checkpoint without re-encoding them.  ``compress`` deflates the frame
-    body (worth it for checkpoint-bound frames; leave off for same-host
-    pipes where the copy is cheaper than the deflate).
+    checkpoint without re-encoding them.  ``compress`` compresses the
+    frame as checkpoints are (float arrays raw in a section, the rest of
+    the tree deflated); the cluster's checkpoint frames use it, and
+    same-host pipes leave it off, where the copy is cheaper.
     """
     return pack_frame(TRACKER_PAYLOAD_KIND, tracker_payload(tracker),
                       compress=compress)
@@ -192,9 +193,10 @@ def save_tracker(tracker: Any, path: PathLike, *,
                  compress: bool = True) -> None:
     """Write a full session checkpoint for ``tracker`` to ``path``.
 
-    ``compress`` (default on) deflates the frame body; loading needs no
-    flag, and plain uncompressed checkpoints from earlier builds keep
-    loading unchanged.
+    ``compress`` (default on) compresses the frame
+    (:func:`~repro.wire.frames.pack_frame`); loading needs no flag, and
+    plain uncompressed checkpoints from earlier builds keep loading
+    unchanged.
     """
     # copy_data=False snapshots go straight into the frame encoder, which is
     # itself a point-in-time serialisation — no defensive deep copy needed.

@@ -291,7 +291,7 @@ class Tracker(Session):
     def save(self, path: Any, *, compress: bool = True) -> None:
         """Checkpoint the whole session to ``path`` (see ``repro.api.state``).
 
-        ``compress`` (default on) deflates the checkpoint body.
+        ``compress`` (default on) compresses the checkpoint frame.
         """
         from .state import save_tracker
 

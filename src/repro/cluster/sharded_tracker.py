@@ -219,10 +219,10 @@ def _shard_ping(tracker: Tracker) -> str:
 
 
 def _shard_checkpoint(tracker: Tracker) -> bytes:
-    # Encoded on the shard: each worker serializes its own state in
-    # parallel, and the frame bytes are embedded verbatim in the cluster
-    # checkpoint file (no second encoding pass at the caller).
-    return tracker_frame(tracker)
+    # Encoded and compressed on the shard: each worker serializes its own
+    # state in parallel, and the frame bytes are embedded verbatim in the
+    # cluster checkpoint file (no second encoding pass at the caller).
+    return tracker_frame(tracker, compress=True)
 
 
 class ShardedTracker(Session):
@@ -575,11 +575,13 @@ class ShardedTracker(Session):
         """Checkpoint every shard into one versioned cluster file.
 
         The file is a :mod:`repro.wire` frame embedding one full tracker
-        payload frame per shard — encoded *on the worker*, so shard
-        serialization runs in parallel on the remote backends — plus the
-        cluster topology (spec, global parameters, shard count, backend,
-        global item index); :meth:`load` resumes the whole cluster
+        payload frame per shard — encoded and compressed *on the worker*,
+        so shard serialization runs in parallel on the remote backends —
+        plus the cluster topology (spec, global parameters, shard count,
+        backend, global item index); :meth:`load` resumes the whole cluster
         bit-identically, re-deriving the index from the restored shards.
+        The outer frame is not compressed again: its body is mostly those
+        already-compressed shard frames.
         """
         self._check_open()
         with self._timed_save(path):
@@ -594,7 +596,7 @@ class ShardedTracker(Session):
                 "chunk_size": self._chunk_size,
                 "items_dispatched": sum(self._watermark),
                 "shard_payloads": payloads,
-            })
+            }, compress=False)
 
     @classmethod
     def load(cls, path: Any, backend: Optional[str] = None,

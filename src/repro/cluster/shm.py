@@ -31,7 +31,8 @@ low-word-first while the parent reads high-word-first — a torn read can
 only *under*-estimate progress, which merely makes the parent wait one
 more poll interval.
 
-Arrays below :data:`MIN_SHM_ARRAY_BYTES` (reference overhead dominates) or
+Arrays below :data:`~repro.wire.codec.MIN_OUT_OF_BAND_BYTES` (reference
+overhead dominates; compressed frames use the same threshold) or
 larger than the ring stay inline in the frame — the sink declines and the
 encoder falls back to the ordinary in-band path, so any payload mix works
 with any ring size.
@@ -54,6 +55,7 @@ import numpy as np
 
 from ..obs.metrics import REGISTRY
 from ..wire import WireDecodeError
+from ..wire.codec import MIN_OUT_OF_BAND_BYTES
 from .backends import (
     DEFAULT_SHUTDOWN_TIMEOUT,
     BackendError,
@@ -66,7 +68,6 @@ from .worker_protocol import WorkerSession, decode_command
 
 __all__ = [
     "DEFAULT_RING_BYTES",
-    "MIN_SHM_ARRAY_BYTES",
     "ShmProcessBackend",
     "ShmRing",
 ]
@@ -78,10 +79,6 @@ DEFAULT_RING_BYTES = 1 << 24
 #: Smallest ring this module will build — below this, records would wrap
 #: constantly and the pipe fallback is faster anyway.
 MIN_RING_BYTES = 1 << 16
-
-#: Arrays smaller than this stay inline in the command frame: a reference
-#: plus an acknowledgement round costs more than shipping the bytes.
-MIN_SHM_ARRAY_BYTES = 1 << 10
 
 #: Segment header: the worker-owned consumed counter as two little-endian
 #: u32 words (low word at offset 0, high word at offset 4), padded to 16
@@ -280,7 +277,7 @@ class _ShmShard(_ProcessShard):
         """Codec ``array_sink``: divert one array through the ring, or
         decline (``None`` → the encoder keeps the array in-band)."""
         length = array.nbytes
-        if length < MIN_SHM_ARRAY_BYTES or length > self._ring.capacity:
+        if length < MIN_OUT_OF_BAND_BYTES or length > self._ring.capacity:
             return None
         start = self._ring.reserve(length, self.process.is_alive)
         self._ring.write(start, memoryview(array).cast("B"))

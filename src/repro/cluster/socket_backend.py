@@ -624,10 +624,10 @@ class SocketBackend(RemoteBackend):
         Seconds to wait for each worker connection *and* its launch
         handshake at launch/handoff time.
     compress:
-        Deflate command frame bodies before they hit the network — the
-        right trade when workers sit behind a real network link rather
-        than loopback.  Workers decode compressed and plain frames alike,
-        so mixed-version fleets need no coordination.
+        Compress command frames (as checkpoints are) before they hit the
+        network — the right trade when workers sit behind a real network
+        link rather than loopback.  Workers decode compressed and plain
+        frames alike, so mixed-version fleets need no coordination.
     io_timeout:
         Deadline (seconds) on every send/reply of an established shard
         session; ``None`` disables it.  Expiry fails the call with a

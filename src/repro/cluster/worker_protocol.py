@@ -83,7 +83,7 @@ def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
     protocol synchronized.  ``seq`` stamps the command with a monotonic
     sequence number for idempotent replay (omitted entirely when ``None``,
     so unsequenced frames are byte-identical to the pre-seq protocol).
-    ``compress`` deflates the command body (the socket backend's
+    ``compress`` compresses the command frame (the socket backend's
     ``compress`` option); workers decode compressed and plain commands
     alike, so the knob is sender-local and needs no negotiation beyond the
     frame version.  ``array_sink`` diverts

@@ -108,7 +108,8 @@ class _SiteState:
             start += take
             if self.filled == capacity:
                 self.gram += self.pending.T @ self.pending
-                # Unused rows stay zero, so checkpoints deflate them away.
+                # Unused rows stay zero: that is what lets a compressed
+                # checkpoint drop the trailing all-zero rows.
                 self.pending[:] = 0.0
                 self.filled = 0
 

@@ -189,6 +189,8 @@ class FrequentDirections(MatrixSketch):
         if self._filled <= self._sketch_size:
             return
         compacted, delta = self._shrink_active_rows()
+        # Zero first: rows past the retained ones are then all-zero bytes,
+        # which a compressed checkpoint does not store.
         self._buffer[:] = 0.0
         self._buffer[: compacted.shape[0], :] = compacted
         self._filled = compacted.shape[0]

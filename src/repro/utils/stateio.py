@@ -41,11 +41,19 @@ from __future__ import annotations
 import copy
 from typing import Any, Dict, List, Tuple
 
+import numpy as np
+
 __all__ = ["StateError", "Stateful", "restore_object"]
 
 
 class StateError(ValueError):
     """A state dictionary cannot be installed into the target object."""
+
+
+#: Exact types that can hold no :class:`Stateful`: the component walk skips
+#: them before any bookkeeping (they are most of what a state holds).
+_LEAF_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes,
+                         np.ndarray, *np.sctypeDict.values()})
 
 
 def _collect_component_versions(value: Any) -> Dict[type, int]:
@@ -61,6 +69,8 @@ def _collect_component_versions(value: Any) -> Dict[type, int]:
     stack: List[Any] = [value]
     while stack:
         current = stack.pop()
+        if type(current) in _LEAF_TYPES:
+            continue
         identity = id(current)
         if identity in seen:
             continue

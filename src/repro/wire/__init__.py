@@ -14,8 +14,9 @@ previously reached for :mod:`pickle`:
   over TCP to workers started with ``repro-experiments worker --listen``.
 * **The HTTP gateway** — ``application/x-repro-wire`` request and response
   bodies (:mod:`repro.gateway.http`) are frames of *plain data* only
-  (``plain=True``: no name resolution, no references, no deflate), the
-  mode for peers that are not this program's own processes.
+  (``plain=True``: no name resolution, no references, no deflate or raw
+  array section), the mode for peers that are not this program's own
+  processes.
 
 The layer has two halves: the value codec (:mod:`repro.wire.codec`) that
 turns arbitrary repro state graphs — NumPy arrays as dtype/shape/contiguous

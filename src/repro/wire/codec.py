@@ -28,6 +28,17 @@ references among mutable containers/objects are preserved through a memo
 (the same object encoded twice decodes to one object), which also makes
 reference cycles safe.
 
+Two extensions serve compressed frames (:mod:`repro.wire.frames`) and the
+shared-memory backend.  An ``array_sink`` may take an array out of band
+and leave a reference (tag ``_SHMARRAY``) that the decoder's
+``array_source`` resolves; the sinks leave arrays under
+:data:`MIN_OUT_OF_BAND_BYTES` inline.  ``numeric_dicts`` writes a dict of
+all-``int`` (or all-``np.int64``) keys to all-``float`` (or
+all-``np.float64``) values as one ``_NUMDICT``: a keys array and a values
+array, decoded with the same key and value types in the same order.
+Neither is used by default, so uncompressed frames stay byte-identical to
+those of earlier builds.
+
 The one intentional lossy spot: ``__orig_class__`` attributes left on
 instances by ``typing`` generic-alias construction (pure static-typing
 metadata) are skipped, and exception *arguments* degrade to their ``repr``
@@ -54,6 +65,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 __all__ = [
+    "MIN_OUT_OF_BAND_BYTES",
     "PLAIN_DTYPES",
     "WireError",
     "WireEncodeError",
@@ -109,6 +121,7 @@ _NPTYPE = 0x1A
 # 0x1B was the per-array packed codec (deflate / float32 downcast), retired
 # with its only writer: never reuse it; decoders refuse it as an unknown tag.
 _SHMARRAY = 0x1C
+_NUMDICT = 0x1D
 
 #: Tags outside plain data, by name (what a plain decoder's refusal says).
 _NOT_PLAIN = {
@@ -117,6 +130,7 @@ _NOT_PLAIN = {
     _NPGENERATOR: "NPGENERATOR", _CLASS: "CLASS", _FUNCTION: "FUNCTION",
     _OBJECT: "OBJECT", _ENUM: "ENUM", _EXCEPTION: "EXCEPTION", _REF: "REF",
     _DTYPE: "DTYPE", _NPTYPE: "NPTYPE", _SHMARRAY: "SHMARRAY",
+    _NUMDICT: "NUMDICT",
 }
 
 #: Array dtypes plain data carries: float64, int64 and bool.
@@ -129,6 +143,15 @@ _PLAIN_BIGINT_BYTES = 1024
 
 _INT64_MIN = -(1 << 63)
 _INT64_MAX = (1 << 63) - 1
+
+#: The array sinks (shared-memory rings, a compressed frame's raw section)
+#: decline arrays smaller than this: a reference costs more than the bytes.
+MIN_OUT_OF_BAND_BYTES = 1 << 10
+
+#: ``_NUMDICT`` flag bits: the keys are ``np.int64`` (else ``int``), the
+#: values ``np.float64`` (else ``float``).
+_NUMDICT_NP_KEYS = 0x01
+_NUMDICT_NP_VALUES = 0x02
 
 #: Bit generators reconstructable by name (everything NumPy ships).
 _BIT_GENERATORS = ("PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64")
@@ -245,19 +268,23 @@ def _sanitize_exception_args(args: tuple) -> tuple:
 class _Encoder:
     """One encoding pass: a byte buffer plus the shared-reference memo.
 
-    ``array_sink`` diverts array payloads out of band (shared memory),
-    leaving an ``_SHMARRAY`` reference in the byte stream.  ``used_extensions`` records whether any
-    post-v1 tag was actually emitted, so frame writers can stamp the lowest
-    wire version that can express the payload.  ``plain`` writes a tree a
-    plain decoder accepts (see the module docstring).
+    ``array_sink`` diverts array payloads out of band (shared memory, a
+    compressed frame's raw section), leaving an ``_SHMARRAY`` reference in
+    the byte stream.  ``numeric_dicts`` writes homogeneous numeric dicts as
+    one ``_NUMDICT`` (a keys array and a values array).  ``used_extensions``
+    records whether any post-v1 tag was actually emitted, so frame writers
+    can stamp the lowest wire version that can express the payload.
+    ``plain`` writes a tree a plain decoder accepts (see the module
+    docstring), so it never writes ``_NUMDICT``.
     """
 
     def __init__(self, array_sink: Optional[Callable[[np.ndarray], Any]] = None,
-                 plain: bool = False) -> None:
+                 plain: bool = False, numeric_dicts: bool = False) -> None:
         self.out = bytearray()
         self.used_extensions = False
         self._array_sink = array_sink
         self._plain = plain
+        self._numeric_dicts = numeric_dicts and not plain
         self._memo: Dict[int, int] = {}
         self._keepalive: List[Any] = []   # pins ids against reuse mid-pass
         self._frozen_stack: set = set()   # cycle guard for immutable containers
@@ -355,6 +382,8 @@ class _Encoder:
         elif isinstance(value, dict):
             if self._memoize(value):
                 return
+            if self._numeric_dicts and self._encode_numeric_dict(value):
+                return
             out.append(_DICT)
             self._varint(len(value))
             for key, item in value.items():
@@ -439,6 +468,36 @@ class _Encoder:
             self._varint(int(dim))
         self._varint(len(data))
         self.out += data
+
+    def _encode_numeric_dict(self, value: dict) -> bool:
+        """Write a dict of all-``int`` (or all-``np.int64``) keys inside the
+        int64 range to all-``float`` (or all-``np.float64``) values as one
+        ``_NUMDICT``: a flags byte, a keys array and a values array.
+        Returns ``False``, having written nothing, for any other dict."""
+        if type(value) is not dict or not value:
+            return False
+        key_type = type(next(iter(value)))
+        value_type = type(next(iter(value.values())))
+        if (key_type is not int and key_type is not np.int64
+                or value_type is not float and value_type is not np.float64
+                or not all(type(key) is key_type for key in value)
+                or not all(type(item) is value_type
+                           for item in value.values())):
+            return False
+        try:
+            keys = np.fromiter(value, dtype=np.int64, count=len(value))
+        except OverflowError:
+            return False
+        values = np.fromiter(value.values(), dtype=np.float64,
+                             count=len(value))
+        self.used_extensions = True
+        self.out.append(_NUMDICT)
+        self.out.append((_NUMDICT_NP_KEYS if key_type is np.int64 else 0)
+                        | (_NUMDICT_NP_VALUES if value_type is np.float64
+                           else 0))
+        self._encode_array(keys)
+        self._encode_array(values)
+        return True
 
     def _encode_npscalar(self, value: np.generic) -> None:
         dtype = value.dtype
@@ -664,7 +723,7 @@ class _Decoder:
 
     def _shape_out_of_band(self) -> tuple:
         """Read a shape header whose data does not sit inline in the payload
-        (shared-memory sections), so the remaining-bytes bound
+        (shared memory, a frame's raw section), so the remaining-bytes bound
         of :meth:`_shape` does not apply.  Length validation happens against
         the recovered data instead, *before* any element-count-sized
         allocation, so a hostile header still cannot force one."""
@@ -681,18 +740,39 @@ class _Decoder:
         reference = self.decode()
         if self.array_source is None:
             raise WireDecodeError(
-                "payload carries a shared-memory array reference but no "
+                "payload carries an out-of-band array reference but no "
                 "array source is attached to this decoder"
             )
         array = self.array_source(dtype, shape, reference)
         if (not isinstance(array, np.ndarray) or array.shape != shape
                 or array.dtype != dtype):
             raise WireDecodeError(
-                "array source returned a mismatched array for a "
-                "shared-memory reference"
+                "array source returned a mismatched array for an "
+                "out-of-band reference"
             )
         self.memo[memo_slot] = array
         return array
+
+    def _decode_numeric_dict(self) -> dict:
+        result: dict = {}
+        self.memo.append(result)
+        flags = self._byte()
+        keys = self.decode()
+        values = self.decode()
+        if (flags & ~(_NUMDICT_NP_KEYS | _NUMDICT_NP_VALUES)
+                or not isinstance(keys, np.ndarray)
+                or not isinstance(values, np.ndarray)
+                or keys.dtype != np.int64 or values.dtype != np.float64
+                or keys.ndim != 1 or values.shape != keys.shape):
+            raise WireDecodeError(
+                "malformed numeric dict: expected a flags byte, an int64 "
+                "keys array and a float64 values array of one length"
+            )
+        result.update(zip(
+            list(keys) if flags & _NUMDICT_NP_KEYS else keys.tolist(),
+            list(values) if flags & _NUMDICT_NP_VALUES else values.tolist(),
+        ))
+        return result
 
     def _decode_objarray(self) -> np.ndarray:
         memo_slot = len(self.memo)
@@ -806,6 +886,7 @@ _DECODERS: Dict[int, Callable[[_Decoder], Any]] = {
     _DTYPE: lambda d: d._dtype(),
     _NPTYPE: lambda d: d._dtype().type,
     _SHMARRAY: _Decoder._decode_shmarray,
+    _NUMDICT: _Decoder._decode_numeric_dict,
 }
 
 
@@ -846,26 +927,29 @@ def _decode_function(decoder: _Decoder) -> Any:
 
 def encode_value(value: Any, *,
                  array_sink: Optional[Callable[[np.ndarray], Any]] = None,
-                 plain: bool = False) -> bytes:
+                 plain: bool = False, numeric_dicts: bool = False) -> bytes:
     """Encode one value tree into wire payload bytes.
 
-    ``array_sink`` diverts array payloads out of band (see
-    :class:`_Encoder`), producing a payload that requires a
-    wire-version-2-aware decoder; :func:`encode_with_extensions` reports
-    whether the payload actually used the new tag.  ``plain`` writes the
-    value as a plain-data tree (module docstring).
+    ``array_sink`` diverts array payloads out of band and ``numeric_dicts``
+    writes homogeneous numeric dicts as array pairs (see :class:`_Encoder`),
+    producing a payload that requires a wire-version-2-aware decoder;
+    :func:`encode_with_extensions` reports whether the payload actually
+    used a new tag.  ``plain`` writes the value as a plain-data tree
+    (module docstring).
     """
-    return encode_with_extensions(value, array_sink=array_sink,
-                                  plain=plain)[0]
+    return encode_with_extensions(value, array_sink=array_sink, plain=plain,
+                                  numeric_dicts=numeric_dicts)[0]
 
 
 def encode_with_extensions(value: Any, *,
                            array_sink: Optional[
                                Callable[[np.ndarray], Any]] = None,
-                           plain: bool = False) -> Tuple[bytes, bool]:
+                           plain: bool = False,
+                           numeric_dicts: bool = False) -> Tuple[bytes, bool]:
     """Like :func:`encode_value`, also reporting whether any post-v1 codec
     tag was emitted (used by frame writers for version negotiation)."""
-    encoder = _Encoder(array_sink=array_sink, plain=plain)
+    encoder = _Encoder(array_sink=array_sink, plain=plain,
+                       numeric_dicts=numeric_dicts)
     encoder.encode(value)
     return bytes(encoder.out), encoder.used_extensions
 

@@ -11,8 +11,11 @@ A *frame* wraps one encoded value tree in a self-describing envelope::
     10      k     kind — a UTF-8 payload label, e.g.
                   ``repro/tracker-checkpoint`` or ``repro/worker-command``
     10+k    8     body length ``n`` (little-endian u64) — the *stored* body
-    18+k    n     body — one :func:`~repro.wire.codec.encode_value` payload,
-                  zlib-deflated when flag 0x0001 is set
+    18+k    n     body — one :func:`~repro.wire.codec.encode_value` payload
+                  (the value tree), zlib-deflated when flag 0x0001 is set;
+                  with flag 0x0002 the body is instead a u64 tree length
+                  ``t``, the ``t``-byte (possibly deflated) tree and a raw
+                  array section
     18+k+n  4     CRC-32 of the stored body bytes (little-endian u32)
 
     The ``kind`` string plays the role pickle's class tag used to play for
@@ -23,13 +26,25 @@ A *frame* wraps one encoded value tree in a self-describing envelope::
 Version negotiation is one-directional and carried by the version field:
 writers stamp the *lowest* version that can express a frame — plain frames
 stay version 1 bit-for-bit, and only frames that actually use a version-2
-feature (a deflated body, a shared-memory array section in the
-codec) are stamped 2.  Readers of this build accept both; a version-1-only
-reader rejects a version-2 frame cleanly by its header instead of
-misparsing the body.  Version-2 flags: bit 0x0001 marks a zlib-deflated
-body (the CRC covers the stored/deflated bytes; inflation is bounded, so a
-corrupted or hostile length cannot force a huge allocation).  Unknown flag
-bits are rejected.
+feature (a deflated tree, a raw array section, a numeric-dict or
+shared-memory array tag in the codec) are stamped 2.  Readers of this build
+accept both; a version-1-only reader rejects a version-2 frame cleanly by
+its header instead of misparsing the body.  Version-2 flags: bit 0x0001
+marks a zlib-deflated value tree (inflation is bounded, so a corrupted or
+hostile length cannot force a huge allocation); bit 0x0002 marks a raw
+array section after the tree.  The CRC covers the whole stored body.
+Unknown flag bits are rejected, and a plain (untrusted-peer) reader refuses
+both flags.
+
+``compress=True`` deflates only what compresses.  Float64 arrays of at
+least :data:`~repro.wire.codec.MIN_OUT_OF_BAND_BYTES` leave the tree for
+the raw section through the codec's out-of-band array reference, under
+three rules decided from the array's bits (:class:`_SectionWriter`): an
+array that is at least half zeros stays in the tree; a bitwise-symmetric
+square is stored as its upper triangle; any other 2-D array is stored
+without its trailing all-zero rows.  Homogeneous numeric dicts become a
+keys array and a values array.  The rest of the tree is deflated.
+Uncompressed frames are unaffected.
 
 Stream transport (pipes, TCP sockets) prefixes the whole frame with a
 little-endian u64 length so the receiver can read exactly one frame without
@@ -41,10 +56,14 @@ from __future__ import annotations
 
 import struct
 import zlib
+from functools import lru_cache
 from pathlib import Path
-from typing import Any, Optional, Tuple, Union
+from typing import Any, List, Optional, Tuple, Union
+
+import numpy as np
 
 from .codec import (
+    MIN_OUT_OF_BAND_BYTES,
     WireDecodeError,
     decode_value,
     encode_with_extensions,
@@ -76,11 +95,20 @@ WIRE_BASE_VERSION = 1
 
 _SUPPORTED_VERSIONS = (WIRE_BASE_VERSION, WIRE_VERSION)
 
-#: Version-2 flag: the body bytes are zlib-deflated (level 6: zlib's
-#: speed/ratio sweet spot for float data).
+#: Version-2 flag: the value tree is zlib-deflated (level 6, zlib's
+#: default; level 1 is no faster on the trees left once the float arrays
+#: have moved to the raw section).
 _FLAG_DEFLATE = 0x0001
 _DEFLATE_LEVEL = 6
-_KNOWN_FLAGS = _FLAG_DEFLATE
+#: Version-2 flag: the body is a u64 tree length, the value tree and a raw
+#: section holding the float64 arrays the tree references.
+_FLAG_SECTION = 0x0002
+_KNOWN_FLAGS = _FLAG_DEFLATE | _FLAG_SECTION
+
+#: Section reference forms: the whole array, the upper triangle of a
+#: bitwise-symmetric square, or the leading rows before all-zero ones.
+_FULL, _TRIANGLE, _ROWS = 0, 1, 2
+_FLOAT64 = np.dtype("<f8")
 
 _FIXED_HEADER = struct.Struct("<4sHHH")   # magic, version, flags, kind length
 _BODY_LENGTH = struct.Struct("<Q")
@@ -100,27 +128,132 @@ def is_wire_data(data: bytes) -> bool:
     return bytes(data[:4]) == WIRE_MAGIC
 
 
+@lru_cache(maxsize=32)
+def _upper(size: int) -> Tuple[np.ndarray, np.ndarray]:
+    return np.triu_indices(size)
+
+
+class _SectionWriter:
+    """The codec ``array_sink`` of a compressed frame: float64 arrays of at
+    least :data:`~repro.wire.codec.MIN_OUT_OF_BAND_BYTES` go raw into the
+    section, under three rules decided from the array's bits, in order:
+
+    1. at least half of the elements are zero: decline (the deflated tree
+       stores it smaller);
+    2. a bitwise-symmetric square: store the upper triangle;
+    3. any other 2-D array: drop the trailing rows whose bytes are all zero.
+    """
+
+    def __init__(self) -> None:
+        self.parts: List[bytes] = []
+        self.size = 0
+
+    def sink(self, array: np.ndarray) -> Optional[Tuple[int, int, int, int]]:
+        if array.dtype != _FLOAT64 or array.nbytes < MIN_OUT_OF_BAND_BYTES:
+            return None
+        words = array.view(np.uint64)
+        if 2 * np.count_nonzero(words) <= words.size:
+            return None
+        form, rows, data = _FULL, array.shape[0], array
+        if array.ndim == 2:
+            if rows == array.shape[1] and np.array_equal(words, words.T):
+                form, data = _TRIANGLE, array[_upper(rows)]
+            else:
+                # Not all rows are zero: rule 1 declined those arrays.
+                last = int(np.flatnonzero(words.any(axis=1))[-1])
+                if last + 1 < rows:
+                    form, rows, data = _ROWS, last + 1, array[:last + 1]
+        payload = data.tobytes()
+        start = self.size
+        self.parts.append(payload)
+        self.size += len(payload)
+        return (form, rows, start, len(payload))
+
+
+class _SectionReader:
+    """The codec ``array_source`` of a sectioned frame: validates every
+    reference before allocating, and returns owned, writable arrays."""
+
+    def __init__(self, section: memoryview) -> None:
+        self.section = section
+
+    def take(self, dtype: np.dtype, shape: tuple, reference: Any
+             ) -> np.ndarray:
+        if (type(reference) is not tuple or len(reference) != 4
+                or any(type(field) is not int for field in reference)):
+            raise WireDecodeError(
+                f"malformed array section reference {reference!r}")
+        form, rows, start, length = reference
+        if dtype != _FLOAT64 or not shape:
+            raise WireDecodeError(
+                f"an array section holds float64 arrays of rank 1 or more, "
+                f"not {dtype.str} of shape {shape}")
+        if form not in (_FULL, _TRIANGLE, _ROWS):
+            raise WireDecodeError(f"unknown array section form {form}")
+        if (form != _FULL and len(shape) != 2
+                or form == _TRIANGLE and shape[0] != shape[1]):
+            raise WireDecodeError(
+                f"array section form {form} does not fit shape {shape}")
+        if not 0 <= rows <= shape[0] or form != _ROWS and rows != shape[0]:
+            raise WireDecodeError(
+                f"array section row count {rows} does not fit shape {shape}")
+        width = 1
+        for dim in shape[1:]:
+            width *= dim
+        count = rows * (rows + 1) // 2 if form == _TRIANGLE else rows * width
+        if length != count * _FLOAT64.itemsize:
+            raise WireDecodeError(
+                f"array section length {length} does not match shape "
+                f"{shape} (expected {count * _FLOAT64.itemsize})")
+        if start < 0 or start + length > len(self.section):
+            raise WireDecodeError(
+                f"array section range {start}+{length} lies outside the "
+                f"{len(self.section)}-byte section")
+        data = np.frombuffer(self.section, dtype=_FLOAT64, count=count,
+                             offset=start)
+        if form == _FULL:
+            return data.reshape(shape).copy()
+        if form == _TRIANGLE:
+            array = np.empty(shape, dtype=_FLOAT64)
+            upper = _upper(rows)
+            array[upper] = data
+            array.T[upper] = data
+            return array
+        array = np.zeros(shape, dtype=_FLOAT64)
+        array[:rows] = data.reshape(rows, width)
+        return array
+
+
 def pack_frame(kind: str, value: Any, *, compress: bool = False,
                array_sink: Optional[Any] = None, plain: bool = False) -> bytes:
     """Encode ``value`` and wrap it in a framed envelope labelled ``kind``.
 
-    ``compress`` deflates the whole body (skipped when deflate does not
-    shrink it); ``array_sink`` and ``plain`` are forwarded to
-    :func:`~repro.wire.codec.encode_value`.  Frames using neither
-    ``compress`` nor ``array_sink`` are stamped wire version 1,
-    byte-identical to earlier builds; anything else is stamped version 2.
+    ``compress`` moves float64 arrays into a raw section
+    (:class:`_SectionWriter`), writes homogeneous numeric dicts as array
+    pairs and deflates the rest of the value tree (skipped when deflate
+    does not shrink it).  ``array_sink`` and ``plain`` are forwarded to
+    :func:`~repro.wire.codec.encode_value`; with either, ``compress`` only
+    deflates.  Frames using neither ``compress`` nor ``array_sink`` are
+    stamped wire version 1, byte-identical to earlier builds; anything else
+    is stamped version 2.
     """
     kind_bytes = kind.encode("utf-8")
     if len(kind_bytes) > 0xFFFF:
         raise ValueError("frame kind label too long")
-    body, extended = encode_with_extensions(value, array_sink=array_sink,
-                                            plain=plain)
+    section = (_SectionWriter() if compress and array_sink is None
+               and not plain else None)
+    body, extended = encode_with_extensions(
+        value, array_sink=array_sink if section is None else section.sink,
+        plain=plain, numeric_dicts=section is not None)
     flags = 0
     if compress:
         deflated = zlib.compress(body, _DEFLATE_LEVEL)
         if len(deflated) < len(body):
             body = deflated
             flags |= _FLAG_DEFLATE
+    if section is not None and section.parts:
+        flags |= _FLAG_SECTION
+        body = b"".join((_BODY_LENGTH.pack(len(body)), body, *section.parts))
     version = WIRE_VERSION if (flags or extended) else WIRE_BASE_VERSION
     return b"".join((
         _FIXED_HEADER.pack(WIRE_MAGIC, version, flags, len(kind_bytes)),
@@ -151,15 +284,16 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
                  plain: bool = False) -> Tuple[str, Any]:
     """Parse one frame; returns ``(kind, value)``.
 
-    Accepts wire versions 1 and 2 (uncompressed and deflated bodies alike).
-    Raises :class:`WireDecodeError` on anything that is not a complete,
-    uncorrupted frame of a supported version: wrong magic, version skew,
-    unknown flags, truncated header/body, body-length mismatch, CRC
-    mismatch, or (when ``expected_kind`` is given) a kind mismatch.
-    ``array_source`` resolves shared-memory array references in the body.
+    Accepts wire versions 1 and 2 (plain, deflated and sectioned bodies
+    alike).  Raises :class:`WireDecodeError` on anything that is not a
+    complete, uncorrupted frame of a supported version: wrong magic,
+    version skew, unknown flags, truncated header/body, body-length
+    mismatch, CRC mismatch, or (when ``expected_kind`` is given) a kind
+    mismatch.  ``array_source`` resolves shared-memory array references in
+    the body; a sectioned frame resolves its own from its section.
     ``plain`` is the mode for untrusted peers: the body must be plain data
-    (:func:`~repro.wire.codec.decode_value`) and a deflated frame is
-    refused before anything is inflated.
+    (:func:`~repro.wire.codec.decode_value`) and a frame with any flag set
+    is refused before anything is inflated.
     """
     view = memoryview(data)
     if len(view) < _FIXED_HEADER.size:
@@ -184,10 +318,10 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
             f"wire frame carries unknown flags 0x{flags:04X} for version "
             f"{version}"
         )
-    if plain and flags & _FLAG_DEFLATE:
+    if plain and flags:
         raise WireDecodeError(
-            "deflated wire frames are not accepted here; send the body "
-            "uncompressed"
+            "deflated or sectioned wire frames are not accepted here; send "
+            "the body uncompressed"
         )
     offset = _FIXED_HEADER.size
     if len(view) < offset + kind_length + _BODY_LENGTH.size:
@@ -212,10 +346,26 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
         raise WireDecodeError(
             f"expected a {expected_kind!r} frame, got {kind!r}"
         )
+    tree = body
+    if flags & _FLAG_SECTION:
+        tree, section = _split_body(body)
+        array_source = _SectionReader(section).take
     if flags & _FLAG_DEFLATE:
-        return kind, decode_value(_inflate_body(body),
-                                  array_source=array_source)
-    return kind, decode_value(body, array_source=array_source, plain=plain)
+        tree = _inflate_body(tree)
+    return kind, decode_value(tree, array_source=array_source, plain=plain)
+
+
+def _split_body(body: memoryview) -> Tuple[memoryview, memoryview]:
+    """A sectioned body's value tree and raw array section."""
+    if len(body) < _BODY_LENGTH.size:
+        raise WireDecodeError("sectioned frame body has no tree length")
+    (tree_length,) = _BODY_LENGTH.unpack(body[:_BODY_LENGTH.size])
+    if tree_length > len(body) - _BODY_LENGTH.size:
+        raise WireDecodeError(
+            f"tree length {tree_length} overruns the {len(body)}-byte "
+            "frame body")
+    end = _BODY_LENGTH.size + tree_length
+    return body[_BODY_LENGTH.size:end], body[end:]
 
 
 def peek_kind(data: bytes) -> Optional[str]:

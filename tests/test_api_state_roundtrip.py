@@ -197,9 +197,124 @@ class TestMatrixRoundTrip:
         assert ours.error_bound == theirs.error_bound
 
 
+ALL_SPECS = sorted(HH_SPECS) + sorted(MATRIX_SPECS)
+
+
+def _stream(spec: str, seed: int):
+    """``(dimension, batch, sites)`` of the property stream for ``spec``."""
+    if spec.startswith("hh/"):
+        _, batch, sites = hh_stream(seed)
+        return None, batch, sites
+    dataset, batch, sites = matrix_stream(seed)
+    return dataset.dimension, batch, sites
+
+
+def _answers(session, spec: str) -> list:
+    """Every answer of the spec's domain, arrays as their bytes."""
+    if spec.startswith("hh/"):
+        return [session.query(HeavyHitters(phi=0.06)),
+                session.query(TotalWeight())]
+    covariance = session.query(Covariance())
+    return [covariance.estimate.tobytes(), covariance.error_bound,
+            covariance.items_processed, covariance.total_messages,
+            session.query(FrobeniusSquared())]
+
+
+def _reachable_stateful_classes(root) -> set:
+    """Every ``Stateful`` class reachable from ``root`` by a walk that skips
+    nothing: containers, instance dictionaries and slots, leaves included."""
+    from repro.utils.stateio import Stateful
+
+    found, seen, stack = set(), set(), [root]
+    while stack:
+        current = stack.pop()
+        if id(current) in seen:
+            continue
+        seen.add(id(current))
+        if isinstance(current, Stateful):
+            found.add(type(current))
+        if isinstance(current, dict):
+            stack.extend(current.values())
+        elif isinstance(current, (list, tuple, set, frozenset)):
+            stack.extend(current)
+        else:
+            stack.extend((getattr(current, "__dict__", None) or {}).values())
+    return found
+
+
+class TestComponentVersions:
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_component_versions_name_exactly_the_reachable_classes(
+            self, spec):
+        seed = SEEDS[0]
+        dimension, batch, sites = _stream(spec, seed)
+        tracker = _tracker(spec, seed, dimension)
+        _run_with_sites(tracker, sites, batch, 0,
+                        (len(batch) // (2 * CHUNK)) * CHUNK)
+        protocol = tracker.protocol
+        versions = dict(protocol.get_state()["component_versions"])
+        assert set(versions) == _reachable_stateful_classes(protocol)
+        assert versions == {cls: cls.state_version for cls in versions}
+
+
 class TestCheckpointCompression:
     """``save(compress=...)``: v1 files keep loading, deflated files resume
     bit-identically, and there is no lossy mode."""
+
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_every_spec_resumes_identically_from_either_kind(
+            self, spec, compress, tmp_path):
+        seed = SEEDS[0]
+        dimension, batch, sites = _stream(spec, seed)
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+
+        uninterrupted = _tracker(spec, seed, dimension)
+        _run_with_sites(uninterrupted, sites, batch, 0, len(batch))
+
+        interrupted = _tracker(spec, seed, dimension)
+        _run_with_sites(interrupted, sites, batch, 0, half)
+        path = tmp_path / "session.ckpt"
+        interrupted.save(path, compress=compress)
+        if not compress:
+            # What a build before the raw section wrote, bit for bit.
+            assert self._header_version(path) == 1
+        resumed = repro.Tracker.load(path)
+        _run_with_sites(resumed, sites, batch, half, len(batch))
+
+        _assert_identical_accounting(resumed, uninterrupted)
+        assert (vars(resumed.protocol._network.log)
+                == vars(uninterrupted.protocol._network.log))
+        assert _answers(resumed, spec) == _answers(uninterrupted, spec)
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("spec", ALL_SPECS)
+    def test_every_spec_resumes_identically_from_a_cluster_checkpoint(
+            self, spec, backend, tmp_path):
+        seed = SEEDS[0]
+        dimension, batch, _ = _stream(spec, seed)
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+
+        def cluster():
+            return repro.ShardedTracker.create(
+                spec, shards=2, backend=backend, chunk_size=CHUNK,
+                **_params(spec, seed, dimension))
+
+        with cluster() as whole:
+            whole.run(batch[:half])
+            whole.run(batch[half:])
+            expected = _answers(whole, spec)
+            expected_stats = whole.stats()
+        path = tmp_path / "cluster.ckpt"
+        with cluster() as first_leg:
+            first_leg.run(batch[:half])
+            first_leg.save(path)
+        with repro.ShardedTracker.load(path) as resumed:
+            resumed.run(batch[half:])
+            assert _answers(resumed, spec) == expected
+            stats = resumed.stats()
+            assert stats.per_shard == expected_stats.per_shard
+            assert stats.message_counts == expected_stats.message_counts
 
     @staticmethod
     def _header_version(path):

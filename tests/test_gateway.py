@@ -1260,6 +1260,11 @@ _LENGTH_BOMBS = [
      "limit"),
     ("deflate bomb", lambda: _frame(_deflate_bomb(256 << 20), version=2,
                                     flags=1), "deflated"),
+    ("array section", lambda: _frame(
+        struct.pack("<Q", 1) + b"\x00" + bytes(64), version=2,
+        flags=2), "sectioned"),
+    ("numeric dict tag", lambda: _frame(encode_value(
+        {"rows": {7: 1.0}}, numeric_dicts=True)), "wire tag NUMDICT"),
     ("not a frame", lambda: b"RPW2" + bytes(32), "not a wire frame"),
 ]
 

@@ -643,3 +643,287 @@ class TestFrameKindHardening:
         path.write_bytes(bytes(data))
         with pytest.raises(CheckpointError):
             repro.Tracker.load(path)
+
+
+# ------------------------------------- compressed frames: the raw section
+def _split_sectioned(frame: bytes):
+    """The body of a sectioned frame split into (tree bytes, section)."""
+    _, _, flags, kind_length = struct.unpack_from("<4sHHH", frame, 0)
+    assert flags & 0x0002
+    body = frame[10 + kind_length + 8:-4]
+    (tree_length,) = struct.unpack_from("<Q", body, 0)
+    return body[8:8 + tree_length], body[8 + tree_length:]
+
+
+def _sectioned_frame(tree: bytes, section: bytes = b"", *, version: int = 2,
+                     flags: int = 0x0002, tree_length=None) -> bytes:
+    body = b"".join((
+        struct.pack("<Q", len(tree) if tree_length is None else tree_length),
+        tree, section,
+    ))
+    return b"".join((
+        struct.pack("<4sHHH", WIRE_MAGIC, version, flags, 10),
+        b"repro/test",
+        struct.pack("<Q", len(body)),
+        body,
+        struct.pack("<I", zlib.crc32(body)),
+    ))
+
+
+def _varint_bytes(value: int) -> bytes:
+    out = bytearray()
+    while True:
+        out.append((value & 0x7F) | (0x80 if value >> 7 else 0))
+        value >>= 7
+        if not value:
+            return bytes(out)
+
+
+def _section_array_tree(shape, reference) -> bytes:
+    """An out-of-band float64 array reference as the encoder writes one,
+    for any shape (no array of that shape is ever built)."""
+    return (b"\x1c\x03<f8" + _varint_bytes(len(shape))
+            + b"".join(_varint_bytes(dim) for dim in shape)
+            + encode_value(reference))
+
+
+def _compressed_roundtrip(value):
+    frame = pack_frame("repro/test", value, compress=True)
+    return frame, unpack_frame(frame)[1]
+
+
+def _same_bits(decoded, original):
+    assert decoded.dtype == original.dtype.newbyteorder("<")
+    assert decoded.shape == original.shape
+    assert decoded.tobytes() == np.ascontiguousarray(
+        original.astype(decoded.dtype)).tobytes()
+
+
+def _noisy(*shape, seed=0):
+    return np.random.default_rng(seed).standard_normal(shape)
+
+
+class TestSectionedFrames:
+    """``compress=True``: float64 arrays of at least 1 KiB go raw into a
+    trailing section (flag 0x0002) beside the deflated value tree."""
+
+    def test_layout_flags_and_crc(self):
+        value = {"big": _noisy(300), "small": _noisy(8)}
+        frame, decoded = _compressed_roundtrip(value)
+        version, flags = _frame_header(frame)
+        assert version == WIRE_VERSION
+        assert flags == 0x0003
+        tree, section = _split_sectioned(frame)
+        assert len(section) == value["big"].nbytes
+        assert section == value["big"].tobytes()
+        assert zlib.decompressobj().decompress(tree)
+        for key in value:
+            _same_bits(decoded[key], value[key])
+        corrupted = bytearray(frame)
+        corrupted[-5] ^= 0x01  # last section byte: the CRC covers it
+        with pytest.raises(WireDecodeError, match="CRC"):
+            unpack_frame(bytes(corrupted))
+
+    @pytest.mark.parametrize("name, array", [
+        ("empty", np.zeros(0)),
+        ("empty 2-D", np.zeros((0, 300))),
+        ("1-D", _noisy(500)),
+        ("2-D", _noisy(40, 30)),
+        ("3-D", _noisy(4, 8, 16)),
+        ("all zero", np.zeros((40, 30))),
+        ("half zero", np.concatenate([np.zeros(150), _noisy(150)])),
+        ("trailing zero rows", np.vstack([_noisy(10, 30), np.zeros((30, 30))])),
+        ("trailing -0.0 rows", np.vstack([_noisy(10, 30),
+                                          np.full((5, 30), -0.0)])),
+        ("non-square", _noisy(20, 50)),
+        ("float32", _noisy(40, 30).astype(np.float32)),
+        ("Fortran order", np.asfortranarray(_noisy(40, 30))),
+        ("strided", _noisy(40, 60)[:, ::2]),
+        ("big-endian", _noisy(40, 30).astype(">f8")),
+        ("inf and nan", np.array([np.inf, -np.inf, np.nan, -0.0] * 100)),
+    ])
+    def test_arrays_round_trip_bit_identically(self, name, array):
+        _, decoded = _compressed_roundtrip({"a": array})
+        _same_bits(decoded["a"], array)
+        assert decoded["a"].flags.writeable
+        assert decoded["a"].flags.owndata
+
+    def test_trailing_negative_zero_rows_are_kept(self):
+        array = np.vstack([_noisy(20, 30), np.full((5, 30), -0.0),
+                           np.zeros((10, 30))])
+        frame, decoded = _compressed_roundtrip({"a": array})
+        _, section = _split_sectioned(frame)
+        assert len(section) == 25 * 30 * 8
+        _same_bits(decoded["a"], array)
+        assert np.signbit(decoded["a"][20:25]).all()
+        assert not np.signbit(decoded["a"][25:]).any()
+
+    def test_arrays_at_least_half_zero_stay_in_the_deflated_tree(self):
+        half = np.concatenate([np.zeros(150), _noisy(150)])
+        frame, decoded = _compressed_roundtrip({"a": half, "b": np.eye(44)})
+        assert _frame_header(frame) == (WIRE_VERSION, 0x0001)
+        _same_bits(decoded["a"], half)
+        _same_bits(decoded["b"], np.eye(44))
+        frame, _ = _compressed_roundtrip({"a": half[1:]})  # one zero short
+        assert _frame_header(frame)[1] & 0x0002
+
+    def test_symmetric_arrays_go_as_their_upper_triangle(self):
+        noise = _noisy(44, 44)
+        gram = noise + noise.T
+        gram[3, 7] = gram[7, 3] = -0.0
+        payload = np.uint64(0x7FF8000000000001 + 5)
+        nan = np.array([payload], dtype=np.uint64).view(np.float64)[0]
+        gram[5, 9] = gram[9, 5] = nan
+        frame, decoded = _compressed_roundtrip({"g": gram})
+        _, section = _split_sectioned(frame)
+        assert len(section) == 44 * 45 // 2 * 8
+        _same_bits(decoded["g"], gram)
+        assert decoded["g"].flags.owndata
+
+    def test_one_ulp_off_symmetric_is_stored_whole(self):
+        noise = _noisy(44, 44)
+        gram = noise + noise.T
+        gram[2, 6] = np.nextafter(gram[2, 6], np.inf)
+        frame, decoded = _compressed_roundtrip({"g": gram})
+        _, section = _split_sectioned(frame)
+        assert len(section) == gram.nbytes
+        _same_bits(decoded["g"], gram)
+
+    def test_shared_array_decodes_to_one_owned_object(self):
+        array = _noisy(300)
+        _, decoded = _compressed_roundtrip({"a": array, "b": [array]})
+        assert decoded["a"] is decoded["b"][0]
+        assert decoded["a"].flags.owndata
+        decoded["a"][0] = 1.0  # writable, and not a view of the frame
+
+    def test_uncompressed_frames_do_not_change(self):
+        value = {"a": _noisy(300), "d": {1: 2.0, 3: 4.0}}
+        frame = pack_frame("repro/test", value)
+        assert _frame_header(frame) == (WIRE_BASE_VERSION, 0)
+        # The body is the ordinary encoding: no section, no numeric dict.
+        assert frame[10 + len("repro/test") + 8:-4] == encode_value(value)
+
+    # --------------------------------------------------------- numeric dicts
+    @pytest.mark.parametrize("key_type", [int, np.int64])
+    @pytest.mark.parametrize("value_type", [float, np.float64])
+    def test_numeric_dicts_keep_types_and_order(self, key_type, value_type):
+        keys = [5, -3, (1 << 63) - 1, -(1 << 63), 0] + list(range(10, 400))
+        values = [np.inf, np.nan, -0.0, -np.inf, 1.5] + [0.25 * k for k in
+                                                        range(10, 400)]
+        value = {key_type(k): value_type(v) for k, v in zip(keys, values)}
+        frame, decoded = _compressed_roundtrip({"d": value})
+        assert _frame_header(frame)[0] == WIRE_VERSION
+        assert list(decoded["d"]) == list(value)
+        assert [type(k) for k in decoded["d"]] == [key_type] * len(value)
+        assert [type(v) for v in decoded["d"].values()] == \
+            [value_type] * len(value)
+        assert (np.array(list(decoded["d"].values())).tobytes()
+                == np.array(list(value.values())).tobytes())
+
+    def test_small_numeric_dict_uses_the_tag_without_a_section(self):
+        value = {np.int64(3): 1.0, np.int64(1): 2.0}
+        frame, decoded = _compressed_roundtrip({"d": value, "pad": "x" * 200})
+        assert _frame_header(frame) == (WIRE_VERSION, 0x0001)
+        assert decoded["d"] == value
+        assert list(decoded["d"]) == list(value)
+        assert type(next(iter(decoded["d"]))) is np.int64
+
+    @pytest.mark.parametrize("name, value", [
+        ("bool keys", {True: 1.0, False: 2.0}),
+        ("keys beyond int64", {1 << 63: 1.0, 2: 2.0}),
+        ("mixed key types", {1: 1.0, np.int64(2): 2.0}),
+        ("mixed value types", {1: 1.0, 2: np.float64(2.0)}),
+        ("int values", {1: 1, 2: 2}),
+        ("str keys", {"a": 1.0}),
+        ("empty", {}),
+    ])
+    def test_other_dicts_fall_back_to_the_ordinary_encoding(self, name,
+                                                            value):
+        assert encode_value(value, numeric_dicts=True) == encode_value(value)
+        _, decoded = _compressed_roundtrip({"d": value})
+        assert list(decoded["d"].items()) == list(value.items())
+        assert [type(k) for k in decoded["d"]] == [type(k) for k in value]
+
+    def test_shared_numeric_dict_stays_one_object(self):
+        shared = {1: 0.5, 2: 1.5}
+        _, decoded = _compressed_roundtrip({"a": shared, "b": [shared]})
+        assert decoded["a"] is decoded["b"][0]
+        assert decoded["a"] == shared
+
+    def test_the_plain_encoder_never_writes_the_tag(self):
+        value = {"d": {1: 0.5}}
+        assert encode_value(value, plain=True, numeric_dicts=True) == \
+            encode_value(value, plain=True)
+
+    # -------------------------------------------------------- hostile input
+    @pytest.mark.parametrize("shape, reference, phrase", [
+        ((4,), (0, 4, 8, 32), "outside"),
+        ((4,), (0, 4, 0, 24), "does not match"),
+        ((2, 3), (1, 2, 0, 24), "does not fit shape"),
+        ((3,), (1, 3, 0, 48), "does not fit shape"),
+        ((2, 3), (2, 3, 0, 72), "row count"),
+        ((2, 3), (0, 1, 0, 48), "row count"),
+        ((4,), (7, 4, 0, 32), "unknown array section form"),
+        ((4,), (0, 4.0, 0, 32), "malformed"),
+        ((4,), (0, 4, 0), "malformed"),
+        ((4,), (0, True, 0, 32), "malformed"),
+        ((4,), (0, 4, -8, 32), "outside"),
+        ((1 << 40, 1 << 40), (0, 1 << 40, 0, 32), "does not match"),
+        ((1 << 40, 1 << 40), (1, 1 << 40, 0, 32), "does not match"),
+        ((1 << 40, 1 << 40), (2, 1, 0, 8 << 40), "outside"),
+    ])
+    def test_bad_references_raise_before_allocating(self, shape, reference,
+                                                    phrase):
+        frame = _sectioned_frame(_section_array_tree(shape, reference),
+                                 bytes(32))
+        with pytest.raises(WireDecodeError, match=phrase):
+            unpack_frame(frame)
+
+    def test_well_formed_hand_built_reference_decodes(self):
+        data = np.arange(1.0, 5.0)
+        frame = _sectioned_frame(_section_array_tree((4,), (0, 4, 0, 32)),
+                                 data.tobytes())
+        assert np.array_equal(unpack_frame(frame)[1], data)
+
+    def test_non_float64_section_array_refused(self):
+        tree = b"\x1c\x03<f4" + _varint_bytes(1) + _varint_bytes(8) \
+            + encode_value((0, 8, 0, 32))
+        with pytest.raises(WireDecodeError, match="float64"):
+            unpack_frame(_sectioned_frame(tree, bytes(32)))
+
+    def test_tree_length_overrunning_the_body_refused(self):
+        frame = _sectioned_frame(encode_value(None), tree_length=1 << 62)
+        with pytest.raises(WireDecodeError, match="overruns"):
+            unpack_frame(frame)
+        with pytest.raises(WireDecodeError, match="tree length"):
+            unpack_frame(_rebuild_with_body(frame, b"\x01\x00"))
+
+    def test_section_flag_on_a_v1_frame_refused(self):
+        frame = _sectioned_frame(encode_value(None), version=1)
+        with pytest.raises(WireDecodeError, match="unknown flags"):
+            unpack_frame(frame)
+
+    def test_plain_mode_refuses_the_flag_and_the_tag(self):
+        frame = pack_frame("repro/test", {"a": _noisy(300)}, compress=True)
+        assert _frame_header(frame)[1] & 0x0002
+        with pytest.raises(WireDecodeError, match="sectioned"):
+            unpack_frame(frame, plain=True)
+        bare = _sectioned_frame(encode_value(None))
+        with pytest.raises(WireDecodeError, match="sectioned"):
+            unpack_frame(bare, plain=True)
+        tagged = encode_value({"d": {1: 0.5}}, numeric_dicts=True)
+        with pytest.raises(WireDecodeError, match="wire tag NUMDICT"):
+            decode_value(tagged, plain=True)
+
+    @pytest.mark.parametrize("tail", [
+        b"\x04" + b"\x0f\x03<i8\x01\x01\x08" + bytes(8)
+        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
+        b"\x00" + b"\x0f\x03<i8\x01\x02\x10" + bytes(16)
+        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
+        b"\x00" + b"\x0f\x03<f8\x01\x01\x08" + bytes(8)
+        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
+        b"\x00" + b"\x00" + b"\x00",
+    ], ids=["unknown flags", "length mismatch", "float keys", "not arrays"])
+    def test_malformed_numeric_dicts_refused(self, tail):
+        with pytest.raises(WireDecodeError, match="numeric dict"):
+            decode_value(b"\x1d" + tail)
