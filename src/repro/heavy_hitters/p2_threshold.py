@@ -25,6 +25,7 @@ sketch of ``O(m/ε)`` counters (the paper's space reduction); pass
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
@@ -32,7 +33,7 @@ import numpy as np
 from ..sketch.space_saving import WeightedSpaceSaving
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
-from ..streaming.protocol import first_crossing, group_positions_by_element
+from ..streaming.protocol import first_crossing, group_elements
 from ..utils.validation import check_positive_int
 from .base import WeightedHeavyHitterProtocol
 
@@ -163,9 +164,18 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
         the threshold ``(ε/m)·Ŵ`` (which is where ``Ŵ`` — and hence the
         threshold — next changes).  Within the trigger-free segment before
         it, the threshold is constant and distinct elements' pending deltas
-        evolve independently, so each element's ``Δ_e`` send events are
-        found with binary searches on its own cumulative weights and the
-        message accounting advances in one batched step.  The trigger item
+        evolve independently.  The batch's labels are grouped once
+        (:func:`~repro.streaming.protocol.group_elements`); each segment
+        then takes its elements' weight sums with one ``np.bincount`` and
+        runs a binary search on an element's own cumulative weights only
+        for the few elements whose ``Δ_e`` reaches the threshold, with the
+        message accounting advanced in one batched step.  ``np.bincount``
+        adds a bin's weights sequentially, in index order, from ``0.0`` —
+        the additions of a cumulative sum over that element's positions — so
+        every pending delta is the float a per-element loop would get; and
+        deltas are written back in the order the segment's own grouping
+        lists its elements, which fixes the insertion order of the site's
+        and the coordinator's dictionaries.  The trigger item
         itself replays the per-item order exactly: accumulate, ship ``W_i``,
         then check its element against the refreshed threshold.  Message
         counts and coordinator state match per-item ingestion of the same
@@ -210,6 +220,7 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
         """The vectorized trigger-splitting kernel over ``state.deltas``."""
         total = weights.shape[0]
         cumulative = np.cumsum(weights)
+        keys, inverse = group_elements(elements)
         consumed = 0.0
         start = 0
         while start < total:
@@ -219,8 +230,9 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
                                      start=start)
             stop = min(trigger, total)
             if stop > start:
-                self._apply_element_updates(site, state, elements[start:stop],
-                                            weights[start:stop], threshold)
+                self._apply_element_updates(site, state, keys, elements[start:stop],
+                                            inverse[start:stop], weights[start:stop],
+                                            threshold)
             if trigger >= total:
                 state.weight_since_total += float(cumulative[-1]) - consumed
                 return
@@ -303,27 +315,52 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
             state.deltas = {}
 
     def _apply_element_updates(self, site: int, state: _SiteState,
-                               elements: np.ndarray, weights: np.ndarray,
+                               keys: np.ndarray, elements: np.ndarray,
+                               inverse: np.ndarray, weights: np.ndarray,
                                threshold: float) -> None:
         """Per-element delta tracking for a segment with no total trigger.
 
-        Each element's send events telescope: the mass delivered to the
-        coordinator over all of its sends is the initial pending delta plus
-        the cumulative weight at the last crossing, and the leftover becomes
-        the new pending delta — so the coordinator estimate (additive) and
-        the site state are updated once per element, and the vector-message
-        count once per segment, exactly matching the per-item event
-        sequence.
+        ``keys``/``inverse`` are the batch's grouping and ``elements``,
+        ``inverse`` and ``weights`` the segment's slices.  Each element's
+        segment sum is one bin of ``np.bincount``, which adds a bin's weights
+        one by one in index order starting from ``0.0`` — the very additions
+        ``np.cumsum`` over the element's positions makes — so the pending
+        delta ``initial + sum`` is the same float the per-element loop got.
+        Elements that stay below the threshold only have their delta
+        written back.  For the rest, the send events telescope: the mass
+        delivered to the coordinator over all of an element's sends is the
+        initial pending delta plus its cumulative weight at the last
+        crossing, and the leftover becomes the new pending delta — so the
+        coordinator estimate (additive) and the site state are updated once
+        per element, and the vector-message count once per segment, exactly
+        matching the per-item event sequence.
+
+        Deltas are written back in the order the segment's own grouping
+        would list its elements — ascending keys for ``np.unique``
+        groupings, first arrival within the segment (and the first-arriving
+        label object) for object labels — so the insertion order of
+        ``state.deltas`` and of the coordinator's estimates is the one a
+        segment-by-segment grouping leaves.
         """
+        sums = np.bincount(inverse, weights=weights, minlength=keys.shape[0])
+        if keys.dtype == object:
+            firsts = np.unique(inverse, return_index=True)[1]
+            firsts.sort()
+            present = inverse[firsts]
+            labels = list(elements[firsts])
+        else:
+            present = np.flatnonzero(sums)  # weights are strictly positive
+            labels = list(keys[present])
+        sums = sums[present]
+        initials = list(map(state.deltas.get, labels, repeat(0.0)))
+        finals = np.asarray(initials) + sums
+        state.deltas.update(zip(labels, finals.tolist()))
         sends = 0
-        for element, positions in group_positions_by_element(elements):
-            group_cumulative = np.cumsum(weights[positions])
+        for index in np.flatnonzero(finals >= threshold).tolist():
+            element = labels[index]
+            initial = initials[index]
+            group_cumulative = np.cumsum(weights[inverse == present[index]])
             length = group_cumulative.shape[0]
-            initial = state.deltas.get(element, 0.0)
-            final = initial + float(group_cumulative[-1])
-            if final < threshold:
-                state.deltas[element] = final
-                continue
             carry = initial
             offset = 0.0
             last_sent = -1
@@ -345,7 +382,7 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
             if leftover > 0.0:
                 state.deltas[element] = leftover
             else:
-                state.deltas.pop(element, None)
+                del state.deltas[element]
         if sends:
             self.network.send_batch(site, sends, kind=MessageKind.VECTOR,
                                     description="element updates")

@@ -25,17 +25,32 @@ drivers use a single copy as in the paper.
 from __future__ import annotations
 
 import math
-from typing import Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
-from ..streaming.protocol import first_crossing, group_positions_by_element
+from ..streaming.protocol import first_crossing, group_elements
 from ..utils.rng import SeedLike, as_generator, spawn
 from .base import WeightedHeavyHitterProtocol
 
 __all__ = ["RandomizedReportingProtocol"]
+
+
+def _positions_by_element(elements: np.ndarray) -> Iterator[Tuple[Hashable, np.ndarray]]:
+    """``(element, positions)`` per group of ``elements``, in grouping order.
+
+    ``positions`` ascend: they are one group's run of a stable ``argsort``
+    of the grouping's ``inverse``, cut at the ``np.bincount`` boundaries.
+    """
+    keys, inverse = group_elements(elements)
+    order = np.argsort(inverse, kind="stable")
+    boundaries = np.cumsum(np.bincount(inverse, minlength=keys.shape[0])).tolist()
+    start = 0
+    for element, stop in zip(keys, boundaries):
+        yield element, order[start:stop]
+        start = stop
 
 
 class _SiteState:
@@ -173,14 +188,14 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
 
         send_positions = np.nonzero(send_mask)[0]
         if send_positions.size == 0:
-            for element, positions in group_positions_by_element(elements):
+            for element, positions in _positions_by_element(elements):
                 state.local_counts[element] = (
                     state.local_counts.get(element, 0.0)
                     + float(weights[positions].sum())
                 )
             return
         running_totals = np.empty(count, dtype=np.float64)
-        for element, positions in group_positions_by_element(elements):
+        for element, positions in _positions_by_element(elements):
             totals = (state.local_counts.get(element, 0.0)
                       + np.cumsum(weights[positions]))
             running_totals[positions] = totals
@@ -188,7 +203,7 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
         self.network.send_batch(site, int(send_positions.size),
                                 kind=MessageKind.VECTOR,
                                 description="element reports")
-        for element, positions in group_positions_by_element(
+        for element, positions in _positions_by_element(
                 elements[send_positions]):
             last = int(send_positions[int(positions[-1])])
             rate = float(rates[last])

@@ -160,10 +160,19 @@ class WeightedItemBatch:
     @classmethod
     def from_pairs(cls, pairs: Iterable[Tuple[Hashable, float]],
                    sites: Optional[Sequence[int]] = None) -> "WeightedItemBatch":
-        """Build a batch from ``(element, weight)`` pairs (e.g. a sample's items)."""
-        pair_list = list(pairs)
+        """Build a batch from ``(element, weight)`` pairs (e.g. a sample's items).
+
+        A list is read in place, and the weights go straight into their
+        array, so a long stream is not copied into temporary lists first.
+        """
+        pair_list = pairs if isinstance(pairs, list) else list(pairs)
         elements = _as_element_column([element for element, _ in pair_list])
-        weights = np.asarray([weight for _, weight in pair_list], dtype=np.float64)
+        try:
+            weights = np.fromiter((weight for _, weight in pair_list),
+                                  dtype=np.float64, count=len(pair_list))
+        except (TypeError, ValueError):
+            # Let validation name the fault exactly as for any weight column.
+            weights = [weight for _, weight in pair_list]
         return cls(elements=elements, weights=weights, sites=sites)
 
     @classmethod

@@ -21,7 +21,7 @@ ingestion.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, List, Sequence, Tuple
+from typing import Any, Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .network import Network
 __all__ = [
     "DistributedProtocol",
     "first_crossing",
-    "group_positions_by_element",
+    "group_elements",
 ]
 
 
@@ -61,38 +61,27 @@ def first_crossing(cumulative: np.ndarray, threshold: float,
     return max(index, start)
 
 
-def group_positions_by_element(elements: Sequence) -> List[Tuple[Any, np.ndarray]]:
-    """Group batch positions by element label, preserving arrival order.
+def group_elements(elements: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Columnar grouping of a 1-d array of element labels.
 
-    Returns ``(element, positions)`` pairs where ``positions`` is an
-    ascending ``int64`` array of the indices at which ``element`` occurs.
-    Uses ``np.unique`` for sortable homogeneous arrays and falls back to a
-    dictionary sweep for object/mixed element types (tuples, mixed labels).
-    The pair order is unspecified — callers must not depend on it, which the
-    per-element kernels (whose elements evolve independently between
-    communication triggers) do not.
+    Returns ``(keys, inverse)`` with ``keys[inverse[i]] == elements[i]``:
+    ``inverse`` is an ``int64`` array of group ids, one per position, so a
+    kernel can take per-group counts and sums with ``np.bincount`` and per-
+    group positions with one stable ``argsort`` of ``inverse``.  Orderable
+    non-object arrays group with ``np.unique`` (``keys`` ascending); object
+    and mixed labels group with a dictionary sweep, and ``keys`` is then an
+    object array in first-appearance order.  ``keys.dtype == object`` thus
+    tells a caller which of the two orders it holds.
     """
-    array: Any = None
-    if isinstance(elements, np.ndarray) and elements.ndim == 1:
-        array = elements
-    if array is not None and array.dtype.kind != "O" and array.shape[0] >= 2:
+    if elements.dtype.kind != "O":
         try:
-            uniques, inverse = np.unique(array, return_inverse=True)
+            return np.unique(elements, return_inverse=True)
         except TypeError:  # unorderable element mix
-            uniques = None
-        if uniques is not None:
-            order = np.argsort(inverse, kind="stable")
-            counts = np.bincount(inverse, minlength=uniques.shape[0])
-            boundaries = np.concatenate(([0], np.cumsum(counts)))
-            return [
-                (uniques[k], order[boundaries[k]:boundaries[k + 1]])
-                for k in range(uniques.shape[0])
-            ]
-    grouped: Dict[Any, List[int]] = {}
-    for position, element in enumerate(elements):
-        grouped.setdefault(element, []).append(position)
-    return [(element, np.asarray(positions, dtype=np.int64))
-            for element, positions in grouped.items()]
+            pass
+    ids: Dict[Any, int] = {}
+    inverse = np.fromiter((ids.setdefault(element, len(ids)) for element in elements),
+                          dtype=np.int64, count=elements.shape[0])
+    return np.fromiter(ids, dtype=object, count=len(ids)), inverse
 
 
 class DistributedProtocol(Stateful, abc.ABC):

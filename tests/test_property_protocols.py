@@ -15,7 +15,7 @@ input stream and site assignment, so these are natural hypothesis targets:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.heavy_hitters.p1_batched_mg import BatchedMisraGriesProtocol
@@ -109,6 +109,9 @@ class TestHeavyHitterProtocolProperties:
     @given(stream=weighted_streams,
            sample_size=st.integers(min_value=1, max_value=30),
            seed=st.integers(min_value=0, max_value=100))
+    # Every item is forwarded and rounds still end: 6 vector messages and
+    # 16 broadcasts are 22 messages for 22 items, so the total cannot tell.
+    @example(stream=[(0, 2.03, 0)] * 22, sample_size=1, seed=0)
     @settings(max_examples=60, deadline=None)
     def test_p3_adjusted_weights_dominate_raw_weights(self, stream, sample_size,
                                                       seed):
@@ -121,7 +124,9 @@ class TestHeavyHitterProtocolProperties:
         for _, weight, adjusted in sample:
             assert adjusted >= weight
         assert protocol.estimated_total_weight() > 0.0
-        if protocol.total_messages == len(stream):  # all forwarded, no round ended
+        counts = protocol.message_counts()
+        if (counts.get("kind_vector", 0) == len(stream)
+                and counts.get("kind_broadcast", 0) == 0):  # all forwarded, no round ended
             assert protocol.estimates() == exact_counts(stream)
 
 

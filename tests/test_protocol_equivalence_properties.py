@@ -34,6 +34,11 @@ randomized, seed-parameterized properties, now that *every* protocol class
   doubling: a checkpoint at any fill writes exactly the live rows and
   resumes bit-identically, answers never alias the buffer, and every matrix
   protocol's ``sketch_rows`` count is the row count of its sketch.
+* **HH P2 segment kernel** — grouping a site batch once and summing its
+  trigger-free segments with ``np.bincount`` leaves the same message
+  counts, estimate order and uncompressed checkpoint bytes as grouping each
+  segment on its own with one ``cumsum`` per element, for int (int64
+  extremes included), float, str, tuple and mixed object labels.
 * **Empty batches** — every kernel treats a zero-length batch as a no-op.
 * **Cross-family identity** — the paper's Section 5.3 reduction: matrix
   P3/P3wr *is* heavy-hitters P3/P3wr on item weight ``‖a‖²``, so the two
@@ -54,6 +59,7 @@ import pytest
 import repro
 from repro.accel import SVD_MODES
 from repro.api import SketchMatrix
+from repro.api.state import tracker_frame
 from repro.data.synthetic_matrix import make_pamap_like
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import (
@@ -76,7 +82,9 @@ from repro.matrix_tracking import (
 from repro.matrix_tracking import p2_deterministic as p2_module
 from repro.sketch import FrequentDirections
 from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
+from repro.streaming.network import MessageKind
 from repro.streaming.partition import RoundRobinPartitioner
+from repro.streaming.protocol import first_crossing
 from repro.streaming.runner import StreamingEngine
 from repro.utils.linalg import spectral_norm
 from repro.utils.stateio import restore_object
@@ -732,3 +740,173 @@ class TestEmptyBatches:
         assert protocol.items_processed == 0
         assert protocol.total_messages == 0
         assert protocol.sketch_matrix().shape[0] == 0
+
+
+# --------------------------------------------------------------------------
+# hh/P2's segment kernel against a segment-by-segment grouping.
+
+def segment_groups(elements):
+    """``(element, positions)`` per distinct label of one segment.
+
+    The reference grouping of one trigger-free segment on its own:
+    ``np.unique`` order for orderable arrays of two or more labels, else a
+    dictionary sweep in first-appearance order.
+    """
+    if elements.dtype.kind != "O" and elements.shape[0] >= 2:
+        uniques, inverse = np.unique(elements, return_inverse=True)
+        order = np.argsort(inverse, kind="stable")
+        boundaries = np.concatenate(([0], np.cumsum(np.bincount(inverse))))
+        return [(uniques[k], order[boundaries[k]:boundaries[k + 1]])
+                for k in range(uniques.shape[0])]
+    grouped = {}
+    for position, element in enumerate(elements):
+        grouped.setdefault(element, []).append(position)
+    return [(element, np.asarray(positions, dtype=np.int64))
+            for element, positions in grouped.items()]
+
+
+def segment_loop_updates(protocol, site, state, elements, weights, threshold):
+    """Per-element delta tracking with one grouping and one cumsum per element."""
+    sends = 0
+    for element, positions in segment_groups(elements):
+        group_cumulative = np.cumsum(weights[positions])
+        length = group_cumulative.shape[0]
+        initial = state.deltas.get(element, 0.0)
+        final = initial + float(group_cumulative[-1])
+        if final < threshold:
+            state.deltas[element] = final
+            continue
+        carry = initial
+        offset = 0.0
+        last_sent = -1
+        while True:
+            crossing = last_sent + 1 + int(np.searchsorted(
+                group_cumulative[last_sent + 1:], threshold + offset - carry,
+                side="left"))
+            if crossing >= length:
+                break
+            sends += 1
+            last_sent = crossing
+            offset = float(group_cumulative[crossing])
+            carry = 0.0
+        delivered = initial + float(group_cumulative[last_sent])
+        protocol._element_estimates[element] = (
+            protocol._element_estimates.get(element, 0.0) + delivered)
+        leftover = float(group_cumulative[-1]) - float(group_cumulative[last_sent])
+        if leftover > 0.0:
+            state.deltas[element] = leftover
+        else:
+            state.deltas.pop(element, None)
+    if sends:
+        protocol.network.send_batch(site, sends, kind=MessageKind.VECTOR,
+                                    description="element updates")
+
+
+def segment_loop_batch_deltas(protocol, site, state, elements, weights):
+    """hh/P2's trigger-splitting kernel, grouping each segment on its own."""
+    total = weights.shape[0]
+    cumulative = np.cumsum(weights)
+    consumed = 0.0
+    start = 0
+    while start < total:
+        threshold = protocol._threshold()
+        trigger = first_crossing(cumulative, threshold,
+                                 carry=state.weight_since_total - consumed,
+                                 start=start)
+        stop = min(trigger, total)
+        if stop > start:
+            segment_loop_updates(protocol, site, state, elements[start:stop],
+                                 weights[start:stop], threshold)
+        if trigger >= total:
+            state.weight_since_total += float(cumulative[-1]) - consumed
+            return
+        element = elements[trigger]
+        new_delta = state.deltas.get(element, 0.0) + float(weights[trigger])
+        state.deltas[element] = new_delta
+        total_weight = (state.weight_since_total
+                        + float(cumulative[trigger]) - consumed)
+        protocol._send_total(site, total_weight)
+        state.weight_since_total = 0.0
+        consumed = float(cumulative[trigger])
+        if new_delta >= protocol._threshold():
+            protocol._send_element(site, element, new_delta)
+            state.reset_element(element)
+        start = trigger + 1
+
+
+LABEL_POOLS = {
+    "int": [np.iinfo(np.int64).min, np.iinfo(np.int64).max, -7, -1, 0, 3, 12,
+            2 ** 40],
+    "float": [-2.5, -1e-300, 0.125, 1.0, 3.75, 1e300],
+    "str": ["", "a", "b", "hh", "zz", "élan"],
+    "tuple": [(), (0,), (1, 2), (1, "x"), ("x", 1), ((1,), 2)],
+    # 1, 1.0 and True are one key: which object a dict keeps is observable.
+    "mixed": [1, 1.0, True, "1", (1,), None, 2.5, (2, "b")],
+}
+# (epsilon, per-item weight growth): "growing" keeps the per-site threshold
+# near one item's weight, so many trigger-free segments hold a single item.
+STREAM_SHAPES = {"flat": (0.1, 1.0), "growing": (0.1, 1.02)}
+P2_SPECS = ("hh/P2", "hh/P2ss")
+
+
+def labelled_stream(labels: str, shape: str, seed: int, items: int = 700):
+    """Zipf-like draws from one label pool with uniform or growing weights."""
+    rng = np.random.default_rng(seed)
+    pool = LABEL_POOLS[labels]
+    ranks = np.arange(1, len(pool) + 1, dtype=np.float64)
+    draws = rng.choice(len(pool), size=items, p=ranks ** -1.5 / np.sum(ranks ** -1.5))
+    growth = STREAM_SHAPES[shape][1]
+    weights = rng.uniform(0.5, 3.0, size=items) * growth ** np.arange(items)
+    return WeightedItemBatch.from_pairs(
+        [(pool[draw], weight) for draw, weight in zip(draws, weights.tolist())])
+
+
+class TestP2SegmentKernel:
+    """hh/P2's segment kernel groups each site batch once and sums segments
+    with ``np.bincount``; everything it leaves behind — message counts, the
+    estimates' order and the uncompressed checkpoint bytes — must equal a
+    kernel that groups every segment on its own and takes one ``cumsum``
+    per element."""
+
+    @staticmethod
+    def run(spec, batch, chunk, epsilon):
+        tracker = repro.Tracker.create(spec, num_sites=3, epsilon=epsilon,
+                                       chunk_size=chunk)
+        tracker.run(batch)
+        return tracker
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("shape", sorted(STREAM_SHAPES))
+    @pytest.mark.parametrize("chunk", (1, 2, 7, 4096))
+    @pytest.mark.parametrize("labels", sorted(LABEL_POOLS))
+    @pytest.mark.parametrize("spec", P2_SPECS)
+    def test_state_matches_segment_by_segment_grouping(self, spec, labels, chunk,
+                                                       shape, seed, monkeypatch):
+        batch = labelled_stream(labels, shape, seed)
+        epsilon = STREAM_SHAPES[shape][0]
+        monkeypatch.setattr(ThresholdedUpdatesProtocol, "_process_batch_deltas",
+                            segment_loop_batch_deltas)
+        reference = self.run(spec, batch, chunk, epsilon)
+        monkeypatch.undo()
+        tracker = self.run(spec, batch, chunk, epsilon)
+        assert tracker.protocol.message_counts() == reference.protocol.message_counts()
+        estimates = tracker.protocol.estimates()
+        expected = reference.protocol.estimates()
+        assert list(estimates) == list(expected)
+        assert [type(element) for element in estimates] \
+            == [type(element) for element in expected]
+        assert tracker_frame(tracker) == tracker_frame(reference)
+
+    def test_growing_weights_make_one_item_segments(self, monkeypatch):
+        lengths = []
+        kernel = ThresholdedUpdatesProtocol._apply_element_updates
+
+        def recording(protocol, site, state, keys, elements, *rest):
+            lengths.append(elements.shape[0])
+            return kernel(protocol, site, state, keys, elements, *rest)
+
+        monkeypatch.setattr(ThresholdedUpdatesProtocol, "_apply_element_updates",
+                            recording)
+        self.run("hh/P2", labelled_stream("int", "growing", SEEDS[0]), 4096,
+                 STREAM_SHAPES["growing"][0])
+        assert lengths.count(1) >= 10
