@@ -41,7 +41,8 @@ The remote backends share one transport-agnostic worker protocol
 frame, so no pickle ever crosses a process or host boundary.  They also
 share its parent side: :class:`RemoteShardHandle` is the one shard session
 (seq stamps, deadlines and poisoning, one decode per reply, the launch
-handshake) and :class:`RemoteBackend` the one launch loop and fan-out;
+handshake) and :class:`RemoteBackend` the one launch fan-out and call
+fan-out;
 ``process``, ``shm`` and ``socket`` only add how frame bytes move, and the
 socket backend its replay log.  Backends
 resolve by name through :func:`create_backend`; registering a new
@@ -53,6 +54,7 @@ resolve by name through :func:`create_backend`; registering a new
 from __future__ import annotations
 
 import abc
+import contextlib
 import multiprocessing
 import queue
 import threading
@@ -63,6 +65,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     NoReturn,
     Optional,
@@ -426,9 +429,12 @@ class RemoteShardHandle:
     Subclasses are byte transports: they move frames over a *channel*
     (``_send`` / ``_recv`` / ``_close_channel``), describe the peer
     (``_peer``) and own whatever the channel needs to exist (a worker
-    process, a ring, a TLS context).  :meth:`_handshake` runs
-    ``launch → ready`` on a channel that is not yet the live one, so a
-    make-before-break handoff can fail without touching the session.  A
+    process, a ring, a TLS context).  A handle is built with its channel
+    open and nothing sent; a fresh launch is :meth:`send_launch` then
+    :meth:`await_ready`, two halves the backend runs across every shard at
+    once.  :meth:`_handshake` runs the same two halves back to back on a
+    channel that is not yet the live one, so a make-before-break handoff
+    can fail without touching the session.  A
     transport that can heal a lost connection hooks :meth:`_deliver` and
     :meth:`_await_reply` (the socket backend's replay log); the default is
     that a lost peer fails the call.
@@ -471,37 +477,63 @@ class RemoteShardHandle:
         return ""
 
     # -------------------------------------------------------------- session
+    def _launch_deadline(self) -> Tuple[Optional[float], str]:
+        """``(seconds, option name)`` a launch's ``ready`` must arrive in."""
+        return self.io_timeout, "io_timeout"
+
+    def send_launch(self, builder: Callable[[], Any]) -> None:
+        """First half of a fresh launch: ship ``builder`` on the live channel."""
+        self._send_launch(self.channel, (builder,))
+
+    def await_ready(self) -> None:
+        """Second half of a fresh launch: the live channel's ``ready``."""
+        self._await_ready(self.channel)
+
     def _handshake(self, channel: Any, launch_args: tuple,
-                   timeout: Optional[float], option: str = "io_timeout",
                    peer: Optional[str] = None) -> None:
         """Run ``launch → ready`` on ``channel`` (not yet the live one).
 
         ``launch_args`` is ``(builder,)`` or ``(builder, resume_seq)``;
-        ``timeout`` is the ``option`` deadline the reply must meet; ``peer``
-        names the far end when it is not the live channel's.  Raises
-        :class:`BackendError`; the caller, which opened ``channel``, closes
-        it.
+        ``peer`` names the far end when it is not the live channel's.
+        Raises :class:`BackendError`; the caller, which opened ``channel``,
+        closes it.
         """
-        cause: Optional[BaseException] = None
-        try:
+        self._send_launch(channel, launch_args, peer)
+        self._await_ready(channel, peer)
+
+    def _send_launch(self, channel: Any, launch_args: tuple,
+                     peer: Optional[str] = None) -> None:
+        with self._launch_step(peer):
             self._send(channel, encode_command(
                 "launch", None, launch_args, trace=current_trace_id(),
                 **self._frame_options))
-            status, value, _acked = unpack_reply(self._recv(channel, timeout))
+
+    def _await_ready(self, channel: Any, peer: Optional[str] = None) -> None:
+        with self._launch_step(peer):
+            status, value, _acked = unpack_reply(
+                self._recv(channel, self._launch_deadline()[0]))
+        if status != "ready":
+            raise self._launch_error(repr(value), peer)
+
+    @contextlib.contextmanager
+    def _launch_step(self, peer: Optional[str]) -> Iterator[None]:
+        """Fold one handshake half's transport failures into a
+        :class:`BackendError` naming the shard."""
+        try:
+            yield
         except TimeoutError as exc:
-            cause = exc
-            failure = (f"no launch reply within the {timeout:g}s {option} "
-                       f"(hung worker?)")
+            timeout, option = self._launch_deadline()
+            raise self._launch_error(
+                f"no launch reply within the {timeout:g}s {option} "
+                f"(hung worker?)", peer) from exc
         except (EOFError, OSError, WireDecodeError) as exc:
-            cause = exc
-            failure = (f"the launch handshake broke off: {exc!r}"
-                       f"{self._launch_hint(exc)}")
-        else:
-            if status == "ready":
-                return
-            failure = repr(value)
-        raise BackendError(f"shard {self.index} failed to start on "
-                           f"{peer or self._peer()}: {failure}") from cause
+            raise self._launch_error(
+                f"the launch handshake broke off: {exc!r}"
+                f"{self._launch_hint(exc)}", peer) from exc
+
+    def _launch_error(self, failure: str, peer: Optional[str]) -> BackendError:
+        return BackendError(f"shard {self.index} failed to start on "
+                            f"{peer or self._peer()}: {failure}")
 
     def _check_usable(self) -> None:
         if self._broken is not None:
@@ -575,19 +607,27 @@ class RemoteShardHandle:
         return value
 
     def _hang_up(self, channel: Any) -> None:
-        """Tell the worker on ``channel`` to stop, if it can still be told
-        (a poisoned handle's may; a dead one's no longer matters), and
-        release the channel."""
+        """Tell the worker on ``channel`` to stop and release the channel."""
+        self._send_stop(channel)
+        self._close_channel(channel)
+
+    def _send_stop(self, channel: Any) -> None:
+        """Send the stop frame, if the worker can still be told (a poisoned
+        handle's may; a dead one's no longer matters)."""
         try:
             self._send(channel, encode_command("stop", None, (),
                                                **self._frame_options))
         except OSError:
             pass
-        self._close_channel(channel)
 
     def stop(self) -> None:
         """End the session."""
         self._hang_up(self.channel)
+
+    def abort_launch(self) -> None:
+        """End a session whose backend launch failed, on this shard or
+        another; it returns once the worker is gone."""
+        self.stop()
 
 
 def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
@@ -638,21 +678,38 @@ def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
 
 
 class RemoteBackend(EngineBackend):
-    """Shards behind :class:`RemoteShardHandle` sessions: one launch loop,
-    one fan-out.  Subclasses say how one shard's session is opened."""
+    """Shards behind :class:`RemoteShardHandle` sessions: one launch fan-out,
+    one call fan-out.  Subclasses say how one shard's channel is opened."""
 
     @abc.abstractmethod
     def _open_shard(self, index: int,
                     builder: Callable[[], Any]) -> RemoteShardHandle:
-        """Start shard ``index``'s worker session (launch handshake done)."""
+        """Open shard ``index``'s channel: its worker started or connected,
+        nothing sent on it yet."""
 
     def _launch(self, builders: Sequence[Callable[[], Any]]) -> None:
+        """Start every shard concurrently, in three phases: open every
+        channel, send every launch frame, then await every ``ready``.
+
+        Workers build their trackers side by side, so a launch costs about
+        one shard's start, not the sum.  A failure in any phase ends every
+        opened shard (:meth:`RemoteShardHandle.abort_launch`: its stop
+        frame, then the worker reaped or its hang-up awaited) and raises
+        the first failure in shard order, which names its shard.
+        """
         self._shards: List[Any] = []
         try:
             for index, builder in enumerate(builders):
                 self._shards.append(self._open_shard(index, builder))
+            for shard, builder in zip(self._shards, builders):
+                shard.send_launch(builder)
+            for shard in self._shards:
+                shard.await_ready()
         except BaseException:
-            self.close()
+            shards, self._shards = self._shards, []
+            for shard in shards:
+                shard.abort_launch()
+            self._num_shards = 0
             raise
 
     def submit(self, shard: int, fn: Callable, *args: Any) -> None:
@@ -684,7 +741,7 @@ class _ProcessShard(RemoteShardHandle):
     on the child end of the pipe (the ``shm`` backend's ring reader).
     """
 
-    def __init__(self, index: int, builder: Callable[[], Any], context: Any,
+    def __init__(self, index: int, context: Any,
                  io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT,
                  target: Callable[..., None] = _process_worker_main,
@@ -696,17 +753,17 @@ class _ProcessShard(RemoteShardHandle):
             target=target, args=(child_conn, *target_args),
             name=f"repro-shard-{index}", daemon=True,
         )
-        self.process.start()
-        child_conn.close()
-        # The handle is not yet registered with the backend, so a failed
-        # launch must reap its own process and pipe — the parent would
-        # otherwise leak one live worker per partial-create failure.
+        # Not yet registered with the backend: a start that fails must close
+        # its own pipe.  Once started, the backend's launch hangs up and
+        # reaps the worker on any failure (a fork-started worker holds a
+        # copy of the parent's pipe end, so only the stop frame ends it).
         try:
-            self._handshake(self.channel, (builder,), self.io_timeout)
+            self.process.start()
         except BaseException:
-            self._close_channel(self.channel)
-            self._reap()
+            self.channel.close()
             raise
+        finally:
+            child_conn.close()
 
     def _send(self, channel: Any, frame: bytes) -> None:
         channel.send_bytes(frame)
@@ -761,9 +818,14 @@ class ProcessBackend(RemoteBackend):
     :mod:`repro.wire` frames (NumPy element/weight/row arrays travel as
     dtype/shape/contiguous bytes); the OS pipe buffer provides natural
     backpressure when a worker falls behind.  Workers are started with
-    ``fork`` where available (instant, shares the imported library) and
-    ``spawn`` otherwise.  ``io_timeout`` (seconds, default none) is the
-    deadline on every reply; a shard that misses it is poisoned.
+    ``fork`` where available (shares the imported library; a forked worker
+    reaches its loop about 2 ms after the fork begins on a 2-vCPU host) and
+    ``spawn`` otherwise (a fresh interpreter that imports the library
+    itself).  Shards start concurrently: every worker is started, then
+    every launch frame sent, then every ``ready`` awaited, so a launch
+    costs about one shard's start plus its build, not the sum over shards.
+    ``io_timeout`` (seconds, default none) is the deadline on every reply,
+    the launch's ``ready`` included; a shard that misses it is poisoned.
     """
 
     name = "process"
@@ -786,7 +848,7 @@ class ProcessBackend(RemoteBackend):
 
     def _open_shard(self, index: int,
                     builder: Callable[[], Any]) -> _ProcessShard:
-        return _ProcessShard(index, builder, self._context,
+        return _ProcessShard(index, self._context,
                              io_timeout=self._io_timeout,
                              shutdown_timeout=self._shutdown_timeout)
 

@@ -176,8 +176,11 @@ class _SpecShardBuilder:
 class _RestoreShardBuilder:
     """Wire-encodable builder: restore shard ``index`` from its checkpoint.
 
-    ``payload`` is the shard's :func:`~repro.api.state.tracker_frame` bytes
-    (decoded *on the worker*, so restore cost parallelises like save cost).
+    ``payload`` is the shard's :func:`~repro.api.state.tracker_frame` bytes,
+    decoded *on the worker*.  Restore cost parallelises like save cost
+    because every remote backend starts its shards in one fan-out: all
+    workers are opened, then every launch frame (this builder) is sent, and
+    only then is any ``ready`` awaited, so the shards decode side by side.
     """
 
     payload: bytes

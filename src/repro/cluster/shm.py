@@ -258,15 +258,15 @@ class _ShmShard(_ProcessShard):
     """A :class:`_ProcessShard` whose large arrays bypass the pipe: it adds
     the ring, the ring-reading worker loop and the codec ``array_sink``."""
 
-    def __init__(self, index: int, builder: Callable[[], Any], context: Any,
-                 ring_bytes: int, io_timeout: Optional[float] = None,
+    def __init__(self, index: int, context: Any, ring_bytes: int,
+                 io_timeout: Optional[float] = None,
                  shutdown_timeout: float = DEFAULT_SHUTDOWN_TIMEOUT):
         self._ring: Optional[ShmRing] = ShmRing(ring_bytes)
         self._frame_options = {"array_sink": self._sink}
-        # A failed launch must release the ring too — this handle is not
+        # A failed start must release the ring too — this handle is not
         # yet registered with the backend, so nothing else can.
         try:
-            super().__init__(index, builder, context, io_timeout,
+            super().__init__(index, context, io_timeout,
                              shutdown_timeout, target=_shm_worker_main,
                              target_args=(self._ring.name,))
         except BaseException:
@@ -331,7 +331,7 @@ class ShmProcessBackend(ProcessBackend):
         self._ring_bytes = int(ring_bytes)
 
     def _open_shard(self, index: int, builder: Callable[[], Any]) -> _ShmShard:
-        return _ShmShard(index, builder, self._context, self._ring_bytes,
+        return _ShmShard(index, self._context, self._ring_bytes,
                          io_timeout=self._io_timeout,
                          shutdown_timeout=self._shutdown_timeout)
 

@@ -133,7 +133,7 @@ DEFAULT_REPLAY_LOG_BYTES = 1 << 24
 #: immediately after accepting (and TLS-wrapping) a connection; the parent
 #: must answer with ``HMAC-SHA256(token, nonce)`` before anything else is
 #: served.  Reconnect/replay recovery goes through the same
-#: ``_connect_and_launch`` path, so a healed connection re-authenticates
+#: ``_connect`` path, so a healed connection re-authenticates
 #: before any replay frame is sent.
 AUTH_CHALLENGE_KIND = "repro/worker-auth-challenge"
 AUTH_RESPONSE_KIND = "repro/worker-auth-response"
@@ -300,7 +300,9 @@ class _SocketShard(RemoteShardHandle):
         # The initial launch is deliberately fail-fast: an unreachable or
         # stalling worker at create() time is a configuration error the
         # caller should see immediately, not something to retry around.
-        self.channel = self._open_channel(address, builder, None)
+        # Connected (and TLS-wrapped and authenticated) here; the backend
+        # then sends the launch and awaits ``ready`` for all shards at once.
+        self.channel = self._connect(address)
 
     # ------------------------------------------------------------ transport
     def _send(self, channel: socket.socket, frame: bytes) -> None:
@@ -308,8 +310,8 @@ class _SocketShard(RemoteShardHandle):
 
     def _recv(self, channel: socket.socket, timeout: Optional[float]) -> bytes:
         # The socket carries its deadline itself, sends included:
-        # ``_open_channel`` arms ``connect_timeout`` through the handshake
-        # and ``io_timeout`` after it.
+        # ``_connect`` arms ``connect_timeout`` through the handshake and
+        # ``await_ready`` / ``_open_channel`` arm ``io_timeout`` after it.
         return recv_frame(channel)
 
     def _close_channel(self, channel: socket.socket) -> None:
@@ -339,24 +341,58 @@ class _SocketShard(RemoteShardHandle):
         super()._poison(reason, cause)
 
     # ----------------------------------------------------------- connection
-    def _open_channel(self, address: Tuple[str, int], builder: Any,
-                      resume_seq: Optional[int]) -> socket.socket:
-        """Connect to ``address`` and complete the launch handshake there.
+    def _launch_deadline(self) -> Tuple[Optional[float], str]:
+        return self._options.connect_timeout, "connect_timeout"
 
-        ``resume_seq=None`` is a fresh launch (``(builder,)`` args); an
-        integer is a recovery/handoff relaunch that primes the worker's
-        applied-seq counter.  The connect timeout stays armed through the
-        whole handshake — TCP connect, TLS wrap, auth challenge-response,
-        and the launch reply: a worker that accepts and then never replies
-        ``ready`` must fail ``create()`` within the deadline, not hang it
-        forever.  Because recovery and handoff relaunches come through here
-        too, a healed connection re-runs TLS and auth before any replay
-        frame.  Any failure closes the socket (the session is not yet
-        registered anywhere else) and raises :class:`BackendError`.
+    def await_ready(self) -> None:
+        super().await_ready()
+        self.channel.settimeout(self.io_timeout)
+
+    def abort_launch(self) -> None:
+        """Hang up, then wait (within ``connect_timeout``) for the worker to
+        close its end: a failed launch returns only once no worker still
+        holds one of its sessions, even one it had not yet accepted."""
+        self._send_stop(self.channel)
+        try:
+            self.channel.settimeout(self._options.connect_timeout)
+            while self.channel.recv(1 << 16):
+                pass  # an unread ``ready``, then the worker's EOF
+        except OSError:
+            pass
+        self._close_channel(self.channel)
+
+    def _open_channel(self, address: Tuple[str, int], builder: Any,
+                      resume_seq: int) -> socket.socket:
+        """Connect to ``address`` and relaunch the shard there.
+
+        A recovery/handoff relaunch: ``resume_seq`` primes the worker's
+        applied-seq counter.  It runs the same two handshake halves as a
+        fresh launch, back to back; because it goes through
+        :meth:`_connect`, a healed connection re-runs TLS and auth before
+        any replay frame.  Any failure closes the socket (the session is
+        not yet registered anywhere else) and raises :class:`BackendError`.
+        """
+        sock = self._connect(address)
+        try:
+            self._handshake(sock, (builder, int(resume_seq)),
+                            f"worker {_addr(address)}")
+        except BaseException:
+            sock.close()
+            raise
+        sock.settimeout(self.io_timeout)
+        return sock
+
+    def _connect(self, address: Tuple[str, int]) -> socket.socket:
+        """Open a channel to ``address``: TCP connect, TLS wrap, auth.
+
+        The connect timeout is armed on the returned socket and stays armed
+        through the launch handshake that follows: a worker that accepts and
+        then never replies ``ready`` must fail ``create()`` within the
+        deadline, not hang it forever.  Any failure closes the socket and
+        raises :class:`BackendError`.
         """
         options = self._options
         peer = f"worker {_addr(address)}"
-        args = (builder,) if resume_seq is None else (builder, int(resume_seq))
         try:
             sock = socket.create_connection(address,
                                             timeout=options.connect_timeout)
@@ -387,12 +423,9 @@ class _SocketShard(RemoteShardHandle):
                     ) from exc
             if options.auth_token is not None:
                 self._authenticate(sock, peer)
-            self._handshake(sock, args, options.connect_timeout,
-                            "connect_timeout", peer)
         except BaseException:
             sock.close()
             raise
-        sock.settimeout(self.io_timeout)
         return sock
 
     def _authenticate(self, sock: socket.socket, peer: str) -> None:
@@ -622,7 +655,9 @@ class SocketBackend(RemoteBackend):
         ``i % len(addresses)``.
     connect_timeout:
         Seconds to wait for each worker connection *and* its launch
-        handshake at launch/handoff time.
+        handshake at launch/handoff time.  At launch every shard connects
+        first, then all launch frames go out and all ``ready`` replies are
+        awaited, so the deadline applies per shard inside one fan-out.
     compress:
         Compress command frames (as checkpoints are) before they hit the
         network — the right trade when workers sit behind a real network

@@ -61,7 +61,7 @@ from repro.cluster import (
     merge_answer,
     shard_query_materials,
 )
-from repro.cluster.backends import ProcessBackend
+from repro.cluster.backends import ProcessBackend, create_backend
 from repro.cluster.worker_protocol import (
     WorkerSession,
     decode_command,
@@ -405,6 +405,140 @@ class TestPartialCreateCleanup:
             while good.active_sessions and time.monotonic() < deadline:
                 time.sleep(0.02)
             assert good.active_sessions == 0  # ...and was stopped again
+
+
+# ------------------------------------------------- concurrent start-up
+@dataclasses.dataclass(frozen=True)
+class _TimedBuilder:
+    """Wire-encodable shard builder that sleeps ``seconds`` on its worker,
+    records when it started and returned, then builds (or explodes)."""
+
+    index: int
+    log_dir: str
+    seconds: float = 0.5
+    explode: bool = False
+
+    def __call__(self):
+        started = time.monotonic()
+        time.sleep(self.seconds)
+        path = os.path.join(self.log_dir, f"shard-{self.index}")
+        with open(path, "w") as out:
+            out.write(f"{started!r} {time.monotonic()!r}")
+        if self.explode:
+            raise RuntimeError("builder exploded on purpose")
+        return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
+
+
+def _builder_spans(log_dir, shards):
+    spans = []
+    for index in range(shards):
+        with open(os.path.join(log_dir, f"shard-{index}")) as record:
+            started, returned = map(float, record.read().split())
+        spans.append((started, returned))
+    return spans
+
+
+def _pipe_backend(name, **options):
+    if name == "shm":
+        from repro.cluster.shm import ShmProcessBackend
+
+        return ShmProcessBackend(**options)
+    return ProcessBackend(**options)
+
+
+def _new_children(before):
+    return [child for child in multiprocessing.active_children()
+            if child.pid not in before]
+
+
+def _await_no_sessions(server):
+    deadline = time.monotonic() + 5.0
+    while server.active_sessions and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return server.active_sessions
+
+
+class TestConcurrentLaunch:
+    """A launch opens every shard's channel, sends every launch frame, then
+    awaits every ``ready``: shards build side by side, and a failure in any
+    phase hangs up and reaps every shard it opened."""
+
+    @pytest.mark.parametrize("backend", ["process", "shm", "socket"])
+    def test_every_builder_starts_before_any_returns(self, backend, tmp_path):
+        shards = 3
+        builders = [_TimedBuilder(index, str(tmp_path))
+                    for index in range(shards)]
+        if backend == "socket":
+            with WorkerServer() as server:
+                launched = create_backend("socket", addresses=[server.address])
+                launched.launch(builders)
+                launched.close()
+        else:
+            launched = _pipe_backend(backend)
+            launched.launch(builders)
+            launched.close()
+        spans = _builder_spans(tmp_path, shards)
+        assert max(start for start, _ in spans) < min(end for _, end in spans)
+
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_missed_ready_deadline_hangs_up_instead_of_waiting_out_shutdown(
+            self, backend, tmp_path):
+        # A forked worker holds its own copy of the parent's pipe end, so
+        # closing the pipe alone never ends it: only the stop frame does.
+        before = {child.pid for child in multiprocessing.active_children()}
+        launched = _pipe_backend(backend, io_timeout=0.3)
+        started = time.monotonic()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(BackendError,
+                               match=r"shard 0 failed to start.*io_timeout"):
+                launched.launch([_TimedBuilder(0, str(tmp_path), seconds=1.0),
+                                 _TimedBuilder(1, str(tmp_path), seconds=0.0)])
+        assert time.monotonic() - started < 3.0
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        assert not _new_children(before)
+
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_worker_failure_mid_fan_out_reaps_every_worker(self, backend,
+                                                           tmp_path):
+        before = {child.pid for child in multiprocessing.active_children()}
+        launched = _pipe_backend(backend)
+        with pytest.raises(BackendError,
+                           match=r"shard 1 failed to start.*exploded"):
+            launched.launch([
+                _TimedBuilder(0, str(tmp_path)),
+                _TimedBuilder(1, str(tmp_path), seconds=0.0, explode=True),
+            ])
+        assert not _new_children(before)
+
+    def test_socket_worker_failure_mid_fan_out_ends_every_session(
+            self, tmp_path):
+        with WorkerServer() as server:
+            launched = create_backend("socket", addresses=[server.address])
+            with pytest.raises(BackendError,
+                               match=r"shard 1 failed to start.*exploded"):
+                launched.launch([
+                    _TimedBuilder(0, str(tmp_path)),
+                    _TimedBuilder(1, str(tmp_path), seconds=0.0, explode=True),
+                ])
+            assert server.sessions_served == 2
+            assert _await_no_sessions(server) == 0
+
+    def test_unreachable_socket_shard_mid_fan_out_ends_every_session(
+            self, tmp_path):
+        with WorkerServer() as server:
+            launched = create_backend(
+                "socket", addresses=[server.address, "127.0.0.1:9"],
+                connect_timeout=0.5)
+            with pytest.raises(BackendError,
+                               match=r"cannot reach worker 127\.0\.0\.1:9 "
+                                     r"for shard 1"):
+                launched.launch([_TimedBuilder(0, str(tmp_path)),
+                                 _TimedBuilder(1, str(tmp_path))])
+            assert server.sessions_served == 1
+            assert _await_no_sessions(server) == 0
+        # Every channel opens before any launch frame goes out.
+        assert not (tmp_path / "shard-0").exists()
 
 
 # --------------------------------------------------- shutdown escalation
