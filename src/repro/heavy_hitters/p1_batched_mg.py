@@ -21,10 +21,9 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Sequence
 
-import numpy as np
-
 from ..sketch.base import aggregate_weighted_batch
 from ..sketch.misra_gries import WeightedMisraGries
+from ..streaming.weight_rounds import FlushRounds
 from ..utils.validation import check_positive_int
 from .base import WeightedHeavyHitterProtocol
 
@@ -39,7 +38,7 @@ class _SiteState:
         self.weight_since_send = 0.0
 
 
-class BatchedMisraGriesProtocol(WeightedHeavyHitterProtocol):
+class BatchedMisraGriesProtocol(FlushRounds, WeightedHeavyHitterProtocol):
     """Weighted heavy hitters protocol P1 (batched Misra–Gries).
 
     Parameters
@@ -69,8 +68,7 @@ class BatchedMisraGriesProtocol(WeightedHeavyHitterProtocol):
         self._coordinator_summary: WeightedMisraGries[Hashable] = WeightedMisraGries(
             self._num_counters
         )
-        self._coordinator_weight = 0.0      # W_C: total weight of received summaries
-        self._broadcast_weight = 0.0        # Ŵ: last broadcast estimate
+        self._init_rounds()
 
     #: Checkpoint-contract version of this class's state layout (see
     #: :mod:`repro.utils.stateio`); bump on incompatible changes.
@@ -87,93 +85,45 @@ class BatchedMisraGriesProtocol(WeightedHeavyHitterProtocol):
         """Misra–Gries counters per site (and at the coordinator)."""
         return self._num_counters
 
-    @property
-    def broadcast_weight(self) -> float:
-        """The current global weight estimate ``Ŵ`` known to all sites."""
-        return self._broadcast_weight
-
-    def _site_threshold(self) -> float:
-        """The site send threshold ``τ = (ε/2m)·Ŵ``."""
-        return (self.epsilon / (2.0 * self.num_sites)) * self._broadcast_weight
-
     # ---------------------------------------------------------------- site side
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
         weight = self._record_observation(weight)
-        state = self._sites[site]
-        state.summary.update(element, weight)
-        state.weight_since_send += weight
-        if state.weight_since_send >= self._site_threshold():
-            self._flush_site(site)
+        self._sites[site].summary.update(element, weight)
+        self._credit_site(site, weight)
 
     def process_batch(self, site: int, elements: Sequence[Hashable],
                       weights: Optional[Sequence[float]] = None) -> None:
         """Vectorized site-batch ingestion.
 
-        The batch is split at flush boundaries with one cumulative-sum scan
-        per segment: the first index where the site's accumulated weight
-        would reach the threshold ``τ = (ε/2m)·Ŵ`` is located vectorized,
-        everything up to (and including) it is folded into the site summary
-        with one aggregated Misra–Gries update, the site flushes, and the
-        scan restarts on the remainder with the refreshed threshold.  Flush
-        *timing* (after which item a summary ships) therefore matches
-        item-at-a-time ingestion up to floating-point accumulation order;
-        only the summary contents follow
-        the aggregated-update semantics of
+        The batch is cut at its flushes (:meth:`_flush_segments`); each
+        segment is folded into the site summary with one aggregated
+        Misra–Gries update before the site flushes.  Flush *timing* (after
+        which item a summary ships) therefore matches item-at-a-time
+        ingestion up to floating-point accumulation order; only the summary
+        contents follow the aggregated-update semantics of
         :meth:`~repro.sketch.misra_gries.WeightedMisraGries.update_batch`.
         """
         weights = self._record_observations(weights, len(elements))
         state = self._sites[site]
-        total = weights.shape[0]
-        if total == 0:
-            return
-        cumulative = np.cumsum(weights)
-        start = 0
-        consumed = 0.0  # cumulative weight of already-ingested prefix
-        while start < total:
-            # First index whose inclusion lifts the site's accumulated weight
-            # to the threshold; the cumsum is monotone, so one binary search
-            # replaces a per-item comparison loop.
-            target = consumed + self._site_threshold() - state.weight_since_send
-            stop = int(np.searchsorted(cumulative, target, side="left"))
-            if stop >= total:
-                segment_weight = float(cumulative[-1]) - consumed
-                state.summary.ingest_aggregated(
-                    *aggregate_weighted_batch(elements[start:], weights[start:]),
-                    segment_weight,
-                )
-                state.weight_since_send += segment_weight
-                return
-            segment_weight = float(cumulative[stop]) - consumed
+        for start, stop, segment_weight, flushes in self._flush_segments(
+                site, weights):
             state.summary.ingest_aggregated(
-                *aggregate_weighted_batch(elements[start:stop + 1],
-                                          weights[start:stop + 1]),
+                *aggregate_weighted_batch(elements[start:stop],
+                                          weights[start:stop]),
                 segment_weight,
             )
-            state.weight_since_send += segment_weight
-            consumed = float(cumulative[stop])
-            self._flush_site(site)
-            start = stop + 1
+            if flushes:
+                self._flush_site(site)
 
     def _flush_site(self, site: int) -> None:
         """Ship the site's summary and accumulated weight to the coordinator."""
         state = self._sites[site]
         units = max(1, len(state.summary)) + 1  # counters plus the weight scalar
         self.network.send_summary(site, units=units, description="MG summary")
-        self._receive_summary(state.summary, state.weight_since_send)
+        self._coordinator_summary.merge_in_place(state.summary)
+        self._receive_weight(state.weight_since_send)
         state.summary = WeightedMisraGries(self._num_counters)
         state.weight_since_send = 0.0
-
-    # --------------------------------------------------------- coordinator side
-    def _receive_summary(self, summary: WeightedMisraGries, weight: float) -> None:
-        self._coordinator_summary.merge_in_place(summary)
-        self._coordinator_weight += weight
-        needs_broadcast = (
-            self._broadcast_weight <= 0.0
-            or self._coordinator_weight / self._broadcast_weight > 1.0 + self.epsilon / 2.0
-        )
-        if needs_broadcast:
-            self._broadcast_weight = self._coordinator_weight
-            self.network.broadcast(description="updated weight estimate")
 
     # ---------------------------------------------------------------- queries
     def estimate(self, element: Hashable) -> float:
@@ -184,9 +134,3 @@ class BatchedMisraGriesProtocol(WeightedHeavyHitterProtocol):
 
     def estimates(self) -> Dict[Hashable, float]:
         return self._coordinator_summary.to_dict()
-
-    def flush_all_sites(self) -> None:
-        """Force every site to ship its pending summary (used by tests)."""
-        for site in range(self.num_sites):
-            if self._sites[site].weight_since_send > 0.0:
-                self._flush_site(site)

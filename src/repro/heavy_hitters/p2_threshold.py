@@ -34,6 +34,7 @@ from ..sketch.space_saving import WeightedSpaceSaving
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
 from ..streaming.protocol import first_crossing, group_elements
+from ..streaming.weight_rounds import ThresholdRounds
 from ..utils.validation import check_positive_int
 from .base import WeightedHeavyHitterProtocol
 
@@ -82,7 +83,7 @@ class _SiteState:
             self.sketch = sketch
 
 
-class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
+class ThresholdedUpdatesProtocol(ThresholdRounds, WeightedHeavyHitterProtocol):
     """Weighted heavy hitters protocol P2 (per-element threshold updates).
 
     Parameters
@@ -107,10 +108,8 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
             site_space = check_positive_int(site_space, name="site_space")
         self._sites: List[_SiteState] = [_SiteState(site_space) for _ in range(num_sites)]
         # Coordinator state.
-        self._estimated_total = 0.0          # Ŵ
+        self._init_rounds()
         self._element_estimates: Dict[Hashable, float] = {}
-        self._scalar_messages_this_round = 0
-        self._rounds_completed = 0
 
     #: Checkpoint-contract version of this class's state layout.
     state_version = 1
@@ -123,20 +122,6 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
         return params
 
     # ------------------------------------------------------------ properties
-    @property
-    def estimated_total(self) -> float:
-        """The coordinator's running total-weight estimate ``Ŵ``."""
-        return self._estimated_total
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of completed rounds (broadcasts of ``Ŵ``)."""
-        return self._rounds_completed
-
-    def _threshold(self) -> float:
-        """The per-site threshold ``(ε/m)·Ŵ``."""
-        return (self.epsilon / self.num_sites) * self._estimated_total
-
     @classmethod
     def default_site_space(cls, num_sites: int, epsilon: float) -> int:
         """The paper's suggested per-site space bound ``O(m/ε)`` in counters."""
@@ -386,16 +371,6 @@ class ThresholdedUpdatesProtocol(WeightedHeavyHitterProtocol):
         if sends:
             self.network.send_batch(site, sends, kind=MessageKind.VECTOR,
                                     description="element updates")
-
-    def _send_total(self, site: int, weight: float) -> None:
-        """Site ships the scalar message ``(total, W_i)``."""
-        self.network.send_scalar(site, description="total weight update")
-        self._estimated_total += weight
-        self._scalar_messages_this_round += 1
-        if self._scalar_messages_this_round >= self.num_sites:
-            self._scalar_messages_this_round = 0
-            self._rounds_completed += 1
-            self.network.broadcast(description="round boundary: new weight estimate")
 
     def _send_element(self, site: int, element: Hashable, delta: float) -> None:
         """Site ships the element update ``(e, Δ_e)``."""

@@ -24,15 +24,15 @@ drivers use a single copy as in the paper.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
-from ..streaming.protocol import first_crossing, group_elements
-from ..utils.rng import SeedLike, as_generator, spawn
+from ..streaming.protocol import group_elements
+from ..streaming.weight_rounds import DoublingRounds
+from ..utils.rng import SeedLike
 from .base import WeightedHeavyHitterProtocol
 
 __all__ = ["RandomizedReportingProtocol"]
@@ -62,7 +62,7 @@ class _SiteState:
         self.weight_at_last_report = 0.0
 
 
-class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
+class RandomizedReportingProtocol(DoublingRounds, WeightedHeavyHitterProtocol):
     """Weighted heavy hitters protocol P4 (randomized reporting).
 
     Parameters
@@ -80,11 +80,9 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
     def __init__(self, num_sites: int, epsilon: float, seed: SeedLike = None,
                  keep_message_records: bool = False):
         super().__init__(num_sites, epsilon, keep_message_records=keep_message_records)
-        self._site_rngs = spawn(as_generator(seed), num_sites)
         self._sites: List[_SiteState] = [_SiteState() for _ in range(num_sites)]
         # Coordinator state.
-        self._reported_weight = 0.0      # sum of site total-weight reports
-        self._broadcast_weight = 0.0     # Ŵ known to the sites
+        self._init_rounds(seed)
         # Latest corrected report per (site, element).
         self._corrected_reports: Dict[Tuple[int, Hashable], float] = {}
         # Latest corrected local-total report per site (the "all items are one
@@ -95,49 +93,26 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
     #: Checkpoint-contract version of this class's state layout.
     state_version = 1
 
-    # ------------------------------------------------------------ properties
-    @property
-    def broadcast_weight(self) -> float:
-        """The global weight estimate ``Ŵ`` currently known to all sites."""
-        return self._broadcast_weight
-
-    def _reporting_rate(self) -> float:
-        """The per-unit-weight reporting rate ``p = 2√m / (ε·Ŵ)`` (capped at 1)."""
-        if self._broadcast_weight <= 0.0:
-            return 1.0
-        rate = 2.0 * math.sqrt(self.num_sites) / (self.epsilon * self._broadcast_weight)
-        return min(1.0, rate)
-
     # ---------------------------------------------------------------- site side
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
         weight = self._record_observation(weight)
-        state = self._sites[site]
-        state.local_counts[element] = state.local_counts.get(element, 0.0) + weight
-        state.local_weight += weight
-        self._maybe_report_total(site, state)
-        rate = self._reporting_rate()
-        send_probability = 1.0 - math.exp(-rate * weight) if rate < 1.0 else 1.0
-        if self._site_rngs[site].uniform(0.0, 1.0) <= send_probability:
-            self._send_element_report(site, element, state.local_counts[element], rate)
+        local_counts = self._sites[site].local_counts
+        local_counts[element] = local_counts.get(element, 0.0) + weight
+        rate = self._flip_coin(site, weight)
+        if rate is not None:
+            self._send_element_report(site, element, local_counts[element], rate)
 
     def process_batch(self, site: int, elements: Sequence[Hashable],
                       weights: Optional[Sequence[float]] = None) -> None:
         """Vectorized site-batch ingestion.
 
-        Two passes, both driven by the fact that the reporting rate ``p``
-        changes only when the coordinator broadcasts a new ``Ŵ`` — which
-        within one site batch can only happen at a local-weight doubling:
-
-        1. Walk the doubling triggers with binary searches on the cumulative
-           weights; between triggers the rate is constant, so every item's
-           reporting coin (one uniform per item — the identical RNG stream
-           as per-item ingestion) is decided vectorized.
-        2. The coordinator keeps only the *latest* corrected report per
-           ``(site, element)``, so per element only the final reporting
-           position matters: group positions by element, compute running
-           local totals with one cumulative sum per element, and overwrite
-           each reported element's entry once.  The vector-message count
-           advances in one batched accounting step.
+        The coins come from one walk of the batch (:meth:`_coin_walk`).  The
+        coordinator keeps only the *latest* corrected report per ``(site,
+        element)``, so per element only the final reporting position
+        matters: group positions by element, compute running local totals
+        with one cumulative sum per element, and overwrite each reported
+        element's entry once.  The vector-message count advances in one
+        batched accounting step.
         """
         weights = self._record_observations(weights, len(elements))
         count = weights.shape[0]
@@ -146,45 +121,7 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
         if not (isinstance(elements, np.ndarray) and elements.ndim == 1):
             elements = _as_element_column(list(elements))
         state = self._sites[site]
-        rng = self._site_rngs[site]
-        uniforms = rng.uniform(0.0, 1.0, size=count)
-        cumulative_weight = state.local_weight + np.cumsum(weights)
-
-        send_mask = np.zeros(count, dtype=bool)
-        rates = np.empty(count, dtype=np.float64)
-        start = 0
-        while start < count:
-            trigger = first_crossing(
-                cumulative_weight,
-                max(1.0, 2.0 * state.weight_at_last_report),
-                start=start)
-            stop = min(trigger, count)
-            if stop > start:
-                rate = self._reporting_rate()
-                segment = slice(start, stop)
-                rates[segment] = rate
-                if rate < 1.0:
-                    send_mask[segment] = (
-                        uniforms[segment] <= 1.0 - np.exp(-rate * weights[segment])
-                    )
-                else:
-                    send_mask[segment] = True
-            if trigger >= count:
-                break
-            # The trigger item reports the doubled total before its coin flip,
-            # so its send probability uses the refreshed rate.  The crossing
-            # guarantees the doubling condition, so the per-item helper fires.
-            state.local_weight = float(cumulative_weight[trigger])
-            self._maybe_report_total(site, state)
-            rate = self._reporting_rate()
-            rates[trigger] = rate
-            if rate < 1.0:
-                probability = 1.0 - math.exp(-rate * float(weights[trigger]))
-                send_mask[trigger] = bool(uniforms[trigger] <= probability)
-            else:
-                send_mask[trigger] = True
-            start = trigger + 1
-        state.local_weight = float(cumulative_weight[-1])
+        send_mask, rates, cumulative_weight = self._coin_walk(site, weights)
 
         send_positions = np.nonzero(send_mask)[0]
         if send_positions.size == 0:
@@ -217,21 +154,6 @@ class RandomizedReportingProtocol(WeightedHeavyHitterProtocol):
         self._corrected_totals[site] = (
             float(cumulative_weight[last_send]) + correction
         )
-
-    def _maybe_report_total(self, site: int, state: _SiteState) -> None:
-        """Report the site's local total weight whenever it has doubled."""
-        if state.local_weight >= max(1.0, 2.0 * state.weight_at_last_report):
-            delta = state.local_weight - state.weight_at_last_report
-            state.weight_at_last_report = state.local_weight
-            self.network.send_scalar(site, description="local weight doubled")
-            self._reported_weight += delta
-            needs_broadcast = (
-                self._broadcast_weight <= 0.0
-                or self._reported_weight >= 2.0 * self._broadcast_weight
-            )
-            if needs_broadcast:
-                self._broadcast_weight = self._reported_weight
-                self.network.broadcast(description="updated global weight estimate")
 
     def _send_element_report(self, site: int, element: Hashable,
                              local_total: float, rate: float) -> None:

@@ -26,6 +26,7 @@ import numpy as np
 
 from ..accel.fd_kernels import check_svd_mode
 from ..sketch.frequent_directions import FrequentDirections
+from ..streaming.weight_rounds import FlushRounds
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
 
@@ -53,10 +54,10 @@ class _SiteState:
             dimension=dimension, sketch_size=sketch_size, svd_mode=svd_mode,
             buffer_multiplier=_fd_buffer_multiplier(svd_mode),
         )
-        self.norm_since_send = 0.0
+        self.weight_since_send = 0.0  # F_i: squared norm since the last flush
 
 
-class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
+class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
     """Matrix tracking protocol P1 (batched Frequent Directions).
 
     Parameters
@@ -106,11 +107,13 @@ class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
             svd_mode=self._svd_mode,
             buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
         )
-        self._coordinator_norm = 0.0   # F_C: squared norm represented at coordinator
-        self._broadcast_norm = 0.0     # F̂: last broadcast estimate
+        self._init_rounds()
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    #: Checkpoint-contract version of this class's state layout (2: the
+    #: rounds keep the heavy-hitter names of
+    #: :class:`~repro.streaming.weight_rounds.FlushRounds`; version 1 is
+    #: refused).
+    state_version = 2
 
     #: Fallback for states checkpointed before the kernel knob existed.
     _svd_mode = "auto"
@@ -131,52 +134,26 @@ class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
         """Compaction kernel used by the FD sketches."""
         return self._svd_mode
 
-    @property
-    def broadcast_norm(self) -> float:
-        """Current global squared-Frobenius estimate ``F̂`` known to all sites."""
-        return self._broadcast_norm
-
-    def _site_threshold(self) -> float:
-        """The site send threshold ``τ = (ε/2m)·F̂``."""
-        return (self.epsilon / (2.0 * self.num_sites)) * self._broadcast_norm
-
     # ---------------------------------------------------------------- site side
     def process(self, site: int, row: np.ndarray) -> None:
         row = self._record_observation(row)
-        state = self._sites[site]
-        state.sketch.update(row)
-        state.norm_since_send += float(np.dot(row, row))
-        if state.norm_since_send >= self._site_threshold():
-            self._flush_site(site)
+        self._sites[site].sketch.update(row)
+        self._credit_site(site, float(np.dot(row, row)))
 
     def process_batch(self, site: int, rows: np.ndarray) -> None:
         """Vectorized site-batch ingestion.
 
-        Mirrors the per-row path exactly: a cumulative-sum scan over the
-        batch's squared row norms locates the first index where the site's
-        accumulated norm reaches the threshold ``τ = (ε/2m)·F̂``, the rows up
-        to (and including) it are block-appended to the site's FD sketch
-        (bit-identical to per-row appends), the site flushes, and the scan
-        restarts with the refreshed threshold.
+        The batch is cut at its flushes (:meth:`_flush_segments`, over the
+        squared row norms); each segment is block-appended to the site's FD
+        sketch (bit-identical to per-row appends) before the site flushes.
         """
         rows = self._record_observations(rows)
-        state = self._sites[site]
+        sketch = self._sites[site].sketch
         norms = np.einsum("ij,ij->i", rows, rows)
-        total = rows.shape[0]
-        start = 0
-        while start < total:
-            threshold = self._site_threshold()
-            cumulative = state.norm_since_send + np.cumsum(norms[start:])
-            crossings = np.nonzero(cumulative >= threshold)[0]
-            if crossings.size == 0:
-                state.sketch.append_batch(rows[start:])
-                state.norm_since_send = float(cumulative[-1])
-                return
-            stop = int(crossings[0])
-            state.sketch.append_batch(rows[start:start + stop + 1])
-            state.norm_since_send = float(cumulative[stop])
-            self._flush_site(site)
-            start += stop + 1
+        for start, stop, _, flushes in self._flush_segments(site, norms):
+            sketch.append_batch(rows[start:stop])
+            if flushes:
+                self._flush_site(site)
 
     def _flush_site(self, site: int) -> None:
         """Ship the site's sketch rows and accumulated squared norm."""
@@ -185,21 +162,10 @@ class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
         row_count = max(1, sketch_rows.shape[0])
         self.network.send_vector(site, units=row_count, description="FD sketch rows")
         self.network.send_scalar(site, description="site squared norm")
-        self._receive(sketch_rows, state.norm_since_send)
-        state.sketch.reset()
-        state.norm_since_send = 0.0
-
-    # --------------------------------------------------------- coordinator side
-    def _receive(self, sketch_rows: np.ndarray, norm: float) -> None:
         self._coordinator_sketch.append_batch(sketch_rows)
-        self._coordinator_norm += norm
-        needs_broadcast = (
-            self._broadcast_norm <= 0.0
-            or self._coordinator_norm / self._broadcast_norm > 1.0 + self.epsilon / 2.0
-        )
-        if needs_broadcast:
-            self._broadcast_norm = self._coordinator_norm
-            self.network.broadcast(description="updated norm estimate")
+        self._receive_weight(state.weight_since_send)
+        state.sketch.reset()
+        state.weight_since_send = 0.0
 
     # ---------------------------------------------------------------- queries
     def sketch_matrix(self) -> np.ndarray:
@@ -208,10 +174,4 @@ class BatchedFrequentDirectionsProtocol(MatrixTrackingProtocol):
         return self._coordinator_sketch.compacted_view()
 
     def estimated_squared_frobenius(self) -> float:
-        return self._coordinator_norm
-
-    def flush_all_sites(self) -> None:
-        """Force every site to ship its pending sketch (used by tests)."""
-        for site in range(self.num_sites):
-            if self._sites[site].norm_since_send > 0.0:
-                self._flush_site(site)
+        return self._coordinator_weight

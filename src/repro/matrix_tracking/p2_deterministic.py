@@ -56,6 +56,7 @@ import numpy as np
 from ..accel.fd_kernels import check_svd_mode, spectral_decomposition
 from ..sketch.frequent_directions import FrequentDirections
 from ..streaming.protocol import first_crossing
+from ..streaming.weight_rounds import ThresholdRounds
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
 from .p1_batched_fd import _fd_buffer_multiplier
@@ -125,15 +126,14 @@ class _SiteState:
         self.filled = 0
 
 
-class DeterministicDirectionProtocol(MatrixTrackingProtocol):
+class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
     """Matrix tracking protocol P2 (deterministic direction thresholds).
 
     The coordinator's ``B`` is one float64 row buffer plus a row count:
     :meth:`sketch_matrix` returns an owned copy of the live rows,
     :meth:`covariance` and :meth:`squared_norm_along` read them in place,
-    and a checkpoint (state version 3) writes exactly those rows as one
-    array.  Version-2 states, which kept ``B`` as a list of rows, are
-    refused.
+    and a checkpoint (state version 4) writes exactly those rows as one
+    array.  Older states are refused.
 
     Parameters
     ----------
@@ -165,9 +165,7 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                          keep_message_records=keep_message_records)
         self._svd_mode = check_svd_mode(svd_mode)
         self._sites = [_SiteState(dimension) for _ in range(num_sites)]
-        self._estimated_norm = 0.0               # F̂
-        self._scalar_messages_this_round = 0
-        self._rounds_completed = 0
+        self._init_rounds()                      # F̂ is the rounds' Ŵ
         # B is ``_coordinator_rows[:_coordinator_count]``, in arrival order.
         self._coordinator_rows = np.zeros((0, dimension))
         self._coordinator_count = 0
@@ -180,30 +178,23 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                 buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
             )
 
-    #: Checkpoint-contract version of this class's state layout (3: ``B`` is
-    #: one array of its live rows; version-2 row lists and version-1 site
-    #: row residuals are refused).
-    state_version = 3
+    #: Checkpoint-contract version of this class's state layout (4: the
+    #: rounds keep the heavy-hitter names of
+    #: :class:`~repro.streaming.weight_rounds.ThresholdRounds`; version 3
+    #: named them after the norm, version 2 kept ``B`` as a list of rows and
+    #: version 1 kept site residuals as rows — all are refused).
+    state_version = 4
 
     # ------------------------------------------------------------ properties
     @property
     def estimated_norm(self) -> float:
         """The coordinator's running estimate ``F̂`` of ``‖A‖²_F``."""
-        return self._estimated_norm
-
-    @property
-    def rounds_completed(self) -> int:
-        """Number of completed rounds (broadcasts of ``F̂``)."""
-        return self._rounds_completed
+        return self._estimated_total
 
     @property
     def svd_mode(self) -> str:
         """Spectral kernel used by the site decompositions."""
         return self._svd_mode
-
-    def _threshold(self) -> float:
-        """The direction/scalar threshold ``(ε/m)·F̂``."""
-        return (self.epsilon / self.num_sites) * self._estimated_norm
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, row: np.ndarray) -> None:
@@ -212,7 +203,7 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
         row_norm = float(np.dot(row, row))
         state.norm_since_scalar += row_norm
         if state.norm_since_scalar >= self._threshold():
-            self._send_scalar(site, state.norm_since_scalar)
+            self._send_total(site, state.norm_since_scalar)
             state.norm_since_scalar = 0.0
         state.append(row[np.newaxis, :])
         state.top_bound += row_norm
@@ -261,7 +252,7 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
                 return
             row_norm = float(norms[trigger])
             if trigger == scalar_at:
-                self._send_scalar(site, state.norm_since_scalar + row_norm)
+                self._send_total(site, state.norm_since_scalar + row_norm)
                 state.norm_since_scalar = 0.0
             else:
                 state.norm_since_scalar += row_norm
@@ -310,16 +301,6 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
             state.keep(np.sqrt(squared[count:, np.newaxis]) * vt[count:])
         state.top_bound = float(squared[count]) if count < squared.size else 0.0
 
-    def _send_scalar(self, site: int, norm: float) -> None:
-        """Ship the scalar message ``F_j``."""
-        self.network.send_scalar(site, description="site squared norm")
-        self._estimated_norm += norm
-        self._scalar_messages_this_round += 1
-        if self._scalar_messages_this_round >= self.num_sites:
-            self._scalar_messages_this_round = 0
-            self._rounds_completed += 1
-            self.network.broadcast(description="round boundary: new norm estimate")
-
     # --------------------------------------------------------- coordinator side
     def _receive_direction(self, direction_row: np.ndarray) -> None:
         if self._coordinator_sketch is not None:
@@ -347,7 +328,7 @@ class DeterministicDirectionProtocol(MatrixTrackingProtocol):
         return self._sketch_view().copy()
 
     def estimated_squared_frobenius(self) -> float:
-        return self._estimated_norm
+        return self._estimated_total
 
     # ------------------------------------------------------------ checkpoint
     def get_state(self, copy_data: bool = True) -> Dict[str, Any]:

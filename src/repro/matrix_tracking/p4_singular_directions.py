@@ -1,21 +1,25 @@
 """Matrix protocol P4: randomized singular-direction updates (Appendix C).
 
 This is the paper's *negative result*: the natural matrix analogue of the
-randomized heavy-hitters protocol P4.  Each site ``j`` keeps the exact
-covariance of its local rows and an approximation ``Â_j`` that is also known
-to the coordinator.  With probability ``p̄ = 1 − e^{−p‖a‖²}`` (where
-``p = 2√m/(ε·F̂)``) the site reports, for every right singular vector ``v_i``
-of ``Â_j``, the updated squared norm ``‖A_j v_i‖² + 1/p`` — a single vector
-message ``z`` of length ``d`` — and both parties set ``Â_j = diag(z)·Vᵀ``.
+randomized heavy-hitters protocol P4, run on the same doubling rounds and
+per-arrival coin (:class:`~repro.streaming.weight_rounds.DoublingRounds`)
+with a row's ``‖a‖²`` as its weight.  Each site ``j`` keeps an
+approximation ``Â_j`` that is also known to the coordinator.  With
+probability ``p̄ = 1 − e^{−p‖a‖²}`` (where ``p = 2√m/(ε·F̂)``) the site
+reports, for every right singular vector ``v_i`` of ``Â_j``, the updated
+squared norm ``‖A_j v_i‖² + 1/p`` — a single vector message ``z`` of length
+``d`` — and both parties set ``Â_j = diag(z)·Vᵀ``.
 
 Because such an update rescales the energy along the *existing* right
 singular vectors but never rotates them (the right singular vectors of
 ``Z·Vᵀ`` are again the columns of ``V``), the approximation basis stays at
-its initial value forever.  Along directions that are not in that basis the
-error is uncontrolled, which is exactly why the paper shows this protocol
-cannot match the guarantees of P1–P3 — Figures 6 and 7 demonstrate the error
-blow-up on real data, and the benchmark drivers reproduce those figures with
-this implementation.
+its initial value, the standard basis, forever.  So ``‖A_j v_i‖²`` is the
+energy of column ``i`` of ``A_j``: a site keeps those ``d`` column energies
+(``O(d)`` work per row) and ``Â_j = diag(z)``.  Along directions that are
+not in that basis the error is uncontrolled, which is exactly why the paper
+shows this protocol cannot match the guarantees of P1–P3 — Figures 6 and 7
+demonstrate the error blow-up on real data, and the benchmark drivers
+reproduce those figures with this implementation.
 
 Communication is ``O((√m/ε)·log(βN))`` messages (as for heavy hitters P4),
 which is why the approach would be attractive if it worked.
@@ -23,14 +27,13 @@ which is why the approach would be attractive if it worked.
 
 from __future__ import annotations
 
-import math
 from typing import List
 
 import numpy as np
 
 from ..streaming.network import MessageKind
-from ..streaming.protocol import first_crossing
-from ..utils.rng import SeedLike, as_generator, spawn
+from ..streaming.weight_rounds import DoublingRounds
+from ..utils.rng import SeedLike
 from .base import MatrixTrackingProtocol
 
 __all__ = ["SingularDirectionUpdateProtocol"]
@@ -40,16 +43,13 @@ class _SiteState:
     """Per-site state for the appendix-C protocol."""
 
     def __init__(self, dimension: int):
-        self.covariance = np.zeros((dimension, dimension))   # A_jᵀA_j (exact)
-        self.local_norm = 0.0                                 # ‖A_j‖²_F
-        self.norm_at_last_report = 0.0
-        # Right singular basis of the approximation; never rotates (see module
-        # docstring) so it stays at the standard basis it is initialised with.
-        self.basis = np.eye(dimension)
-        self.scales = np.zeros(dimension)                     # z values
+        self.energies = np.zeros(dimension)   # ‖A_j e_i‖², the column energies
+        self.local_weight = 0.0                # ‖A_j‖²_F
+        self.weight_at_last_report = 0.0
+        self.scales = np.zeros(dimension)     # z values: Â_j = diag(z)
 
 
-class SingularDirectionUpdateProtocol(MatrixTrackingProtocol):
+class SingularDirectionUpdateProtocol(DoublingRounds, MatrixTrackingProtocol):
     """Matrix tracking protocol P4 (appendix C; known to be unsound).
 
     Parameters
@@ -71,158 +71,75 @@ class SingularDirectionUpdateProtocol(MatrixTrackingProtocol):
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
-        self._site_rngs = spawn(as_generator(seed), num_sites)
         self._sites: List[_SiteState] = [_SiteState(dimension) for _ in range(num_sites)]
-        self._reported_norm = 0.0     # sum of site norm reports
-        self._broadcast_norm = 0.0    # F̂ known to the sites
+        self._init_rounds(seed)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    #: Checkpoint-contract version of this class's state layout (2: column
+    #: energies instead of a covariance and a basis, and the rounds under the
+    #: heavy-hitter names of :class:`~repro.streaming.weight_rounds.DoublingRounds`;
+    #: version 1 is refused).
+    state_version = 2
 
-    # ------------------------------------------------------------ properties
-    @property
-    def broadcast_norm(self) -> float:
-        """The global squared-Frobenius estimate ``F̂`` known to all sites."""
-        return self._broadcast_norm
-
-    def _reporting_rate(self) -> float:
-        """The reporting rate ``p = 2√m / (ε·F̂)`` (capped at 1)."""
-        if self._broadcast_norm <= 0.0:
-            return 1.0
-        rate = 2.0 * math.sqrt(self.num_sites) / (self.epsilon * self._broadcast_norm)
-        return min(1.0, rate)
+    #: A row's squared norm may be far below 1: the first report waits for
+    #: any positive total.
+    _first_report = 1e-12
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, row: np.ndarray) -> None:
         row = self._record_observation(row)
         state = self._sites[site]
-        weight = float(np.dot(row, row))
-        state.covariance += np.outer(row, row)
-        state.local_norm += weight
-        self._maybe_report_norm(site, state)
-        rate = self._reporting_rate()
-        send_probability = 1.0 - math.exp(-rate * weight) if rate < 1.0 else 1.0
-        if self._site_rngs[site].uniform(0.0, 1.0) <= send_probability:
-            self._send_direction_update(site, state, rate)
+        state.energies += row * row
+        rate = self._flip_coin(site, float(np.dot(row, row)))
+        if rate is not None:
+            self.network.send_vector(site, description="direction-norm vector z")
+            self._set_scales(state, state.energies, rate)
 
     def process_batch(self, site: int, rows: np.ndarray) -> None:
         """Vectorized site-batch ingestion.
 
-        The reporting rate changes only at a local-norm doubling, so the
-        batch is walked trigger-to-trigger with binary searches on the
-        cumulative squared norms, and every row's reporting coin (one
-        uniform per row — the identical RNG stream as per-item ingestion)
-        is decided vectorized within each constant-rate segment.  A
+        The coins come from one walk of the batch (:meth:`_coin_walk`).  A
         direction update overwrites the site's scale vector wholesale, so
-        only the *last* reporting row's covariance snapshot matters: the
-        per-row outer-product accumulation collapses to one BLAS product up
-        to that row (and one for the full batch), with the message
-        accounting advanced in one batched step.
+        only the *last* reporting row's column energies matter: the per-row
+        accumulation collapses to one column sum up to that row (and one for
+        the rest), with the message accounting advanced in one batched step.
         """
         rows = self._record_observations(rows)
-        count = rows.shape[0]
-        if count == 0:
+        if rows.shape[0] == 0:
             return
         state = self._sites[site]
-        rng = self._site_rngs[site]
-        norms = np.einsum("ij,ij->i", rows, rows)
-        uniforms = rng.uniform(0.0, 1.0, size=count)
-        cumulative_norm = state.local_norm + np.cumsum(norms)
-
-        send_mask = np.zeros(count, dtype=bool)
-        rates = np.empty(count, dtype=np.float64)
-        start = 0
-        while start < count:
-            trigger = first_crossing(
-                cumulative_norm,
-                max(1e-12, 2.0 * state.norm_at_last_report),
-                start=start)
-            stop = min(trigger, count)
-            if stop > start:
-                rate = self._reporting_rate()
-                segment = slice(start, stop)
-                rates[segment] = rate
-                if rate < 1.0:
-                    send_mask[segment] = (
-                        uniforms[segment] <= 1.0 - np.exp(-rate * norms[segment])
-                    )
-                else:
-                    send_mask[segment] = True
-            if trigger >= count:
-                break
-            # The trigger row reports the doubled norm before its coin flip,
-            # so its send probability uses the refreshed rate.  The crossing
-            # guarantees the doubling condition, so the per-item helper fires.
-            state.local_norm = float(cumulative_norm[trigger])
-            self._maybe_report_norm(site, state)
-            rate = self._reporting_rate()
-            rates[trigger] = rate
-            if rate < 1.0:
-                probability = 1.0 - math.exp(-rate * float(norms[trigger]))
-                send_mask[trigger] = bool(uniforms[trigger] <= probability)
-            else:
-                send_mask[trigger] = True
-            start = trigger + 1
-        state.local_norm = float(cumulative_norm[-1])
-
+        send_mask, rates, _ = self._coin_walk(
+            site, np.einsum("ij,ij->i", rows, rows))
         send_positions = np.nonzero(send_mask)[0]
-        if send_positions.size:
-            last = int(send_positions[-1])
-            self.network.send_batch(site, int(send_positions.size),
-                                    kind=MessageKind.VECTOR,
-                                    description="direction-norm vector z")
-            covariance_at_send = (
-                state.covariance + rows[:last + 1].T @ rows[:last + 1]
-            )
-            rate = float(rates[last])
-            correction = (1.0 / rate) if rate < 1.0 else 0.0
-            energies = np.einsum("ij,jk,ik->i", state.basis.T,
-                                 covariance_at_send, state.basis.T)
-            state.scales = np.sqrt(np.maximum(energies + correction, 0.0))
-            state.covariance = (
-                covariance_at_send + rows[last + 1:].T @ rows[last + 1:]
-            )
-        else:
-            state.covariance += rows.T @ rows
+        if send_positions.size == 0:
+            state.energies += np.einsum("ij,ij->j", rows, rows)
+            return
+        last = int(send_positions[-1])
+        self.network.send_batch(site, int(send_positions.size),
+                                kind=MessageKind.VECTOR,
+                                description="direction-norm vector z")
+        head, tail = rows[:last + 1], rows[last + 1:]
+        energies_at_send = state.energies + np.einsum("ij,ij->j", head, head)
+        self._set_scales(state, energies_at_send, float(rates[last]))
+        state.energies = energies_at_send + np.einsum("ij,ij->j", tail, tail)
 
-    def _maybe_report_norm(self, site: int, state: _SiteState) -> None:
-        """Report the site's local squared norm whenever it has doubled."""
-        if state.local_norm >= max(1e-12, 2.0 * state.norm_at_last_report):
-            delta = state.local_norm - state.norm_at_last_report
-            state.norm_at_last_report = state.local_norm
-            self.network.send_scalar(site, description="local norm doubled")
-            self._reported_norm += delta
-            needs_broadcast = (
-                self._broadcast_norm <= 0.0
-                or self._reported_norm >= 2.0 * self._broadcast_norm
-            )
-            if needs_broadcast:
-                self._broadcast_norm = self._reported_norm
-                self.network.broadcast(description="updated global norm estimate")
-
-    def _send_direction_update(self, site: int, state: _SiteState, rate: float) -> None:
-        """Ship the length-``d`` vector of per-direction norms ``z``."""
-        self.network.send_vector(site, description="direction-norm vector z")
+    @staticmethod
+    def _set_scales(state: _SiteState, energies: np.ndarray, rate: float) -> None:
+        """``z_i² = ‖A_j e_i‖² + 1/p``: the scales the site ships and both keep."""
         correction = (1.0 / rate) if rate < 1.0 else 0.0
-        # z_i² = ‖A_j v_i‖² + 1/p, computed from the exact local covariance.
-        energies = np.einsum("ij,jk,ik->i", state.basis.T, state.covariance, state.basis.T)
         state.scales = np.sqrt(np.maximum(energies + correction, 0.0))
 
     # ---------------------------------------------------------------- queries
     def sketch_matrix(self) -> np.ndarray:
-        blocks = []
-        for state in self._sites:
-            if not np.any(state.scales):
-                continue
-            blocks.append(state.scales[:, np.newaxis] * state.basis.T)
+        blocks = [np.diag(state.scales) for state in self._sites
+                  if np.any(state.scales)]
         if not blocks:
             return np.zeros((0, self.dimension))
         return np.vstack(blocks)
 
     def estimated_squared_frobenius(self) -> float:
-        if self._reported_norm > 0.0:
-            return self._reported_norm
-        return self._broadcast_norm
+        if self._reported_weight > 0.0:
+            return self._reported_weight
+        return self._broadcast_weight
 
     def covariance_error_bound(self):
         """Appendix C's point: this protocol achieves no ``ε·‖A‖²_F`` bound."""

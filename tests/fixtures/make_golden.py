@@ -11,11 +11,12 @@ answering exactly the recorded answers — in every later build, or CI fails
 and the format bump must be made explicit (new ``CHECKPOINT_VERSION`` /
 ``WIRE_VERSION`` plus a migration note).
 
-A second kind of fixture pins a **refusal**: ``matrix_p2_v2.ckpt`` is a
-``matrix/P2`` checkpoint in a state layout a later build retired, and that
-build must refuse it with an error naming the class.  Such a fixture can
-only be written by the last build of its layout, so it is not part of the
-default run; write it, named by the running build's P2 state version, with::
+A second kind of fixture pins a **refusal**: ``matrix_p2_v2.ckpt`` and
+``matrix_p2_v3.ckpt`` are ``matrix/P2`` checkpoints in state layouts later
+builds retired, and those builds must refuse them with an error naming the
+class.  Such a fixture can only be written by the last build of its layout,
+so it is not part of the default run; write it, named by the running
+build's P2 state version, with::
 
     PYTHONPATH=src python tests/fixtures/make_golden.py --p2-state
 

@@ -317,6 +317,40 @@ class TestMatrixProtocolEquivalence:
         assert np.allclose(batched.sketch_matrix(), reference.sketch_matrix())
         assert batched.approximation_error() <= 0.2 + 1e-9
 
+    @pytest.mark.parametrize("factory", [
+        BatchedFrequentDirectionsProtocol,
+        DeterministicDirectionProtocol,
+        lambda **params: SingularDirectionUpdateProtocol(seed=5, **params),
+    ], ids=["P1", "P2", "P4"])
+    def test_zero_rows_leave_the_threshold_met(self, factory):
+        """A leading zero row triggers at ``Ŵ = 0``, so the threshold stays
+        met: each later row of the batch triggers again, as it does per row.
+        P1 and P2 send the same log in the same order; P4's batch kernel
+        decides all coins before it ships vectors, so only counts agree."""
+        rows = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        params = dict(num_sites=1, dimension=3, epsilon=0.1,
+                      keep_message_records=True)
+        batched = factory(**params)
+        batched.process_batch(0, rows)
+        reference = factory(**params)
+        for row in rows:
+            reference.process(0, row)
+
+        def log(protocol):
+            return [(record.direction, record.kind, record.site, record.units)
+                    for record in protocol.network.log]
+
+        if isinstance(batched, SingularDirectionUpdateProtocol):
+            assert sorted(log(batched), key=repr) \
+                == sorted(log(reference), key=repr)
+        else:
+            assert log(batched) == log(reference)
+        assert batched.message_counts() == reference.message_counts()
+        assert batched.estimated_squared_frobenius() \
+            == reference.estimated_squared_frobenius() == 1.0
+        np.testing.assert_array_equal(batched.sketch_matrix(),
+                                      reference.sketch_matrix())
+
 
 class TestObserveBatchValidation:
     def test_rejects_mismatched_site_ids(self):

@@ -152,6 +152,26 @@ class TestMatrixProtocolP4:
         assert rows % low_rank_dataset.dimension == 0
         assert rows <= 4 * low_rank_dataset.dimension
 
+    @pytest.mark.parametrize("batched", [False, True], ids=["item", "batch"])
+    def test_z_is_the_column_energies(self, batched):
+        # The basis never rotates from e_1..e_d, so z_i² = ‖A e_i‖² + 1/p.
+        # ‖A‖²_F stays below 2/ε here, so p stays capped at 1 (no 1/p, every
+        # row reports), and the dyadic entries make every z_i exact: BᵀB is
+        # exactly diag(AᵀA), whatever AᵀA holds off the diagonal.
+        rows = np.array([[0.75, 0.375, 0.5],
+                         [1.0, 0.5, 0.0]])
+        gram = rows.T @ rows
+        assert np.count_nonzero(gram - np.diag(np.diag(gram))) > 0
+        protocol = SingularDirectionUpdateProtocol(
+            num_sites=1, dimension=3, epsilon=0.5, seed=0)
+        if batched:
+            protocol.process_batch(0, rows)
+        else:
+            feed(protocol, rows)
+        assert protocol._reporting_rate() == 1.0
+        np.testing.assert_array_equal(protocol.covariance(),
+                                      np.diag(np.diag(gram)))
+
 
 class TestCentralizedBaselines:
     def test_svd_baseline_exact_without_rank(self, low_rank_dataset):

@@ -43,6 +43,8 @@ randomized, seed-parameterized properties, now that *every* protocol class
 * **Cross-family identity** — the paper's Section 5.3 reduction: matrix
   P3/P3wr *is* heavy-hitters P3/P3wr on item weight ``‖a‖²``, so the two
   families fed the same weights under the same seed take the same decisions.
+  P1, P2 and P4 share their weight rounds the same way: the twins send the
+  same scalars and broadcasts and hold the same weight estimate.
 
 Seeds come from ``REPRO_PROPERTY_SEEDS`` (comma-separated ints; CI pins
 three) so the properties can be re-rolled without editing the file.
@@ -438,6 +440,85 @@ class TestCrossFamilyIdentity:
             assert matrix.estimated_squared_frobenius() \
                 == hh.estimated_total_weight()
         assert hh.rounds_completed > 0  # the stream outgrew the first round
+
+    @staticmethod
+    def _run_twins(spec, chunk, stream_seed, check, **params):
+        """Feed ``hh/<spec>`` items ``(i, w_i)`` and ``matrix/<spec>`` rows
+        ``√w_i·e_j`` side by side, calling ``check(hh, matrix)`` after every
+        step.  The weights are the exact ``(k/4)²`` of the test above."""
+        _, batch, sites = hh_stream(stream_seed)
+        roots = np.floor(np.sqrt(batch.weights) * 4.0) / 4.0
+        items = WeightedItemBatch(elements=np.arange(len(batch)),
+                                  weights=roots * roots)
+        dimension = 6
+        rows = np.zeros((len(batch), dimension))
+        rows[np.arange(len(batch)), np.arange(len(batch)) % dimension] = roots
+        hh = repro.create(f"hh/{spec}", num_sites=NUM_SITES, epsilon=EPSILON,
+                          **params)
+        matrix = repro.create(f"matrix/{spec}", num_sites=NUM_SITES,
+                              dimension=dimension, epsilon=EPSILON, **params)
+        step = chunk or 50
+        for start in range(0, len(batch), step):
+            stop = start + step
+            if chunk is None:
+                for index in range(start, min(stop, len(batch))):
+                    hh.observe(int(sites[index]), items[index])
+                    matrix.observe(int(sites[index]), rows[index])
+            else:
+                hh.observe_batch(sites[start:stop], items[start:stop])
+                matrix.observe_batch(sites[start:stop], rows[start:stop])
+            check(hh, matrix)
+        return hh, matrix
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["item", "batch"])
+    def test_matrix_p1_rounds_are_hh_p1_rounds(self, chunk, seed):
+        """P1: a flush is an MG summary or an FD sketch plus its scalar."""
+        def flushes(protocol, kind):
+            return sum(record.kind is kind for record in protocol.network.log)
+
+        def check(hh, matrix):
+            assert flushes(matrix, MessageKind.SCALAR) \
+                == flushes(hh, MessageKind.SUMMARY)
+            assert matrix.message_counts()["kind_broadcast"] \
+                == hh.message_counts()["kind_broadcast"]
+            assert matrix.broadcast_weight == hh.broadcast_weight
+            assert matrix.estimated_squared_frobenius() \
+                == hh.estimated_total_weight()
+
+        hh, _ = self._run_twins("P1", chunk, seed, check,
+                                keep_message_records=True)
+        assert hh.message_counts()["kind_broadcast"] > NUM_SITES
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["item", "batch"])
+    def test_matrix_p2_rounds_are_hh_p2_rounds(self, chunk, seed):
+        """P2: only the vector messages (element updates against heavy
+        directions) differ."""
+        def check(hh, matrix):
+            for kind in ("kind_scalar", "kind_broadcast"):
+                assert matrix.message_counts().get(kind) \
+                    == hh.message_counts().get(kind)
+            assert matrix.rounds_completed == hh.rounds_completed
+            assert matrix.estimated_norm == hh.estimated_total
+
+        hh, _ = self._run_twins("P2", chunk, seed, check)
+        assert hh.rounds_completed > 0
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("chunk", [None, 64], ids=["item", "batch"])
+    def test_matrix_p4_rounds_are_hh_p4_rounds(self, chunk, seed):
+        """P4: the same doubling reports and the same coins, so the same
+        messages; every weight is at least 1, so the two first-report floors
+        never differ."""
+        def check(hh, matrix):
+            matrix_counts = matrix.message_counts()
+            matrix_counts.pop("sketch_rows")
+            assert matrix_counts == hh.message_counts()
+            assert matrix.broadcast_weight == hh.broadcast_weight
+
+        hh, _ = self._run_twins("P4", chunk, seed, check, seed=seed + 101)
+        assert hh.message_counts()["kind_broadcast"] > NUM_SITES
 
 
 class TestPaperBounds:

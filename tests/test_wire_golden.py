@@ -10,9 +10,9 @@ changes bump ``CHECKPOINT_VERSION``/``WIRE_VERSION`` and regenerate the
 fixtures via ``tests/fixtures/make_golden.py`` (committing new files *next
 to* the old ones when the old version remains loadable).
 
-``matrix_p2_v2.ckpt`` pins the opposite: a ``matrix/P2`` state layout that
-a later build retired, which every build since must refuse, naming the
-class, rather than resume.
+``matrix_p2_v2.ckpt`` and ``matrix_p2_v3.ckpt`` pin the opposite:
+``matrix/P2`` state layouts that later builds retired, which every build
+since must refuse, naming the class, rather than resume.
 
 The recorded answers are BLAS-free arithmetic (counter sums, sampling
 draws, Frobenius accumulation), so exact float equality is portable.
@@ -106,16 +106,22 @@ def test_versions_recorded_match_this_build(golden):
     assert WIRE_BASE_VERSION <= golden["wire_version"] <= WIRE_VERSION
 
 
-@pytest.mark.parametrize("spec, params", [("hh/P3wr", {}),
-                                          ("matrix/P3wr", {"dimension": 3})])
+@pytest.mark.parametrize("spec, params", [
+    ("hh/P3wr", {"num_samplers": 4, "seed": 0}),
+    ("matrix/P3wr", {"dimension": 3, "num_samplers": 4, "seed": 0}),
+    ("matrix/P1", {"dimension": 3}),
+    ("matrix/P4", {"dimension": 3, "seed": 0}),
+])
 def test_version_1_with_replacement_sampling_state_is_refused(spec, params):
-    """P3wr states captured before the sampler slots and exact-mode
-    bookkeeping moved to ``streaming/priority_sampling.py`` (state version 1)
-    have a different layout: they must fail loudly, naming the class, never
-    resume.  The without-replacement classes kept their layout and version —
-    ``matrix_p3_v1.ckpt`` above still loads."""
-    protocol = repro.create(spec, num_sites=2, epsilon=0.5, num_samplers=4,
-                            seed=0, **params)
+    """States captured before a class's layout moved to a shared module
+    (state version 1) must fail loudly, naming the class, never resume.
+    For P3wr the sampler slots and exact-mode bookkeeping moved to
+    ``streaming/priority_sampling.py``; the without-replacement classes
+    kept their layout and version — ``matrix_p3_v1.ckpt`` above still
+    loads.  For ``matrix/P1`` and ``matrix/P4`` the weight rounds moved to
+    ``streaming/weight_rounds.py`` under the heavy-hitter names (and P4's
+    site covariance and basis became column energies)."""
+    protocol = repro.create(spec, num_sites=2, epsilon=0.5, **params)
     state = protocol.get_state()
     assert state["state_version"] == 2
     state["state_version"] = 1
@@ -159,7 +165,7 @@ def test_version_1_p2_row_residual_is_refused(tmp_path):
                                    epsilon=0.5)
     tracker.push_batch([0, 1, 0, 1], rows)
     state = tracker.protocol.get_state()
-    assert state["state_version"] == 3
+    assert state["state_version"] == 4
     with pytest.raises(StateError, match=name):
         restore_object(_p2_version_1(state))
 
@@ -196,18 +202,25 @@ def _assert_cluster_refuses(path, protocol_state):
     assert name in str(_refusal_cause(refusal))
 
 
-def test_version_2_p2_row_list_is_refused(tmp_path):
-    """``matrix_p2_v2.ckpt`` was written by the last build whose ``matrix/P2``
-    coordinator kept ``B`` as a list of row arrays; this build keeps one
-    array of the live rows.  There is no conversion: the state fails loudly,
-    naming the class — loaded directly, through ``Tracker.load`` and inside
-    a cluster checkpoint — and never resumes."""
+@pytest.mark.parametrize("fixture, version, retired", [
+    # Version 2 kept the coordinator's ``B`` as a list of row arrays.
+    ("matrix_p2_v2.ckpt", 2,
+     lambda data: isinstance(data["_coordinator_rows"], list)),
+    # Version 3 named the rounds' estimate after the norm.
+    ("matrix_p2_v3.ckpt", 3, lambda data: "_estimated_norm" in data),
+])
+def test_version_2_p2_row_list_is_refused(tmp_path, fixture, version, retired):
+    """Each fixture was written by the last build of its ``matrix/P2``
+    state layout; this build keeps ``B`` as one array of the live rows and
+    the rounds under the heavy-hitter names.  There is no conversion: the
+    state fails loudly, naming the class — loaded directly, through
+    ``Tracker.load`` and inside a cluster checkpoint — and never resumes."""
     name = DeterministicDirectionProtocol.__name__
-    fixture = FIXTURES / "matrix_p2_v2.ckpt"
+    fixture = FIXTURES / fixture
     _, payload = unpack_frame(fixture.read_bytes())
     state = payload["protocol"]
-    assert state["state_version"] == 2
-    assert isinstance(state["data"]["_coordinator_rows"], list)
+    assert state["state_version"] == version
+    assert retired(state["data"])
     with pytest.raises(StateError, match=name):
         restore_object(state)
 
