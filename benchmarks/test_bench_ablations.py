@@ -21,6 +21,7 @@ from repro.matrix_tracking import (
     MatrixPrioritySamplingProtocol,
 )
 from repro.data import ZipfianStreamGenerator
+from repro.utils.linalg import covariance_error
 
 
 def _fd_sketch_size_ablation(config):
@@ -33,7 +34,7 @@ def _fd_sketch_size_ablation(config):
         Tracker(protocol).run(dataset.rows)
         rows.append({
             "sketch_size": sketch_size,
-            "err": protocol.approximation_error(),
+            "err": covariance_error(dataset.rows, protocol.sketch_matrix()),
             "bound": 2.0 / sketch_size,
         })
     return rows
@@ -49,7 +50,7 @@ def _sample_size_ablation(config):
         Tracker(protocol).run(dataset.rows)
         rows.append({
             "sample_size": sample_size,
-            "err": protocol.approximation_error(),
+            "err": covariance_error(dataset.rows, protocol.sketch_matrix()),
             "msg": protocol.total_messages,
         })
     return rows
@@ -65,7 +66,7 @@ def _coordinator_compression_ablation(config):
         Tracker(protocol).run(dataset.rows)
         rows.append({
             "coordinator_sketch": sketch_size if sketch_size else "exact",
-            "err": protocol.approximation_error(),
+            "err": covariance_error(dataset.rows, protocol.sketch_matrix()),
             "coordinator_rows": protocol.sketch_matrix().shape[0],
             "msg": protocol.total_messages,
         })

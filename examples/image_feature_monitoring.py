@@ -15,8 +15,11 @@ approximation at the coordinator; the stream arrives in instalments
 after every instalment the typed ``ApproximationError``/``SketchMatrix``
 queries report the sketch quality — demonstrating the continuous-tracking
 property: the approximation is valid at *every* time instant, not just at
-the end.  Midway through, the session is checkpointed to disk and resumed,
-exactly as a long-running monitor surviving a process restart would.
+the end.  matrix/P2 serves that error from its own state (the sites'
+unsent residuals are exactly the mass ``B`` misses), so no party needs the
+descriptors to know it.  Midway through, the session is checkpointed to
+disk and resumed, exactly as a long-running monitor surviving a process
+restart would.
 
 Run with:  python examples/image_feature_monitoring.py
 """

@@ -556,34 +556,33 @@ class FrobeniusSquared(Query):
 class ApproximationError(Query):
     """The paper's ``err`` metric ``‖AᵀA − BᵀB‖₂ / ‖A‖²_F`` right now.
 
-    Uses the ground-truth accumulators the base class maintains for
-    evaluation, so this is a *measured* error, not an estimate; the
-    ``error_bound`` of the answer is the guarantee it should satisfy.
+    Served from protocol state alone: a protocol whose state proves the
+    missing mass ``AᵀA − BᵀB`` and ``‖A‖²_F`` exactly (matrix/P2 without a
+    coordinator sketch) answers the measured error, and its
+    ``error_bound`` is the guarantee normalised by that ``‖A‖²_F``.  Every
+    other protocol answers ``estimate is None`` — so does a merge in which
+    any shard does.
     """
 
     domain: ClassVar[str] = DOMAIN_MATRIX
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
-        return _matrix_materials(
-            protocol,
-            observed_covariance=protocol.observed_covariance(),
-            observed_f2=protocol.observed_squared_frobenius,
-            covariance=protocol.covariance(),
-        )
+        missing, f2 = protocol.missing_mass() or (None, None)
+        return _matrix_materials(protocol, missing=missing, f2=f2)
 
     def combine(self, parts: Sequence[Dict[str, Any]],
                 missing_shards: Iterable[int] = ()) -> Answer:
         fields = _shared_fields(self, parts, missing_shards)
         bound = fields.pop("error_bound")
-        observed_f2 = _total(parts, "observed_f2")
+        if any(part["missing"] is None for part in parts):
+            return Answer(estimate=None, error_bound=None, **fields)
+        f2 = _total(parts, "f2")
         estimate = 0.0
         normalised: Optional[float] = None
-        if observed_f2 > 0.0:
-            difference = (_total(parts, "observed_covariance")
-                          - _total(parts, "covariance"))
-            estimate = spectral_norm(difference) / observed_f2
+        if f2 > 0.0:
+            estimate = spectral_norm(_total(parts, "missing")) / f2
             if bound is not None:
-                normalised = bound / observed_f2
+                normalised = bound / f2
         return Answer(estimate=estimate, error_bound=normalised, **fields)
 
 

@@ -145,13 +145,13 @@ def load_experiment_dataset(config: MatrixConfig,
 def _matrix_workload(config: MatrixConfig) -> Workload:
     dataset = load_experiment_dataset(config)
     rank = config.rank_for()
+    rows = np.asarray(dataset.rows, dtype=np.float64)
 
     def evaluate(protocol) -> Dict[str, Any]:
-        return {**evaluate_matrix_protocol(protocol).as_dict(), "rank": rank}
+        return {**evaluate_matrix_protocol(protocol, rows).as_dict(), "rank": rank}
 
-    return Workload(np.asarray(dataset.rows, dtype=np.float64), evaluate,
-                    size=dataset.num_rows, dimension=dataset.dimension,
-                    rank=rank)
+    return Workload(rows, evaluate, size=dataset.num_rows,
+                    dimension=dataset.dimension, rank=rank)
 
 
 # ------------------------------------------------- label -> (spec, params) tables

@@ -10,6 +10,9 @@ Heavy hitters (Section 6.1)
 Matrix tracking (Section 6.2)
     * **err** — ``‖AᵀA − BᵀB‖₂ / ‖A‖²_F``,
     * **msg** — number of scalar plus vector messages.
+
+The ground truth (element weights, the matrix ``A``) is always the caller's:
+whoever fed the stream passes it in, since no protocol keeps it.
 """
 
 from __future__ import annotations
@@ -216,7 +219,7 @@ class MatrixEvaluation:
 
 
 def evaluate_matrix_protocol(protocol: MatrixTrackingProtocol,
-                             original: Optional[np.ndarray] = None,
+                             original: np.ndarray,
                              name: Optional[str] = None) -> MatrixEvaluation:
     """Compute err / msg for a matrix protocol that has consumed a stream.
 
@@ -225,18 +228,12 @@ def evaluate_matrix_protocol(protocol: MatrixTrackingProtocol,
     protocol:
         The protocol after the stream has been fed in.
     original:
-        The exact matrix ``A``; if omitted, the protocol's internally tracked
-        ground-truth covariance is used (preferred — it avoids storing ``A``).
+        The exact matrix ``A`` the protocol was fed (ground truth).
     name:
         Label stored in the evaluation record; defaults to the class name.
     """
     sketch = protocol.sketch_matrix()
-    if original is None:
-        error = protocol.approximation_error()
-        true_norm = protocol.observed_squared_frobenius
-    else:
-        error = covariance_error(original, sketch)
-        true_norm = squared_frobenius(original)
+    true_norm = squared_frobenius(original)
     frobenius_error = (
         abs(protocol.estimated_squared_frobenius() - true_norm) / true_norm
         if true_norm > 0.0 else 0.0
@@ -244,7 +241,7 @@ def evaluate_matrix_protocol(protocol: MatrixTrackingProtocol,
     return MatrixEvaluation(
         protocol_name=name if name is not None else type(protocol).__name__,
         epsilon=protocol.epsilon,
-        error=error,
+        error=covariance_error(original, sketch),
         messages=protocol.total_messages,
         sketch_rows=int(sketch.shape[0]),
         frobenius_estimate_error=frobenius_error,

@@ -10,6 +10,9 @@ able to
   estimated relative weight is at least ``φ − ε/2`` (the reporting rule of
   Lemma 1 of the paper), which guarantees every true ``φ``-heavy hitter is
   returned and nothing below ``φ − ε`` is returned.
+
+No party holds the exact ``W``: whoever needs it holds the stream and sums
+its weights (or runs the ``hh/exact`` baseline beside the protocol).
 """
 
 from __future__ import annotations
@@ -75,7 +78,6 @@ class WeightedHeavyHitterProtocol(DistributedProtocol):
                  keep_message_records: bool = False):
         super().__init__(num_sites, keep_message_records=keep_message_records)
         self._epsilon = check_epsilon(epsilon)
-        self._observed_weight = 0.0
 
     # ------------------------------------------------------------ properties
     @property
@@ -83,19 +85,9 @@ class WeightedHeavyHitterProtocol(DistributedProtocol):
         """The approximation parameter ``ε``."""
         return self._epsilon
 
-    @property
-    def observed_weight(self) -> float:
-        """Exact total weight fed into the protocol (ground truth ``W``).
-
-        Maintained for evaluation convenience only; protocol decisions never
-        use it.
-        """
-        return self._observed_weight
-
     def _record_observation(self, weight: float) -> float:
-        """Validate ``weight``, update the ground-truth totals and item count."""
+        """Validate ``weight`` and count the item."""
         weight = check_weight(weight, name="weight")
-        self._observed_weight += weight
         self._count_item()
         return weight
 
@@ -104,11 +96,9 @@ class WeightedHeavyHitterProtocol(DistributedProtocol):
         """Batch analogue of :meth:`_record_observation`.
 
         Validates a whole weight column at once (``None`` means unit
-        weights), updates the ground-truth totals and the item count, and
-        returns the weights as a float array.
+        weights), counts the items, and returns the weights as a float array.
         """
         weights = check_weight_batch(weights, count=count)
-        self._observed_weight += float(weights.sum())
         self._count_items(count)
         return weights
 

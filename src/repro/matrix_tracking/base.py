@@ -10,22 +10,20 @@ matrix ``B`` such that for every unit vector ``x``
 
 equivalently ``‖AᵀA − BᵀB‖₂ ≤ ε·‖A‖²_F``.
 
-For evaluation convenience the base class also maintains the *exact*
-covariance ``AᵀA`` and squared Frobenius norm of everything it has observed —
-these are ground-truth quantities that the protocol's decisions never consult,
-but they make the paper's ``err`` metric computable at any instant without
-retaining the full stream.
+No party holds ``A``: the sites see their own rows and the coordinator holds
+``B``.  Whoever needs the true ``err`` holds the stream and computes it
+(:func:`repro.utils.linalg.covariance_error`); a protocol whose own state
+proves the missing mass exactly reports it through :meth:`missing_mass`.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from ..streaming.protocol import DistributedProtocol
-from ..utils.linalg import spectral_norm
 from ..utils.validation import (
     check_epsilon,
     check_positive_int,
@@ -56,8 +54,6 @@ class MatrixTrackingProtocol(DistributedProtocol):
         super().__init__(num_sites, keep_message_records=keep_message_records)
         self._dimension = check_positive_int(dimension, name="dimension")
         self._epsilon = check_epsilon(epsilon)
-        self._observed_covariance = np.zeros((self._dimension, self._dimension))
-        self._observed_squared_frobenius = 0.0
 
     # ------------------------------------------------------------ properties
     @property
@@ -70,35 +66,15 @@ class MatrixTrackingProtocol(DistributedProtocol):
         """The approximation parameter ``ε``."""
         return self._epsilon
 
-    @property
-    def observed_squared_frobenius(self) -> float:
-        """Exact ``‖A‖²_F`` of all rows observed so far (ground truth)."""
-        return self._observed_squared_frobenius
-
-    def observed_covariance(self) -> np.ndarray:
-        """Exact covariance ``AᵀA`` of all rows observed so far (ground truth)."""
-        return self._observed_covariance.copy()
-
     def _record_observation(self, row: np.ndarray) -> np.ndarray:
-        """Validate a row, update ground-truth accumulators and item count."""
+        """Validate a row and count it."""
         row = check_row(row, self._dimension, name="row")
-        self._observed_covariance += np.outer(row, row)
-        self._observed_squared_frobenius += float(np.dot(row, row))
         self._count_item()
         return row
 
     def _record_observations(self, rows: np.ndarray) -> np.ndarray:
-        """Batch analogue of :meth:`_record_observation`.
-
-        Validates a whole row block at once and updates the ground-truth
-        covariance with a single BLAS product (equal to the per-row outer
-        products up to floating-point summation order).
-        """
+        """Batch analogue of :meth:`_record_observation`."""
         rows = check_row_batch(rows, self._dimension, name="rows")
-        if rows.shape[0] == 0:
-            return rows
-        self._observed_covariance += rows.T @ rows
-        self._observed_squared_frobenius += float(np.einsum("ij,ij->", rows, rows))
         self._count_items(rows.shape[0])
         return rows
 
@@ -151,12 +127,14 @@ class MatrixTrackingProtocol(DistributedProtocol):
         """
         return self._epsilon * self.estimated_squared_frobenius()
 
-    def approximation_error(self) -> float:
-        """The paper's ``err`` metric ``‖AᵀA − BᵀB‖₂ / ‖A‖²_F`` right now."""
-        if self._observed_squared_frobenius <= 0.0:
-            return 0.0
-        difference = self._observed_covariance - self.covariance()
-        return spectral_norm(difference) / self._observed_squared_frobenius
+    def missing_mass(self) -> Optional[Tuple[np.ndarray, float]]:
+        """``(AᵀA − BᵀB, ‖A‖²_F)`` as this protocol's own state proves them.
+
+        ``None`` (the default) when the state does not determine both
+        exactly.  The ``repro.api`` query layer serves the paper's ``err``
+        from it as :class:`~repro.api.queries.ApproximationError`.
+        """
+        return None
 
     def message_counts(self) -> Dict[str, int]:
         counts = super().message_counts()

@@ -49,7 +49,7 @@ sketch (``coordinator_sketch_size``), as suggested at the end of Section 5.2.
 from __future__ import annotations
 
 import copy
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
@@ -329,6 +329,20 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
 
     def estimated_squared_frobenius(self) -> float:
         return self._estimated_total
+
+    def missing_mass(self) -> Optional[Tuple[np.ndarray, float]]:
+        """``(Σⱼ B_jᵀB_j, F̂ + Σⱼ F_j)``: the sites' unsent residuals and norms.
+
+        Every row is either in a site residual or was sent as directions
+        that keep its Gram, and every squared norm is either in ``F̂`` or in
+        a site's ``F_j``, so both are exact (Theorem 4's accounting).  An
+        FD-compressed coordinator ``B`` loses mass of its own: ``None``.
+        """
+        if self._coordinator_sketch is not None:
+            return None
+        residual = sum(site.residual() for site in self._sites)
+        unsent = sum(site.norm_since_scalar for site in self._sites)
+        return residual, self._estimated_total + unsent
 
     # ------------------------------------------------------------ checkpoint
     def get_state(self, copy_data: bool = True) -> Dict[str, Any]:

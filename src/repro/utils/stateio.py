@@ -50,6 +50,11 @@ class StateError(ValueError):
     """A state dictionary cannot be installed into the target object."""
 
 
+#: Instance attributes earlier builds kept and this one no longer has:
+#: :meth:`Stateful.set_state` drops them, so those checkpoints still resume
+#: (the protocols' exact-truth accumulators, retired without a version bump).
+_RETIRED_KEYS = ("_observed_covariance", "_observed_squared_frobenius", "_observed_weight")
+
 #: Exact types that can hold no :class:`Stateful`: the component walk skips
 #: them before any bookkeeping (they are most of what a state holds).
 _LEAF_TYPES = frozenset({type(None), bool, int, float, complex, str, bytes,
@@ -149,10 +154,10 @@ class Stateful:
                     f"at state version {version!r} but this build expects "
                     f"{current!r}"
                 )
+        data = {key: value for key, value in state["data"].items()
+                if key not in _RETIRED_KEYS}
         self.__dict__.clear()
-        self.__dict__.update(
-            copy.deepcopy(state["data"]) if copy_data else state["data"]
-        )
+        self.__dict__.update(copy.deepcopy(data) if copy_data else data)
 
 
 def restore_object(state: Dict[str, Any], copy_data: bool = True) -> Any:

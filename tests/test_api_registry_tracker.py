@@ -27,6 +27,7 @@ from repro.heavy_hitters import PrioritySamplingProtocol, ThresholdedUpdatesProt
 from repro.matrix_tracking import DeterministicDirectionProtocol
 from repro.streaming import WeightedItemBatch
 from repro.streaming.partition import UniformRandomPartitioner
+from repro.utils.linalg import covariance_error
 
 
 def small_stream(seed: int = 3, count: int = 1500) -> WeightedItemBatch:
@@ -156,6 +157,8 @@ class TestTracker:
         assert sketch.shape[1] == 6
         measured = tracker.query(ApproximationError())
         assert 0.0 <= measured.estimate <= measured.error_bound + 1e-9
+        assert measured.estimate == pytest.approx(covariance_error(rows, sketch),
+                                                  rel=1e-12)
 
     def test_baseline_bounds_are_honest(self):
         """The zero-error baselines must not report the vacuous ε-bound."""

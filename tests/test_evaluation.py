@@ -78,7 +78,7 @@ class TestMatrixMetrics:
         protocol = CentralizedSVDBaseline(num_sites=3, dimension=5)
         for index in range(rows.shape[0]):
             protocol.process(index % 3, rows[index])
-        evaluation = evaluate_matrix_protocol(protocol, name="svd")
+        evaluation = evaluate_matrix_protocol(protocol, rows, name="svd")
         assert evaluation.error <= 1e-10
         assert evaluation.messages == 60
         assert evaluation.sketch_rows == 60

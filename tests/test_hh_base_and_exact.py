@@ -27,10 +27,11 @@ class TestExactForwardingProtocol:
         feed(protocol, zipf_sample.items)
         assert protocol.total_messages == len(zipf_sample.items)
 
-    def test_observed_weight_matches(self, zipf_sample):
+    def test_total_weight_matches(self, zipf_sample):
         protocol = ExactForwardingProtocol(num_sites=4)
         feed(protocol, zipf_sample.items)
-        assert protocol.observed_weight == pytest.approx(zipf_sample.total_weight)
+        assert protocol.estimated_total_weight() == pytest.approx(
+            sum(weight for _, weight in zipf_sample.items))
 
     def test_heavy_hitters_match_truth(self, zipf_sample):
         protocol = ExactForwardingProtocol(num_sites=4)

@@ -28,6 +28,7 @@ from repro.matrix_tracking import (
 )
 from repro.streaming.items import WeightedItem
 from repro.streaming.partition import HashPartitioner, UniformRandomPartitioner
+from repro.utils.linalg import covariance_error
 
 
 class TestContinuousHeavyHitters:
@@ -78,10 +79,13 @@ class TestContinuousMatrixTracking:
         epsilon = 0.15
         protocol = DeterministicDirectionProtocol(
             num_sites=6, dimension=low_rank_dataset.dimension, epsilon=epsilon)
+        rows = low_rank_dataset.rows
+        # The truth at each checkpoint is the prefix fed so far.
         result = Tracker(protocol, chunk_size=None).run(
-            row_stream(low_rank_dataset.rows),
+            row_stream(rows),
             query_at=list(range(100, low_rank_dataset.num_rows, 150)),
-            query=lambda p: p.approximation_error(),
+            query=lambda p: covariance_error(rows[:p.items_processed],
+                                             p.sketch_matrix()),
         )
         assert len(result.observations) >= 5
         for observation in result.observations:
@@ -94,7 +98,8 @@ class TestContinuousMatrixTracking:
         partitioner = UniformRandomPartitioner(num_sites=6, seed=3)
         Tracker(protocol, chunk_size=None, partitioner=partitioner).run(
             row_stream(low_rank_dataset.rows))
-        assert protocol.approximation_error() <= epsilon + 1e-9
+        assert covariance_error(low_rank_dataset.rows,
+                                protocol.sketch_matrix()) <= epsilon + 1e-9
 
 
 class TestSkewedPartitioning:
@@ -124,7 +129,7 @@ class TestSkewedPartitioning:
         for site, indices in enumerate(quarters):
             for index in indices:
                 protocol.process(site, rows[index])
-        assert protocol.approximation_error() <= epsilon + 1e-9
+        assert covariance_error(rows, protocol.sketch_matrix()) <= epsilon + 1e-9
 
 
 class TestProtocolAgreement:

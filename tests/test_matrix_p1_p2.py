@@ -17,29 +17,25 @@ def feed(protocol, rows):
         protocol.process(partitioner.assign(index, None), rows[index])
 
 
+def error(protocol, rows):
+    """The paper's ``err`` of ``protocol`` against the rows it was fed."""
+    return covariance_error(rows, protocol.sketch_matrix())
+
+
 class TestMatrixProtocolP1:
     def test_error_within_epsilon(self, low_rank_dataset):
         epsilon = 0.1
         protocol = BatchedFrequentDirectionsProtocol(
             num_sites=8, dimension=low_rank_dataset.dimension, epsilon=epsilon)
         feed(protocol, low_rank_dataset.rows)
-        assert protocol.approximation_error() <= epsilon + 1e-9
+        assert error(protocol, low_rank_dataset.rows) <= epsilon + 1e-9
 
     def test_error_on_high_rank_data(self, high_rank_dataset):
         epsilon = 0.2
         protocol = BatchedFrequentDirectionsProtocol(
             num_sites=8, dimension=high_rank_dataset.dimension, epsilon=epsilon)
         feed(protocol, high_rank_dataset.rows)
-        assert protocol.approximation_error() <= epsilon + 1e-9
-
-    def test_ground_truth_accumulators(self, low_rank_dataset):
-        protocol = BatchedFrequentDirectionsProtocol(
-            num_sites=4, dimension=low_rank_dataset.dimension, epsilon=0.2)
-        feed(protocol, low_rank_dataset.rows)
-        assert protocol.observed_squared_frobenius == pytest.approx(
-            squared_frobenius(low_rank_dataset.rows))
-        assert np.allclose(protocol.observed_covariance(),
-                           low_rank_dataset.rows.T @ low_rank_dataset.rows)
+        assert error(protocol, high_rank_dataset.rows) <= epsilon + 1e-9
 
     def test_sketch_never_overestimates_norms(self, low_rank_dataset, rng):
         protocol = BatchedFrequentDirectionsProtocol(
@@ -62,9 +58,9 @@ class TestMatrixProtocolP1:
         protocol = BatchedFrequentDirectionsProtocol(
             num_sites=8, dimension=low_rank_dataset.dimension, epsilon=0.3)
         feed(protocol, low_rank_dataset.rows)
-        before = protocol.approximation_error()
+        before = error(protocol, low_rank_dataset.rows)
         protocol.flush_all_sites()
-        after = protocol.approximation_error()
+        after = error(protocol, low_rank_dataset.rows)
         assert after <= before + 1e-9
 
     def test_sketch_size_default_from_epsilon(self):
@@ -99,14 +95,14 @@ class TestMatrixProtocolP2:
         protocol = DeterministicDirectionProtocol(
             num_sites=8, dimension=low_rank_dataset.dimension, epsilon=epsilon)
         feed(protocol, low_rank_dataset.rows)
-        assert protocol.approximation_error() <= epsilon + 1e-9
+        assert error(protocol, low_rank_dataset.rows) <= epsilon + 1e-9
 
     def test_error_within_epsilon_high_rank(self, high_rank_dataset):
         epsilon = 0.1
         protocol = DeterministicDirectionProtocol(
             num_sites=8, dimension=high_rank_dataset.dimension, epsilon=epsilon)
         feed(protocol, high_rank_dataset.rows)
-        assert protocol.approximation_error() <= epsilon + 1e-9
+        assert error(protocol, high_rank_dataset.rows) <= epsilon + 1e-9
 
     def test_one_sided_guarantee(self, low_rank_dataset, rng):
         # Theorem 4: 0 <= ||Ax||^2 - ||Bx||^2, i.e. the sketch never
@@ -142,7 +138,8 @@ class TestMatrixProtocolP2:
             num_sites=6, dimension=high_rank_dataset.dimension, epsilon=0.02)
         feed(loose, high_rank_dataset.rows)
         feed(tight, high_rank_dataset.rows)
-        assert tight.approximation_error() <= loose.approximation_error() + 1e-9
+        assert error(tight, high_rank_dataset.rows) \
+            <= error(loose, high_rank_dataset.rows) + 1e-9
         assert tight.total_messages >= loose.total_messages
 
     def test_coordinator_sketch_compression(self, low_rank_dataset):
@@ -152,7 +149,7 @@ class TestMatrixProtocolP2:
         feed(protocol, low_rank_dataset.rows)
         assert protocol.sketch_matrix().shape[0] <= 60
         # Compression adds at most 2/60 of the squared norm to the error.
-        assert protocol.approximation_error() <= 0.1 + 2.0 / 60 + 1e-9
+        assert error(protocol, low_rank_dataset.rows) <= 0.1 + 2.0 / 60 + 1e-9
 
     def test_rounds_completed(self, low_rank_dataset):
         protocol = DeterministicDirectionProtocol(
@@ -160,16 +157,21 @@ class TestMatrixProtocolP2:
         feed(protocol, low_rank_dataset.rows)
         assert protocol.rounds_completed >= 1
 
-    def test_error_metric_matches_direct_computation(self, low_rank_dataset):
+    def test_missing_mass_matches_direct_computation(self, low_rank_dataset):
+        rows = low_rank_dataset.rows
         protocol = DeterministicDirectionProtocol(
             num_sites=4, dimension=low_rank_dataset.dimension, epsilon=0.2)
-        feed(protocol, low_rank_dataset.rows)
-        direct = covariance_error(low_rank_dataset.rows, protocol.sketch_matrix())
-        assert protocol.approximation_error() == pytest.approx(direct, rel=1e-6)
+        feed(protocol, rows)
+        missing, f2 = protocol.missing_mass()
+        sketch = protocol.sketch_matrix()
+        assert f2 == pytest.approx(squared_frobenius(rows), rel=1e-12)
+        assert np.allclose(missing, rows.T @ rows - sketch.T @ sketch,
+                           rtol=0, atol=1e-12 * f2)
 
     def test_empty_protocol_state(self):
         protocol = DeterministicDirectionProtocol(num_sites=2, dimension=3,
                                                   epsilon=0.1)
         assert protocol.sketch_matrix().shape == (0, 3)
-        assert protocol.approximation_error() == 0.0
         assert protocol.estimated_squared_frobenius() == 0.0
+        missing, f2 = protocol.missing_mass()
+        assert f2 == 0.0 and not missing.any()

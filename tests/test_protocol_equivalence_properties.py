@@ -88,7 +88,7 @@ from repro.streaming.network import MessageKind
 from repro.streaming.partition import RoundRobinPartitioner
 from repro.streaming.protocol import first_crossing
 from repro.streaming.runner import StreamingEngine
-from repro.utils.linalg import spectral_norm
+from repro.utils.linalg import covariance_error, spectral_norm
 from repro.utils.stateio import restore_object
 from repro.wire import decode_state, encode_state, unpack_frame
 
@@ -215,7 +215,6 @@ class TestHeavyHitterBatchItemEquivalence:
         feed_batched(batched, sites, batch, chunk)
 
         assert batched.items_processed == reference.items_processed
-        assert batched.observed_weight == pytest.approx(reference.observed_weight)
         assert_message_equivalence(batched, reference, strictness)
         if strictness == "bounded":
             return
@@ -243,8 +242,6 @@ class TestMatrixBatchItemEquivalence:
         feed_batched(batched, sites, batch, chunk)
 
         assert batched.items_processed == reference.items_processed
-        assert batched.observed_squared_frobenius == pytest.approx(
-            reference.observed_squared_frobenius)
         assert_message_equivalence(batched, reference, strictness)
         assert batched.estimated_squared_frobenius() == pytest.approx(
             reference.estimated_squared_frobenius())
@@ -549,7 +546,7 @@ class TestPaperBounds:
         _, factory = MATRIX_PROTOCOLS[name]
         protocol = factory(NUM_SITES, dataset.dimension, seed)
         feed_batched(protocol, sites, batch, 4096)
-        assert protocol.approximation_error() <= 0.2 + 1e-9
+        assert covariance_error(dataset.rows, protocol.sketch_matrix()) <= 0.2 + 1e-9
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_matrix_p2_error_is_one_sided(self, seed):
@@ -558,8 +555,9 @@ class TestPaperBounds:
         _, factory = MATRIX_PROTOCOLS["P2"]
         protocol = factory(NUM_SITES, dataset.dimension, seed)
         feed_batched(protocol, sites, batch, 4096)
-        difference = protocol.observed_covariance() - protocol.covariance()
-        norm = protocol.observed_squared_frobenius
+        rows = dataset.rows
+        difference = rows.T @ rows - protocol.covariance()
+        norm = float(np.einsum("ij,ij->", rows, rows))
         assert spectral_norm(difference) <= 0.2 * norm + 1e-6
         eigenvalues = np.linalg.eigvalsh(difference)
         assert eigenvalues.min() >= -1e-6 * max(norm, 1.0)

@@ -78,7 +78,9 @@ class TestRunProtocolWithRows:
         protocol = CentralizedSVDBaseline(num_sites=4, dimension=4)
         result = PER_ITEM.run(protocol, (MatrixRow(values=row) for row in rows))
         assert result.items_processed == 50
-        assert protocol.observed_squared_frobenius == pytest.approx(float(np.sum(rows ** 2)))
+        # The exact baseline receives every row: its F̂ is the stream's ‖A‖²_F.
+        assert protocol.estimated_squared_frobenius() == pytest.approx(
+            float(np.sum(rows ** 2)))
 
     def test_message_counts_in_result(self, rng):
         rows = rng.standard_normal((20, 3))
@@ -178,7 +180,7 @@ class TestStreamingEngineBatched:
         result = StreamingEngine(chunk_size=32).run(
             protocol, MatrixRowBatch(values=rows))
         assert result.items_processed == 90
-        assert protocol.observed_squared_frobenius == pytest.approx(
+        assert protocol.estimated_squared_frobenius() == pytest.approx(
             float(np.sum(rows ** 2)))
 
     def test_raw_2d_array_stream(self, rng):
