@@ -81,7 +81,12 @@ from ..wire import WireDecodeError
 # the module-level import here is cycle-free and keeps the per-message hot
 # path (one encode/decode per submitted chunk) free of repeated sys.modules
 # lookups.
-from .worker_protocol import WorkerSession, encode_command, unpack_reply
+from .worker_protocol import (
+    WorkerSession,
+    encode_command,
+    encode_submit,
+    unpack_reply,
+)
 
 __all__ = [
     "BackendError",
@@ -552,14 +557,17 @@ class RemoteShardHandle:
 
     def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
         self._check_usable()
-        seq = None
         if op == "submit":
-            self.sent_seq = seq = self.sent_seq + 1
-        elif op == "call" and REGISTRY.enabled:
-            self._call_started = perf_counter()
-        self._deliver(op, encode_command(op, fn, args, seq=seq,
-                                         trace=current_trace_id(),
-                                         **self._frame_options))
+            self.sent_seq += 1
+            frame = encode_submit(fn, args, seq=self.sent_seq,
+                                  trace=current_trace_id(),
+                                  **self._frame_options)
+        else:
+            if op == "call" and REGISTRY.enabled:
+                self._call_started = perf_counter()
+            frame = encode_command(op, fn, args, trace=current_trace_id(),
+                                   **self._frame_options)
+        self._deliver(op, frame)
 
     def _deliver(self, op: str, frame: bytes) -> None:
         try:

@@ -79,6 +79,7 @@ from .backends import (
     get_backend_spec,
 )
 from .merge import merge_message_counts, shard_query_materials
+from .worker_protocol import ingest_command
 
 __all__ = ["ShardedTracker", "ShardedTrackerStats",
            "CLUSTER_CHECKPOINT_VERSION"]
@@ -193,8 +194,10 @@ class _RestoreShardBuilder:
 # --------------------------------------------------- shard-side worker fns
 # Module-level so every backend (including the process backend, which ships
 # callables by qualified name) can execute them against the shard tracker.
+@ingest_command
 def _shard_ingest(tracker: Tracker, site_ids: np.ndarray, batch: Any) -> None:
     # The one shard write: ``site_ids`` are the shard's *local* site indices.
+    # The remote backends send it as an ``ingest`` frame (worker_protocol).
     tracker.push_batch(site_ids, batch)
 
 
@@ -386,9 +389,15 @@ class ShardedTracker(Session):
         if REGISTRY.enabled:
             _CLUSTER_PUSHES.inc(spec=self._spec)
             _CLUSTER_ITEMS.inc(len(batch), spec=self._spec)
-        if self._num_shards == 1:
-            self._watermark = (self._watermark[0] + len(batch),)
-            self._backend.submit(0, _shard_ingest, sites, batch)
+        shard = int(sites[0]) % self._num_shards
+        if len(batch) == 1 or not (sites % self._num_shards != shard).any():
+            # One shard takes the whole batch (every one-item push, every
+            # push from a single site): no grouping, no copy.
+            watermark = list(self._watermark)
+            watermark[shard] += len(batch)
+            self._watermark = tuple(watermark)
+            self._backend.submit(shard, _shard_ingest,
+                                 sites // self._num_shards, batch)
             return
         watermark = list(self._watermark)
         for shard, positions in _group_by_shard(sites % self._num_shards):

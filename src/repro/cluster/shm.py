@@ -14,8 +14,9 @@ single-producer/single-consumer **shared-memory ring**:
 
 * the parent's frame encoder hands each large array to an ``array_sink``
   that copies it straight into the ring and emits a tiny
-  ``(offset, length)`` reference into the frame (the codec's ``_SHMARRAY``
-  tag), so the pipe only ever carries control traffic;
+  ``(offset, length)`` reference into the frame (a storage-1 column of an
+  ``ingest`` frame, the codec's ``_SHMARRAY`` tag anywhere else), so the
+  pipe only ever carries control traffic;
 * the worker's decoder resolves each reference from its mapping of the same
   segment — one copy out of the ring into a worker-owned array (the result
   must outlive the ring slot, so a true zero-copy view would be unsafe) —

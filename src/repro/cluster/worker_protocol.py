@@ -12,6 +12,9 @@ the same four commands, each one :mod:`repro.wire` frame:
              replies ``ready``
 ``submit``   fire-and-forget ``fn(tracker, *args)``; failures are held and
              reported at the next ``call`` (FIFO order is preserved)
+``ingest``   a ``submit`` of the shard write ``_shard_ingest(tracker,
+             site_ids, batch)`` with a fixed-layout body instead of a value
+             tree (below); the worker treats it exactly like a ``submit``
 ``call``     run ``fn(tracker, *args)`` after all queued work and reply
              ``ok``/``error`` with the wire-encoded result
 ``stop``     end the session (no reply)
@@ -25,6 +28,37 @@ frames all cross process and host boundaries without pickle.  Replies are
 wire frames too; a result the codec cannot represent degrades to an
 ``error`` reply naming the offending type (mirroring the old pickle
 backend's ``_safe_send``), never a torn frame.
+
+**The ``ingest`` body.**  Every batch a cluster pushes to a remote shard
+travels as ``repro/worker-command:ingest``, in the ordinary frame envelope
+(magic, version, flags, kind, length, CRC), with this body (little-endian)::
+
+    size   field
+    ----   -----------------------------------------------------------------
+    8      seq (u64)
+    4      trace ID length ``t`` (u32; 0 = untraced)
+    t      trace ID (UTF-8)
+    1      column count: 2 = matrix rows (sites, values), 3 = weighted items
+           (sites, elements, weights)
+    per column:
+    1      dtype token length ``k``
+    k      dtype token (NumPy ``dtype.str``: ``<i8``, ``<f8``, ``<U5``, ``|O``)
+    1      storage: 0 = the bytes follow, 1 = an out-of-band reference
+    1      rank ``r``
+    8      payload length ``n`` (u64)
+    8·r    shape (u64 each)
+    n      payload: the raw little-endian array bytes; the codec value of
+           an object column (labels that are not numbers, the one part that
+           goes through :mod:`repro.wire.codec`); or, for storage 1, the
+           reference's integers as u64 each
+
+The sites column holds the shard's *local* site indices (``int64``).  The
+socket backend's ``compress`` option deflates the body; the ``shm``
+backend's ``array_sink`` takes columns of at least
+:data:`~repro.wire.codec.MIN_OUT_OF_BAND_BYTES` into its ring (storage 1).
+A parent and its workers must run the same release: a worker that predates
+``ingest`` cannot read the body, cannot tell what the op expects, and ends
+the session, which fails the parent's next call.
 
 **Sequence numbers and idempotent replay.**  Every remote parent session
 (:class:`~repro.cluster.backends.RemoteShardHandle`, on pipes and sockets
@@ -47,11 +81,17 @@ disconnect.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Tuple
+import struct
+from functools import lru_cache
+from typing import Any, Callable, List, Optional, Tuple
+
+import numpy as np
 
 from ..obs.logging import get_logger, set_trace_id
+from ..streaming.items import MatrixRowBatch, WeightedItemBatch
 from ..wire import WireDecodeError, pack_frame, peek_kind, unpack_frame
-from ..wire.codec import WireEncodeError
+from ..wire.codec import WireEncodeError, decode_value, encode_value
+from ..wire.frames import pack_raw_frame, unpack_raw_frame
 
 _LOG = get_logger("repro.worker")
 
@@ -69,6 +109,36 @@ __all__ = [
 
 COMMAND_KIND = "repro/worker-command"
 REPLY_KIND = "repro/worker-reply"
+INGEST_KIND = COMMAND_KIND + ":ingest"
+
+_INGEST_HEAD = struct.Struct("<QI")     # seq, trace ID length
+_COLUMN_HEAD = struct.Struct("<BBQ")    # storage, rank, payload length
+_BYTE = struct.Struct("<B")
+#: Column shapes by rank: sites, elements and weights are 1-d, rows 2-d.
+_SHAPES = (struct.Struct("<"), struct.Struct("<Q"), struct.Struct("<QQ"))
+_INLINE, _OUT_OF_BAND = 0, 1
+#: Column dtype kinds an ``ingest`` body carries raw; ``O`` goes through the
+#: codec.
+_RAW_KINDS = "biufcUS"
+_INT64 = np.dtype("<i8")
+_FLOAT64 = np.dtype("<f8")
+
+#: The shard write ``fn(tracker, site_ids, batch)`` that ``ingest`` frames
+#: carry, declared by :func:`ingest_command`.
+_ingest_fn: Optional[Callable[..., None]] = None
+
+
+def ingest_command(fn: Callable[..., None]) -> Callable[..., None]:
+    """Declare ``fn(tracker, site_ids, batch)`` the shard write.
+
+    :mod:`repro.cluster.sharded_tracker` declares its ``_shard_ingest`` (it
+    imports this module, not the reverse).  Submits of ``fn`` then travel
+    as ``ingest`` frames, and a worker decodes every ``ingest`` frame into
+    a submit of ``fn``.
+    """
+    global _ingest_fn
+    _ingest_fn = fn
+    return fn
 
 
 def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
@@ -102,6 +172,185 @@ def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
                       compress=compress, array_sink=array_sink)
 
 
+def encode_submit(fn: Any, args: Tuple[Any, ...], *, seq: int,
+                  trace: Optional[str] = None, compress: bool = False,
+                  array_sink: Any = None) -> bytes:
+    """One sequenced ``submit``: an ``ingest`` frame when ``fn`` is the
+    shard write (:func:`ingest_command`), the generic form otherwise."""
+    if fn is _ingest_fn and fn is not None:
+        return encode_ingest(*args, seq=seq, trace=trace, compress=compress,
+                             array_sink=array_sink)
+    return encode_command("submit", fn, args, seq=seq, trace=trace,
+                          compress=compress, array_sink=array_sink)
+
+
+def encode_ingest(site_ids: Any, batch: Any, *, seq: int,
+                  trace: Optional[str] = None, compress: bool = False,
+                  array_sink: Any = None) -> bytes:
+    """Pack one ``ingest`` frame: ``batch`` for the shard's local
+    ``site_ids``, in the fixed layout of the module docstring."""
+    if isinstance(batch, MatrixRowBatch):
+        columns: Tuple[np.ndarray, ...] = (batch.values,)
+    elif isinstance(batch, WeightedItemBatch):
+        columns = (batch.elements, batch.weights)
+    else:
+        raise WireEncodeError(
+            f"an ingest frame carries a WeightedItemBatch or a "
+            f"MatrixRowBatch, not {type(batch).__name__}")
+    trace_bytes = trace.encode("utf-8") if trace else b""
+    parts: List[Any] = [_INGEST_HEAD.pack(seq, len(trace_bytes)), trace_bytes,
+                        _BYTE.pack(1 + len(columns))]
+    for column in (np.asarray(site_ids, dtype=_INT64), *columns):
+        _pack_column(parts, column, array_sink)
+    return pack_raw_frame(INGEST_KIND, b"".join(parts), compress=compress)
+
+
+def _pack_column(parts: List[Any], column: np.ndarray,
+                 array_sink: Any) -> None:
+    if column.dtype.byteorder == ">":
+        column = column.astype(column.dtype.newbyteorder("<"))
+    storage = _INLINE
+    if column.dtype.kind == "O":
+        payload: Any = encode_value(column)
+    else:
+        column = np.ascontiguousarray(column)
+        reference = None if array_sink is None else array_sink(column)
+        if reference is None:
+            payload = memoryview(column).cast("B")
+        else:
+            storage = _OUT_OF_BAND
+            payload = struct.pack(f"<{len(reference)}Q", *reference)
+    parts += (_token(column.dtype),
+              _COLUMN_HEAD.pack(storage, column.ndim, len(payload)),
+              _SHAPES[column.ndim].pack(*column.shape), payload)
+
+
+@lru_cache(maxsize=32)
+def _token(dtype: np.dtype) -> bytes:
+    """A column's dtype token, with its length byte in front."""
+    token = dtype.str.encode("ascii")
+    return _BYTE.pack(len(token)) + token
+
+
+@lru_cache(maxsize=32)
+def _ingest_dtype(token: bytes) -> np.dtype:
+    try:
+        dtype = np.dtype(token.decode("ascii"))
+    except (TypeError, ValueError, UnicodeDecodeError) as exc:
+        raise WireDecodeError(f"bad dtype token {token[:32]!r}") from exc
+    if (dtype.kind not in _RAW_KINDS and dtype.kind != "O"
+            or dtype.fields is not None or dtype.str.encode() != token):
+        raise WireDecodeError(
+            f"dtype token {token[:32]!r} is not one an ingest column carries")
+    return dtype
+
+
+def _decode_ingest(body: Any, array_source: Any
+                   ) -> Tuple[int, Optional[str], Tuple[np.ndarray, ...]]:
+    """``(seq, trace, columns)`` of an ``ingest`` body, every count checked
+    in plain-Python arithmetic before anything is allocated."""
+    view = memoryview(body)
+    size = len(view)
+    seq, trace_length = _INGEST_HEAD.unpack_from(view, 0)
+    offset = _INGEST_HEAD.size + trace_length
+    if offset + 1 > size:
+        raise WireDecodeError("ingest body truncated inside its header")
+    trace = bytes(view[_INGEST_HEAD.size:offset]).decode("utf-8") or None
+    (count,) = _BYTE.unpack_from(view, offset)
+    offset += 1
+    if count not in (2, 3):
+        raise WireDecodeError(
+            f"an ingest body has 2 or 3 columns, not {count}")
+    columns = []
+    for _ in range(count):
+        (token_length,) = _BYTE.unpack_from(view, offset)
+        end = offset + 1 + token_length
+        if end > size:
+            raise WireDecodeError("ingest body truncated inside a dtype token")
+        dtype = _ingest_dtype(bytes(view[offset + 1:end]))
+        storage, rank, length = _COLUMN_HEAD.unpack_from(view, end)
+        offset = end + _COLUMN_HEAD.size
+        if rank > 2:
+            raise WireDecodeError(f"implausible ingest column rank {rank}")
+        shape = _SHAPES[rank].unpack_from(view, offset)
+        offset += _SHAPES[rank].size
+        if offset + length > size:
+            raise WireDecodeError(
+                f"ingest column of {length} bytes overruns the "
+                f"{size}-byte body")
+        payload = view[offset:offset + length]
+        offset += length
+        columns.append(_ingest_column(dtype, shape, storage, payload,
+                                      array_source))
+    if offset != size:
+        raise WireDecodeError(
+            f"{size - offset} trailing bytes after an ingest body")
+    return seq, trace, tuple(columns)
+
+
+def _ingest_column(dtype: np.dtype, shape: Tuple[int, ...], storage: int,
+                   payload: memoryview, array_source: Any) -> np.ndarray:
+    if storage == _OUT_OF_BAND:
+        if array_source is None or dtype.kind == "O" or len(payload) % 8:
+            raise WireDecodeError(
+                "ingest column carries an out-of-band reference that this "
+                "worker cannot resolve")
+        reference = struct.unpack(f"<{len(payload) // 8}Q", payload)
+        column = array_source(dtype, shape, reference)
+        if (not isinstance(column, np.ndarray) or column.shape != shape
+                or column.dtype != dtype):
+            raise WireDecodeError(
+                "array source returned a mismatched ingest column")
+        return column
+    if storage != _INLINE:
+        raise WireDecodeError(f"unknown ingest column storage {storage}")
+    if dtype.kind == "O":
+        column = decode_value(payload)
+        if (not isinstance(column, np.ndarray) or column.dtype != dtype
+                or column.shape != shape):
+            raise WireDecodeError(
+                f"ingest object column does not match its shape {shape}")
+        return column
+    count = 1
+    for dim in shape:
+        count *= dim
+    if len(payload) != count * dtype.itemsize:
+        raise WireDecodeError(
+            f"ingest column of {len(payload)} bytes does not match dtype "
+            f"{dtype.str} and shape {shape} "
+            f"(expected {count * dtype.itemsize})")
+    # Copied, as the codec does: the shard may keep rows past this frame.
+    return np.frombuffer(payload, dtype=dtype).reshape(shape).copy()
+
+
+def _ingest_args(columns: Tuple[np.ndarray, ...]) -> Tuple[np.ndarray, Any]:
+    """``(site_ids, batch)`` from decoded columns whose types and lengths
+    agree; the batch skips validation, as ``take`` does."""
+    sites, *data = columns
+    rows = sites.shape
+    if sites.dtype != _INT64 or len(rows) != 1:
+        raise WireDecodeError("an ingest sites column is a 1-d int64 array")
+    if len(data) == 1:
+        (values,) = data
+        if values.dtype != _FLOAT64 or values.ndim != 2 \
+                or values.shape[0] != rows[0]:
+            raise WireDecodeError(
+                f"ingest rows must be a float64 ({rows[0]}, d) array")
+        batch = object.__new__(MatrixRowBatch)
+        object.__setattr__(batch, "values", values)
+    else:
+        elements, weights = data
+        if (elements.shape != rows or weights.shape != rows
+                or weights.dtype != _FLOAT64):
+            raise WireDecodeError(
+                f"ingest elements and float64 weights must have shape {rows}")
+        batch = object.__new__(WeightedItemBatch)
+        object.__setattr__(batch, "elements", elements)
+        object.__setattr__(batch, "weights", weights)
+    object.__setattr__(batch, "sites", None)
+    return sites, batch
+
+
 def decode_command(data: bytes, *, array_source: Any = None
                    ) -> Tuple[str, Any, Tuple[Any, ...], Optional[int]]:
     """Unpack a command frame into ``(op, fn, args, seq)``.
@@ -110,8 +359,23 @@ def decode_command(data: bytes, *, array_source: Any = None
     trace ID (see :mod:`repro.obs.logging`) so worker-side log lines
     correlate with the originating gateway request; frames without one
     clear it.  The 4-tuple shape is unchanged — trace is context, not
-    payload.
+    payload.  An ``ingest`` frame decodes as the ``submit`` of the shard
+    write it stands for.
     """
+    if peek_kind(data) == INGEST_KIND:
+        if _ingest_fn is None:
+            raise WireDecodeError("no shard write is declared for ingest")
+        body = unpack_raw_frame(data, INGEST_KIND)
+        try:
+            seq, trace, columns = _decode_ingest(body, array_source)
+            args = _ingest_args(columns)
+        except WireDecodeError:
+            raise
+        except Exception as exc:
+            raise WireDecodeError(
+                f"malformed ingest body: {exc!r}") from exc
+        set_trace_id(trace)
+        return "submit", _ingest_fn, args, seq
     kind, body = unpack_frame(data, array_source=array_source)
     if kind != COMMAND_KIND and not kind.startswith(COMMAND_KIND + ":"):
         raise WireDecodeError(f"expected a worker command frame, got {kind!r}")
@@ -129,8 +393,14 @@ def decode_command(data: bytes, *, array_source: Any = None
 
 
 def peek_command_op(data: bytes) -> Optional[str]:
-    """Best-effort op of a command frame, from the header alone."""
+    """Best-effort op of a command frame, from the header alone.
+
+    An ``ingest`` frame reads as ``submit``: that is what it is, and what
+    its sender's reply discipline expects.
+    """
     kind = peek_kind(data)
+    if kind == INGEST_KIND:
+        return "submit"
     if kind and kind.startswith(COMMAND_KIND + ":"):
         return kind[len(COMMAND_KIND) + 1:]
     return None

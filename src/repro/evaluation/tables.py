@@ -8,17 +8,30 @@ required for correctness — all experiment drivers also return structured data
 
 from __future__ import annotations
 
+import sys
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 __all__ = ["format_value", "format_table", "format_series", "render_figure"]
 
+#: Float64 resolution at 1 (machine epsilon, 2**-52 ≈ 2.2e-16).  Every
+#: float a figure prints is of order one or a quantity normalised to it
+#: (err divides by ‖A‖²_F or W), so a magnitude below this is rounding
+#: noise, not a measurement.
+FLOAT64_FLOOR = sys.float_info.epsilon
+
 
 def format_value(value: Any) -> str:
-    """Format one cell: scientific notation for small/large floats, plain otherwise."""
+    """Format one cell: scientific notation for small/large floats, plain otherwise.
+
+    A float below :data:`FLOAT64_FLOOR` in magnitude prints as ``0``: an
+    exact sketch's err is 0 up to float summation order (about 2e-17 on
+    the MSD stand-in), and its cell must not move when only that order
+    does.  The value itself is left as measured.
+    """
     if isinstance(value, bool) or value is None:
         return str(value)
     if isinstance(value, float):
-        if value == 0.0:
+        if abs(value) < FLOAT64_FLOOR:
             return "0"
         if abs(value) < 1e-3 or abs(value) >= 1e6:
             return f"{value:.3e}"

@@ -200,12 +200,14 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
     def process(self, site: int, row: np.ndarray) -> None:
         row = self._record_observation(row)
         state = self._sites[site]
-        row_norm = float(np.dot(row, row))
+        block = row[np.newaxis, :]
+        # The batch kernel's norm, so one row leaves the same bits either way.
+        row_norm = float(np.einsum("ij,ij->i", block, block)[0])
         state.norm_since_scalar += row_norm
         if state.norm_since_scalar >= self._threshold():
             self._send_total(site, state.norm_since_scalar)
             state.norm_since_scalar = 0.0
-        state.append(row[np.newaxis, :])
+        state.append(block)
         state.top_bound += row_norm
         if state.top_bound >= self._gate_level():
             self._gate(site)

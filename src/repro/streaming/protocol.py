@@ -177,7 +177,8 @@ class DistributedProtocol(Stateful, abc.ABC):
 
         The chunk is grouped by site with a stable sort (each site receives
         its items in arrival order) and each group is handed to
-        :meth:`process_batch` in ascending site order.
+        :meth:`process_batch` in ascending site order.  A one-item chunk
+        goes to :meth:`process` instead.
         """
         columns = self._unpack_batch(items)
         count = int(columns[0].shape[0]) if columns else 0
@@ -188,13 +189,21 @@ class DistributedProtocol(Stateful, abc.ABC):
             )
         if count == 0:
             return
-        if np.any(sites < 0) or np.any(sites >= self._num_sites):
+        first = int(sites[0])
+        low, high = ((first, first) if count == 1
+                     else (int(sites.min()), int(sites.max())))
+        if low < 0 or high >= self._num_sites:
             raise ValueError(
                 f"site indices must lie in [0, {self._num_sites}), "
-                f"got range [{sites.min()}, {sites.max()}]"
+                f"got range [{low}, {high}]"
             )
-        first = int(sites[0])
-        if np.all(sites == first):
+        if count == 1:
+            # One item takes the per-item path, with the column elements the
+            # batch kernel would see (NumPy scalars, a row view), so element
+            # key types, and with them checkpoint bytes, do not change.
+            self.process(first, *(column[0] for column in columns))
+            return
+        if (sites == first).all():
             self.process_batch(first, *columns)
             return
         order = np.argsort(sites, kind="stable")

@@ -138,7 +138,7 @@ def check_weight_batch(weights: Optional[Sequence[float]], *,
         raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
     if count is not None and array.shape[0] != count:
         raise ValueError(f"got {count} elements but {array.shape[0]} {name}")
-    if array.size and not np.all(np.isfinite(array)):
+    if array.size and not np.isfinite(array).all():
         raise ValueError(f"{name} contains non-finite entries")
     if array.size and np.any(array <= 0.0):
         raise ValueError(f"{name} must be strictly positive everywhere")
@@ -160,7 +160,7 @@ def check_row(row: Sequence[float], dimension: Optional[int] = None, *, name: st
         raise ValueError(f"{name} must be one-dimensional, got shape {array.shape}")
     if array.size == 0:
         raise ValueError(f"{name} must be non-empty")
-    if not np.all(np.isfinite(array)):
+    if not np.isfinite(array).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dimension is not None and array.shape[0] != dimension:
         raise ValueError(
@@ -185,7 +185,7 @@ def check_row_batch(rows: Iterable[Sequence[float]], dimension: Optional[int] = 
             array = array.reshape(0, dimension if dimension is not None else 0)
     if array.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {array.shape}")
-    if array.size and not np.all(np.isfinite(array)):
+    if array.size and not np.isfinite(array).all():
         raise ValueError(f"{name} contains non-finite entries")
     if dimension is not None and array.shape[1] != dimension:
         raise ValueError(

@@ -255,6 +255,11 @@ def pack_frame(kind: str, value: Any, *, compress: bool = False,
         flags |= _FLAG_SECTION
         body = b"".join((_BODY_LENGTH.pack(len(body)), body, *section.parts))
     version = WIRE_VERSION if (flags or extended) else WIRE_BASE_VERSION
+    return _envelope(kind_bytes, version, flags, body)
+
+
+def _envelope(kind_bytes: bytes, version: int, flags: int, body: bytes
+              ) -> bytes:
     return b"".join((
         _FIXED_HEADER.pack(WIRE_MAGIC, version, flags, len(kind_bytes)),
         kind_bytes,
@@ -262,6 +267,42 @@ def pack_frame(kind: str, value: Any, *, compress: bool = False,
         body,
         _CRC.pack(zlib.crc32(body)),
     ))
+
+
+def pack_raw_frame(kind: str, body: bytes, *, compress: bool = False) -> bytes:
+    """Wrap an already laid-out ``body`` in the envelope, with no codec.
+
+    For frame kinds whose body is a fixed byte layout rather than a value
+    tree (the worker protocol's ``ingest`` command).  ``compress`` deflates
+    the body when that shrinks it (flag 0x0001, version 2); the frame is
+    otherwise stamped version 1.
+    """
+    kind_bytes = kind.encode("utf-8")
+    flags = 0
+    if compress:
+        deflated = zlib.compress(body, _DEFLATE_LEVEL)
+        if len(deflated) < len(body):
+            body, flags = deflated, _FLAG_DEFLATE
+    return _envelope(kind_bytes, WIRE_VERSION if flags else WIRE_BASE_VERSION,
+                     flags, body)
+
+
+def unpack_raw_frame(data: bytes, expected_kind: str) -> Any:
+    """The body of a :func:`pack_raw_frame` frame of ``expected_kind``.
+
+    Checks the envelope as :func:`unpack_frame` does and inflates a
+    deflated body; a raw array section (flag 0x0002) is refused, because
+    raw bodies have none.  Returns the body bytes (a memoryview when the
+    body was stored plain).
+    """
+    kind, flags, body = _open_envelope(data)
+    if kind != expected_kind:
+        raise WireDecodeError(
+            f"expected a {expected_kind!r} frame, got {kind!r}")
+    if flags & _FLAG_SECTION:
+        raise WireDecodeError(
+            f"a {kind!r} frame has a raw body and no array section")
+    return _inflate_body(body) if flags & _FLAG_DEFLATE else body
 
 
 def _inflate_body(body: memoryview) -> bytes:
@@ -295,6 +336,32 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
     (:func:`~repro.wire.codec.decode_value`) and a frame with any flag set
     is refused before anything is inflated.
     """
+    kind, flags, body = _open_envelope(data)
+    if plain and flags:
+        raise WireDecodeError(
+            "deflated or sectioned wire frames are not accepted here; send "
+            "the body uncompressed"
+        )
+    if expected_kind is not None and kind != expected_kind:
+        raise WireDecodeError(
+            f"expected a {expected_kind!r} frame, got {kind!r}"
+        )
+    tree = body
+    if flags & _FLAG_SECTION:
+        tree, section = _split_body(body)
+        array_source = _SectionReader(section).take
+    if flags & _FLAG_DEFLATE:
+        tree = _inflate_body(tree)
+    return kind, decode_value(tree, array_source=array_source, plain=plain)
+
+
+def _open_envelope(data: bytes) -> Tuple[str, int, memoryview]:
+    """Check one frame's envelope; returns ``(kind, flags, stored body)``.
+
+    Raises :class:`WireDecodeError` on wrong magic, version skew, unknown
+    flags, a truncated header or body, a body-length mismatch or a CRC
+    mismatch.
+    """
     view = memoryview(data)
     if len(view) < _FIXED_HEADER.size:
         raise WireDecodeError(
@@ -318,11 +385,6 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
             f"wire frame carries unknown flags 0x{flags:04X} for version "
             f"{version}"
         )
-    if plain and flags:
-        raise WireDecodeError(
-            "deflated or sectioned wire frames are not accepted here; send "
-            "the body uncompressed"
-        )
     offset = _FIXED_HEADER.size
     if len(view) < offset + kind_length + _BODY_LENGTH.size:
         raise WireDecodeError("truncated wire frame: header cut short")
@@ -342,17 +404,7 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
     (crc,) = _CRC.unpack(view[offset + body_length:])
     if zlib.crc32(body) != crc:
         raise WireDecodeError("wire frame CRC mismatch: the body is corrupted")
-    if expected_kind is not None and kind != expected_kind:
-        raise WireDecodeError(
-            f"expected a {expected_kind!r} frame, got {kind!r}"
-        )
-    tree = body
-    if flags & _FLAG_SECTION:
-        tree, section = _split_body(body)
-        array_source = _SectionReader(section).take
-    if flags & _FLAG_DEFLATE:
-        tree = _inflate_body(tree)
-    return kind, decode_value(tree, array_source=array_source, plain=plain)
+    return kind, flags, body
 
 
 def _split_body(body: memoryview) -> Tuple[memoryview, memoryview]:

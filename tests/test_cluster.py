@@ -60,11 +60,13 @@ from repro.cluster import (
 )
 from repro.cluster.backends import SerialBackend
 from repro.cluster.merge import merge_message_counts
+from repro.api.state import tracker_frame
 from repro.cluster.sharded_tracker import _SEED_STRIDE
 from repro.gateway.http import Request
+from repro.streaming.items import WeightedItemBatch
 from repro.gateway.server import QUERY_KINDS
 from repro.utils.linalg import covariance_error
-from repro.wire import register_trusted_module
+from repro.wire import encode_state, register_trusted_module
 
 from test_api_state_roundtrip import (
     CHUNK,
@@ -368,6 +370,60 @@ class TestSingleShardBitIdentity:
                 session.run(batch)
             for query in _hh_probes(sample):
                 _assert_one_read_path(plain, cluster, query)
+
+
+# ------------------------------------------------------- one-item pushes
+def _state_frame(tracker) -> bytes:
+    return tracker_frame(tracker, compress=False)
+
+
+def _protocol_frame(tracker) -> bytes:
+    # The protocol alone: a shard's builder passes its parameters sorted.
+    return encode_state(tracker.protocol)
+
+
+def _spec_stream(spec, seed):
+    """``(batch, sites, dimension, probes)``: the property-harness stream."""
+    if spec in HH_SPECS:
+        sample, batch, sites = hh_stream(seed)
+        return batch, sites, None, _hh_probes(sample)
+    dataset, batch, sites = matrix_stream(seed)
+    return batch, sites, dataset.dimension, _matrix_probes(dataset.dimension)
+
+
+class TestOneItemPushes:
+    """A one-item push runs the per-item ``process`` wherever it lands, with
+    the column elements the batch kernel would see."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+    def test_one_shard_cluster_equals_tracker_push(self, spec, backend, seed):
+        batch, sites, dimension, probes = _spec_stream(spec, seed)
+        plain = _plain(spec, seed, dimension)
+        with _cluster(spec, seed, shards=1, dimension=dimension,
+                      backend=backend) as cluster:
+            for index in range(len(batch)):
+                plain.push(int(sites[index]), batch[index])
+                cluster.push(int(sites[index]), batch[index])
+            for query in probes:
+                _assert_every_field_equal(plain.query(query),
+                                          cluster.query(query))
+            assert cluster._backend.call(0, _protocol_frame) == \
+                _protocol_frame(plain)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize("spec", ["hh/P2", "matrix/P2"])
+    def test_checkpoint_bytes_match_a_one_item_batch_kernel(self, spec, seed):
+        batch, sites, dimension, _ = _spec_stream(spec, seed)
+        kernel, pushed = (_plain(spec, seed, dimension) for _ in range(2))
+        columns = kernel.protocol._unpack_batch(batch)
+        for index in range(len(batch)):
+            kernel.protocol.process_batch(
+                int(sites[index]),
+                *(column[index:index + 1] for column in columns))
+            pushed.push_batch(sites[index:index + 1], batch[index:index + 1])
+        assert _state_frame(pushed) == _state_frame(kernel)
 
 
 # ------------------------------------- shard s == Tracker over its sites
@@ -1000,6 +1056,52 @@ class TestWorkerProtocolDiscipline:
         assert status == "error" and "CRC" in repr(value)
         status, value = decode_reply(replies[2])
         assert status == "ok" and value == 2.0
+
+    def test_undecodable_ingest_is_held_for_the_next_call(self):
+        from repro.cluster.worker_protocol import (
+            INGEST_KIND, decode_reply, encode_command, encode_ingest,
+            peek_command_op)
+        from repro.wire.frames import pack_raw_frame
+
+        good = encode_ingest(np.zeros(1, dtype=np.int64),
+                             WeightedItemBatch.from_pairs([("a", 2.0)]), seq=1)
+        hostile = pack_raw_frame(INGEST_KIND, b"\x02" + bytes(12))
+        corrupted = bytearray(good)
+        corrupted[-6] ^= 0x01
+        assert peek_command_op(hostile) == peek_command_op(good) == "submit"
+        for broken in (hostile, bytes(corrupted)):
+            replies = self._serve([
+                encode_command("launch", None, (_build_tiny_tracker,)),
+                good,
+                broken,                                 # no reply
+                encode_command("call", _estimate_of, ("a",)),  # its error
+                encode_command("call", _estimate_of, ("a",)),  # its answer
+                encode_command("stop"),
+            ])
+            assert len(replies) == 3
+            status, value = decode_reply(replies[1])
+            assert status == "error" and "WireDecodeError" in repr(value)
+            assert decode_reply(replies[2]) == ("ok", 2.0)
+
+    def test_ingest_at_or_below_the_applied_seq_is_dropped(self):
+        from repro.cluster.worker_protocol import (
+            decode_reply, encode_command, encode_ingest)
+
+        def ingest(element, seq):
+            return encode_ingest(np.zeros(1, dtype=np.int64),
+                                 WeightedItemBatch.from_pairs([(element, 1.0)]),
+                                 seq=seq)
+
+        replies = self._serve([
+            encode_command("launch", None, (_build_tiny_tracker, 1)),
+            ingest("a", 1),        # already in the (re)launched state
+            ingest("a", 2),
+            ingest("a", 2),        # a replayed duplicate
+            ingest("a", 3),
+            encode_command("call", _estimate_of, ("a",)),
+            encode_command("stop"),
+        ])
+        assert decode_reply(replies[1]) == ("ok", 2.0)
 
     def test_corrupted_call_gets_exactly_one_error_reply(self):
         from repro.cluster.worker_protocol import decode_reply, encode_command

@@ -947,3 +947,70 @@ class TestChaosWorkerKill:
         finally:
             _stop_worker(primary)
             _stop_worker(standby)
+
+
+def _one_row_run(cluster, batch, sites, fault=None):
+    """Half the stream in CHUNK slices, the rest one row per push, firing
+    ``fault()`` once, midway through the one-row pushes."""
+    half = len(batch) // 2
+    for start in range(0, half, CHUNK):
+        cluster.push_batch(batch[start:min(start + CHUNK, half)])
+    for index in range(half, len(batch)):
+        cluster.push(int(sites[index]), batch[index])
+        if fault is not None and index == (half + len(batch)) // 2:
+            fault()
+    cluster.flush()
+
+
+class TestChaosOneRowIngest:
+    def test_chaos_sigkill_compressed_worker_replays_one_row_ingest(self):
+        """SIGKILL a compressing socket worker while its shards' replay logs
+        hold one-row ``ingest`` frames: the standby replays them and the
+        cluster ends bit-identical to an unkilled same-paced serial run."""
+        from repro.cluster.worker_protocol import INGEST_KIND
+        from repro.wire import peek_kind
+
+        seed, spec = SEEDS[0], "matrix/P2"
+        dataset, batch, sites = matrix_stream(seed)
+        queries = (Covariance(), FrobeniusSquared(), SketchMatrix())
+        reference = _cluster(spec, seed, shards=2,
+                             dimension=dataset.dimension)
+        _one_row_run(reference, batch, sites)
+        expected = [reference.query(query) for query in queries]
+        expected_stats = reference.stats()
+        reference.close()
+
+        primary, primary_address = _spawn_cli_worker()
+        standby, standby_address = _spawn_cli_worker(("--standby",))
+        try:
+            cluster = _cluster(
+                spec, seed, shards=2, dimension=dataset.dimension,
+                backend="socket",
+                backend_options={"addresses": [primary_address],
+                                 "spare_addresses": [standby_address],
+                                 "compress": True,
+                                 "connect_timeout": 10.0,
+                                 "reconnect_backoff": 0.05})
+            logged = []
+
+            def kill_primary():
+                logged.extend(peek_kind(frame)
+                              for shard in cluster._backend._shards
+                              for _, frame in shard._log)
+                primary.kill()
+                primary.wait(timeout=10.0)
+
+            _one_row_run(cluster, batch, sites, fault=kill_primary)
+            assert set(logged) == {INGEST_KIND}
+            assert len(logged) > len(batch) // 4
+            shards = cluster._backend._shards
+            assert all(shard.recoveries >= 1 for shard in shards)
+            stats = cluster.stats()
+            assert stats.message_counts == expected_stats.message_counts
+            assert stats.per_shard == expected_stats.per_shard
+            for query, reference_answer in zip(queries, expected):
+                _assert_same_answer(cluster.query(query), reference_answer)
+            cluster.close()
+        finally:
+            _stop_worker(primary)
+            _stop_worker(standby)

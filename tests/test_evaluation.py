@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
+from repro.data.synthetic_matrix import make_msd_like
 from repro.evaluation.metrics import (
     average_relative_error,
     evaluate_heavy_hitter_protocol,
@@ -16,7 +18,13 @@ from repro.evaluation.metrics import (
     total_weight_relative_error,
 )
 from repro.evaluation.sweep import ParameterSweep, SweepResult, SweepRecord
-from repro.evaluation.tables import format_series, format_table, format_value, render_figure
+from repro.evaluation.tables import (
+    FLOAT64_FLOOR,
+    format_series,
+    format_table,
+    format_value,
+    render_figure,
+)
 from repro.heavy_hitters.exact import ExactForwardingProtocol
 from repro.matrix_tracking.baselines import CentralizedSVDBaseline
 
@@ -141,6 +149,27 @@ class TestTables:
         assert "e" in format_value(1e-7)
         assert format_value(None) == "None"
         assert format_value(12) == "12"
+
+    def test_summation_noise_prints_as_zero(self):
+        """P3 keeps every row of a short MSD stand-in, so its err is 0 up to
+        summation order: two row orders must render one text."""
+        dataset = make_msd_like(num_rows=1000, seed=11)
+        errors, texts = [], []
+        for rows in (dataset.rows, dataset.rows[::-1]):
+            rows = np.ascontiguousarray(rows)
+            tracker = repro.Tracker.create("matrix/P3", num_sites=5,
+                                           dimension=dataset.dimension,
+                                           epsilon=0.05, seed=3)
+            tracker.run(rows)
+            evaluation = evaluate_matrix_protocol(tracker.protocol, rows)
+            assert evaluation.sketch_rows == rows.shape[0]
+            errors.append(evaluation.error)
+            texts.append(format_table([evaluation.as_dict()],
+                                      columns=("protocol", "err", "msg")))
+        assert texts[0] == texts[1]
+        assert 0.0 <= max(errors) < FLOAT64_FLOOR
+        assert format_value(-1e-17) == format_value(1e-17) == "0"
+        assert format_value(1e-15) == "1.000e-15"
 
     def test_format_table(self):
         text = format_table([{"a": 1, "b": 0.5}, {"a": 2, "b": 1e-9}], title="demo")

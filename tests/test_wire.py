@@ -30,8 +30,18 @@ import pytest
 import repro
 from repro.api import Covariance, FrobeniusSquared, HeavyHitters, TotalWeight
 from repro.cluster.backends import BackendError
+from repro.cluster.sharded_tracker import _shard_ingest
+from repro.cluster.worker_protocol import (
+    COMMAND_KIND,
+    INGEST_KIND,
+    decode_command,
+    encode_command,
+    encode_ingest,
+    encode_submit,
+)
 from repro.streaming.items import MatrixRowBatch, WeightedItem, WeightedItemBatch
 from repro.streaming.network import CommunicationLog, Direction, MessageKind, Network
+from repro.obs.logging import current_trace_id, trace_context
 from repro.utils.stateio import restore_object
 from repro.wire import (
     WIRE_BASE_VERSION,
@@ -50,6 +60,7 @@ from repro.wire import (
     send_frame,
     unpack_frame,
 )
+from repro.wire.frames import pack_raw_frame
 
 from test_api_state_roundtrip import (
     HH_SPECS,
@@ -927,3 +938,155 @@ class TestSectionedFrames:
     def test_malformed_numeric_dicts_refused(self, tail):
         with pytest.raises(WireDecodeError, match="numeric dict"):
             decode_value(b"\x1d" + tail)
+
+
+# ------------------------------------------------------------ ingest frames
+def _ingest_body(columns, seq=1, trace=b""):
+    """Hand-build an ``ingest`` body: ``columns`` are ``(token, shape,
+    payload, storage)`` tuples, laid out as the worker protocol documents."""
+    parts = [struct.pack("<QI", seq, len(trace)), trace,
+             struct.pack("<B", len(columns))]
+    for token, shape, payload, storage in columns:
+        parts += [struct.pack("<B", len(token)), token,
+                  struct.pack("<BBQ", storage, len(shape), len(payload)),
+                  struct.pack(f"<{len(shape)}Q", *shape), payload]
+    return b"".join(parts)
+
+
+def _sites(count):
+    return (b"<i8", (count,), np.arange(count, dtype="<i8").tobytes(), 0)
+
+
+def _rows(count, width):
+    return (b"<f8", (count, width), bytes(8 * count * width), 0)
+
+
+def _ingest_frame(columns, **fields):
+    return pack_raw_frame(INGEST_KIND, _ingest_body(columns, **fields))
+
+
+class TestIngestFrames:
+    """The fixed-layout ``repro/worker-command:ingest`` frame: every remote
+    shard write, decoded as the ``submit`` of ``_shard_ingest`` it is."""
+
+    BATCHES = {
+        "rows": MatrixRowBatch(values=np.arange(12.0).reshape(3, 4)),
+        "int labels": WeightedItemBatch.from_pairs([(5, 1.0), (7, 2.5)]),
+        "str labels": WeightedItemBatch.from_pairs([("a", 1.0), ("bc", 2.0)]),
+        "bool labels": WeightedItemBatch.from_pairs([(True, 1.0)]),
+        "object labels": WeightedItemBatch.from_pairs(
+            [((1, 2), 1.0), ("x", 0.5), (3, 2.0)]),
+    }
+
+    @pytest.mark.parametrize("compress", [False, True])
+    @pytest.mark.parametrize("name", sorted(BATCHES))
+    def test_batches_round_trip_as_submits_of_the_shard_write(self, name,
+                                                              compress):
+        batch = self.BATCHES[name]
+        sites = np.arange(len(batch), dtype=np.int64) % 2
+        frame = encode_ingest(sites, batch, seq=9, compress=compress)
+        op, fn, (got_sites, got), seq = decode_command(frame)
+        assert (op, fn, seq) == ("submit", _shard_ingest, 9)
+        assert got_sites.dtype == np.int64
+        assert np.array_equal(got_sites, sites)
+        assert type(got) is type(batch) and got.sites is None
+        for column in ("values",) if name == "rows" else ("elements",
+                                                            "weights"):
+            ours, theirs = getattr(got, column), getattr(batch, column)
+            assert ours.dtype == theirs.dtype and ours.flags.writeable
+            assert ours.tobytes() == theirs.tobytes() or (
+                ours.dtype == object and list(ours) == list(theirs))
+
+    def test_only_the_shard_write_takes_the_layout(self):
+        batch = self.BATCHES["rows"]
+        sites = np.zeros(3, dtype=np.int64)
+        frame = encode_submit(_shard_ingest, (sites, batch), seq=4)
+        assert frame == encode_ingest(sites, batch, seq=4)
+        assert frame[10:10 + len(INGEST_KIND)] == INGEST_KIND.encode()
+        # The generic form still encodes and decodes the same function.
+        generic = encode_command("submit", _shard_ingest, (batch,), seq=4)
+        assert generic[10:10 + len(COMMAND_KIND) + 7] == (
+            f"{COMMAND_KIND}:submit".encode())
+        op, fn, (decoded,), seq = decode_command(generic)
+        assert (op, fn, seq) == ("submit", _shard_ingest, 4)
+        assert np.array_equal(decoded.values, batch.values)
+
+    def test_layout_of_a_one_row_push(self):
+        row = MatrixRowBatch(values=np.arange(3.0).reshape(1, 3))
+        frame = encode_ingest(np.array([2]), row, seq=7, trace="t1")
+        version, flags = struct.unpack_from("<HH", frame, 4)
+        assert (version, flags) == (WIRE_BASE_VERSION, 0)
+        body = frame[18 + len(INGEST_KIND):-4]
+        assert body == _ingest_body([
+            (b"<i8", (1,), np.array([2], "<i8").tobytes(), 0),
+            (b"<f8", (1, 3), np.arange(3.0).tobytes(), 0)],
+            seq=7, trace=b"t1")
+
+    def test_trace_id_is_rebound_and_cleared(self):
+        row = self.BATCHES["rows"]
+        traced = encode_ingest(np.zeros(3), row, seq=1, trace="abcdef01")
+        plain = encode_ingest(np.zeros(3), row, seq=2)
+        with trace_context(None):
+            decode_command(traced)
+            assert current_trace_id() == "abcdef01"
+            decode_command(plain)
+            assert current_trace_id() is None
+
+    def test_truncated_body_raises(self):
+        body = _ingest_body([_sites(2), _rows(2, 3)])
+        for cut in (4, 13, 20, len(body) - 1):
+            with pytest.raises(WireDecodeError):
+                decode_command(pack_raw_frame(INGEST_KIND, body[:cut]))
+        frame = _ingest_frame([_sites(2), _rows(2, 3)])
+        with pytest.raises(WireDecodeError, match="length mismatch"):
+            decode_command(frame[:-9])
+
+    def test_flipped_crc_raises(self):
+        frame = bytearray(_ingest_frame([_sites(2), _rows(2, 3)]))
+        frame[-1] ^= 0x01
+        with pytest.raises(WireDecodeError, match="CRC"):
+            decode_command(bytes(frame))
+
+    def test_column_byte_count_must_match_dtype_and_shape(self):
+        short = (b"<f8", (2, 3), bytes(40), 0)
+        with pytest.raises(WireDecodeError, match="does not match"):
+            decode_command(_ingest_frame([_sites(2), short]))
+
+    @pytest.mark.parametrize("token", [b"<V8", b"xyz", b"i8", b"<M8[ns]",
+                                       b"\xff"])
+    def test_unknown_dtype_token_raises(self, token):
+        column = (token, (2,), bytes(16), 0)
+        with pytest.raises(WireDecodeError, match="dtype token"):
+            decode_command(_ingest_frame([_sites(2), column,
+                                          (b"<f8", (2,), bytes(16), 0)]))
+
+    @pytest.mark.parametrize("columns, message", [
+        ([_sites(2), (b"<f8", (1 << 62, 1 << 62), bytes(16), 0)],
+         "does not match"),
+        ([_sites(2), (b"|O", (1 << 40,), encode_value(None), 0),
+          (b"<f8", (2,), bytes(16), 0)], "object column"),
+        ([_sites(2), (b"<f8", (2, 3, 4), bytes(192), 0)], "rank"),
+        ([_sites(2)] * 200, "2 or 3 columns"),
+        ([_sites(2), _rows(3, 2)], "float64"),
+        ([_sites(2), (b"<f8", (2, 3), struct.pack("<QQ", 0, 48), 1)],
+         "out-of-band"),
+    ], ids=["huge shape", "huge object shape", "rank", "column count",
+            "row count", "reference without a source"])
+    def test_hostile_counts_raise_before_allocating(self, columns, message):
+        with pytest.raises(WireDecodeError, match=message):
+            decode_command(_ingest_frame(columns))
+
+    def test_hostile_lengths_in_the_header_raise(self):
+        body = bytearray(_ingest_body([_sites(2), _rows(2, 3)]))
+        struct.pack_into("<I", body, 8, 1 << 31)          # trace length
+        with pytest.raises(WireDecodeError, match="truncated"):
+            decode_command(pack_raw_frame(INGEST_KIND, bytes(body)))
+        body = bytearray(_ingest_body([_sites(2), _rows(2, 3)]))
+        struct.pack_into("<Q", body, 13 + 4 + 2, 1 << 60)  # sites length
+        with pytest.raises(WireDecodeError, match="overruns"):
+            decode_command(pack_raw_frame(INGEST_KIND, bytes(body)))
+
+    def test_trailing_bytes_raise(self):
+        body = _ingest_body([_sites(2), _rows(2, 3)]) + b"\x00"
+        with pytest.raises(WireDecodeError, match="trailing"):
+            decode_command(pack_raw_frame(INGEST_KIND, body))
