@@ -147,10 +147,10 @@ class AnswerCache:
         with self._lock:
             self._entries.clear()
 
-    # Trackers must stay picklable (the process backend ships builders, and
-    # tests pickle whole sessions); a cache pickles as its configuration
-    # only — entries and counters are process-local serving state, and the
-    # lock cannot cross process boundaries anyway.
+    # Trackers must stay picklable (tests pickle whole sessions); a cache
+    # pickles as its configuration only — entries and counters are
+    # process-local serving state, and the lock cannot cross process
+    # boundaries anyway.
     def __getstate__(self) -> dict:
         return {"max_entries": self.max_entries, "spec": self._spec}
 

@@ -12,8 +12,10 @@ the work submitted to each slot, and exposes three primitives:
   shard before collecting, so independent shards answer in parallel,
 * ``join()`` — barrier until all queued work has drained.
 
-``fn`` must be a module-level callable (the process backend ships it by
-qualified name) taking the shard's ``Tracker`` as its first argument.
+``fn`` takes the shard's ``Tracker`` as its first argument.  The remote
+backends send it by its name in the worker command table
+(:func:`~repro.cluster.worker_protocol.worker_command`), so there it must
+be a declared command; serial and thread shards run it in-process.
 
 Five backends are registered, mirroring the protocol registry's
 string-keyed :class:`BackendSpec` pattern:
@@ -84,8 +86,10 @@ from ..wire import WireDecodeError
 from .worker_protocol import (
     WorkerSession,
     encode_command,
+    encode_launch,
     encode_submit,
     unpack_reply,
+    worker_command,
 )
 
 __all__ = [
@@ -143,9 +147,11 @@ class EngineBackend(abc.ABC):
     def launch(self, builders: Sequence[Callable[[], Any]]) -> None:
         """Create one shard per builder; each builder returns the shard Tracker.
 
-        Builders must be picklable for the process backend (use the
-        dataclass builders of :mod:`repro.cluster.sharded_tracker`, not
-        closures).
+        A remote backend sends each builder as a launch command: a
+        function declared with ``worker_command(launch=True)``, or a
+        :func:`functools.partial` of one over positional arguments (the
+        builders of :mod:`repro.cluster.sharded_tracker`).  Serial and
+        thread shards call any zero-argument callable.
         """
         if self._launched:
             raise BackendError("backend already launched")
@@ -222,6 +228,7 @@ class EngineBackend(abc.ABC):
         self.close()
 
 
+@worker_command
 def _noop(tracker: Any) -> None:
     return None
 
@@ -488,29 +495,30 @@ class RemoteShardHandle:
 
     def send_launch(self, builder: Callable[[], Any]) -> None:
         """First half of a fresh launch: ship ``builder`` on the live channel."""
-        self._send_launch(self.channel, (builder,))
+        self._send_launch(self.channel, builder)
 
     def await_ready(self) -> None:
         """Second half of a fresh launch: the live channel's ``ready``."""
         self._await_ready(self.channel)
 
-    def _handshake(self, channel: Any, launch_args: tuple,
-                   peer: Optional[str] = None) -> None:
+    def _handshake(self, channel: Any, builder: Callable[[], Any],
+                   resume_seq: int, peer: Optional[str] = None) -> None:
         """Run ``launch → ready`` on ``channel`` (not yet the live one).
 
-        ``launch_args`` is ``(builder,)`` or ``(builder, resume_seq)``;
-        ``peer`` names the far end when it is not the live channel's.
-        Raises :class:`BackendError`; the caller, which opened ``channel``,
-        closes it.
+        ``resume_seq`` primes the worker's applied-seq counter; ``peer``
+        names the far end when it is not the live channel's.  Raises
+        :class:`BackendError`; the caller, which opened ``channel``, closes
+        it.
         """
-        self._send_launch(channel, launch_args, peer)
+        self._send_launch(channel, builder, resume_seq, peer)
         self._await_ready(channel, peer)
 
-    def _send_launch(self, channel: Any, launch_args: tuple,
+    def _send_launch(self, channel: Any, builder: Callable[[], Any],
+                     resume_seq: Optional[int] = None,
                      peer: Optional[str] = None) -> None:
         with self._launch_step(peer):
-            self._send(channel, encode_command(
-                "launch", None, launch_args, trace=current_trace_id(),
+            self._send(channel, encode_launch(
+                builder, resume_seq=resume_seq, trace=current_trace_id(),
                 **self._frame_options))
 
     def _await_ready(self, channel: Any, peer: Optional[str] = None) -> None:

@@ -12,9 +12,9 @@ bounds.
 How each query kind reads a shard and folds ``N`` shards into one answer is
 defined once, on the query class (``Query.materials`` / ``Query.combine`` in
 :mod:`repro.api.queries`).  This module keeps the counter and message-count
-merges and the two module-level entry points the cluster layer ships by
-name: :func:`shard_query_materials` runs **on the shard** (every engine
-backend, including the process backend, resolves it by qualified name) and
+merges and the two entry points of a cluster query:
+:func:`shard_query_materials` runs **on the shard** (a declared worker
+command, which the remote backends send by its table name) and
 :func:`merge_answer` runs on the caller.
 """
 
@@ -23,6 +23,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, List
 
 from ..api.queries import Answer, Query, merge_counter_maps
+from .worker_protocol import worker_command
 
 __all__ = [
     "merge_answer",
@@ -41,6 +42,7 @@ def merge_message_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
     return merged
 
 
+@worker_command
 def shard_query_materials(tracker: Any, query: Query) -> Dict[str, Any]:
     """Extract the raw per-shard material one query needs (runs on the shard)."""
     return query.materials(tracker.protocol)

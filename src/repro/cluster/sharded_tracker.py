@@ -52,6 +52,7 @@ Example::
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -79,7 +80,7 @@ from .backends import (
     get_backend_spec,
 )
 from .merge import merge_message_counts, shard_query_materials
-from .worker_protocol import ingest_command
+from .worker_protocol import worker_command
 
 __all__ = ["ShardedTracker", "ShardedTrackerStats",
            "CLUSTER_CHECKPOINT_VERSION"]
@@ -149,63 +150,49 @@ class ShardedTrackerStats:
     missing_shards: Tuple[int, ...] = ()
 
 
-# ------------------------------------------------------------ shard builders
-@dataclass(frozen=True)
-class _SpecShardBuilder:
-    """Picklable builder: construct shard ``index`` from a registry spec."""
-
-    spec: str
-    params: Tuple[Tuple[str, Any], ...]
-    chunk_size: Optional[int]
-    index: int
-    shards: int
-
-    def __call__(self) -> Tracker:
-        params = dict(self.params)
-        # Shard ``index`` owns the global sites index, index + shards, ...
-        params["num_sites"] = len(range(self.index, params["num_sites"],
-                                        self.shards))
-        seed = params.get("seed")
-        if seed is not None and self.index:
-            # Distinct, deterministic per-shard RNG streams; shard 0 keeps
-            # the caller's seed (single-shard bit-identity with Tracker).
-            params["seed"] = seed + self.index * _SEED_STRIDE
-        return Tracker.create(self.spec, chunk_size=self.chunk_size, **params)
+# ----------------------------------------------------- shard-side commands
+# What every backend runs on its shards; the remote backends send each by
+# its name in the worker command table, which is all a remote worker runs.
+@worker_command(launch=True)
+def _build_shard(spec: str, params: Tuple[Tuple[str, Any], ...],
+                 chunk_size: Optional[int], index: int, shards: int) -> Tracker:
+    """Construct shard ``index`` of ``shards`` from a registry spec."""
+    params = dict(params)
+    # Shard ``index`` owns the global sites index, index + shards, ...
+    params["num_sites"] = len(range(index, params["num_sites"], shards))
+    seed = params.get("seed")
+    if seed is not None and index:
+        # Distinct, deterministic per-shard RNG streams; shard 0 keeps
+        # the caller's seed (single-shard bit-identity with Tracker).
+        params["seed"] = seed + index * _SEED_STRIDE
+    return Tracker.create(spec, chunk_size=chunk_size, **params)
 
 
-@dataclass(frozen=True)
-class _RestoreShardBuilder:
-    """Wire-encodable builder: restore shard ``index`` from its checkpoint.
+@worker_command(launch=True)
+def _restore_shard(frame: bytes, index: int) -> Tracker:
+    """Restore shard ``index`` from its :func:`~repro.api.state.tracker_frame`.
 
-    ``payload`` is the shard's :func:`~repro.api.state.tracker_frame` bytes,
-    decoded *on the worker*.  Restore cost parallelises like save cost
-    because every remote backend starts its shards in one fan-out: all
-    workers are opened, then every launch frame (this builder) is sent, and
-    only then is any ``ready`` awaited, so the shards decode side by side.
+    Decoded *on the worker*, and every remote backend sends all launch
+    frames before it awaits any ``ready``, so the shards decode side by
+    side: restore cost parallelises like save cost.
     """
-
-    payload: bytes
-    index: int
-
-    def __call__(self) -> Tracker:
-        return tracker_from_frame(self.payload, source=f"shard {self.index}")
+    return tracker_from_frame(frame, source=f"shard {index}")
 
 
-# --------------------------------------------------- shard-side worker fns
-# Module-level so every backend (including the process backend, which ships
-# callables by qualified name) can execute them against the shard tracker.
-@ingest_command
+@worker_command
 def _shard_ingest(tracker: Tracker, site_ids: np.ndarray, batch: Any) -> None:
     # The one shard write: ``site_ids`` are the shard's *local* site indices.
     # The remote backends send it as an ``ingest`` frame (worker_protocol).
     tracker.push_batch(site_ids, batch)
 
 
+@worker_command
 def _shard_stats(tracker: Tracker) -> Tuple[int, int, Dict[str, int]]:
     return (tracker.items_processed, tracker.total_messages,
             tracker.protocol.message_counts())
 
 
+@worker_command
 def _shard_metrics(tracker: Tracker) -> Tuple[int, int, Dict[str, Any]]:
     # The worker's whole metrics registry rides its own reply: only the
     # merged metrics view reads it, so stats() does not ship it.
@@ -213,21 +200,25 @@ def _shard_metrics(tracker: Tracker) -> Tuple[int, int, Dict[str, Any]]:
             REGISTRY.snapshot())
 
 
+@worker_command
 def _shard_items(tracker: Tracker) -> int:
     # Seeds the parent's watermark: one int, not the whole stats reply.
     return tracker.items_processed
 
 
+@worker_command
 def _shard_ping(tracker: Tracker) -> str:
     # Cheapest possible liveness probe: an empty round trip through the
     # shard's FIFO proves the worker is alive and draining.
     return "ok"
 
 
+@worker_command
 def _shard_checkpoint(tracker: Tracker) -> bytes:
     # Encoded and compressed on the shard: each worker serializes its own
     # state in parallel, and the frame bytes are embedded verbatim in the
-    # cluster checkpoint file (no second encoding pass at the caller).
+    # cluster checkpoint file (no second encoding pass at the caller).  The
+    # socket backend's replay snapshots are the same frame.
     return tracker_frame(tracker, compress=True)
 
 
@@ -258,13 +249,10 @@ class ShardedTracker(Session):
         self._backend_name = get_backend_spec(backend).name
         if _builders is None:
             registry_spec.validate(dict(self._params))  # fail before launch
-            _builders = [
-                _SpecShardBuilder(spec=self._spec,
-                                  params=tuple(sorted(self._params.items())),
-                                  chunk_size=chunk_size, index=index,
-                                  shards=self._num_shards)
-                for index in range(self._num_shards)
-            ]
+            params = tuple(sorted(self._params.items()))
+            _builders = [partial(_build_shard, self._spec, params, chunk_size,
+                                 index, self._num_shards)
+                         for index in range(self._num_shards)]
         elif len(_builders) != self._num_shards:
             raise ValueError(
                 f"got {len(_builders)} shard builders for {self._num_shards} shards"
@@ -632,8 +620,8 @@ class ShardedTracker(Session):
         shard_payloads = payload.get("shard_payloads")
         if not shard_payloads:
             raise CheckpointError(f"{path!s} contains no shard payloads")
-        builders = [_RestoreShardBuilder(payload=shard_payload, index=index)
-                    for index, shard_payload in enumerate(shard_payloads)]
+        builders = [partial(_restore_shard, frame, index)
+                    for index, frame in enumerate(shard_payloads)]
         return cls(
             payload["spec"], payload.get("params") or {},
             shards=len(builders),

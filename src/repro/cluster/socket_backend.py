@@ -67,6 +67,7 @@ import ssl
 import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import (
     Any,
     Callable,
@@ -96,6 +97,7 @@ from .backends import (
     RemoteShardHandle,
     _register,
 )
+from .sharded_tracker import _restore_shard, _shard_checkpoint
 from .worker_protocol import (
     WorkerSession,
     encode_reply,
@@ -214,18 +216,6 @@ def parse_address_list(addresses: Union[AddressLike, Sequence[AddressLike]]
     if not parsed:
         raise ValueError("need at least one worker address")
     return parsed
-
-
-def _shard_state_frame(tracker: Any) -> bytes:
-    """Worker-side: the shard tracker's full state as one checkpoint frame.
-
-    Used by the parent's replay machinery (periodic snapshots that bound the
-    replay log) and by live shard handoff; the frame restores bit-identically
-    via the same ``_RestoreShardBuilder`` path cluster checkpoints use.
-    """
-    from ..api.state import tracker_frame
-
-    return tracker_frame(tracker)
 
 
 def _addr(address: Tuple[str, int]) -> str:
@@ -374,7 +364,7 @@ class _SocketShard(RemoteShardHandle):
         """
         sock = self._connect(address)
         try:
-            self._handshake(sock, (builder, int(resume_seq)),
+            self._handshake(sock, builder, int(resume_seq),
                             f"worker {_addr(address)}")
         except BaseException:
             sock.close()
@@ -551,10 +541,8 @@ class _SocketShard(RemoteShardHandle):
         last snapshot, or the original builder when none was taken."""
         if self._snapshot is None:
             return 0, self._builder
-        from .sharded_tracker import _RestoreShardBuilder
-
-        snap_seq, payload = self._snapshot
-        return snap_seq, _RestoreShardBuilder(payload=payload, index=self.index)
+        snap_seq, frame = self._snapshot
+        return snap_seq, partial(_restore_shard, frame, self.index)
 
     def _relaunch_on(self, address: Tuple[str, int]) -> None:
         """Start a fresh session on ``address`` and bring it up to date.
@@ -586,7 +574,7 @@ class _SocketShard(RemoteShardHandle):
     def _sync_snapshot(self) -> None:
         """Snapshot the shard's state and trim the replay log.
 
-        One round trip: a ``call`` of :func:`_shard_state_frame`, sequenced
+        One round trip: a ``call`` of ``_shard_checkpoint``, sequenced
         after every logged submit (per-shard FIFO), so the returned frame
         reflects exactly the submits up to ``sent_seq``.  Note this call —
         like any call — surfaces a deferred submit error; with the default
@@ -594,7 +582,7 @@ class _SocketShard(RemoteShardHandle):
         reported, never whether.
         """
         seq_at = self.sent_seq
-        self.send_command("call", _shard_state_frame, ())
+        self.send_command("call", _shard_checkpoint, ())
         self._snapshot = (seq_at, self.finish_call())
         self._log = []
         self._log_bytes = 0

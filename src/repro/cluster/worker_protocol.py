@@ -2,14 +2,13 @@
 
 Every remote engine backend — the persistent-process backend's pipes and the
 multi-host socket backend's TCP connections — drives its shard workers with
-the same four commands, each one :mod:`repro.wire` frame:
+the same commands, each one :mod:`repro.wire` frame:
 
 =========  =================================================================
-``launch``   args ``(builder,)`` or ``(builder, resume_seq)``; the worker
-             constructs its shard ``Tracker`` by calling the
-             (wire-encodable, dataclass) builder, primes its applied-seq
-             counter from ``resume_seq`` (a recovery/handoff relaunch) and
-             replies ``ready``
+``launch``   a launch command ``name`` and its args; the worker constructs
+             its shard ``Tracker`` as ``builder(*args)``, primes its
+             applied-seq counter from the frame's ``seq`` (a recovery or
+             handoff relaunch) and replies ``ready``
 ``submit``   fire-and-forget ``fn(tracker, *args)``; failures are held and
              reported at the next ``call`` (FIFO order is preserved)
 ``ingest``   a ``submit`` of the shard write ``_shard_ingest(tracker,
@@ -20,14 +19,18 @@ the same four commands, each one :mod:`repro.wire` frame:
 ``stop``     end the session (no reply)
 =========  =================================================================
 
-``fn`` travels by qualified name (it must be a module-level function inside
-the ``repro`` package — the rule the backends documented from day one) and
-``args`` travel as wire values, so columnar ``WeightedItemBatch`` /
-``MatrixRowBatch`` chunks, typed query objects and checkpoint payload
-frames all cross process and host boundaries without pickle.  Replies are
-wire frames too; a result the codec cannot represent degrades to an
-``error`` reply naming the offending type (mirroring the old pickle
-backend's ``_safe_send``), never a torn frame.
+**The command table.**  ``fn`` travels as the name :func:`worker_command`
+declared it under, and a worker runs only what its table holds.  A name the
+table does not hold for the op fails to decode like a corrupted frame (a
+``call`` or ``launch`` gets an error reply, a ``submit`` holds the error
+for the next call); nothing a frame names is ever imported.  The cluster
+layer declares the built-in commands where it defines them, and importing
+this module imports all of :mod:`repro.cluster`, so forked and freshly
+started workers serve the same table.  ``args`` travel as wire values, so
+columnar batches, typed query objects and checkpoint payload frames cross
+process and host boundaries without pickle.  Replies are wire frames too; a
+result the codec cannot represent degrades to an ``error`` reply naming the
+offending type, never a torn frame.
 
 **The ``ingest`` body.**  Every batch a cluster pushes to a remote shard
 travels as ``repro/worker-command:ingest``, in the ordinary frame envelope
@@ -82,8 +85,8 @@ disconnect.
 from __future__ import annotations
 
 import struct
-from functools import lru_cache
-from typing import Any, Callable, List, Optional, Tuple
+from functools import lru_cache, partial
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -99,11 +102,12 @@ __all__ = [
     "COMMAND_KIND",
     "REPLY_KIND",
     "encode_command",
+    "encode_launch",
     "decode_command",
     "peek_command_op",
     "encode_reply",
     "unpack_reply",
-    "decode_reply",
+    "worker_command",
     "WorkerSession",
 ]
 
@@ -123,45 +127,70 @@ _RAW_KINDS = "biufcUS"
 _INT64 = np.dtype("<i8")
 _FLOAT64 = np.dtype("<f8")
 
-#: The shard write ``fn(tracker, site_ids, batch)`` that ``ingest`` frames
-#: carry, declared by :func:`ingest_command`.
-_ingest_fn: Optional[Callable[..., None]] = None
+#: The worker's command table, filled by :func:`worker_command`: name ->
+#: ``(launch, fn)``.  A launch entry builds the shard tracker as
+#: ``fn(*args)``; every other entry runs as ``fn(tracker, *args)``.
+_TABLE: Dict[str, Tuple[bool, Callable[..., Any]]] = {}
+#: The shard write ``fn(tracker, site_ids, batch)``: its submits travel as
+#: ``ingest`` frames, and every ``ingest`` frame decodes to it.
+_INGEST_COMMAND = "_shard_ingest"
+_RUNS = ("submit", "call", "launch")   # the ops that run a command
 
 
-def ingest_command(fn: Callable[..., None]) -> Callable[..., None]:
-    """Declare ``fn(tracker, site_ids, batch)`` the shard write.
+def worker_command(fn: Optional[Callable[..., Any]] = None, *,
+                   launch: bool = False) -> Any:
+    """Declare ``fn`` a worker command under its ``__name__``.
 
-    :mod:`repro.cluster.sharded_tracker` declares its ``_shard_ingest`` (it
-    imports this module, not the reverse).  Submits of ``fn`` then travel
-    as ``ingest`` frames, and a worker decodes every ``ingest`` frame into
-    a submit of ``fn``.
+    ``@worker_command`` declares a ``submit``/``call`` command
+    ``fn(tracker, *args)``; ``@worker_command(launch=True)`` a launch
+    command ``fn(*args)`` that returns the shard's tracker.  A name is
+    declared once (a second function under it is a ``ValueError``).
     """
-    global _ingest_fn
-    _ingest_fn = fn
+    def declare(fn: Callable[..., Any]) -> Callable[..., Any]:
+        if _TABLE.setdefault(fn.__name__, (launch, fn))[1] is not fn:
+            raise ValueError(f"{fn.__name__!r} is already declared")
+        return fn
+
+    return declare if fn is None else declare(fn)
+
+
+def _declared(op: str, name: Any) -> Callable[..., Any]:
+    """The table's function for ``name`` in an ``op`` frame."""
+    launch, fn = _TABLE.get(name, (None, None)) if isinstance(name, str) \
+        else (None, None)
+    if fn is None or launch != (op == "launch"):
+        raise WireDecodeError(f"{name!r} is not a declared "
+                              f"{'launch' if op == 'launch' else 'worker'} "
+                              f"command")
     return fn
 
 
 def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
                    seq: Optional[int] = None, trace: Optional[str] = None,
                    compress: bool = False, array_sink: Any = None) -> bytes:
-    """Pack one command frame (``fn`` may be None for launch/stop).
+    """Pack one command frame; ``fn`` is a declared command (None on stop).
 
-    The op rides in the frame *kind* (``repro/worker-command:submit``) as
-    well as the body, so a worker that cannot decode the body — a corrupted
-    frame, an untrusted function reference — can still tell from the header
-    whether the sender is waiting for a reply, and keep the command/reply
-    protocol synchronized.  ``seq`` stamps the command with a monotonic
-    sequence number for idempotent replay (omitted entirely when ``None``,
-    so unsequenced frames are byte-identical to the pre-seq protocol).
-    ``compress`` compresses the command frame (the socket backend's
-    ``compress`` option); workers decode compressed and plain commands
-    alike, so the knob is sender-local and needs no negotiation beyond the
-    frame version.  ``array_sink`` diverts
-    large array payloads out of band (the ``"shm"`` backend's
-    shared-memory ring); the frame then carries references the receiver
-    resolves via ``decode_command``'s ``array_source``.
+    ``fn`` travels as its table name.  The op rides in the frame *kind*
+    (``repro/worker-command:submit``) as well as the body, so a worker that
+    cannot decode the body — a corrupted frame, a name its table does not
+    hold — can still tell from the header whether the sender is waiting for
+    a reply, and keep the command/reply protocol synchronized.  ``seq``
+    stamps a ``submit`` with a monotonic sequence number for idempotent
+    replay, and primes a ``launch``'s applied-seq counter (omitted entirely
+    when ``None``, so unsequenced frames are byte-identical to the pre-seq
+    protocol).  ``compress`` compresses the command frame (the socket
+    backend's ``compress`` option); workers decode compressed and plain
+    commands alike, so the knob is sender-local and needs no negotiation
+    beyond the frame version.  ``array_sink`` diverts large array payloads
+    out of band (the ``"shm"`` backend's shared-memory ring); the frame
+    then carries references the receiver resolves via ``decode_command``'s
+    ``array_source``.
     """
-    body = {"op": op, "fn": fn, "args": tuple(args)}
+    name = getattr(fn, "__name__", None) if op in _RUNS else None
+    if op in _RUNS and (fn is None
+                        or _TABLE.get(name, (None, None))[1] is not fn):
+        raise WireEncodeError(f"{fn!r} is not a declared worker command")
+    body = {"op": op, "fn": name, "args": tuple(args)}
     if seq is not None:
         body["seq"] = int(seq)
     if trace is not None:
@@ -172,12 +201,31 @@ def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
                       compress=compress, array_sink=array_sink)
 
 
+def encode_launch(builder: Any, *, resume_seq: Optional[int] = None,
+                  **options: Any) -> bytes:
+    """One ``launch`` of ``builder``: a declared launch command, or a
+    :func:`functools.partial` of one over positional arguments.
+
+    ``resume_seq`` primes the worker's applied-seq counter (a recovery or
+    handoff relaunch); ``options`` are :func:`encode_command`'s.
+    """
+    if isinstance(builder, partial):
+        if builder.keywords:
+            raise WireEncodeError(
+                "a launch carries positional arguments only, not "
+                f"{sorted(builder.keywords)}")
+        builder, args = builder.func, builder.args
+    else:
+        args = ()
+    return encode_command("launch", builder, args, seq=resume_seq, **options)
+
+
 def encode_submit(fn: Any, args: Tuple[Any, ...], *, seq: int,
                   trace: Optional[str] = None, compress: bool = False,
                   array_sink: Any = None) -> bytes:
     """One sequenced ``submit``: an ``ingest`` frame when ``fn`` is the
-    shard write (:func:`ingest_command`), the generic form otherwise."""
-    if fn is _ingest_fn and fn is not None:
+    shard write (``_INGEST_COMMAND``), the generic form otherwise."""
+    if fn is not None and fn is _TABLE.get(_INGEST_COMMAND, (None, None))[1]:
         return encode_ingest(*args, seq=seq, trace=trace, compress=compress,
                              array_sink=array_sink)
     return encode_command("submit", fn, args, seq=seq, trace=trace,
@@ -359,12 +407,13 @@ def decode_command(data: bytes, *, array_source: Any = None
     trace ID (see :mod:`repro.obs.logging`) so worker-side log lines
     correlate with the originating gateway request; frames without one
     clear it.  The 4-tuple shape is unchanged — trace is context, not
-    payload.  An ``ingest`` frame decodes as the ``submit`` of the shard
-    write it stands for.
+    payload.  ``fn`` is the command table's function for the frame's name
+    (None on ``stop``); a name the table does not hold for the op is a
+    :class:`~repro.wire.WireDecodeError`.  An ``ingest`` frame decodes as
+    the ``submit`` of the shard write it stands for.
     """
     if peek_kind(data) == INGEST_KIND:
-        if _ingest_fn is None:
-            raise WireDecodeError("no shard write is declared for ingest")
+        fn = _declared("submit", _INGEST_COMMAND)
         body = unpack_raw_frame(data, INGEST_KIND)
         try:
             seq, trace, columns = _decode_ingest(body, array_source)
@@ -375,19 +424,21 @@ def decode_command(data: bytes, *, array_source: Any = None
             raise WireDecodeError(
                 f"malformed ingest body: {exc!r}") from exc
         set_trace_id(trace)
-        return "submit", _ingest_fn, args, seq
+        return "submit", fn, args, seq
     kind, body = unpack_frame(data, array_source=array_source)
     if kind != COMMAND_KIND and not kind.startswith(COMMAND_KIND + ":"):
         raise WireDecodeError(f"expected a worker command frame, got {kind!r}")
     if not isinstance(body, dict) or not isinstance(body.get("op"), str):
         raise WireDecodeError("malformed worker command body")
+    op = body["op"]
     seq = body.get("seq")
     if seq is not None and not isinstance(seq, int):
         raise WireDecodeError("malformed worker command seq")
+    fn = _declared(op, body.get("fn")) if op in _RUNS else None
     trace = body.get("trace")
     set_trace_id(trace if isinstance(trace, str) else None)
     try:
-        return body["op"], body.get("fn"), tuple(body.get("args", ())), seq
+        return op, fn, tuple(body.get("args", ())), seq
     except TypeError as exc:
         raise WireDecodeError("malformed worker command body") from exc
 
@@ -439,11 +490,6 @@ def unpack_reply(data: bytes) -> Tuple[str, Any, Optional[int]]:
     acked = body.get("acked")
     return (body["status"], body.get("value"),
             acked if isinstance(acked, int) else None)
-
-
-def decode_reply(data: bytes) -> Tuple[str, Any]:
-    """Unpack a reply frame into ``(status, value)``."""
-    return unpack_reply(data)[:2]
 
 
 class WorkerSession:
@@ -498,7 +544,7 @@ class WorkerSession:
             if op == "stop":
                 return
             if op == "launch":
-                if not self._launch(args):
+                if not self._launch(fn, args, seq):
                     return
             elif op == "submit":
                 if seq is not None:
@@ -553,24 +599,17 @@ class WorkerSession:
             self._send(encode_reply("error", exc, self._applied_seq))
         return False
 
-    def _launch(self, args: Tuple[Any, ...]) -> bool:
+    def _launch(self, builder: Callable[..., Any], args: Tuple[Any, ...],
+                resume_seq: Optional[int]) -> bool:
         """Build the shard tracker; False ends the session (failed start).
 
-        ``args`` is ``(builder,)`` for a fresh launch or
-        ``(builder, resume_seq)`` for a recovery/handoff relaunch, where
-        ``resume_seq`` primes the applied-seq counter so the replay of the
-        parent's log continues exactly where the restored state left off.
+        ``resume_seq`` (a recovery/handoff relaunch) primes the applied-seq
+        counter so the replay of the parent's log continues exactly where
+        the restored state left off.
         """
         try:
-            if not 1 <= len(args) <= 2:
-                raise ValueError(
-                    f"launch takes (builder,) or (builder, resume_seq), "
-                    f"got {len(args)} args"
-                )
-            builder = args[0]
-            resume_seq = int(args[1]) if len(args) == 2 else 0
-            self._tracker = builder()
-            self._applied_seq = resume_seq
+            self._tracker = builder(*args)
+            self._applied_seq = resume_seq or 0
         except BaseException as exc:
             self._send(encode_reply("error", exc, self._applied_seq))
             return False

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Hashable, Optional, Sequence
 
+from ..sketch.base import batch_key
 from ..sketch.exact import ExactFrequencyCounter
 from .base import WeightedHeavyHitterProtocol
 
@@ -29,6 +30,7 @@ class ExactForwardingProtocol(WeightedHeavyHitterProtocol):
 
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
         weight = self._record_observation(weight)
+        element = batch_key(element)  # keyed as process_batch keys it
         self.network.send_vector(site, description=f"item {element!r}")
         self._coordinator.update(element, weight)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from typing import Dict, Hashable, List, Optional, Sequence
 
-from ..sketch.base import aggregate_weighted_batch
+from ..sketch.base import aggregate_weighted_batch, batch_key
 from ..sketch.misra_gries import WeightedMisraGries
 from ..streaming.weight_rounds import FlushRounds
 from ..utils.validation import check_positive_int
@@ -88,7 +88,8 @@ class BatchedMisraGriesProtocol(FlushRounds, WeightedHeavyHitterProtocol):
     # ---------------------------------------------------------------- site side
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:
         weight = self._record_observation(weight)
-        self._sites[site].summary.update(element, weight)
+        # Keyed as process_batch keys it, so both paths store one key type.
+        self._sites[site].summary.update(batch_key(element), weight)
         self._credit_site(site, weight)
 
     def process_batch(self, site: int, elements: Sequence[Hashable],

@@ -25,9 +25,17 @@ import numpy as np
 
 from ..utils.stateio import Stateful
 
-__all__ = ["FrequencySketch", "MatrixSketch", "aggregate_weighted_batch"]
+__all__ = ["FrequencySketch", "MatrixSketch", "aggregate_weighted_batch",
+           "batch_key"]
 
 Element = TypeVar("Element", bound=Hashable)
+
+
+def batch_key(element: Hashable) -> Hashable:
+    """``element`` as :func:`aggregate_weighted_batch` keys it (a NumPy
+    scalar becomes the Python value ``tolist`` gives), so a per-item path
+    beside it stores the same key types and writes the same checkpoints."""
+    return element.item() if isinstance(element, np.generic) else element
 
 
 def aggregate_weighted_batch(

@@ -27,8 +27,8 @@ magic/version/kind/CRC so readers fail loudly on garbage, corruption or
 version skew instead of resuming with a wrong payload.
 
 Decoding is hardened by construction: no callable from the payload is ever
-executed, and class/function references resolve only inside the ``repro``
-package.
+executed, class references resolve only inside the ``repro`` package, and
+functions have no encoding at all.
 """
 
 from .codec import (
@@ -38,7 +38,6 @@ from .codec import (
     decode_value,
     encode_value,
     encode_with_extensions,
-    register_trusted_module,
 )
 from .frames import (
     WIRE_BASE_VERSION,
@@ -61,7 +60,6 @@ __all__ = [
     "encode_value",
     "encode_with_extensions",
     "decode_value",
-    "register_trusted_module",
     "WIRE_MAGIC",
     "WIRE_VERSION",
     "WIRE_BASE_VERSION",

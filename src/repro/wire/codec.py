@@ -12,10 +12,13 @@ pickle's arbitrary-code-execution surface**:
 
 * decoding never calls ``__reduce__``, ``__setstate__`` or any callable
   taken from the payload;
-* classes, functions and enums are shipped by qualified name and resolve
-  only inside the ``repro`` package (plus builtin exception types for
-  remote error reports) — a hostile file can at worst instantiate a repro
-  class with chosen attributes, never run foreign code;
+* classes and enums are shipped by qualified name and resolve only inside
+  the ``repro`` package (plus builtin exception types for remote error
+  reports) — a hostile file can at worst instantiate a repro class with
+  chosen attributes, never run foreign code;
+* functions do not travel at all: a shard worker runs only the commands
+  its own table declares (:mod:`repro.cluster.worker_protocol`), and a
+  frame names them as plain strings;
 * object instances are rebuilt with ``cls.__new__(cls)`` and a plain
   ``__dict__`` update, exactly like :func:`~repro.utils.stateio.restore_object`.
 
@@ -111,7 +114,8 @@ _OBJARRAY = 0x10
 _NPSCALAR = 0x11
 _NPGENERATOR = 0x12
 _CLASS = 0x13
-_FUNCTION = 0x14
+# 0x14 was a module-level function by qualified name, retired when shard
+# workers came to run only their declared commands: never reuse it either.
 _OBJECT = 0x15
 _ENUM = 0x16
 _EXCEPTION = 0x17
@@ -127,8 +131,8 @@ _NUMDICT = 0x1D
 _NOT_PLAIN = {
     _COMPLEX: "COMPLEX", _BYTEARRAY: "BYTEARRAY", _SET: "SET",
     _FROZENSET: "FROZENSET", _OBJARRAY: "OBJARRAY", _NPSCALAR: "NPSCALAR",
-    _NPGENERATOR: "NPGENERATOR", _CLASS: "CLASS", _FUNCTION: "FUNCTION",
-    _OBJECT: "OBJECT", _ENUM: "ENUM", _EXCEPTION: "EXCEPTION", _REF: "REF",
+    _NPGENERATOR: "NPGENERATOR", _CLASS: "CLASS", _OBJECT: "OBJECT",
+    _ENUM: "ENUM", _EXCEPTION: "EXCEPTION", _REF: "REF",
     _DTYPE: "DTYPE", _NPTYPE: "NPTYPE", _SHMARRAY: "SHMARRAY",
     _NUMDICT: "NUMDICT",
 }
@@ -174,7 +178,7 @@ def _write_varint(out: bytearray, value: int) -> None:
 
 
 def qualified_name(obj: Any) -> str:
-    """``module:qualname`` reference for a repro class or module-level function."""
+    """``module:qualname`` reference for a repro class."""
     module = getattr(obj, "__module__", None)
     qualname = getattr(obj, "__qualname__", None)
     if not module or not qualname:
@@ -187,32 +191,8 @@ def qualified_name(obj: Any) -> str:
     return f"{module}:{qualname}"
 
 
-#: Extra modules whose definitions wire payloads may reference, opted in
-#: explicitly via :func:`register_trusted_module` (process-local; a remote
-#: worker must opt in on its own side too).
-_TRUSTED_MODULES: set = set()
-
-
-def register_trusted_module(name: str) -> None:
-    """Allow wire payloads to reference definitions of module ``name``.
-
-    By default only the ``repro`` package resolves, which is what makes
-    decoding safe against hostile payloads.  Code that ships its *own*
-    module-level shard functions or builders through an engine backend must
-    opt its module in — on every process that decodes (the fork-started
-    process backend inherits the registration; a standalone ``repro worker``
-    does not, and will refuse the reference).  Only trust modules you
-    control: a trusted module's entire namespace becomes referenceable.
-    """
-    if not isinstance(name, str) or not name:
-        raise ValueError(f"module name must be a non-empty string, got {name!r}")
-    _TRUSTED_MODULES.add(name)
-
-
 def _module_allowed(module: str, allow_builtins: bool = False) -> bool:
     if module == "repro" or module.startswith("repro."):
-        return True
-    if module in _TRUSTED_MODULES:
         return True
     return allow_builtins and module == "builtins"
 
@@ -366,16 +346,6 @@ class _Encoder:
             self._str(_dtype_token(value))
         elif isinstance(value, type):
             self._encode_class(value)
-        elif isinstance(value, (types.FunctionType, types.BuiltinFunctionType)):
-            name = qualified_name(value)
-            if not _module_allowed(value.__module__ or ""):
-                raise WireEncodeError(
-                    f"cannot encode function {name!r}: only repro (or "
-                    "explicitly trusted) module-level functions travel on "
-                    "the wire"
-                )
-            out.append(_FUNCTION)
-            self._str(name)
         elif isinstance(value, np.random.Generator):
             out.append(_NPGENERATOR)
             self.encode(value.bit_generator.state)
@@ -878,7 +848,6 @@ _DECODERS: Dict[int, Callable[[_Decoder], Any]] = {
     _NPSCALAR: _Decoder._decode_npscalar,
     _NPGENERATOR: _Decoder._decode_generator,
     _CLASS: lambda d: _decode_class(d),
-    _FUNCTION: lambda d: _decode_function(d),
     _OBJECT: _Decoder._decode_object,
     _ENUM: _Decoder._decode_enum,
     _EXCEPTION: _Decoder._decode_exception,
@@ -916,13 +885,6 @@ def _decode_class(decoder: _Decoder) -> type:
     if not isinstance(cls, type):
         raise WireDecodeError(f"{cls!r} is not a class")
     return cls
-
-
-def _decode_function(decoder: _Decoder) -> Any:
-    fn = resolve_qualified(decoder._str())
-    if not callable(fn):
-        raise WireDecodeError(f"{fn!r} is not callable")
-    return fn
 
 
 def encode_value(value: Any, *,

@@ -23,6 +23,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
+from repro.api import HeavyHitters
 from repro.heavy_hitters import (
     BatchedMisraGriesProtocol,
     ExactForwardingProtocol,
@@ -51,6 +53,9 @@ from repro.sketch import (
 from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
 from repro.streaming.partition import RoundRobinPartitioner
 from repro.utils.linalg import covariance_error
+
+from test_api_state_roundtrip import CHUNK, HH_SPECS, _params
+from test_protocol_equivalence_properties import SEEDS, hh_stream
 
 
 @pytest.fixture(scope="module")
@@ -375,3 +380,33 @@ class TestObserveBatchValidation:
         protocol = ExactForwardingProtocol(num_sites=2)
         protocol.observe_batch([], [])
         assert protocol.items_processed == 0
+
+
+class TestElementKeyTypes:
+    """One-item pushes and one batch of the same stream key every element
+    with one type — in the coordinator's estimates and in the answers — so
+    neither answers nor checkpoint bytes depend on the ingest path."""
+
+    @pytest.mark.parametrize("labels", ["int", "str"])
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS))
+    def test_one_item_pushes_and_one_batch_key_alike(self, spec, labels):
+        seed = SEEDS[0]
+        _, batch, sites = hh_stream(seed)
+        if labels == "str":
+            batch = WeightedItemBatch(elements=batch.elements.astype(str),
+                                      weights=batch.weights)
+        pushed, batched = (
+            repro.Tracker.create(spec, chunk_size=CHUNK, **_params(spec, seed))
+            for _ in range(2))
+        for index in range(len(batch)):
+            pushed.push(int(sites[index]), batch[index])
+        batched.push_batch(sites, batch)
+
+        def key_types(tracker):
+            hitters = tracker.query(HeavyHitters(phi=0.01)).elements
+            assert hitters
+            return ({type(key) for key in tracker.protocol.estimates()},
+                    {type(element) for element in hitters})
+
+        assert key_types(pushed) == key_types(batched)
+        assert len(key_types(pushed)[0]) == 1

@@ -66,7 +66,8 @@ from repro.gateway.http import Request
 from repro.streaming.items import WeightedItemBatch
 from repro.gateway.server import QUERY_KINDS
 from repro.utils.linalg import covariance_error
-from repro.wire import encode_state, register_trusted_module
+from repro.cluster.worker_protocol import unpack_reply, worker_command
+from repro.wire import encode_state
 
 from test_api_state_roundtrip import (
     CHUNK,
@@ -84,13 +85,6 @@ from test_protocol_equivalence_properties import (
 )
 
 BACKENDS = available_backends()
-
-# The backend tests ship this module's own shard functions/builders through
-# the wire transports; opt the test module into the codec's allowlist (the
-# fork-started process workers and the embedded in-process socket workers
-# both see the registration).
-register_trusted_module(__name__)
-
 
 @pytest.fixture(scope="module")
 def worker_server():
@@ -272,22 +266,30 @@ class TestBackendRegistry:
             backend.submit(0, _push_one, "a", 1.0)
 
 
+# The backend tests run this module's own shard commands and builders on
+# remote workers; the declarations reach the fork-started process workers
+# and the embedded in-process socket workers alike.
+@worker_command(launch=True)
 def _build_tiny_tracker() -> repro.Tracker:
     return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
 
 
+@worker_command(launch=True)
 def _raise_builder_error() -> repro.Tracker:
     raise RuntimeError("no tracker")
 
 
+@worker_command
 def _push_one(tracker, element, weight) -> None:
     tracker.push(0, (element, weight))
 
 
+@worker_command
 def _estimate_of(tracker, element) -> float:
     return float(tracker.protocol.estimate(element))
 
 
+@worker_command
 def _raise_worker_error(tracker) -> None:
     raise RuntimeError("boom")
 
@@ -377,6 +379,7 @@ def _state_frame(tracker) -> bytes:
     return tracker_frame(tracker, compress=False)
 
 
+@worker_command
 def _protocol_frame(tracker) -> bytes:
     # The protocol alone: a shard's builder passes its parameters sorted.
     return encode_state(tracker.protocol)
@@ -885,6 +888,7 @@ class TestShardedTrackerFacade:
             assert states[0] != states[1]
 
 
+@worker_command
 def _rng_state_of_first_site(tracker):
     return tracker.protocol._site_rngs[0].bit_generator.state["state"]
 
@@ -1037,13 +1041,13 @@ class TestWorkerProtocolDiscipline:
         return replies
 
     def test_corrupted_submit_defers_error_and_keeps_replies_aligned(self):
-        from repro.cluster.worker_protocol import decode_reply, encode_command
+        from repro.cluster.worker_protocol import encode_command
 
         good_submit = encode_command("submit", _push_one, ("a", 2.0))
         corrupted = bytearray(encode_command("submit", _push_one, ("b", 1.0)))
         corrupted[-6] ^= 0x01  # flip a body bit: CRC fails, header intact
         replies = self._serve([
-            encode_command("launch", None, (_build_tiny_tracker,)),
+            encode_command("launch", _build_tiny_tracker),
             good_submit,
             bytes(corrupted),                       # must NOT produce a reply
             encode_command("call", _estimate_of, ("a",)),   # reports the error
@@ -1051,15 +1055,15 @@ class TestWorkerProtocolDiscipline:
             encode_command("stop"),
         ])
         assert len(replies) == 3  # ready + exactly one reply per call
-        assert decode_reply(replies[0])[0] == "ready"
-        status, value = decode_reply(replies[1])
+        assert unpack_reply(replies[0])[:2][0] == "ready"
+        status, value = unpack_reply(replies[1])[:2]
         assert status == "error" and "CRC" in repr(value)
-        status, value = decode_reply(replies[2])
+        status, value = unpack_reply(replies[2])[:2]
         assert status == "ok" and value == 2.0
 
     def test_undecodable_ingest_is_held_for_the_next_call(self):
         from repro.cluster.worker_protocol import (
-            INGEST_KIND, decode_reply, encode_command, encode_ingest,
+            INGEST_KIND, encode_command, encode_ingest,
             peek_command_op)
         from repro.wire.frames import pack_raw_frame
 
@@ -1071,7 +1075,7 @@ class TestWorkerProtocolDiscipline:
         assert peek_command_op(hostile) == peek_command_op(good) == "submit"
         for broken in (hostile, bytes(corrupted)):
             replies = self._serve([
-                encode_command("launch", None, (_build_tiny_tracker,)),
+                encode_command("launch", _build_tiny_tracker),
                 good,
                 broken,                                 # no reply
                 encode_command("call", _estimate_of, ("a",)),  # its error
@@ -1079,13 +1083,13 @@ class TestWorkerProtocolDiscipline:
                 encode_command("stop"),
             ])
             assert len(replies) == 3
-            status, value = decode_reply(replies[1])
+            status, value = unpack_reply(replies[1])[:2]
             assert status == "error" and "WireDecodeError" in repr(value)
-            assert decode_reply(replies[2]) == ("ok", 2.0)
+            assert unpack_reply(replies[2])[:2] == ("ok", 2.0)
 
     def test_ingest_at_or_below_the_applied_seq_is_dropped(self):
         from repro.cluster.worker_protocol import (
-            decode_reply, encode_command, encode_ingest)
+            encode_command, encode_ingest)
 
         def ingest(element, seq):
             return encode_ingest(np.zeros(1, dtype=np.int64),
@@ -1093,7 +1097,7 @@ class TestWorkerProtocolDiscipline:
                                  seq=seq)
 
         replies = self._serve([
-            encode_command("launch", None, (_build_tiny_tracker, 1)),
+            encode_command("launch", _build_tiny_tracker, seq=1),
             ingest("a", 1),        # already in the (re)launched state
             ingest("a", 2),
             ingest("a", 2),        # a replayed duplicate
@@ -1101,29 +1105,29 @@ class TestWorkerProtocolDiscipline:
             encode_command("call", _estimate_of, ("a",)),
             encode_command("stop"),
         ])
-        assert decode_reply(replies[1]) == ("ok", 2.0)
+        assert unpack_reply(replies[1])[:2] == ("ok", 2.0)
 
     def test_corrupted_call_gets_exactly_one_error_reply(self):
-        from repro.cluster.worker_protocol import decode_reply, encode_command
+        from repro.cluster.worker_protocol import encode_command
 
         corrupted = bytearray(encode_command("call", _estimate_of, ("a",)))
         corrupted[-6] ^= 0x01
         replies = self._serve([
-            encode_command("launch", None, (_build_tiny_tracker,)),
+            encode_command("launch", _build_tiny_tracker),
             bytes(corrupted),
             encode_command("call", _estimate_of, ("a",)),
             encode_command("stop"),
         ])
         assert len(replies) == 3
-        assert decode_reply(replies[1])[0] == "error"
-        status, value = decode_reply(replies[2])
+        assert unpack_reply(replies[1])[:2][0] == "error"
+        status, value = unpack_reply(replies[2])[:2]
         assert status == "ok" and value == 0.0
 
     def test_unreadable_header_ends_the_session(self):
         from repro.cluster.worker_protocol import encode_command
 
         replies = self._serve([
-            encode_command("launch", None, (_build_tiny_tracker,)),
+            encode_command("launch", _build_tiny_tracker),
             b"\x00garbage-without-a-header",
             encode_command("call", _estimate_of, ("a",)),  # never reached
         ])
@@ -1136,32 +1140,175 @@ class TestWorkerProtocolDiscipline:
         from repro.wire import WireDecodeError, pack_frame
         from repro.cluster.backends import _decode_reply_as_backend_errors
         from repro.cluster.worker_protocol import (
-            COMMAND_KIND, REPLY_KIND, decode_command, decode_reply,
+            COMMAND_KIND, REPLY_KIND, decode_command,
         )
 
         with pytest.raises(WireDecodeError, match="malformed"):
             decode_command(pack_frame(f"{COMMAND_KIND}:call", ["not", "a", "dict"]))
         with pytest.raises(WireDecodeError, match="malformed"):
-            decode_reply(pack_frame(REPLY_KIND, [1, 2]))
+            unpack_reply(pack_frame(REPLY_KIND, [1, 2]))
         with pytest.raises(BackendError, match="decoded"):
             _decode_reply_as_backend_errors(pack_frame(REPLY_KIND, [1, 2]))
 
     def test_non_dict_command_body_follows_undecodable_discipline(self):
         """decode_command raising on a structurally wrong body routes through
         the same header-peek discipline as a corrupted frame."""
-        from repro.cluster.worker_protocol import COMMAND_KIND, decode_reply, encode_command
+        from repro.cluster.worker_protocol import COMMAND_KIND, encode_command
         from repro.wire import pack_frame
 
         replies = self._serve([
-            encode_command("launch", None, (_build_tiny_tracker,)),
+            encode_command("launch", _build_tiny_tracker),
             pack_frame(f"{COMMAND_KIND}:submit", "not a dict"),  # deferred
             encode_command("call", _estimate_of, ("a",)),
             encode_command("call", _estimate_of, ("a",)),
             encode_command("stop"),
         ])
         assert len(replies) == 3
-        assert decode_reply(replies[1])[0] == "error"
-        assert decode_reply(replies[2]) == ("ok", 0.0)
+        assert unpack_reply(replies[1])[:2][0] == "error"
+        assert unpack_reply(replies[2])[:2] == ("ok", 0.0)
+
+
+#: Where a hand-built command frame takes raw codec bytes (see _spliced).
+_SPLICE = "\x00splice\x00"
+
+
+def _spliced(op, raw, fn=_SPLICE, args=()):
+    """A command frame for ``op`` whose body carries the raw codec bytes
+    ``raw`` where ``_SPLICE`` stands in ``fn`` or ``args``."""
+    from repro.cluster.worker_protocol import COMMAND_KIND
+    from repro.wire import encode_value
+    from repro.wire.frames import pack_raw_frame
+
+    body = encode_value({"op": op, "fn": fn, "args": tuple(args)})
+    marker = encode_value(_SPLICE)
+    assert body.count(marker) == 1
+    return pack_raw_frame(f"{COMMAND_KIND}:{op}", body.replace(marker, raw))
+
+
+def _named(op, name, *args):
+    """A command frame for ``op`` naming ``name`` as a plain string."""
+    from repro.cluster.worker_protocol import COMMAND_KIND
+    from repro.wire import pack_frame
+
+    return pack_frame(f"{COMMAND_KIND}:{op}",
+                      {"op": op, "fn": name, "args": args})
+
+
+def _function_tag(reference):
+    """``module:qualname`` under the retired function tag (0x14)."""
+    name = reference.encode()
+    return b"\x14" + bytes([len(name)]) + name
+
+
+def _object_tag(reference, **attributes):
+    """An instance of the ``module:qualname`` class under the codec's
+    object tag, with ``attributes``."""
+    from repro.wire import encode_value
+
+    name = reference.encode()
+    out = b"\x15" + bytes([len(name)]) + name + bytes([len(attributes)])
+    for key, value in attributes.items():
+        out += bytes([len(key)]) + key.encode() + encode_value(value)
+    return out
+
+
+class TestHostileFrames:
+    """A worker runs only the commands its table declares: a frame naming
+    anything else — a ``repro`` function by qualified name, a name the
+    table does not hold, a builder object — is refused as undecodable."""
+
+    _serve = TestWorkerProtocolDiscipline._serve
+
+    def test_a_fresh_interpreter_serves_the_built_in_table(self):
+        """What a CLI worker can run: importing the worker protocol alone
+        declares every built-in command, and nothing else."""
+        import os
+        import subprocess
+        import sys
+
+        listing = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.cluster.worker_protocol import _TABLE; "
+             "print(' '.join(sorted(_TABLE)))"],
+            capture_output=True, text=True, check=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+        assert listing.stdout.split() == sorted([
+            "_build_shard", "_restore_shard", "_shard_ingest", "_shard_items",
+            "_shard_stats", "_shard_metrics", "_shard_ping",
+            "_shard_checkpoint", "shard_query_materials", "_noop"])
+
+    def test_call_naming_a_repro_function_is_refused(self, tmp_path):
+        from repro.cluster.worker_protocol import encode_command
+
+        by_reference = tmp_path / "by-reference.ckpt"
+        by_name = tmp_path / "by-name.ckpt"
+        replies = self._serve([
+            encode_command("launch", _build_tiny_tracker),
+            _spliced("call", _function_tag("repro.api.state:save_tracker"),
+                     args=(str(by_reference),)),
+            _named("call", "repro.api.state:save_tracker", str(by_name)),
+            encode_command("call", _estimate_of, ("a",)),
+            encode_command("stop"),
+        ])
+        assert [unpack_reply(reply)[0] for reply in replies] == [
+            "ready", "error", "error", "ok"]
+        assert "WireDecodeError" in repr(unpack_reply(replies[1])[1])
+        assert "not a declared worker command" in \
+            repr(unpack_reply(replies[2])[1])
+        assert not by_reference.exists() and not by_name.exists()
+
+    def test_submit_naming_an_undeclared_command_is_held(self, tmp_path):
+        from repro.cluster.worker_protocol import encode_command
+
+        path = tmp_path / "submitted.ckpt"
+        for hostile in (
+                _spliced("submit", _function_tag(
+                    "repro.api.state:save_tracker"), args=(str(path),)),
+                _named("submit", "no_such_command")):
+            replies = self._serve([
+                encode_command("launch", _build_tiny_tracker),
+                hostile,                                        # no reply
+                encode_command("call", _estimate_of, ("a",)),  # its error
+                encode_command("submit", _push_one, ("a", 2.0)),
+                encode_command("call", _estimate_of, ("a",)),  # still serving
+                encode_command("stop"),
+            ])
+            assert len(replies) == 3
+            status, value = unpack_reply(replies[1])[:2]
+            assert status == "error" and "WireDecodeError" in repr(value)
+            assert unpack_reply(replies[2])[:2] == ("ok", 2.0)
+            assert not path.exists()
+
+    @pytest.mark.parametrize("launch", ["builder in args", "object as fn"])
+    def test_launch_carrying_a_builder_object_ends_the_session(self, launch):
+        from repro.cluster.worker_protocol import encode_command
+
+        if launch == "builder in args":
+            # A callable object: how a launch carried its builder when
+            # frames could name any class of a trusted module.
+            frame = _spliced("launch", _object_tag(
+                f"{__name__}:_ObjectBuilder", spec="hh/P1"),
+                fn=None, args=(_SPLICE,))
+        else:
+            frame = _spliced("launch", _object_tag(
+                "repro.api.queries:TotalWeight"))
+        replies = self._serve([
+            frame,
+            encode_command("call", _estimate_of, ("a",)),  # never reached
+        ])
+        assert len(replies) == 1
+        status, value = unpack_reply(replies[0])[:2]
+        assert status == "error" and "WireDecodeError" in repr(value)
+
+
+@dataclasses.dataclass(frozen=True)
+class _ObjectBuilder:
+    """A shard builder object: never declared, so no worker runs it."""
+
+    spec: str
+
+    def __call__(self):
+        return repro.Tracker.create(self.spec, num_sites=2, epsilon=0.5)
 
 
 class _StubShard:

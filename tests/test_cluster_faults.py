@@ -31,7 +31,6 @@ reconnections so each scripted fault fires exactly once.
 
 from __future__ import annotations
 
-import dataclasses
 import multiprocessing
 import os
 import re
@@ -41,6 +40,7 @@ import sys
 import threading
 import time
 import warnings
+from functools import partial
 
 import pytest
 
@@ -65,12 +65,12 @@ from repro.cluster.backends import ProcessBackend, create_backend
 from repro.cluster.worker_protocol import (
     WorkerSession,
     decode_command,
-    decode_reply,
     encode_command,
     encode_reply,
     unpack_reply,
+    worker_command,
 )
-from repro.wire import register_trusted_module, send_frame
+from repro.wire import send_frame
 
 from test_api_state_roundtrip import CHUNK, HH_SPECS, MATRIX_SPECS, _params
 from test_cluster import (
@@ -80,10 +80,6 @@ from test_cluster import (
     _count_submits,
 )
 from test_protocol_equivalence_properties import SEEDS, hh_stream, matrix_stream
-
-# Shard functions and builders defined here ship through the wire transports
-# (process pipes, sockets) by qualified name.
-register_trusted_module(__name__)
 
 ALL_SPECS = sorted(HH_SPECS) + sorted(MATRIX_SPECS)
 
@@ -201,29 +197,30 @@ def _socket_cluster(spec, seed, server, dimension=None, shards=2, **extra):
                     backend="socket", backend_options=options)
 
 
+# Shard commands and builders defined here run on remote workers: declared
+# in the worker command table, they travel by name.
+@worker_command
 def _shard_sleep(tracker, seconds):
     """Shard-side stall (runs on the worker): wedge the session loop."""
     time.sleep(seconds)
 
 
+@worker_command
 def _append(tracker, value):
     tracker.append(value)
 
 
+@worker_command
 def _snapshot_list(tracker):
     return list(tracker)
 
 
-@dataclasses.dataclass(frozen=True)
-class _ExplodingBuilder:
-    """Wire-encodable shard builder that fails for every shard but 0."""
-
-    index: int
-
-    def __call__(self):
-        if self.index:
-            raise RuntimeError("builder exploded on purpose")
-        return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
+@worker_command(launch=True)
+def _exploding_builder(index):
+    """Shard builder that fails for every shard but 0."""
+    if index:
+        raise RuntimeError("builder exploded on purpose")
+    return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
 
 
 # --------------------------------------------- seq/ack protocol semantics
@@ -246,7 +243,7 @@ class TestSequencedReplayProtocol:
 
     def test_duplicate_and_stale_sequenced_submits_are_dropped(self):
         session, replies = self._serve([
-            ("launch", None, (list,), None),
+            ("launch", list, (), None),
             ("submit", _append, ("a",), 1),
             ("submit", _append, ("a",), 1),   # replayed duplicate
             ("submit", _append, ("b",), 2),
@@ -258,7 +255,7 @@ class TestSequencedReplayProtocol:
 
     def test_resume_seq_primes_the_applied_watermark(self):
         session, replies = self._serve([
-            ("launch", None, (list, 5), None),
+            ("launch", list, (), 5),
             ("submit", _append, ("old",), 4),   # already in restored state
             ("submit", _append, ("old",), 5),   # already in restored state
             ("submit", _append, ("new",), 6),
@@ -269,7 +266,7 @@ class TestSequencedReplayProtocol:
 
     def test_unsequenced_submits_always_apply(self):
         _, replies = self._serve([
-            ("launch", None, (list,), None),
+            ("launch", list, (), None),
             ("submit", _append, ("a",), None),
             ("submit", _append, ("a",), None),
             ("call", _snapshot_list, (), None),
@@ -277,14 +274,13 @@ class TestSequencedReplayProtocol:
         assert replies == [("ready", None, 0), ("ok", ["a", "a"], 0)]
 
     def test_command_frames_round_trip_seq(self):
-        frame = encode_command("submit", None, (1, 2), seq=7)
-        assert decode_command(frame) == ("submit", None, (1, 2), 7)
-        op, fn, args, seq = decode_command(encode_command("submit", None, ()))
+        frame = encode_command("submit", _append, (1, 2), seq=7)
+        assert decode_command(frame) == ("submit", _append, (1, 2), 7)
+        op, fn, args, seq = decode_command(encode_command("submit", _append))
         assert seq is None
 
     def test_reply_frames_carry_the_acked_watermark(self):
         frame = encode_reply("ok", 41, acked=3)
-        assert decode_reply(frame) == ("ok", 41)
         assert unpack_reply(frame) == ("ok", 41, 3)
         assert unpack_reply(encode_reply("ok", 41)) == ("ok", 41, None)
 
@@ -381,7 +377,8 @@ class TestPartialCreateCleanup:
         before = {child.pid for child in multiprocessing.active_children()}
         backend = ProcessBackend()
         with pytest.raises(BackendError, match="exploded"):
-            backend.launch([_ExplodingBuilder(0), _ExplodingBuilder(1)])
+            backend.launch([partial(_exploding_builder, 0),
+                            partial(_exploding_builder, 1)])
         deadline = time.monotonic() + 10.0
         while time.monotonic() < deadline:
             leaked = [child for child in multiprocessing.active_children()
@@ -408,25 +405,22 @@ class TestPartialCreateCleanup:
 
 
 # ------------------------------------------------- concurrent start-up
-@dataclasses.dataclass(frozen=True)
-class _TimedBuilder:
-    """Wire-encodable shard builder that sleeps ``seconds`` on its worker,
-    records when it started and returned, then builds (or explodes)."""
+@worker_command(launch=True)
+def _timed_builder(index, log_dir, seconds, explode):
+    """Shard builder that sleeps ``seconds`` on its worker, records when it
+    started and returned, then builds (or explodes)."""
+    started = time.monotonic()
+    time.sleep(seconds)
+    path = os.path.join(log_dir, f"shard-{index}")
+    with open(path, "w") as out:
+        out.write(f"{started!r} {time.monotonic()!r}")
+    if explode:
+        raise RuntimeError("builder exploded on purpose")
+    return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
 
-    index: int
-    log_dir: str
-    seconds: float = 0.5
-    explode: bool = False
 
-    def __call__(self):
-        started = time.monotonic()
-        time.sleep(self.seconds)
-        path = os.path.join(self.log_dir, f"shard-{self.index}")
-        with open(path, "w") as out:
-            out.write(f"{started!r} {time.monotonic()!r}")
-        if self.explode:
-            raise RuntimeError("builder exploded on purpose")
-        return repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
+def _timed(index, log_dir, seconds=0.5, explode=False):
+    return partial(_timed_builder, index, log_dir, seconds, explode)
 
 
 def _builder_spans(log_dir, shards):
@@ -466,7 +460,7 @@ class TestConcurrentLaunch:
     @pytest.mark.parametrize("backend", ["process", "shm", "socket"])
     def test_every_builder_starts_before_any_returns(self, backend, tmp_path):
         shards = 3
-        builders = [_TimedBuilder(index, str(tmp_path))
+        builders = [_timed(index, str(tmp_path))
                     for index in range(shards)]
         if backend == "socket":
             with WorkerServer() as server:
@@ -492,8 +486,8 @@ class TestConcurrentLaunch:
             warnings.simplefilter("always")
             with pytest.raises(BackendError,
                                match=r"shard 0 failed to start.*io_timeout"):
-                launched.launch([_TimedBuilder(0, str(tmp_path), seconds=1.0),
-                                 _TimedBuilder(1, str(tmp_path), seconds=0.0)])
+                launched.launch([_timed(0, str(tmp_path), seconds=1.0),
+                                 _timed(1, str(tmp_path), seconds=0.0)])
         assert time.monotonic() - started < 3.0
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
         assert not _new_children(before)
@@ -506,8 +500,8 @@ class TestConcurrentLaunch:
         with pytest.raises(BackendError,
                            match=r"shard 1 failed to start.*exploded"):
             launched.launch([
-                _TimedBuilder(0, str(tmp_path)),
-                _TimedBuilder(1, str(tmp_path), seconds=0.0, explode=True),
+                _timed(0, str(tmp_path)),
+                _timed(1, str(tmp_path), seconds=0.0, explode=True),
             ])
         assert not _new_children(before)
 
@@ -518,8 +512,8 @@ class TestConcurrentLaunch:
             with pytest.raises(BackendError,
                                match=r"shard 1 failed to start.*exploded"):
                 launched.launch([
-                    _TimedBuilder(0, str(tmp_path)),
-                    _TimedBuilder(1, str(tmp_path), seconds=0.0, explode=True),
+                    _timed(0, str(tmp_path)),
+                    _timed(1, str(tmp_path), seconds=0.0, explode=True),
                 ])
             assert server.sessions_served == 2
             assert _await_no_sessions(server) == 0
@@ -533,8 +527,8 @@ class TestConcurrentLaunch:
             with pytest.raises(BackendError,
                                match=r"cannot reach worker 127\.0\.0\.1:9 "
                                      r"for shard 1"):
-                launched.launch([_TimedBuilder(0, str(tmp_path)),
-                                 _TimedBuilder(1, str(tmp_path))])
+                launched.launch([_timed(0, str(tmp_path)),
+                                 _timed(1, str(tmp_path))])
             assert server.sessions_served == 1
             assert _await_no_sessions(server) == 0
         # Every channel opens before any launch frame goes out.

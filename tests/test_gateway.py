@@ -1146,7 +1146,6 @@ def _not_plain_values():
     return {
         "OBJECT": TotalWeight(),
         "CLASS": TotalWeight,
-        "FUNCTION": repro.create,
         "ENUM": MessageKind.SCALAR,
         "EXCEPTION": ValueError("boom"),
         "NPGENERATOR": np.random.default_rng(0),

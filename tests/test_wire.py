@@ -7,10 +7,10 @@ Three layers of guarantees:
   dtype/order/shape, object arrays, NumPy scalars, bit-generator states for
   every NumPy bit generator, enums, frozen/slotted dataclass instances,
   shared references and cycles) round-trips bit-identically.
-* **Decode hardening** — nothing outside the ``repro`` package (or modules
-  explicitly trusted via ``register_trusted_module``) resolves; corrupted,
-  truncated, version-skewed or mislabelled frames raise
-  :class:`WireDecodeError`, never half-decoded values.
+* **Decode hardening** — nothing outside the ``repro`` package resolves,
+  and functions have no encoding at all; corrupted, truncated,
+  version-skewed or mislabelled frames raise :class:`WireDecodeError`,
+  never half-decoded values.
 * **State round-trips** — for every registered protocol spec, an
   ``encode_state``/``decode_state`` round-trip mid-stream is bit-identical
   in answers, message accounting and RNG state (the in-memory form of the
@@ -56,7 +56,6 @@ from repro.wire import (
     is_wire_data,
     pack_frame,
     recv_frame,
-    register_trusted_module,
     send_frame,
     unpack_frame,
 )
@@ -330,9 +329,20 @@ class TestDecodeHardening:
         with pytest.raises(WireDecodeError, match="dtype"):
             decode_value(bytes(encoder.out))
 
-    def test_trusted_module_opt_in(self):
-        register_trusted_module(__name__)
-        assert roundtrip(_module_level_helper) is _module_level_helper
+    def test_functions_have_no_encoding(self):
+        """Functions do not travel: encoding one fails, and the tag that
+        once named one by qualified name (0x14) is an unknown tag."""
+        from repro.api.state import save_tracker
+
+        for function in (save_tracker, _shard_ingest, len):
+            with pytest.raises(WireEncodeError):
+                encode_value(function)
+        name = b"repro.api.state:save_tracker"
+        for plain in (False, True):
+            with pytest.raises(WireDecodeError,
+                               match="unknown wire tag 0x14"):
+                decode_value(b"\x14" + bytes([len(name)]) + name,
+                             plain=plain)
 
     def test_truncated_and_garbage_payloads(self):
         payload = encode_value({"a": [1, 2, 3]})
@@ -342,10 +352,6 @@ class TestDecodeHardening:
             decode_value(payload + b"\x00")
         with pytest.raises(WireDecodeError, match="unknown wire tag"):
             decode_value(b"\xfe")
-
-
-def _module_level_helper():  # referenced by the trusted-module test
-    return "here"
 
 
 # -------------------------------------------------------------- frame layer
