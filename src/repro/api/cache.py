@@ -74,6 +74,9 @@ class AnswerCache:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         self.max_entries = int(max_entries)
         self._spec = spec
+        self._hits = _HITS.labels(spec=spec)
+        self._misses = _MISSES.labels(spec=spec)
+        self._evictions = _EVICTIONS.labels(spec=spec)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         #: The newest generation any entry was stored under.
@@ -108,9 +111,9 @@ class AnswerCache:
                 self.hits += 1
         if REGISTRY.enabled:
             if answer is None:
-                _MISSES.inc(spec=self._spec)
+                self._misses.inc()
             else:
-                _HITS.inc(spec=self._spec)
+                self._hits.inc()
         return answer
 
     def put(self, key: Hashable, answer: Any, generation: Tuple = ()) -> None:
@@ -140,7 +143,7 @@ class AnswerCache:
                 evicted += 1
             self.evictions += evicted
         if evicted and REGISTRY.enabled:
-            _EVICTIONS.inc(evicted, spec=self._spec)
+            self._evictions.inc(evicted)
 
     def clear(self) -> None:
         """Drop every entry (counters keep their totals)."""

@@ -36,10 +36,14 @@ _PROTOCOL_NOUNS = {DOMAIN_HEAVY_HITTERS: "weighted heavy-hitter",
 class Session:
     """Shared state and the single read path of both tracker facades.
 
-    Subclasses bind three telemetry families (their ``repro_tracker_*`` /
-    ``repro_cluster_*`` series) and implement :meth:`_parts`.
+    Subclasses name five telemetry families (their ``repro_tracker_*`` /
+    ``repro_cluster_*`` series), which every session binds to its spec
+    when it is built, and implement :meth:`_parts`.
     """
 
+    #: Counters ``(spec)`` of ingestion calls and of the items they carry.
+    _pushes_total: Any = None
+    _items_total: Any = None
     #: Counter ``(spec, kind)`` of queries answered through :meth:`query`.
     _queries_total: Any = None
     #: Counter ``(spec)`` / histogram ``(spec)`` fed by :meth:`_timed_save`.
@@ -58,6 +62,12 @@ class Session:
         self._params = dict(params) if params else {}
         self._metric_spec = label
         self._cache = AnswerCache(cache_size, spec=label)
+        self._pushes = self._pushes_total.labels(spec=label)
+        self._items = self._items_total.labels(spec=label)
+        self._checkpoint_bytes = self._checkpoint_bytes_total.labels(spec=label)
+        self._checkpoint_time = self._checkpoint_seconds.labels(spec=label)
+        #: Query-kind series, bound on first use: one per Query class.
+        self._queries: Dict[type, Any] = {}
 
     # ------------------------------------------------------------ properties
     @property
@@ -126,8 +136,11 @@ class Session:
                 f"{self._metric_spec!r}"
             )
         if REGISTRY.enabled:
-            self._queries_total.inc(spec=self._metric_spec,
-                                    kind=type(query).__name__)
+            series = self._queries.get(type(query))
+            if series is None:
+                series = self._queries[type(query)] = self._queries_total.labels(
+                    spec=self._metric_spec, kind=type(query).__name__)
+            series.inc()
         key = None
         if self._cache.enabled and not partial:
             try:
@@ -172,10 +185,8 @@ class Session:
         started = perf_counter() if REGISTRY.enabled else None
         yield
         if started is not None:
-            self._checkpoint_seconds.observe(perf_counter() - started,
-                                             spec=self._metric_spec)
+            self._checkpoint_time.observe(perf_counter() - started)
             try:
-                self._checkpoint_bytes_total.inc(os.path.getsize(path),
-                                                 spec=self._metric_spec)
+                self._checkpoint_bytes.inc(os.path.getsize(path))
             except (TypeError, OSError):
                 pass  # file-like targets have no on-disk size

@@ -126,6 +126,8 @@ class Tracker(Session):
         disables caching entirely.
     """
 
+    _pushes_total = _PUSHES
+    _items_total = _ITEMS
     _queries_total = _QUERIES
     _checkpoint_bytes_total = _CHECKPOINT_BYTES
     _checkpoint_seconds = _CHECKPOINT_SECONDS
@@ -214,19 +216,21 @@ class Tracker(Session):
 
         ``item`` is anything ``DistributedProtocol.observe`` accepts: a
         ``WeightedItem``/``(element, weight)`` tuple for heavy-hitter
-        sessions, a ``MatrixRow``/raw row for matrix sessions.
+        sessions, a ``MatrixRow``/raw row for matrix sessions.  A site
+        that is not an integer in ``[0, num_sites)`` raises (``TypeError``
+        / ``ValueError``) before anything changes.
         """
         self._protocol.observe(site, item)
         if REGISTRY.enabled:
-            _PUSHES.inc(spec=self._metric_spec)
-            _ITEMS.inc(spec=self._metric_spec)
+            self._pushes.inc()
+            self._items.inc()
 
     def push_batch(self, site_ids: Sequence[int], items: Any) -> None:
         """Ingest a chunk of items with explicit per-item site assignments."""
         self._protocol.observe_batch(site_ids, items)
         if REGISTRY.enabled:
-            _PUSHES.inc(spec=self._metric_spec)
-            _ITEMS.inc(len(site_ids), spec=self._metric_spec)
+            self._pushes.inc()
+            self._items.inc(len(site_ids))
 
     def run(self, source: Any,
             query: Optional[Callable[[DistributedProtocol], Any]] = None,
@@ -255,9 +259,8 @@ class Tracker(Session):
                                   query_at=query_at, query=query,
                                   query_at_end=query_at_end)
         if REGISTRY.enabled:
-            _PUSHES.inc(spec=self._metric_spec)
-            _ITEMS.inc(self._protocol.items_processed - items_before,
-                       spec=self._metric_spec)
+            self._pushes.inc()
+            self._items.inc(self._protocol.items_processed - items_before)
         return result
 
     # ---------------------------------------------------------------- queries

@@ -72,7 +72,7 @@ from ..api.tracker import Tracker
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from ..streaming.items import MatrixRowBatch, WeightedItemBatch
 from ..streaming.runner import DEFAULT_CHUNK_SIZE
-from ..utils.validation import check_positive_int
+from ..utils.validation import check_positive_int, check_site, check_site_ids
 from .backends import (
     BackendError,
     EngineBackend,
@@ -230,6 +230,8 @@ class ShardedTracker(Session):
     manager) — the thread/process backends hold worker resources.
     """
 
+    _pushes_total = _CLUSTER_PUSHES
+    _items_total = _CLUSTER_ITEMS
     _queries_total = _CLUSTER_QUERIES
     _checkpoint_bytes_total = _CLUSTER_CHECKPOINT_BYTES
     _checkpoint_seconds = _CLUSTER_CHECKPOINT_SECONDS
@@ -258,6 +260,11 @@ class ShardedTracker(Session):
                 f"got {len(_builders)} shard builders for {self._num_shards} shards"
             )
         self._num_sites = int(self._params["num_sites"])
+        self._dimension = self._params.get("dimension")
+        self._shard_gauges = [
+            (_CLUSTER_SHARD_ITEMS.labels(spec=self._spec, shard=shard),
+             _CLUSTER_SHARD_MESSAGES.labels(spec=self._spec, shard=shard))
+            for shard in range(self._num_shards)]
         if self._num_shards > self._num_sites:
             raise ValueError(
                 f"shards={self._num_shards} exceeds num_sites="
@@ -337,23 +344,24 @@ class ShardedTracker(Session):
     def push(self, site: int, item: Any) -> None:
         """Ingest one stream item at global ``site`` (on shard ``site mod S``).
 
-        Single items ride the same columnar ``push_batch`` path as chunks
-        (a one-item batch), so shard assignment, watermark accounting and
-        the wire shape are identical whether callers push one item or many.
+        A single item travels as a one-item batch, so shard assignment,
+        watermark accounting and the wire shape are those of ``push_batch``;
+        the batch is built and checked directly (no generic coercion), and
+        a bad site or item is refused before any session state moves.
         """
         self._check_open()
+        site = check_site(site, self._num_sites)
         if self._domain == DOMAIN_HEAVY_HITTERS:
             if hasattr(item, "element"):
-                batch: Any = WeightedItemBatch.from_items([item])
+                batch: Any = WeightedItemBatch.one(item.element, item.weight)
             elif isinstance(item, tuple):
-                batch = WeightedItemBatch.from_pairs([item])
+                element, weight = item
+                batch = WeightedItemBatch.one(element, weight)
             else:
-                batch = WeightedItemBatch.from_pairs([(item, 1.0)])
-        elif hasattr(item, "values"):
-            batch = MatrixRowBatch.from_rows([item.values])
+                batch = WeightedItemBatch.one(item)
         else:
-            batch = MatrixRowBatch.from_rows([item])
-        self.push_batch(batch, site_ids=[int(site)])
+            batch = self._one_row(getattr(item, "values", item))
+        self._submit_one(site, batch)
 
     def push_batch(self, items: Any,
                    site_ids: Optional[Sequence[int]] = None) -> None:
@@ -370,13 +378,20 @@ class ShardedTracker(Session):
         load balance follows the site distribution the caller chose.
         """
         self._check_open()
+        if (isinstance(items, np.ndarray) and items.ndim == 2
+                and items.shape[0] == 1 and site_ids is not None
+                and len(site_ids) == 1):
+            # The serving gateway's one-row push takes the path of ``push``.
+            self._submit_one(check_site(site_ids[0], self._num_sites),
+                             self._one_row(items[0]))
+            return
         batch = self._coerce_batch(items)
         if len(batch) == 0:
             return
         sites = self._check_push(batch, site_ids)
         if REGISTRY.enabled:
-            _CLUSTER_PUSHES.inc(spec=self._spec)
-            _CLUSTER_ITEMS.inc(len(batch), spec=self._spec)
+            self._pushes.inc()
+            self._items.inc(len(batch))
         shard = int(sites[0]) % self._num_shards
         if len(batch) == 1 or not (sites % self._num_shards != shard).any():
             # One shard takes the whole batch (every one-item push, every
@@ -548,9 +563,9 @@ class ShardedTracker(Session):
                 if row is not None]
         if REGISTRY.enabled:
             for shard, row in live:
-                _CLUSTER_SHARD_ITEMS.set(row[0], spec=self._spec, shard=shard)
-                _CLUSTER_SHARD_MESSAGES.set(row[1], spec=self._spec,
-                                            shard=shard)
+                items, messages = self._shard_gauges[shard]
+                items.set(row[0])
+                messages.set(row[1])
         snapshots: List[Dict[str, Any]] = [REGISTRY.snapshot()]
         snapshots.extend(row[2] for _, row in live if row[2])
         return snapshots
@@ -661,6 +676,30 @@ class ShardedTracker(Session):
         if self._closed:
             raise RuntimeError("this ShardedTracker has been closed")
 
+    def _one_row(self, row: Any) -> MatrixRowBatch:
+        """``row`` as a checked one-row batch (``push``'s matrix item)."""
+        return self._check_width(MatrixRowBatch.one(row))
+
+    def _check_width(self, batch: MatrixRowBatch) -> MatrixRowBatch:
+        if batch.dimension != self._dimension:
+            raise ValueError(
+                f"rows has {batch.dimension} columns but the stream "
+                f"dimension is {self._dimension}"
+            )
+        return batch
+
+    def _submit_one(self, site: int, batch: Any) -> None:
+        """Dispatch a checked one-item batch at global ``site``."""
+        local, shard = divmod(int(site), self._num_shards)
+        if REGISTRY.enabled:
+            self._pushes.inc()
+            self._items.inc()
+        watermark = list(self._watermark)
+        watermark[shard] += 1
+        self._watermark = tuple(watermark)
+        self._backend.submit(shard, _shard_ingest,
+                             np.array((local,), dtype=np.int64), batch)
+
     def _check_push(self, batch: Any,
                     site_ids: Optional[Sequence[int]]) -> np.ndarray:
         """Reject a malformed batch before any session state moves.
@@ -672,12 +711,7 @@ class ShardedTracker(Session):
         *global* site as an index array.
         """
         if self._domain != DOMAIN_HEAVY_HITTERS:
-            dimension = self._params["dimension"]
-            if batch.dimension != dimension:
-                raise ValueError(
-                    f"rows has {batch.dimension} columns but the stream "
-                    f"dimension is {dimension}"
-                )
+            self._check_width(batch)
         if site_ids is None:
             site_ids = batch.sites
         if site_ids is None:
@@ -686,19 +720,7 @@ class ShardedTracker(Session):
             start = sum(self._watermark)
             return (np.arange(start, start + len(batch), dtype=np.int64)
                     % self._num_sites)
-        explicit = np.asarray(site_ids, dtype=np.int64)
-        if explicit.shape != (len(batch),):
-            raise ValueError(
-                f"site_ids must have shape ({len(batch)},), "
-                f"got {explicit.shape}"
-            )
-        low, high = explicit.min(), explicit.max()
-        if low < 0 or high >= self._num_sites:
-            raise ValueError(
-                f"site indices must lie in [0, {self._num_sites}), "
-                f"got range [{low}, {high}]"
-            )
-        return explicit
+        return check_site_ids(site_ids, len(batch), self._num_sites)
 
     def _coerce_batch(self, items: Any) -> Any:
         """Coerce any accepted stream shape into a columnar batch."""

@@ -278,6 +278,11 @@ class _SocketShard(RemoteShardHandle):
     def __init__(self, index: int, address: Tuple[str, int],
                  builder: Callable[[], Any], options: _SocketOptions):
         super().__init__(index, options.io_timeout)
+        self._reconnects = _RECONNECTS.labels(shard=index)
+        self._replay_frames = _REPLAY_FRAMES.labels(shard=index)
+        self._replay_bytes = _REPLAY_BYTES.labels(shard=index)
+        self._snapshot_trims = _SNAPSHOT_TRIMS.labels(shard=index)
+        self._handoffs = _HANDOFFS.labels(shard=index)
         self.address = address
         self._options = options
         self._frame_options = {"compress": options.compress}
@@ -526,7 +531,7 @@ class _SocketShard(RemoteShardHandle):
                     last_error = exc
                     continue
                 self.recoveries += 1
-                _RECONNECTS.inc(shard=self.index)
+                self._reconnects.inc()
                 _LOG.info("shard connection recovered",
                           extra={"shard": self.index, "cause": cause,
                                  "address": _addr(candidate)})
@@ -567,8 +572,8 @@ class _SocketShard(RemoteShardHandle):
                 f"replay: {exc}"
             ) from exc
         if replay:
-            _REPLAY_FRAMES.inc(len(replay), shard=self.index)
-            _REPLAY_BYTES.inc(sum(map(len, replay)), shard=self.index)
+            self._replay_frames.inc(len(replay))
+            self._replay_bytes.inc(sum(map(len, replay)))
         self.channel, self.address = sock, address
 
     def _sync_snapshot(self) -> None:
@@ -586,7 +591,7 @@ class _SocketShard(RemoteShardHandle):
         self._snapshot = (seq_at, self.finish_call())
         self._log = []
         self._log_bytes = 0
-        _SNAPSHOT_TRIMS.inc(shard=self.index)
+        self._snapshot_trims.inc()
 
     # -------------------------------------------------------------- handoff
     def relocate(self, address: Tuple[str, int]) -> None:
@@ -604,7 +609,7 @@ class _SocketShard(RemoteShardHandle):
         new_sock = self._open_channel(address, builder, snap_seq)
         old_sock = self.channel
         self.channel, self.address = new_sock, address
-        _HANDOFFS.inc(shard=self.index)
+        self._handoffs.inc()
         _LOG.info("shard relocated",
                   extra={"shard": self.index, "address": _addr(address)})
         self._hang_up(old_sock)
@@ -626,8 +631,8 @@ class _SocketShard(RemoteShardHandle):
         self._broken = None
         self._relaunch_on(address)
         self.recoveries += 1
-        _RECONNECTS.inc(shard=self.index)
-        _HANDOFFS.inc(shard=self.index)
+        self._reconnects.inc()
+        self._handoffs.inc()
         _LOG.info("shard evacuated",
                   extra={"shard": self.index, "address": _addr(address)})
 

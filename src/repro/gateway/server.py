@@ -114,8 +114,11 @@ _LOG = get_logger("repro.gateway")
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Per-route serving telemetry.  The route label is normalized through
-#: ``_route_label`` (unknown paths collapse to ``"other"``) so label
-#: cardinality is bounded by the route table, not by client traffic.
+#: ``_route_label`` (unknown paths collapse to ``"other"``) and the method
+#: through ``_method_label`` (methods no route accepts collapse to
+#: ``"other"``), so label cardinality is bounded by the route table, not by
+#: client traffic.  Each gateway binds its series on first use
+#: (``Gateway._series``).
 _REQUESTS = REGISTRY.counter(
     "repro_gateway_requests_total", "HTTP requests served",
     labels=("route", "method", "status"))
@@ -383,6 +386,15 @@ _KNOWN_ROUTES = ("/v1/healthz", "/v1/metrics", "/v1/stats", "/v1/push",
                  "/v1/checkpoint", "/v1/admin/move_shard")
 
 
+#: Every method some route accepts (``Gateway._route``'s ``_require`` calls).
+_KNOWN_METHODS = ("GET", "POST")
+
+
+def _method_label(method: str) -> str:
+    """Collapse a request-line method onto the bounded method vocabulary."""
+    return method if method in _KNOWN_METHODS else "other"
+
+
 def _route_label(path: str) -> str:
     """Collapse a request path onto the bounded route-label vocabulary."""
     if path in _KNOWN_ROUTES:
@@ -451,6 +463,8 @@ class Gateway:
         self._sharded = isinstance(tracker, ShardedTracker)
         #: Folded into every ETag: validators of two gateways never collide.
         self._etag_token = secrets.token_hex(8)
+        #: Metric series bound by ``_series``, keyed ``(family, *labels)``.
+        self._bound_series: Dict[Tuple[Any, ...], Any] = {}
         spec = tracker.spec
         if spec is None:
             raise ValueError("the gateway needs a registry-created tracker "
@@ -632,10 +646,10 @@ class Gateway:
         trace = request.headers.get(TRACE_HEADER) or new_trace_id()
         route = _route_label(request.path)
         started = perf_counter() if REGISTRY.enabled else None
-        if REGISTRY.enabled:
-            _INFLIGHT.add(1.0)
+        if started is not None:
+            self._series(_INFLIGHT).add(1.0)
             if request.body:
-                _REQUEST_BYTES.inc(len(request.body), route=route)
+                self._series(_REQUEST_BYTES, route).inc(len(request.body))
         token = set_trace_id(trace)
         try:
             response, status = await self._dispatch(request, trace)
@@ -643,17 +657,31 @@ class Gateway:
             reset_trace_id(token)
             if started is not None:
                 elapsed = perf_counter() - started
-                _INFLIGHT.add(-1.0)
-                _REQUEST_SECONDS.observe(elapsed, route=route)
+                self._series(_INFLIGHT).add(-1.0)
+                self._series(_REQUEST_SECONDS, route).observe(elapsed)
         if REGISTRY.enabled:
-            _REQUESTS.inc(route=route, method=request.method,
-                          status=str(status))
-            _RESPONSE_BYTES.inc(len(response), route=route)
+            self._series(_REQUESTS, route, _method_label(request.method),
+                         status).inc()
+            self._series(_RESPONSE_BYTES, route).inc(len(response))
         if _LOG.isEnabledFor(20):
             _LOG.info("request", extra={
                 "route": route, "method": request.method, "status": status,
                 "path": request.path, "trace_id": trace})
         return response
+
+    def _series(self, family: Any, *values: Any) -> Any:
+        """``family``'s series for label ``values``, bound on first use.
+
+        Keyed by the bounded label tuples above, so the dict stays as
+        small as the route table; a race on first use binds twice, to the
+        same series.
+        """
+        key = (family, *values)
+        series = self._bound_series.get(key)
+        if series is None:
+            series = self._bound_series[key] = family.labels(
+                **dict(zip(family.label_names, values)))
+        return series
 
     async def _dispatch(self, request: Request,
                         trace: str) -> Tuple[bytes, int]:
@@ -879,7 +907,7 @@ class Gateway:
             else:
                 error = None
                 if len(group) > 1 and REGISTRY.enabled:
-                    _COALESCED.inc(len(group) - 1)
+                    self._series(_COALESCED).inc(len(group) - 1)
             for entry in group:
                 result = None if error is not None \
                     else {"accepted": entry.count}
@@ -918,7 +946,8 @@ class Gateway:
             etag = self._etag_for(query, wire, self._tracker.watermark)
             if etag is not None and _etag_matches(validators, etag):
                 if REGISTRY.enabled:
-                    _NOT_MODIFIED.inc(route=_route_label(request.path))
+                    self._series(_NOT_MODIFIED,
+                                 _route_label(request.path)).inc()
                 return _already_done(_RawResponse(
                     b"", status=304, headers=(("ETag", etag), _VARY)))
         return self._run_read(lambda: self._do_query(query, partial, wire))

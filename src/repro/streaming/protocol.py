@@ -26,7 +26,7 @@ from typing import Any, Dict, Sequence, Tuple
 import numpy as np
 
 from ..utils.stateio import Stateful
-from ..utils.validation import check_site_count
+from ..utils.validation import check_site, check_site_count, check_site_ids
 from .items import MatrixRowBatch, WeightedItemBatch, _as_element_column
 from .network import Network
 
@@ -146,7 +146,11 @@ class DistributedProtocol(Stateful, abc.ABC):
         instances or ``(element, weight)`` tuples; matrix protocols accept
         :class:`~repro.streaming.items.MatrixRow` instances or raw rows.
         Subclasses override :meth:`_unpack` if they need custom handling.
+        A site that is not an integer in ``[0, m)`` is refused before any
+        state moves, as :meth:`observe_batch` refuses it.
         """
+        if type(site) is not int or not 0 <= site < self._num_sites:
+            check_site(site, self._num_sites)
         args = self._unpack(item)
         self.process(site, *args)
 
@@ -182,21 +186,10 @@ class DistributedProtocol(Stateful, abc.ABC):
         """
         columns = self._unpack_batch(items)
         count = int(columns[0].shape[0]) if columns else 0
-        sites = np.asarray(site_ids, dtype=np.int64)
-        if sites.shape != (count,):
-            raise ValueError(
-                f"site_ids must have shape ({count},), got {sites.shape}"
-            )
+        sites = check_site_ids(site_ids, count, self._num_sites)
         if count == 0:
             return
         first = int(sites[0])
-        low, high = ((first, first) if count == 1
-                     else (int(sites.min()), int(sites.max())))
-        if low < 0 or high >= self._num_sites:
-            raise ValueError(
-                f"site indices must lie in [0, {self._num_sites}), "
-                f"got range [{low}, {high}]"
-            )
         if count == 1:
             # One item takes the per-item path, with the column elements the
             # batch kernel would see (NumPy scalars, a row view), so element

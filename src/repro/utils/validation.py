@@ -9,7 +9,7 @@ from an int, or a C-contiguous ``numpy`` array) or raises ``ValueError`` /
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Any, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -26,6 +26,8 @@ __all__ = [
     "check_matrix",
     "check_unit_vector",
     "check_site_count",
+    "check_site",
+    "check_site_ids",
     "check_rank",
 ]
 
@@ -220,6 +222,53 @@ def check_unit_vector(x: Sequence[float], dimension: Optional[int] = None, *,
 def check_site_count(num_sites: int, *, name: str = "num_sites") -> int:
     """Validate the number of distributed sites (``m`` in the paper)."""
     return check_positive_int(num_sites, name=name)
+
+
+def _site_range_error(num_sites: int, low: int, high: int) -> ValueError:
+    return ValueError(f"site indices must lie in [0, {num_sites}), "
+                      f"got range [{low}, {high}]")
+
+
+def check_site(site: Any, num_sites: int) -> int:
+    """Validate one site index and return it as an ``int``.
+
+    A site is an integer (``int`` or a NumPy integer, never a ``bool`` or a
+    float, even an integral one) in ``[0, num_sites)``: a non-integer raises
+    ``TypeError``, an out-of-range one the ``ValueError`` a one-item
+    :func:`check_site_ids` would raise.
+    """
+    if type(site) is not int:
+        if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+            raise TypeError(
+                f"site must be an integer, got {type(site).__name__} {site!r}")
+        site = int(site)
+    if not 0 <= site < num_sites:
+        raise _site_range_error(num_sites, site, site)
+    return site
+
+
+def check_site_ids(site_ids: Any, count: int, num_sites: int) -> np.ndarray:
+    """Validate ``count`` site indices and return them as an int64 array.
+
+    The array form of :func:`check_site`: integer dtypes only (a float or
+    bool array raises ``TypeError`` instead of being truncated), shape
+    ``(count,)``, every entry in ``[0, num_sites)``.
+    """
+    sites = np.asarray(site_ids)
+    if sites.size and sites.dtype.kind not in "iu":
+        raise TypeError(f"site_ids must be integers, got dtype {sites.dtype}")
+    sites = sites.astype(np.int64, copy=False)
+    if sites.shape != (count,):
+        raise ValueError(
+            f"site_ids must have shape ({count},), got {sites.shape}")
+    if count:
+        if count == 1:
+            low = high = int(sites[0])
+        else:
+            low, high = int(sites.min()), int(sites.max())
+        if low < 0 or high >= num_sites:
+            raise _site_range_error(num_sites, low, high)
+    return sites
 
 
 def check_rank(rank: int, dimension: Optional[int] = None, *, name: str = "rank") -> int:

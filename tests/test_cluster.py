@@ -63,10 +63,14 @@ from repro.cluster.merge import merge_message_counts
 from repro.api.state import tracker_frame
 from repro.cluster.sharded_tracker import _SEED_STRIDE
 from repro.gateway.http import Request
-from repro.streaming.items import WeightedItemBatch
+from repro.streaming.items import MatrixRowBatch, WeightedItemBatch
 from repro.gateway.server import QUERY_KINDS
 from repro.utils.linalg import covariance_error
-from repro.cluster.worker_protocol import unpack_reply, worker_command
+from repro.cluster.worker_protocol import (
+    encode_ingest,
+    unpack_reply,
+    worker_command,
+)
 from repro.wire import encode_state
 
 from test_api_state_roundtrip import (
@@ -427,6 +431,131 @@ class TestOneItemPushes:
                 *(column[index:index + 1] for column in columns))
             pushed.push_batch(sites[index:index + 1], batch[index:index + 1])
         assert _state_frame(pushed) == _state_frame(kernel)
+
+
+#: One bad site of each kind: out of range (the ``push_batch`` message),
+#: or not an integer at all (never truncated to one).
+_BAD_SITES = [(-1, ValueError), (NUM_SITES, ValueError), (3.7, TypeError),
+              ("1", TypeError), (np.float64(2.0), TypeError),
+              (True, TypeError)]
+
+
+class TestRejectedOneItemPushes:
+    """A refused push changes nothing, on either facade, for every spec."""
+
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+    def test_bad_site_is_refused_before_any_state_moves(self, spec):
+        seed = SEEDS[0]
+        batch, sites, dimension, _ = _spec_stream(spec, seed)
+        plain = _plain(spec, seed, dimension)
+        with _cluster(spec, seed, shards=2, dimension=dimension) as cluster:
+            for index in range(20):
+                plain.push(int(sites[index]), batch[index])
+                cluster.push(int(sites[index]), batch[index])
+
+            def state():
+                return (_state_frame(plain), plain.items_processed,
+                        plain.watermark,
+                        [cluster._backend.call(shard, _protocol_frame)
+                         for shard in range(cluster.num_shards)],
+                        cluster.stats().items_processed, cluster.watermark)
+
+            before = state()
+            item, one = batch[20], batch[20:21]
+            shapes = [one]
+            if dimension is not None:
+                shapes.append(one.values)  # the gateway writer's (1, d) rows
+            for site, error in _BAD_SITES:
+                message = (r"site indices must lie in \[0, 5\)"
+                           if error is ValueError else "integer")
+                for push in (plain.push, cluster.push):
+                    with pytest.raises(error, match=message):
+                        push(site, item)
+                with pytest.raises(error, match=message):
+                    plain.push_batch([site], one)
+                for rows in shapes:
+                    with pytest.raises(error, match=message):
+                        cluster.push_batch(rows, site_ids=[site])
+                assert state() == before, site
+
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("row, message", [
+        ([1.0, float("nan"), 0.0], "values contains non-finite entries"),
+        ([1.0, 2.0], "rows has 2 columns but the stream dimension is 3"),
+        ([[1.0, 2.0, 3.0]],
+         r"values must be two-dimensional, got shape \(1, 1, 3\)"),
+    ], ids=["non-finite", "narrow", "nested"])
+    def test_bad_row_is_refused_before_any_state_moves(self, backend, row,
+                                                       message):
+        with ShardedTracker.create("matrix/P2", shards=2, backend=backend,
+                                   num_sites=3, dimension=3,
+                                   epsilon=0.1) as cluster:
+            cluster.push(1, [1.0, 2.0, 3.0])
+            before = (cluster.stats().per_shard, cluster.watermark)
+            with pytest.raises(ValueError, match=message):
+                cluster.push(1, row)
+            if np.ndim(row) == 1:
+                with pytest.raises(ValueError, match=message):
+                    cluster.push_batch(np.array([row]), site_ids=[1])
+            assert (cluster.stats().per_shard, cluster.watermark) == before
+
+    @pytest.mark.parametrize("item, message", [
+        (("a", float("inf")), "weights contains non-finite entries"),
+        (("a", -1.0), "weights must be strictly positive everywhere"),
+        (("a", 1.0, 2), "too many values to unpack"),
+    ], ids=["infinite", "negative", "triple"])
+    def test_bad_pair_is_refused_before_any_state_moves(self, item, message):
+        with ShardedTracker.create("hh/P2", shards=2, num_sites=3,
+                                   epsilon=0.1) as cluster:
+            cluster.push(1, ("a", 1.0))
+            before = (cluster.stats().per_shard, cluster.watermark)
+            with pytest.raises(ValueError, match=message):
+                cluster.push(1, item)
+            assert (cluster.stats().per_shard, cluster.watermark) == before
+
+
+class TestOneItemFrames:
+    """One-item pushes build their batch directly, yet ship the ``ingest``
+    frame the generic batch path builds, byte for byte."""
+
+    @staticmethod
+    def _frames(cluster, action):
+        sent = []
+        cluster._backend.submit = lambda shard, fn, *args: sent.append(
+            (shard, encode_ingest(*args, seq=1)))
+        action()
+        return sent
+
+    @pytest.mark.parametrize("item", [
+        ("cat", 2.5), (7, 1.0), (np.int64(7), 3.0), (2.5, 1.0),
+        (("a", 1), 2.0), "bare", repro.WeightedItem("dog", 4.0),
+    ], ids=["str", "int", "np-int", "float", "tuple", "bare", "item"])
+    def test_hh_push(self, item):
+        with ShardedTracker.create("hh/P1", shards=2, num_sites=4,
+                                   epsilon=0.1) as cluster:
+            sent = self._frames(cluster, lambda: cluster.push(3, item))
+        if isinstance(item, repro.WeightedItem):
+            batch = WeightedItemBatch.from_items([item])
+        else:
+            batch = WeightedItemBatch.from_pairs(
+                [item if isinstance(item, tuple) else (item, 1.0)])
+        assert sent == [(1, encode_ingest(np.asarray([1]), batch, seq=1))]
+
+    @pytest.mark.parametrize("push", ["list", "float32", "row", "batch"])
+    def test_matrix_push(self, push):
+        values = [0.5, -1.0, 2.0]
+        with ShardedTracker.create("matrix/P1", shards=2, num_sites=4,
+                                   dimension=3, epsilon=0.1) as cluster:
+            sent = self._frames(cluster, {
+                "list": lambda: cluster.push(2, values),
+                "float32": lambda: cluster.push(
+                    2, np.asarray(values, dtype=np.float32)),
+                "row": lambda: cluster.push(2, repro.MatrixRow(values)),
+                "batch": lambda: cluster.push_batch(np.array([values]),
+                                                    site_ids=[2]),
+            }[push])
+        batch = MatrixRowBatch.from_rows([values])
+        assert sent == [(0, encode_ingest(np.asarray([1]), batch, seq=1))]
 
 
 # ------------------------------------- shard s == Tracker over its sites

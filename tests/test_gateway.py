@@ -473,6 +473,38 @@ class TestHttpContract:
                     client.request("POST", "/v1/stats", {})
                 assert excinfo.value.status == 405
 
+    def test_unknown_methods_share_one_metric_label(self, served_cluster):
+        """``repro_gateway_requests_total``'s ``method`` label is bounded by
+        the route table: a client inventing methods adds no series."""
+        from repro.obs import REGISTRY
+
+        requests = REGISTRY.counter("repro_gateway_requests_total",
+                                    labels=("route", "method", "status"))
+        hostile = [f"M{index:04d}" for index in range(50)]
+        enabled = REGISTRY.enabled
+        REGISTRY.enable()
+        try:
+            before = requests.value(route="/v1/stats", method="other",
+                                    status=405)
+            with Gateway(served_cluster) as gateway:
+                host, port = gateway.address
+                for method in hostile:
+                    conn = http.client.HTTPConnection(host, port, timeout=10)
+                    try:
+                        conn.request(method, "/v1/stats")
+                        assert conn.getresponse().status == 405
+                    finally:
+                        conn.close()
+            methods = {labels[1] for labels, _ in
+                       next(family["series"] for family in
+                            REGISTRY.snapshot()["metrics"]
+                            if family["name"] == requests.name)}
+            assert requests.value(route="/v1/stats", method="other",
+                                  status=405) == before + len(hostile)
+        finally:
+            REGISTRY.enable() if enabled else REGISTRY.disable()
+        assert methods <= {"GET", "POST", "other"}
+
     @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_bad_requests_400(self, served_cluster, encoding):
         with Gateway(served_cluster) as gateway:
