@@ -87,10 +87,6 @@ _FD_SVD_SECONDS = REGISTRY.histogram(
     "repro_fd_svd_seconds",
     "Wall time of one spectral kernel invocation", labels=("svd_mode",),
     buckets=LATENCY_BUCKETS)
-#: Both families bound once per mode: ``(compactions, seconds)``.
-_FD_SERIES = {mode: (_FD_COMPACTIONS.labels(svd_mode=mode),
-                     _FD_SVD_SECONDS.labels(svd_mode=mode))
-              for mode in SVD_MODES}
 
 
 def check_svd_mode(mode: str) -> str:
@@ -210,7 +206,7 @@ def spectral_decomposition(matrix: np.ndarray, mode: str = "auto",
         return _spectral_decomposition(array, mode, top)
     finally:
         if started is not None:
-            _FD_SERIES[mode][1].observe(perf_counter() - started)
+            _FD_SVD_SECONDS.observe(perf_counter() - started, svd_mode=mode)
 
 
 def _spectral_decomposition(array: np.ndarray, mode: str,
@@ -272,9 +268,8 @@ def shrink_rows(matrix: np.ndarray, keep: int, mode: str = "auto"
         return _shrink_rows(array, keep, mode)
     finally:
         if started is not None:
-            compactions, seconds = _FD_SERIES[mode]
-            compactions.inc()
-            seconds.observe(perf_counter() - started)
+            _FD_COMPACTIONS.inc(svd_mode=mode)
+            _FD_SVD_SECONDS.observe(perf_counter() - started, svd_mode=mode)
 
 
 def _shrink_rows(array: np.ndarray, keep: int, mode: str

@@ -74,9 +74,6 @@ class AnswerCache:
             raise ValueError(f"max_entries must be >= 0, got {max_entries}")
         self.max_entries = int(max_entries)
         self._spec = spec
-        self._hits = _HITS.labels(spec=spec)
-        self._misses = _MISSES.labels(spec=spec)
-        self._evictions = _EVICTIONS.labels(spec=spec)
         self._lock = threading.Lock()
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         #: The newest generation any entry was stored under.
@@ -111,9 +108,9 @@ class AnswerCache:
                 self.hits += 1
         if REGISTRY.enabled:
             if answer is None:
-                self._misses.inc()
+                _MISSES.inc(spec=self._spec)
             else:
-                self._hits.inc()
+                _HITS.inc(spec=self._spec)
         return answer
 
     def put(self, key: Hashable, answer: Any, generation: Tuple = ()) -> None:
@@ -143,7 +140,7 @@ class AnswerCache:
                 evicted += 1
             self.evictions += evicted
         if evicted and REGISTRY.enabled:
-            self._evictions.inc(evicted)
+            _EVICTIONS.inc(evicted, spec=self._spec)
 
     def clear(self) -> None:
         """Drop every entry (counters keep their totals)."""

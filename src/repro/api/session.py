@@ -37,8 +37,9 @@ class Session:
     """Shared state and the single read path of both tracker facades.
 
     Subclasses name five telemetry families (their ``repro_tracker_*`` /
-    ``repro_cluster_*`` series), which every session binds to its spec
-    when it is built, and implement :meth:`_parts`.
+    ``repro_cluster_*`` series) and implement :meth:`_parts`; the two
+    ingestion counters, recorded per pushed item, are bound to the spec
+    when the session is built.
     """
 
     #: Counters ``(spec)`` of ingestion calls and of the items they carry.
@@ -64,10 +65,6 @@ class Session:
         self._cache = AnswerCache(cache_size, spec=label)
         self._pushes = self._pushes_total.labels(spec=label)
         self._items = self._items_total.labels(spec=label)
-        self._checkpoint_bytes = self._checkpoint_bytes_total.labels(spec=label)
-        self._checkpoint_time = self._checkpoint_seconds.labels(spec=label)
-        #: Query-kind series, bound on first use: one per Query class.
-        self._queries: Dict[type, Any] = {}
 
     # ------------------------------------------------------------ properties
     @property
@@ -136,11 +133,8 @@ class Session:
                 f"{self._metric_spec!r}"
             )
         if REGISTRY.enabled:
-            series = self._queries.get(type(query))
-            if series is None:
-                series = self._queries[type(query)] = self._queries_total.labels(
-                    spec=self._metric_spec, kind=type(query).__name__)
-            series.inc()
+            self._queries_total.inc(spec=self._metric_spec,
+                                    kind=type(query).__name__)
         key = None
         if self._cache.enabled and not partial:
             try:
@@ -185,8 +179,10 @@ class Session:
         started = perf_counter() if REGISTRY.enabled else None
         yield
         if started is not None:
-            self._checkpoint_time.observe(perf_counter() - started)
+            self._checkpoint_seconds.observe(perf_counter() - started,
+                                             spec=self._metric_spec)
             try:
-                self._checkpoint_bytes.inc(os.path.getsize(path))
+                self._checkpoint_bytes_total.inc(os.path.getsize(path),
+                                                 spec=self._metric_spec)
             except (TypeError, OSError):
                 pass  # file-like targets have no on-disk size

@@ -459,8 +459,6 @@ class RemoteShardHandle:
     def __init__(self, index: int, io_timeout: Optional[float]) -> None:
         self.index = index
         self.io_timeout = io_timeout
-        self._call_seconds = _CALL_SECONDS.labels(shard=index)
-        self._deadline_expiries = _DEADLINE_EXPIRIES.labels(shard=index)
         self.channel: Any = None
         #: Seq stamped on the last ``submit`` / applied-seq watermark of the
         #: last reply.  Equal after a barrier; both survive a relaunch.
@@ -602,7 +600,7 @@ class RemoteShardHandle:
         except TimeoutError as exc:
             # No blind retry: the worker would hang identically, and its
             # late reply must never be read as a later call's answer.
-            self._deadline_expiries.inc()
+            _DEADLINE_EXPIRIES.inc(shard=self.index)
             self._poison(
                 f"no reply from {self._peer()} within the "
                 f"{self.io_timeout:g}s io_timeout (hung or overloaded worker; "
@@ -611,7 +609,8 @@ class RemoteShardHandle:
         if acked is not None:
             self.acked_seq = acked
         if self._call_started is not None:
-            self._call_seconds.observe(perf_counter() - self._call_started)
+            _CALL_SECONDS.observe(perf_counter() - self._call_started,
+                                  shard=self.index)
             self._call_started = None
         return status, value
 

@@ -261,10 +261,6 @@ class ShardedTracker(Session):
             )
         self._num_sites = int(self._params["num_sites"])
         self._dimension = self._params.get("dimension")
-        self._shard_gauges = [
-            (_CLUSTER_SHARD_ITEMS.labels(spec=self._spec, shard=shard),
-             _CLUSTER_SHARD_MESSAGES.labels(spec=self._spec, shard=shard))
-            for shard in range(self._num_shards)]
         if self._num_shards > self._num_sites:
             raise ValueError(
                 f"shards={self._num_shards} exceeds num_sites="
@@ -353,15 +349,25 @@ class ShardedTracker(Session):
         site = check_site(site, self._num_sites)
         if self._domain == DOMAIN_HEAVY_HITTERS:
             if hasattr(item, "element"):
-                batch: Any = WeightedItemBatch.one(item.element, item.weight)
+                element, weight = item.element, item.weight
             elif isinstance(item, tuple):
                 element, weight = item
-                batch = WeightedItemBatch.one(element, weight)
             else:
-                batch = WeightedItemBatch.one(item)
+                element, weight = item, 1.0
+            batch: Any = WeightedItemBatch(elements=[element],
+                                           weights=(weight,))
         else:
-            batch = self._one_row(getattr(item, "values", item))
-        self._submit_one(site, batch)
+            batch = self._check_width(
+                MatrixRowBatch.from_rows((getattr(item, "values", item),)))
+        local, shard = divmod(site, self._num_shards)
+        if REGISTRY.enabled:
+            self._pushes.inc()
+            self._items.inc()
+        watermark = list(self._watermark)
+        watermark[shard] += 1
+        self._watermark = tuple(watermark)
+        self._backend.submit(shard, _shard_ingest,
+                             np.array((local,), dtype=np.int64), batch)
 
     def push_batch(self, items: Any,
                    site_ids: Optional[Sequence[int]] = None) -> None:
@@ -378,13 +384,6 @@ class ShardedTracker(Session):
         load balance follows the site distribution the caller chose.
         """
         self._check_open()
-        if (isinstance(items, np.ndarray) and items.ndim == 2
-                and items.shape[0] == 1 and site_ids is not None
-                and len(site_ids) == 1):
-            # The serving gateway's one-row push takes the path of ``push``.
-            self._submit_one(check_site(site_ids[0], self._num_sites),
-                             self._one_row(items[0]))
-            return
         batch = self._coerce_batch(items)
         if len(batch) == 0:
             return
@@ -563,9 +562,9 @@ class ShardedTracker(Session):
                 if row is not None]
         if REGISTRY.enabled:
             for shard, row in live:
-                items, messages = self._shard_gauges[shard]
-                items.set(row[0])
-                messages.set(row[1])
+                _CLUSTER_SHARD_ITEMS.set(row[0], spec=self._spec, shard=shard)
+                _CLUSTER_SHARD_MESSAGES.set(row[1], spec=self._spec,
+                                            shard=shard)
         snapshots: List[Dict[str, Any]] = [REGISTRY.snapshot()]
         snapshots.extend(row[2] for _, row in live if row[2])
         return snapshots
@@ -676,10 +675,6 @@ class ShardedTracker(Session):
         if self._closed:
             raise RuntimeError("this ShardedTracker has been closed")
 
-    def _one_row(self, row: Any) -> MatrixRowBatch:
-        """``row`` as a checked one-row batch (``push``'s matrix item)."""
-        return self._check_width(MatrixRowBatch.one(row))
-
     def _check_width(self, batch: MatrixRowBatch) -> MatrixRowBatch:
         if batch.dimension != self._dimension:
             raise ValueError(
@@ -687,18 +682,6 @@ class ShardedTracker(Session):
                 f"dimension is {self._dimension}"
             )
         return batch
-
-    def _submit_one(self, site: int, batch: Any) -> None:
-        """Dispatch a checked one-item batch at global ``site``."""
-        local, shard = divmod(int(site), self._num_shards)
-        if REGISTRY.enabled:
-            self._pushes.inc()
-            self._items.inc()
-        watermark = list(self._watermark)
-        watermark[shard] += 1
-        self._watermark = tuple(watermark)
-        self._backend.submit(shard, _shard_ingest,
-                             np.array((local,), dtype=np.int64), batch)
 
     def _check_push(self, batch: Any,
                     site_ids: Optional[Sequence[int]]) -> np.ndarray:

@@ -278,11 +278,6 @@ class _SocketShard(RemoteShardHandle):
     def __init__(self, index: int, address: Tuple[str, int],
                  builder: Callable[[], Any], options: _SocketOptions):
         super().__init__(index, options.io_timeout)
-        self._reconnects = _RECONNECTS.labels(shard=index)
-        self._replay_frames = _REPLAY_FRAMES.labels(shard=index)
-        self._replay_bytes = _REPLAY_BYTES.labels(shard=index)
-        self._snapshot_trims = _SNAPSHOT_TRIMS.labels(shard=index)
-        self._handoffs = _HANDOFFS.labels(shard=index)
         self.address = address
         self._options = options
         self._frame_options = {"compress": options.compress}
@@ -531,7 +526,7 @@ class _SocketShard(RemoteShardHandle):
                     last_error = exc
                     continue
                 self.recoveries += 1
-                self._reconnects.inc()
+                _RECONNECTS.inc(shard=self.index)
                 _LOG.info("shard connection recovered",
                           extra={"shard": self.index, "cause": cause,
                                  "address": _addr(candidate)})
@@ -572,8 +567,8 @@ class _SocketShard(RemoteShardHandle):
                 f"replay: {exc}"
             ) from exc
         if replay:
-            self._replay_frames.inc(len(replay))
-            self._replay_bytes.inc(sum(map(len, replay)))
+            _REPLAY_FRAMES.inc(len(replay), shard=self.index)
+            _REPLAY_BYTES.inc(sum(map(len, replay)), shard=self.index)
         self.channel, self.address = sock, address
 
     def _sync_snapshot(self) -> None:
@@ -591,7 +586,7 @@ class _SocketShard(RemoteShardHandle):
         self._snapshot = (seq_at, self.finish_call())
         self._log = []
         self._log_bytes = 0
-        self._snapshot_trims.inc()
+        _SNAPSHOT_TRIMS.inc(shard=self.index)
 
     # -------------------------------------------------------------- handoff
     def relocate(self, address: Tuple[str, int]) -> None:
@@ -609,7 +604,7 @@ class _SocketShard(RemoteShardHandle):
         new_sock = self._open_channel(address, builder, snap_seq)
         old_sock = self.channel
         self.channel, self.address = new_sock, address
-        self._handoffs.inc()
+        _HANDOFFS.inc(shard=self.index)
         _LOG.info("shard relocated",
                   extra={"shard": self.index, "address": _addr(address)})
         self._hang_up(old_sock)
@@ -631,8 +626,8 @@ class _SocketShard(RemoteShardHandle):
         self._broken = None
         self._relaunch_on(address)
         self.recoveries += 1
-        self._reconnects.inc()
-        self._handoffs.inc()
+        _RECONNECTS.inc(shard=self.index)
+        _HANDOFFS.inc(shard=self.index)
         _LOG.info("shard evacuated",
                   extra={"shard": self.index, "address": _addr(address)})
 

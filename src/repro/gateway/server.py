@@ -117,8 +117,7 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 #: ``_route_label`` (unknown paths collapse to ``"other"``) and the method
 #: through ``_method_label`` (methods no route accepts collapse to
 #: ``"other"``), so label cardinality is bounded by the route table, not by
-#: client traffic.  Each gateway binds its series on first use
-#: (``Gateway._series``).
+#: client traffic.
 _REQUESTS = REGISTRY.counter(
     "repro_gateway_requests_total", "HTTP requests served",
     labels=("route", "method", "status"))
@@ -382,12 +381,18 @@ def _resolve_future(future: asyncio.Future, result: Any,
         future.set_result(result)
 
 
-_KNOWN_ROUTES = ("/v1/healthz", "/v1/metrics", "/v1/stats", "/v1/push",
-                 "/v1/checkpoint", "/v1/admin/move_shard")
-
-
-#: Every method some route accepts (``Gateway._route``'s ``_require`` calls).
-_KNOWN_METHODS = ("GET", "POST")
+#: The methods each route accepts (``"/v1/query/"`` stands for every query
+#: path).  ``Gateway._route`` enforces them, and the route and method
+#: labels of the request counter are drawn from them.
+_ROUTE_METHODS = {
+    "/v1/healthz": ("GET",), "/v1/metrics": ("GET",), "/v1/stats": ("GET",),
+    "/v1/push": ("POST",), "/v1/query/": ("GET", "POST"),
+    "/v1/checkpoint": ("POST",), "/v1/admin/move_shard": ("POST",),
+}
+_KNOWN_ROUTES = tuple(route for route in _ROUTE_METHODS
+                      if route != "/v1/query/")
+_KNOWN_METHODS = frozenset(method for methods in _ROUTE_METHODS.values()
+                           for method in methods)
 
 
 def _method_label(method: str) -> str:
@@ -463,8 +468,6 @@ class Gateway:
         self._sharded = isinstance(tracker, ShardedTracker)
         #: Folded into every ETag: validators of two gateways never collide.
         self._etag_token = secrets.token_hex(8)
-        #: Metric series bound by ``_series``, keyed ``(family, *labels)``.
-        self._bound_series: Dict[Tuple[Any, ...], Any] = {}
         spec = tracker.spec
         if spec is None:
             raise ValueError("the gateway needs a registry-created tracker "
@@ -646,10 +649,10 @@ class Gateway:
         trace = request.headers.get(TRACE_HEADER) or new_trace_id()
         route = _route_label(request.path)
         started = perf_counter() if REGISTRY.enabled else None
-        if started is not None:
-            self._series(_INFLIGHT).add(1.0)
+        if REGISTRY.enabled:
+            _INFLIGHT.add(1.0)
             if request.body:
-                self._series(_REQUEST_BYTES, route).inc(len(request.body))
+                _REQUEST_BYTES.inc(len(request.body), route=route)
         token = set_trace_id(trace)
         try:
             response, status = await self._dispatch(request, trace)
@@ -657,31 +660,17 @@ class Gateway:
             reset_trace_id(token)
             if started is not None:
                 elapsed = perf_counter() - started
-                self._series(_INFLIGHT).add(-1.0)
-                self._series(_REQUEST_SECONDS, route).observe(elapsed)
+                _INFLIGHT.add(-1.0)
+                _REQUEST_SECONDS.observe(elapsed, route=route)
         if REGISTRY.enabled:
-            self._series(_REQUESTS, route, _method_label(request.method),
-                         status).inc()
-            self._series(_RESPONSE_BYTES, route).inc(len(response))
+            _REQUESTS.inc(route=route, method=_method_label(request.method),
+                          status=str(status))
+            _RESPONSE_BYTES.inc(len(response), route=route)
         if _LOG.isEnabledFor(20):
             _LOG.info("request", extra={
                 "route": route, "method": request.method, "status": status,
                 "path": request.path, "trace_id": trace})
         return response
-
-    def _series(self, family: Any, *values: Any) -> Any:
-        """``family``'s series for label ``values``, bound on first use.
-
-        Keyed by the bounded label tuples above, so the dict stays as
-        small as the route table; a race on first use binds twice, to the
-        same series.
-        """
-        key = (family, *values)
-        series = self._bound_series.get(key)
-        if series is None:
-            series = self._bound_series[key] = family.labels(
-                **dict(zip(family.label_names, values)))
-        return series
 
     async def _dispatch(self, request: Request,
                         trace: str) -> Tuple[bytes, int]:
@@ -742,29 +731,25 @@ class Gateway:
 
     # ---------------------------------------------------------------- routes
     def _route(self, request: Request) -> Awaitable[Any]:
-        path, method = request.path, request.method
-        if path == "/v1/healthz":
-            self._require(method, "GET")
+        path = request.path
+        route = "/v1/query/" if path.startswith("/v1/query/") else path
+        allowed = _ROUTE_METHODS.get(route)
+        if allowed is None:
+            raise HttpError(404, f"no such route: {path!r}")
+        self._require(request.method, *allowed)
+        if route == "/v1/healthz":
             return self._healthz(request.wants_wire)
-        if path == "/v1/metrics":
-            self._require(method, "GET")
+        if route == "/v1/metrics":
             return self._metrics()
-        if path == "/v1/stats":
-            self._require(method, "GET")
+        if route == "/v1/stats":
             return self._run_write(self._do_stats)
-        if path == "/v1/push":
-            self._require(method, "POST")
+        if route == "/v1/push":
             return self._push(request)
-        if path.startswith("/v1/query/"):
-            self._require(method, "GET", "POST")
+        if route == "/v1/query/":
             return self._query(request, path[len("/v1/query/"):])
-        if path == "/v1/checkpoint":
-            self._require(method, "POST")
+        if route == "/v1/checkpoint":
             return self._checkpoint(request)
-        if path == "/v1/admin/move_shard":
-            self._require(method, "POST")
-            return self._move_shard(request)
-        raise HttpError(404, f"no such route: {path!r}")
+        return self._move_shard(request)
 
     @staticmethod
     def _require(method: str, *allowed: str) -> None:
@@ -907,7 +892,7 @@ class Gateway:
             else:
                 error = None
                 if len(group) > 1 and REGISTRY.enabled:
-                    self._series(_COALESCED).inc(len(group) - 1)
+                    _COALESCED.inc(len(group) - 1)
             for entry in group:
                 result = None if error is not None \
                     else {"accepted": entry.count}
@@ -946,8 +931,7 @@ class Gateway:
             etag = self._etag_for(query, wire, self._tracker.watermark)
             if etag is not None and _etag_matches(validators, etag):
                 if REGISTRY.enabled:
-                    self._series(_NOT_MODIFIED,
-                                 _route_label(request.path)).inc()
+                    _NOT_MODIFIED.inc(route=_route_label(request.path))
                 return _already_done(_RawResponse(
                     b"", status=304, headers=(("ETag", etag), _VARY)))
         return self._run_read(lambda: self._do_query(query, partial, wire))

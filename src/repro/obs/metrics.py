@@ -8,12 +8,12 @@ gateway) can instrument itself without creating an import cycle.
 Design constraints, in order:
 
 * **Bind once, then record cheaply.**  ``family.labels(spec=...)``
-  validates a label set and builds its key once; every recording site
-  binds its series when its owner is built (a tracker by spec, a shard
-  handle by shard, the gateway by route), so one ``inc``/``add``/``set``/
-  ``observe`` is one flag read, one lock and one dict update — cheap
-  enough to leave on per pushed item.  The keyword form
-  (``counter.inc(spec=...)``) is sugar for ``labels(...).inc()``.
+  validates a label set and builds its key once; a recording through the
+  bound series is one flag read, one lock and one dict update, cheap
+  enough to leave on per pushed item.  Per-item sites (a tracker's push
+  counters) bind when their owner is built; every other site uses the
+  keyword form (``counter.inc(spec=...)``), which is sugar for
+  ``labels(...).inc()``.
 * **Zero cost when disabled.**  Every recording call checks the owning
   registry's ``enabled`` flag before touching a lock or a dict, so a
   disabled registry costs one attribute read per call site.  Call sites
@@ -79,7 +79,7 @@ class _Family:
     ``family.labels(**labels)`` validates a label set once and returns a
     bound series that records without looking its labels up again; the
     keyword recorders (``counter.inc(kind="a")``) are sugar for exactly
-    that, kept for tests and cold paths.
+    that, used wherever a call costs far more than its label lookup.
     """
 
     kind = "untyped"

@@ -19,7 +19,6 @@ materialising one Python object per item.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -177,22 +176,6 @@ class WeightedItemBatch:
         return cls(elements=elements, weights=weights, sites=sites)
 
     @classmethod
-    def one(cls, element: Hashable, weight: float = 1.0) -> "WeightedItemBatch":
-        """A one-item batch, equal to ``from_pairs([(element, weight)])``
-        and validated alike, built without the generic column path."""
-        weights = np.array((weight,), dtype=np.float64)
-        value = float(weights[0])
-        if not math.isfinite(value):
-            raise ValueError("weights contains non-finite entries")
-        if value <= 0.0:
-            raise ValueError("weights must be strictly positive everywhere")
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "elements", _as_element_column([element]))
-        object.__setattr__(batch, "weights", weights)
-        object.__setattr__(batch, "sites", None)
-        return batch
-
-    @classmethod
     def from_items(cls, items: Iterable[WeightedItem]) -> "WeightedItemBatch":
         """Build a batch from :class:`WeightedItem` objects, keeping their sites."""
         item_list = list(items)
@@ -273,23 +256,6 @@ class MatrixRowBatch:
         """Build a batch by stacking an iterable of 1-d rows."""
         stacked = np.asarray(list(rows), dtype=np.float64)
         return cls(values=stacked, sites=sites)
-
-    @classmethod
-    def one(cls, row: Sequence[float]) -> "MatrixRowBatch":
-        """A one-row batch holding a copy of ``row``, equal to
-        ``from_rows([row])`` and validated alike, built without the generic
-        stacking path."""
-        values = np.array(row, dtype=np.float64)
-        if values.ndim > 1:
-            raise ValueError(f"values must be two-dimensional, got shape "
-                             f"{(1,) + values.shape}")
-        values = values.reshape(1, -1)
-        if not np.isfinite(values).all():
-            raise ValueError("values contains non-finite entries")
-        batch = object.__new__(cls)
-        object.__setattr__(batch, "values", values)
-        object.__setattr__(batch, "sites", None)
-        return batch
 
     def __len__(self) -> int:
         return int(self.values.shape[0])

@@ -149,8 +149,7 @@ class DistributedProtocol(Stateful, abc.ABC):
         A site that is not an integer in ``[0, m)`` is refused before any
         state moves, as :meth:`observe_batch` refuses it.
         """
-        if type(site) is not int or not 0 <= site < self._num_sites:
-            check_site(site, self._num_sites)
+        check_site(site, self._num_sites)
         args = self._unpack(item)
         self.process(site, *args)
 

@@ -142,7 +142,7 @@ def check_weight_batch(weights: Optional[Sequence[float]], *,
         raise ValueError(f"got {count} elements but {array.shape[0]} {name}")
     if array.size and not np.isfinite(array).all():
         raise ValueError(f"{name} contains non-finite entries")
-    if array.size and np.any(array <= 0.0):
+    if array.size and (array <= 0.0).any():
         raise ValueError(f"{name} must be strictly positive everywhere")
     return array
 
