@@ -261,6 +261,22 @@ class Query:
         """Evaluate this query against ``protocol`` right now."""
         return self.combine([self.materials(protocol)])
 
+    def to_fields(self) -> Tuple[str, Dict[str, Any]]:
+        """``(kind, fields)``: the class name and the dataclass fields, the
+        plain form a query travels in to shard workers."""
+        return type(self).__name__, {
+            field_info.name: getattr(self, field_info.name)
+            for field_info in dataclasses.fields(self)}
+
+    @staticmethod
+    def from_fields(kind: Any, fields: Any) -> "Query":
+        """The query :meth:`to_fields` described, its kind looked up in the
+        closed table of query classes (any other is a ``ValueError``)."""
+        query_cls = _QUERY_TYPES.get(kind) if isinstance(kind, str) else None
+        if query_cls is None or not isinstance(fields, dict):
+            raise ValueError(f"unknown query kind {kind!r:.80}")
+        return query_cls(**fields)
+
     def cache_key(self) -> Hashable:
         """This query's canonical identity for answer caching/ETags.
 

@@ -125,8 +125,16 @@ class ProtocolSpec:
         return {name: value for name, value in merged.items() if value is not None}
 
     def build(self, **kwargs: Any) -> DistributedProtocol:
-        """Construct a validated protocol instance for this spec."""
-        return self.protocol_class(**self.validate(dict(kwargs)))
+        """Construct a validated protocol instance for this spec.
+
+        The instance records the spec and the validated parameters as its
+        :attr:`~repro.streaming.protocol.DistributedProtocol.build_spec`,
+        which is what a checkpoint rebuilds it from.
+        """
+        params = self.validate(dict(kwargs))
+        protocol = self.protocol_class(**params)
+        protocol.build_spec = (self.name, params)
+        return protocol
 
 
 # --------------------------------------------------------------- param blocks

@@ -2,33 +2,29 @@
 
 Long-running continuous-tracking sessions need to survive process restarts:
 ``tracker.save(path)`` writes a versioned checkpoint and
-``Tracker.load(path)`` resumes it **bit-identically** — the restored session
-produces the same messages, the same seeded RNG draws and the same query
-answers as a session that never stopped.  This works because every stateful
-component implements the versioned ``get_state``/``set_state`` contract of
-:class:`~repro.utils.stateio.Stateful`:
+``Tracker.load(path)`` resumes it **bit-identically** — the same messages,
+the same seeded RNG draws and the same query answers as a session that
+never stopped.
 
-* all protocol classes (coordinator state, per-site states, thresholds),
-* every sketch they embed (Misra-Gries, SpaceSaving, Frequent Directions, …),
-* the :class:`~repro.streaming.network.Network` and its
-  :class:`~repro.streaming.network.CommunicationLog` (message accounting
-  resumes at the exact counters/sequence numbers),
-* the per-site ``numpy.random.Generator`` streams (bit-generator state is
-  captured exactly), and
-* the session partitioner (so site assignment continues its sequence).
+A checkpoint is declared plain data, not an object graph.  A protocol is
+``{"spec", "params", "state_version", "state"}``: the registry spec and
+parameters it was built from (its ``build_spec``; a seed that is a
+``Generator`` or ``SeedSequence`` is recorded as ``None``, because the
+generators it seeded are restored from their states), its class's layout
+version and its declared ``state_dict``.  A session adds its own spec and
+parameters, the engine chunk size and the partitioner's declared state.
+Restoring is ``repro.create(spec, **params)`` followed by
+``load_state_dict``; nothing in a checkpoint names a class, so renaming a
+private attribute changes no checkpoint byte.
 
 File format: one :mod:`repro.wire` frame whose kind labels the checkpoint
 flavour (``repro/tracker-checkpoint`` / ``repro/protocol-checkpoint``) and
-whose body is ``{"version", ...}`` with :data:`CHECKPOINT_VERSION` bumped on
-incompatible layout changes.  Wire frames carry no executable payload, so —
-unlike the pickle files of earlier releases — checkpoints from untrusted
-sources can at worst fail to load, not run code.  Loading a file with an
-unknown format, version, corruption or truncation raises
-:class:`CheckpointError` instead of resuming with garbage.
-
-Pickle checkpoints written before the wire format are recognised by their
-first byte and rejected with a :class:`CheckpointError` that says so:
-unpickling executes arbitrary code, so no build loads them any more.
+whose body carries ``"version"`` :data:`CHECKPOINT_VERSION`.  An unknown
+format, version, corruption or truncation raises :class:`CheckpointError`
+instead of resuming with garbage.  Version-1 files (the retired object
+format) go through :mod:`repro.api.legacy`.  Pickle checkpoints written
+before the wire format are recognised by their first byte and refused:
+unpickling executes arbitrary code.
 """
 
 from __future__ import annotations
@@ -36,8 +32,10 @@ from __future__ import annotations
 from pathlib import Path
 from typing import Any, Dict, Optional, Union
 
+import numpy as np
+
+from ..streaming.partition import restore_partitioner
 from ..streaming.protocol import DistributedProtocol
-from ..utils.stateio import StateError, restore_object
 from ..wire import (
     WireDecodeError,
     is_wire_data,
@@ -53,14 +51,17 @@ __all__ = [
     "load_tracker",
     "save_protocol",
     "load_protocol",
+    "protocol_state",
+    "restore_protocol",
     "tracker_payload",
     "tracker_from_payload",
     "tracker_frame",
     "tracker_from_frame",
 ]
 
-#: Bump on incompatible changes to the checkpoint payload layout.
-CHECKPOINT_VERSION = 1
+#: Bump on incompatible changes to the checkpoint payload layout (2: declared
+#: plain state; version 1 stored instance dictionaries as objects).
+CHECKPOINT_VERSION = 2
 
 _TRACKER_FORMAT = "repro/tracker-checkpoint"
 _PROTOCOL_FORMAT = "repro/protocol-checkpoint"
@@ -85,10 +86,43 @@ def _write(path: PathLike, payload: Dict[str, Any], *,
     write_frame(path, body.pop("format"), body, compress=compress)
 
 
+def _unpack(data: bytes, expected_kind: str, source: str,
+            expected_version: int = CHECKPOINT_VERSION,
+            retired: Optional[Dict[int, str]] = None) -> Dict[str, Any]:
+    """The payload of a checkpoint frame of ``expected_kind`` and version;
+    ``retired`` says why old versions are refused.  A frame in the retired
+    object format is upgraded by :mod:`repro.api.legacy`, or refused."""
+    try:
+        kind, payload = unpack_frame(data)
+    except WireDecodeError:
+        from . import legacy
+
+        try:
+            kind, payload = legacy.read_legacy(data)
+        except WireDecodeError as exc:
+            raise CheckpointError(
+                f"cannot read checkpoint {source}: {exc}") from exc
+        payload = legacy.upgrade(payload, CHECKPOINT_VERSION, source)
+    if kind != expected_kind:
+        raise CheckpointError(
+            f"{source} is a {kind!r} frame, not a {expected_kind!r} "
+            "checkpoint")
+    if not isinstance(payload, dict):
+        raise CheckpointError(f"{source} is not a {expected_kind!r} checkpoint")
+    version = payload.get("version")
+    if version != expected_version:
+        why = (retired or {}).get(version)
+        raise CheckpointError(
+            f"checkpoint {source} has version {version!r}; this build "
+            f"supports version {expected_version}"
+            + (f" ({why})" if why else ""))
+    return payload
+
+
 def _read(path: PathLike, expected_format: str,
           expected_version: int = CHECKPOINT_VERSION,
           retired: Optional[Dict[int, str]] = None) -> Dict[str, Any]:
-    """Read one checkpoint frame; ``retired`` says why old versions are refused."""
+    """Read one checkpoint file (:func:`_unpack`'s arguments)."""
     with open(Path(path), "rb") as handle:
         data = handle.read()
     if data[:1] == _PICKLE_PROTO_OPCODE:
@@ -99,50 +133,95 @@ def _read(path: PathLike, expected_format: str,
         )
     if not is_wire_data(data):
         raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
+    return _unpack(data, expected_format, str(path), expected_version,
+                   retired)
+
+
+def _plain_params(params: Dict[str, Any]) -> Dict[str, Any]:
+    """Spec parameters as plain values: NumPy scalars as Python numbers, a
+    seed that is not an integer as ``None``."""
+    plain = {}
+    for name, value in params.items():
+        if isinstance(value, np.generic):
+            value = value.item()
+        if name == "seed" and not isinstance(value, int):
+            value = None
+        if value is not None and type(value) not in (bool, int, float, str):
+            raise TypeError(f"parameter {name}={value!r} is not plain data "
+                            "and cannot be checkpointed")
+        plain[name] = value
+    return plain
+
+
+# ----------------------------------------------------------------- protocols
+def protocol_state(protocol: DistributedProtocol) -> Dict[str, Any]:
+    """``protocol``'s checkpoint (module docstring); it references live
+    arrays, so encode it before the protocol runs on."""
+    if getattr(protocol, "build_spec", None) is None:
+        raise TypeError(
+            f"this {type(protocol).__name__} was not built from a registry "
+            "spec, so a checkpoint could not rebuild it; build it with "
+            "repro.create")
+    spec, params = protocol.build_spec
+    return {"spec": spec, "params": _plain_params(params),
+            "state_version": type(protocol).state_version,
+            "state": protocol.state_dict()}
+
+
+def restore_protocol(checkpoint: Any, source: str = "payload"
+                     ) -> DistributedProtocol:
+    """Rebuild a protocol from :func:`protocol_state`'s tree."""
+    from .registry import create
+
     try:
-        kind, payload = unpack_frame(data)
-    except WireDecodeError as exc:
-        raise CheckpointError(
-            f"cannot read checkpoint {path!s}: {exc}"
-        ) from exc
-    if kind != expected_format:
-        raise CheckpointError(
-            f"{path!s} is a {kind!r} frame, not a {expected_format!r} "
-            "checkpoint"
-        )
-    if not isinstance(payload, dict):
-        raise CheckpointError(f"{path!s} is not a {expected_format!r} checkpoint")
-    version = payload.get("version")
-    if version != expected_version:
-        why = (retired or {}).get(version)
-        raise CheckpointError(
-            f"checkpoint {path!s} has version {version!r}; this build "
-            f"supports version {expected_version}"
-            + (f" ({why})" if why else "")
-        )
-    return payload
+        protocol = create(checkpoint["spec"], **checkpoint["params"])
+        version = checkpoint["state_version"]
+        if version != type(protocol).state_version:
+            raise CheckpointError(
+                f"cannot restore {source}: {type(protocol).__name__} state "
+                f"version {version!r}; this build expects "
+                f"{type(protocol).state_version}")
+        protocol.load_state_dict(checkpoint["state"])
+    except CheckpointError:
+        raise
+    except Exception as exc:
+        raise CheckpointError(f"cannot restore {source}: {exc!r}") from exc
+    return protocol
+
+
+def save_protocol(protocol: DistributedProtocol, path: PathLike, *,
+                  compress: bool = True) -> None:
+    """Checkpoint a bare protocol (no session metadata) to ``path``.
+
+    ``compress`` behaves as in :func:`save_tracker`.
+    """
+    _write(path, {"format": _PROTOCOL_FORMAT, "version": CHECKPOINT_VERSION,
+                  "protocol": protocol_state(protocol)}, compress=compress)
+
+
+def load_protocol(path: PathLike) -> DistributedProtocol:
+    """Restore a protocol checkpointed by :func:`save_protocol`."""
+    payload = _read(path, _PROTOCOL_FORMAT)
+    return restore_protocol(payload.get("protocol"), source=str(path))
 
 
 # ------------------------------------------------------------------ trackers
 def tracker_payload(tracker: Any) -> Dict[str, Any]:
-    """Capture one tracker session as a checkpoint payload dictionary.
-
-    The payload is the format-agnostic inner part of a tracker checkpoint
-    (spec, params, chunk size, partitioner and protocol states); the cluster
-    layer embeds one payload per shard inside its own versioned file.
-    ``copy_data=False``: the snapshots reference live state and must be
-    serialized (encoded into a wire frame) before the tracker runs on.
-    """
+    """One tracker session's checkpoint payload (module docstring): what a
+    tracker checkpoint file holds, and the cluster layer one frame of per
+    shard.  It references live arrays: encode it before the tracker runs
+    on."""
     from .tracker import Tracker
 
     if not isinstance(tracker, Tracker):
         raise TypeError(f"expected a Tracker, got {type(tracker).__name__}")
     return {
+        "version": CHECKPOINT_VERSION,
         "spec": tracker.spec,
-        "params": tracker.params,
+        "params": _plain_params(tracker.params),
         "chunk_size": tracker.chunk_size,
-        "partitioner": tracker.partitioner.get_state(copy_data=False),
-        "protocol": tracker.protocol.get_state(copy_data=False),
+        "partitioner": tracker.partitioner.state_dict(),
+        "protocol": protocol_state(tracker.protocol),
     }
 
 
@@ -150,19 +229,16 @@ def tracker_from_payload(payload: Dict[str, Any], source: str = "payload") -> An
     """Rebuild a tracker session from a :func:`tracker_payload` dictionary."""
     from .tracker import Tracker
 
+    protocol = restore_protocol(payload.get("protocol"), source)
     try:
-        # copy_data=False: the deserialized payload is owned solely by us.
-        protocol = restore_object(payload["protocol"], copy_data=False)
-        partitioner = restore_object(payload["partitioner"], copy_data=False)
-    except (StateError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"cannot restore {source}: {exc}") from exc
-    return Tracker(
-        protocol,
-        spec=payload.get("spec"),
-        params=payload.get("params") or {},
-        chunk_size=payload["chunk_size"],  # None means per-item dispatch
-        partitioner=partitioner,
-    )
+        partitioner = restore_partitioner(protocol.num_sites,
+                                          payload["partitioner"])
+        return Tracker(protocol, spec=payload["spec"],
+                       params=payload["params"],
+                       chunk_size=payload["chunk_size"],  # None: per item
+                       partitioner=partitioner)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"cannot restore {source}: {exc!r}") from exc
 
 
 def tracker_frame(tracker: Any, *, compress: bool = False) -> bytes:
@@ -182,11 +258,8 @@ def tracker_frame(tracker: Any, *, compress: bool = False) -> bytes:
 
 def tracker_from_frame(data: bytes, source: str = "payload frame") -> Any:
     """Rebuild a tracker session from a :func:`tracker_frame` blob."""
-    try:
-        _, payload = unpack_frame(data, expected_kind=TRACKER_PAYLOAD_KIND)
-    except WireDecodeError as exc:
-        raise CheckpointError(f"cannot restore {source}: {exc}") from exc
-    return tracker_from_payload(payload, source=source)
+    return tracker_from_payload(_unpack(data, TRACKER_PAYLOAD_KIND, source),
+                                source=source)
 
 
 def save_tracker(tracker: Any, path: PathLike, *,
@@ -195,45 +268,13 @@ def save_tracker(tracker: Any, path: PathLike, *,
 
     ``compress`` (default on) compresses the frame
     (:func:`~repro.wire.frames.pack_frame`); loading needs no flag, and
-    plain uncompressed checkpoints from earlier builds keep loading
-    unchanged.
+    uncompressed checkpoints load alike.
     """
-    # copy_data=False snapshots go straight into the frame encoder, which is
-    # itself a point-in-time serialisation — no defensive deep copy needed.
-    payload = tracker_payload(tracker)
-    payload["format"] = _TRACKER_FORMAT
-    payload["version"] = CHECKPOINT_VERSION
-    _write(path, payload, compress=compress)
+    _write(path, {"format": _TRACKER_FORMAT, **tracker_payload(tracker)},
+           compress=compress)
 
 
 def load_tracker(path: PathLike) -> Any:
     """Restore a session checkpointed by :func:`save_tracker`."""
     return tracker_from_payload(_read(path, _TRACKER_FORMAT),
                                 source=str(path))
-
-
-# ----------------------------------------------------------------- protocols
-def save_protocol(protocol: DistributedProtocol, path: PathLike, *,
-                  compress: bool = True) -> None:
-    """Checkpoint a bare protocol (no session metadata) to ``path``.
-
-    ``compress`` behaves as in :func:`save_tracker`.
-    """
-    if not isinstance(protocol, DistributedProtocol):
-        raise TypeError(
-            f"expected a DistributedProtocol, got {type(protocol).__name__}"
-        )
-    _write(path, {
-        "format": _PROTOCOL_FORMAT,
-        "version": CHECKPOINT_VERSION,
-        "protocol": protocol.get_state(copy_data=False),
-    }, compress=compress)
-
-
-def load_protocol(path: PathLike) -> DistributedProtocol:
-    """Restore a protocol checkpointed by :func:`save_protocol`."""
-    payload = _read(path, _PROTOCOL_FORMAT)
-    try:
-        return restore_object(payload["protocol"], copy_data=False)
-    except (StateError, KeyError, TypeError) as exc:
-        raise CheckpointError(f"cannot restore {path!s}: {exc}") from exc

@@ -79,7 +79,7 @@ from ..obs.logging import current_trace_id
 from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from ..wire import WireDecodeError
 
-# worker_protocol only imports this module lazily (inside encode_reply), so
+# worker_protocol only imports this module lazily (for its error table), so
 # the module-level import here is cycle-free and keeps the per-message hot
 # path (one encode/decode per submitted chunk) free of repeated sys.modules
 # lookups.
@@ -617,9 +617,7 @@ class RemoteShardHandle:
     def finish_call(self) -> Any:
         status, value = self.recv_reply()
         if status == "error":
-            raise BackendError(f"shard worker failed: {value!r}") from (
-                value if isinstance(value, BaseException) else None
-            )
+            raise BackendError(f"shard worker failed: {value!r}") from value
         return value
 
     def _hang_up(self, channel: Any) -> None:

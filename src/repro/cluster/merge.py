@@ -13,9 +13,9 @@ How each query kind reads a shard and folds ``N`` shards into one answer is
 defined once, on the query class (``Query.materials`` / ``Query.combine`` in
 :mod:`repro.api.queries`).  This module keeps the counter and message-count
 merges and the two entry points of a cluster query:
-:func:`shard_query_materials` runs **on the shard** (a declared worker
-command, which the remote backends send by its table name) and
-:func:`merge_answer` runs on the caller.
+:func:`shard_query_materials` runs **on the shard** — through the declared
+worker command ``_shard_query``, to which the query travels as plain data,
+its ``(kind, fields)`` — and :func:`merge_answer` runs on the caller.
 """
 
 from __future__ import annotations
@@ -42,10 +42,16 @@ def merge_message_counts(counts: Iterable[Dict[str, int]]) -> Dict[str, int]:
     return merged
 
 
-@worker_command
 def shard_query_materials(tracker: Any, query: Query) -> Dict[str, Any]:
     """Extract the raw per-shard material one query needs (runs on the shard)."""
     return query.materials(tracker.protocol)
+
+
+@worker_command
+def _shard_query(tracker: Any, kind: str, fields: Dict[str, Any]
+                 ) -> Dict[str, Any]:
+    # The query arrives as Query.to_fields() wrote it.
+    return shard_query_materials(tracker, Query.from_fields(kind, fields))
 
 
 def merge_answer(query: Query, materials: List[Dict[str, Any]], *,

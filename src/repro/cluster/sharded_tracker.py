@@ -79,7 +79,7 @@ from .backends import (
     create_backend,
     get_backend_spec,
 )
-from .merge import merge_message_counts, shard_query_materials
+from .merge import _shard_query, merge_message_counts
 from .worker_protocol import worker_command
 
 __all__ = ["ShardedTracker", "ShardedTrackerStats",
@@ -251,6 +251,12 @@ class ShardedTracker(Session):
         self._backend_name = get_backend_spec(backend).name
         if _builders is None:
             registry_spec.validate(dict(self._params))  # fail before launch
+            seed = self._params.get("seed")
+            if seed is not None and (isinstance(seed, bool) or
+                                     not isinstance(seed, (int, np.integer))):
+                raise TypeError(f"a sharded session's seed must be an int or "
+                                f"None (shards derive their own), not "
+                                f"{type(seed).__name__}")
             params = tuple(sorted(self._params.items()))
             _builders = [partial(_build_shard, self._spec, params, chunk_size,
                                  index, self._num_shards)
@@ -451,10 +457,11 @@ class ShardedTracker(Session):
         keep ingesting.  On the remote backends the snapshot is extracted
         and wire-encoded on the worker.
         """
+        kind, fields = query.to_fields()
         if not partial:
-            return self._backend.call_all(shard_query_materials, query), ()
+            return self._backend.call_all(_shard_query, kind, fields), ()
         materials, errors = self._backend.call_all_partial(
-            shard_query_materials, query)
+            _shard_query, kind, fields)
         live = [shard for shard in materials if shard is not None]
         if not live:
             raise BackendError(

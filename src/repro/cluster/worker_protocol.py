@@ -26,11 +26,13 @@ table does not hold for the op fails to decode like a corrupted frame (a
 for the next call); nothing a frame names is ever imported.  The cluster
 layer declares the built-in commands where it defines them, and importing
 this module imports all of :mod:`repro.cluster`, so forked and freshly
-started workers serve the same table.  ``args`` travel as wire values, so
-columnar batches, typed query objects and checkpoint payload frames cross
-process and host boundaries without pickle.  Replies are wire frames too; a
-result the codec cannot represent degrades to an ``error`` reply naming the
-offending type, never a torn frame.
+started workers serve the same table.  ``args`` travel as plain wire
+values: a typed query as its ``(kind, fields)``, checkpoint payloads as
+frame bytes, columnar batches as ``ingest`` frames (below).  Replies are
+wire frames too; a result the codec cannot represent degrades to an
+``error`` reply naming the offending type, never a torn frame.  An error
+travels as ``{"type", "message"}`` and is rebuilt through a closed table of
+exception types; any other type arrives as a ``RuntimeError`` naming it.
 
 **The ``ingest`` body.**  Every batch a cluster pushes to a remote shard
 travels as ``repro/worker-command:ingest``, in the ordinary frame envelope
@@ -190,7 +192,12 @@ def encode_command(op: str, fn: Any = None, args: Tuple[Any, ...] = (), *,
     if op in _RUNS and (fn is None
                         or _TABLE.get(name, (None, None))[1] is not fn):
         raise WireEncodeError(f"{fn!r} is not a declared worker command")
-    body = {"op": op, "fn": name, "args": tuple(args)}
+    # A columnar batch argument travels as its columns (the shard write
+    # itself travels as an ``ingest`` frame, which rebuilds its batch).
+    body = {"op": op, "fn": name,
+            "args": tuple(vars(arg) if isinstance(
+                arg, (MatrixRowBatch, WeightedItemBatch)) else arg
+                for arg in args)}
     if seq is not None:
         body["seq"] = int(seq)
     if trace is not None:
@@ -457,23 +464,47 @@ def peek_command_op(data: bytes) -> Optional[str]:
     return None
 
 
+@lru_cache(maxsize=1)
+def _error_types() -> Dict[str, type]:
+    """The closed table of exception types an error reply rebuilds."""
+    from ..api.state import CheckpointError
+    from .backends import BackendError
+
+    return {cls.__name__: cls for cls in (
+        ArithmeticError, AssertionError, AttributeError, ConnectionError,
+        EOFError, IndexError, KeyError, LookupError, MemoryError,
+        NotImplementedError, OSError, OverflowError, RecursionError,
+        RuntimeError, TimeoutError, TypeError, ValueError, ZeroDivisionError,
+        WireDecodeError, WireEncodeError, CheckpointError, BackendError)}
+
+
+def _error_from(document: Any) -> BaseException:
+    """The exception an error reply's ``{"type", "message"}`` names."""
+    kind, message = (document.get("type"), document.get("message")) \
+        if isinstance(document, dict) else (None, repr(document))
+    error_type = _error_types().get(kind) if isinstance(kind, str) else None
+    return error_type(message) if error_type else RuntimeError(
+        f"{kind}: {message}")
+
+
 def encode_reply(status: str, value: Any, acked: Optional[int] = None) -> bytes:
     """Pack one reply frame, degrading unencodable values to an error reply.
 
+    ``value`` is the result, or for ``status == "error"`` the exception.
     ``acked`` is the worker's applied-seq watermark; it rides every reply
     so the parent's replay machinery can observe worker progress without
     extra round trips.
     """
+    if status == "error":
+        value = {"type": type(value).__name__, "message": str(value)}
     body = {"status": status, "value": value}
     if acked is not None:
         body["acked"] = int(acked)
     try:
         return pack_frame(REPLY_KIND, body)
     except WireEncodeError as exc:
-        from .backends import BackendError
-
-        body["value"] = BackendError(
-            f"shard reply could not be serialized: {exc}")
+        body["value"] = {"type": "BackendError", "message":
+                         f"shard reply could not be serialized: {exc}"}
         body["status"] = "error"
         return pack_frame(REPLY_KIND, body)
 
@@ -481,15 +512,17 @@ def encode_reply(status: str, value: Any, acked: Optional[int] = None) -> bytes:
 def unpack_reply(data: bytes) -> Tuple[str, Any, Optional[int]]:
     """Unpack a reply frame, once, into ``(status, value, acked)``.
 
-    ``acked`` is the applied-seq watermark the reply carries (``None`` if
-    absent).
+    An ``error`` reply's value is the rebuilt exception; ``acked`` is the
+    applied-seq watermark the reply carries (``None`` if absent).
     """
     _, body = unpack_frame(data, expected_kind=REPLY_KIND)
     if not isinstance(body, dict) or not isinstance(body.get("status"), str):
         raise WireDecodeError("malformed worker reply body")
     acked = body.get("acked")
-    return (body["status"], body.get("value"),
-            acked if isinstance(acked, int) else None)
+    value = body.get("value")
+    if body["status"] == "error":
+        value = _error_from(value)
+    return (body["status"], value, acked if isinstance(acked, int) else None)
 
 
 class WorkerSession:

@@ -20,8 +20,7 @@ __all__ = ["ExactForwardingProtocol"]
 class ExactForwardingProtocol(WeightedHeavyHitterProtocol):
     """Zero-error baseline that ships every stream item to the coordinator."""
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    STATE = {"coordinator": "_coordinator"}
 
     def __init__(self, num_sites: int, epsilon: float = 1e-6,
                  keep_message_records: bool = False):

@@ -24,14 +24,17 @@ from typing import Dict, Hashable, List, Optional, Sequence
 from ..sketch.base import aggregate_weighted_batch, batch_key
 from ..sketch.misra_gries import WeightedMisraGries
 from ..streaming.weight_rounds import FlushRounds
+from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 from .base import WeightedHeavyHitterProtocol
 
 __all__ = ["BatchedMisraGriesProtocol"]
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state: the local MG summary and the unreported weight."""
+
+    STATE = {"summary": "summary", "weight_since_send": "weight_since_send"}
 
     def __init__(self, num_counters: int):
         self.summary: WeightedMisraGries[Hashable] = WeightedMisraGries(num_counters)
@@ -70,10 +73,6 @@ class BatchedMisraGriesProtocol(FlushRounds, WeightedHeavyHitterProtocol):
         )
         self._init_rounds()
 
-    #: Checkpoint-contract version of this class's state layout (see
-    #: :mod:`repro.utils.stateio`); bump on incompatible changes.
-    state_version = 1
-
     def _repr_params(self):
         params = super()._repr_params()
         params["num_counters"] = self._num_counters
@@ -84,6 +83,8 @@ class BatchedMisraGriesProtocol(FlushRounds, WeightedHeavyHitterProtocol):
     def num_counters(self) -> int:
         """Misra–Gries counters per site (and at the coordinator)."""
         return self._num_counters
+
+    STATE = {"coordinator_summary": "_coordinator_summary"}
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:

@@ -26,23 +26,29 @@ from __future__ import annotations
 
 import math
 from itertools import repeat
-from typing import Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, Hashable, List, Optional, Sequence
 
 import numpy as np
 
+from ..sketch.base import counter_columns, counter_dict
 from ..sketch.space_saving import WeightedSpaceSaving
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
 from ..streaming.protocol import first_crossing, group_elements
 from ..streaming.weight_rounds import ThresholdRounds
+from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 from .base import WeightedHeavyHitterProtocol
 
 __all__ = ["ThresholdedUpdatesProtocol"]
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state for protocol P2."""
+
+    #: The SpaceSaving sketch bounding the deltas is ``None`` without
+    #: ``site_space``.
+    STATE = {"weight_since_total": "weight_since_total", "sketch": "sketch"}
 
     def __init__(self, site_space: Optional[int]):
         self.weight_since_total = 0.0
@@ -50,6 +56,14 @@ class _SiteState:
         self.sketch: Optional[WeightedSpaceSaving[Hashable]] = (
             WeightedSpaceSaving(site_space) if site_space is not None else None
         )
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Also the pending deltas, as a keys/values pair."""
+        return {**super().state_dict(), "deltas": counter_columns(self.deltas)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self.deltas = counter_dict(state["deltas"])
 
     def add(self, element: Hashable, weight: float) -> float:
         """Accumulate ``weight`` for ``element``; return the new pending delta."""
@@ -111,8 +125,13 @@ class ThresholdedUpdatesProtocol(ThresholdRounds, WeightedHeavyHitterProtocol):
         self._init_rounds()
         self._element_estimates: Dict[Hashable, float] = {}
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(),
+                "element_estimates": counter_columns(self._element_estimates)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._element_estimates = counter_dict(state["element_estimates"])
 
     def _repr_params(self):
         params = super()._repr_params()

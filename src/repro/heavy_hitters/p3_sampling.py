@@ -88,9 +88,6 @@ class PrioritySamplingProtocol(WithoutReplacementSampling, _ElementSampling):
         super().__init__(num_sites, epsilon, keep_message_records=keep_message_records)
         self._init_sampling(sample_size, sample_constant, seed)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
-
 
 class WithReplacementSamplingProtocol(WithReplacementSampling, _ElementSampling):
     """Weighted heavy hitters protocol P3wr (``s`` independent samplers).
@@ -117,7 +114,3 @@ class WithReplacementSamplingProtocol(WithReplacementSampling, _ElementSampling)
                  seed: SeedLike = None, keep_message_records: bool = False):
         super().__init__(num_sites, epsilon, keep_message_records=keep_message_records)
         self._init_sampling(num_samplers, sample_constant, seed)
-
-    #: Checkpoint-contract version of this class's state layout (2: the
-    #: sampler slots and exact-mode bookkeeping moved to the shared core).
-    state_version = 2

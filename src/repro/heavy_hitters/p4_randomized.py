@@ -24,14 +24,16 @@ drivers use a single copy as in the paper.
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..sketch.base import counter_columns, counter_dict
 from ..streaming.items import _as_element_column
 from ..streaming.network import MessageKind
 from ..streaming.protocol import group_elements
 from ..streaming.weight_rounds import DoublingRounds
+from ..utils.declared import Declared
 from ..utils.rng import SeedLike
 from .base import WeightedHeavyHitterProtocol
 
@@ -53,13 +55,24 @@ def _positions_by_element(elements: np.ndarray) -> Iterator[Tuple[Hashable, np.n
         start = stop
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state for protocol P4."""
+
+    STATE = {"local_weight": "local_weight",
+             "weight_at_last_report": "weight_at_last_report"}
 
     def __init__(self) -> None:
         self.local_counts: Dict[Hashable, float] = {}
         self.local_weight = 0.0
         self.weight_at_last_report = 0.0
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(),
+                "local_counts": counter_columns(self.local_counts)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self.local_counts = counter_dict(state["local_counts"])
 
 
 class RandomizedReportingProtocol(DoublingRounds, WeightedHeavyHitterProtocol):
@@ -90,8 +103,9 @@ class RandomizedReportingProtocol(DoublingRounds, WeightedHeavyHitterProtocol):
         # total weight without extra messages).
         self._corrected_totals: Dict[int, float] = {}
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    #: The latest corrected reports, per ``(site, element)`` and per site.
+    STATE = {"corrected_reports": "_corrected_reports",
+             "corrected_totals": "_corrected_totals"}
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, element: Hashable, weight: float = 1.0) -> None:

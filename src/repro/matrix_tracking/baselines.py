@@ -45,8 +45,7 @@ class CentralizedSVDBaseline(MatrixTrackingProtocol):
         self._rank = check_positive_int(rank, name="rank") if rank is not None else None
         self._store = ExactMatrix(dimension, keep_rows=True)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    STATE = {"store": "_store"}
 
     @property
     def rank(self) -> Optional[int]:
@@ -111,8 +110,7 @@ class CentralizedFDBaseline(MatrixTrackingProtocol):
             buffer_multiplier=2 if svd_mode == "exact" else 4,
         )
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
+    STATE = {"sketch": "_sketch"}
 
     @property
     def sketch_size(self) -> int:

@@ -27,6 +27,7 @@ import numpy as np
 from ..accel.fd_kernels import check_svd_mode
 from ..sketch.frequent_directions import FrequentDirections
 from ..streaming.weight_rounds import FlushRounds
+from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
 
@@ -46,8 +47,10 @@ def _fd_buffer_multiplier(svd_mode: str) -> int:
     return 2 if svd_mode == "exact" else 4
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state: the local FD sketch and unreported squared norm."""
+
+    STATE = {"sketch": "sketch", "weight_since_send": "weight_since_send"}
 
     def __init__(self, dimension: int, sketch_size: int, svd_mode: str = "auto"):
         self.sketch = FrequentDirections(
@@ -109,14 +112,7 @@ class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
         )
         self._init_rounds()
 
-    #: Checkpoint-contract version of this class's state layout (2: the
-    #: rounds keep the heavy-hitter names of
-    #: :class:`~repro.streaming.weight_rounds.FlushRounds`; version 1 is
-    #: refused).
-    state_version = 2
-
-    #: Fallback for states checkpointed before the kernel knob existed.
-    _svd_mode = "auto"
+    STATE = {"coordinator_sketch": "_coordinator_sketch"}
 
     def _repr_params(self):
         params = super()._repr_params()

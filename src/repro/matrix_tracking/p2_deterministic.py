@@ -48,7 +48,6 @@ sketch (``coordinator_sketch_size``), as suggested at the end of Section 5.2.
 
 from __future__ import annotations
 
-import copy
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
@@ -57,6 +56,7 @@ from ..accel.fd_kernels import check_svd_mode, spectral_decomposition
 from ..sketch.frequent_directions import FrequentDirections
 from ..streaming.protocol import first_crossing
 from ..streaming.weight_rounds import ThresholdRounds
+from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
 from .p1_batched_fd import _fd_buffer_multiplier
@@ -88,8 +88,11 @@ def _certified_top(gram: np.ndarray) -> float:
     return scale * float(np.einsum("ij,ij->", power, power)) ** 0.0625
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state for protocol P2: the residual ``B_j`` as its Gram."""
+
+    STATE = {"gram": "gram", "pending": "pending", "filled": "filled",
+             "norm_since_scalar": "norm_since_scalar", "top_bound": "top_bound"}
 
     def __init__(self, dimension: int):
         self.gram = np.zeros((dimension, dimension))     # folded part of B_jᵀB_j
@@ -132,8 +135,7 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
     The coordinator's ``B`` is one float64 row buffer plus a row count:
     :meth:`sketch_matrix` returns an owned copy of the live rows,
     :meth:`covariance` and :meth:`squared_norm_along` read them in place,
-    and a checkpoint (state version 4) writes exactly those rows as one
-    array.  Older states are refused.
+    and a checkpoint writes exactly those rows as one array.
 
     Parameters
     ----------
@@ -178,12 +180,21 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
                 buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
             )
 
-    #: Checkpoint-contract version of this class's state layout (4: the
-    #: rounds keep the heavy-hitter names of
-    #: :class:`~repro.streaming.weight_rounds.ThresholdRounds`; version 3
-    #: named them after the norm, version 2 kept ``B`` as a list of rows and
-    #: version 1 kept site residuals as rows — all are refused).
-    state_version = 4
+    #: The optional FD sketch compressing ``B`` (``None`` without one).
+    STATE = {"coordinator_sketch": "_coordinator_sketch"}
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Also ``B`` as exactly its live rows, one array (no spare
+        capacity: a restore installs them as a full buffer, which the next
+        received direction doubles)."""
+        return {**super().state_dict(), "coordinator_rows": self._sketch_view()
+                if self._coordinator_sketch is None else None}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        if self._coordinator_sketch is None:
+            self._coordinator_rows = state["coordinator_rows"]
+            self._coordinator_count = self._coordinator_rows.shape[0]
 
     # ------------------------------------------------------------ properties
     @property
@@ -345,16 +356,3 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
         residual = sum(site.residual() for site in self._sites)
         unsent = sum(site.norm_since_scalar for site in self._sites)
         return residual, self._estimated_total + unsent
-
-    # ------------------------------------------------------------ checkpoint
-    def get_state(self, copy_data: bool = True) -> Dict[str, Any]:
-        """The base state with ``B`` as exactly its live rows, one array.
-
-        No spare capacity is written; a restore installs the rows as a full
-        buffer, which the next received direction doubles.
-        """
-        state = super().get_state(copy_data=False)
-        live = self._coordinator_rows[:self._coordinator_count]
-        data = dict(state["data"], _coordinator_rows=live)
-        state["data"] = copy.deepcopy(data) if copy_data else data
-        return state

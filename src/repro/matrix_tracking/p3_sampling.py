@@ -102,9 +102,6 @@ class MatrixPrioritySamplingProtocol(WithoutReplacementSampling, _RowSampling):
                          keep_message_records=keep_message_records)
         self._init_sampling(sample_size, sample_constant, seed)
 
-    #: Checkpoint-contract version of this class's state layout.
-    state_version = 1
-
 
 class WithReplacementMatrixSamplingProtocol(WithReplacementSampling, _RowSampling):
     """Matrix tracking protocol P3wr (``s`` independent row samplers).
@@ -134,7 +131,3 @@ class WithReplacementMatrixSamplingProtocol(WithReplacementSampling, _RowSamplin
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
         self._init_sampling(num_samplers, sample_constant, seed)
-
-    #: Checkpoint-contract version of this class's state layout (2: the
-    #: sampler slots and exact-mode bookkeeping moved to the shared core).
-    state_version = 2

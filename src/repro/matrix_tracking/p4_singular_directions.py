@@ -33,14 +33,19 @@ import numpy as np
 
 from ..streaming.network import MessageKind
 from ..streaming.weight_rounds import DoublingRounds
+from ..utils.declared import Declared
 from ..utils.rng import SeedLike
 from .base import MatrixTrackingProtocol
 
 __all__ = ["SingularDirectionUpdateProtocol"]
 
 
-class _SiteState:
+class _SiteState(Declared):
     """Per-site state for the appendix-C protocol."""
+
+    STATE = {"energies": "energies", "local_weight": "local_weight",
+             "weight_at_last_report": "weight_at_last_report",
+             "scales": "scales"}
 
     def __init__(self, dimension: int):
         self.energies = np.zeros(dimension)   # ‖A_j e_i‖², the column energies
@@ -73,12 +78,6 @@ class SingularDirectionUpdateProtocol(DoublingRounds, MatrixTrackingProtocol):
                          keep_message_records=keep_message_records)
         self._sites: List[_SiteState] = [_SiteState(dimension) for _ in range(num_sites)]
         self._init_rounds(seed)
-
-    #: Checkpoint-contract version of this class's state layout (2: column
-    #: energies instead of a covariance and a basis, and the rounds under the
-    #: heavy-hitter names of :class:`~repro.streaming.weight_rounds.DoublingRounds`;
-    #: version 1 is refused).
-    state_version = 2
 
     #: A row's squared norm may be far below 1: the first report waits for
     #: any positive total.

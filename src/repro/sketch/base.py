@@ -19,14 +19,15 @@ summaries", PODS 2012).
 from __future__ import annotations
 
 import abc
-from typing import Dict, Generic, Hashable, Iterable, List, Optional, Sequence, Tuple, TypeVar
+from typing import (Any, Dict, Generic, Hashable, Iterable, List, Optional,
+                    Sequence, Tuple, TypeVar)
 
 import numpy as np
 
-from ..utils.stateio import Stateful
+from ..utils.declared import Declared
 
 __all__ = ["FrequencySketch", "MatrixSketch", "aggregate_weighted_batch",
-           "batch_key"]
+           "batch_key", "counter_columns", "counter_dict"]
 
 Element = TypeVar("Element", bound=Hashable)
 
@@ -36,6 +37,33 @@ def batch_key(element: Hashable) -> Hashable:
     scalar becomes the Python value ``tolist`` gives), so a per-item path
     beside it stores the same key types and writes the same checkpoints."""
     return element.item() if isinstance(element, np.generic) else element
+
+
+_INT64_KEYS = frozenset({np.int64})
+
+
+def counter_columns(counters: Dict[Hashable, Any]) -> Dict[str, Any]:
+    """An element-keyed map of floats as checkpoint columns, in map order.
+
+    ``keys`` is an ``int64`` array when every key is an ``np.int64`` (the
+    labels the batch kernels key by), else the list of keys, each of its
+    own type; ``values`` is a ``float64`` array.  :func:`counter_dict`
+    inverts it with the same key types.
+    """
+    if counters and _INT64_KEYS.issuperset(map(type, counters)):
+        keys: Any = np.fromiter(counters, dtype=np.int64, count=len(counters))
+    else:
+        keys = list(counters)
+    return {"keys": keys,
+            "values": np.fromiter(counters.values(), dtype=np.float64,
+                                  count=len(counters))}
+
+
+def counter_dict(columns: Dict[str, Any]) -> Dict[Hashable, float]:
+    """The map :func:`counter_columns` wrote, built in one pass."""
+    keys = columns["keys"]
+    return dict(zip(list(keys) if isinstance(keys, np.ndarray) else keys,
+                    columns["values"].tolist()))
 
 
 def aggregate_weighted_batch(
@@ -79,12 +107,8 @@ def aggregate_weighted_batch(
     return list(grouped.keys()), list(grouped.values())
 
 
-class FrequencySketch(Stateful, abc.ABC, Generic[Element]):
-    """Summary of a weighted item stream supporting frequency estimation.
-
-    All summaries inherit the versioned ``get_state``/``set_state``
-    checkpoint contract of :class:`~repro.utils.stateio.Stateful`.
-    """
+class FrequencySketch(Declared, abc.ABC, Generic[Element]):
+    """Summary of a weighted item stream supporting frequency estimation."""
 
     @abc.abstractmethod
     def update(self, element: Element, weight: float = 1.0) -> None:
@@ -145,12 +169,8 @@ class FrequencySketch(Stateful, abc.ABC, Generic[Element]):
         return len(self.to_dict())
 
 
-class MatrixSketch(Stateful, abc.ABC):
-    """Summary of a stream of rows supporting covariance approximation.
-
-    All summaries inherit the versioned ``get_state``/``set_state``
-    checkpoint contract of :class:`~repro.utils.stateio.Stateful`.
-    """
+class MatrixSketch(Declared, abc.ABC):
+    """Summary of a stream of rows supporting covariance approximation."""
 
     @abc.abstractmethod
     def update(self, row: np.ndarray) -> None:

@@ -14,7 +14,7 @@ row of Table 1.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, TypeVar
+from typing import Any, Dict, Generic, Hashable, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -26,7 +26,13 @@ from ..utils.validation import (
     check_weight,
     check_weight_batch,
 )
-from .base import FrequencySketch, MatrixSketch, aggregate_weighted_batch
+from .base import (
+    FrequencySketch,
+    MatrixSketch,
+    aggregate_weighted_batch,
+    counter_columns,
+    counter_dict,
+)
 
 __all__ = ["ExactFrequencyCounter", "ExactMatrix"]
 
@@ -80,6 +86,15 @@ class ExactFrequencyCounter(FrequencySketch[Element], Generic[Element]):
             merged._counts[element] = merged._counts.get(element, 0.0) + weight
         merged._total_weight = self._total_weight + other._total_weight
         return merged
+
+    STATE = {"total_weight": "_total_weight"}
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "counts": counter_columns(self._counts)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._counts = counter_dict(state["counts"])
 
     def __repr__(self) -> str:
         return (
@@ -187,6 +202,18 @@ class ExactMatrix(MatrixSketch):
         if k is None:
             return singular_values
         return singular_values[:k]
+
+    STATE = {"covariance": "_covariance", "rows_seen": "_rows_seen",
+             "squared_frobenius": "_squared_frobenius"}
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Also the stored rows, as one ``(n, d)`` array."""
+        return {**super().state_dict(), "rows": np.array(self._rows).reshape(
+            len(self._rows), self._dimension)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._rows = list(state["rows"])
 
     def __repr__(self) -> str:
         return (

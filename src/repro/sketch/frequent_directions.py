@@ -25,7 +25,7 @@ most the sum of the two input errors.  Distributed protocol P1 uses this.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Dict, Optional
 
 import numpy as np
 
@@ -77,9 +77,6 @@ class FrequentDirections(MatrixSketch):
     >>> 0 <= true - approx <= 2 * float((rows ** 2).sum()) / 4 + 1e-6
     True
     """
-
-    #: Fallback for states checkpointed before the kernel knob existed.
-    _svd_mode = "auto"
 
     def __init__(self, dimension: int, sketch_size: int, buffer_multiplier: int = 2,
                  svd_mode: str = "auto"):
@@ -298,6 +295,16 @@ class FrequentDirections(MatrixSketch):
         self._rows_seen = 0
         self._squared_frobenius = 0.0
         self._shrinkage = 0.0
+
+    #: The row buffer (rows past ``filled`` are zero) and the counters.
+    STATE = {"buffer": "_buffer", "filled": "_filled", "rows_seen": "_rows_seen",
+             "squared_frobenius": "_squared_frobenius",
+             "shrinkage": "_shrinkage"}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        if state["buffer"].shape != self._buffer.shape:
+            raise ValueError("the FD buffer does not fit this sketch")
+        super().load_state_dict(state)
 
     def top_directions(self, k: Optional[int] = None) -> np.ndarray:
         """Return the top ``k`` right singular vectors of the current sketch."""

@@ -17,12 +17,12 @@ the kept ones.  Protocol P1 for weighted heavy hitters relies on this.
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, Generic, Hashable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..utils.validation import check_positive_int, check_weight, check_weight_batch
-from .base import FrequencySketch, aggregate_weighted_batch
+from .base import FrequencySketch, aggregate_weighted_batch, counter_columns, counter_dict
 
 __all__ = ["WeightedMisraGries"]
 
@@ -219,6 +219,16 @@ class WeightedMisraGries(FrequencySketch[Element], Generic[Element]):
             list(other._counters.keys()), list(other._counters.values()),
             other._total_weight,
         )
+
+    STATE = {"total_weight": "_total_weight", "shrink_total": "_shrink_total"}
+
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(),
+                "counters": counter_columns(self._counters)}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._counters = counter_dict(state["counters"])
 
     def __len__(self) -> int:
         return len(self._counters)

@@ -15,12 +15,12 @@ Guarantees, with ``W`` the total processed weight and ``ℓ`` counters:
 
 from __future__ import annotations
 
-from typing import Dict, Generic, Hashable, Optional, Sequence, Tuple, TypeVar
+from typing import Any, Dict, Generic, Hashable, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from ..utils.validation import check_positive_int, check_weight, check_weight_batch
-from .base import FrequencySketch, aggregate_weighted_batch
+from .base import FrequencySketch, aggregate_weighted_batch, counter_columns, counter_dict
 
 __all__ = ["WeightedSpaceSaving"]
 
@@ -186,6 +186,21 @@ class WeightedSpaceSaving(FrequencySketch[Element], Generic[Element]):
         merged = self.merge(other)
         self._counters = merged._counters
         self._total_weight = merged._total_weight
+
+    STATE = {"total_weight": "_total_weight"}
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Also the estimates and over-counts, two columns over one key list."""
+        return {**super().state_dict(), "estimates": counter_columns(
+                    {key: value[0] for key, value in self._counters.items()}),
+                "overcounts": np.array(
+                    [value[1] for value in self._counters.values()])}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        estimates = counter_dict(state["estimates"])
+        self._counters = dict(zip(estimates, zip(
+            estimates.values(), state["overcounts"].tolist())))
 
     def __repr__(self) -> str:
         return (

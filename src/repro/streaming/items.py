@@ -24,7 +24,14 @@ from typing import Hashable, Iterable, Iterator, Optional, Sequence, Tuple, Unio
 
 import numpy as np
 
-from ..utils.validation import check_row, check_row_batch, check_weight, check_weight_batch
+from ..utils.validation import (
+    check_row,
+    check_row_batch,
+    check_site_column,
+    check_site_type,
+    check_weight,
+    check_weight_batch,
+)
 
 __all__ = ["WeightedItem", "MatrixRow", "WeightedItemBatch", "MatrixRowBatch"]
 
@@ -122,12 +129,7 @@ def _as_element_column(elements: Sequence) -> np.ndarray:
 def _check_sites(sites: Optional[Sequence[int]], length: int) -> Optional[np.ndarray]:
     if sites is None:
         return None
-    array = np.asarray(sites, dtype=np.int64)
-    if array.shape != (length,):
-        raise ValueError(
-            f"sites must have shape ({length},), got {array.shape}"
-        )
-    return array
+    return check_site_column(sites, length, name="sites")
 
 
 @dataclass(frozen=True)
@@ -186,7 +188,8 @@ class WeightedItemBatch:
         if any(site is not None for site in explicit):
             if any(site is None for site in explicit):
                 raise ValueError("cannot mix assigned and unassigned items in one batch")
-            sites = np.asarray(explicit, dtype=np.int64)
+            sites = np.array([check_site_type(site) for site in explicit],
+                             dtype=np.int64)
         return cls(elements=elements, weights=weights, sites=sites)
 
     def __len__(self) -> int:

@@ -13,7 +13,7 @@ exactly the paper's units:
 * :class:`CommunicationLog` records every transmission with its direction and
   unit count and exposes aggregate counters.
 * :class:`Network` wires ``m`` site endpoints and a coordinator endpoint to a
-  shared log, and optionally retains full message payloads for debugging.
+  shared log.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, List, Optional
 
-from ..utils.stateio import Stateful
+from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 
 __all__ = ["MessageKind", "Direction", "MessageRecord", "CommunicationLog", "Network"]
@@ -57,12 +57,12 @@ class MessageRecord:
 
 
 @dataclass
-class CommunicationLog(Stateful):
+class CommunicationLog(Declared):
     """Aggregated message counters plus (optionally) the full record list.
 
-    Supports the ``get_state``/``set_state`` checkpoint contract: a restored
-    log resumes with identical counters, sequence numbers and (when enabled)
-    record list, so message accounting continues bit-identically.
+    A log restored from its declared state resumes with identical counters,
+    sequence numbers and (when enabled) record list, so message accounting
+    continues bit-identically.
 
     Parameters
     ----------
@@ -70,6 +70,8 @@ class CommunicationLog(Stateful):
         If True every transmission is retained in :attr:`records`; protocols
         disable this for long runs to keep memory bounded.
     """
+
+    STATE = {"sequence": "_sequence", "transmissions": "_transmissions"}
 
     keep_records: bool = False
     records: List[MessageRecord] = field(default_factory=list)
@@ -183,22 +185,46 @@ class CommunicationLog(Stateful):
     def __iter__(self) -> Iterator[MessageRecord]:
         return iter(self.records)
 
+    # ------------------------------------------------------------ checkpoint
+    def state_dict(self) -> Dict[str, Any]:
+        """Also units by kind and direction value, and one ``(direction,
+        kind, site, units, sequence, description)`` row per kept record."""
+        return {
+            **super().state_dict(),
+            "units_by_kind": {kind.value: units
+                              for kind, units in self._units_by_kind.items()},
+            "units_by_direction": {
+                direction.value: units
+                for direction, units in self._units_by_direction.items()},
+            "records": [(record.direction.value, record.kind.value,
+                         record.site, record.units, record.sequence,
+                         record.description) for record in self.records],
+        }
 
-class Network(Stateful):
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._units_by_kind = {MessageKind(kind): units for kind, units
+                               in state["units_by_kind"].items()}
+        self._units_by_direction = {
+            Direction(direction): units
+            for direction, units in state["units_by_direction"].items()}
+        self.records = [
+            MessageRecord(Direction(direction), MessageKind(kind), site,
+                          units, sequence, description)
+            for direction, kind, site, units, sequence, description
+            in state["records"]]
+
+
+class Network:
     """Star network connecting ``num_sites`` sites to one coordinator.
 
-    All transmissions are routed through :attr:`log` which performs the
-    message accounting; the optional payload inbox is only used by protocols
-    that want to decouple "send" from "deliver" (not needed by the synchronous
-    protocols in this library, but exercised in tests).  The network supports
-    the ``get_state``/``set_state`` checkpoint contract (covering the log and
-    any undelivered inbox payloads).
+    All transmissions are routed through :attr:`log`, which performs the
+    message accounting and holds the network's whole checkpointed state.
     """
 
     def __init__(self, num_sites: int, keep_records: bool = False):
         self._num_sites = check_positive_int(num_sites, name="num_sites")
         self.log = CommunicationLog(keep_records=keep_records)
-        self._inbox: List[Any] = []
 
     @property
     def num_sites(self) -> int:
@@ -245,25 +271,11 @@ class Network(Stateful):
             site=self._check_site(site), description=description,
         )
 
-    def deliver(self, payload: Any) -> None:
-        """Place a payload in the coordinator inbox (optional, for async tests)."""
-        self._inbox.append(payload)
-
-    def drain_inbox(self) -> List[Any]:
-        """Return and clear all undelivered payloads."""
-        payloads, self._inbox = self._inbox, []
-        return payloads
-
     # ------------------------------------------------------- coordinator side
     def broadcast(self, description: str = "", units_per_site: int = 1) -> None:
         """Record a broadcast from the coordinator to all sites."""
         self.log.record(Direction.COORDINATOR_TO_SITE, MessageKind.BROADCAST,
                         units_per_site * self._num_sites, description=description)
-
-    def send_to_site(self, site: int, description: str = "", units: int = 1) -> None:
-        """Record a unicast message from the coordinator to one site."""
-        self.log.record(Direction.COORDINATOR_TO_SITE, MessageKind.SCALAR, units,
-                        site=self._check_site(site), description=description)
 
     # --------------------------------------------------------------- metrics
     @property

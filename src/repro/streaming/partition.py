@@ -19,16 +19,16 @@ experiments need concrete assignments.  Three policies are provided:
 from __future__ import annotations
 
 import abc
-from typing import Hashable, Iterable, Iterator, Sequence, TypeVar
+from typing import Any, Dict, Hashable, Iterable, Iterator, Sequence, TypeVar
 
 import numpy as np
 
-from ..utils.rng import SeedLike, as_generator
-from ..utils.stateio import Stateful
+from ..utils.rng import SeedLike, as_generator, restore_generator
 from ..utils.validation import check_positive_int, check_site_count
 
 __all__ = [
     "Partitioner",
+    "restore_partitioner",
     "RoundRobinPartitioner",
     "UniformRandomPartitioner",
     "HashPartitioner",
@@ -38,18 +38,25 @@ __all__ = [
 Item = TypeVar("Item")
 
 
-class Partitioner(Stateful, abc.ABC):
+class Partitioner(abc.ABC):
     """Assigns each stream item to one of ``num_sites`` sites.
 
-    Partitioners support the ``get_state``/``set_state`` checkpoint contract
-    so a restored tracker routes the rest of the stream exactly as an
+    A partitioner declares its checkpoint, :meth:`state_dict`, so a
+    restored tracker routes the rest of the stream exactly as an
     uninterrupted one would (this matters for the seeded
     :class:`UniformRandomPartitioner`, whose generator state is part of the
-    captured state).
+    state); :func:`restore_partitioner` rebuilds it.
     """
 
     def __init__(self, num_sites: int):
         self._num_sites = check_site_count(num_sites)
+
+    def state_dict(self) -> Dict[str, Any]:
+        """``{"kind", **constructor arguments}`` besides the site count, a
+        seed as its generator's state."""
+        if type(self) not in _KIND_OF:
+            raise TypeError(f"a {type(self).__name__} has no checkpoint")
+        return {"kind": _KIND_OF[type(self)]}
 
     @property
     def num_sites(self) -> int:
@@ -110,6 +117,9 @@ class UniformRandomPartitioner(Partitioner):
         super().__init__(num_sites)
         self._rng = as_generator(seed)
 
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "seed": self._rng.bit_generator.state}
+
     def assign(self, index: int, item: Item) -> int:
         return int(self._rng.integers(0, self._num_sites))
 
@@ -166,12 +176,36 @@ class BlockPartitioner(Partitioner):
         self._stream_length = check_positive_int(stream_length, name="stream_length")
         self._block = max(1, -(-self._stream_length // self._num_sites))
 
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(), "stream_length": self._stream_length}
+
     def assign(self, index: int, item: Item) -> int:
         return min(index // self._block, self._num_sites - 1)
 
     def assign_batch(self, indices: Sequence[int], items: Sequence[Item]) -> np.ndarray:
         blocks = np.asarray(indices, dtype=np.int64) // self._block
         return np.minimum(blocks, self._num_sites - 1)
+
+
+def restore_partitioner(num_sites: int, state: Dict[str, Any]) -> Partitioner:
+    """Rebuild the partitioner a :meth:`Partitioner.state_dict` describes.
+
+    The ``kind`` is looked up in the closed table of this module's
+    policies (a hash partitioner's key is a function, so it has none); any
+    other kind is a ``ValueError``.
+    """
+    cls = _KINDS.get(state.get("kind")) if isinstance(state, dict) else None
+    if cls is None:
+        raise ValueError(f"unknown partitioner state {state!r:.80}")
+    arguments = {key: value for key, value in state.items() if key != "kind"}
+    if "seed" in arguments:
+        arguments["seed"] = restore_generator(arguments["seed"])
+    return cls(num_sites, **arguments)
+
+
+_KINDS = {"round_robin": RoundRobinPartitioner,
+          "uniform": UniformRandomPartitioner, "block": BlockPartitioner}
+_KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 
 def _identity(item):

@@ -34,9 +34,8 @@ item-at-a-time ingestion — so with a fixed seed the message sequence and
 the coordinator sample match the per-item path over the same site-grouped
 order exactly.
 
-The mixins keep their state directly in the protocol's instance dictionary
-(not in a nested coordinator object): that dictionary *is* the checkpointed
-state layout.
+The mixins keep their state on the protocol and add it to the protocol's
+declared checkpoint (``state_dict``).
 """
 
 from __future__ import annotations
@@ -57,6 +56,9 @@ AdjustedItem = Tuple[Any, float, float]
 
 class _ThresholdSampling:
     """What both variants share: site generators, ``τ`` and the batch loop."""
+
+    STATE = {"threshold": "_threshold", "round": "_round",
+             "is_exact": "_is_exact"}
 
     def _resolve_size(self, size: Optional[int], sample_constant: float,
                       name: str) -> int:
@@ -124,6 +126,9 @@ class _ThresholdSampling:
 
 class WithoutReplacementSampling(_ThresholdSampling):
     """Priority sampling without replacement: sites and two-queue coordinator."""
+
+    #: The queues: lists of ``(payload, weight, priority)``.
+    STATE = {"current_queue": "_current_queue", "next_queue": "_next_queue"}
 
     def _init_sampling(self, sample_size: Optional[int], sample_constant: float,
                        seed: SeedLike) -> None:
@@ -256,6 +261,9 @@ class _SamplerSlot:
 class WithReplacementSampling(_ThresholdSampling):
     """``s`` independent samplers: sites and per-sampler top-two coordinator."""
 
+    #: The exact-mode sample: ``(payload, weight)`` pairs, and its total.
+    STATE = {"exact_sample": "_exact_sample", "exact_total": "_exact_total"}
+
     def _init_sampling(self, num_samplers: Optional[int], sample_constant: float,
                        seed: SeedLike) -> None:
         self._num_samplers = self._resolve_size(num_samplers, sample_constant,
@@ -278,6 +286,23 @@ class WithReplacementSampling(_ThresholdSampling):
     def num_samplers(self) -> int:
         """Number of independent samplers ``s``."""
         return self._num_samplers
+
+    def state_dict(self) -> Dict[str, Any]:
+        """Also the sampler slots: their payloads, and an ``(s, 3)`` array
+        of best weight, best priority and second priority."""
+        return {**super().state_dict(),
+                "slot_payloads": [slot.best_payload for slot in self._slots],
+                "slot_values": np.array([
+                    (slot.best_weight, slot.best_priority,
+                     slot.second_priority) for slot in self._slots])}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        for slot, payload, values in zip(
+                self._slots, state["slot_payloads"],
+                state["slot_values"].tolist(), strict=True):
+            slot.best_payload = payload
+            slot.best_weight, slot.best_priority, slot.second_priority = values
 
     # ---------------------------------------------------------------- site side
     def _draw_priorities(self, site: int, weights: Any, shape: Any) -> np.ndarray:

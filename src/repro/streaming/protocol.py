@@ -21,11 +21,12 @@ ingestion.
 from __future__ import annotations
 
 import abc
-from typing import Any, Dict, Sequence, Tuple
+from typing import Any, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..utils.stateio import Stateful
+from ..utils.declared import Declared
+from ..utils.rng import restore_generator
 from ..utils.validation import check_site, check_site_count, check_site_ids
 from .items import MatrixRowBatch, WeightedItemBatch, _as_element_column
 from .network import Network
@@ -84,16 +85,16 @@ def group_elements(elements: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.fromiter(ids, dtype=object, count=len(ids)), inverse
 
 
-class DistributedProtocol(Stateful, abc.ABC):
+class DistributedProtocol(Declared, abc.ABC):
     """Common machinery for distributed streaming protocols.
 
-    Every protocol supports the versioned ``get_state``/``set_state``
-    checkpoint contract of :class:`~repro.utils.stateio.Stateful`: the
-    captured state covers the coordinator and per-site state, the network's
-    message accounting and the per-site RNG streams, so a restored protocol
-    continues bit-identically to one that never stopped.  The
-    :class:`~repro.api.tracker.Tracker` facade builds ``save``/``load`` on
-    top of this.
+    Every protocol declares its checkpoint (:class:`~repro.utils.declared.
+    Declared`): coordinator and per-site state, the network's message
+    accounting and the per-site RNG streams as plain data under declared
+    names, installed into a protocol built from the same registry
+    parameters (:attr:`build_spec`), which then continues bit-identically
+    to one that never stopped.  The :class:`~repro.api.tracker.Tracker`
+    facade builds ``save``/``load`` on top of this (:mod:`repro.api.state`).
 
     Parameters
     ----------
@@ -103,6 +104,23 @@ class DistributedProtocol(Stateful, abc.ABC):
         If True, the network retains a full per-message log (memory heavy;
         useful in tests and debugging only).
     """
+
+    #: Version of this class's declared checkpoint layout: bump it when
+    #: :meth:`state_dict` changes incompatibly (older states are refused).
+    state_version = 1
+
+    STATE = {"items_processed": "_items_processed"}
+
+    #: Per-site state holders, each :class:`~repro.utils.declared.Declared`,
+    #: and per-site generators (the randomized protocols').
+    _sites: Sequence[Declared] = ()
+    _site_rngs: Sequence[np.random.Generator] = ()
+
+    #: ``(spec name, parameters)`` of the registry build that made this
+    #: protocol (set by :meth:`~repro.api.registry.ProtocolSpec.build`);
+    #: ``None`` for a protocol constructed directly, which cannot be
+    #: checkpointed.
+    build_spec: Optional[Tuple[str, Dict[str, Any]]] = None
 
     def __init__(self, num_sites: int, keep_message_records: bool = False):
         self._num_sites = check_site_count(num_sites)
@@ -246,6 +264,23 @@ class DistributedProtocol(Stateful, abc.ABC):
             else:
                 columns.append(_as_element_column(values))
         return tuple(columns)
+
+    # ------------------------------------------------------------ checkpoint
+    def state_dict(self) -> Dict[str, Any]:
+        return {**super().state_dict(),
+                "messages": self._network.log.state_dict(),
+                "sites": [site.state_dict() for site in self._sites],
+                "site_rngs": [rng.bit_generator.state
+                              for rng in self._site_rngs]}
+
+    def load_state_dict(self, state: Dict[str, Any]) -> None:
+        super().load_state_dict(state)
+        self._network.log.load_state_dict(state["messages"])
+        for site, site_state in zip(self._sites, state["sites"], strict=True):
+            site.load_state_dict(site_state)
+        if len(state["site_rngs"]) != len(self._site_rngs):
+            raise ValueError("the site generators do not match the state")
+        self._site_rngs = [restore_generator(rng) for rng in state["site_rngs"]]
 
     def _count_item(self) -> None:
         """Record that one more stream item has been consumed."""

@@ -34,6 +34,7 @@ from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequ
 
 import numpy as np
 
+from ..utils.validation import check_site_type
 from .items import MatrixRowBatch, WeightedItemBatch
 from .partition import Partitioner, RoundRobinPartitioner
 from .protocol import DistributedProtocol
@@ -212,7 +213,7 @@ class StreamingEngine:
                 else:
                     sites = np.asarray(
                         [
-                            site if site is not None
+                            check_site_type(site) if site is not None
                             else partitioner.assign(index + offset, item)
                             for offset, (site, item) in enumerate(zip(explicit, segment))
                         ],

@@ -26,11 +26,11 @@ P4 (:class:`DoublingRounds`)
     rate ``p = 2√m/(ε·Ŵ)``, capped at 1.
 
 Like :mod:`~repro.streaming.priority_sampling`, the mixins keep their state
-in the protocol's instance dictionary (the checkpointed layout), under the
-heavy-hitter names.  They read ``self.epsilon``, ``self.num_sites``,
-``self.network`` and ``self._sites``; a site state carries
-``weight_since_send`` (P1) or ``local_weight`` and ``weight_at_last_report``
-(P4).
+on the protocol, under the heavy-hitter names, and add it to the
+protocol's declared checkpoint (``state_dict``).  They read
+``self.epsilon``, ``self.num_sites``, ``self.network`` and ``self._sites``;
+a site state carries ``weight_since_send`` (P1) or ``local_weight`` and
+``weight_at_last_report`` (P4).
 """
 
 from __future__ import annotations
@@ -53,6 +53,9 @@ class FlushRounds:
     it at the coordinator, hand ``weight_since_send`` to
     :meth:`_receive_weight` and reset the site.
     """
+
+    STATE = {"coordinator_weight": "_coordinator_weight",
+             "broadcast_weight": "_broadcast_weight"}
 
     def _init_rounds(self) -> None:
         self._coordinator_weight = 0.0      # W_C: total weight of received flushes
@@ -125,6 +128,10 @@ class FlushRounds:
 class ThresholdRounds:
     """P2: sites send ``W_i`` at ``(ε/m)·Ŵ``; every ``m`` scalars end a round."""
 
+    STATE = {"estimated_total": "_estimated_total",
+             "scalars_this_round": "_scalar_messages_this_round",
+             "rounds_completed": "_rounds_completed"}
+
     def _init_rounds(self) -> None:
         self._estimated_total = 0.0          # Ŵ
         self._scalar_messages_this_round = 0
@@ -160,6 +167,9 @@ class DoublingRounds:
 
     #: The local total a site's first report waits for.
     _first_report = 1.0
+
+    STATE = {"reported_weight": "_reported_weight",
+             "broadcast_weight": "_broadcast_weight"}
 
     def _init_rounds(self, seed: SeedLike) -> None:
         self._site_rngs = spawn(as_generator(seed), self.num_sites)

@@ -17,7 +17,8 @@ from typing import List, Optional, Union
 
 import numpy as np
 
-__all__ = ["SeedLike", "as_generator", "spawn", "random_unit_vector"]
+__all__ = ["SeedLike", "as_generator", "spawn", "random_unit_vector",
+           "restore_generator"]
 
 SeedLike = Union[None, int, np.random.Generator, np.random.SeedSequence]
 
@@ -42,6 +43,26 @@ def spawn(rng: np.random.Generator, count: int) -> List[np.random.Generator]:
         raise ValueError(f"count must be non-negative, got {count}")
     seeds = rng.integers(0, np.iinfo(np.int64).max, size=count)
     return [np.random.default_rng(int(seed)) for seed in seeds]
+
+
+#: Bit generators a checkpoint may name: everything NumPy ships.
+_BIT_GENERATORS = {cls.__name__: cls for cls in (
+    np.random.PCG64, np.random.PCG64DXSM, np.random.MT19937,
+    np.random.Philox, np.random.SFC64)}
+
+
+def restore_generator(state: dict) -> np.random.Generator:
+    """A generator continuing exactly where one whose
+    ``bit_generator.state`` was ``state`` left off.  The bit generator is
+    looked up in the closed table of NumPy's own by the name the state
+    carries; any other name is a ``ValueError``."""
+    cls = _BIT_GENERATORS.get(state.get("bit_generator")) \
+        if isinstance(state, dict) else None
+    if cls is None:
+        raise ValueError(f"not a NumPy bit-generator state: {state!r:.80}")
+    bit_generator = cls()
+    bit_generator.state = state
+    return np.random.Generator(bit_generator)
 
 
 def random_unit_vector(dimension: int, rng: Optional[np.random.Generator] = None) -> np.ndarray:

@@ -229,38 +229,57 @@ def _site_range_error(num_sites: int, low: int, high: int) -> ValueError:
                       f"got range [{low}, {high}]")
 
 
+_BOOL_TYPES = frozenset({bool, np.bool_})
+
+
+def check_site_type(site: Any) -> int:
+    """One site index as an ``int``, whatever its range: an ``int`` or a
+    NumPy integer, never a ``bool`` or a float (``TypeError``)."""
+    if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
+        raise TypeError(
+            f"site must be an integer, got {type(site).__name__} {site!r}")
+    return int(site)
+
+
 def check_site(site: Any, num_sites: int) -> int:
     """Validate one site index and return it as an ``int``.
 
-    A site is an integer (``int`` or a NumPy integer, never a ``bool`` or a
-    float, even an integral one) in ``[0, num_sites)``: a non-integer raises
-    ``TypeError``, an out-of-range one the ``ValueError`` a one-item
+    A site passes :func:`check_site_type` and lies in ``[0, num_sites)``:
+    an out-of-range one raises the ``ValueError`` a one-item
     :func:`check_site_ids` would raise.
     """
     if type(site) is not int:
-        if isinstance(site, bool) or not isinstance(site, (int, np.integer)):
-            raise TypeError(
-                f"site must be an integer, got {type(site).__name__} {site!r}")
-        site = int(site)
+        site = check_site_type(site)
     if not 0 <= site < num_sites:
         raise _site_range_error(num_sites, site, site)
     return site
 
 
-def check_site_ids(site_ids: Any, count: int, num_sites: int) -> np.ndarray:
-    """Validate ``count`` site indices and return them as an int64 array.
-
-    The array form of :func:`check_site`: integer dtypes only (a float or
-    bool array raises ``TypeError`` instead of being truncated), shape
-    ``(count,)``, every entry in ``[0, num_sites)``.
-    """
+def check_site_column(site_ids: Any, count: int, *,
+                      name: str = "site_ids") -> np.ndarray:
+    """``count`` site indices as an int64 array, whatever their range: a
+    float or bool array — or a list with a bool in it, which NumPy would
+    read as an integer — raises ``TypeError`` instead of being truncated."""
+    if isinstance(site_ids, (list, tuple)) \
+            and not _BOOL_TYPES.isdisjoint(map(type, site_ids)):
+        raise TypeError(f"{name} must be integers, got a bool")
     sites = np.asarray(site_ids)
     if sites.size and sites.dtype.kind not in "iu":
-        raise TypeError(f"site_ids must be integers, got dtype {sites.dtype}")
+        raise TypeError(f"{name} must be integers, got dtype {sites.dtype}")
     sites = sites.astype(np.int64, copy=False)
     if sites.shape != (count,):
         raise ValueError(
-            f"site_ids must have shape ({count},), got {sites.shape}")
+            f"{name} must have shape ({count},), got {sites.shape}")
+    return sites
+
+
+def check_site_ids(site_ids: Any, count: int, num_sites: int) -> np.ndarray:
+    """Validate ``count`` site indices and return them as an int64 array.
+
+    The array form of :func:`check_site`: :func:`check_site_column`, and
+    every entry in ``[0, num_sites)``.
+    """
+    sites = check_site_column(site_ids, count)
     if count:
         if count == 1:
             low = high = int(sites[0])

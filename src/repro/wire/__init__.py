@@ -14,21 +14,22 @@ previously reached for :mod:`pickle`:
   over TCP to workers started with ``repro-experiments worker --listen``.
 * **The HTTP gateway** — ``application/x-repro-wire`` request and response
   bodies (:mod:`repro.gateway.http`) are frames of *plain data* only
-  (``plain=True``: no name resolution, no references, no deflate or raw
-  array section), the mode for peers that are not this program's own
-  processes.
+  (``plain=True``: only JSON-shaped values and float64/int64/bool arrays,
+  no deflate or raw array section), the mode for peers that are not this
+  program's own processes.
 
 The layer has two halves: the value codec (:mod:`repro.wire.codec`) that
-turns arbitrary repro state graphs — NumPy arrays as dtype/shape/contiguous
-bytes, scalars, counters, nested :class:`~repro.utils.stateio.Stateful`
-states with their ``state_version`` markers — into tagged bytes and back
-*bit-identically*, and the frame envelope (:mod:`repro.wire.frames`) adding
-magic/version/kind/CRC so readers fail loudly on garbage, corruption or
-version skew instead of resuming with a wrong payload.
+turns plain value trees — containers, numbers, strings, NumPy arrays and
+scalars — into tagged bytes and back *bit-identically*, and the frame
+envelope (:mod:`repro.wire.frames`) adding magic/version/kind/CRC so
+readers fail loudly on garbage, corruption or version skew instead of
+resuming with a wrong payload.  Protocols, sketches and partitioners
+declare their checkpoints as such trees (:mod:`repro.api.state`), so no
+frame names a class.
 
-Decoding is hardened by construction: no callable from the payload is ever
-executed, class references resolve only inside the ``repro`` package, and
-functions have no encoding at all.
+Decoding is hardened by construction: no tag names a class, a function, an
+enum or an exception, so decoding never imports a module or runs code taken
+from the payload.
 """
 
 from .codec import (
@@ -37,7 +38,6 @@ from .codec import (
     WireError,
     decode_value,
     encode_value,
-    encode_with_extensions,
 )
 from .frames import (
     WIRE_BASE_VERSION,
@@ -58,7 +58,6 @@ __all__ = [
     "WireEncodeError",
     "WireDecodeError",
     "encode_value",
-    "encode_with_extensions",
     "decode_value",
     "WIRE_MAGIC",
     "WIRE_VERSION",
@@ -71,32 +70,4 @@ __all__ = [
     "write_frame",
     "send_frame",
     "recv_frame",
-    "encode_state",
-    "decode_state",
-    "STATE_FRAME_KIND",
 ]
-
-#: Frame kind used for bare ``Stateful`` snapshots.
-STATE_FRAME_KIND = "repro/state"
-
-
-def encode_state(stateful, kind: str = STATE_FRAME_KIND) -> bytes:
-    """Snapshot one :class:`~repro.utils.stateio.Stateful` object as a frame.
-
-    The snapshot references live state (``copy_data=False``) and is encoded
-    immediately, so the object may keep running the moment this returns —
-    the pattern the cluster layer uses to capture shard state on the worker
-    without a cluster-wide ingestion barrier.
-    """
-    return pack_frame(kind, stateful.get_state(copy_data=False))
-
-
-def decode_state(data: bytes, kind: str = STATE_FRAME_KIND):
-    """Rebuild the object captured by :func:`encode_state`."""
-    from ..utils.stateio import StateError, restore_object
-
-    _, state = unpack_frame(data, expected_kind=kind)
-    try:
-        return restore_object(state, copy_data=False)
-    except StateError as exc:
-        raise WireDecodeError(f"cannot restore state frame: {exc}") from exc

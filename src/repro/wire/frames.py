@@ -25,9 +25,9 @@ A *frame* wraps one encoded value tree in a self-describing envelope::
 
 Version negotiation is one-directional and carried by the version field:
 writers stamp the *lowest* version that can express a frame — plain frames
-stay version 1 bit-for-bit, and only frames that actually use a version-2
-feature (a deflated tree, a raw array section, a numeric-dict or
-shared-memory array tag in the codec) are stamped 2.  Readers of this build
+stay version 1 bit-for-bit, and only frames that use a version-2 feature
+(a deflated tree, a raw array section, or an array sink that may leave
+shared-memory array tags in the codec) are stamped 2.  Readers of this build
 accept both; a version-1-only reader rejects a version-2 frame cleanly by
 its header instead of misparsing the body.  Version-2 flags: bit 0x0001
 marks a zlib-deflated value tree (inflation is bounded, so a corrupted or
@@ -42,8 +42,7 @@ the raw section through the codec's out-of-band array reference, under
 three rules decided from the array's bits (:class:`_SectionWriter`): an
 array that is at least half zeros stays in the tree; a bitwise-symmetric
 square is stored as its upper triangle; any other 2-D array is stored
-without its trailing all-zero rows.  Homogeneous numeric dicts become a
-keys array and a values array.  The rest of the tree is deflated.
+without its trailing all-zero rows.  The rest of the tree is deflated.
 Uncompressed frames are unaffected.
 
 Stream transport (pipes, TCP sockets) prefixes the whole frame with a
@@ -65,8 +64,9 @@ import numpy as np
 from .codec import (
     MIN_OUT_OF_BAND_BYTES,
     WireDecodeError,
+    _Decoder,
     decode_value,
-    encode_with_extensions,
+    encode_value,
 )
 
 __all__ = [
@@ -229,22 +229,21 @@ def pack_frame(kind: str, value: Any, *, compress: bool = False,
     """Encode ``value`` and wrap it in a framed envelope labelled ``kind``.
 
     ``compress`` moves float64 arrays into a raw section
-    (:class:`_SectionWriter`), writes homogeneous numeric dicts as array
-    pairs and deflates the rest of the value tree (skipped when deflate
-    does not shrink it).  ``array_sink`` and ``plain`` are forwarded to
-    :func:`~repro.wire.codec.encode_value`; with either, ``compress`` only
-    deflates.  Frames using neither ``compress`` nor ``array_sink`` are
-    stamped wire version 1, byte-identical to earlier builds; anything else
-    is stamped version 2.
+    (:class:`_SectionWriter`) and deflates the rest of the value tree
+    (skipped when deflate does not shrink it).  ``array_sink`` and ``plain``
+    are forwarded to :func:`~repro.wire.codec.encode_value`; with either,
+    ``compress`` only deflates.  A frame with a flag set or written through
+    an ``array_sink`` is stamped wire version 2; any other stays version 1,
+    byte-identical to earlier builds.
     """
     kind_bytes = kind.encode("utf-8")
     if len(kind_bytes) > 0xFFFF:
         raise ValueError("frame kind label too long")
     section = (_SectionWriter() if compress and array_sink is None
                and not plain else None)
-    body, extended = encode_with_extensions(
+    body = encode_value(
         value, array_sink=array_sink if section is None else section.sink,
-        plain=plain, numeric_dicts=section is not None)
+        plain=plain)
     flags = 0
     if compress:
         deflated = zlib.compress(body, _DEFLATE_LEVEL)
@@ -254,7 +253,8 @@ def pack_frame(kind: str, value: Any, *, compress: bool = False,
     if section is not None and section.parts:
         flags |= _FLAG_SECTION
         body = b"".join((_BODY_LENGTH.pack(len(body)), body, *section.parts))
-    version = WIRE_VERSION if (flags or extended) else WIRE_BASE_VERSION
+    version = WIRE_VERSION if flags or array_sink is not None \
+        else WIRE_BASE_VERSION
     return _envelope(kind_bytes, version, flags, body)
 
 
@@ -322,7 +322,8 @@ def _inflate_body(body: memoryview) -> bytes:
 
 def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
                  array_source: Optional[Any] = None,
-                 plain: bool = False) -> Tuple[str, Any]:
+                 plain: bool = False, decoder: type = _Decoder
+                 ) -> Tuple[str, Any]:
     """Parse one frame; returns ``(kind, value)``.
 
     Accepts wire versions 1 and 2 (plain, deflated and sectioned bodies
@@ -334,7 +335,8 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
     the body; a sectioned frame resolves its own from its section.
     ``plain`` is the mode for untrusted peers: the body must be plain data
     (:func:`~repro.wire.codec.decode_value`) and a frame with any flag set
-    is refused before anything is inflated.
+    is refused before anything is inflated.  ``decoder`` is the decoding
+    pass (the legacy checkpoint reader brings its own).
     """
     kind, flags, body = _open_envelope(data)
     if plain and flags:
@@ -352,7 +354,8 @@ def unpack_frame(data: bytes, expected_kind: Optional[str] = None, *,
         array_source = _SectionReader(section).take
     if flags & _FLAG_DEFLATE:
         tree = _inflate_body(tree)
-    return kind, decode_value(tree, array_source=array_source, plain=plain)
+    return kind, decode_value(tree, array_source=array_source, plain=plain,
+                              decoder=decoder)
 
 
 def _open_envelope(data: bytes) -> Tuple[str, int, memoryview]:

@@ -5,11 +5,15 @@ legitimately changes::
 
     PYTHONPATH=src python tests/fixtures/make_golden.py
 
-The committed fixtures pin **forward-loadability**: a v1 checkpoint written
-by the build that introduced the wire format must keep loading — and keep
-answering exactly the recorded answers — in every later build, or CI fails
-and the format bump must be made explicit (new ``CHECKPOINT_VERSION`` /
-``WIRE_VERSION`` plus a migration note).
+The committed fixtures pin **forward-loadability**: a checkpoint written
+by an earlier build must keep loading — and keep answering exactly the
+recorded answers — in every later build, or CI fails and the format bump
+must be made explicit (new ``CHECKPOINT_VERSION`` / ``WIRE_VERSION`` plus a
+migration note).  A run writes this build's fixtures and records them under
+``"current"`` in ``golden_answers.json``; the top-level records are the
+version-1 (object format) fixtures, which no build can write any more and
+which are kept as they are (``*_v1_compressed.ckpt`` are the same two
+sessions saved with ``compress=True`` by that format's last build).
 
 A second kind of fixture pins a **refusal**: ``matrix_p2_v2.ckpt`` and
 ``matrix_p2_v3.ckpt`` are ``matrix/P2`` checkpoints in state layouts later
@@ -127,7 +131,9 @@ def main() -> None:
     matrix = matrix_fixture()
     wire_version = max(_frame_version(hh["file"]),
                        _frame_version(matrix["file"]))
-    golden = {
+    with open(FIXTURES / "golden_answers.json") as handle:
+        golden = json.load(handle)
+    golden["current"] = {
         "checkpoint_version": CHECKPOINT_VERSION,
         "wire_version": wire_version,
         "hh": hh,

@@ -32,9 +32,16 @@ from repro.api import (
     load_protocol,
     save_protocol,
 )
-from repro.api.state import CHECKPOINT_VERSION
+from repro.api.state import (
+    CHECKPOINT_VERSION,
+    protocol_state,
+    restore_protocol,
+    tracker_frame,
+    tracker_from_frame,
+    tracker_payload,
+)
 from repro.sketch import FrequentDirections, WeightedMisraGries
-from repro.utils.stateio import StateError, restore_object
+from repro.wire import decode_value, encode_value
 
 from test_protocol_equivalence_properties import (
     NUM_SITES,
@@ -161,8 +168,8 @@ class TestHeavyHitterRoundTrip:
 
         resumed = _tracker("hh/P3", seed)
         resumed.run(batch[:half])
-        payload = pickle.dumps(resumed.protocol.get_state())
-        resumed.protocol.set_state(pickle.loads(payload))
+        payload = encode_value(resumed.protocol.state_dict())
+        resumed.protocol.load_state_dict(decode_value(payload))
         resumed.run(batch[half:])
         assert resumed.total_messages == uninterrupted.total_messages
         assert resumed.protocol.estimates() == uninterrupted.protocol.estimates()
@@ -220,41 +227,58 @@ def _answers(session, spec: str) -> list:
             session.query(FrobeniusSquared())]
 
 
-def _reachable_stateful_classes(root) -> set:
-    """Every ``Stateful`` class reachable from ``root`` by a walk that skips
-    nothing: containers, instance dictionaries and slots, leaves included."""
-    from repro.utils.stateio import Stateful
+class TestDeclaredState:
+    """A checkpoint is the declared tree, not the objects' attributes."""
 
-    found, seen, stack = set(), set(), [root]
-    while stack:
-        current = stack.pop()
-        if id(current) in seen:
-            continue
-        seen.add(id(current))
-        if isinstance(current, Stateful):
-            found.add(type(current))
-        if isinstance(current, dict):
-            stack.extend(current.values())
-        elif isinstance(current, (list, tuple, set, frozenset)):
-            stack.extend(current)
-        else:
-            stack.extend((getattr(current, "__dict__", None) or {}).values())
-    return found
-
-
-class TestComponentVersions:
     @pytest.mark.parametrize("spec", ALL_SPECS)
-    def test_component_versions_name_exactly_the_reachable_classes(
+    def test_checkpoint_trees_are_plain_containers_numbers_and_arrays(
             self, spec):
         seed = SEEDS[0]
         dimension, batch, sites = _stream(spec, seed)
         tracker = _tracker(spec, seed, dimension)
         _run_with_sites(tracker, sites, batch, 0,
                         (len(batch) // (2 * CHUNK)) * CHUNK)
-        protocol = tracker.protocol
-        versions = dict(protocol.get_state()["component_versions"])
-        assert set(versions) == _reachable_stateful_classes(protocol)
-        assert versions == {cls: cls.state_version for cls in versions}
+        plain = (type(None), bool, int, float, str, np.ndarray, np.generic)
+        stack = [tracker_payload(tracker)]
+        while stack:
+            value = stack.pop()
+            if isinstance(value, dict):
+                assert all(isinstance(key, str) for key in value) \
+                    or spec in ("hh/P4",), value.keys()
+                stack.extend(value.values())
+            elif isinstance(value, (list, tuple)):
+                stack.extend(value)
+            else:
+                assert isinstance(value, plain), type(value)
+
+    def test_renaming_a_private_attribute_changes_no_checkpoint_byte(
+            self, monkeypatch):
+        """The names in a checkpoint are declared, not attribute names: a
+        protocol class whose private attributes are renamed writes the same
+        bytes (and reads them back)."""
+        from repro.heavy_hitters import p2_threshold
+
+        def session():
+            tracker = repro.Tracker.create("hh/P2", num_sites=3, epsilon=0.1)
+            tracker.push_batch([0, 1, 2, 0], [("a", 2.0), ("b", 1.0),
+                                              ("a", 4.0), ("c", 3.0)])
+            return tracker
+
+        before = tracker_frame(session())
+
+        # Every read and write of the attribute lands on a new name.
+        monkeypatch.setattr(
+            p2_threshold.ThresholdedUpdatesProtocol, "_element_estimates",
+            property(lambda self: self._estimates_by_element,
+                     lambda self, value: setattr(
+                         self, "_estimates_by_element", value)),
+            raising=False)
+        renamed = session()
+        assert "_element_estimates" not in vars(renamed.protocol)
+        assert "_estimates_by_element" in vars(renamed.protocol)
+        assert tracker_frame(renamed) == before
+        restored = tracker_from_frame(before)
+        assert restored.protocol.estimates() == renamed.protocol.estimates()
 
 
 class TestCheckpointCompression:
@@ -458,13 +482,14 @@ class TestProtocolCheckpointHelpers:
         assert b"repro/tracker-checkpoint" in data[:64]
 
 
-class TestStatefulContract:
+class TestStateDicts:
     def test_sketch_state_roundtrip_continues_identically(self):
         rng = np.random.default_rng(3)
         rows = rng.standard_normal((120, 6))
         sketch = FrequentDirections(dimension=6, sketch_size=4)
         sketch.append_batch(rows[:60])
-        clone = restore_object(sketch.get_state())
+        clone = FrequentDirections(dimension=6, sketch_size=4)
+        clone.load_state_dict(decode_value(encode_value(sketch.state_dict())))
         sketch.append_batch(rows[60:])
         clone.append_batch(rows[60:])
         assert np.array_equal(sketch.sketch_matrix(), clone.sketch_matrix())
@@ -472,48 +497,73 @@ class TestStatefulContract:
 
         summary = WeightedMisraGries(num_counters=4)
         summary.update_batch(["a", "b", "c", "a"], [3.0, 2.0, 1.0, 5.0])
-        twin = restore_object(summary.get_state())
+        twin = WeightedMisraGries(num_counters=4)
+        twin.load_state_dict(decode_value(encode_value(summary.state_dict())))
         for target in (summary, twin):
             target.update("d", 7.0)
         assert summary.to_dict() == twin.to_dict()
         assert summary.shrink_total == twin.shrink_total
 
-    def test_nested_component_version_mismatch_is_rejected(self):
-        """Bumping a *nested* component's state_version (e.g. a sketch
-        embedded in a site state) must invalidate older protocol states."""
+    def test_a_state_of_another_layout_version_is_refused_by_class(self):
         protocol = repro.create("hh/P1", num_sites=2, epsilon=0.2)
         protocol.observe_batch([0, 1], [("a", 1.0), ("b", 2.0)])
-        state = protocol.get_state()
-        component_classes = [cls for cls, _ in state["component_versions"]]
-        assert WeightedMisraGries in component_classes  # nested in site state
-        state["component_versions"] = tuple(
-            (cls, version + (cls is WeightedMisraGries))
-            for cls, version in state["component_versions"]
-        )
-        fresh = repro.create("hh/P1", num_sites=2, epsilon=0.2)
-        with pytest.raises(StateError, match="WeightedMisraGries"):
-            fresh.set_state(state)
+        checkpoint = protocol_state(protocol)
+        checkpoint["state_version"] += 1
+        with pytest.raises(CheckpointError, match="BatchedMisraGriesProtocol"):
+            restore_protocol(checkpoint)
 
-    def test_set_state_rejects_wrong_class_and_version(self):
-        sketch = FrequentDirections(dimension=4, sketch_size=2)
-        summary = WeightedMisraGries(num_counters=2)
-        with pytest.raises(StateError, match="captured from"):
-            summary.set_state(sketch.get_state())
-        state = summary.get_state()
-        state["state_version"] = 999
-        with pytest.raises(StateError, match="version"):
-            summary.set_state(state)
-        with pytest.raises(StateError):
-            restore_object({"cls": int, "data": {}})
+    def test_a_state_of_other_parameters_is_refused(self):
+        protocol = repro.create("hh/P1", num_sites=2, epsilon=0.2)
+        checkpoint = protocol_state(protocol)
+        checkpoint["params"]["num_sites"] = 3
+        with pytest.raises(CheckpointError):
+            restore_protocol(checkpoint)
 
-    def test_snapshot_is_isolated_from_the_live_object(self):
+    def test_protocols_built_outside_the_registry_cannot_be_saved(
+            self, tmp_path):
+        from repro.heavy_hitters import BatchedMisraGriesProtocol
+
+        with pytest.raises(TypeError, match="repro.create"):
+            save_protocol(BatchedMisraGriesProtocol(2, 0.2),
+                          tmp_path / "p.ckpt")
+
+    def test_restored_state_is_isolated_from_the_live_object(self):
         counter = WeightedMisraGries(num_counters=3)
         counter.update("x", 1.0)
-        state = counter.get_state()
+        frame = encode_value(counter.state_dict())
         counter.update("y", 2.0)
-        clone = restore_object(state)
+        clone = WeightedMisraGries(num_counters=3)
+        clone.load_state_dict(decode_value(frame))
         assert clone.to_dict() == {"x": 1.0}
-        # Restoring twice must not alias state between the two instances.
-        other = restore_object(state)
+        other = WeightedMisraGries(num_counters=3)
+        other.load_state_dict(decode_value(frame))
         other.update("z", 9.0)
         assert clone.to_dict() == {"x": 1.0}
+
+
+class TestGeneratorSeeds:
+    def test_a_generator_seed_saves_resumes_and_records_no_seed(
+            self, tmp_path):
+        """A ``Generator`` seed is not plain data: the checkpoint records
+        ``seed=None`` and the site generators' states, so the session still
+        resumes bit-identically."""
+        _, batch, sites = hh_stream(SEEDS[0])
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+
+        def tracker():
+            return repro.Tracker.create(
+                "hh/P3", chunk_size=CHUNK, num_sites=NUM_SITES,
+                epsilon=HH_EPSILON, sample_size=150,
+                seed=np.random.default_rng(9))
+
+        uninterrupted = tracker()
+        _run_with_sites(uninterrupted, sites, batch, 0, len(batch))
+        interrupted = tracker()
+        _run_with_sites(interrupted, sites, batch, 0, half)
+        interrupted.save(tmp_path / "session.ckpt")
+        resumed = repro.Tracker.load(tmp_path / "session.ckpt")
+        assert resumed.params["seed"] is None
+        assert resumed.protocol.build_spec[1].get("seed") is None
+        _run_with_sites(resumed, sites, batch, half, len(batch))
+        _assert_identical_accounting(resumed, uninterrupted)
+        assert _answers(resumed, "hh/P3") == _answers(uninterrupted, "hh/P3")

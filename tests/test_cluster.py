@@ -71,7 +71,7 @@ from repro.cluster.worker_protocol import (
     unpack_reply,
     worker_command,
 )
-from repro.wire import encode_state
+from repro.wire import WireDecodeError, encode_value
 
 from test_api_state_roundtrip import (
     CHUNK,
@@ -385,8 +385,8 @@ def _state_frame(tracker) -> bytes:
 
 @worker_command
 def _protocol_frame(tracker) -> bytes:
-    # The protocol alone: a shard's builder passes its parameters sorted.
-    return encode_state(tracker.protocol)
+    # The protocol's declared state alone.
+    return encode_value(tracker.protocol.state_dict())
 
 
 def _spec_stream(spec, seed):
@@ -438,6 +438,73 @@ class TestOneItemPushes:
 _BAD_SITES = [(-1, ValueError), (NUM_SITES, ValueError), (3.7, TypeError),
               ("1", TypeError), (np.float64(2.0), TypeError),
               (True, TypeError)]
+
+
+class TestBatchSiteColumns:
+    """A batch's own ``sites`` column follows the ``site_ids`` rule:
+    integers only, never truncated, refused before any state moves."""
+
+    @pytest.mark.parametrize("site", [3.7, 2.9, True, np.float64(1.0)])
+    def test_fractional_and_bool_sites_are_refused(self, site):
+        items = [repro.WeightedItem("a", 1.0, site=0),
+                 repro.WeightedItem("b", 2.0, site=site)]
+        tracker = repro.Tracker.create("hh/P2", num_sites=4, epsilon=0.1)
+        with pytest.raises(TypeError, match="integer"):
+            tracker.run(items)
+        with pytest.raises(TypeError, match="integer"):
+            tracker.push_batch([0, 1], WeightedItemBatch.from_items(items))
+        with pytest.raises(TypeError, match="integer"):
+            tracker.run(WeightedItemBatch(elements=["a", "b"],
+                                          weights=[1.0, 2.0],
+                                          sites=[0, site]))
+        with pytest.raises(TypeError, match="integer"):
+            tracker.run(MatrixRowBatch(values=np.eye(2), sites=[0, site]))
+        assert tracker.items_processed == 0
+        with ShardedTracker.create("hh/P2", shards=2, num_sites=4,
+                                   epsilon=0.1) as cluster:
+            with pytest.raises(TypeError, match="integer"):
+                cluster.push_batch(items)
+            assert cluster.watermark == (0, 0)
+            assert cluster.stats().items_processed == 0
+
+    def test_integer_sites_still_route(self):
+        items = [repro.WeightedItem("a", 1.0, site=np.int64(3)),
+                 repro.WeightedItem("b", 2.0, site=1)]
+        tracker = repro.Tracker.create("hh/P2", num_sites=4, epsilon=0.1)
+        tracker.run(items)
+        with ShardedTracker.create("hh/P2", shards=2, num_sites=4,
+                                   epsilon=0.1) as cluster:
+            cluster.push_batch(items)
+            assert cluster.watermark == (0, 2)
+        assert tracker.items_processed == 2
+
+
+class TestSeeds:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    @pytest.mark.parametrize("seed", [np.random.default_rng(1),
+                                      np.random.SeedSequence(1), 1.5, True],
+                             ids=["Generator", "SeedSequence", "float",
+                                  "bool"])
+    def test_a_seed_no_shard_can_derive_from_is_refused_before_launch(
+            self, backend, seed, monkeypatch):
+        from repro.cluster import sharded_tracker
+
+        def no_backend(*args, **kwargs):
+            raise AssertionError("a backend was created")
+
+        monkeypatch.setattr(sharded_tracker, "create_backend", no_backend)
+        with pytest.raises(TypeError, match="seed"):
+            ShardedTracker.create("hh/P3", shards=2, backend=backend,
+                                  num_sites=4, epsilon=0.2, seed=seed)
+
+    def test_numpy_integer_seeds_derive_shard_seeds(self):
+        with ShardedTracker.create("hh/P3", shards=2, num_sites=4,
+                                   epsilon=0.2, seed=np.int64(5)) as ours, \
+                ShardedTracker.create("hh/P3", shards=2, num_sites=4,
+                                      epsilon=0.2, seed=5) as theirs:
+            for cluster in (ours, theirs):
+                cluster.push_batch([("a", 1.0), ("b", 2.0)] * 20)
+            assert ours.query(TotalWeight()) == theirs.query(TotalWeight())
 
 
 class TestRejectedOneItemPushes:
@@ -782,6 +849,87 @@ _PARENT_V1_CLUSTER_CHECKPOINT = (
     "nAf+Zg8u6rmrB08bc9WD8/WbPLh03Et7sNtde/C/L+jveLCDbJKn7CLbv9mP3e4d/BjGcaEf"
     "u93Di5/qFysTxQmAIA5A"
 )
+
+
+#: Seeds of the declared-state resume suite.
+RESUME_SEEDS = (2014, 2015, 2016)
+
+
+def _logged_plain(spec, seed, dimension):
+    return repro.Tracker.create(spec, chunk_size=CHUNK,
+                                keep_message_records=True,
+                                **_params(spec, seed, dimension))
+
+
+class TestDeclaredStateResume:
+    """A session restored from the declared checkpoint is the session that
+    never stopped: message logs, answers and state bytes, then continued
+    ingestion, for every spec, per item and in chunks, on every backend."""
+
+    @pytest.mark.parametrize("compress", [True, False])
+    @pytest.mark.parametrize("mode", ["item", "chunk"])
+    @pytest.mark.parametrize("seed", RESUME_SEEDS)
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+    def test_tracker_resumes_bit_identically(self, spec, seed, mode,
+                                             compress, tmp_path):
+        batch, sites, dimension, probes = _spec_stream(spec, seed)
+        stop = min(len(batch), 600)
+        half = stop // 2
+
+        def feed(tracker, start, end):
+            if mode == "item":
+                for index in range(start, end):
+                    tracker.push(int(sites[index]), batch[index])
+            else:
+                for begin in range(start, end, CHUNK):
+                    close = min(begin + CHUNK, end)
+                    tracker.push_batch(sites[begin:close], batch[begin:close])
+
+        whole, first_leg = (_logged_plain(spec, seed, dimension)
+                            for _ in range(2))
+        feed(whole, 0, stop)
+        feed(first_leg, 0, half)
+        first_leg.save(tmp_path / "session.ckpt", compress=compress)
+        resumed = repro.Tracker.load(tmp_path / "session.ckpt")
+        assert _state_frame(resumed) == _state_frame(first_leg)
+        feed(resumed, half, stop)
+        assert (resumed.protocol.network.log.records
+                == whole.protocol.network.log.records)
+        assert vars(resumed.protocol.network.log) \
+            == vars(whole.protocol.network.log)
+        for query in probes:
+            _assert_every_field_equal(resumed.query(query), whole.query(query))
+        assert _state_frame(resumed) == _state_frame(whole)
+
+    @pytest.mark.parametrize("backend", ["thread", "shm", "socket"])
+    @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+    def test_cluster_resumes_bit_identically(self, spec, backend,
+                                             worker_server, tmp_path):
+        """``serial`` and ``process`` run in test_api_state_roundtrip."""
+        seed = RESUME_SEEDS[0]
+        batch, _, dimension, probes = _spec_stream(spec, seed)
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+        options = _backend_options(backend, worker_server)
+
+        def cluster():
+            return ShardedTracker.create(
+                spec, shards=2, backend=backend, chunk_size=CHUNK,
+                backend_options=options, keep_message_records=True,
+                **_params(spec, seed, dimension))
+
+        with cluster() as whole:
+            whole.run(batch)
+            expected = [whole.query(query) for query in probes]
+            states = whole._backend.call_all(_protocol_frame)
+        with cluster() as first_leg:
+            first_leg.run(batch[:half])
+            first_leg.save(tmp_path / "cluster.ckpt")
+        with ShardedTracker.load(tmp_path / "cluster.ckpt", backend=backend,
+                                 backend_options=options) as resumed:
+            resumed.run(batch[half:])
+            for query, answer in zip(probes, expected):
+                _assert_every_field_equal(resumed.query(query), answer)
+            assert resumed._backend.call_all(_protocol_frame) == states
 
 
 class TestClusterCheckpoint:
@@ -1190,6 +1338,39 @@ class TestWorkerProtocolDiscipline:
         status, value = unpack_reply(replies[2])[:2]
         assert status == "ok" and value == 2.0
 
+    def test_a_frame_naming_classes_is_refused_and_the_session_survives(
+            self):
+        """A command frame carrying the retired object tags — a repro class
+        and ``os:system`` by name — gets one error reply, imports nothing,
+        and the next call gets its own answer."""
+        import sys
+
+        from repro.cluster.worker_protocol import COMMAND_KIND, encode_command
+
+        from old_format import Cls, Error, Member, Obj, old_frame
+
+        modules = set(sys.modules)
+        hostile = old_frame(f"{COMMAND_KIND}:call", {
+            "op": "call", "fn": "_estimate_of",
+            "args": (Obj("os:system", {"command": "true"}),
+                     Cls("repro.api.tracker:Tracker"),
+                     Member("repro.streaming.network:MessageKind", "scalar"),
+                     Error("os:system", ("true",)))})
+        replies = self._serve([
+            encode_command("launch", _build_tiny_tracker),
+            encode_command("submit", _push_one, ("a", 2.0)),
+            hostile,
+            encode_command("call", _estimate_of, ("a",)),
+            encode_command("stop"),
+        ])
+        assert set(sys.modules) == modules
+        assert [unpack_reply(reply)[0] for reply in replies] == \
+            ["ready", "error", "ok"]
+        error = unpack_reply(replies[1])[1]
+        assert type(error) is WireDecodeError
+        assert "wire tag OBJECT" in str(error)
+        assert unpack_reply(replies[2])[1] == 2.0
+
     def test_undecodable_ingest_is_held_for_the_next_call(self):
         from repro.cluster.worker_protocol import (
             INGEST_KIND, encode_command, encode_ingest,
@@ -1364,7 +1545,7 @@ class TestHostileFrames:
         assert listing.stdout.split() == sorted([
             "_build_shard", "_restore_shard", "_shard_ingest", "_shard_items",
             "_shard_stats", "_shard_metrics", "_shard_ping",
-            "_shard_checkpoint", "shard_query_materials", "_noop"])
+            "_shard_checkpoint", "_shard_query", "_noop"])
 
     def test_call_naming_a_repro_function_is_refused(self, tmp_path):
         from repro.cluster.worker_protocol import encode_command

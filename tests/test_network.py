@@ -79,25 +79,12 @@ class TestNetwork:
         network.broadcast(units_per_site=2)
         assert network.total_messages == 18
 
-    def test_unicast_downstream(self):
-        network = Network(num_sites=3)
-        network.send_to_site(1)
-        assert network.log.downstream_messages == 1
-
     def test_invalid_site_rejected(self):
         network = Network(num_sites=2)
         with pytest.raises(ValueError):
             network.send_scalar(2)
         with pytest.raises(ValueError):
             network.send_vector(-1)
-
-    def test_inbox_deliver_and_drain(self):
-        network = Network(num_sites=1)
-        network.deliver({"payload": 1})
-        network.deliver({"payload": 2})
-        drained = network.drain_inbox()
-        assert len(drained) == 2
-        assert network.drain_inbox() == []
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):

@@ -89,8 +89,7 @@ from repro.streaming.partition import RoundRobinPartitioner
 from repro.streaming.protocol import first_crossing
 from repro.streaming.runner import StreamingEngine
 from repro.utils.linalg import covariance_error, spectral_norm
-from repro.utils.stateio import restore_object
-from repro.wire import decode_state, encode_state, unpack_frame
+from repro.wire import decode_value, encode_value
 
 SEEDS = tuple(
     int(seed)
@@ -715,7 +714,7 @@ class TestP2EmissionSchedule:
         calls = count_decompositions(monkeypatch)
         rows = rng.uniform(-0.1, 0.1, size=(10_000, dimension))
         protocol.observe_batch(np.zeros(16, dtype=np.int64), rows[:16])
-        early = len(encode_state(protocol))
+        early = len(encode_value(protocol.state_dict()))
         for start in range(16, len(rows), 997):
             protocol.observe_batch(np.zeros(len(rows[start:start + 997]),
                                             dtype=np.int64),
@@ -724,7 +723,7 @@ class TestP2EmissionSchedule:
         assert calls == []                               # the gate stayed shut
         assert state.gram.shape == (dimension, dimension)
         assert state.filled < state.pending.shape[0]
-        assert len(encode_state(protocol)) == early      # O(d²), not O(rows)
+        assert len(encode_value(protocol.state_dict())) == early  # O(d²)
         assert np.allclose(state.residual(), rows.T @ rows, atol=1e-9)
 
 
@@ -747,10 +746,14 @@ class TestP2CoordinatorBuffer:
             split += 1
         assert running.message_counts()["sketch_rows"] == count
 
-        frame = encode_state(running)
-        _, state = unpack_frame(frame)
-        assert state["data"]["_coordinator_rows"].shape == (count, dimension)
-        twins = [decode_state(frame), restore_object(running.get_state())]
+        frame = encode_value(running.state_dict())
+        state = decode_value(frame)
+        assert state["coordinator_rows"].shape == (count, dimension)
+        twins = [DeterministicDirectionProtocol(NUM_SITES, dimension, 0.1,
+                                                keep_message_records=True)
+                 for _ in range(2)]
+        twins[0].load_state_dict(state)
+        twins[1].load_state_dict(decode_value(frame))
         for start in range(split, len(rows), 97):
             block = MatrixRowBatch(values=rows[start:start + 97])
             for protocol in [running] + twins:

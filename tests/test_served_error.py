@@ -27,7 +27,7 @@ from repro.api import ApproximationError, SketchMatrix
 from repro.data.synthetic_matrix import make_msd_like, make_pamap_like
 from repro.gateway import Gateway
 from repro.utils.linalg import covariance_error
-from repro.utils.stateio import _RETIRED_KEYS
+from repro.api.legacy import read_legacy
 from repro.wire import unpack_frame
 
 from test_api_state_roundtrip import MATRIX_SPECS, _params
@@ -156,14 +156,15 @@ def test_one_shard_without_a_proof_voids_the_merged_error():
 # ------------------------------------------------------- retired truth keys
 @pytest.mark.parametrize("fixture", ["hh_p2_v1.ckpt", "matrix_p3_v1.ckpt"])
 def test_checkpoints_with_truth_accumulators_load_without_them(fixture, tmp_path):
-    _, payload = unpack_frame((FIXTURES / fixture).read_bytes())
-    assert set(_RETIRED_KEYS) & set(payload["protocol"]["data"])
+    _, payload = read_legacy((FIXTURES / fixture).read_bytes())
+    assert any("observed" in key for key in payload["protocol"]["data"])
 
     tracker = repro.Tracker.load(FIXTURES / fixture)
-    assert not set(_RETIRED_KEYS) & set(vars(tracker.protocol))
+    assert not any("observed" in name for name in vars(tracker.protocol))
     for compress in (False, True):
         path = tmp_path / f"resaved-{compress}.ckpt"
         tracker.save(path, compress=compress)
         _, resaved = unpack_frame(path.read_bytes())
-        assert not set(_RETIRED_KEYS) & set(resaved["protocol"]["data"])
+        assert not any("observed" in key
+                       for key in resaved["protocol"]["state"])
         assert repro.Tracker.load(path).items_processed == tracker.items_processed

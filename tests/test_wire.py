@@ -2,25 +2,25 @@
 
 Three layers of guarantees:
 
-* **Codec fidelity** — every value shape the library's state graphs contain
-  (arbitrary-precision ints, NaN/inf floats, NumPy arrays of any numeric
-  dtype/order/shape, object arrays, NumPy scalars, bit-generator states for
-  every NumPy bit generator, enums, frozen/slotted dataclass instances,
-  shared references and cycles) round-trips bit-identically.
-* **Decode hardening** — nothing outside the ``repro`` package resolves,
-  and functions have no encoding at all; corrupted, truncated,
-  version-skewed or mislabelled frames raise :class:`WireDecodeError`,
-  never half-decoded values.
-* **State round-trips** — for every registered protocol spec, an
-  ``encode_state``/``decode_state`` round-trip mid-stream is bit-identical
-  in answers, message accounting and RNG state (the in-memory form of the
-  checkpoint property pinned by ``test_api_state_roundtrip``).
+* **Codec fidelity** — every value shape a declared state or a frame
+  contains (arbitrary-precision ints, NaN/inf floats, NumPy arrays of any
+  numeric dtype/order/shape, object arrays, NumPy scalars, containers, the
+  state dicts of every NumPy bit generator) round-trips bit-identically;
+  objects, classes, enums, exceptions and cycles have no encoding.
+* **Decode hardening** — no tag names a class, a function or an object:
+  the retired ones are refused by name and nothing is imported; corrupted,
+  truncated, version-skewed or mislabelled frames raise
+  :class:`WireDecodeError`, never half-decoded values.
+* **State round-trips** — for every registered protocol spec, a
+  ``tracker_frame``/``tracker_from_frame`` round-trip mid-stream is
+  bit-identical in answers, message accounting and RNG state (the in-memory
+  form of the checkpoint property pinned by ``test_api_state_roundtrip``).
 """
 
 from __future__ import annotations
 
-import enum
 import socket
+import sys
 import struct
 import zlib
 
@@ -29,6 +29,7 @@ import pytest
 
 import repro
 from repro.api import Covariance, FrobeniusSquared, HeavyHitters, TotalWeight
+from repro.api.state import tracker_frame, tracker_from_frame
 from repro.cluster.backends import BackendError
 from repro.cluster.sharded_tracker import _shard_ingest
 from repro.cluster.worker_protocol import (
@@ -37,21 +38,21 @@ from repro.cluster.worker_protocol import (
     decode_command,
     encode_command,
     encode_ingest,
+    encode_reply,
     encode_submit,
+    unpack_reply,
 )
 from repro.streaming.items import MatrixRowBatch, WeightedItem, WeightedItemBatch
 from repro.streaming.network import CommunicationLog, Direction, MessageKind, Network
 from repro.obs.logging import current_trace_id, trace_context
-from repro.utils.stateio import restore_object
+from repro.utils.rng import restore_generator
 from repro.wire import (
     WIRE_BASE_VERSION,
     WIRE_MAGIC,
     WIRE_VERSION,
     WireDecodeError,
     WireEncodeError,
-    decode_state,
     decode_value,
-    encode_state,
     encode_value,
     is_wire_data,
     pack_frame,
@@ -69,6 +70,8 @@ from test_api_state_roundtrip import (
     _tracker,
 )
 from test_protocol_equivalence_properties import SEEDS, hh_stream, matrix_stream
+
+from old_format import Cls, Error, Generator, Member, NpType, NumDict, Obj, Ref, old_value
 
 CHUNK = 50
 
@@ -101,41 +104,42 @@ class TestCodecPrimitives:
         value = {
             "list": [1, 2.5, "x", None],
             "tuple": (1, (2, (3,))),
-            "set": {1, 2, 3},
             "frozenset": frozenset({"a", "b"}),
             ("tuple", "key"): "tuple keys work",
             3: "int key",
             2.5: "float key",
-            "bytes": bytearray(b"abc"),
+            "bytes": b"abc",
         }
         result = roundtrip(value)
         assert result == value
         assert type(result[("tuple", "key")]) is str
-        assert isinstance(result["bytes"], bytearray)
+        for nothing_writes in ({1, 2}, bytearray(b"abc"), np.dtype("f8")):
+            with pytest.raises(WireEncodeError):
+                encode_value(nothing_writes)
 
     def test_dict_insertion_order_preserved(self):
         value = {key: index for index, key in enumerate("zyxwv")}
         assert list(roundtrip(value)) == list(value)
 
-    def test_enum_members_roundtrip_including_as_dict_keys(self):
-        value = {MessageKind.SCALAR: 3, MessageKind.VECTOR: 5,
-                 Direction.SITE_TO_COORDINATOR: 7}
-        result = roundtrip(value)
-        assert result == value
-        assert type(next(iter(result))) is MessageKind
+    def test_enum_members_have_no_encoding(self):
+        """A declared state carries an enum member as its value."""
+        with pytest.raises(WireEncodeError, match="MessageKind"):
+            encode_value({MessageKind.SCALAR: 3})
+        assert roundtrip({MessageKind.SCALAR.value: 3}) == {"scalar": 3}
 
-    def test_shared_references_and_cycles(self):
+    def test_shared_references_are_written_twice_and_cycles_refused(self):
         shared = [1, 2, 3]
-        value = {"a": shared, "b": shared}
-        result = roundtrip(value)
-        assert result["a"] is result["b"]
-        result["a"].append(4)
-        assert result["b"][-1] == 4
+        result = roundtrip({"a": shared, "b": shared})
+        assert result == {"a": [1, 2, 3], "b": [1, 2, 3]}
+        assert result["a"] is not result["b"]
 
-        cyclic = []
-        cyclic.append(cyclic)
-        result = roundtrip(cyclic)
-        assert result[0] is result
+        cyclic_list: list = []
+        cyclic_list.append(cyclic_list)
+        cyclic_dict: dict = {}
+        cyclic_dict["x"] = [cyclic_dict]
+        for cyclic in (cyclic_list, cyclic_dict):
+            with pytest.raises(WireEncodeError, match="self-referential"):
+                encode_value(cyclic)
 
     def test_self_referential_tuple_rejected_not_hung(self):
         hole: list = []
@@ -190,104 +194,104 @@ class TestCodecNumpy:
         assert result == value
         assert all(type(key) is np.int64 for key in result)
 
-    @pytest.mark.parametrize("name", ["PCG64", "MT19937", "Philox", "SFC64"])
+    @pytest.mark.parametrize("name", ["PCG64", "PCG64DXSM", "MT19937",
+                                      "Philox", "SFC64"])
     def test_every_bit_generator_resumes_identically(self, name):
         generator = np.random.Generator(getattr(np.random, name)(seed=42))
         generator.standard_normal(13)  # advance past the seed state
-        clone = roundtrip(generator)
+        with pytest.raises(WireEncodeError, match="Generator"):
+            encode_value(generator)
+        clone = restore_generator(roundtrip(generator.bit_generator.state))
         # State dicts may hold arrays (MT19937 keys): compare encoded bytes.
         assert encode_value(clone.bit_generator.state) \
             == encode_value(generator.bit_generator.state)
         assert np.array_equal(clone.standard_normal(16),
                               generator.standard_normal(16))
 
-    def test_dtype_and_scalar_type_objects(self):
-        assert roundtrip(np.dtype("float32")) == np.dtype("float32")
-        assert roundtrip(np.float64) is np.float64
+    def test_a_bit_generator_outside_numpys_table_is_refused(self):
+        state = np.random.default_rng(1).bit_generator.state
+        with pytest.raises(ValueError, match="bit-generator"):
+            restore_generator(dict(state, bit_generator="os.system"))
+
+    def test_type_objects_have_no_encoding(self):
+        with pytest.raises(WireEncodeError):
+            encode_value(np.float64)
 
 
 class TestCodecObjects:
-    def test_frozen_dataclass_instances(self):
-        item = WeightedItem(element=("k", 1), weight=2.5, site=3)
-        result = roundtrip(item)
-        assert result == item and type(result) is WeightedItem
+    @pytest.mark.parametrize("value", [
+        WeightedItem(element=("k", 1), weight=2.5, site=3),
+        WeightedItemBatch.from_pairs([("a", 1.0), ("b", 2.0)], sites=[0, 1]),
+        MatrixRowBatch(values=np.eye(3)),
+        CommunicationLog(),
+        ValueError("boom"),
+    ], ids=["dataclass", "item batch", "row batch", "log", "exception"])
+    def test_objects_have_no_encoding(self, value):
+        with pytest.raises(WireEncodeError, match="plain data"):
+            encode_value(value)
 
-    def test_columnar_batches(self):
-        batch = WeightedItemBatch.from_pairs([("a", 1.0), ("b", 2.0)],
-                                             sites=[0, 1])
-        result = roundtrip(batch)
-        assert np.array_equal(result.elements, batch.elements)
-        assert np.array_equal(result.weights, batch.weights)
-        assert np.array_equal(result.sites, batch.sites)
-        rows = MatrixRowBatch(values=np.eye(3))
-        assert np.array_equal(roundtrip(rows).values, rows.values)
-
-    def test_stateful_state_dict_with_class_tags(self):
+    def test_the_message_log_declares_its_state(self):
         log = CommunicationLog(keep_records=True)
         log.record(Direction.SITE_TO_COORDINATOR, MessageKind.VECTOR, 2, site=1)
-        state = roundtrip(log.get_state())
-        assert state["cls"] is CommunicationLog
-        clone = restore_object(state)
-        assert clone.as_dict() == log.as_dict()
-        assert clone.records == log.records
-
-    def test_network_roundtrip(self):
-        network = Network(num_sites=3, keep_records=True)
+        log.record(Direction.COORDINATOR_TO_SITE, MessageKind.BROADCAST, 3)
+        clone = CommunicationLog(keep_records=True)
+        clone.load_state_dict(roundtrip(log.state_dict()))
+        assert vars(clone) == vars(log)
+        network = Network(num_sites=3)
         network.send_vector(0, units=2)
         network.broadcast()
-        clone = restore_object(roundtrip(network.get_state()))
-        assert clone.message_counts() == network.message_counts()
+        twin = Network(num_sites=3)
+        twin.log.load_state_dict(roundtrip(network.log.state_dict()))
+        assert twin.message_counts() == network.message_counts()
 
-    def test_exceptions_roundtrip_as_reports(self):
-        builtin = roundtrip(ValueError("boom", 3))
-        assert type(builtin) is ValueError and builtin.args == ("boom", 3)
-        ours = roundtrip(BackendError("shard died"))
+    def test_error_replies_name_a_type_from_the_closed_table(self):
+        def through_a_reply(error):
+            status, value, _ = unpack_reply(encode_reply("error", error))
+            assert status == "error"
+            return value
+
+        builtin = through_a_reply(ValueError("boom"))
+        assert type(builtin) is ValueError and builtin.args == ("boom",)
+        ours = through_a_reply(BackendError("shard died"))
         assert type(ours) is BackendError and ours.args == ("shard died",)
-        foreign = roundtrip(np.linalg.LinAlgError("singular"))
-        assert isinstance(foreign, RuntimeError)
-        assert "singular" in str(foreign)
-        odd_args = roundtrip(ValueError(object()))
-        assert isinstance(odd_args, ValueError)  # args degraded to repr
+        foreign = through_a_reply(np.linalg.LinAlgError("singular"))
+        assert type(foreign) is RuntimeError
+        assert str(foreign) == "LinAlgError: singular"
+        several = through_a_reply(KeyError("key"))
+        assert type(several) is KeyError and several.args == ("'key'",)
 
 
 class TestDecodeHardening:
-    def test_foreign_class_refused_on_encode(self):
-        class Local:  # a <locals> class can never resolve remotely
+    def test_foreign_objects_refused_on_encode(self):
+        class Local:
             pass
 
-        with pytest.raises(WireEncodeError):
-            encode_value(Local())
         import collections
-        with pytest.raises(WireEncodeError, match="only repro"):
-            encode_value(collections.deque([1]))
-
-    def test_foreign_function_refused_on_encode(self):
         import os
-        with pytest.raises(WireEncodeError, match="only repro"):
-            encode_value(os.system)
+        for value in (Local(), Local, collections.deque([1]), os.system):
+            with pytest.raises(WireEncodeError, match="plain data"):
+                encode_value(value)
 
-    def test_hostile_reference_refused_on_decode(self):
-        # Hand-craft an OBJECT payload naming a non-repro class.
-        from repro.wire.codec import _Encoder
-        encoder = _Encoder()
-        encoder.out.append(0x15)          # OBJECT tag
-        encoder._str("os:environ")
-        encoder._varint(0)
-        with pytest.raises(WireDecodeError, match="only reference"):
-            decode_value(bytes(encoder.out))
-
-    def test_allowlist_not_bypassable_via_attribute_traversal(self):
-        """`repro.api.session:os.system` must NOT resolve: the walk may not
-        step through a repro module into a foreign module it imported, and
-        the resolved object must be *defined* in an allowed module."""
-        from repro.wire.codec import resolve_qualified
-
-        for name in ("repro.api.session:os.system",
-                     "repro.wire.codec:importlib.import_module",
-                     "repro.cluster.backends:warnings.warn",
-                     "repro.api.state:Path.home"):
-            with pytest.raises(WireDecodeError, match="refusing"):
-                resolve_qualified(name)
+    @pytest.mark.parametrize("name, value", [
+        ("OBJECT", Obj("os:system", {"command": "true"})),
+        ("OBJECT", Obj("repro.api.tracker:Tracker", {})),
+        ("CLASS", Cls("os:system")),
+        ("CLASS", Cls("repro.streaming.network:Network")),
+        ("ENUM", Member("repro.streaming.network:MessageKind", "scalar")),
+        ("EXCEPTION", Error("os:system", ("true",))),
+        ("NPGENERATOR", Generator({"bit_generator": "PCG64"})),
+        ("NPTYPE", NpType("<f8")),
+        ("REF", Ref(0)),
+        ("NUMDICT", NumDict([1], [1.0])),
+    ])
+    def test_retired_tags_are_refused_by_name_and_import_nothing(
+            self, name, value):
+        modules = set(sys.modules)
+        payload = old_value([value])
+        for plain in (False, True):
+            with pytest.raises(WireDecodeError, match=f"wire tag {name} "):
+                decode_value(payload, plain=plain)
+        assert set(sys.modules) == modules
 
     def test_hostile_array_shapes_raise_wire_errors_not_memoryerror(self):
         from repro.wire.codec import _Encoder
@@ -314,24 +318,16 @@ class TestDecodeHardening:
     def test_malformed_payloads_never_leak_raw_exceptions(self):
         from repro.wire.codec import _Encoder
 
-        # A bad enum value (ValueError inside Enum.__call__).
+        # A bad dtype token is the decoder's error, not NumPy's.
         encoder = _Encoder()
-        encoder.out.append(0x16)          # ENUM tag
-        encoder._str("repro.streaming.network:MessageKind")
-        inner = encode_value("not-a-kind")
-        encoder.out += inner
-        with pytest.raises(WireDecodeError, match="malformed"):
-            decode_value(bytes(encoder.out))
-        # A bad dtype token.
-        encoder = _Encoder()
-        encoder.out.append(0x19)          # DTYPE tag
+        encoder.out.append(0x0F)          # ARRAY tag
         encoder._str("definitely-not-a-dtype")
         with pytest.raises(WireDecodeError, match="dtype"):
             decode_value(bytes(encoder.out))
 
     def test_functions_have_no_encoding(self):
         """Functions do not travel: encoding one fails, and the tag that
-        once named one by qualified name (0x14) is an unknown tag."""
+        once named one by qualified name (0x14) is refused by name."""
         from repro.api.state import save_tracker
 
         for function in (save_tracker, _shard_ingest, len):
@@ -340,7 +336,7 @@ class TestDecodeHardening:
         name = b"repro.api.state:save_tracker"
         for plain in (False, True):
             with pytest.raises(WireDecodeError,
-                               match="unknown wire tag 0x14"):
+                               match=r"wire tag FUNCTION \(0x14\)"):
                 decode_value(b"\x14" + bytes([len(name)]) + name,
                              plain=plain)
 
@@ -572,9 +568,9 @@ class TestPlainData:
 
 # ---------------------------------------------- per-spec state round-trips
 class TestStateRoundTripEverySpec:
-    """``encode_state``/``decode_state`` mid-stream is bit-identical for
-    every registered spec: continued answers, message accounting and RNG
-    states all match a protocol that was never encoded."""
+    """``tracker_frame``/``tracker_from_frame`` mid-stream is bit-identical
+    for every registered spec: continued answers, message accounting and
+    RNG states all match a protocol that was never encoded."""
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("spec", sorted(HH_SPECS))
@@ -588,10 +584,7 @@ class TestStateRoundTripEverySpec:
                                  batch[begin:begin + CHUNK])
             clone.push_batch(sites[begin:begin + CHUNK],
                              batch[begin:begin + CHUNK])
-        restored = repro.Tracker(
-            decode_state(encode_state(clone.protocol)),
-            spec=spec, chunk_size=CHUNK,
-        )
+        restored = tracker_from_frame(tracker_frame(clone))
         for begin in range(half, len(batch), CHUNK):
             stop = min(begin + CHUNK, len(batch))
             reference.push_batch(sites[begin:stop], batch[begin:stop])
@@ -615,10 +608,7 @@ class TestStateRoundTripEverySpec:
                                  batch[begin:begin + CHUNK])
             clone.push_batch(sites[begin:begin + CHUNK],
                              batch[begin:begin + CHUNK])
-        restored = repro.Tracker(
-            decode_state(encode_state(clone.protocol)),
-            spec=spec, chunk_size=CHUNK,
-        )
+        restored = tracker_from_frame(tracker_frame(clone))
         for begin in range(half, len(batch), CHUNK):
             stop = min(begin + CHUNK, len(batch))
             reference.push_batch(sites[begin:stop], batch[begin:stop])
@@ -636,10 +626,13 @@ class TestStateRoundTripEverySpec:
         assert ours.error_bound == theirs.error_bound
 
     def test_state_frame_kind_checked(self):
+        from repro.api import CheckpointError
+
         tracker = repro.Tracker.create("hh/P1", num_sites=2, epsilon=0.5)
-        frame = encode_state(tracker.protocol)
-        with pytest.raises(WireDecodeError, match="expected"):
-            decode_state(frame, kind="repro/other")
+        frame = pack_frame("repro/other", {"version": 2})
+        with pytest.raises(CheckpointError, match="repro/tracker-payload"):
+            tracker_from_frame(frame)
+        assert tracker_from_frame(tracker_frame(tracker)).spec == "hh/P1"
 
 
 class TestFrameKindHardening:
@@ -806,71 +799,21 @@ class TestSectionedFrames:
         assert len(section) == gram.nbytes
         _same_bits(decoded["g"], gram)
 
-    def test_shared_array_decodes_to_one_owned_object(self):
+    def test_shared_array_decodes_to_owned_copies(self):
         array = _noisy(300)
         _, decoded = _compressed_roundtrip({"a": array, "b": [array]})
-        assert decoded["a"] is decoded["b"][0]
+        assert decoded["a"] is not decoded["b"][0]
+        _same_bits(decoded["b"][0], array)
         assert decoded["a"].flags.owndata
         decoded["a"][0] = 1.0  # writable, and not a view of the frame
+        _same_bits(decoded["b"][0], array)
 
     def test_uncompressed_frames_do_not_change(self):
         value = {"a": _noisy(300), "d": {1: 2.0, 3: 4.0}}
         frame = pack_frame("repro/test", value)
         assert _frame_header(frame) == (WIRE_BASE_VERSION, 0)
-        # The body is the ordinary encoding: no section, no numeric dict.
+        # The body is the ordinary encoding: no section.
         assert frame[10 + len("repro/test") + 8:-4] == encode_value(value)
-
-    # --------------------------------------------------------- numeric dicts
-    @pytest.mark.parametrize("key_type", [int, np.int64])
-    @pytest.mark.parametrize("value_type", [float, np.float64])
-    def test_numeric_dicts_keep_types_and_order(self, key_type, value_type):
-        keys = [5, -3, (1 << 63) - 1, -(1 << 63), 0] + list(range(10, 400))
-        values = [np.inf, np.nan, -0.0, -np.inf, 1.5] + [0.25 * k for k in
-                                                        range(10, 400)]
-        value = {key_type(k): value_type(v) for k, v in zip(keys, values)}
-        frame, decoded = _compressed_roundtrip({"d": value})
-        assert _frame_header(frame)[0] == WIRE_VERSION
-        assert list(decoded["d"]) == list(value)
-        assert [type(k) for k in decoded["d"]] == [key_type] * len(value)
-        assert [type(v) for v in decoded["d"].values()] == \
-            [value_type] * len(value)
-        assert (np.array(list(decoded["d"].values())).tobytes()
-                == np.array(list(value.values())).tobytes())
-
-    def test_small_numeric_dict_uses_the_tag_without_a_section(self):
-        value = {np.int64(3): 1.0, np.int64(1): 2.0}
-        frame, decoded = _compressed_roundtrip({"d": value, "pad": "x" * 200})
-        assert _frame_header(frame) == (WIRE_VERSION, 0x0001)
-        assert decoded["d"] == value
-        assert list(decoded["d"]) == list(value)
-        assert type(next(iter(decoded["d"]))) is np.int64
-
-    @pytest.mark.parametrize("name, value", [
-        ("bool keys", {True: 1.0, False: 2.0}),
-        ("keys beyond int64", {1 << 63: 1.0, 2: 2.0}),
-        ("mixed key types", {1: 1.0, np.int64(2): 2.0}),
-        ("mixed value types", {1: 1.0, 2: np.float64(2.0)}),
-        ("int values", {1: 1, 2: 2}),
-        ("str keys", {"a": 1.0}),
-        ("empty", {}),
-    ])
-    def test_other_dicts_fall_back_to_the_ordinary_encoding(self, name,
-                                                            value):
-        assert encode_value(value, numeric_dicts=True) == encode_value(value)
-        _, decoded = _compressed_roundtrip({"d": value})
-        assert list(decoded["d"].items()) == list(value.items())
-        assert [type(k) for k in decoded["d"]] == [type(k) for k in value]
-
-    def test_shared_numeric_dict_stays_one_object(self):
-        shared = {1: 0.5, 2: 1.5}
-        _, decoded = _compressed_roundtrip({"a": shared, "b": [shared]})
-        assert decoded["a"] is decoded["b"][0]
-        assert decoded["a"] == shared
-
-    def test_the_plain_encoder_never_writes_the_tag(self):
-        value = {"d": {1: 0.5}}
-        assert encode_value(value, plain=True, numeric_dicts=True) == \
-            encode_value(value, plain=True)
 
     # -------------------------------------------------------- hostile input
     @pytest.mark.parametrize("shape, reference, phrase", [
@@ -928,22 +871,6 @@ class TestSectionedFrames:
         bare = _sectioned_frame(encode_value(None))
         with pytest.raises(WireDecodeError, match="sectioned"):
             unpack_frame(bare, plain=True)
-        tagged = encode_value({"d": {1: 0.5}}, numeric_dicts=True)
-        with pytest.raises(WireDecodeError, match="wire tag NUMDICT"):
-            decode_value(tagged, plain=True)
-
-    @pytest.mark.parametrize("tail", [
-        b"\x04" + b"\x0f\x03<i8\x01\x01\x08" + bytes(8)
-        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
-        b"\x00" + b"\x0f\x03<i8\x01\x02\x10" + bytes(16)
-        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
-        b"\x00" + b"\x0f\x03<f8\x01\x01\x08" + bytes(8)
-        + b"\x0f\x03<f8\x01\x01\x08" + bytes(8),
-        b"\x00" + b"\x00" + b"\x00",
-    ], ids=["unknown flags", "length mismatch", "float keys", "not arrays"])
-    def test_malformed_numeric_dicts_refused(self, tail):
-        with pytest.raises(WireDecodeError, match="numeric dict"):
-            decode_value(b"\x1d" + tail)
 
 
 # ------------------------------------------------------------ ingest frames
@@ -1009,13 +936,14 @@ class TestIngestFrames:
         frame = encode_submit(_shard_ingest, (sites, batch), seq=4)
         assert frame == encode_ingest(sites, batch, seq=4)
         assert frame[10:10 + len(INGEST_KIND)] == INGEST_KIND.encode()
-        # The generic form still encodes and decodes the same function.
+        # The generic form still encodes the same function, with the batch
+        # as its columns: frames carry no objects.
         generic = encode_command("submit", _shard_ingest, (batch,), seq=4)
         assert generic[10:10 + len(COMMAND_KIND) + 7] == (
             f"{COMMAND_KIND}:submit".encode())
         op, fn, (decoded,), seq = decode_command(generic)
         assert (op, fn, seq) == ("submit", _shard_ingest, 4)
-        assert np.array_equal(decoded.values, batch.values)
+        assert np.array_equal(decoded["values"], batch.values)
 
     def test_layout_of_a_one_row_push(self):
         row = MatrixRowBatch(values=np.arange(3.0).reshape(1, 3))
@@ -1096,3 +1024,51 @@ class TestIngestFrames:
         body = _ingest_body([_sites(2), _rows(2, 3)]) + b"\x00"
         with pytest.raises(WireDecodeError, match="trailing"):
             decode_command(pack_raw_frame(INGEST_KIND, body))
+
+
+# ------------------------------------------------- hostile names in files
+class TestHostileNamesInCheckpoints:
+    """A checkpoint file carrying the retired object tags — naming a repro
+    class and ``os:system`` — is refused, imports nothing and builds no
+    repro object."""
+
+    HOSTILE_DATA = {
+        "_network": Obj("os:system", {"command": "true"}),
+        "_sites": [Obj("repro.api.tracker:Tracker", {})],
+        "_kind": Member("repro.streaming.network:MessageKind", "scalar"),
+        "_error": Error("os:system", ("true",)),
+        "_class": Cls("repro.streaming.network:Network"),
+    }
+
+    @pytest.mark.parametrize("protocol_class", [
+        "os:system",
+        "repro.api.tracker:Tracker",
+        # A class whose version-1 layout converts: its data is still only
+        # read as names, and fails to convert.
+        "repro.heavy_hitters.p2_threshold:ThresholdedUpdatesProtocol",
+    ])
+    def test_refused_with_nothing_imported_or_built(self, tmp_path,
+                                                    monkeypatch,
+                                                    protocol_class):
+        import repro.api.legacy  # noqa: F401 - the reader itself may load
+        from repro.api import CheckpointError
+        from repro.streaming.network import Network as LiveNetwork
+        from repro.streaming.protocol import DistributedProtocol
+
+        from old_format import old_state, old_tracker_checkpoint
+
+        built = []
+        for cls in (repro.Tracker, DistributedProtocol, LiveNetwork):
+            original = cls.__init__
+            monkeypatch.setattr(cls, "__init__",
+                                lambda self, *a, __init=original, **k: (
+                                    built.append(type(self)),
+                                    __init(self, *a, **k))[1])
+        path = tmp_path / "hostile.ckpt"
+        path.write_bytes(old_tracker_checkpoint(
+            old_state(protocol_class, 1, dict(self.HOSTILE_DATA))))
+        modules = set(sys.modules)
+        with pytest.raises(CheckpointError):
+            repro.Tracker.load(path)
+        assert set(sys.modules) == modules
+        assert built == []

@@ -10,6 +10,10 @@ changes bump ``CHECKPOINT_VERSION``/``WIRE_VERSION`` and regenerate the
 fixtures via ``tests/fixtures/make_golden.py`` (committing new files *next
 to* the old ones when the old version remains loadable).
 
+The v1 fixtures are in the retired object format (checkpoint version 1):
+:mod:`repro.api.legacy` converts their two layouts.  The current-version
+fixtures (``golden["current"]``) pin the declared format the same way.
+
 ``matrix_p2_v2.ckpt`` and ``matrix_p2_v3.ckpt`` pin the opposite:
 ``matrix/P2`` state layouts that later builds retired, which every build
 since must refuse, naming the class, rather than resume.
@@ -20,7 +24,6 @@ draws, Frobenius accumulation), so exact float equality is portable.
 
 from __future__ import annotations
 
-import copy
 import json
 from pathlib import Path
 
@@ -29,10 +32,12 @@ import pytest
 
 import repro
 from repro.api import FrobeniusSquared, HeavyHitters, TotalWeight
-from repro.api.state import CHECKPOINT_VERSION, CheckpointError, tracker_payload
+from repro.api.state import CheckpointError, tracker_frame
 from repro.matrix_tracking import DeterministicDirectionProtocol
-from repro.utils.stateio import StateError, restore_object
 from repro.wire import is_wire_data, pack_frame, unpack_frame, write_frame
+from repro.wire.frames import pack_raw_frame, unpack_raw_frame
+
+from old_format import old_state, old_tracker_checkpoint
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -91,98 +96,86 @@ def test_matrix_golden_checkpoint_loads_and_answers_exactly(golden):
     assert frobenius.error_bound == record["frobenius_error_bound"]
 
 
+@pytest.mark.parametrize("domain", ["hh", "matrix"])
+def test_compressed_version_1_fixtures_convert_to_the_same_state(golden,
+                                                                 domain):
+    """``*_v1_compressed.ckpt`` hold the v1 fixtures' sessions as the last
+    build of the object format (``1178b4f``) saved them with
+    ``compress=True``: a deflated tree, hh/P2's deltas as numeric dicts.
+    They convert to exactly the state of the uncompressed fixtures."""
+    plain = FIXTURES / golden[domain]["file"]
+    compressed = plain.with_name(plain.stem + "_compressed.ckpt")
+    assert compressed.read_bytes()[4] == 2  # a version-2 frame
+    assert tracker_frame(repro.Tracker.load(compressed)) == \
+        tracker_frame(repro.Tracker.load(plain))
+
+
+def test_current_fixtures_load_and_answer_exactly(golden):
+    """The fixtures of this build's format pass the same checks."""
+    current = golden["current"]
+    for record in (current["hh"], current["matrix"]):
+        assert (FIXTURES / record["file"]).read_bytes()[:4] == b"RPW1"
+    test_hh_golden_checkpoint_loads_and_answers_exactly(current)
+    test_hh_golden_checkpoint_resumes_ingestion(current)
+    test_matrix_golden_checkpoint_loads_and_answers_exactly(current)
+
+
 def test_versions_recorded_match_this_build(golden):
     from repro.api.state import CHECKPOINT_VERSION
     from repro.wire import WIRE_BASE_VERSION, WIRE_VERSION
 
-    # When either version bumps, regenerate fixtures for the new version
-    # and keep this file asserting the OLD files still load (or document
-    # the migration); failing here forces that decision to be explicit.
-    assert golden["checkpoint_version"] == CHECKPOINT_VERSION
+    # The top-level records are the version-1 (object format) fixtures,
+    # read by repro.api.legacy; "current" holds this build's.  When either
+    # version bumps, regenerate "current" and keep the older files loading
+    # (or document the migration): failing here forces that decision.
+    assert golden["checkpoint_version"] == 1
+    assert golden["current"]["checkpoint_version"] == CHECKPOINT_VERSION
     # The fixtures are written uncompressed on purpose, so they stay at the
     # base wire version: their job is to pin forward-loadability of plain
     # version-1 frames under every newer build (which may itself write
     # compressed version-2 frames by default).
-    assert WIRE_BASE_VERSION <= golden["wire_version"] <= WIRE_VERSION
+    for record in (golden, golden["current"]):
+        assert WIRE_BASE_VERSION <= record["wire_version"] <= WIRE_VERSION
 
 
-@pytest.mark.parametrize("spec, params", [
-    ("hh/P3wr", {"num_samplers": 4, "seed": 0}),
-    ("matrix/P3wr", {"dimension": 3, "num_samplers": 4, "seed": 0}),
-    ("matrix/P1", {"dimension": 3}),
-    ("matrix/P4", {"dimension": 3, "seed": 0}),
+@pytest.mark.parametrize("name, version", [
+    # Layouts of a shared core that later moved (P3wr's sampler slots, the
+    # weight rounds of matrix P1 and P4), P2's row residual, a layout that
+    # converts at another version, and a class that has no layout at all.
+    ("repro.heavy_hitters.p3_sampling:WithReplacementSamplingProtocol", 1),
+    ("repro.matrix_tracking.p3_sampling:WithReplacementMatrixSamplingProtocol",
+     1),
+    ("repro.matrix_tracking.p1_batched_fd:BatchedFrequentDirectionsProtocol",
+     1),
+    ("repro.matrix_tracking.p4_singular_directions:"
+     "SingularDirectionUpdateProtocol", 1),
+    ("repro.matrix_tracking.p2_deterministic:DeterministicDirectionProtocol",
+     1),
+    ("repro.heavy_hitters.p2_threshold:ThresholdedUpdatesProtocol", 2),
+    ("repro.api.tracker:Tracker", 1),
 ])
-def test_version_1_with_replacement_sampling_state_is_refused(spec, params):
-    """States captured before a class's layout moved to a shared module
-    (state version 1) must fail loudly, naming the class, never resume.
-    For P3wr the sampler slots and exact-mode bookkeeping moved to
-    ``streaming/priority_sampling.py``; the without-replacement classes
-    kept their layout and version — ``matrix_p3_v1.ckpt`` above still
-    loads.  For ``matrix/P1`` and ``matrix/P4`` the weight rounds moved to
-    ``streaming/weight_rounds.py`` under the heavy-hitter names (and P4's
-    site covariance and basis became column energies)."""
-    protocol = repro.create(spec, num_sites=2, epsilon=0.5, **params)
-    state = protocol.get_state()
-    assert state["state_version"] == 2
-    state["state_version"] = 1
-    with pytest.raises(StateError, match=type(protocol).__name__):
-        restore_object(state)
-
-
-def _p2_version_1(state):
-    """A ``matrix/P2`` state as version 1 captured it: each site residual
-    kept as its rows (the light directions plus the rows since)."""
-    state = dict(state, state_version=1)
-    state["component_versions"] = tuple(
-        (cls, 1 if cls is DeterministicDirectionProtocol else version)
-        for cls, version in state["component_versions"])
-    data = copy.deepcopy(state["data"])
-    for site in data["_sites"]:
-        rows = site.pending[:site.filled]
-        site.__dict__ = {"dimension": rows.shape[1], "rows": [rows],
-                         "norm_since_scalar": site.norm_since_scalar,
-                         "top_bound": site.top_bound}
-    state["data"] = data
-    return state
+def test_version_1_states_outside_the_converted_layouts_are_refused(
+        tmp_path, name, version):
+    """Only ``hh/P2``'s and ``matrix/P3``'s version-1 layouts convert;
+    every other old state fails loudly, naming its class, and never
+    resumes."""
+    path = tmp_path / "old.ckpt"
+    path.write_bytes(old_tracker_checkpoint(old_state(name, version, {})))
+    with pytest.raises(CheckpointError, match=name.rpartition(":")[2]):
+        repro.Tracker.load(path)
 
 
 def _refusal_cause(excinfo):
-    """The ``StateError`` behind a refusal, wherever it was wrapped."""
+    """The ``CheckpointError`` behind a refusal, wherever it was wrapped."""
     error = excinfo.value
-    while error is not None and not isinstance(error, StateError):
+    while error is not None and not isinstance(error, CheckpointError):
         error = error.__cause__
     return error
 
 
-def test_version_1_p2_row_residual_is_refused(tmp_path):
-    """Version-1 ``matrix/P2`` states keep each site residual as rows; this
-    build keeps a ``d × d`` Gram.  There is no conversion: such a state fails
-    loudly, naming the class — loaded directly, through ``Tracker.load`` and
-    inside a cluster checkpoint — and never resumes."""
-    name = DeterministicDirectionProtocol.__name__
-    rows = np.arange(12.0).reshape(4, 3)
-    tracker = repro.Tracker.create("matrix/P2", num_sites=2, dimension=3,
-                                   epsilon=0.5)
-    tracker.push_batch([0, 1, 0, 1], rows)
-    state = tracker.protocol.get_state()
-    assert state["state_version"] == 4
-    with pytest.raises(StateError, match=name):
-        restore_object(_p2_version_1(state))
-
-    payload = tracker_payload(tracker)
-    payload["protocol"] = _p2_version_1(payload["protocol"])
-    payload["version"] = CHECKPOINT_VERSION
-    write_frame(tmp_path / "tracker.ckpt", "repro/tracker-checkpoint", payload)
-    with pytest.raises(CheckpointError, match=name) as refusal:
-        repro.Tracker.load(tmp_path / "tracker.ckpt")
-    assert name in str(_refusal_cause(refusal))
-
-    _assert_cluster_refuses(tmp_path / "cluster.ckpt", _p2_version_1)
-
-
-def _assert_cluster_refuses(path, protocol_state):
-    """Save a 2-shard ``matrix/P2`` cluster, replace every shard's protocol
-    state by ``protocol_state(state)``, and check the load names the class."""
+def _assert_cluster_refuses(path, fixture):
+    """Save a 2-shard ``matrix/P2`` cluster, replace every shard's payload
+    frame by the fixture's checkpoint, and check the load names the class."""
     name = DeterministicDirectionProtocol.__name__
     with repro.ShardedTracker.create("matrix/P2", shards=2, backend="serial",
                                      num_sites=2, dimension=3,
@@ -190,42 +183,32 @@ def _assert_cluster_refuses(path, protocol_state):
         cluster.push_batch(np.arange(12.0).reshape(4, 3))
         cluster.save(path)
     kind, checkpoint = unpack_frame(path.read_bytes())
-    shard_payloads = []
-    for frame in checkpoint["shard_payloads"]:
-        shard_kind, shard = unpack_frame(frame)
-        shard["protocol"] = protocol_state(shard["protocol"])
-        shard_payloads.append(pack_frame(shard_kind, shard))
-    checkpoint["shard_payloads"] = shard_payloads
+    body = unpack_raw_frame(fixture.read_bytes(), "repro/tracker-checkpoint")
+    checkpoint["shard_payloads"] = [
+        pack_raw_frame("repro/tracker-payload", bytes(body))
+        for _ in checkpoint["shard_payloads"]]
     write_frame(path, kind, checkpoint)
     with pytest.raises(CheckpointError, match=name) as refusal:
         repro.ShardedTracker.load(path)
     assert name in str(_refusal_cause(refusal))
 
 
-@pytest.mark.parametrize("fixture, version, retired", [
+@pytest.mark.parametrize("fixture, version", [
     # Version 2 kept the coordinator's ``B`` as a list of row arrays.
-    ("matrix_p2_v2.ckpt", 2,
-     lambda data: isinstance(data["_coordinator_rows"], list)),
+    ("matrix_p2_v2.ckpt", 2),
     # Version 3 named the rounds' estimate after the norm.
-    ("matrix_p2_v3.ckpt", 3, lambda data: "_estimated_norm" in data),
+    ("matrix_p2_v3.ckpt", 3),
 ])
-def test_version_2_p2_row_list_is_refused(tmp_path, fixture, version, retired):
+def test_version_2_p2_row_list_is_refused(tmp_path, fixture, version):
     """Each fixture was written by the last build of its ``matrix/P2``
-    state layout; this build keeps ``B`` as one array of the live rows and
-    the rounds under the heavy-hitter names.  There is no conversion: the
-    state fails loudly, naming the class — loaded directly, through
+    state layout, in the object format.  There is no conversion: the state
+    fails loudly, naming the class and its version — through
     ``Tracker.load`` and inside a cluster checkpoint — and never resumes."""
     name = DeterministicDirectionProtocol.__name__
     fixture = FIXTURES / fixture
-    _, payload = unpack_frame(fixture.read_bytes())
-    state = payload["protocol"]
-    assert state["state_version"] == version
-    assert retired(state["data"])
-    with pytest.raises(StateError, match=name):
-        restore_object(state)
-
-    with pytest.raises(CheckpointError, match=name) as refusal:
+    with pytest.raises(CheckpointError,
+                       match=f"{name} state version {version}") as refusal:
         repro.Tracker.load(fixture)
     assert name in str(_refusal_cause(refusal))
 
-    _assert_cluster_refuses(tmp_path / "cluster.ckpt", lambda _: state)
+    _assert_cluster_refuses(tmp_path / "cluster.ckpt", fixture)
