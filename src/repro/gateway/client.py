@@ -1,7 +1,9 @@
 """A small stdlib client for the serving gateway.
 
-:class:`GatewayClient` wraps one ``http.client`` keep-alive connection —
-cheap enough for load-testing loops — and speaks the gateway's document
+:class:`GatewayClient` holds one keep-alive HTTP/1.1 socket (TLS through
+``ssl_context``) and writes each request, headers and body, in one
+``sendall`` with ``TCP_NODELAY`` set — a one-row push is one TCP segment.
+It speaks the gateway's document
 vocabulary: ``push`` for ingest, ``query``/``typed_query`` for answers
 (the latter re-hydrating a real :class:`~repro.api.queries.Answer` via
 ``Answer.from_dict``), plus ``stats``/``healthz``/``metrics``/
@@ -20,7 +22,7 @@ request/response); concurrent load uses one client per thread.
 
 from __future__ import annotations
 
-import http.client
+import socket
 import ssl
 from collections import OrderedDict
 from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
@@ -97,7 +99,8 @@ class GatewayClient:
         #: Optional trace ID sent as ``X-Trace-Id`` on every request, so a
         #: whole client session correlates in the gateway/worker logs.
         self._trace_id = trace_id
-        self._conn: Optional[http.client.HTTPConnection] = None
+        self._sock: Optional[socket.socket] = None
+        self._reader: Any = None  # buffered reader over ``_sock``
         # Conditional-GET plumbing: parsed query documents are remembered
         # per (method, path, body) with the gateway's ETag; repeats send
         # ``If-None-Match`` and a 304 re-serves the remembered document.
@@ -107,21 +110,20 @@ class GatewayClient:
         self.not_modified = 0
 
     # ---------------------------------------------------------- plumbing
-    def _connection(self) -> http.client.HTTPConnection:
-        if self._conn is None:
-            if self._https:
-                self._conn = http.client.HTTPSConnection(
-                    self._host, self._port, timeout=self._timeout,
-                    context=self._ssl_context)
-            else:
-                self._conn = http.client.HTTPConnection(
-                    self._host, self._port, timeout=self._timeout)
-        return self._conn
+    def _connect(self) -> None:
+        sock = socket.create_connection((self._host, self._port),
+                                        timeout=self._timeout)
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        if self._https:
+            context = self._ssl_context or ssl.create_default_context()
+            sock = context.wrap_socket(sock, server_hostname=self._host)
+        self._sock, self._reader = sock, sock.makefile("rb")
 
     def close(self) -> None:
-        if self._conn is not None:
-            self._conn.close()
-            self._conn = None
+        if self._sock is not None:
+            self._reader.close()
+            self._sock.close()
+            self._sock = self._reader = None
 
     def __enter__(self) -> "GatewayClient":
         return self
@@ -137,29 +139,52 @@ class GatewayClient:
         Response header names come back lower-cased (the gateway's own
         request-header convention).
         """
-        headers = {"Content-Type": WIRE_TYPE, "Accept": WIRE_TYPE}
+        host = f"[{self._host}]" if ":" in self._host else self._host
+        headers = {"Host": f"{host}:{self._port}", "Content-Type": WIRE_TYPE,
+                   "Accept": WIRE_TYPE}
         if self._trace_id is not None:
             headers["X-Trace-Id"] = self._trace_id
         if self._auth_token is not None:
             headers["Authorization"] = f"Bearer {self._auth_token}"
         if extra_headers:
             headers.update(extra_headers)
+        if body is not None:
+            headers["Content-Length"] = str(len(body))
+        head = "".join(f"{name}: {value}\r\n" for name, value in headers.items())
+        message = f"{method} {path} HTTP/1.1\r\n{head}\r\n".encode(
+            "latin-1") + (body or b"")
         for attempt in (0, 1):
-            conn = self._connection()
             try:
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                data = response.read()
-                break
-            except (http.client.HTTPException, ConnectionError, OSError):
+                if self._sock is None:
+                    self._connect()
+                self._sock.sendall(message)
+                return self._read_response()
+            except (OSError, ValueError):  # ValueError: a garbled response
                 # A dropped keep-alive connection (gateway restart, idle
                 # reap) gets one clean reconnect; a live failure re-raises.
                 self.close()
                 if attempt:
                     raise
-        response_headers = {name.lower(): value
-                            for name, value in response.getheaders()}
-        return response.status, response_headers, data
+
+    def _read_response(self) -> Tuple[int, Dict[str, str], bytes]:
+        """Status line, headers, then exactly ``Content-Length`` body bytes
+        (up to EOF without one); closes the socket if the gateway will."""
+        status_line = self._reader.readline(65537)
+        if not status_line:
+            raise ConnectionResetError("the gateway closed the connection")
+        status, headers = int(status_line[9:12]), {}  # b"HTTP/1.1 200 OK"
+        while (line := self._reader.readline(65537)).strip():
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        length = 0 if status in (204, 304) \
+            else int(headers.get("content-length", -1))
+        data = self._reader.read(length)  # a negative length reads to EOF
+        if len(data) < length:
+            raise ConnectionResetError("response shorter than its "
+                                       "Content-Length")
+        if length < 0 or headers.get("connection", "").lower() == "close":
+            self.close()
+        return status, headers, data
 
     def request(self, method: str, path: str,
                 payload: Optional[Any] = None) -> Any:

@@ -23,9 +23,9 @@ go through the same validation, and a request that asks for nothing gets
 JSON.
 
 **Concurrency model.**  The asyncio event loop only parses HTTP and
-renders small documents; every touch of the tracker happens on executor
-threads, and a query's answer is encoded in the executor job that
-computed it.
+renders small documents; the tracker is touched on executor threads (but
+see ``_enqueue_push`` for one-item pushes), and a query's answer is encoded
+in the executor job that computed it.
 All *writes* (push, checkpoint, shard moves, stats) funnel through a
 single-thread executor — the writer queue — so the transport order of
 ingest batches is deterministic: batches hit the backend in exactly the
@@ -341,11 +341,6 @@ def _etag_matches(header: Optional[str], etag: str) -> bool:
     return etag in (tag.strip() for tag in header.split(","))
 
 
-async def _already_done(value: Any) -> Any:
-    """Wrap an immediately-available result as the awaitable ``_route`` returns."""
-    return value
-
-
 def _merge_push_group(group: List[_QueuedPush]
                       ) -> Tuple[Any, Optional[np.ndarray]]:
     """Concatenate a run of queued pushes into one columnar batch.
@@ -483,6 +478,9 @@ class Gateway:
         # one thread, in event-loop submission order.
         self._writer = ThreadPoolExecutor(
             max_workers=1, thread_name_prefix="repro-gateway-writer")
+        # Writer jobs queued or running = submitted - finished; one thread
+        # writes each count (the loop, the writer), so no update is lost.
+        self._writer_submitted = self._writer_finished = 0
         # Parsed pushes waiting for the writer thread; adjacent compatible
         # entries coalesce into one dispatch (bounded below).
         self._push_queue: "deque[_QueuedPush]" = deque()
@@ -686,8 +684,9 @@ class Gateway:
         try:
             self._check_auth(request)
             handler = self._route(request)
-            payload = await asyncio.wait_for(handler,
-                                             timeout=self._request_timeout)
+            # A payload already at hand skips the deadline's timer.
+            payload = handler if isinstance(handler, (dict, _RawResponse)) \
+                else await asyncio.wait_for(handler, self._request_timeout)
             if isinstance(payload, _RawResponse):
                 headers = dict(trace_headers)
                 headers.update(payload.headers)
@@ -730,7 +729,9 @@ class Gateway:
                             headers={"WWW-Authenticate": "Bearer"})
 
     # ---------------------------------------------------------------- routes
-    def _route(self, request: Request) -> Awaitable[Any]:
+    def _route(self, request: Request) -> Any:
+        """The request's payload: an awaitable, or a payload already at
+        hand (an inline push's ack, a 304)."""
         path = request.path
         route = "/v1/query/" if path.startswith("/v1/query/") else path
         allowed = _ROUTE_METHODS.get(route)
@@ -776,11 +777,21 @@ class Gateway:
 
         return bound
 
+    def _writer_job(self, fn: Callable[[], Any]) -> Any:
+        """Run ``fn`` on the writer; the loop counted it when it submitted."""
+        try:
+            return fn()
+        finally:
+            self._writer_finished += 1
+
     def _run_write(self, fn: Callable[[], Any]) -> Awaitable[Any]:
-        loop = asyncio.get_running_loop()
-        return loop.run_in_executor(self._writer, self._with_trace(fn))
+        self._writer_submitted += 1
+        return asyncio.get_running_loop().run_in_executor(
+            self._writer, self._writer_job, self._with_trace(fn))
 
     def _run_read(self, fn: Callable[[], Any]) -> Awaitable[Any]:
+        if self._reader is self._writer:
+            return self._run_write(fn)
         loop = asyncio.get_running_loop()
         return loop.run_in_executor(self._reader, self._with_trace(fn))
 
@@ -810,10 +821,10 @@ class Gateway:
             merge_snapshots(self._tracker.metrics_snapshot()))
 
     def _do_stats(self) -> Dict[str, Any]:
-        return _jsonify(dataclasses.asdict(self._tracker.stats()))
+        return _jsonify(self._tracker.stats())
 
     # ------------------------------------------------------------------ push
-    def _push(self, request: Request) -> Awaitable[Any]:
+    def _push(self, request: Request) -> Any:
         """Validate one push — whichever its body's representation — and
         queue it: the checks below are all that stand before the tracker."""
         body = request.document()
@@ -828,22 +839,32 @@ class Gateway:
         return self._enqueue_push(batch, site_ids, count, len(request.body))
 
     def _enqueue_push(self, batch: Any, site_ids: Optional[np.ndarray],
-                      count: int, nbytes: int) -> "asyncio.Future":
-        """Queue one parsed push for the writer thread and return its ack.
+                      count: int, nbytes: int) -> Any:
+        """Apply or queue one parsed push; return its ack or a future of it.
 
-        Every enqueue also submits a drain job to the single-writer
-        executor; whichever drain job runs first dispatches the whole
-        pending run of compatible pushes as one ``push_batch``, and later
-        jobs find an empty queue.  Queue order is event-loop arrival
-        order, so the transport order of batches stays deterministic.
+        A one-item push that finds the writer idle (no job queued or
+        running, no push queued) is applied here on the event loop: its
+        work is tens of µs, less than the hop to the writer and back.  Any
+        other push queues and submits a drain job to the writer; the first
+        drain job to run dispatches the pending run of compatible pushes as
+        one ``push_batch``, later ones find an empty queue.  Either way one
+        writer at a time applies pushes in event-loop arrival order.
+        Trade-off: a socket shard that heals inside an inline push stalls
+        the loop, so not even loop-served responses (304, 404, 401) flow
+        meanwhile; a queued push heals on the writer thread instead.
         """
+        if count == 1 and self._writer_submitted == self._writer_finished \
+                and not self._push_queue:
+            self._do_push(batch, site_ids)
+            return {"accepted": 1}
         loop = asyncio.get_running_loop()
         entry = _QueuedPush(
             batch=batch, site_ids=site_ids, count=count, nbytes=nbytes,
             future=loop.create_future(), loop=loop, trace=current_trace_id())
         with self._push_lock:
             self._push_queue.append(entry)
-        self._writer.submit(self._drain_pushes)
+        self._writer_submitted += 1
+        self._writer.submit(self._writer_job, self._drain_pushes)
         return entry.future
 
     def _coalescible(self, head: _QueuedPush, nxt: _QueuedPush,
@@ -911,7 +932,7 @@ class Gateway:
             self._tracker.run(batch, query_at_end=False)
 
     # --------------------------------------------------------------- queries
-    def _query(self, request: Request, kind: str) -> Awaitable[Any]:
+    def _query(self, request: Request, kind: str) -> Any:
         builder = QUERY_KINDS.get(kind)
         if builder is None:
             raise HttpError(404, f"unknown query kind {kind!r}; one of: "
@@ -932,8 +953,8 @@ class Gateway:
             if etag is not None and _etag_matches(validators, etag):
                 if REGISTRY.enabled:
                     _NOT_MODIFIED.inc(route=_route_label(request.path))
-                return _already_done(_RawResponse(
-                    b"", status=304, headers=(("ETag", etag), _VARY)))
+                return _RawResponse(
+                    b"", status=304, headers=(("ETag", etag), _VARY))
         return self._run_read(lambda: self._do_query(query, partial, wire))
 
     def _etag_for(self, query: Query, wire: bool,

@@ -143,11 +143,20 @@ class HashPartitioner(Partitioner):
     batch paths always agree, and repeated runs agree within one interpreter
     process.  Across processes, integer keys are stable but ``str``/``bytes``
     keys follow ``PYTHONHASHSEED`` — pin it for cross-process reproducibility.
+
+    Only the default key has a checkpoint (kind ``"hash"``); a custom key is
+    a function, which a checkpoint does not carry.
     """
 
     def __init__(self, num_sites: int, key=None):
         super().__init__(num_sites)
         self._key = key if key is not None else _identity
+
+    def state_dict(self) -> Dict[str, Any]:
+        if self._key is not _identity:
+            raise TypeError(f"a {type(self).__name__} with a custom key has "
+                            "no checkpoint")
+        return super().state_dict()
 
     def assign(self, index: int, item: Item) -> int:
         label: Hashable = self._key(item)
@@ -191,7 +200,7 @@ def restore_partitioner(num_sites: int, state: Dict[str, Any]) -> Partitioner:
     """Rebuild the partitioner a :meth:`Partitioner.state_dict` describes.
 
     The ``kind`` is looked up in the closed table of this module's
-    policies (a hash partitioner's key is a function, so it has none); any
+    policies (a hash partitioner is rebuilt with its default key); any
     other kind is a ``ValueError``.
     """
     cls = _KINDS.get(state.get("kind")) if isinstance(state, dict) else None
@@ -204,7 +213,8 @@ def restore_partitioner(num_sites: int, state: Dict[str, Any]) -> Partitioner:
 
 
 _KINDS = {"round_robin": RoundRobinPartitioner,
-          "uniform": UniformRandomPartitioner, "block": BlockPartitioner}
+          "uniform": UniformRandomPartitioner, "hash": HashPartitioner,
+          "block": BlockPartitioner}
 _KIND_OF = {cls: kind for kind, cls in _KINDS.items()}
 
 

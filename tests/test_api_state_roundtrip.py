@@ -41,6 +41,7 @@ from repro.api.state import (
     tracker_payload,
 )
 from repro.sketch import FrequentDirections, WeightedMisraGries
+from repro.streaming.partition import HashPartitioner
 from repro.wire import decode_value, encode_value
 
 from test_protocol_equivalence_properties import (
@@ -173,6 +174,41 @@ class TestHeavyHitterRoundTrip:
         resumed.run(batch[half:])
         assert resumed.total_messages == uninterrupted.total_messages
         assert resumed.protocol.estimates() == uninterrupted.protocol.estimates()
+
+
+class TestHashPartitionedCheckpoint:
+    """A default-key ``HashPartitioner`` checkpoints as ``{"kind": "hash"}``
+    and the loaded session keeps routing exactly as the saved one; a custom
+    key is a function, so saving refuses it by class name."""
+
+    @staticmethod
+    def _tracker(partitioner):
+        return repro.Tracker.create("hh/P2", num_sites=3, epsilon=0.1,
+                                    partitioner=partitioner)
+
+    def test_default_key_resumes_bit_identically(self, tmp_path):
+        rng = np.random.default_rng(2015)
+        stream = [(int(element), float(weight)) for element, weight in zip(
+            rng.zipf(1.5, size=600) % 97, rng.uniform(0.5, 2.0, size=600))]
+        live = self._tracker(HashPartitioner(3))
+        live.run(stream[:300])
+        path = tmp_path / "hash.ckpt"
+        live.save(path)
+        loaded = repro.Tracker.load(path)
+        assert loaded.partitioner.state_dict() == {"kind": "hash"}
+        assert tracker_frame(loaded) == tracker_frame(live)
+        for session in (live, loaded):
+            session.run(stream[300:])
+        assert tracker_frame(loaded) == tracker_frame(live)
+        assert loaded.query(HeavyHitters(phi=0.05)) == \
+            live.query(HeavyHitters(phi=0.05))
+        assert _rng_states(loaded.protocol) == _rng_states(live.protocol)
+
+    def test_custom_key_is_refused_by_class_name(self, tmp_path):
+        tracker = self._tracker(HashPartitioner(3, key=lambda item: item[0]))
+        tracker.run([(1, 1.0), (2, 2.0)])
+        with pytest.raises(TypeError, match="HashPartitioner"):
+            tracker.save(tmp_path / "custom.ckpt")
 
 
 class TestMatrixRoundTrip:

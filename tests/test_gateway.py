@@ -23,6 +23,9 @@ from __future__ import annotations
 import dataclasses
 import http.client
 import json
+import shutil
+import socket
+import ssl
 import struct
 import sys
 import threading
@@ -46,7 +49,12 @@ from repro.api.queries import (
     Norms,
     SketchMatrix,
     TotalWeight,
+    _jsonify,
 )
+from repro.api.state import tracker_frame
+from repro.cluster import server_ssl_context
+from repro.cluster.backends import BackendError
+from repro.cluster.socket_backend import client_ssl_context
 from repro.gateway import QUERY_KINDS, Gateway, GatewayClient, GatewayError
 from repro.gateway.http import (
     DOCUMENT_KIND,
@@ -57,6 +65,7 @@ from repro.gateway.http import (
 from repro.wire import pack_frame
 
 from test_api_state_roundtrip import HH_SPECS, MATRIX_SPECS, _params
+from test_cluster_tls import certs  # noqa: F401 - module-scoped fixture
 from test_protocol_equivalence_properties import (
     SEEDS,
     hh_stream,
@@ -848,6 +857,77 @@ class TestClientReconnectRetry:
         client.close()
 
 
+class TestClientTransport:
+    """``GatewayClient``'s own HTTP/1.1 exchange: one send per request, TLS
+    through ``ssl_context``, and a ``Connection: close`` reply honoured."""
+
+    @pytest.mark.skipif(shutil.which("openssl") is None,
+                        reason="openssl binary not available")
+    def test_https_push_query_and_304(self, certs, served_cluster):
+        server = server_ssl_context(str(certs / "server.pem"),
+                                    str(certs / "server.key"))
+        with Gateway(served_cluster, ssl_context=server) as gateway:
+            assert gateway.url.startswith("https://")
+            with GatewayClient(gateway.url, ssl_context=client_ssl_context(
+                    str(certs / "ca.pem"))) as client:
+                assert client.push(items=[[1, 2.0], [2, 3.0]]) == \
+                    {"accepted": 2}
+                assert client.push(items=[[1, 1.0]]) == {"accepted": 1}
+                first = client.query("total_weight")
+                assert client.query("total_weight") == first
+                assert client.not_modified == 1
+                assert first["estimate"] == pytest.approx(6.0)
+                assert client.stats()["items_processed"] == 3
+            # A client that does not trust the gateway's CA never connects.
+            with GatewayClient(gateway.url) as stranger:
+                with pytest.raises(ssl.SSLError):
+                    stranger.stats()
+
+    def test_one_send_call_per_request(self, served_cluster, monkeypatch):
+        calls = []
+        me = threading.get_ident()
+        for name in ("send", "sendall", "sendmsg"):
+            real = getattr(socket.socket, name)
+
+            def counted(sock, *args, _real=real, _name=name):
+                if threading.get_ident() == me:
+                    calls.append(_name)
+                return _real(sock, *args)
+
+            monkeypatch.setattr(socket.socket, name, counted)
+        with Gateway(served_cluster) as gateway:
+            calls.clear()  # the loop's own wake-up sends, if any
+            with GatewayClient(gateway.url) as client:
+                client.push(items=[[1, 1.0]])
+                client.push(items=[[index, 1.0] for index in range(300)])
+                client.query("total_weight")
+                client.query("total_weight")  # the 304 revalidation
+                client.stats()
+            assert calls == ["sendall"] * 5
+            assert client.not_modified == 1
+
+    def test_connection_close_413_then_a_fresh_connection(
+            self, served_cluster):
+        with Gateway(served_cluster, max_body_bytes=256) as gateway:
+            with GatewayClient(gateway.url) as client:
+                connects = []
+                connect = client._connect
+
+                def counted_connect():
+                    connects.append(1)
+                    connect()
+
+                client._connect = counted_connect
+                assert client.push(items=[[1, 1.0]]) == {"accepted": 1}
+                with pytest.raises(GatewayError) as excinfo:
+                    client.push(items=[[index, 1.0] for index in range(100)])
+                assert excinfo.value.status == 413
+                assert client._sock is None  # the gateway hung up; so did we
+                assert client.push(items=[[2, 1.0]]) == {"accepted": 1}
+                assert client.stats()["items_processed"] == 2
+        assert len(connects) == 2  # the first request, then after the 413
+
+
 # --------------------------------------------------------------------------
 # Conditional GET: ETags, 304 revalidation, the client's document cache.
 # --------------------------------------------------------------------------
@@ -1113,27 +1193,264 @@ class TestCoalescedPushes:
 
 
 # --------------------------------------------------------------------------
+# Dispatch order: a one-item push that finds the writer idle is applied on
+# the event loop; every other push queues behind the writer, in arrival
+# order.
+# --------------------------------------------------------------------------
+def _gate_stats(tracker):
+    """Hold the writer thread inside ``/v1/stats`` until the returned
+    ``release`` is set; ``entered`` is set once the writer is held."""
+    real_stats = tracker.stats
+    entered, release = threading.Event(), threading.Event()
+
+    def gated_stats():
+        entered.set()
+        release.wait(timeout=30.0)
+        return real_stats()
+
+    tracker.stats = gated_stats
+    return entered, release
+
+
+def _record_dispatch_threads(gateway):
+    """Names of the threads ``_do_push`` runs on, one per dispatch."""
+    threads = []
+    do_push = gateway._do_push
+
+    def recorded(batch, site_ids):
+        threads.append(threading.current_thread().name)
+        return do_push(batch, site_ids)
+
+    gateway._do_push = recorded
+    return threads
+
+
+def _wait_until(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition():
+        assert time.monotonic() < deadline, "timed out"
+        time.sleep(0.002)
+
+
+def _push_in_thread(gateway, replies, key, **push):
+    """One push on its own connection; its reply (or error) lands in
+    ``replies[key]``."""
+    def run():
+        try:
+            with GatewayClient(gateway.url) as client:
+                replies[key] = client.push(**push)
+        except GatewayError as exc:
+            replies[key] = exc
+
+    thread = threading.Thread(target=run)
+    thread.start()
+    return thread
+
+
+class TestDispatchOrder:
+    DIMENSION = 6
+    PARAMS = {"num_sites": 4, "dimension": 6, "epsilon": 0.2}
+
+    def test_inline_and_queued_pushes_equal_a_serial_oracle(self):
+        rng = np.random.default_rng(2016)
+
+        def pushes(sizes):
+            return [(rng.normal(size=(size, self.DIMENSION)),
+                     rng.integers(0, 4, size=size)) for size in sizes]
+
+        before, during, after = pushes([1, 1, 1]), pushes([1, 3, 1, 2]), \
+            pushes([1, 1, 1])
+        served, oracle = (repro.ShardedTracker.create(
+            "matrix/P2", shards=2, backend="serial", **self.PARAMS)
+            for _ in range(2))
+        try:
+            with Gateway(served) as gateway:
+                threads = _record_dispatch_threads(gateway)
+                with GatewayClient(gateway.url) as client:
+                    for rows, sites in before:
+                        assert client.push(rows=rows, site_ids=sites) == \
+                            {"accepted": 1}
+                    entered, release = _gate_stats(served)
+                    stats_thread = threading.Thread(target=client.stats)
+                    stats_thread.start()
+                    assert entered.wait(timeout=10.0)
+                    replies, pushers = {}, []
+                    for index, (rows, sites) in enumerate(during):
+                        pushers.append(_push_in_thread(
+                            gateway, replies, index, rows=rows,
+                            site_ids=sites))
+                        # Arrival order is the order they queue in.
+                        _wait_until(lambda: len(gateway._push_queue)
+                                    == index + 1)
+                    release.set()
+                    for thread in pushers + [stats_thread]:
+                        thread.join(timeout=30.0)
+                        assert not thread.is_alive()
+                    # A stats round trip runs after every queued drain job,
+                    # so the writer is idle again when it returns.
+                    client.stats()
+                    for rows, sites in after:
+                        assert client.push(rows=rows, site_ids=sites) == \
+                            {"accepted": 1}
+                    served_answers = [client.query(kind)
+                                      for kind in ("covariance", "sketch")]
+            assert replies == {index: {"accepted": len(rows)}
+                               for index, (rows, _) in enumerate(during)}
+            loop, writer = "repro-gateway", threads[3]
+            assert writer.startswith("repro-gateway-writer")
+            # The four queued pushes were one coalesced dispatch.
+            assert threads == [loop] * 3 + [writer] + [loop] * 3
+
+            for rows, sites in before:
+                oracle.push_batch(rows, site_ids=sites)
+            oracle.push_batch(np.concatenate([rows for rows, _ in during]),
+                              site_ids=np.concatenate(
+                                  [sites for _, sites in during]))
+            for rows, sites in after:
+                oracle.push_batch(rows, site_ids=sites)
+
+            def frame(tracker):
+                return tracker_frame(tracker, compress=False)
+
+            for shard in range(2):
+                assert served._backend.call(shard, frame) == \
+                    oracle._backend.call(shard, frame)
+            for document, query in zip(served_answers,
+                                       (Covariance(), SketchMatrix())):
+                document.pop("partial")
+                assert document == _jsonify(oracle.query(query).to_dict())
+        finally:
+            served.close()
+            oracle.close()
+
+    def test_a_failed_push_is_the_same_400_inline_and_queued(self):
+        served = repro.ShardedTracker.create("hh/P2", shards=2,
+                                             backend="serial", num_sites=5,
+                                             epsilon=0.1)
+        push_batch = served.push_batch
+
+        def poisoned(batch, site_ids=None):
+            if any(element == "poison" for element, _ in batch):
+                raise ValueError("a poisoned batch")
+            return push_batch(batch, site_ids=site_ids)
+
+        served.push_batch = poisoned
+        try:
+            with Gateway(served) as gateway:
+                threads = _record_dispatch_threads(gateway)
+                with GatewayClient(gateway.url) as client:
+                    with pytest.raises(GatewayError) as inline:
+                        client.push(items=[["poison", 1.0]])
+                    entered, release = _gate_stats(served)
+                    stats_thread = threading.Thread(target=client.stats)
+                    stats_thread.start()
+                    assert entered.wait(timeout=10.0)
+                    replies = {}
+                    pusher = _push_in_thread(gateway, replies, "queued",
+                                             items=[["poison", 1.0]])
+                    _wait_until(lambda: len(gateway._push_queue) == 1)
+                    release.set()
+                    for thread in (pusher, stats_thread):
+                        thread.join(timeout=30.0)
+                        assert not thread.is_alive()
+                    assert client.stats()["items_processed"] == 0
+            queued = replies["queued"]
+            assert threads[0] == "repro-gateway"
+            assert threads[1].startswith("repro-gateway-writer")
+            assert (inline.value.status, inline.value.message) == \
+                (queued.status, queued.message) == \
+                (400, "ValueError: a poisoned batch")
+        finally:
+            served.close()
+
+    def test_one_writer_at_a_time_under_contention(self):
+        """More clients than cores, a short switch interval: inline and
+        queued dispatches never overlap on the tracker, every ack is
+        exact, and the writer's job counts balance."""
+        served = repro.ShardedTracker.create("hh/P2", shards=2,
+                                             backend="serial", num_sites=5,
+                                             epsilon=0.1)
+        lock, active, overlaps = threading.Lock(), [0], []
+
+        def exclusive(fn):
+            def call(*args, **kwargs):
+                with lock:
+                    active[0] += 1
+                    if active[0] > 1:
+                        overlaps.append(fn.__name__)
+                try:
+                    time.sleep(0.0002)  # widen the window an overlap needs
+                    return fn(*args, **kwargs)
+                finally:
+                    with lock:
+                        active[0] -= 1
+            return call
+
+        for name in ("push_batch", "stats", "_labelled_query"):
+            setattr(served, name, exclusive(getattr(served, name)))
+        clients, requests = 6, 25
+        failures = []
+
+        def client_loop(worker):
+            try:
+                with GatewayClient(gateway.url) as client:
+                    for index in range(requests):
+                        size = 3 if index % 4 == 3 else 1
+                        reply = client.push(items=[[worker, 1.0]] * size)
+                        assert reply == {"accepted": size}
+                        if index % 10 == 9:
+                            client.stats()
+                            client.query("total_weight")
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with Gateway(served) as gateway:
+                workers = [threading.Thread(target=client_loop, args=(worker,))
+                           for worker in range(clients)]
+                for thread in workers:
+                    thread.start()
+                for thread in workers:
+                    thread.join(timeout=120.0)
+                    assert not thread.is_alive()
+                with GatewayClient(gateway.url) as client:
+                    stats = client.stats()
+        finally:
+            sys.setswitchinterval(interval)
+            served.close()
+        if failures:
+            raise failures[0]
+        assert overlaps == []
+        per_client = sum(3 if index % 4 == 3 else 1
+                         for index in range(requests))
+        assert stats["items_processed"] == clients * per_client
+        assert gateway._writer_submitted == gateway._writer_finished
+
+
+# --------------------------------------------------------------------------
 # Degraded /v1/stats: missing shards are a field, not a 500.
 # --------------------------------------------------------------------------
-def test_stats_route_reports_missing_shards_instead_of_500():
-    from repro.cluster.backends import BackendError
+class _DeadShardBackend:
+    """A backend whose shard 1 is unreachable for partial fan-outs."""
 
+    def __init__(self, inner):
+        self._inner = inner
+
+    def __getattr__(self, name):
+        return getattr(self._inner, name)
+
+    def call_all_partial(self, fn, *args):
+        results, errors = self._inner.call_all_partial(fn, *args)
+        results[1] = None
+        errors[1] = BackendError("shard 1 lost")
+        return results, errors
+
+
+def test_stats_route_reports_missing_shards_instead_of_500():
     cluster = repro.ShardedTracker.create("hh/P2", shards=2, backend="thread",
                                           num_sites=5, epsilon=0.1)
-
-    class _DeadShardBackend:
-        def __init__(self, inner):
-            self._inner = inner
-
-        def __getattr__(self, name):
-            return getattr(self._inner, name)
-
-        def call_all_partial(self, fn, *args):
-            results, errors = self._inner.call_all_partial(fn, *args)
-            results[1] = None
-            errors[1] = BackendError("shard 1 lost")
-            return results, errors
-
     try:
         with Gateway(cluster) as gateway:
             with GatewayClient(gateway.url) as client:
@@ -1146,6 +1463,39 @@ def test_stats_route_reports_missing_shards_instead_of_500():
     finally:
         cluster._backend = cluster._backend._inner
         cluster.close()
+
+
+@pytest.mark.parametrize("session", ["tracker", "process", "missing_shard"])
+def test_stats_document_is_the_stats_dataclass_as_json(session):
+    """``/v1/stats`` renders ``_jsonify(stats)`` straight off the dataclass:
+    the same JSON, key order included, as the ``dataclasses.asdict`` dump
+    it replaced."""
+    items = [(1, 1.0), (2, 2.0), (1, 3.0), (4, 4.0)]
+    if session == "tracker":
+        tracker = repro.Tracker.create("hh/P2", num_sites=5, epsilon=0.1)
+        tracker.push_batch([0, 1, 2, 3], items)
+    else:
+        tracker = repro.ShardedTracker.create(
+            "hh/P2", shards=2, backend="process", num_sites=5, epsilon=0.1)
+        tracker.push_batch(items, site_ids=[0, 1, 2, 3])
+    try:
+        if session == "missing_shard":
+            tracker._backend = _DeadShardBackend(tracker._backend)
+        gateway = Gateway(tracker)
+        try:
+            document = gateway._do_stats()
+        finally:
+            gateway.stop()
+        old = _jsonify(dataclasses.asdict(tracker.stats()))
+        assert json.dumps(document) == json.dumps(old)
+        if session == "missing_shard":
+            assert document["missing_shards"] == [1]
+            assert document["per_shard"][1] is None
+    finally:
+        if session != "tracker":
+            tracker._backend = getattr(tracker._backend, "_inner",
+                                       tracker._backend)
+            tracker.close()
 
 
 # --------------------------------------------------------------------------
