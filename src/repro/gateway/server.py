@@ -94,7 +94,7 @@ from ..obs.metrics import (
     merge_snapshots,
     render_prometheus,
 )
-from ..utils.validation import check_weight_batch
+from ..utils.validation import check_site_ids, check_weight_batch
 from .http import (
     WIRE_TYPE,
     HttpError,
@@ -275,25 +275,16 @@ def _push_rows(raw: Any, dimension: Optional[int]) -> np.ndarray:
     return rows
 
 
-def _push_sites(raw: Any, count: int,
-                num_sites: Optional[int]) -> Optional[np.ndarray]:
-    """A push's ``site_ids`` as an int64 array (``None`` if absent), or a 400."""
+def _push_sites(raw: Any, count: int, num_sites: int
+                ) -> Optional[np.ndarray]:
+    """A push's ``site_ids`` as an int64 array (``None`` if absent), or a
+    400 naming the rule :func:`check_site_ids` refuses them by."""
     if raw is None:
         return None
     try:
-        sites = np.asarray(raw)
-    except ValueError as exc:
+        return check_site_ids(raw, count, num_sites)
+    except (TypeError, ValueError) as exc:
         raise HttpError(400, f"malformed 'site_ids': {exc}") from exc
-    if sites.ndim != 1 or (sites.size and sites.dtype.kind not in "iu"):
-        raise HttpError(400, "'site_ids' must be a list of integers")
-    if len(sites) != count:
-        raise HttpError(400, f"site_ids has {len(sites)} entries for "
-                             f"{count} items")
-    if count and num_sites is not None and (
-            sites.min() < 0 or sites.max() >= num_sites):
-        raise HttpError(400, f"site indices must lie in [0, {num_sites}), "
-                             f"got range [{sites.min()}, {sites.max()}]")
-    return sites.astype(np.int64)
 
 
 @dataclasses.dataclass(frozen=True)

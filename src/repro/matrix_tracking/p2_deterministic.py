@@ -44,6 +44,15 @@ gate, and only a decomposition that can emit needs to run.
 The coordinator stacks the received directions in one row buffer, doubled
 when full.  It may optionally compress them with a Frequent Directions
 sketch (``coordinator_sketch_size``), as suggested at the end of Section 5.2.
+
+* **The covariance cache.**  ``B`` only grows, and only when a direction
+  arrives (about one row in a hundred on a long stream), so the coordinator
+  keeps the last ``BᵀB`` with the row count it was computed at and answers
+  :meth:`~DeterministicDirectionProtocol.covariance` with a copy of it
+  while the count is unchanged.  A new count recomputes the same
+  ``rows.T @ rows`` over the live rows, so every answer is bit-identical to
+  an uncached one.  The cache is not checkpoint state: a restore drops it.
+  An FD-compressed coordinator is not append-only and is not cached.
 """
 
 from __future__ import annotations
@@ -134,7 +143,8 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
 
     The coordinator's ``B`` is one float64 row buffer plus a row count:
     :meth:`sketch_matrix` returns an owned copy of the live rows,
-    :meth:`covariance` and :meth:`squared_norm_along` read them in place,
+    :meth:`covariance` keeps ``BᵀB`` between arrivals,
+    :meth:`squared_norm_along` reads the rows in place,
     and a checkpoint writes exactly those rows as one array.
 
     Parameters
@@ -171,6 +181,8 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
         # B is ``_coordinator_rows[:_coordinator_count]``, in arrival order.
         self._coordinator_rows = np.zeros((0, dimension))
         self._coordinator_count = 0
+        # (row count, BᵀB over that many rows); not checkpoint state.
+        self._covariance_cache: Optional[Tuple[int, np.ndarray]] = None
         self._coordinator_sketch: Optional[FrequentDirections] = None
         if coordinator_sketch_size is not None:
             size = check_positive_int(coordinator_sketch_size,
@@ -195,6 +207,7 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
         if self._coordinator_sketch is None:
             self._coordinator_rows = state["coordinator_rows"]
             self._coordinator_count = self._coordinator_rows.shape[0]
+        self._covariance_cache = None
 
     # ------------------------------------------------------------ properties
     @property
@@ -339,6 +352,18 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
             return self._coordinator_sketch.compacted_view()
         # An owned copy of the live rows: callers may mutate it.
         return self._sketch_view().copy()
+
+    def covariance(self) -> np.ndarray:
+        """``BᵀB``, recomputed only when a direction has arrived since the
+        last call (see *The covariance cache*); an owned copy."""
+        if self._coordinator_sketch is not None:
+            return super().covariance()
+        count = self._coordinator_count
+        cache = self._covariance_cache
+        if cache is None or cache[0] != count:
+            rows = self._coordinator_rows[:count]
+            cache = self._covariance_cache = (count, rows.T @ rows)
+        return cache[1].copy()
 
     def estimated_squared_frobenius(self) -> float:
         return self._estimated_total

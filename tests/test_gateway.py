@@ -588,6 +588,25 @@ class TestHttpContract:
             assert client.stats()["items_processed"] == 1
 
     @pytest.mark.parametrize("encoding", ENCODINGS)
+    def test_bool_site_ids_are_refused_as_push_batch_refuses_them(
+            self, served_cluster, encoding):
+        """NumPy reads ``[true, 0]`` as the sites ``[1, 0]``; the gateway
+        refuses it by ``check_site_ids``' rule, as the facades do."""
+        items = [[1, 1.0], [2, 1.0]]
+        with pytest.raises(TypeError, match="site_ids must be integers"):
+            served_cluster.push_batch(items, site_ids=[True, 0])
+        with Gateway(served_cluster) as gateway, \
+                _client(gateway, encoding) as client:
+            for sites in ([True, 0], [0, False], [True, False]):
+                with pytest.raises(GatewayError) as excinfo:
+                    client.request("POST", "/v1/push",
+                                   {"items": items, "site_ids": sites})
+                assert excinfo.value.status == 400, sites
+                assert "site_ids must be integers, got a bool" in \
+                    excinfo.value.message, sites
+            assert client.stats()["items_processed"] == 0
+
+    @pytest.mark.parametrize("encoding", ENCODINGS)
     def test_oversized_body_413(self, served_cluster, encoding):
         with Gateway(served_cluster, max_body_bytes=1024) as gateway:
             with _client(gateway, encoding) as client:

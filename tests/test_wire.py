@@ -60,13 +60,15 @@ from repro.wire import (
     send_frame,
     unpack_frame,
 )
-from repro.wire.frames import pack_raw_frame
+from repro.wire import frames
+from repro.wire.frames import pack_raw_frame, unpack_raw_frame
 
 from test_api_state_roundtrip import (
     HH_SPECS,
     MATRIX_SPECS,
     _params,
     _rng_states,
+    _run_with_sites,
     _tracker,
 )
 from test_protocol_equivalence_properties import SEEDS, hh_stream, matrix_stream
@@ -488,6 +490,39 @@ class TestCompressedFrames:
         body = packed[body_start:-4] + b"\x00\x00"
         with pytest.raises(WireDecodeError, match="truncated or oversized"):
             unpack_frame(_rebuild_with_body(packed, body))
+
+    def test_every_deflate_level_decodes_to_the_same_value(self, monkeypatch):
+        """Inflate reads a stream of any level: frames and checkpoints that
+        earlier builds deflated at level 6, or a writer at level 9, load
+        exactly as this build's level-1 ones do."""
+        _, batch, sites = hh_stream(SEEDS[0])
+        tracker = _tracker("hh/P2", SEEDS[0])
+        _run_with_sites(tracker, sites, batch, 0, len(batch))
+        value = {"keys": np.arange(0, 60_000, 7, dtype=np.int64),
+                 "rows": _noisy(40, 32), "labels": ["repeat"] * 300}
+        raw = bytes(range(256)) * 64
+        written = {}
+        for level in (1, 6, 9):
+            monkeypatch.setattr(frames, "_DEFLATE_LEVEL", level)
+            written[level] = (pack_frame("repro/test", value, compress=True),
+                              pack_raw_frame("repro/raw", raw, compress=True),
+                              tracker_frame(tracker, compress=True))
+        monkeypatch.undo()
+        assert written[1] == (pack_frame("repro/test", value, compress=True),
+                              pack_raw_frame("repro/raw", raw, compress=True),
+                              tracker_frame(tracker, compress=True))
+        assert written[1][0] != written[6][0]  # the levels really differ
+        expected = tracker_frame(tracker)
+        for level, (frame, raw_frame, state) in written.items():
+            assert _frame_header(frame)[1] & 0x0001, level
+            kind, decoded = unpack_frame(frame)
+            assert kind == "repro/test"
+            assert decoded["keys"].dtype == np.int64
+            assert np.array_equal(decoded["keys"], value["keys"])
+            _same_bits(decoded["rows"], value["rows"])
+            assert decoded["labels"] == value["labels"]
+            assert bytes(unpack_raw_frame(raw_frame, "repro/raw")) == raw
+            assert tracker_frame(tracker_from_frame(state)) == expected, level
 
     def test_v1_frame_with_flags_rejected(self):
         frame = bytearray(pack_frame("repro/test", 1))
