@@ -1,20 +1,11 @@
-"""Acceleration kernels: fast spectral decompositions for FD compaction.
+"""Acceleration kernels: the spectral decomposition behind FD compaction.
 
-See :mod:`repro.accel.fd_kernels` for the ``svd_mode`` contract shared by
-the :class:`~repro.sketch.frequent_directions.FrequentDirections` sketch and
-the matrix-tracking protocols P1/P2.
+:mod:`repro.accel.fd_kernels` holds the one kernel — a Gram-trick
+``eigh`` with a ``thin_svd`` fallback — that the
+:class:`~repro.sketch.frequent_directions.FrequentDirections` sketch and the
+matrix-tracking protocols P1/P2 all run.
 """
 
-from .fd_kernels import (
-    SVD_MODES,
-    check_svd_mode,
-    shrink_rows,
-    spectral_decomposition,
-)
+from .fd_kernels import shrink_rows, spectral_decomposition
 
-__all__ = [
-    "SVD_MODES",
-    "check_svd_mode",
-    "shrink_rows",
-    "spectral_decomposition",
-]
+__all__ = ["shrink_rows", "spectral_decomposition"]

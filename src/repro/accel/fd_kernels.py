@@ -1,51 +1,36 @@
-"""Pluggable spectral kernels for Frequent Directions compaction.
+"""The spectral kernel behind Frequent Directions compaction and matrix P2.
 
 Profiling the matrix benches shows that FD compaction — a dense
-``thin_svd`` of the ``2ℓ × d`` doubling buffer — accounts for ~80% of the
-ingestion cost of protocols P1/P2, and that on small buffers the cost is
-LAPACK *call latency*, not flops.  This module provides the three kernels
-behind the ``svd_mode`` knob exposed by the sketches and the matrix
-protocols:
+decomposition of the protocols' ``4ℓ × d`` compaction buffer — dominates
+the ingestion cost of protocols P1/P2, and that on small buffers the cost
+is LAPACK *call latency*, not flops.  Every product path therefore runs one
+kernel, the Gram-trick eigendecomposition: form the *smaller* Gram matrix
+(``B·Bᵀ`` when the buffer is wide, ``Bᵀ·B`` when it is tall) and take a
+symmetric ``eigh``, whose eigenvalue spectrum *is* the squared singular
+value spectrum the FD shrink step needs.  One ``eigh`` of an ``m×m``
+matrix with ``m = min(rows, d)`` replaces an SVD of the full buffer; for
+the wide-buffer case the compacted rows are recovered with a single fused
+back-multiply.  Numerically this squares the condition number, so
+singular values below ``σ₁·1e-8`` lose precision — harmless for FD, whose
+shrink step floors that tail at zero anyway.  A symmetric input (matrix
+P2 hands over a site's PSD Gram) is decomposed as is.  Should ``eigh``
+fail to converge, the kernel falls back to
+:func:`~repro.utils.linalg.thin_svd`.
 
-``exact``
-    ``numpy.linalg.svd`` (LAPACK ``gesdd``) of exactly the matrix it is
-    handed, with no Gram side and no sampling.  It names the kernel only:
-    *which* matrix a caller decomposes, and when, is the caller's schedule
-    (protocol P2, for instance, hands it a site's Gram matrix).
+``mode="exact"`` runs ``numpy.linalg.svd`` (LAPACK ``gesdd``) of exactly
+the matrix it is handed instead.  No product path uses it: it stays only
+because the benchmark harness times ``shrink_rows(buffer, keep, "exact")``
+as its ``accel.shrink_exact_us`` reference, and it goes, with ``mode`` and
+the metrics' ``svd_mode`` label, when that reference is retired.
 
-``gram``
-    The Gram-trick eigendecomposition: form the *smaller* Gram matrix
-    (``B·Bᵀ`` when the buffer is wide, ``Bᵀ·B`` when it is tall) and take a
-    symmetric ``eigh``, whose squared-eigenvalue spectrum *is* the squared
-    singular value spectrum the FD shrink step needs.  One ``eigh`` of an
-    ``m×m`` matrix with ``m = min(rows, d)`` replaces an SVD of the full
-    buffer; for the wide-buffer case the compacted rows are recovered with
-    a single fused back-multiply.  Numerically this squares the condition
-    number, so singular values below ``σ₁·1e-8`` lose precision — harmless
-    for FD, whose shrink step floors that tail at zero anyway.
-
-``randomized``
-    A deterministic randomized range-finder with block power iteration
-    (Halko–Martinsson–Tropp style) for buffers where even the smaller Gram
-    side is large.  Only top-``k`` requests use it; full-spectrum requests
-    fall back to ``gram``.  When used for compaction the projection
-    residual ``‖(I − QQᵀ)B‖²_F`` is *added to the reported shrinkage*, so
-    the FD certificate ``‖Ax‖² − ‖Bx‖² ≤ Σδ`` remains a true upper bound.
-
-``auto``
-    Per-shape selection: ``gram`` for compaction and full spectra,
-    ``randomized`` for top-``k`` requests on large buffers.  This is the
-    default everywhere.
-
-All kernels are pure functions of their inputs (the randomized test matrix
-is drawn from a fixed seed), so repeated runs and checkpoint/resume remain
-deterministic.
+Both kernels are pure functions of their inputs, so repeated runs and
+checkpoint/resume remain deterministic.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -59,23 +44,13 @@ __all__ = [
     "shrink_rows",
 ]
 
-#: Accepted values of the ``svd_mode`` knob.
-SVD_MODES = ("auto", "exact", "gram", "randomized")
+#: Accepted values of the kernels' ``mode`` (``exact`` is the benchmark's
+#: reference only; see the module docstring).
+SVD_MODES = ("auto", "exact")
 
 #: Relative cutoff below which a Gram-recovered singular value is treated
 #: as zero (its right singular vector is unrecoverable noise).
 _GRAM_TOLERANCE = 1e-12
-
-#: ``randomized`` pays off only when the smaller Gram side exceeds this.
-_RANDOMIZED_MIN_DIM = 192
-
-#: Oversampling columns and power iterations for the range finder.
-_RANDOMIZED_OVERSAMPLE = 8
-_RANDOMIZED_POWER_ITERATIONS = 2
-
-#: Fixed seed for the range-finder test matrix: the kernel must be a pure
-#: function of its input for checkpoint/resume determinism.
-_RANDOMIZED_SEED = 20140731
 
 #: FD compaction telemetry.  Observed per compaction (one SVD-sized unit
 #: of work), never per row, and only when the registry is enabled — the
@@ -147,33 +122,7 @@ def _gram_spectrum(array: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return np.sqrt(squared), np.ascontiguousarray(v.T)
 
 
-def _range_finder(array: np.ndarray, target: int) -> np.ndarray:
-    """Deterministic orthonormal basis ``Q`` for the leading left subspace."""
-    rng = np.random.default_rng(_RANDOMIZED_SEED)
-    test = rng.standard_normal((array.shape[1], target))
-    sample = array @ test
-    q, _ = np.linalg.qr(sample)
-    for _ in range(_RANDOMIZED_POWER_ITERATIONS):
-        q, _ = np.linalg.qr(array.T @ q)
-        q, _ = np.linalg.qr(array @ q)
-    return q
-
-
-def _randomized_spectrum(array: np.ndarray, top: int
-                         ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Top-``top`` singular values/vectors plus the squared-Frobenius
-    projection residual ``‖(I − QQᵀ)A‖²_F`` (0 when the basis is exact)."""
-    target = min(top + _RANDOMIZED_OVERSAMPLE, min(array.shape))
-    q = _range_finder(array, target)
-    projected = q.T @ array
-    residual = float(np.einsum("ij,ij->", array, array)
-                     - np.einsum("ij,ij->", projected, projected))
-    _, s, vt = thin_svd(projected)
-    return s, vt, max(residual, 0.0)
-
-
-def spectral_decomposition(matrix: np.ndarray, mode: str = "auto",
-                           top: Optional[int] = None
+def spectral_decomposition(matrix: np.ndarray, mode: str = "auto"
                            ) -> Tuple[np.ndarray, np.ndarray]:
     """Singular values and right singular vectors of a row matrix.
 
@@ -182,19 +131,13 @@ def spectral_decomposition(matrix: np.ndarray, mode: str = "auto",
     matrix:
         The ``n × d`` row matrix to decompose.
     mode:
-        One of :data:`SVD_MODES`.  ``auto`` picks ``gram`` for full spectra
-        and ``randomized`` for top-``k`` requests on large matrices.
-    top:
-        If given, only the leading ``top`` pairs are required; fewer may be
-        returned when the matrix has lower rank.  Without it the full
-        ``min(n, d)``-point spectrum is returned (``randomized`` degrades
-        to ``gram`` in that case — a sampled basis cannot produce a full
-        spectrum).
+        One of :data:`SVD_MODES` (module docstring).
 
     Returns
     -------
     (s, vt):
-        Non-increasing singular values and the matching rows of ``Vᵀ``.
+        The full ``min(n, d)``-point spectrum, non-increasing, and the
+        matching rows of ``Vᵀ``.
     """
     check_svd_mode(mode)
     array = _as_matrix(matrix)
@@ -203,33 +146,16 @@ def spectral_decomposition(matrix: np.ndarray, mode: str = "auto",
         return np.zeros(r), np.zeros((r, array.shape[1]))
     started = perf_counter() if REGISTRY.enabled else None
     try:
-        return _spectral_decomposition(array, mode, top)
+        if mode == "auto":
+            try:
+                return _gram_spectrum(array)
+            except np.linalg.LinAlgError:  # pragma: no cover - eigh rarely fails
+                pass
+        _, s, vt = thin_svd(array)
+        return s, vt
     finally:
         if started is not None:
             _FD_SVD_SECONDS.observe(perf_counter() - started, svd_mode=mode)
-
-
-def _spectral_decomposition(array: np.ndarray, mode: str,
-                            top: Optional[int]) -> Tuple[np.ndarray, np.ndarray]:
-    if mode == "exact":
-        _, s, vt = thin_svd(array)
-    else:
-        wants_randomized = (
-            top is not None
-            and (mode == "randomized"
-                 or (mode == "auto" and min(array.shape) > _RANDOMIZED_MIN_DIM))
-            and top + _RANDOMIZED_OVERSAMPLE < min(array.shape)
-        )
-        if wants_randomized:
-            s, vt, _ = _randomized_spectrum(array, top)
-        else:
-            try:
-                s, vt = _gram_spectrum(array)
-            except np.linalg.LinAlgError:  # pragma: no cover - eigh rarely fails
-                _, s, vt = thin_svd(array)
-    if top is not None:
-        return s[:top], vt[:top, :]
-    return s, vt
 
 
 def _shrink_from_spectrum(squared: np.ndarray, keep: int
@@ -249,13 +175,8 @@ def shrink_rows(matrix: np.ndarray, keep: int, mode: str = "auto"
     """One Frequent-Directions compaction: shrink ``matrix`` to ``keep`` rows.
 
     Returns ``(compacted, delta)`` where ``compacted`` has at most ``keep``
-    rows and ``delta`` is the shrinkage to add to the FD certificate.  For
-    every mode the invariant ``0 ≤ ‖Ax‖² − ‖Bx‖² ≤ delta`` holds per unit
-    direction ``x`` (``randomized`` folds its projection residual into
-    ``delta`` so the bound stays true).
-
-    ``mode="exact"`` reproduces the historical
-    ``FrequentDirections._shrink_active_rows`` arithmetic bit-for-bit.
+    rows and ``delta`` is the shrinkage to add to the FD certificate: the
+    invariant ``0 ≤ ‖Ax‖² − ‖Bx‖² ≤ delta`` holds per unit direction ``x``.
     """
     check_svd_mode(mode)
     if keep < 1:
@@ -280,17 +201,6 @@ def _shrink_rows(array: np.ndarray, keep: int, mode: str
         shrunk, delta, kept = _shrink_from_spectrum(squared, keep)
         return shrunk[:kept, np.newaxis] * vt[:kept, :], delta
 
-    if (mode == "randomized"
-            and min(array.shape) > _RANDOMIZED_MIN_DIM
-            and keep + 1 + _RANDOMIZED_OVERSAMPLE < min(array.shape)):
-        # keep+1 values so the shrink sees δ; the unexplained projection
-        # energy is charged to the certificate on top of δ.
-        s, vt, residual = _randomized_spectrum(array, keep + 1)
-        squared = s ** 2
-        shrunk, delta, kept = _shrink_from_spectrum(squared, keep)
-        return shrunk[:kept, np.newaxis] * vt[:kept, :], delta + residual
-
-    # gram (and the auto/degraded-randomized default)
     rows, columns = array.shape
     try:
         if rows <= columns:

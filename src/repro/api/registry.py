@@ -150,8 +150,6 @@ _DIMENSION = _p("dimension", "int", "number of matrix columns d", required=True)
 _SEED = _p("seed", "seed", "seed for the per-site RNG streams")
 _RECORDS = _p("keep_message_records", "bool",
               "retain the full per-message log (tests/debugging)")
-_SVD_MODE = _p("svd_mode", "str",
-               "FD compaction kernel: auto | exact | gram | randomized")
 
 
 def _prepare_p2ss(kwargs: Dict[str, Any]) -> Dict[str, Any]:
@@ -243,7 +241,7 @@ for _spec in (
                 _p("sketch_size", "int", "FD rows per site (default 4/ε)"),
                 _p("coordinator_sketch_size", "int",
                    "FD rows at the coordinator"),
-                _SVD_MODE, _RECORDS),
+                _RECORDS),
     ),
     ProtocolSpec(
         name="matrix/P2", domain=DOMAIN_MATRIX,
@@ -252,7 +250,7 @@ for _spec in (
         params=(_NUM_SITES, _DIMENSION, _EPSILON,
                 _p("coordinator_sketch_size", "int",
                    "compress coordinator directions with FD of this size"),
-                _SVD_MODE, _RECORDS),
+                _RECORDS),
     ),
     ProtocolSpec(
         name="matrix/P3", domain=DOMAIN_MATRIX,
@@ -286,7 +284,7 @@ for _spec in (
         summary="centralized Frequent Directions baseline (Table 1)",
         params=(_NUM_SITES, _DIMENSION,
                 _p("sketch_size", "int", "coordinator FD rows ℓ", required=True),
-                _SVD_MODE, _RECORDS),
+                _RECORDS),
     ),
     ProtocolSpec(
         name="matrix/SVD", domain=DOMAIN_MATRIX,

@@ -53,6 +53,7 @@ __all__ = [
     "load_protocol",
     "protocol_state",
     "restore_protocol",
+    "restorable_params",
     "tracker_payload",
     "tracker_from_payload",
     "tracker_frame",
@@ -153,6 +154,28 @@ def _plain_params(params: Dict[str, Any]) -> Dict[str, Any]:
     return plain
 
 
+def restorable_params(params: Dict[str, Any], source: str) -> Dict[str, Any]:
+    """Spec parameters read from a checkpoint, as this build takes them.
+
+    Every params dict a restore reads — a protocol's, a tracker session's,
+    a cluster's — comes through here.  Checkpoints written while the FD
+    kernel was selectable record ``svd_mode`` when a caller passed one.
+    ``auto`` and ``gram`` ran the one kernel left, on the same ``4ℓ``
+    buffers, so the parameter is dropped and the session continues
+    bit-identically.  ``exact`` (``gesdd`` on ``2ℓ`` buffers) and
+    ``randomized`` did not, so those checkpoints are refused.
+    """
+    if "svd_mode" not in params:
+        return params
+    params = dict(params)
+    mode = params.pop("svd_mode")
+    if mode not in (None, "auto", "gram"):
+        raise CheckpointError(
+            f"cannot restore {source}: it was written with svd_mode={mode!r}, "
+            "a spectral kernel this build no longer has")
+    return params
+
+
 # ----------------------------------------------------------------- protocols
 def protocol_state(protocol: DistributedProtocol) -> Dict[str, Any]:
     """``protocol``'s checkpoint (module docstring); it references live
@@ -174,7 +197,8 @@ def restore_protocol(checkpoint: Any, source: str = "payload"
     from .registry import create
 
     try:
-        protocol = create(checkpoint["spec"], **checkpoint["params"])
+        protocol = create(checkpoint["spec"],
+                          **restorable_params(checkpoint["params"], source))
         version = checkpoint["state_version"]
         if version != type(protocol).state_version:
             raise CheckpointError(
@@ -234,9 +258,11 @@ def tracker_from_payload(payload: Dict[str, Any], source: str = "payload") -> An
         partitioner = restore_partitioner(protocol.num_sites,
                                           payload["partitioner"])
         return Tracker(protocol, spec=payload["spec"],
-                       params=payload["params"],
+                       params=restorable_params(payload["params"], source),
                        chunk_size=payload["chunk_size"],  # None: per item
                        partitioner=partitioner)
+    except CheckpointError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot restore {source}: {exc!r}") from exc
 

@@ -65,6 +65,7 @@ from ..api.state import (
     CheckpointError,
     _read,
     _write,
+    restorable_params,
     tracker_frame,
     tracker_from_frame,
 )
@@ -644,7 +645,8 @@ class ShardedTracker(Session):
         builders = [partial(_restore_shard, frame, index)
                     for index, frame in enumerate(shard_payloads)]
         return cls(
-            payload["spec"], payload.get("params") or {},
+            payload["spec"],
+            restorable_params(payload.get("params") or {}, str(path)),
             shards=len(builders),
             backend=backend if backend is not None else payload["backend"],
             chunk_size=payload["chunk_size"],

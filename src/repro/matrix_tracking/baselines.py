@@ -21,6 +21,7 @@ from ..sketch.exact import ExactMatrix
 from ..sketch.frequent_directions import FrequentDirections
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
+from .p1_batched_fd import FD_BUFFER_MULTIPLIER
 
 __all__ = ["CentralizedSVDBaseline", "CentralizedFDBaseline"]
 
@@ -101,13 +102,12 @@ class CentralizedFDBaseline(MatrixTrackingProtocol):
     """
 
     def __init__(self, num_sites: int, dimension: int, sketch_size: int,
-                 svd_mode: str = "auto",
                  keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon=1.0,
                          keep_message_records=keep_message_records)
         self._sketch = FrequentDirections(
-            dimension=dimension, sketch_size=sketch_size, svd_mode=svd_mode,
-            buffer_multiplier=2 if svd_mode == "exact" else 4,
+            dimension=dimension, sketch_size=sketch_size,
+            buffer_multiplier=FD_BUFFER_MULTIPLIER,
         )
 
     STATE = {"sketch": "_sketch"}
@@ -116,11 +116,6 @@ class CentralizedFDBaseline(MatrixTrackingProtocol):
     def sketch_size(self) -> int:
         """Number of retained FD directions."""
         return self._sketch.sketch_size
-
-    @property
-    def svd_mode(self) -> str:
-        """Compaction kernel of the coordinator FD sketch."""
-        return self._sketch.svd_mode
 
     def process(self, site: int, row: np.ndarray) -> None:
         row = self._record_observation(row)

@@ -24,7 +24,6 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..accel.fd_kernels import check_svd_mode
 from ..sketch.frequent_directions import FrequentDirections
 from ..streaming.weight_rounds import FlushRounds
 from ..utils.declared import Declared
@@ -34,17 +33,12 @@ from .base import MatrixTrackingProtocol
 __all__ = ["BatchedFrequentDirectionsProtocol"]
 
 
-def _fd_buffer_multiplier(svd_mode: str) -> int:
-    """Compaction buffer sizing per kernel.
-
-    The exact LAPACK path keeps the historical ``2ℓ`` doubling buffer so
-    archived runs reproduce bit-for-bit.  The fast kernels use a ``4ℓ``
-    buffer: on the small sketches the protocols run, compaction cost is
-    dominated by fixed LAPACK call latency, so halving the number of
-    compactions (at unchanged asymptotics — the FD invariant holds for any
-    buffer size) buys most of the measured speedup.
-    """
-    return 2 if svd_mode == "exact" else 4
+#: Rows an FD sketch of the matrix protocols buffers, as a multiple of its
+#: size ``ℓ``.  On the small sketches the protocols run, compaction cost is
+#: dominated by fixed LAPACK call latency, so a ``4ℓ`` buffer (half the
+#: compactions of the ``2ℓ`` doubling buffer, at unchanged asymptotics — the
+#: FD invariant holds for any buffer size) buys most of the measured speed.
+FD_BUFFER_MULTIPLIER = 4
 
 
 class _SiteState(Declared):
@@ -52,10 +46,10 @@ class _SiteState(Declared):
 
     STATE = {"sketch": "sketch", "weight_since_send": "weight_since_send"}
 
-    def __init__(self, dimension: int, sketch_size: int, svd_mode: str = "auto"):
+    def __init__(self, dimension: int, sketch_size: int):
         self.sketch = FrequentDirections(
-            dimension=dimension, sketch_size=sketch_size, svd_mode=svd_mode,
-            buffer_multiplier=_fd_buffer_multiplier(svd_mode),
+            dimension=dimension, sketch_size=sketch_size,
+            buffer_multiplier=FD_BUFFER_MULTIPLIER,
         )
         self.weight_since_send = 0.0  # F_i: squared norm since the last flush
 
@@ -75,12 +69,6 @@ class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
         FD sketch size per site; defaults to ``ceil(2/ε')`` with ``ε' = ε/2``.
     coordinator_sketch_size:
         FD sketch size at the coordinator; defaults to the same value.
-    svd_mode:
-        Compaction kernel for the site and coordinator FD sketches (one of
-        :data:`repro.accel.SVD_MODES`).  ``"exact"`` is LAPACK's ``gesdd``
-        on the historical ``2ℓ`` buffer; the default ``"auto"`` uses the
-        Gram-trick kernel with a larger compaction buffer, which is
-        severalfold faster at the same error bound.
     keep_message_records:
         Retain a full message log (tests only).
     """
@@ -88,7 +76,6 @@ class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
     def __init__(self, num_sites: int, dimension: int, epsilon: float,
                  sketch_size: Optional[int] = None,
                  coordinator_sketch_size: Optional[int] = None,
-                 svd_mode: str = "auto",
                  keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
@@ -100,15 +87,12 @@ class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
         self._coordinator_sketch_size = check_positive_int(
             coordinator_sketch_size, name="coordinator_sketch_size"
         )
-        self._svd_mode = check_svd_mode(svd_mode)
         self._sites: List[_SiteState] = [
-            _SiteState(dimension, self._sketch_size, self._svd_mode)
-            for _ in range(num_sites)
+            _SiteState(dimension, self._sketch_size) for _ in range(num_sites)
         ]
         self._coordinator_sketch = FrequentDirections(
             dimension=dimension, sketch_size=self._coordinator_sketch_size,
-            svd_mode=self._svd_mode,
-            buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
+            buffer_multiplier=FD_BUFFER_MULTIPLIER,
         )
         self._init_rounds()
 
@@ -124,11 +108,6 @@ class BatchedFrequentDirectionsProtocol(FlushRounds, MatrixTrackingProtocol):
     def sketch_size(self) -> int:
         """FD sketch size used by each site."""
         return self._sketch_size
-
-    @property
-    def svd_mode(self) -> str:
-        """Compaction kernel used by the FD sketches."""
-        return self._svd_mode
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, row: np.ndarray) -> None:

@@ -61,14 +61,14 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from ..accel.fd_kernels import check_svd_mode, spectral_decomposition
+from ..accel.fd_kernels import spectral_decomposition
 from ..sketch.frequent_directions import FrequentDirections
 from ..streaming.protocol import first_crossing
 from ..streaming.weight_rounds import ThresholdRounds
 from ..utils.declared import Declared
 from ..utils.validation import check_positive_int
 from .base import MatrixTrackingProtocol
-from .p1_batched_fd import _fd_buffer_multiplier
+from .p1_batched_fd import FD_BUFFER_MULTIPLIER
 
 __all__ = ["DeterministicDirectionProtocol"]
 
@@ -159,23 +159,15 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
         If given, the coordinator compresses received directions with a
         Frequent Directions sketch of this many rows instead of stacking them
         exactly (Section 5.2's space reduction).
-    svd_mode:
-        Spectral kernel that decomposes a site's Gram matrix when it can
-        emit (and compacts the optional coordinator FD sketch) — one of
-        :data:`repro.accel.SVD_MODES`.  ``"exact"`` is LAPACK's ``gesdd`` on
-        the Gram; the gate deciding when to decompose is the same in every
-        mode.
     keep_message_records:
         Retain a full message log (tests only).
     """
 
     def __init__(self, num_sites: int, dimension: int, epsilon: float,
                  coordinator_sketch_size: Optional[int] = None,
-                 svd_mode: str = "auto",
                  keep_message_records: bool = False):
         super().__init__(num_sites, dimension, epsilon,
                          keep_message_records=keep_message_records)
-        self._svd_mode = check_svd_mode(svd_mode)
         self._sites = [_SiteState(dimension) for _ in range(num_sites)]
         self._init_rounds()                      # F̂ is the rounds' Ŵ
         # B is ``_coordinator_rows[:_coordinator_count]``, in arrival order.
@@ -188,8 +180,8 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
             size = check_positive_int(coordinator_sketch_size,
                                       name="coordinator_sketch_size")
             self._coordinator_sketch = FrequentDirections(
-                dimension=dimension, sketch_size=size, svd_mode=self._svd_mode,
-                buffer_multiplier=_fd_buffer_multiplier(self._svd_mode),
+                dimension=dimension, sketch_size=size,
+                buffer_multiplier=FD_BUFFER_MULTIPLIER,
             )
 
     #: The optional FD sketch compressing ``B`` (``None`` without one).
@@ -214,11 +206,6 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
     def estimated_norm(self) -> float:
         """The coordinator's running estimate ``F̂`` of ``‖A‖²_F``."""
         return self._estimated_total
-
-    @property
-    def svd_mode(self) -> str:
-        """Spectral kernel used by the site decompositions."""
-        return self._svd_mode
 
     # ---------------------------------------------------------------- site side
     def process(self, site: int, row: np.ndarray) -> None:
@@ -316,9 +303,9 @@ class DeterministicDirectionProtocol(ThresholdRounds, MatrixTrackingProtocol):
         """Decompose the site's Gram and ship every direction above threshold."""
         state = self._sites[site]
         # Full spectrum: the light directions are retained as the new
-        # residual, so a top-k kernel cannot be used here (auto → gram).
-        # For the PSD Gram the values are σ² and ``vt`` its eigenvectors.
-        squared, vt = spectral_decomposition(residual, mode=self._svd_mode)
+        # residual.  For the PSD Gram the values are σ² and ``vt`` its
+        # eigenvectors.  The module-global name is what profilers wrap.
+        squared, vt = spectral_decomposition(residual)
         count = int(np.count_nonzero(squared >= self._emission_level()))
         if count:
             for value, direction in zip(squared[:count], vt[:count]):

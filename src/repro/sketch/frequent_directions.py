@@ -25,12 +25,12 @@ most the sum of the two input errors.  Distributed protocol P1 uses this.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 import numpy as np
 
-from ..accel.fd_kernels import check_svd_mode, shrink_rows, spectral_decomposition
-from ..utils.validation import check_positive_int, check_row, check_row_batch
+from ..accel.fd_kernels import shrink_rows
+from ..utils.validation import check_epsilon, check_positive_int, check_row, check_row_batch
 from .base import MatrixSketch
 
 __all__ = ["FrequentDirections"]
@@ -55,14 +55,8 @@ class FrequentDirections(MatrixSketch):
         LAPACK latency over more rows at the cost of a proportionally
         larger buffer — the FD invariant and the shrinkage certificate hold
         for any multiplier (the shrink step subtracts the ``(ℓ+1)``-st
-        squared singular value of whatever is buffered).
-    svd_mode:
-        Which spectral kernel compactions use — one of
-        :data:`repro.accel.SVD_MODES`.  ``"exact"`` is the historical
-        ``numpy.linalg.svd`` path (bit-for-bit reproducible against
-        archived runs); the default ``"auto"`` selects the Gram-trick
-        kernel, which is several times faster on the small buffers FD
-        produces and keeps the sketch within the same FD error bound.
+        squared singular value of whatever is buffered).  Compactions run
+        the Gram-trick kernel of :mod:`repro.accel.fd_kernels`.
 
     Examples
     --------
@@ -78,11 +72,9 @@ class FrequentDirections(MatrixSketch):
     True
     """
 
-    def __init__(self, dimension: int, sketch_size: int, buffer_multiplier: int = 2,
-                 svd_mode: str = "auto"):
+    def __init__(self, dimension: int, sketch_size: int, buffer_multiplier: int = 2):
         self._dimension = check_positive_int(dimension, name="dimension")
         self._sketch_size = check_positive_int(sketch_size, name="sketch_size")
-        self._svd_mode = check_svd_mode(svd_mode)
         multiplier = check_positive_int(buffer_multiplier, name="buffer_multiplier")
         if multiplier < 2:
             raise ValueError("buffer_multiplier must be at least 2")
@@ -95,17 +87,14 @@ class FrequentDirections(MatrixSketch):
 
     # --------------------------------------------------------------- factory
     @classmethod
-    def from_epsilon(cls, dimension: int, epsilon: float,
-                     svd_mode: str = "auto") -> "FrequentDirections":
+    def from_epsilon(cls, dimension: int, epsilon: float) -> "FrequentDirections":
         """Size the sketch so the error is at most ``epsilon * ‖A‖²_F``.
 
         Uses ``ℓ = ceil(2/ε)`` which satisfies Liberty's bound
         ``2‖A‖²_F/ℓ ≤ ε‖A‖²_F``.
         """
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
-        return cls(dimension=dimension, sketch_size=max(1, math.ceil(2.0 / epsilon)),
-                   svd_mode=svd_mode)
+        epsilon = check_epsilon(epsilon)
+        return cls(dimension=dimension, sketch_size=max(1, math.ceil(2.0 / epsilon)))
 
     # ------------------------------------------------------------- properties
     @property
@@ -116,11 +105,6 @@ class FrequentDirections(MatrixSketch):
     def sketch_size(self) -> int:
         """The number of retained directions ``ℓ``."""
         return self._sketch_size
-
-    @property
-    def svd_mode(self) -> str:
-        """The spectral kernel compactions use (see :data:`repro.accel.SVD_MODES`)."""
-        return self._svd_mode
 
     @property
     def rows_seen(self) -> int:
@@ -179,7 +163,7 @@ class FrequentDirections(MatrixSketch):
         :meth:`compacted_view`: returns ``(compacted, delta)`` for the
         currently buffered rows, without touching the buffer."""
         active = self._buffer[: self._filled, :]
-        return shrink_rows(active, self._sketch_size, mode=self._svd_mode)
+        return shrink_rows(active, self._sketch_size)
 
     def _compact(self) -> None:
         """Shrink the buffer back to ``sketch_size`` retained directions."""
@@ -198,7 +182,7 @@ class FrequentDirections(MatrixSketch):
         self._compact()
 
     def sketch_matrix(self) -> np.ndarray:
-        """Return the current sketch rows (between ``0`` and ``2ℓ`` of them)."""
+        """Return the current sketch rows (up to the buffer capacity)."""
         return self._buffer[: self._filled, :].copy()
 
     def compacted_matrix(self) -> np.ndarray:
@@ -252,7 +236,6 @@ class FrequentDirections(MatrixSketch):
             dimension=self._dimension,
             sketch_size=self._sketch_size,
             buffer_multiplier=self._capacity // self._sketch_size,
-            svd_mode=self._svd_mode,
         )
         for block in (self.sketch_matrix(), other.sketch_matrix()):
             total = block.shape[0]
@@ -279,7 +262,6 @@ class FrequentDirections(MatrixSketch):
             dimension=self._dimension,
             sketch_size=self._sketch_size,
             buffer_multiplier=self._capacity // self._sketch_size,
-            svd_mode=self._svd_mode,
         )
         clone._buffer = self._buffer.copy()
         clone._filled = self._filled
@@ -305,14 +287,6 @@ class FrequentDirections(MatrixSketch):
         if state["buffer"].shape != self._buffer.shape:
             raise ValueError("the FD buffer does not fit this sketch")
         super().load_state_dict(state)
-
-    def top_directions(self, k: Optional[int] = None) -> np.ndarray:
-        """Return the top ``k`` right singular vectors of the current sketch."""
-        sketch = self.compacted_matrix()
-        if sketch.size == 0:
-            return np.zeros((0, self._dimension))
-        _, vt = spectral_decomposition(sketch, mode=self._svd_mode, top=k)
-        return vt
 
     def __repr__(self) -> str:
         return (

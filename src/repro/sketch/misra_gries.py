@@ -21,7 +21,7 @@ from typing import Any, Dict, Generic, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..utils.validation import check_positive_int, check_weight, check_weight_batch
+from ..utils.validation import check_epsilon, check_positive_int, check_weight, check_weight_batch
 from .base import FrequencySketch, aggregate_weighted_batch, counter_columns, counter_dict
 
 __all__ = ["WeightedMisraGries"]
@@ -58,10 +58,9 @@ class WeightedMisraGries(FrequencySketch[Element], Generic[Element]):
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "WeightedMisraGries[Element]":
         """Build a summary guaranteeing additive error at most ``epsilon * W``."""
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
         import math
 
+        epsilon = check_epsilon(epsilon)
         return cls(num_counters=max(1, math.ceil(1.0 / epsilon)))
 
     @property

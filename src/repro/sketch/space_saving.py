@@ -19,7 +19,7 @@ from typing import Any, Dict, Generic, Hashable, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
-from ..utils.validation import check_positive_int, check_weight, check_weight_batch
+from ..utils.validation import check_epsilon, check_positive_int, check_weight, check_weight_batch
 from .base import FrequencySketch, aggregate_weighted_batch, counter_columns, counter_dict
 
 __all__ = ["WeightedSpaceSaving"]
@@ -43,10 +43,9 @@ class WeightedSpaceSaving(FrequencySketch[Element], Generic[Element]):
     @classmethod
     def from_epsilon(cls, epsilon: float) -> "WeightedSpaceSaving[Element]":
         """Build a summary guaranteeing over-count at most ``epsilon * W``."""
-        if not 0.0 < epsilon <= 1.0:
-            raise ValueError(f"epsilon must lie in (0, 1], got {epsilon!r}")
         import math
 
+        epsilon = check_epsilon(epsilon)
         return cls(num_counters=max(1, math.ceil(1.0 / epsilon)))
 
     @classmethod

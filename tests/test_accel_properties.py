@@ -1,25 +1,23 @@
-"""Properties of the pluggable FD compaction kernels (``repro.accel``).
+"""Properties of the FD compaction kernel (``repro.accel``).
 
-Two families of guarantees, each checked across every ``svd_mode`` and the
-seed matrix from ``REPRO_PROPERTY_SEEDS``:
+Two families of guarantees, each checked across the seed matrix from
+``REPRO_PROPERTY_SEEDS``:
 
-* **Shrinkage certificate** — for every kernel the cumulative shrinkage
-  ``Σδ`` reported by a :class:`FrequentDirections` sketch is a true
-  data-dependent upper bound on the directional error
-  ``‖Ax‖² − ‖Bx‖²`` (and is itself bounded by ``‖A‖²_F / ℓ``).  This is
-  the invariant that lets the fast kernels replace the exact LAPACK path
-  without weakening the paper's error analysis — the randomized kernel in
-  particular folds its projection residual into ``δ`` to keep it true.
+* **Shrinkage certificate** — the cumulative shrinkage ``Σδ`` reported by
+  a :class:`FrequentDirections` sketch is a true data-dependent upper bound
+  on the directional error ``‖Ax‖² − ‖Bx‖²`` (and is itself bounded by
+  ``‖A‖²_F / ℓ``).  This is the invariant that lets the Gram-trick kernel
+  replace a LAPACK SVD without weakening the paper's error analysis.
 * **Query purity** — :meth:`FrequentDirections.compacted_view` returns
   exactly the matrix that :meth:`compact` + :meth:`sketch_matrix` would
   install, without mutating the buffer, the compaction schedule or the
   shrinkage accumulator.  Continuous queries therefore never perturb the
-  stream evolution, for any kernel.
+  stream evolution.
 
 Plus the Gram contract matrix P2 relies on — a PSD ``BᵀB`` decomposes into
-``σ²(B)`` and its eigenvectors under every kernel, without squaring its
-condition number — and the regression test for the ``thin_svd``
-non-convergence fallback:
+``σ²(B)`` and its eigenvectors under each of the kernel's modes, without
+squaring its condition number — one ``shrink_rows`` compaction under each
+mode, and the regression test for the ``thin_svd`` non-convergence fallback:
 the deterministically jittered retry is a pure function of the input and
 floors sub-tolerance singular values to exactly zero, so a fallback never
 changes which singular values callers consider nonzero.
@@ -30,7 +28,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.accel import SVD_MODES, spectral_decomposition
+from repro.accel import spectral_decomposition
+from repro.accel import shrink_rows
+from repro.accel.fd_kernels import SVD_MODES, check_svd_mode
 from repro.sketch.frequent_directions import FrequentDirections
 from repro.utils.linalg import SVD_RELATIVE_TOLERANCE, thin_svd
 
@@ -45,12 +45,10 @@ def _stream(seed: int, rows: int = 300, dimension: int = 12) -> np.ndarray:
 
 
 class TestShrinkageCertificate:
-    @pytest.mark.parametrize("svd_mode", SVD_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_shrinkage_bounds_directional_error(self, svd_mode, seed):
+    def test_shrinkage_bounds_directional_error(self, seed):
         rows = _stream(seed)
-        sketch = FrequentDirections(dimension=rows.shape[1], sketch_size=5,
-                                    svd_mode=svd_mode)
+        sketch = FrequentDirections(dimension=rows.shape[1], sketch_size=5)
         sketch.update_many(rows)
 
         # Install the final compaction so the reported Σδ covers exactly the
@@ -74,15 +72,12 @@ class TestShrinkageCertificate:
             assert true - approx >= -tolerance
             assert true - approx <= sketch.shrinkage + tolerance
 
-    @pytest.mark.parametrize("svd_mode", SVD_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_merge_keeps_certificate(self, svd_mode, seed):
+    def test_merge_keeps_certificate(self, seed):
         rows = _stream(seed, rows=240)
         cut = rows.shape[0] // 2
-        left = FrequentDirections(dimension=rows.shape[1], sketch_size=5,
-                                  svd_mode=svd_mode)
-        right = FrequentDirections(dimension=rows.shape[1], sketch_size=5,
-                                   svd_mode=svd_mode)
+        left = FrequentDirections(dimension=rows.shape[1], sketch_size=5)
+        right = FrequentDirections(dimension=rows.shape[1], sketch_size=5)
         left.update_many(rows[:cut])
         right.update_many(rows[cut:])
         merged = left.merge(right)
@@ -102,12 +97,10 @@ class TestShrinkageCertificate:
 
 
 class TestCompactedViewPurity:
-    @pytest.mark.parametrize("svd_mode", SVD_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_view_matches_installed_compaction(self, svd_mode, seed):
+    def test_view_matches_installed_compaction(self, seed):
         rows = _stream(seed)
-        sketch = FrequentDirections(dimension=rows.shape[1], sketch_size=5,
-                                    svd_mode=svd_mode)
+        sketch = FrequentDirections(dimension=rows.shape[1], sketch_size=5)
         sketch.update_many(rows)
 
         before = (sketch.sketch_matrix(), sketch.shrinkage, sketch.rows_seen,
@@ -126,10 +119,8 @@ class TestCompactedViewPurity:
         installed.compact()
         assert np.array_equal(view, installed.sketch_matrix())
 
-    @pytest.mark.parametrize("svd_mode", SVD_MODES)
-    def test_view_below_capacity_is_plain_copy(self, svd_mode):
-        sketch = FrequentDirections(dimension=4, sketch_size=3,
-                                    svd_mode=svd_mode)
+    def test_view_below_capacity_is_plain_copy(self):
+        sketch = FrequentDirections(dimension=4, sketch_size=3)
         rows = np.arange(8.0).reshape(2, 4)
         sketch.update_many(rows)
         assert np.array_equal(sketch.compacted_view(), rows)
@@ -140,7 +131,7 @@ class TestGramSpectrum:
     @pytest.mark.parametrize("svd_mode", SVD_MODES)
     @pytest.mark.parametrize("seed", SEEDS)
     def test_psd_gram_gives_squared_singular_values(self, svd_mode, seed):
-        """Handed a PSD Gram ``BᵀB``, every kernel returns ``σ²(B)`` and the
+        """Handed a PSD Gram ``BᵀB``, each mode returns ``σ²(B)`` and the
         eigenvectors — what matrix P2 decomposes a site residual into.  The
         ``σ²`` span ten decades: decomposing ``G·Gᵀ`` instead of ``G``
         would square that and lose the small ones."""
@@ -154,6 +145,47 @@ class TestGramSpectrum:
         assert np.allclose(vt @ vt.T, np.eye(gram.shape[0]), atol=1e-10)
         assert np.allclose((vt.T * values) @ vt, gram, rtol=0.0,
                            atol=1e-12 * scale)
+
+
+class TestShrinkRows:
+    """The kernel's one compaction, under each of its remaining modes: the
+    certificate holds for one step, and the modes install the same Gram."""
+
+    @staticmethod
+    def _buffer(seed: int) -> np.ndarray:
+        return _stream(seed, rows=20, dimension=12)
+
+    @pytest.mark.parametrize("svd_mode", SVD_MODES)
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_one_compaction_keeps_the_certificate(self, svd_mode, seed):
+        rows = self._buffer(seed)
+        compacted, delta = shrink_rows(rows, 5, svd_mode)
+        assert compacted.shape[0] <= 5
+        assert compacted.shape[1] == rows.shape[1]
+        gap = rows.T @ rows - compacted.T @ compacted
+        extremes = np.linalg.eigvalsh(gap)
+        tolerance = 1e-9 * float(np.sum(rows ** 2))
+        # 0 <= ||Ax||^2 - ||Bx||^2 <= delta for every unit x.
+        assert extremes[0] >= -tolerance
+        assert extremes[-1] <= delta + tolerance
+        assert 0.0 <= delta <= np.sum(rows ** 2) / 5 + tolerance
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_modes_install_the_same_gram(self, seed):
+        rows = self._buffer(seed)
+        (auto, auto_delta), (exact, exact_delta) = (
+            shrink_rows(rows, 5, mode) for mode in ("auto", "exact"))
+        scale = float(np.sum(rows ** 2))
+        assert np.isclose(auto_delta, exact_delta, rtol=1e-9, atol=0.0)
+        assert np.allclose(auto.T @ auto, exact.T @ exact, rtol=0.0,
+                           atol=1e-9 * scale)
+
+    @pytest.mark.parametrize("retired", ["gram", "randomized"])
+    def test_retired_modes_are_refused(self, retired):
+        with pytest.raises(ValueError, match=retired):
+            check_svd_mode(retired)
+        with pytest.raises(ValueError, match=retired):
+            shrink_rows(self._buffer(0), 5, retired)
 
 
 class TestThinSvdFallback:

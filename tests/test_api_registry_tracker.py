@@ -24,7 +24,12 @@ from repro.api import (
 from repro.cli import main as cli_main
 from repro.data.zipfian import ZipfianStreamGenerator
 from repro.heavy_hitters import PrioritySamplingProtocol, ThresholdedUpdatesProtocol
-from repro.matrix_tracking import DeterministicDirectionProtocol
+from repro.matrix_tracking import (
+    BatchedFrequentDirectionsProtocol,
+    CentralizedFDBaseline,
+    DeterministicDirectionProtocol,
+)
+from repro.sketch import FrequentDirections
 from repro.streaming import WeightedItemBatch
 from repro.streaming.partition import UniformRandomPartitioner
 from repro.utils.linalg import covariance_error
@@ -93,6 +98,54 @@ class TestRegistry:
         new.observe_batch(sites, batch)
         assert old.message_counts() == new.message_counts()
         assert old.estimates() == new.estimates()
+
+
+#: The specs and classes that took ``svd_mode``, with the rest of a
+#: minimal valid argument set.
+SVD_MODE_SPECS = {
+    "matrix/P1": {"epsilon": 0.2},
+    "matrix/P2": {"epsilon": 0.2},
+    "matrix/FD": {"sketch_size": 4},
+}
+SVD_MODE_CLASSES = {
+    "FrequentDirections": (FrequentDirections,
+                           {"dimension": 3, "sketch_size": 2}),
+    "BatchedFrequentDirectionsProtocol": (
+        BatchedFrequentDirectionsProtocol,
+        {"num_sites": 2, "dimension": 3, "epsilon": 0.2}),
+    "DeterministicDirectionProtocol": (
+        DeterministicDirectionProtocol,
+        {"num_sites": 2, "dimension": 3, "epsilon": 0.2}),
+    "CentralizedFDBaseline": (CentralizedFDBaseline,
+                              {"num_sites": 2, "dimension": 3,
+                               "sketch_size": 4}),
+}
+
+
+class TestNoSvdModeKnob:
+    """The FD kernel is not selectable: no spec, constructor or property
+    takes or reports ``svd_mode``."""
+
+    @pytest.mark.parametrize("spec", sorted(SVD_MODE_SPECS))
+    def test_spec_refuses_svd_mode(self, spec):
+        params = {"num_sites": 2, "dimension": 3, **SVD_MODE_SPECS[spec]}
+        assert not hasattr(create(spec, **params), "svd_mode")
+        with pytest.raises(ValueError, match="unknown parameter.*svd_mode"):
+            create(spec, svd_mode="auto", **params)
+        with pytest.raises(ValueError, match="unknown parameter.*svd_mode"):
+            repro.Tracker.create(spec, svd_mode="auto", **params)
+
+    @pytest.mark.parametrize("name", sorted(SVD_MODE_CLASSES))
+    def test_constructor_refuses_svd_mode(self, name):
+        cls, params = SVD_MODE_CLASSES[name]
+        assert not hasattr(cls(**params), "svd_mode")
+        with pytest.raises(TypeError, match="svd_mode"):
+            cls(svd_mode="auto", **params)
+
+    def test_from_epsilon_refuses_svd_mode(self):
+        with pytest.raises(TypeError, match="svd_mode"):
+            FrequentDirections.from_epsilon(dimension=3, epsilon=0.5,
+                                            svd_mode="auto")
 
 
 class TestTracker:

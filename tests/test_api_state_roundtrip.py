@@ -16,6 +16,7 @@ the same condition under which two ``tracker.run`` instalments equal one.
 from __future__ import annotations
 
 import base64
+import hashlib
 import pickle
 
 import numpy as np
@@ -35,6 +36,7 @@ from repro.api import (
 from repro.api.state import (
     CHECKPOINT_VERSION,
     protocol_state,
+    restorable_params,
     restore_protocol,
     tracker_frame,
     tracker_from_frame,
@@ -42,7 +44,7 @@ from repro.api.state import (
 )
 from repro.sketch import FrequentDirections, WeightedMisraGries
 from repro.streaming.partition import HashPartitioner
-from repro.wire import decode_value, encode_value
+from repro.wire import decode_value, encode_value, pack_frame, unpack_frame
 
 from test_protocol_equivalence_properties import (
     NUM_SITES,
@@ -455,6 +457,139 @@ j75+K3yeTtHxSeP3p48/qvgS4ZARBEEdHXJYwuUMTuK0ow2x+8IQ7fADJR5eSDcMccOw
 Ayai4ehYGG1V0heN+qKd5jTmuApfWyObX7agU+Dyavlm/c3V2s+de7X3K7UarvzFadrc
 sn34tzs9nP8Are8p9X+pUkI=
 """
+
+
+#: The specs that took ``svd_mode``, and its recorded values by outcome.
+SVD_MODE_SPECS = ("matrix/P1", "matrix/P2", "matrix/FD")
+SAME_KERNEL_MODES = ("auto", "gram")
+RETIRED_KERNEL_MODES = ("exact", "randomized")
+
+
+class TestRestorableParams:
+    def test_params_without_svd_mode_pass_through(self):
+        params = {"num_sites": 3, "dimension": 4, "epsilon": 0.2}
+        assert restorable_params(params, "payload") is params
+
+    @pytest.mark.parametrize("mode", (None,) + SAME_KERNEL_MODES)
+    def test_same_kernel_mode_is_dropped(self, mode):
+        params = {"num_sites": 3, "svd_mode": mode, "dimension": 4}
+        assert restorable_params(params, "payload") == {"num_sites": 3,
+                                                        "dimension": 4}
+        assert params["svd_mode"] == mode   # the checkpoint's dict is kept
+
+    @pytest.mark.parametrize("mode", RETIRED_KERNEL_MODES + ("fast",))
+    def test_other_modes_are_refused_by_name(self, mode):
+        with pytest.raises(CheckpointError,
+                           match=f"cannot restore shard 3: .*svd_mode={mode!r}"):
+            restorable_params({"num_sites": 3, "svd_mode": mode}, "shard 3")
+
+
+@pytest.mark.parametrize("spec", SVD_MODE_SPECS)
+class TestRetiredSvdMode:
+    """Checkpoints written while the FD kernel was the ``svd_mode`` knob
+    record it among their params.  ``auto`` and ``gram`` ran the kernel
+    this build runs and resume bit-identically; ``exact`` ran ``gesdd`` on
+    half-size buffers, ``randomized`` a range finder, and both are refused
+    by name."""
+
+    @staticmethod
+    def _with_svd_mode(frame: bytes, mode: str) -> bytes:
+        """A tracker frame as a build with the knob wrote it: ``svd_mode``
+        in the session's and the protocol's params."""
+        kind, payload = unpack_frame(frame)
+        payload["params"]["svd_mode"] = mode
+        payload["protocol"]["params"]["svd_mode"] = mode
+        return pack_frame(kind, payload, compress=True)
+
+    def _cluster_with_svd_mode(self, path, mode: str) -> None:
+        kind, payload = unpack_frame(path.read_bytes())
+        payload["params"]["svd_mode"] = mode
+        payload["shard_payloads"] = [self._with_svd_mode(frame, mode)
+                                     for frame in payload["shard_payloads"]]
+        path.write_bytes(pack_frame(kind, payload, compress=False))
+
+    def _tracker_checkpoint(self, spec: str, mode: str, tmp_path):
+        dataset, batch, sites = matrix_stream(SEEDS[0])
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+        interrupted = _tracker(spec, SEEDS[0], dataset.dimension)
+        _run_with_sites(interrupted, sites, batch, 0, half)
+        path = tmp_path / "session.ckpt"
+        interrupted.save(path)
+        path.write_bytes(self._with_svd_mode(path.read_bytes(), mode))
+        return path, (dataset, batch, sites, half)
+
+    @staticmethod
+    def _cluster(spec: str, dimension: int):
+        return repro.ShardedTracker.create(
+            spec, shards=2, backend="serial", chunk_size=CHUNK,
+            **_params(spec, SEEDS[0], dimension))
+
+    def _cluster_checkpoint(self, spec: str, mode: str, tmp_path):
+        dataset, batch, _ = matrix_stream(SEEDS[0])
+        half = (len(batch) // (2 * CHUNK)) * CHUNK
+        path = tmp_path / "cluster.ckpt"
+        with self._cluster(spec, dataset.dimension) as first_leg:
+            first_leg.run(batch[:half])
+            first_leg.save(path)
+        self._cluster_with_svd_mode(path, mode)
+        return path, (dataset, batch, half)
+
+    @pytest.mark.parametrize("mode", SAME_KERNEL_MODES)
+    def test_same_kernel_in_a_tracker_checkpoint_resumes_bit_identically(
+            self, spec, mode, tmp_path):
+        path, (dataset, batch, sites, half) = self._tracker_checkpoint(
+            spec, mode, tmp_path)
+        uninterrupted = _tracker(spec, SEEDS[0], dataset.dimension)
+        _run_with_sites(uninterrupted, sites, batch, 0, len(batch))
+
+        resumed = repro.Tracker.load(path)
+        assert "svd_mode" not in resumed.params
+        _run_with_sites(resumed, sites, batch, half, len(batch))
+        assert (hashlib.sha256(tracker_frame(resumed)).hexdigest()
+                == hashlib.sha256(tracker_frame(uninterrupted)).hexdigest())
+
+    @pytest.mark.parametrize("mode", RETIRED_KERNEL_MODES)
+    def test_retired_kernel_in_a_tracker_checkpoint_is_refused(
+            self, spec, mode, tmp_path):
+        path, _ = self._tracker_checkpoint(spec, mode, tmp_path)
+        with pytest.raises(CheckpointError, match=f"svd_mode={mode!r}"):
+            repro.Tracker.load(path)
+
+    @pytest.mark.parametrize("mode", SAME_KERNEL_MODES)
+    def test_same_kernel_in_a_cluster_checkpoint_resumes_bit_identically(
+            self, spec, mode, tmp_path):
+        path, (dataset, batch, half) = self._cluster_checkpoint(
+            spec, mode, tmp_path)
+        expected = tmp_path / "whole.ckpt"
+        with self._cluster(spec, dataset.dimension) as whole:
+            whole.run(batch[:half])
+            whole.run(batch[half:])
+            whole.save(expected)
+        resumed_path = tmp_path / "resumed.ckpt"
+        with repro.ShardedTracker.load(path) as resumed:
+            assert "svd_mode" not in resumed.params
+            resumed.run(batch[half:])
+            resumed.save(resumed_path)
+        assert (hashlib.sha256(resumed_path.read_bytes()).hexdigest()
+                == hashlib.sha256(expected.read_bytes()).hexdigest())
+
+    @pytest.mark.parametrize("mode", RETIRED_KERNEL_MODES)
+    def test_retired_kernel_in_a_cluster_checkpoint_is_refused(
+            self, spec, mode, tmp_path):
+        path, _ = self._cluster_checkpoint(spec, mode, tmp_path)
+        with pytest.raises(CheckpointError, match=f"svd_mode={mode!r}"):
+            repro.ShardedTracker.load(path)
+
+    @pytest.mark.parametrize("mode", RETIRED_KERNEL_MODES)
+    def test_retired_kernel_in_a_shard_frame_alone_is_refused(
+            self, spec, mode, tmp_path):
+        path, _ = self._cluster_checkpoint(spec, "auto", tmp_path)
+        kind, payload = unpack_frame(path.read_bytes())
+        payload["shard_payloads"][1] = self._with_svd_mode(
+            payload["shard_payloads"][1], mode)
+        path.write_bytes(pack_frame(kind, payload, compress=False))
+        with pytest.raises(CheckpointError, match=f"svd_mode={mode!r}"):
+            repro.ShardedTracker.load(path)
 
 
 class TestProtocolCheckpointHelpers:

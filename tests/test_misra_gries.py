@@ -74,6 +74,9 @@ class TestBasicBehaviour:
             WeightedMisraGries(0)
         with pytest.raises(ValueError):
             WeightedMisraGries.from_epsilon(0.0)
+        for epsilon in ("0.1", None):
+            with pytest.raises(TypeError, match="epsilon"):
+                WeightedMisraGries.from_epsilon(epsilon)
 
     def test_rejects_non_positive_weight(self):
         sketch = WeightedMisraGries(num_counters=4)

@@ -59,7 +59,6 @@ import numpy as np
 import pytest
 
 import repro
-from repro.accel import SVD_MODES
 from repro.api import SketchMatrix
 from repro.api.state import tracker_frame
 from repro.data.synthetic_matrix import make_pamap_like
@@ -650,12 +649,11 @@ class TestP2EmissionSchedule:
 
     @pytest.mark.parametrize("seed", SEEDS)
     @pytest.mark.parametrize("chunk", CHUNK_SIZES)
-    @pytest.mark.parametrize("svd_mode", SVD_MODES)
-    def test_gated_log_equals_decomposing_every_arrival(self, svd_mode, chunk,
-                                                        seed, monkeypatch):
+    def test_gated_log_equals_decomposing_every_arrival(self, chunk, seed,
+                                                        monkeypatch):
         dataset, batch, sites = matrix_stream(seed)
         build = lambda cls: cls(NUM_SITES, dataset.dimension, 0.2,  # noqa: E731
-                                svd_mode=svd_mode, keep_message_records=True)
+                                keep_message_records=True)
         calls = count_decompositions(monkeypatch)
         reference = build(DecomposeEveryArrival)
         grouped_replay(reference, sites, batch, chunk)

@@ -71,6 +71,9 @@ class TestSpaceSaving:
         assert WeightedSpaceSaving.from_epsilon(0.05).num_counters == 20
         with pytest.raises(ValueError):
             WeightedSpaceSaving.from_epsilon(0.0)
+        for epsilon in ("0.1", None):
+            with pytest.raises(TypeError, match="epsilon"):
+                WeightedSpaceSaving.from_epsilon(epsilon)
 
     def test_rejects_invalid_weight(self):
         sketch = WeightedSpaceSaving(num_counters=2)

@@ -5,6 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.sketch import (
+    FrequentDirections,
+    WeightedMisraGries,
+    WeightedSpaceSaving,
+)
 from repro.utils.validation import (
     check_epsilon,
     check_matrix,
@@ -51,6 +56,33 @@ class TestCheckEpsilon:
     def test_custom_name_in_message(self):
         with pytest.raises(ValueError, match="my_eps"):
             check_epsilon(2.0, name="my_eps")
+
+
+#: Every sketch's ``from_epsilon``, as a function of ``epsilon`` alone.
+FROM_EPSILON = {
+    "FrequentDirections": lambda epsilon: FrequentDirections.from_epsilon(
+        dimension=5, epsilon=epsilon),
+    "WeightedMisraGries": WeightedMisraGries.from_epsilon,
+    "WeightedSpaceSaving": WeightedSpaceSaving.from_epsilon,
+}
+
+
+@pytest.mark.parametrize("sketch", sorted(FROM_EPSILON))
+class TestFromEpsilon:
+    """Each sketch's ``from_epsilon`` refuses what :func:`check_epsilon`
+    refuses, with its error."""
+
+    @pytest.mark.parametrize("epsilon", ["0.1", None, b"0.1", [0.1]],
+                             ids=["str", "none", "bytes", "list"])
+    def test_non_numbers_are_a_type_error(self, sketch, epsilon):
+        with pytest.raises(TypeError, match="epsilon must be a real number"):
+            FROM_EPSILON[sketch](epsilon)
+
+    @pytest.mark.parametrize("epsilon", [-0.1, 1.5, float("nan"),
+                                         float("inf")])
+    def test_out_of_range_is_a_value_error(self, sketch, epsilon):
+        with pytest.raises(ValueError, match="epsilon must"):
+            FROM_EPSILON[sketch](epsilon)
 
 
 class TestCheckPhi:
