@@ -20,7 +20,16 @@ implements that memoize-until-invalidated discipline as a small LRU:
 * ``max_entries`` bounds memory (least-recently-used eviction); there is no
   time-based expiry, because the label alone is always correct.
 
-A cache built with ``max_entries=0`` is disabled: ``get``/``put`` return
+Beside the answers the cache keeps, for each query key, the last
+**per-shard parts** a sharded session combined (see
+:meth:`AnswerCache.store_parts`).  A push moves exactly one shard, so after
+it a query needs a fresh part from that shard alone: a stored part whose
+``items`` equals the shard's watermark entry was read from the shard's
+current state (each shard applies its work first in, first out), and is
+reused as it is.  Parts survive the generation drop that retires answers,
+and are bounded by the same ``max_entries``.
+
+A cache built with ``max_entries=0`` is disabled: every method returns
 immediately without taking the lock, so the hot path costs one attribute
 check and nothing else.
 
@@ -33,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from typing import Any, Hashable, Tuple
+from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import REGISTRY
 
@@ -54,6 +63,10 @@ _MISSES = REGISTRY.counter(
 _EVICTIONS = REGISTRY.counter(
     "repro_cache_evictions_total",
     "Answer-cache LRU evictions", labels=("spec",))
+_PART_REUSES = REGISTRY.counter(
+    "repro_cache_part_reuses_total",
+    "Shard parts reused by a cache miss without calling their shard",
+    labels=("spec",))
 
 
 class AnswerCache:
@@ -78,10 +91,14 @@ class AnswerCache:
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
         #: The newest generation any entry was stored under.
         self._generation: Tuple = ()
+        #: Query key -> the newest part read from each shard for it.
+        self._parts: "OrderedDict[Hashable, List[Dict[str, Any]]]" = \
+            OrderedDict()
         #: Local counters mirrored into the ``repro_cache_*`` metric series.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
+        self.part_reuses = 0
 
     @property
     def enabled(self) -> bool:
@@ -142,10 +159,54 @@ class AnswerCache:
         if evicted and REGISTRY.enabled:
             _EVICTIONS.inc(evicted, spec=self._spec)
 
+    def current_parts(self, key: Hashable, watermark: Sequence[int]
+                      ) -> List[Optional[Dict[str, Any]]]:
+        """One slot per shard: the part stored under ``key`` when its
+        ``items`` equals that shard's ``watermark`` entry, otherwise
+        ``None`` (the shard must be asked again)."""
+        stored = None
+        if self.max_entries:
+            with self._lock:
+                stored = self._parts.get(key)
+                if stored is not None:
+                    self._parts.move_to_end(key)
+        if stored is None:
+            return [None] * len(watermark)
+        return [part if part["items"] == items else None
+                for part, items in zip(stored, watermark)]
+
+    def store_parts(self, key: Hashable, parts: Sequence[Dict[str, Any]],
+                    reused: int = 0) -> None:
+        """Keep ``parts`` (one per shard) as the newest read for ``key``.
+
+        A stored part is replaced only by one whose ``items`` is at least
+        as large, so a reader that fetched an older state than a racing
+        reader cannot put it back.  ``reused`` counts the parts of this
+        answer that came from :meth:`current_parts` without a call.
+        """
+        if self.max_entries == 0:
+            return
+        with self._lock:
+            stored = self._parts.get(key)
+            if stored is None:
+                stored = list(parts)
+            else:
+                stored = [new if new["items"] >= old["items"] else old
+                          for old, new in zip(stored, parts)]
+            self._parts[key] = stored
+            self._parts.move_to_end(key)
+            while len(self._parts) > self.max_entries:
+                self._parts.popitem(last=False)
+            self.part_reuses += reused
+        if reused and REGISTRY.enabled:
+            _PART_REUSES.inc(reused, spec=self._spec)
+
     def clear(self) -> None:
-        """Drop every entry (counters keep their totals)."""
+        """Drop every entry and every stored part (counters keep their
+        totals)."""
         with self._lock:
             self._entries.clear()
+            self._parts.clear()
 
     # Trackers must stay picklable (tests pickle whole sessions); a cache
     # pickles as its configuration only — entries and counters are

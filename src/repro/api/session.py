@@ -20,17 +20,27 @@ from __future__ import annotations
 import os
 from contextlib import contextmanager
 from time import perf_counter
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Hashable, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from ..obs.metrics import REGISTRY
 from .cache import DEFAULT_CACHE_SIZE, AnswerCache
 from .queries import Answer, Query
 from .registry import DOMAIN_HEAVY_HITTERS, DOMAIN_MATRIX
 
-__all__ = ["Session"]
+__all__ = ["Session", "cache_key"]
 
 _PROTOCOL_NOUNS = {DOMAIN_HEAVY_HITTERS: "weighted heavy-hitter",
                    DOMAIN_MATRIX: "matrix-tracking"}
+
+
+def cache_key(query: Query) -> Optional[Hashable]:
+    """``query.cache_key()``, or ``None`` for parameters that cannot be
+    hashed (such queries bypass the cache)."""
+    try:
+        return query.cache_key()
+    except TypeError:
+        return None
 
 
 class Session:
@@ -137,10 +147,7 @@ class Session:
                                     kind=type(query).__name__)
         key = None
         if self._cache.enabled and not partial:
-            try:
-                key = query.cache_key()
-            except TypeError:
-                key = None  # unhashable parameters bypass the cache
+            key = cache_key(query)
             if key is not None:
                 watermark = self.watermark
                 cached = self._cache.get((key, watermark))

@@ -173,13 +173,17 @@ class EngineBackend(abc.ABC):
     def call(self, shard: int, fn: Callable, *args: Any) -> Any:
         """Run ``fn(tracker, *args)`` on ``shard`` after queued work; return it."""
 
-    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
+    def call_all(self, fn: Callable, *args: Any,
+                 shards: Optional[Sequence[int]] = None) -> List[Any]:
         """Run ``fn`` on every shard and collect results in shard order.
 
-        The default issues one blocking :meth:`call` per shard; parallel
-        backends override it to overlap the per-shard work.
+        ``shards`` narrows the fan-out to those shard indices; the results
+        then follow their order.  The default issues one blocking
+        :meth:`call` per shard; parallel backends override it to overlap
+        the per-shard work.
         """
-        return [self.call(shard, fn, *args) for shard in range(self._num_shards)]
+        return [self.call(shard, fn, *args)
+                for shard in self._fanout(shards)]
 
     def call_all_partial(self, fn: Callable, *args: Any
                          ) -> Tuple[List[Any], Dict[int, "BackendError"]]:
@@ -209,6 +213,12 @@ class EngineBackend(abc.ABC):
     @abc.abstractmethod
     def close(self) -> None:
         """Release workers; the backend is unusable afterwards (idempotent)."""
+
+    def _fanout(self, shards: Optional[Sequence[int]]) -> Sequence[int]:
+        """The shard indices a ``call_all`` goes to (default: all)."""
+        if shards is None:
+            return range(self._num_shards)
+        return [self._check_shard(shard) for shard in shards]
 
     def _check_shard(self, shard: int) -> int:
         if not self._launched:
@@ -381,9 +391,10 @@ class ThreadBackend(EngineBackend):
     def call(self, shard: int, fn: Callable, *args: Any) -> Any:
         return self._shards[self._check_shard(shard)].start_call(fn, args).result()
 
-    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
+    def call_all(self, fn: Callable, *args: Any,
+                 shards: Optional[Sequence[int]] = None) -> List[Any]:
         boxes = [self._shards[shard].start_call(fn, args)
-                 for shard in range(self._num_shards)]
+                 for shard in self._fanout(shards)]
         return [box.result() for box in boxes]
 
     def close(self) -> None:
@@ -734,8 +745,10 @@ class RemoteBackend(EngineBackend):
         handle.send_command("call", fn, args)
         return handle.finish_call()
 
-    def call_all(self, fn: Callable, *args: Any) -> List[Any]:
-        return drain_call_all(self._shards, fn, args)
+    def call_all(self, fn: Callable, *args: Any,
+                 shards: Optional[Sequence[int]] = None) -> List[Any]:
+        return drain_call_all(
+            [self._shards[shard] for shard in self._fanout(shards)], fn, args)
 
     def call_all_partial(self, fn: Callable, *args: Any
                          ) -> Tuple[List[Any], Dict[int, BackendError]]:

@@ -25,8 +25,10 @@ stays near ``S×`` one coordinator's.  The sharded facade
   sub-batches as :mod:`repro.wire` frames and preserving per-shard FIFO
   order,
 * **answers the typed queries** of :mod:`repro.api.queries` through the
-  inherited :meth:`~repro.api.session.Session.query`: every shard reads
-  ``query.materials`` and ``query.combine`` folds them — counter-merge for
+  inherited :meth:`~repro.api.session.Session.query`: every shard whose
+  items moved since its last part for that query reads ``query.materials``
+  (the others' stored parts are reused) and ``query.combine`` folds them
+  all — counter-merge for
   heavy hitters, covariance/Frequent-Directions merge for matrix queries,
   with the combined error bound ``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s`` and
   cluster-aggregated message/items accounting, and
@@ -51,6 +53,7 @@ Example::
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Dict, List, Optional, Sequence, Tuple
@@ -60,7 +63,7 @@ import numpy as np
 from ..api.cache import DEFAULT_CACHE_SIZE
 from ..api.queries import Query
 from ..api.registry import DOMAIN_HEAVY_HITTERS, get_spec
-from ..api.session import Session
+from ..api.session import Session, cache_key
 from ..api.state import (
     CheckpointError,
     _read,
@@ -280,6 +283,7 @@ class ShardedTracker(Session):
         self._closed = False
         #: Items dispatched to each shard, seeded from the shards (one path
         #: for create and load); replaced, never mutated, under readers.
+        self._watermark_lock = threading.Lock()
         self._watermark: Tuple[int, ...] = tuple(
             self._backend.call_all(_shard_items))
 
@@ -370,9 +374,7 @@ class ShardedTracker(Session):
         if REGISTRY.enabled:
             self._pushes.inc()
             self._items.inc()
-        watermark = list(self._watermark)
-        watermark[shard] += 1
-        self._watermark = tuple(watermark)
+        self._advance(shard, 1)
         self._backend.submit(shard, _shard_ingest,
                              np.array((local,), dtype=np.int64), batch)
 
@@ -402,16 +404,12 @@ class ShardedTracker(Session):
         if len(batch) == 1 or not (sites % self._num_shards != shard).any():
             # One shard takes the whole batch (every one-item push, every
             # push from a single site): no grouping, no copy.
-            watermark = list(self._watermark)
-            watermark[shard] += len(batch)
-            self._watermark = tuple(watermark)
+            self._advance(shard, len(batch))
             self._backend.submit(shard, _shard_ingest,
                                  sites // self._num_shards, batch)
             return
-        watermark = list(self._watermark)
         for shard, positions in _group_by_shard(sites % self._num_shards):
-            watermark[shard] += len(positions)
-            self._watermark = tuple(watermark)
+            self._advance(shard, len(positions))
             self._backend.submit(shard, _shard_ingest,
                                  sites[positions] // self._num_shards,
                                  batch.take(positions))
@@ -450,17 +448,35 @@ class ShardedTracker(Session):
 
     def _parts(self, query: Query, partial: bool
                ) -> Tuple[List[Dict[str, Any]], Sequence[int]]:
-        """Fan ``query.materials`` out to every shard.
+        """Fan ``query.materials`` out to the shards whose parts moved.
 
         No cluster-wide ingestion barrier is taken: the command goes to
-        every shard at once and each shard snapshots its state after the
+        the shards at once and each shard snapshots its state after the
         work already queued to *it* (per-shard FIFO), while other shards
         keep ingesting.  On the remote backends the snapshot is extracted
         and wire-encoded on the worker.
+
+        A full query asks only the shards whose stored part for this query
+        (:meth:`~repro.api.cache.AnswerCache.current_parts`) is missing or
+        reports other ``items`` than the shard's watermark entry; a part
+        at the watermark was read from the shard's current state, since
+        nothing was queued to that shard after it.  ``partial=True``
+        always asks every shard and stores nothing.
         """
         kind, fields = query.to_fields()
         if not partial:
-            return self._backend.call_all(_shard_query, kind, fields), ()
+            key = cache_key(query) if self._cache.enabled else None
+            parts = (self._cache.current_parts(key, self._watermark)
+                     if key is not None else [None] * self._num_shards)
+            stale = [shard for shard, part in enumerate(parts) if part is None]
+            if stale:
+                fetched = self._backend.call_all(_shard_query, kind, fields,
+                                                 shards=stale)
+                for shard, part in zip(stale, fetched):
+                    parts[shard] = part
+            if key is not None:
+                self._cache.store_parts(key, parts, len(parts) - len(stale))
+            return parts, ()
         materials, errors = self._backend.call_all_partial(
             _shard_query, kind, fields)
         live = [shard for shard in materials if shard is not None]
@@ -683,6 +699,18 @@ class ShardedTracker(Session):
     def _check_open(self) -> None:
         if self._closed:
             raise RuntimeError("this ShardedTracker has been closed")
+
+    def _advance(self, shard: int, count: int) -> None:
+        """Count ``count`` items dispatched to ``shard``, before the submit.
+
+        Under a lock: two writers on different shards must not lose either
+        increment, or a reader would take the lagging entry for the
+        shard's current state.
+        """
+        with self._watermark_lock:
+            watermark = list(self._watermark)
+            watermark[shard] += count
+            self._watermark = tuple(watermark)
 
     def _check_width(self, batch: MatrixRowBatch) -> MatrixRowBatch:
         if batch.dimension != self._dimension:

@@ -21,6 +21,10 @@ acknowledged push can never observe pre-push state.  Covered here:
   delivery to the shard;
 * cached answers across ``move_shard`` (a handoff moves state intact) and
   checkpoint restore;
+* per-shard part reuse: answers equal those of a ``cache_size=0`` twin for
+  every spec, a query after a one-site push asks exactly that site's
+  shard, a shard's held error is never hidden behind its stored part, and
+  racing writers on different shards lose no watermark increment;
 * the degraded ``stats()`` surface (``missing_shards`` instead of a
   hard failure).
 """
@@ -36,15 +40,20 @@ import pytest
 
 import repro
 from repro.api import (
+    ApproximationError,
     Covariance,
+    Frequency,
     FrobeniusSquared,
     HeavyHitters,
     Norms,
+    SketchMatrix,
     TotalWeight,
 )
-from repro.api.cache import AnswerCache
+from repro.api.cache import _PART_REUSES, DEFAULT_CACHE_SIZE, AnswerCache
 from repro.cluster.backends import BackendError
+from repro.cluster.merge import _shard_query
 from repro.cluster.socket_backend import WorkerServer
+from repro.obs.metrics import REGISTRY
 from repro.streaming.items import WeightedItemBatch
 
 from test_api_state_roundtrip import (
@@ -484,3 +493,288 @@ def test_stats_reports_missing_shards_instead_of_failing():
         with pytest.raises(BackendError, match="all 3 shard"):
             cluster.stats()
         cluster._backend = cluster._backend._inner._inner
+
+
+# --------------------------------------------------------------------------
+# Per-shard part reuse: a cache miss asks only the shards whose items moved.
+# --------------------------------------------------------------------------
+def _every_kind(spec, dimension, element):
+    """One query of every kind the spec's domain serves."""
+    if spec in HH_SPECS:
+        return [HeavyHitters(phi=0.06), Frequency(element=element),
+                TotalWeight()]
+    probe = np.zeros(dimension, dtype=np.float64)
+    probe[0] = 1.0
+    return [Covariance(), Norms(directions=probe), SketchMatrix(),
+            FrobeniusSquared(), ApproximationError()]
+
+
+def _count_fanouts(cluster):
+    """Record the shards each ``_shard_query`` fan-out of ``cluster`` asks."""
+    asked = []
+    backend = cluster._backend
+    real_call_all, real_partial = backend.call_all, backend.call_all_partial
+
+    def call_all(fn, *args, shards=None):
+        if fn is _shard_query:
+            asked.append(tuple(range(cluster.num_shards)) if shards is None
+                         else tuple(shards))
+        return real_call_all(fn, *args, shards=shards)
+
+    def call_all_partial(fn, *args):
+        if fn is _shard_query:
+            asked.append(tuple(range(cluster.num_shards)))
+        return real_partial(fn, *args)
+
+    backend.call_all = call_all
+    backend.call_all_partial = call_all_partial
+    return asked
+
+
+PUSHES = 8
+
+
+@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("backend", ["serial", "process"])
+@pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
+def test_part_reuse_is_invisible_in_answers(spec, backend, shards):
+    """One-item pushes on rotating sites, every query kind after each: the
+    answers equal those of a ``cache_size=0`` twin, which asks every shard
+    every time; writing into a fresh answer changes no later answer."""
+    seed = SEEDS[0]
+    if spec in HH_SPECS:
+        _sample, batch, sites = hh_stream(seed)
+        dimension = None
+        element = batch.elements[0]
+    else:
+        dataset, batch, sites = matrix_stream(seed)
+        dimension = dataset.dimension
+        element = None
+    params = _params(spec, seed, dimension)
+    prefix = len(batch) // 2
+    cached = repro.ShardedTracker.create(spec, shards=shards, backend=backend,
+                                         chunk_size=CHUNK, **params)
+    twin = repro.ShardedTracker.create(spec, shards=shards, backend=backend,
+                                       chunk_size=CHUNK, cache_size=0,
+                                       **params)
+    try:
+        for cluster in (cached, twin):
+            cluster.push_batch(batch[:prefix], site_ids=sites[:prefix])
+        queries = _every_kind(spec, dimension, element)
+        for step in range(PUSHES):
+            site = step % params["num_sites"]
+            item = batch[prefix + step:prefix + step + 1]
+            for cluster in (cached, twin):
+                cluster.push_batch(item, site_ids=[site])
+            for query in queries:
+                answer = cached.query(query)
+                assert answer.to_dict() == twin.query(query).to_dict(), (
+                    f"{type(query).__name__} after push {step}")
+                estimate = answer.estimate
+                if (isinstance(estimate, np.ndarray)
+                        and estimate.flags.writeable):
+                    estimate.fill(-1.0)
+        assert cached.answer_cache.part_reuses > 0
+    finally:
+        cached.close()
+        twin.close()
+
+
+class TestFanoutCount:
+    @pytest.mark.parametrize("backend", ["serial", "process"])
+    def test_one_site_push_asks_exactly_its_shard(self, backend):
+        with repro.ShardedTracker.create("hh/P2", shards=3, backend=backend,
+                                         num_sites=6,
+                                         epsilon=0.1) as cluster:
+            asked = _count_fanouts(cluster)
+            cluster.push(0, ("a", 1.0))
+            cluster.query(TotalWeight())
+            assert asked == [(0, 1, 2)]              # nothing stored yet
+            for site in (4, 2, 3, 5, 1, 0, 0):
+                del asked[:]
+                cluster.push(site, (f"e{site}", 2.0))
+                answer = cluster.query(TotalWeight())
+                assert asked == [(site % 3,)]
+                assert answer.items_processed == sum(cluster.watermark)
+            del asked[:]
+            cluster.query(HeavyHitters(phi=0.1))     # a new key asks all
+            assert asked == [(0, 1, 2)]
+
+    def test_batch_spanning_shards_asks_each_of_them(self):
+        with repro.ShardedTracker.create("hh/P2", shards=3, backend="serial",
+                                         num_sites=6,
+                                         epsilon=0.1) as cluster:
+            asked = _count_fanouts(cluster)
+            cluster.query(TotalWeight())
+            del asked[:]
+            cluster.push_batch(WeightedItemBatch.from_pairs(
+                [("a", 1.0), ("b", 1.0)]), site_ids=[1, 5])
+            cluster.query(TotalWeight())
+            assert asked == [(1, 2)]
+            del asked[:]
+            cluster.push_batch(WeightedItemBatch.from_pairs(
+                [("a", 1.0), ("b", 1.0), ("c", 1.0)]))
+            cluster.query(TotalWeight())
+            assert asked == [(0, 1, 2)]
+
+    def test_disabled_cache_and_partial_queries_ask_every_shard(self):
+        for cache_size, partial in ((0, False), (DEFAULT_CACHE_SIZE, True)):
+            with repro.ShardedTracker.create(
+                    "hh/P2", shards=3, backend="serial", num_sites=6,
+                    epsilon=0.1, cache_size=cache_size) as cluster:
+                asked = _count_fanouts(cluster)
+                for site in (0, 0, 1):
+                    cluster.push(site, ("a", 1.0))
+                    cluster.query(TotalWeight(), partial=partial)
+                    cluster.query(TotalWeight(), partial=partial)
+                assert asked == [(0, 1, 2)] * 6
+                assert cluster.answer_cache.part_reuses == 0
+
+    def test_held_shard_error_is_raised_and_never_hidden_by_reuse(self):
+        """A push the shard refuses leaves an error held on it: the next
+        query raises it, and no later query serves that shard's part from
+        before the refused push without asking the shard."""
+        with repro.ShardedTracker.create("hh/exact", shards=2,
+                                         backend="process",
+                                         num_sites=4) as cluster:
+            cluster.push(0, ("a", 1.0))
+            cluster.push(1, ("b", 2.0))
+            assert cluster.query(TotalWeight()).estimate == pytest.approx(3.0)
+            asked = _count_fanouts(cluster)
+            real_submit = cluster._backend.submit
+
+            def out_of_range(shard, fn, site_ids, batch):
+                real_submit(shard, fn, site_ids + 99, batch)
+
+            cluster._backend.submit = out_of_range
+            cluster.push(0, ("c", 4.0))          # refused on shard 0
+            cluster._backend.submit = real_submit
+            with pytest.raises(BackendError):
+                cluster.query(TotalWeight())
+            assert asked == [(0,)]
+            for site, weight in ((1, 8.0), (0, 16.0), (1, 32.0)):
+                del asked[:]
+                cluster.query(TotalWeight())
+                assert 0 in asked[0]
+                cluster.push(site, ("d", weight))
+            del asked[:]
+            answer = cluster.query(TotalWeight())
+            assert asked == [(0, 1)]
+            assert answer.estimate == pytest.approx(59.0)
+
+    def test_part_reuses_are_counted(self):
+        spec_series = _PART_REUSES.labels(spec="hh/P2")
+        before = spec_series.value()
+        with repro.ShardedTracker.create("hh/P2", shards=3, backend="serial",
+                                         num_sites=6,
+                                         epsilon=0.1) as cluster:
+            cluster.push(0, ("a", 1.0))
+            cluster.query(TotalWeight())
+            assert cluster.answer_cache.part_reuses == 0
+            cluster.push(4, ("b", 1.0))
+            cluster.query(TotalWeight())
+            assert cluster.answer_cache.part_reuses == 2
+            cluster.query(TotalWeight())          # a hit reuses no part
+            assert cluster.answer_cache.part_reuses == 2
+        expected = 2.0 if REGISTRY.enabled else 0.0
+        assert spec_series.value() - before == expected
+
+
+class TestStoredParts:
+    def test_older_part_never_replaces_a_newer_one(self):
+        cache = AnswerCache(max_entries=4)
+        cache.store_parts("q", [{"items": 5}, {"items": 3}])
+        cache.store_parts("q", [{"items": 4}, {"items": 7}])
+        assert cache.current_parts("q", (5, 7)) == [{"items": 5},
+                                                    {"items": 7}]
+        assert cache.current_parts("q", (6, 7)) == [None, {"items": 7}]
+        assert cache.current_parts("other", (5, 7)) == [None, None]
+
+    def test_parts_survive_the_generation_drop_and_clear_drops_them(self):
+        cache = AnswerCache(max_entries=4)
+        cache.store_parts("q", [{"items": 1}, {"items": 1}])
+        cache.put(("q", (1, 1)), "answer", (1, 1))
+        cache.put(("q", (2, 1)), "answer'", (2, 1))
+        assert cache.current_parts("q", (2, 1)) == [None, {"items": 1}]
+        cache.clear()
+        assert cache.current_parts("q", (2, 1)) == [None, None]
+
+    def test_parts_are_bounded_by_max_entries(self):
+        cache = AnswerCache(max_entries=2)
+        for key in "abc":
+            cache.store_parts(key, [{"items": 0}])
+        assert cache.current_parts("a", (0,)) == [None]
+        assert cache.current_parts("c", (0,)) == [{"items": 0}]
+        disabled = AnswerCache(max_entries=0)
+        disabled.store_parts("a", [{"items": 0}])
+        assert disabled.current_parts("a", (0,)) == [None]
+
+
+def test_racing_writers_and_readers_see_every_acknowledged_push():
+    """Writers on sites of different shards and racing readers, on the
+    thread backend: every answer covers every push acknowledged before its
+    query was issued, shard by shard, and no watermark increment is lost.
+    The last shard takes no pushes during the race, so its part is reused.
+    """
+    num_shards, writers, rounds = 3, 2, 300
+    with repro.ShardedTracker.create("hh/exact", shards=num_shards,
+                                     backend="thread",
+                                     num_sites=num_shards) as cluster:
+        cluster.push(num_shards - 1, ("still", 1.0))
+        acknowledged = [0.0] * writers
+        start = threading.Barrier(writers + 3)
+        writers_done = threading.Barrier(writers + 1)
+        stop = threading.Event()
+        violations = []
+        failures = []
+
+        def writer(site):
+            try:
+                start.wait(timeout=60)
+                for _ in range(rounds):
+                    cluster.push(site, (f"site{site}", 1.0))
+                    acknowledged[site] += 1.0
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures.append(exc)
+            finally:
+                writers_done.wait(timeout=120)
+
+        def reader(site):
+            try:
+                start.wait(timeout=60)
+                rounds_read = 0
+                while rounds_read < 3 or not stop.is_set():
+                    rounds_read += 1
+                    floor = list(acknowledged)
+                    total = cluster.query(TotalWeight())
+                    one = cluster.query(Frequency(element=f"site{site}"))
+                    if total.estimate < sum(floor) + 1.0 - 1e-9:
+                        violations.append(("total", floor, total.estimate))
+                    if one.estimate < floor[site] - 1e-9:
+                        violations.append((site, floor, one.estimate))
+            except BaseException as exc:  # noqa: BLE001 - re-raised below
+                failures.append(exc)
+
+        threads = [threading.Thread(target=writer, args=(site,))
+                   for site in range(writers)]
+        threads += [threading.Thread(target=reader, args=(site % writers,))
+                    for site in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            writers_done.wait(timeout=120)
+            stop.set()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        if failures:
+            raise failures[0]
+        assert not any(thread.is_alive() for thread in threads)
+        assert violations == []
+        assert cluster.watermark == (rounds,) * writers + (1,)
+        assert cluster.query(TotalWeight()).estimate == pytest.approx(
+            writers * rounds + 1)
+        assert cluster.answer_cache.part_reuses > 0
