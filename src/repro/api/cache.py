@@ -26,8 +26,11 @@ Beside the answers the cache keeps, for each query key, the last
 it a query needs a fresh part from that shard alone: a stored part whose
 ``items`` equals the shard's watermark entry was read from the shard's
 current state (each shard applies its work first in, first out), and is
-reused as it is.  Parts survive the generation drop that retires answers,
-and are bounded by the same ``max_entries``.
+reused as it is.  A part that is behind still serves: its shard is asked
+with the part's coordinator ``epoch`` and, when no message has reached its
+coordinator since, replies with the scalars only (see
+:mod:`repro.cluster.merge`).  Parts survive the generation drop that
+retires answers, and are bounded by the same ``max_entries``.
 
 A cache built with ``max_entries=0`` is disabled: every method returns
 immediately without taking the lock, so the hot path costs one attribute
@@ -67,6 +70,11 @@ _PART_REUSES = REGISTRY.counter(
     "repro_cache_part_reuses_total",
     "Shard parts reused by a cache miss without calling their shard",
     labels=("spec",))
+_PART_UNCHANGED = REGISTRY.counter(
+    "repro_cache_part_unchanged_total",
+    "Shard parts completed from a held part: the shard's coordinator had "
+    "heard no message since, so it replied with the scalars only",
+    labels=("spec",))
 
 
 class AnswerCache:
@@ -99,6 +107,7 @@ class AnswerCache:
         self.misses = 0
         self.evictions = 0
         self.part_reuses = 0
+        self.unchanged_parts = 0
 
     @property
     def enabled(self) -> bool:
@@ -159,30 +168,27 @@ class AnswerCache:
         if evicted and REGISTRY.enabled:
             _EVICTIONS.inc(evicted, spec=self._spec)
 
-    def current_parts(self, key: Hashable, watermark: Sequence[int]
-                      ) -> List[Optional[Dict[str, Any]]]:
-        """One slot per shard: the part stored under ``key`` when its
-        ``items`` equals that shard's ``watermark`` entry, otherwise
-        ``None`` (the shard must be asked again)."""
+    def held_parts(self, key: Hashable, shards: int
+                   ) -> List[Optional[Dict[str, Any]]]:
+        """One slot per shard: the newest part stored under ``key`` for
+        it, whatever its ``items``, or ``None`` when there is none."""
         stored = None
         if self.max_entries:
             with self._lock:
                 stored = self._parts.get(key)
                 if stored is not None:
                     self._parts.move_to_end(key)
-        if stored is None:
-            return [None] * len(watermark)
-        return [part if part["items"] == items else None
-                for part, items in zip(stored, watermark)]
+        return [None] * shards if stored is None else list(stored)
 
     def store_parts(self, key: Hashable, parts: Sequence[Dict[str, Any]],
-                    reused: int = 0) -> None:
+                    reused: int = 0, unchanged: int = 0) -> None:
         """Keep ``parts`` (one per shard) as the newest read for ``key``.
 
         A stored part is replaced only by one whose ``items`` is at least
         as large, so a reader that fetched an older state than a racing
         reader cannot put it back.  ``reused`` counts the parts of this
-        answer that came from :meth:`current_parts` without a call.
+        answer taken from :meth:`held_parts` without a call, ``unchanged``
+        the ones completed from a held part after a scalars-only reply.
         """
         if self.max_entries == 0:
             return
@@ -198,8 +204,12 @@ class AnswerCache:
             while len(self._parts) > self.max_entries:
                 self._parts.popitem(last=False)
             self.part_reuses += reused
-        if reused and REGISTRY.enabled:
-            _PART_REUSES.inc(reused, spec=self._spec)
+            self.unchanged_parts += unchanged
+        if REGISTRY.enabled:
+            if reused:
+                _PART_REUSES.inc(reused, spec=self._spec)
+            if unchanged:
+                _PART_UNCHANGED.inc(unchanged, spec=self._spec)
 
     def clear(self) -> None:
         """Drop every entry and every stored part (counters keep their

@@ -236,10 +236,23 @@ class Query:
     the frozen :class:`Answer`).  A plain tracker is the one-part case of
     the same two steps, which is what makes it identical to a one-shard
     cluster by construction rather than by test.
+
+    ``coordinator_fields`` names the keys of :meth:`materials` read from
+    the coordinator's state alone (a counter map, ``B``, ``BᵀB`` or norms
+    of ``B``).  A coordinator changes only when a message reaches it, so
+    while its protocol's ``coordinator_epoch`` stands still these fields
+    do too: a cluster shard then leaves them out of its reply
+    (:meth:`unchanged_materials`) and the caller keeps the ones it holds.
+    Every other key is a scalar or site-derived (``ApproximationError``'s
+    ``missing`` is the sites' residuals) and is always sent.
     """
 
     #: Registry domain (``"hh"`` / ``"matrix"``) whose protocols answer this.
     domain: ClassVar[str] = ""
+    #: Keys of :meth:`materials` that only a message to the coordinator
+    #: can change; a kind that declares any carries nothing else beyond
+    #: its domain's shared materials.
+    coordinator_fields: ClassVar[Tuple[str, ...]] = ()
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
         """Read what this query needs from ``protocol`` right now."""
@@ -256,6 +269,13 @@ class Query:
         merge: ``parts`` then holds the live shards only.
         """
         raise NotImplementedError
+
+    def unchanged_materials(self, protocol: DistributedProtocol
+                            ) -> Dict[str, Any]:
+        """:meth:`materials` without the :attr:`coordinator_fields`: the
+        reply of a shard whose caller holds them at the current epoch.
+        Only asked of kinds that declare coordinator fields."""
+        return _SHARED_MATERIALS[self.domain](protocol)
 
     def answer(self, protocol: DistributedProtocol) -> Answer:
         """Evaluate this query against ``protocol`` right now."""
@@ -361,6 +381,12 @@ def _matrix_materials(protocol: DistributedProtocol,
     }
 
 
+#: The materials every kind of a domain starts from (see
+#: :meth:`Query.unchanged_materials`).
+_SHARED_MATERIALS = {DOMAIN_HEAVY_HITTERS: _weight_materials,
+                     DOMAIN_MATRIX: _matrix_materials}
+
+
 # ------------------------------------------------------------- heavy hitters
 # Each shard owns a disjoint set of sites, so its estimate map is a counter
 # summary of *its* sub-stream: summing maps, weights and totals is an exact
@@ -387,6 +413,7 @@ class HeavyHitters(Query):
     """All elements of relative weight ≥ φ (Lemma 1 reporting rule)."""
 
     domain: ClassVar[str] = DOMAIN_HEAVY_HITTERS
+    coordinator_fields: ClassVar[Tuple[str, ...]] = ("estimates",)
     phi: float = 0.05
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
@@ -475,6 +502,7 @@ class Covariance(Query):
     """
 
     domain: ClassVar[str] = DOMAIN_MATRIX
+    coordinator_fields: ClassVar[Tuple[str, ...]] = ("covariance",)
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
         return _matrix_materials(protocol, covariance=protocol.covariance())
@@ -499,6 +527,7 @@ class Norms(Query):
     """
 
     domain: ClassVar[str] = DOMAIN_MATRIX
+    coordinator_fields: ClassVar[Tuple[str, ...]] = ("norms",)
     directions: np.ndarray = field(default=None)
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
@@ -534,6 +563,7 @@ class SketchMatrix(Query):
     """The coordinator's current approximation matrix ``B`` (rows × d)."""
 
     domain: ClassVar[str] = DOMAIN_MATRIX
+    coordinator_fields: ClassVar[Tuple[str, ...]] = ("sketch",)
 
     def materials(self, protocol: DistributedProtocol) -> Dict[str, Any]:
         return _matrix_materials(protocol, sketch=protocol.sketch_matrix())

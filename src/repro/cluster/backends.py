@@ -9,7 +9,8 @@ the work submitted to each slot, and exposes three primitives:
   runs on the shard after everything previously submitted to it,
 * ``call(shard, fn, *args)`` / ``call_all(fn, *args)`` — run after the
   queued work and return the result(s); ``call_all`` fans out to every
-  shard before collecting, so independent shards answer in parallel,
+  shard (or to the keys of ``shards=``, a map of each shard to arguments
+  of its own) before collecting, so independent shards answer in parallel,
 * ``join()`` — barrier until all queued work has drained.
 
 ``fn`` takes the shard's ``Tracker`` as its first argument.  The remote
@@ -69,6 +70,7 @@ from typing import (
     Dict,
     Iterator,
     List,
+    Mapping,
     NoReturn,
     Optional,
     Sequence,
@@ -174,16 +176,17 @@ class EngineBackend(abc.ABC):
         """Run ``fn(tracker, *args)`` on ``shard`` after queued work; return it."""
 
     def call_all(self, fn: Callable, *args: Any,
-                 shards: Optional[Sequence[int]] = None) -> List[Any]:
+                 shards: Optional[Mapping[int, tuple]] = None) -> List[Any]:
         """Run ``fn`` on every shard and collect results in shard order.
 
-        ``shards`` narrows the fan-out to those shard indices; the results
-        then follow their order.  The default issues one blocking
-        :meth:`call` per shard; parallel backends override it to overlap
-        the per-shard work.
+        ``shards`` narrows the fan-out to its keys, each mapped to the
+        arguments appended for that shard alone (``fn(tracker, *args,
+        *shards[shard])``); the results then follow its order.  The default
+        issues one blocking :meth:`call` per shard; parallel backends
+        override it to overlap the per-shard work.
         """
-        return [self.call(shard, fn, *args)
-                for shard in self._fanout(shards)]
+        return [self.call(shard, fn, *args, *extra)
+                for shard, extra in self._fanout(shards)]
 
     def call_all_partial(self, fn: Callable, *args: Any
                          ) -> Tuple[List[Any], Dict[int, "BackendError"]]:
@@ -214,11 +217,14 @@ class EngineBackend(abc.ABC):
     def close(self) -> None:
         """Release workers; the backend is unusable afterwards (idempotent)."""
 
-    def _fanout(self, shards: Optional[Sequence[int]]) -> Sequence[int]:
-        """The shard indices a ``call_all`` goes to (default: all)."""
+    def _fanout(self, shards: Optional[Mapping[int, tuple]]
+                ) -> List[Tuple[int, tuple]]:
+        """``(shard, extra arguments)`` of each shard a ``call_all`` goes
+        to (default: all, with none)."""
         if shards is None:
-            return range(self._num_shards)
-        return [self._check_shard(shard) for shard in shards]
+            return [(shard, ()) for shard in range(self._num_shards)]
+        return [(self._check_shard(shard), tuple(extra))
+                for shard, extra in shards.items()]
 
     def _check_shard(self, shard: int) -> int:
         if not self._launched:
@@ -392,9 +398,9 @@ class ThreadBackend(EngineBackend):
         return self._shards[self._check_shard(shard)].start_call(fn, args).result()
 
     def call_all(self, fn: Callable, *args: Any,
-                 shards: Optional[Sequence[int]] = None) -> List[Any]:
-        boxes = [self._shards[shard].start_call(fn, args)
-                 for shard in self._fanout(shards)]
+                 shards: Optional[Mapping[int, tuple]] = None) -> List[Any]:
+        boxes = [self._shards[shard].start_call(fn, args + extra)
+                 for shard, extra in self._fanout(shards)]
         return [box.result() for box in boxes]
 
     def close(self) -> None:
@@ -577,10 +583,11 @@ class RemoteShardHandle:
     def send_command(self, op: str, fn: Optional[Callable], args: tuple) -> None:
         self._check_usable()
         if op == "submit":
-            self.sent_seq += 1
-            frame = encode_submit(fn, args, seq=self.sent_seq,
+            # Counted once encoded: a submit the codec refuses never left.
+            frame = encode_submit(fn, args, seq=self.sent_seq + 1,
                                   trace=current_trace_id(),
                                   **self._frame_options)
+            self.sent_seq += 1
         else:
             if op == "call" and REGISTRY.enabled:
                 self._call_started = perf_counter()
@@ -656,8 +663,12 @@ class RemoteShardHandle:
 
 
 def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
-                   args: tuple, *, collect_errors: bool = False) -> Any:
+                   args: tuple, *, extra: Optional[Sequence[tuple]] = None,
+                   collect_errors: bool = False) -> Any:
     """Fan a ``call`` out to every shard, then collect every reply.
+
+    ``extra[index]``, when given, is appended to ``args`` for the
+    ``index``-th shard alone.
 
     The command goes to all shards before any reply is read, so independent
     workers execute concurrently; and EVERY reply owed (one per successful
@@ -676,7 +687,8 @@ def drain_call_all(shards: Sequence[RemoteShardHandle], fn: Callable,
     awaiting: List[Optional[RemoteShardHandle]] = []
     for index, handle in enumerate(shards):
         try:
-            handle.send_command("call", fn, args)
+            handle.send_command("call", fn,
+                                args if extra is None else args + extra[index])
             awaiting.append(handle)
         except BackendError as exc:
             if first_error is None:
@@ -746,9 +758,10 @@ class RemoteBackend(EngineBackend):
         return handle.finish_call()
 
     def call_all(self, fn: Callable, *args: Any,
-                 shards: Optional[Sequence[int]] = None) -> List[Any]:
-        return drain_call_all(
-            [self._shards[shard] for shard in self._fanout(shards)], fn, args)
+                 shards: Optional[Mapping[int, tuple]] = None) -> List[Any]:
+        fanout = self._fanout(shards)
+        return drain_call_all([self._shards[shard] for shard, _ in fanout],
+                              fn, args, extra=[extra for _, extra in fanout])
 
     def call_all_partial(self, fn: Callable, *args: Any
                          ) -> Tuple[List[Any], Dict[int, BackendError]]:

@@ -27,8 +27,9 @@ stays near ``S×`` one coordinator's.  The sharded facade
 * **answers the typed queries** of :mod:`repro.api.queries` through the
   inherited :meth:`~repro.api.session.Session.query`: every shard whose
   items moved since its last part for that query reads ``query.materials``
-  (the others' stored parts are reused) and ``query.combine`` folds them
-  all — counter-merge for
+  (the others' stored parts are reused, and a moved shard whose
+  coordinator heard no message replies with its scalars only) and
+  ``query.combine`` folds them all — counter-merge for
   heavy hitters, covariance/Frequent-Directions merge for matrix queries,
   with the combined error bound ``Σ_s ε·Ŵ_s`` / ``Σ_s ε·F̂_s`` and
   cluster-aggregated message/items accounting, and
@@ -77,6 +78,7 @@ from ..obs.metrics import LATENCY_BUCKETS, REGISTRY
 from ..streaming.items import MatrixRowBatch, WeightedItemBatch
 from ..streaming.runner import DEFAULT_CHUNK_SIZE
 from ..utils.validation import check_positive_int, check_site, check_site_ids
+from ..wire import WireEncodeError
 from .backends import (
     BackendError,
     EngineBackend,
@@ -374,9 +376,7 @@ class ShardedTracker(Session):
         if REGISTRY.enabled:
             self._pushes.inc()
             self._items.inc()
-        self._advance(shard, 1)
-        self._backend.submit(shard, _shard_ingest,
-                             np.array((local,), dtype=np.int64), batch)
+        self._submit(shard, np.array((local,), dtype=np.int64), batch)
 
     def push_batch(self, items: Any,
                    site_ids: Optional[Sequence[int]] = None) -> None:
@@ -404,15 +404,11 @@ class ShardedTracker(Session):
         if len(batch) == 1 or not (sites % self._num_shards != shard).any():
             # One shard takes the whole batch (every one-item push, every
             # push from a single site): no grouping, no copy.
-            self._advance(shard, len(batch))
-            self._backend.submit(shard, _shard_ingest,
-                                 sites // self._num_shards, batch)
+            self._submit(shard, sites // self._num_shards, batch)
             return
         for shard, positions in _group_by_shard(sites % self._num_shards):
-            self._advance(shard, len(positions))
-            self._backend.submit(shard, _shard_ingest,
-                                 sites[positions] // self._num_shards,
-                                 batch.take(positions))
+            self._submit(shard, sites[positions] // self._num_shards,
+                         batch.take(positions))
 
     def run(self, source: Any) -> ShardedTrackerStats:
         """Feed a whole stream (or the next instalment) into the cluster.
@@ -456,26 +452,42 @@ class ShardedTracker(Session):
         keep ingesting.  On the remote backends the snapshot is extracted
         and wire-encoded on the worker.
 
-        A full query asks only the shards whose stored part for this query
-        (:meth:`~repro.api.cache.AnswerCache.current_parts`) is missing or
-        reports other ``items`` than the shard's watermark entry; a part
-        at the watermark was read from the shard's current state, since
-        nothing was queued to that shard after it.  ``partial=True``
-        always asks every shard and stores nothing.
+        A full query reuses each part the answer cache holds for this query
+        (:meth:`~repro.api.cache.AnswerCache.held_parts`) at its shard's
+        watermark entry: nothing was queued to that shard after it was
+        read.  A shard whose held part is behind is sent that part's
+        ``epoch`` (kinds with coordinator fields only); when its
+        coordinator has heard no message since, it replies with the
+        scalars only and the reply is completed from the held part.
+        ``partial=True`` always asks every shard and stores nothing.
         """
         kind, fields = query.to_fields()
         if not partial:
             key = cache_key(query) if self._cache.enabled else None
-            parts = (self._cache.current_parts(key, self._watermark)
-                     if key is not None else [None] * self._num_shards)
-            stale = [shard for shard, part in enumerate(parts) if part is None]
-            if stale:
-                fetched = self._backend.call_all(_shard_query, kind, fields,
-                                                 shards=stale)
-                for shard, part in zip(stale, fetched):
-                    parts[shard] = part
-            if key is not None:
-                self._cache.store_parts(key, parts, len(parts) - len(stale))
+            if key is None:
+                return self._backend.call_all(_shard_query, kind, fields), ()
+            parts = self._cache.held_parts(key, self._num_shards)
+            watermark = self._watermark
+            asks: Dict[int, tuple] = {}
+            for shard, part in enumerate(parts):
+                if part is None:
+                    asks[shard] = ()
+                elif part["items"] != watermark[shard]:
+                    asks[shard] = ((part["epoch"],) if query.coordinator_fields
+                                   else ())
+            unchanged = 0
+            if asks:
+                replies = self._backend.call_all(_shard_query, kind, fields,
+                                                 shards=asks)
+                for shard, reply in zip(asks, replies):
+                    if asks[shard] and query.coordinator_fields[0] not in reply:
+                        reply = {**parts[shard], **reply}
+                        unchanged += 1
+                    else:
+                        _hold_read_only(reply, query.coordinator_fields)
+                    parts[shard] = reply
+            self._cache.store_parts(key, parts, self._num_shards - len(asks),
+                                    unchanged)
             return parts, ()
         materials, errors = self._backend.call_all_partial(
             _shard_query, kind, fields)
@@ -700,8 +712,24 @@ class ShardedTracker(Session):
         if self._closed:
             raise RuntimeError("this ShardedTracker has been closed")
 
+    def _submit(self, shard: int, site_ids: np.ndarray, batch: Any) -> None:
+        """Count ``batch`` in ``shard``'s watermark entry, then submit it.
+
+        Counted before the submit, so a reader never takes the entry for a
+        state the shard may already be past.  A batch the wire codec
+        refuses (``WireEncodeError``) was never delivered, so its count is
+        taken back; a batch the shard itself refuses stays counted, behind
+        the error the shard holds for its next call.
+        """
+        self._advance(shard, len(batch))
+        try:
+            self._backend.submit(shard, _shard_ingest, site_ids, batch)
+        except WireEncodeError:
+            self._advance(shard, -len(batch))
+            raise
+
     def _advance(self, shard: int, count: int) -> None:
-        """Count ``count`` items dispatched to ``shard``, before the submit.
+        """Add ``count`` items to ``shard``'s watermark entry.
 
         Under a lock: two writers on different shards must not lose either
         increment, or a reader would take the lagging entry for the
@@ -754,6 +782,18 @@ class ShardedTracker(Session):
                 return WeightedItemBatch.from_items(item_list)
             return WeightedItemBatch.from_pairs(item_list)
         return MatrixRowBatch.from_rows(items)
+
+
+def _hold_read_only(part: Dict[str, Any], names: Sequence[str]) -> None:
+    """Swap the arrays under ``names`` for read-only views: a held part is
+    completed into later answers, and a one-shard answer's estimate *is*
+    its array, so no caller may write through one into the next."""
+    for name in names:
+        value = part[name]
+        if isinstance(value, np.ndarray):
+            value = value.view()
+            value.flags.writeable = False
+            part[name] = value
 
 
 def _group_by_shard(shards: np.ndarray):

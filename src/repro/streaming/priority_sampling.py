@@ -79,6 +79,17 @@ class _ThresholdSampling:
         return self._threshold
 
     @property
+    def coordinator_epoch(self) -> int:
+        """Twice the message count, plus one once exact mode has ended.
+
+        A site ends exact mode by *dropping* an item, which sends nothing
+        but changes every answer the coordinator reads out (the sample is
+        no longer the whole stream), so the epoch counts it beside the
+        messages.
+        """
+        return 2 * self.total_messages + (not self._is_exact)
+
+    @property
     def rounds_completed(self) -> int:
         """Number of threshold doublings performed so far."""
         return self._round

@@ -144,6 +144,18 @@ class DistributedProtocol(Declared, abc.ABC):
         return self._network.total_messages
 
     @property
+    def coordinator_epoch(self) -> int:
+        """Changes whenever the coordinator's state may have changed.
+
+        In the paper's model only a message reaches the coordinator, so
+        this is :attr:`total_messages`; a protocol whose coordinator can
+        also change otherwise counts that change here.  A cluster shard
+        whose epoch equals that of the part its caller holds leaves the
+        query's coordinator fields out of its reply.
+        """
+        return self.total_messages
+
+    @property
     def items_processed(self) -> int:
         """Number of stream items processed so far (``n`` in the paper)."""
         return self._items_processed

@@ -23,8 +23,13 @@ acknowledged push can never observe pre-push state.  Covered here:
   checkpoint restore;
 * per-shard part reuse: answers equal those of a ``cache_size=0`` twin for
   every spec, a query after a one-site push asks exactly that site's
-  shard, a shard's held error is never hidden behind its stored part, and
-  racing writers on different shards lose no watermark increment;
+  shard, a shard's held error is never hidden behind its stored part, a
+  push the wire codec refuses leaves the watermark as it was, and racing
+  writers on different shards lose no watermark increment;
+* scalars-only replies: a moved shard whose coordinator heard no message
+  since the held part replies without its coordinator fields (a small
+  frame on ``process``), and no write into a returned estimate reaches a
+  later answer;
 * the degraded ``stats()`` surface (``missing_shards`` instead of a
   hard failure).
 """
@@ -49,12 +54,19 @@ from repro.api import (
     SketchMatrix,
     TotalWeight,
 )
-from repro.api.cache import _PART_REUSES, DEFAULT_CACHE_SIZE, AnswerCache
+from repro.api.cache import (
+    _PART_REUSES,
+    _PART_UNCHANGED,
+    DEFAULT_CACHE_SIZE,
+    AnswerCache,
+)
+from repro.api.session import cache_key
 from repro.cluster.backends import BackendError
 from repro.cluster.merge import _shard_query
 from repro.cluster.socket_backend import WorkerServer
 from repro.obs.metrics import REGISTRY
 from repro.streaming.items import WeightedItemBatch
+from repro.wire import WireEncodeError
 
 from test_api_state_roundtrip import (
     HH_SPECS,
@@ -534,13 +546,15 @@ def _count_fanouts(cluster):
 PUSHES = 8
 
 
-@pytest.mark.parametrize("shards", [2, 3])
+@pytest.mark.parametrize("shards", [1, 2, 3])
 @pytest.mark.parametrize("backend", ["serial", "process"])
 @pytest.mark.parametrize("spec", sorted(HH_SPECS) + sorted(MATRIX_SPECS))
 def test_part_reuse_is_invisible_in_answers(spec, backend, shards):
     """One-item pushes on rotating sites, every query kind after each: the
     answers equal those of a ``cache_size=0`` twin, which asks every shard
-    every time; writing into a fresh answer changes no later answer."""
+    every time; writing into a fresh answer changes no later answer.  With
+    one shard every push moves the only shard, so nothing is reused and
+    each quiet push is completed from the held part."""
     seed = SEEDS[0]
     if spec in HH_SPECS:
         _sample, batch, sites = hh_stream(seed)
@@ -574,7 +588,7 @@ def test_part_reuse_is_invisible_in_answers(spec, backend, shards):
                 if (isinstance(estimate, np.ndarray)
                         and estimate.flags.writeable):
                     estimate.fill(-1.0)
-        assert cached.answer_cache.part_reuses > 0
+        assert (cached.answer_cache.part_reuses > 0) == (shards > 1)
     finally:
         cached.close()
         twin.close()
@@ -662,6 +676,36 @@ class TestFanoutCount:
             assert asked == [(0, 1)]
             assert answer.estimate == pytest.approx(59.0)
 
+    @pytest.mark.parametrize("backend", ["process", "shm"])
+    def test_a_push_the_codec_refuses_leaves_the_watermark(self, backend):
+        """A push whose element the wire codec cannot encode raises before
+        any byte reaches the shard: its watermark count is taken back, so
+        the shard is not asked again on every later query."""
+        with repro.ShardedTracker.create("hh/P2", shards=2, backend=backend,
+                                         num_sites=4,
+                                         epsilon=0.1) as cluster:
+            cluster.push(0, ("a", 1.0))
+            cluster.push(1, ("b", 1.0))
+            cluster.query(TotalWeight())
+            before = cluster.watermark
+            with pytest.raises(WireEncodeError):
+                cluster.push(0, (object(), 1.0))
+            with pytest.raises(WireEncodeError):
+                cluster.push_batch(WeightedItemBatch.from_pairs(
+                    [(object(), 1.0), ("c", 1.0)]), site_ids=[0, 1])
+            assert cluster.watermark == before
+            cluster.flush()                      # no seq was spent on them
+            for handle in cluster._backend._shards:
+                assert handle.sent_seq == handle.acked_seq
+            asked = _count_fanouts(cluster)
+            for _ in range(2):
+                assert cluster.query(TotalWeight()).estimate == 2.0
+            assert asked == []
+            cluster.push(0, ("d", 4.0))          # the shard still takes work
+            assert cluster.query(TotalWeight()).estimate == 6.0
+            assert asked == [(0,)]
+            assert cluster.watermark == (2, 1)
+
     def test_part_reuses_are_counted(self):
         spec_series = _PART_REUSES.labels(spec="hh/P2")
         before = spec_series.value()
@@ -680,34 +724,140 @@ class TestFanoutCount:
         assert spec_series.value() - before == expected
 
 
+def _matrix_cluster(shards, backend="serial", cache_size=DEFAULT_CACHE_SIZE):
+    return repro.ShardedTracker.create(
+        "matrix/P2", shards=shards, backend=backend, num_sites=3,
+        dimension=DIMENSION, epsilon=0.1, cache_size=cache_size)
+
+
+DIMENSION = 40
+
+
+def _rows(count, seed=11):
+    return np.random.default_rng(seed).normal(size=(count, DIMENSION))
+
+
+class TestUnchangedReplies:
+    """A shard whose coordinator heard no message since the part the caller
+    holds replies with the scalars only; the caller completes it."""
+
+    def test_quiet_push_gets_a_small_sketch_reply_on_process(self):
+        with _matrix_cluster(shards=2, backend="process") as cluster:
+            for index, row in enumerate(_rows(60)):
+                cluster.push(index % 3, row)
+            handle = cluster._backend._shards[0]
+            received = []
+            real_recv = handle._recv
+
+            def recv(channel, timeout):
+                frame = real_recv(channel, timeout)
+                received.append(len(frame))
+                return frame
+
+            handle._recv = recv
+            answer = cluster.query(SketchMatrix())
+            sketch_bytes = answer.estimate.nbytes
+            assert sketch_bytes > 1024
+            sizes = {True: [], False: []}
+            for row in _rows(40, seed=12):
+                messages = answer.total_messages
+                del received[:]
+                cluster.push(0, row)                 # site 0 is on shard 0
+                answer = cluster.query(SketchMatrix())
+                assert len(received) == 1
+                sizes[answer.total_messages == messages].append(received[0])
+            assert sizes[True] and sizes[False]
+            assert max(sizes[True]) < 1024
+            assert min(sizes[False]) > 1024
+            assert cluster.answer_cache.unchanged_parts == len(sizes[True])
+
+    @pytest.mark.parametrize("shards", [1, 2, 3])
+    @pytest.mark.parametrize("query", [Covariance(), SketchMatrix()],
+                             ids=lambda query: type(query).__name__)
+    def test_writing_into_an_estimate_changes_no_later_answer(self, query,
+                                                              shards):
+        cached = _matrix_cluster(shards)
+        twin = _matrix_cluster(shards, cache_size=0)
+        with cached, twin:
+            for index, row in enumerate(_rows(60)):
+                for cluster in (cached, twin):
+                    cluster.push(0 if index >= 30 else index % 3, row)
+                if index < 30:
+                    continue
+                answer = cached.query(query)
+                assert answer.to_dict() == twin.query(query).to_dict()
+                estimate = answer.estimate
+                if estimate.flags.writeable:
+                    estimate.fill(-1.0)
+                else:
+                    # A held array passed through ``combine`` as it is.
+                    assert shards == 1
+                    with pytest.raises(ValueError):
+                        estimate.fill(-1.0)
+            assert cached.answer_cache.unchanged_parts > 0
+
+    def test_one_shard_sketch_is_the_held_array(self):
+        with _matrix_cluster(shards=1) as cluster:
+            for index, row in enumerate(_rows(40)):
+                cluster.push(index % 3, row)
+                answer = cluster.query(SketchMatrix())
+                held, = cluster.answer_cache.held_parts(
+                    cache_key(SketchMatrix()), 1)
+                assert answer.estimate is held["sketch"]
+                assert not answer.estimate.flags.writeable
+            assert cluster.answer_cache.unchanged_parts > 0
+
+    def test_kinds_without_coordinator_fields_always_get_the_full_part(self):
+        with _matrix_cluster(shards=1) as cluster:
+            for index, row in enumerate(_rows(40)):
+                cluster.push(index % 3, row)
+                cluster.query(FrobeniusSquared())
+                cluster.query(ApproximationError())
+            assert cluster.answer_cache.unchanged_parts == 0
+
+    def test_unchanged_parts_are_counted(self):
+        series = _PART_UNCHANGED.labels(spec="matrix/P2")
+        before = series.value()
+        quiet = 0
+        with _matrix_cluster(shards=1) as cluster:
+            answer = cluster.query(Covariance())
+            for index, row in enumerate(_rows(40)):
+                messages = answer.total_messages
+                cluster.push(index % 3, row)
+                answer = cluster.query(Covariance())
+                quiet += answer.total_messages == messages
+            assert quiet > 0
+            assert cluster.answer_cache.unchanged_parts == quiet
+        expected = float(quiet) if REGISTRY.enabled else 0.0
+        assert series.value() - before == expected
+
+
 class TestStoredParts:
     def test_older_part_never_replaces_a_newer_one(self):
         cache = AnswerCache(max_entries=4)
         cache.store_parts("q", [{"items": 5}, {"items": 3}])
         cache.store_parts("q", [{"items": 4}, {"items": 7}])
-        assert cache.current_parts("q", (5, 7)) == [{"items": 5},
-                                                    {"items": 7}]
-        assert cache.current_parts("q", (6, 7)) == [None, {"items": 7}]
-        assert cache.current_parts("other", (5, 7)) == [None, None]
+        assert cache.held_parts("q", 2) == [{"items": 5}, {"items": 7}]
+        assert cache.held_parts("other", 2) == [None, None]
 
     def test_parts_survive_the_generation_drop_and_clear_drops_them(self):
         cache = AnswerCache(max_entries=4)
         cache.store_parts("q", [{"items": 1}, {"items": 1}])
         cache.put(("q", (1, 1)), "answer", (1, 1))
         cache.put(("q", (2, 1)), "answer'", (2, 1))
-        assert cache.current_parts("q", (2, 1)) == [None, {"items": 1}]
+        assert cache.held_parts("q", 2) == [{"items": 1}, {"items": 1}]
         cache.clear()
-        assert cache.current_parts("q", (2, 1)) == [None, None]
+        assert cache.held_parts("q", 2) == [None, None]
 
     def test_parts_are_bounded_by_max_entries(self):
         cache = AnswerCache(max_entries=2)
         for key in "abc":
             cache.store_parts(key, [{"items": 0}])
-        assert cache.current_parts("a", (0,)) == [None]
-        assert cache.current_parts("c", (0,)) == [{"items": 0}]
+        assert cache.held_parts("a", 1) == [None]
+        assert cache.held_parts("c", 1) == [{"items": 0}]
         disabled = AnswerCache(max_entries=0)
         disabled.store_parts("a", [{"items": 0}])
-        assert disabled.current_parts("a", (0,)) == [None]
+        assert disabled.held_parts("a", 1) == [None]
 
 
 def test_racing_writers_and_readers_see_every_acknowledged_push():
